@@ -15,7 +15,7 @@ import logging
 import time
 from pathlib import Path
 
-from rop.config import RunConfig, load_config, parse_overrides
+from rop.config import load_config
 from rop.evalx import evaluate, to_json, to_table
 from rop.placer import run_intersection, to_geojson
 from rop.synth import render_bundle, standard_fixtures, write_truth
@@ -23,19 +23,19 @@ from rop.synth import render_bundle, standard_fixtures, write_truth
 log = logging.getLogger("run_synth_eval")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=20, help="number of intersections")
     ap.add_argument("--seed", type=int, default=1, help="generator seed")
     ap.add_argument("--radius", type=float, default=5.0, help="match radius in meters")
-    ap.add_argument("--config", default=None, help="pipeline config JSON")
+    ap.add_argument("--config", default=None, help="configuration file of key = value lines")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="config override, repeatable")
     ap.add_argument("--out", default=None, help="directory for predictions/truth/report")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
 
-    cfg = load_config(args.config, parse_overrides(args.set)) if (args.config or args.set) else RunConfig()
+    cfg = load_config(args.config, args.set)
     layouts = standard_fixtures(args.n, seed=args.seed)
 
     preds = []

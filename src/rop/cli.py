@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 failed --min-completeness gate, 2 input error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -131,11 +130,8 @@ def _bundle_paths(args) -> dict[str, str]:
     }
 
 
-def _place_worker(payload):
-    """Top-level so ProcessPoolExecutor can pickle it."""
-    paths, indices, cfg_doc = payload
-    bundle = load_inputs(**paths)
-    cfg = RunConfig(**cfg_doc)
+def _place_chunk(bundle: Bundle, indices: list[int], cfg: RunConfig):
+    """(index, placed, diagnostics, trees) for each buffer index, in order."""
     out = []
     for i in indices:
         res = run_intersection(bundle, bundle.buffers[i], cfg)
@@ -146,27 +142,28 @@ def _place_worker(payload):
     return out
 
 
+def _place_worker(payload):
+    """Top-level so ProcessPoolExecutor can pickle it."""
+    paths, indices, cfg = payload
+    return _place_chunk(load_inputs(**paths), indices, cfg)
+
+
 def _run_buffers(args, cfg: RunConfig, jobs: int):
     """Per-buffer results in buffer order, identical for any job count."""
     paths = _bundle_paths(args)
     bundle = load_inputs(**paths)  # validate up front, also the jobs=1 path
     n = len(bundle.buffers)
-    slots: list = [None] * n
     if jobs <= 1 or n <= 1:
-        for i in range(n):
-            res = run_intersection(bundle, bundle.buffers[i], cfg)
-            trees = {
-                track: [tree_to_json(t) for t in ts] for track, ts in sorted(res.trees.items())
-            }
-            slots[i] = (res.placed, res.diagnostics, trees)
-        return bundle, slots
-    cfg_doc = dataclasses.asdict(cfg)
-    chunks = [list(range(n))[k::jobs] for k in range(jobs)]
-    payloads = [(paths, chunk, cfg_doc) for chunk in chunks if chunk]
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        for results in pool.map(_place_worker, payloads):
-            for i, placed, diags, trees in results:
-                slots[i] = (placed, diags, trees)
+        results = [_place_chunk(bundle, list(range(n)), cfg)]
+    else:
+        chunks = [list(range(n))[k::jobs] for k in range(jobs)]
+        payloads = [(paths, chunk, cfg) for chunk in chunks if chunk]
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            results = list(pool.map(_place_worker, payloads))
+    slots: list = [None] * n
+    for chunk in results:
+        for i, placed, diags, trees in chunk:
+            slots[i] = (placed, diags, trees)
     return bundle, slots
 
 

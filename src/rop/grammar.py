@@ -312,13 +312,19 @@ def apply_grammar(
     cfg: GrammarConfig = GrammarConfig(),
     registry: CategoryRegistry = DEFAULT_REGISTRY,
     min_region_px: int = 25,
+    tallest_ped: int | None = None,
 ) -> tuple[list[SceneObject], list[PatternGroup]]:
-    """Run Rules 1-5 in order on one image's objects."""
+    """Run Rules 1-5 in order on one image's objects.
+
+    tallest_ped is the tallest pedestrian's height in pixels; when None it is
+    measured from label_map.
+    """
     height_px, width_px = label_map.shape
-    tallest = tallest_pedestrian_px(label_map, registry, min_region_px=min_region_px)
+    if tallest_ped is None:
+        tallest_ped = tallest_pedestrian_px(label_map, registry, min_region_px=min_region_px)
     for obj in objs:
         if obj.category == "traffic_light" and not obj.inferred:
-            classify_light(obj, label_map, tallest or None, cfg, registry)
+            classify_light(obj, label_map, tallest_ped or None, cfg, registry)
     objs = merge_sidewalks(objs, width_px, cfg)
     left = [o for o in objs if side_of(o, width_px) == "left"]
     right = [o for o in objs if side_of(o, width_px) == "right"]

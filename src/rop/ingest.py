@@ -222,6 +222,10 @@ class PgmDirectory(Mapping):
         except KeyError:
             raise KeyError(image_id) from None
 
+    def __contains__(self, image_id: object) -> bool:
+        # Mapping's default would decode the whole raster via __getitem__.
+        return image_id in self._paths
+
     def __iter__(self) -> Iterator[str]:
         return iter(self._paths)
 

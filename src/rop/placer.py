@@ -30,7 +30,7 @@ from .geo import (
 )
 from .grammar import apply_grammar
 from .ingest import Bundle, ImageMeta, IntersectionBuffer, Track, build_tracks, correct_track, images_in_buffer
-from .scene import build_scene
+from .scene import scene_objects
 
 log = logging.getLogger("rop.placer")
 
@@ -289,7 +289,7 @@ def _track_trees(
     trees = []
     for img in track.images:
         label_map = bundle.label_maps[img.image_id]
-        objs = build_scene(
+        objs, tallest = scene_objects(
             label_map,
             bundle.detections.get(img.image_id, []),
             bundle.registry,
@@ -297,7 +297,7 @@ def _track_trees(
             iou_min=cfg.iou_min,
         )
         objs, groups = apply_grammar(
-            objs, label_map, cfg.grammar(), bundle.registry, min_region_px=cfg.min_region_px
+            objs, label_map, cfg.grammar(), bundle.registry, tallest_ped=tallest
         )
         trees.append(build_atbt(objs, groups, img.image_id, img.width_px))
     return trees

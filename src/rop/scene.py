@@ -52,13 +52,14 @@ def extract_regions(
         raise ValueError("label map must be 2-D")
     h, w = label_map.shape
     names = registry.names() if categories is None else list(categories)
-    counts = np.bincount(label_map.ravel(), minlength=256)
     out: list[Region] = []
     for name in sorted(names, key=registry.id_of):
-        cid = registry.id_of(name)
-        if counts[cid] < min_region_px:
+        mask = label_map == registry.id_of(name)
+        # No component can reach min_region_px when the whole category has
+        # fewer pixels; an absent category has no bounding box to crop to.
+        n_px = np.count_nonzero(mask)
+        if n_px == 0 or n_px < min_region_px:
             continue
-        mask = label_map == cid
         # Work inside the category's bounding box; sparse categories shrink
         # the labeling pass to a small crop. Ordering by first pixel is
         # unchanged: lexicographic (row, col) order survives the translation.
@@ -188,16 +189,37 @@ def reconcile(
     return out
 
 
+def _tallest(regions: list[Region]) -> int:
+    return max((r.bbox[3] for r in regions if r.category == "pedestrian"), default=0)
+
+
 def tallest_pedestrian_px(
     label_map: np.ndarray,
     registry: CategoryRegistry = DEFAULT_REGISTRY,
     min_region_px: int = 25,
 ) -> int:
     """Bounding-box height of the tallest pedestrian region, 0 if none."""
-    regions = extract_regions(
-        label_map, registry, categories=["pedestrian"], min_region_px=min_region_px
+    return _tallest(
+        extract_regions(label_map, registry, categories=["pedestrian"], min_region_px=min_region_px)
     )
-    return max((r.bbox[3] for r in regions), default=0)
+
+
+def scene_objects(
+    label_map: np.ndarray,
+    detections: list[Detection],
+    registry: CategoryRegistry = DEFAULT_REGISTRY,
+    min_region_px: int = 25,
+    iou_min: float = 0.3,
+) -> tuple[list[SceneObject], int]:
+    """One image's reconciled objects and its tallest pedestrian height in
+    pixels (0 if none), from a single extraction over the label map."""
+    regions = extract_regions(
+        label_map,
+        registry,
+        categories=["sidewalk", "pedestrian", "traffic_light", "traffic_sign"],
+        min_region_px=min_region_px,
+    )
+    return reconcile(regions, detections, iou_min=iou_min), _tallest(regions)
 
 
 def build_scene(
@@ -207,10 +229,4 @@ def build_scene(
     min_region_px: int = 25,
     iou_min: float = 0.3,
 ) -> list[SceneObject]:
-    regions = extract_regions(
-        label_map,
-        registry,
-        categories=["sidewalk", "traffic_light", "traffic_sign"],
-        min_region_px=min_region_px,
-    )
-    return reconcile(regions, detections, iou_min=iou_min)
+    return scene_objects(label_map, detections, registry, min_region_px, iou_min)[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -224,3 +225,15 @@ def test_place_config_override_changes_behavior(tmp_path):
     pred2 = tmp_path / "pred2.geojson"
     assert main(place_args(out, pred2, ["--set", "min_region_px=4000"])) == 3
     assert json.loads(pred2.read_text())["features"] == []
+
+
+def test_run_synth_eval_script_applies_set_override(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_synth_eval.py"
+    spec = importlib.util.spec_from_file_location("run_synth_eval", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    base, moved = tmp_path / "base", tmp_path / "moved"
+    assert module.main(["--n", "1", "--out", str(base)]) == 0
+    assert module.main(["--n", "1", "--set", "offset_m=2.0", "--out", str(moved)]) == 0
+    pred = "predictions.geojson"
+    assert (base / pred).read_bytes() != (moved / pred).read_bytes()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rop import ingest
 from rop.geo import GeoPoint, LocalPoint, dist, make_frame, project
 from rop.ingest import (
     DEFAULT_REGISTRY,
@@ -311,6 +312,31 @@ def test_load_inputs_rejects_dimension_mismatch(tmp_path):
             str(tmp_path / "fp.geojson"),
             str(tmp_path / "buffers.json"),
         )
+
+
+def test_load_inputs_decodes_no_label_map(tmp_path, monkeypatch):
+    _write_bundle_files(tmp_path)
+    decoded = []
+    real_read_pgm = ingest.read_pgm
+
+    def counting_read_pgm(path):
+        decoded.append(path)
+        return real_read_pgm(path)
+
+    monkeypatch.setattr(ingest, "read_pgm", counting_read_pgm)
+    d = PgmDirectory(str(tmp_path / "masks"))
+    assert "i0" in d
+    assert "x" not in d
+    bundle = load_inputs(
+        str(tmp_path / "images.json"),
+        str(tmp_path / "masks"),
+        str(tmp_path / "det.jsonl"),
+        str(tmp_path / "fp.geojson"),
+        str(tmp_path / "buffers.json"),
+    )
+    assert decoded == []
+    bundle.label_maps["i0"]
+    assert len(decoded) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,20 @@ from rop.geo import (
     project,
     unproject,
 )
-from rop.ingest import ImageMeta
+from rop import scene
+from rop.config import RunConfig
+from rop.ingest import ImageMeta, build_tracks, images_in_buffer
 from rop.placer import (
     CornerPair,
     classify_camera,
     dedup_placed,
     from_geojson,
     place_objects,
+    run_intersection,
     select_corners,
     to_geojson,
 )
+from rop.synth import render_bundle, standard_fixtures
 
 CENTER = GeoPoint(52.52, 13.405)
 FRAME = make_frame(CENTER)
@@ -382,3 +386,25 @@ def test_geojson_round_trip_and_order():
     assert back[0].category == "traffic_light"
     assert back[0].position.lat == pytest.approx(objs[1].position.lat)
     assert back[1].subtype == "stop"
+
+
+# ---------------------------------------------------------------------------
+# Full pipeline.
+
+
+def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
+    bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
+    buffer = bundle.buffers[0]
+    calls = []
+    real_extract = scene.extract_regions
+
+    def counting_extract(*args, **kwargs):
+        calls.append(1)
+        return real_extract(*args, **kwargs)
+
+    monkeypatch.setattr(scene, "extract_regions", counting_extract)
+    result = run_intersection(bundle, buffer, RunConfig())
+    tracked = sum(len(t.images) for t in build_tracks(images_in_buffer(bundle.images, buffer), buffer))
+    assert result.placed
+    assert tracked > 0
+    assert len(calls) == tracked

@@ -15,6 +15,7 @@ from rop.scene import (
     build_scene,
     extract_regions,
     reconcile,
+    scene_objects,
     tallest_pedestrian_px,
 )
 
@@ -161,6 +162,43 @@ def test_extract_conserves_pixels(seed):
         assert sum(r.area_px for r in got) == int((lab == DEFAULT_REGISTRY.id_of(name)).sum())
 
 
+SCENE = ["sidewalk", "pedestrian", "traffic_light", "traffic_sign"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.03, 0.15, 1.0]), st.integers(0, 12))
+def test_extract_min_region_px_matches_oracle(seed, density, min_px):
+    # Sparse maps leave some categories with fewer than min_px pixels in all.
+    rng = np.random.default_rng(seed)
+    lab = np.where(rng.random((14, 17)) < density, random_map(seed), 0).astype(np.uint8)
+    singles = []
+    for name in SCENE:
+        got = extract_regions(lab, categories=[name], min_region_px=min_px)
+        want = [
+            c for c in flood_regions_oracle(lab, DEFAULT_REGISTRY.id_of(name)) if c["area"] >= min_px
+        ]
+        assert as_dicts(got) == want
+        assert all(r.category == name for r in got)
+        singles.extend(got)
+    assert extract_regions(lab, categories=SCENE[::-1], min_region_px=min_px) == singles
+
+
+@pytest.mark.parametrize("min_px", [0, 1, 25])
+def test_extract_map_without_requested_categories(min_px):
+    lab = np.full((8, 9), ROAD, dtype=np.uint8)
+    lab[0:2, 0:2] = 0
+    assert extract_regions(lab, categories=SCENE, min_region_px=min_px) == []
+
+
+def test_extract_category_below_min_in_total():
+    lab = np.zeros((10, 10), dtype=np.uint8)
+    lab[0, 0:4] = LIGHT
+    lab[5, 0:4] = LIGHT  # 8 light pixels in two components
+    lab[2:5, 5:8] = SIGN  # 9 sign pixels in one component
+    got = extract_regions(lab, categories=["traffic_light", "traffic_sign"], min_region_px=9)
+    assert [(r.category, r.area_px) for r in got] == [("traffic_sign", 9)]
+
+
 # ---------------------------------------------------------------------------
 # box_iou.
 
@@ -275,6 +313,10 @@ def test_tallest_pedestrian_px():
     lab[20:28, 20:24] = PED  # height 8
     assert tallest_pedestrian_px(lab, min_region_px=1) == 20
     assert tallest_pedestrian_px(np.zeros((5, 5), dtype=np.uint8), min_region_px=1) == 0
+    lab[0:30, 30:32] = LIGHT
+    objs, tallest = scene_objects(lab, [], min_region_px=1)
+    assert tallest == 20
+    assert [o.category for o in objs] == ["traffic_light"]
 
 
 def test_build_scene_end_to_end():
