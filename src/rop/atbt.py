@@ -9,7 +9,6 @@ matched across every image of a track without any pixel-space reasoning.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,12 +35,6 @@ class Atbt:
     def root(self) -> AtbtNode:
         return self.nodes[0]
 
-    def node_at(self, heap_index: int) -> AtbtNode | None:
-        for n in self.nodes:
-            if n.heap_index == heap_index:
-                return n
-        return None
-
 
 @dataclass(frozen=True)
 class FusedKey:
@@ -59,7 +52,6 @@ class FusedKey:
 class FusedObject:
     key: FusedKey
     support: int
-    best_image: str
     light_kind: str | None
     subtype: str | None
     inferred_only: bool
@@ -160,10 +152,6 @@ def tree_to_json(tree: Atbt) -> dict:
     return out
 
 
-def trees_to_json(trees: list[Atbt]) -> str:
-    return json.dumps([tree_to_json(t) for t in trees], indent=2, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # Track fusion.
 
@@ -184,15 +172,12 @@ def _vote(values: list, ranked_order: list[int]) -> object:
 def fuse_track(
     trees: list[Atbt],
     image_rank: dict[str, float] | None = None,
-    c1_images: set[str] | None = None,
 ) -> list[FusedObject]:
     """Merge a track's per-image trees into one object set.
 
     Nodes sharing (side, category, stack ordinal, stack depth) across images
     are one physical object; subtype and light kind resolve by majority vote
-    with ties going to the image ranked nearest the intersection. best_image
-    is the nearest rank-ordered C1 observer, falling back to the observer that
-    saw the most objects overall.
+    with ties going to the image ranked nearest the intersection.
     """
     if not trees:
         return []
@@ -200,17 +185,14 @@ def fuse_track(
         # Later images in track order sit nearer the intersection.
         image_rank = {t.image_id: float(i) for i, t in enumerate(reversed(trees))}
     rank = lambda iid: (image_rank.get(iid, float("inf")), iid)
-    c1 = c1_images or set()
 
     observations: dict[tuple, list[tuple[str, SceneObject]]] = {}
-    keys_per_image: Counter = Counter()
     for tree in trees:
         for node in tree.nodes:
             if node.object is None:
                 continue
             key = (node.side, node.object.category, node.stack_ordinal, node.depth_in_stack)
             observations.setdefault(key, []).append((tree.image_id, node.object))
-            keys_per_image[tree.image_id] += 1
 
     fused: list[FusedObject] = []
     for (side, category, ordinal, depth), obs in observations.items():
@@ -219,21 +201,14 @@ def fuse_track(
         kinds = [o.light_kind for _, o in obs]
         subtype = _vote(subtypes, order)
         light_kind = _vote(kinds, order)
-        observers = [iid for iid, _ in obs]
-        c1_observers = [iid for iid in observers if iid in c1]
-        if c1_observers:
-            best = min(c1_observers, key=rank)
-        else:
-            best = min(observers, key=lambda iid: (-keys_per_image[iid],) + rank(iid))
         fused.append(
             FusedObject(
                 key=FusedKey(side, category, ordinal, depth, subtype),
                 support=len(obs),
-                best_image=best,
                 light_kind=light_kind,
                 subtype=subtype,
                 inferred_only=all(o.inferred for _, o in obs),
-                source_images=sorted(set(observers)),
+                source_images=sorted({iid for iid, _ in obs}),
             )
         )
     fused.sort(key=lambda f: f.key.sort_key())

@@ -23,7 +23,7 @@ from .config import RunConfig, load_config
 from .evalx import evaluate, to_table
 from .evalx import to_json as report_to_json
 from .ingest import Bundle, load_inputs
-from .placer import from_geojson, run_intersection, to_geojson
+from .placer import IntersectionResult, from_geojson, run_intersection, to_geojson
 from .synth import (
     layout_from_json,
     render_bundle,
@@ -130,22 +130,19 @@ def _bundle_paths(args) -> dict[str, str]:
     }
 
 
-def _place_chunk(bundle: Bundle, indices: list[int], cfg: RunConfig):
-    """(index, placed, diagnostics, trees) for each buffer index, in order."""
-    out = []
-    for i in indices:
-        res = run_intersection(bundle, bundle.buffers[i], cfg)
-        trees = {
-            track: [tree_to_json(t) for t in ts] for track, ts in sorted(res.trees.items())
-        }
-        out.append((i, res.placed, res.diagnostics, trees))
-    return out
+def _place_chunk(bundle: Bundle, indices: list[int], cfg: RunConfig) -> list[IntersectionResult]:
+    """One result per buffer index, in order."""
+    return [run_intersection(bundle, bundle.buffers[i], cfg) for i in indices]
 
 
 def _place_worker(payload):
-    """Top-level so ProcessPoolExecutor can pickle it."""
+    """Top-level so ProcessPoolExecutor can pickle it. Trees stay behind:
+    only dump-trees reads them, and it runs in-process."""
     paths, indices, cfg = payload
-    return _place_chunk(load_inputs(**paths), indices, cfg)
+    results = _place_chunk(load_inputs(**paths), indices, cfg)
+    for res in results:
+        res.trees = {}
+    return results
 
 
 def _run_buffers(args, cfg: RunConfig, jobs: int):
@@ -154,26 +151,23 @@ def _run_buffers(args, cfg: RunConfig, jobs: int):
     bundle = load_inputs(**paths)  # validate up front, also the jobs=1 path
     n = len(bundle.buffers)
     if jobs <= 1 or n <= 1:
-        results = [_place_chunk(bundle, list(range(n)), cfg)]
-    else:
-        chunks = [list(range(n))[k::jobs] for k in range(jobs)]
-        payloads = [(paths, chunk, cfg) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            results = list(pool.map(_place_worker, payloads))
-    slots: list = [None] * n
-    for chunk in results:
-        for i, placed, diags, trees in chunk:
-            slots[i] = (placed, diags, trees)
-    return bundle, slots
+        return bundle, _place_chunk(bundle, list(range(n)), cfg)
+    chunks = [list(range(k, n, jobs)) for k in range(min(jobs, n))]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        chunk_results = list(pool.map(_place_worker, [(paths, chunk, cfg) for chunk in chunks]))
+    results: list = [None] * n
+    for chunk, chunk_result in zip(chunks, chunk_results):
+        for i, res in zip(chunk, chunk_result):
+            results[i] = res
+    return bundle, results
 
 
 def cmd_place(args) -> int:
     cfg = load_config(args.config, args.set)
-    bundle, slots = _run_buffers(args, cfg, args.jobs)
-    placed = [obj for placed_i, _, _ in slots for obj in placed_i]
-    diagnostics = [d for _, diags_i, _ in slots for d in diags_i]
+    bundle, results = _run_buffers(args, cfg, args.jobs)
+    placed = [obj for res in results for obj in res.placed]
     doc = to_geojson(placed)
-    doc["diagnostics"] = diagnostics
+    doc["diagnostics"] = [d for res in results for d in res.diagnostics]
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     log.info("placed %d objects across %d intersections", len(placed), len(bundle.buffers))
     if not placed:
@@ -184,10 +178,12 @@ def cmd_place(args) -> int:
 
 def cmd_dump_trees(args) -> int:
     cfg = load_config(args.config, args.set)
-    bundle, slots = _run_buffers(args, cfg, jobs=1)
+    _, results = _run_buffers(args, cfg, jobs=1)
     doc = {
-        bundle.buffers[i].intersection_id: trees
-        for i, (_, _, trees) in enumerate(slots)
+        res.intersection_id: {
+            track: [tree_to_json(t) for t in trees] for track, trees in res.trees.items()
+        }
+        for res in results
     }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EX_OK

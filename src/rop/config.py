@@ -6,47 +6,36 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .grammar import GrammarConfig
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    # ingest / buffers
-    buffer_radius_m: float = 50.0
     # scene
     min_region_px: int = 25
     iou_min: float = 0.3
     # grammar
     high_factor: float = 3.0
-    low_factor: float = 2.0
     ring_px: int = 15
     sidewalk_gap_px: int = 40
     stack_dx_frac: float = 0.04
     pedestrian_fallback_frac: float = 0.22
+    # placer
     high_height_m: float = 7.0
     low_height_m: float = 4.0
-    # placer
     corner_radius_m: float = 26.0
     inner_radius_m: float = 10.0
     offset_m: float = 2.5
     dedup_radius_m: float = 1.5
-    # evaluation
-    match_radius_m: float = 5.0
-    # misc
-    seed: int = 1
-    jobs: int = 1
 
-    def grammar(self) -> GrammarConfig:
-        return GrammarConfig(
-            high_factor=self.high_factor,
-            low_factor=self.low_factor,
-            ring_px=self.ring_px,
-            sidewalk_gap_px=self.sidewalk_gap_px,
-            stack_dx_frac=self.stack_dx_frac,
-            pedestrian_fallback_frac=self.pedestrian_fallback_frac,
-            high_height_m=self.high_height_m,
-            low_height_m=self.low_height_m,
-        )
+    def __post_init__(self) -> None:
+        if not self.high_factor > 0:
+            raise ValueError("high_factor must be positive")
+        for key in ("stack_dx_frac", "pedestrian_fallback_frac"):
+            if not 0 < getattr(self, key) < 1:
+                raise ValueError(f"{key} must lie in (0, 1)")
+        if self.ring_px <= 0:
+            raise ValueError("ring_px must be positive")
+        if self.sidewalk_gap_px < 0:
+            raise ValueError("sidewalk_gap_px must be non-negative")
 
     def show(self) -> str:
         lines = [
@@ -83,7 +72,10 @@ def parse_overrides(pairs: list[str]) -> dict:
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
-    """Build a RunConfig from an optional key=value file plus CLI overrides."""
+    """Build a RunConfig from an optional key=value file plus CLI overrides.
+
+    Unknown keys, unparsable values and values that break an invariant raise
+    ValueError here, before any bundle is read."""
     values: dict = {}
     if path is not None:
         for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):

@@ -125,28 +125,13 @@ def evaluate(
     pairings = match(preds, refs, radius_m=radius_m)
     by_ref = {p.ref_index: p for p in pairings}
 
-    def group_of_ref(r: PlacedObject) -> list[str]:
-        names = [r.category]
-        if r.category == "traffic_light" and r.light_kind:
-            names.append(f"traffic_light[{r.light_kind}]")
+    def groups_of(obj: PlacedObject) -> list[str]:
+        names = [obj.category]
+        if obj.category == "traffic_light" and obj.light_kind:
+            names.append(f"traffic_light[{obj.light_kind}]")
         return names
 
-    def group_of_pred(p: PlacedObject) -> list[str]:
-        names = [p.category]
-        if p.category == "traffic_light" and p.light_kind:
-            names.append(f"traffic_light[{p.light_kind}]")
-        return names
-
-    names: list[str] = []
-    for r in refs:
-        for g in group_of_ref(r):
-            if g not in names:
-                names.append(g)
-    for p in preds:
-        for g in group_of_pred(p):
-            if g not in names:
-                names.append(g)
-    names.sort()
+    names = sorted({g for obj in [*refs, *preds] for g in groups_of(obj)})
 
     groups = [
         _stats(
@@ -157,12 +142,12 @@ def evaluate(
         )
     ]
     for name in names:
-        n_ref = sum(1 for r in refs if name in group_of_ref(r))
-        n_pred = sum(1 for p in preds if name in group_of_pred(p))
+        n_ref = sum(1 for r in refs if name in groups_of(r))
+        n_pred = sum(1 for p in preds if name in groups_of(p))
         dists = [
             by_ref[i].distance_m
             for i, r in enumerate(refs)
-            if name in group_of_ref(r) and i in by_ref
+            if name in groups_of(r) and i in by_ref
         ]
         groups.append(_stats(name, n_ref, n_pred, dists))
     return EvalReport(groups=groups, pairings=pairings, radius_m=radius_m)

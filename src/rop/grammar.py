@@ -14,30 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .ingest import DEFAULT_REGISTRY, CategoryRegistry
-from .scene import SceneObject, tallest_pedestrian_px
+from .scene import SceneObject
 
 log = logging.getLogger("rop.grammar")
-
-
-@dataclass(frozen=True)
-class GrammarConfig:
-    high_factor: float = 3.0
-    low_factor: float = 2.0
-    ring_px: int = 15
-    sidewalk_gap_px: int = 40
-    stack_dx_frac: float = 0.04
-    pedestrian_fallback_frac: float = 0.22
-    high_height_m: float = 7.0
-    low_height_m: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not self.high_factor > self.low_factor > 0:
-            raise ValueError("require high_factor > low_factor > 0")
-        if not 0 < self.stack_dx_frac < 1 or not 0 < self.pedestrian_fallback_frac < 1:
-            raise ValueError("fractions must lie in (0, 1)")
-        if self.ring_px <= 0 or self.sidewalk_gap_px < 0:
-            raise ValueError("ring_px must be positive, sidewalk_gap_px non-negative")
 
 
 @dataclass
@@ -86,18 +67,17 @@ def classify_light(
     obj: SceneObject,
     label_map: np.ndarray,
     tallest_ped: int | None = None,
-    cfg: GrammarConfig = GrammarConfig(),
+    cfg: RunConfig = RunConfig(),
     registry: CategoryRegistry = DEFAULT_REGISTRY,
 ) -> str:
-    """Assign light_kind high/low from the surround ring and a downward ray.
+    """Assign light_kind high/low from the surround ring, else a downward ray.
 
-    A ray from the light centroid down to the first road or sidewalk pixel
-    measures the drop d; the tallest pedestrian (fallback: a fixed fraction of
-    the image height) gives the scale h. Sky surround with d > high_factor*h
-    reads high; building surround with d <= low_factor*h reads low; whenever
-    the cues disagree, or d lands between the factors, the surround wins. A
-    ray that exits the image leaves the surround cue alone (low-confidence);
-    a tied or empty surround leaves the ray alone (low-confidence).
+    A sky majority in the ring around the light reads high, a building
+    majority low. Only on a tied or empty surround does the ray decide: from
+    the light centroid down to the first road or sidewalk pixel it measures the
+    drop d, the tallest pedestrian (fallback: a fixed fraction of the image
+    height) gives the scale h, and d > high_factor*h reads high. A ray that
+    exits the image reads low.
     """
     if obj.category != "traffic_light":
         raise ValueError(f"classify_light on category '{obj.category}'")
@@ -107,35 +87,21 @@ def classify_light(
         r, c = obj.centroid
         bbox = (c, r, 1.0, 1.0)
     surround = _surround_vote(label_map, bbox, cfg.ring_px, registry)
-
-    row, col = obj.centroid
-    c = min(max(int(round(col)), 0), big_w - 1)
-    r0 = int(round(row))
-    d = None
-    if r0 + 1 < big_h:
-        column = label_map[r0 + 1 :, c]
-        ground = (column == registry.id_of("road")) | (column == registry.id_of("sidewalk"))
-        hits = np.flatnonzero(ground)
-        if hits.size:
-            d = float(r0 + 1 + hits[0]) - row
-
-    h = float(tallest_ped) if tallest_ped else cfg.pedestrian_fallback_frac * big_h
-    low_confidence = False
-    if surround is not None and d is not None:
+    if surround is not None:
         kind = "high" if surround == "sky" else "low"
-    elif surround is not None:
-        kind = "high" if surround == "sky" else "low"
-        low_confidence = True
-    elif d is not None:
-        kind = "high" if d > cfg.high_factor * h else "low"
-        low_confidence = True
     else:
+        row, col = obj.centroid
+        c = min(max(int(round(col)), 0), big_w - 1)
+        r0 = int(round(row))
         kind = "low"
-        low_confidence = True
-
+        if r0 + 1 < big_h:
+            column = label_map[r0 + 1 :, c]
+            ground = (column == registry.id_of("road")) | (column == registry.id_of("sidewalk"))
+            hits = np.flatnonzero(ground)
+            h = float(tallest_ped) if tallest_ped else cfg.pedestrian_fallback_frac * big_h
+            if hits.size and float(r0 + 1 + hits[0]) - row > cfg.high_factor * h:
+                kind = "high"
     obj.light_kind = kind
-    obj.height_m = cfg.high_height_m if kind == "high" else cfg.low_height_m
-    obj.low_confidence = low_confidence
     return kind
 
 
@@ -163,7 +129,7 @@ def _merged_walk(members: list[SceneObject]) -> SceneObject:
 
 
 def merge_sidewalks(
-    objs: list[SceneObject], width_px: int, cfg: GrammarConfig = GrammarConfig()
+    objs: list[SceneObject], width_px: int, cfg: RunConfig = RunConfig()
 ) -> list[SceneObject]:
     """Chain-merge same-side sidewalk blocks whose horizontal gap fits the
     threshold (transitively); everything else passes through. Output order is
@@ -201,7 +167,6 @@ def infer_pair(
     left: list[SceneObject],
     right: list[SceneObject],
     width_px: int,
-    cfg: GrammarConfig = GrammarConfig(),
 ) -> SceneObject | None:
     """Low lights flank the road in pairs: when one side shows a low light and
     the other side shows sidewalk but no low light, mirror the light across the
@@ -230,7 +195,6 @@ def infer_pair(
         bbox=None,
         source="inferred",
         light_kind="low",
-        height_m=cfg.low_height_m,
         inferred=True,
     )
 
@@ -257,7 +221,7 @@ def _split_by_nearest_light(cluster: list[SceneObject]) -> list[list[SceneObject
 
 
 def group_patterns(
-    objs: list[SceneObject], width_px: int, cfg: GrammarConfig = GrammarConfig()
+    objs: list[SceneObject], width_px: int, cfg: RunConfig = RunConfig()
 ) -> list[PatternGroup]:
     """Cluster signs and low lights per side on centroid column (single
     linkage, threshold stack_dx_frac * width). Clusters holding at least one
@@ -309,26 +273,23 @@ def group_patterns(
 def apply_grammar(
     objs: list[SceneObject],
     label_map: np.ndarray,
-    cfg: GrammarConfig = GrammarConfig(),
+    tallest_ped: int,
+    cfg: RunConfig = RunConfig(),
     registry: CategoryRegistry = DEFAULT_REGISTRY,
-    min_region_px: int = 25,
-    tallest_ped: int | None = None,
 ) -> tuple[list[SceneObject], list[PatternGroup]]:
     """Run Rules 1-5 in order on one image's objects.
 
-    tallest_ped is the tallest pedestrian's height in pixels; when None it is
-    measured from label_map.
+    tallest_ped is the tallest pedestrian's height in pixels, 0 if none (see
+    scene.scene_objects).
     """
-    height_px, width_px = label_map.shape
-    if tallest_ped is None:
-        tallest_ped = tallest_pedestrian_px(label_map, registry, min_region_px=min_region_px)
+    width_px = label_map.shape[1]
     for obj in objs:
         if obj.category == "traffic_light" and not obj.inferred:
             classify_light(obj, label_map, tallest_ped or None, cfg, registry)
     objs = merge_sidewalks(objs, width_px, cfg)
     left = [o for o in objs if side_of(o, width_px) == "left"]
     right = [o for o in objs if side_of(o, width_px) == "right"]
-    twin = infer_pair(left, right, width_px, cfg)
+    twin = infer_pair(left, right, width_px)
     if twin is not None:
         objs = objs + [twin]
     return objs, group_patterns(objs, width_px, cfg)

@@ -9,7 +9,6 @@ corners, and suspended lights hang over the road at the corner midpoint.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -35,12 +34,6 @@ from .scene import scene_objects
 log = logging.getLogger("rop.placer")
 
 _ORIGIN = LocalPoint(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class CameraCase:
-    image_id: str
-    case: str  # C1 | C2 | C3
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ class IntersectionResult:
 
 def classify_camera(
     img: ImageMeta, center: GeoPoint, frame: LocalFrame, inner_radius_m: float = 10.0
-) -> CameraCase:
+) -> str:
     """C1 approaching, C2 inside the inner radius, C3 past the center."""
     if img.heading_deg is None:
         raise ValueError(f"image {img.image_id} has no heading")
@@ -87,10 +80,10 @@ def classify_camera(
     ctr = project(frame, center)
     vx, vy = ctr.x - cam.x, ctr.y - cam.y
     if (vx * vx + vy * vy) ** 0.5 <= inner_radius_m:
-        return CameraCase(img.image_id, "C2")
+        return "C2"
     hx, hy = heading_vector(img.heading_deg)
     ahead = hx * vx + hy * vy
-    return CameraCase(img.image_id, "C1" if ahead > 0 else "C3")
+    return "C1" if ahead > 0 else "C3"
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +289,7 @@ def _track_trees(
             min_region_px=cfg.min_region_px,
             iou_min=cfg.iou_min,
         )
-        objs, groups = apply_grammar(
-            objs, label_map, cfg.grammar(), bundle.registry, tallest_ped=tallest
-        )
+        objs, groups = apply_grammar(objs, label_map, tallest, cfg, bundle.registry)
         trees.append(build_atbt(objs, groups, img.image_id, img.width_px))
     return trees
 
@@ -326,11 +317,10 @@ def run_intersection(
             for img in track.images
         }
         cases = {
-            img.image_id: classify_camera(img, buffer.center, frame, cfg.inner_radius_m).case
+            img.image_id: classify_camera(img, buffer.center, frame, cfg.inner_radius_m)
             for img in track.images
         }
-        c1 = {iid for iid, case in cases.items() if case == "C1"}
-        fused = fuse_track(trees, image_rank=ranks, c1_images=c1)
+        fused = fuse_track(trees, image_rank=ranks)
         if not fused:
             continue
         corners = None
@@ -451,7 +441,3 @@ def from_geojson(doc: dict) -> list[PlacedObject]:
             )
         )
     return out
-
-
-def diagnostics_to_jsonl(diags: list[dict]) -> str:
-    return "\n".join(json.dumps(d, sort_keys=True) for d in diags)

@@ -35,8 +35,6 @@ class SceneObject:
     score: float | None = None
     source: str = "region"  # region | detection | inferred
     light_kind: str | None = None  # high | low
-    height_m: float | None = None
-    low_confidence: bool = False
     inferred: bool = False
 
 
@@ -189,21 +187,6 @@ def reconcile(
     return out
 
 
-def _tallest(regions: list[Region]) -> int:
-    return max((r.bbox[3] for r in regions if r.category == "pedestrian"), default=0)
-
-
-def tallest_pedestrian_px(
-    label_map: np.ndarray,
-    registry: CategoryRegistry = DEFAULT_REGISTRY,
-    min_region_px: int = 25,
-) -> int:
-    """Bounding-box height of the tallest pedestrian region, 0 if none."""
-    return _tallest(
-        extract_regions(label_map, registry, categories=["pedestrian"], min_region_px=min_region_px)
-    )
-
-
 def scene_objects(
     label_map: np.ndarray,
     detections: list[Detection],
@@ -219,14 +202,5 @@ def scene_objects(
         categories=["sidewalk", "pedestrian", "traffic_light", "traffic_sign"],
         min_region_px=min_region_px,
     )
-    return reconcile(regions, detections, iou_min=iou_min), _tallest(regions)
-
-
-def build_scene(
-    label_map: np.ndarray,
-    detections: list[Detection],
-    registry: CategoryRegistry = DEFAULT_REGISTRY,
-    min_region_px: int = 25,
-    iou_min: float = 0.3,
-) -> list[SceneObject]:
-    return scene_objects(label_map, detections, registry, min_region_px, iou_min)[0]
+    tallest = max((r.bbox[3] for r in regions if r.category == "pedestrian"), default=0)
+    return reconcile(regions, detections, iou_min=iou_min), tallest

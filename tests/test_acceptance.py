@@ -30,10 +30,10 @@ from rop.geo import (
     project,
     unproject,
 )
-from rop.grammar import GrammarConfig, apply_grammar, classify_light, merge_sidewalks
+from rop.grammar import apply_grammar, classify_light, merge_sidewalks
 from rop.ingest import DEFAULT_REGISTRY, ImageMeta, build_tracks, correct_track
 from rop.placer import run_intersection, select_corners
-from rop.scene import build_scene, tallest_pedestrian_px
+from rop.scene import scene_objects
 from rop.synth import (
     CameraPose,
     Layout,
@@ -195,12 +195,11 @@ def _ring_counts(canvas: np.ndarray, bbox, ring_px: int) -> tuple[int, int]:
 
 def _classify_one(layout: Layout) -> tuple[str, object]:
     canvas, dets = render_image(layout, layout.cameras[0])
-    objs = build_scene(canvas, dets)
+    objs, tallest = scene_objects(canvas, dets)
     lights = [o for o in objs if o.category == "traffic_light"]
     if len(lights) != 1:
         return "NONE", None
-    tallest = tallest_pedestrian_px(canvas, DEFAULT_REGISTRY)
-    kind = classify_light(lights[0], canvas, tallest or None, GrammarConfig())
+    kind = classify_light(lights[0], canvas, tallest or None, RunConfig())
     return kind, (canvas, lights[0])
 
 
@@ -221,7 +220,7 @@ def test_criterion_3_light_classification():
         kind, payload = _classify_one(lay)
         assert payload is not None, f"{lay.intersection_id}: light not extracted"
         canvas, light = payload
-        sky, bld = _ring_counts(canvas, light.bbox, GrammarConfig().ring_px)
+        sky, bld = _ring_counts(canvas, light.bbox, RunConfig().ring_px)
         assert sky == bld > 0, f"{lay.intersection_id}: ring not tied ({sky} vs {bld})"
 
     n_ped = n_ped_ok = n_noped = n_noped_ok = 0
@@ -266,8 +265,8 @@ def _pair_scene(cam_x: float, building_h: float, intersection_id: str) -> Layout
 
 def _grammar_lights(layout: Layout) -> tuple[list, list]:
     canvas, dets = render_image(layout, layout.cameras[0])
-    objs = build_scene(canvas, dets)
-    objs, _ = apply_grammar(objs, canvas)
+    objs, tallest = scene_objects(canvas, dets)
+    objs, _ = apply_grammar(objs, canvas, tallest)
     lights = [o for o in objs if o.category == "traffic_light"]
     return [o for o in lights if not o.inferred], [o for o in lights if o.inferred]
 
@@ -541,8 +540,8 @@ def test_criterion_6_structural_invariants(fixture_run):
     n_shuffles = 0
     for run in fixture_run.runs[:5]:
         img, label_map, dets = _scene_inputs(run)
-        objs = build_scene(label_map, dets)
-        objs, groups = apply_grammar(objs, label_map)
+        objs, tallest = scene_objects(label_map, dets)
+        objs, groups = apply_grammar(objs, label_map, tallest)
         base = tree_to_json(build_atbt(objs, groups, img.image_id, img.width_px))
         for _ in range(100):
             o2, g2 = list(objs), list(groups)
@@ -572,7 +571,7 @@ def test_criterion_6_structural_invariants(fixture_run):
     n_merge = 0
     for run in fixture_run.runs[:5]:
         img, label_map, dets = _scene_inputs(run)
-        objs = build_scene(label_map, dets)
+        objs, _ = scene_objects(label_map, dets)
         merged = merge_sidewalks(objs, img.width_px)
         assert merge_key(merge_sidewalks(merged, img.width_px)) == merge_key(merged)
         for _ in range(10):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rop.atbt import Atbt, FusedKey, build_atbt, fuse_track, tree_to_json, trees_to_json
+from rop.atbt import Atbt, build_atbt, fuse_track, tree_to_json
 from rop.grammar import PatternGroup
 from rop.scene import SceneObject
 
@@ -189,9 +189,9 @@ def test_build_is_permutation_invariant(entries, rnd):
 def test_tree_json_round_trips():
     light = obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")
     tree = build_atbt([light], [], "img7", W_IMG)
-    doc = json.loads(trees_to_json([tree]))
-    assert doc[0]["image_id"] == "img7"
-    ids = {n.get("object_id") for n in doc[0]["nodes"]}
+    doc = json.loads(json.dumps(tree_to_json(tree)))
+    assert doc["image_id"] == "img7"
+    ids = {n.get("object_id") for n in doc["nodes"]}
     assert ids == {None, "l0"}
 
 
@@ -221,7 +221,6 @@ def test_fuse_single_tree_pass_through():
     assert len(fused) == 2
     for f in fused:
         assert f.support == 1
-        assert f.best_image == "i0"
         assert f.source_images == ["i0"]
     cats = {f.key.category for f in fused}
     assert cats == {"traffic_light", "sidewalk"}
@@ -271,35 +270,6 @@ def test_fuse_default_rank_prefers_later_images():
     # 1-1 tie on light kind: the later (nearer) image wins.
     fused = fuse_track([kind_tree("i0", "high"), kind_tree("i1", "low")])
     assert fused[0].light_kind == "low"
-
-
-def test_fuse_best_image_prefers_nearest_c1():
-    def light_tree(iid):
-        return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")], [])
-
-    trees = [light_tree("i0"), light_tree("i1"), light_tree("i2")]
-    rank = {"i0": 3.0, "i1": 1.0, "i2": 2.0}
-    fused = fuse_track(trees, image_rank=rank, c1_images={"i0", "i2"})
-    assert fused[0].best_image == "i2"
-    fused = fuse_track(trees, image_rank=rank, c1_images=set())
-    # No C1 observer: falls back to the image seeing the most objects
-    # (all tie at 1 here), then to rank.
-    assert fused[0].best_image == "i1"
-
-
-def test_fuse_best_image_fallback_most_objects():
-    rich = tree_of(
-        "rich",
-        [
-            obj("l0", "traffic_light", (300.0, 200.0), light_kind="low"),
-            obj("w0", "sidewalk", (600.0, 100.0)),
-        ],
-        [],
-    )
-    poor = tree_of("poor", [obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")], [])
-    fused = fuse_track([rich, poor], image_rank={"rich": 2.0, "poor": 1.0})
-    light = next(f for f in fused if f.key.category == "traffic_light")
-    assert light.best_image == "rich"
 
 
 def test_fuse_inferred_only_flag():

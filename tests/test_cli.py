@@ -180,19 +180,53 @@ def test_dump_trees_exports_heap_nodes(bundle_dir, tmp_path):
 def test_config_show_lists_defaults_and_overrides(tmp_path, capsys):
     assert main(["config", "--show"]) == 0
     out = capsys.readouterr().out
-    assert "buffer_radius_m = 50.0" in out
-    assert "seed = 1" in out
+    assert "offset_m = 2.5" in out
+    assert "ring_px = 15" in out
+    assert len(out.splitlines()) == 13
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("high_factor = 4.5  # widened\n")
-    assert main(["config", "--show", "--config", str(cfg_file), "--set", "jobs=4"]) == 0
+    assert main(["config", "--show", "--config", str(cfg_file), "--set", "ring_px=20"]) == 0
     out = capsys.readouterr().out
     assert "high_factor = 4.5" in out
-    assert "jobs = 4" in out
+    assert "ring_px = 20" in out
 
 
 def test_config_rejects_unknown_key(capsys):
     assert main(["config", "--show", "--set", "bogus=1"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["seed", "jobs", "buffer_radius_m", "match_radius_m", "low_factor"])
+def test_config_rejects_removed_key(key, capsys):
+    assert main(["config", "--show", "--set", f"{key}=1"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and key in err
+
+
+@pytest.mark.parametrize("override", ["ring_px=0", "high_factor=0", "sidewalk_gap_px=-1", "stack_dx_frac=1"])
+def test_config_rejects_invalid_value(override, capsys):
+    assert main(["config", "--show", "--set", override]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
+def test_place_rejects_invalid_config_before_reading_maps(bundle_dir, tmp_path, monkeypatch, capsys):
+    import rop.ingest
+
+    calls = []
+    read_pgm = rop.ingest.read_pgm
+
+    def counting_read_pgm(path):
+        calls.append(path)
+        return read_pgm(path)
+
+    monkeypatch.setattr(rop.ingest, "read_pgm", counting_read_pgm)
+    out = tmp_path / "pred.geojson"
+    assert main(place_args(bundle_dir, out, ["--set", "ring_px=0"])) == 2
+    assert "ring_px" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    # The counter does see the reads of a valid run.
+    assert main(place_args(bundle_dir, out)) == 0
+    assert calls
 
 
 def test_place_config_override_changes_behavior(tmp_path):

@@ -77,20 +77,20 @@ BUILDINGS = [
 
 
 def test_camera_cases_along_an_approach():
-    assert classify_camera(cam(-20.0, 0.0, 90.0), CENTER, FRAME).case == "C1"
-    assert classify_camera(cam(-5.0, 0.0, 90.0), CENTER, FRAME).case == "C2"
-    assert classify_camera(cam(20.0, 0.0, 90.0), CENTER, FRAME).case == "C3"
+    assert classify_camera(cam(-20.0, 0.0, 90.0), CENTER, FRAME) == "C1"
+    assert classify_camera(cam(-5.0, 0.0, 90.0), CENTER, FRAME) == "C2"
+    assert classify_camera(cam(20.0, 0.0, 90.0), CENTER, FRAME) == "C3"
 
 
 def test_camera_inner_radius_boundary():
     # Exactly on the inner radius counts as inside.
-    assert classify_camera(cam(-10.0, 0.0, 90.0), CENTER, FRAME, inner_radius_m=10.0).case == "C2"
-    assert classify_camera(cam(-10.001, 0.0, 90.0), CENTER, FRAME, inner_radius_m=10.0).case == "C1"
+    assert classify_camera(cam(-10.0, 0.0, 90.0), CENTER, FRAME, inner_radius_m=10.0) == "C2"
+    assert classify_camera(cam(-10.001, 0.0, 90.0), CENTER, FRAME, inner_radius_m=10.0) == "C1"
 
 
 def test_camera_heading_perpendicular_is_not_approaching():
     # Heading at right angles to the center direction: not moving toward it.
-    assert classify_camera(cam(-20.0, 0.0, 0.0), CENTER, FRAME).case == "C3"
+    assert classify_camera(cam(-20.0, 0.0, 0.0), CENTER, FRAME) == "C3"
 
 
 def test_camera_requires_heading():
@@ -216,7 +216,6 @@ def fused(side, category, ordinal=0, depth=0, subtype=None, light_kind=None, sup
     return FusedObject(
         key=FusedKey(side, category, ordinal, depth, subtype),
         support=support,
-        best_image="i0",
         light_kind=light_kind,
         subtype=subtype,
         inferred_only=inferred_only,

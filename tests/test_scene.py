@@ -12,11 +12,9 @@ from rop.scene import (
     Region,
     SceneObject,
     box_iou,
-    build_scene,
     extract_regions,
     reconcile,
     scene_objects,
-    tallest_pedestrian_px,
 )
 
 LIGHT = DEFAULT_REGISTRY.id_of("traffic_light")
@@ -311,8 +309,8 @@ def test_tallest_pedestrian_px():
     lab = np.zeros((40, 40), dtype=np.uint8)
     lab[10:30, 3:6] = PED  # height 20
     lab[20:28, 20:24] = PED  # height 8
-    assert tallest_pedestrian_px(lab, min_region_px=1) == 20
-    assert tallest_pedestrian_px(np.zeros((5, 5), dtype=np.uint8), min_region_px=1) == 0
+    assert scene_objects(lab, [], min_region_px=1)[1] == 20
+    assert scene_objects(np.zeros((5, 5), dtype=np.uint8), [], min_region_px=1)[1] == 0
     lab[0:30, 30:32] = LIGHT
     objs, tallest = scene_objects(lab, [], min_region_px=1)
     assert tallest == 20
@@ -324,7 +322,7 @@ def test_build_scene_end_to_end():
     lab[10:20, 10:14] = LIGHT
     lab[30:36, 50:56] = SIGN
     lab[50:60, 0:40] = WALK
-    got = build_scene(lab, [det((50.0, 30.0, 6.0, 6.0))], min_region_px=9)
+    got, _ = scene_objects(lab, [det((50.0, 30.0, 6.0, 6.0))], min_region_px=9)
     kinds = {(o.id, o.category, o.source) for o in got}
     assert kinds == {
         ("light0", "traffic_light", "region"),
