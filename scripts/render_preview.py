@@ -18,8 +18,9 @@ import numpy as np
 from rop.ingest import DEFAULT_REGISTRY, write_pgm
 from rop.synth import load_layouts, render_image, standard_fixtures
 
-_PALETTE = {
-    "void": (0, 0, 0),
+# One colour per DEFAULT_REGISTRY name.
+PALETTE = {
+    "other": (0, 0, 0),
     "sky": (70, 130, 180),
     "road": (90, 90, 90),
     "sidewalk": (244, 164, 96),
@@ -27,13 +28,14 @@ _PALETTE = {
     "traffic_light": (255, 215, 0),
     "traffic_sign": (50, 205, 50),
     "pedestrian": (220, 20, 60),
+    "vehicle": (0, 0, 142),
 }
 
 
 def _write_ppm(path: Path, label_map: np.ndarray) -> None:
     lut = np.zeros((256, 3), dtype=np.uint8)
     for name, cid in DEFAULT_REGISTRY.ids:
-        lut[cid] = _PALETTE.get(name, (255, 255, 255))
+        lut[cid] = PALETTE[name]
     rgb = lut[label_map]
     h, w = label_map.shape
     with open(path, "wb") as fh:

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 failed --min-completeness gate, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -23,7 +24,13 @@ from .config import RunConfig, load_config
 from .evalx import evaluate, to_table
 from .evalx import to_json as report_to_json
 from .ingest import Bundle, load_inputs
-from .placer import IntersectionResult, from_geojson, run_intersection, to_geojson
+from .placer import (
+    IntersectionResult,
+    from_geojson,
+    run_intersection,
+    slice_bundle,
+    to_geojson,
+)
 from .synth import (
     layout_from_json,
     render_bundle,
@@ -120,56 +127,39 @@ def build_parser() -> _Parser:
 # place
 
 
-def _bundle_paths(args) -> dict[str, str]:
-    return {
-        "images_path": args.images,
-        "masks_dir": args.masks,
-        "detections_path": args.detections,
-        "footprints_path": args.footprints,
-        "buffers_path": args.buffers,
-    }
+def _load_bundle(args) -> Bundle:
+    return load_inputs(args.images, args.masks, args.detections, args.footprints, args.buffers)
 
 
-def _place_chunk(bundle: Bundle, indices: list[int], cfg: RunConfig) -> list[IntersectionResult]:
-    """One result per buffer index, in order."""
-    return [run_intersection(bundle, bundle.buffers[i], cfg) for i in indices]
+def _place_slice(part: Bundle, cfg: RunConfig) -> IntersectionResult:
+    """One buffer's result from its slice. Top-level so a process pool can
+    pickle it. Trees stay behind: only dump-trees reads them."""
+    res = run_intersection(part, part.buffers[0], cfg)
+    res.trees = {}
+    return res
 
 
-def _place_worker(payload):
-    """Top-level so ProcessPoolExecutor can pickle it. Trees stay behind:
-    only dump-trees reads them, and it runs in-process."""
-    paths, indices, cfg = payload
-    results = _place_chunk(load_inputs(**paths), indices, cfg)
-    for res in results:
-        res.trees = {}
-    return results
+def _run_buffers(args, cfg: RunConfig, jobs: int) -> list[IntersectionResult]:
+    """Per-buffer results in buffer order, identical for any job count.
 
-
-def _run_buffers(args, cfg: RunConfig, jobs: int):
-    """Per-buffer results in buffer order, identical for any job count."""
-    paths = _bundle_paths(args)
-    bundle = load_inputs(**paths)  # validate up front, also the jobs=1 path
-    n = len(bundle.buffers)
-    if jobs <= 1 or n <= 1:
-        return bundle, _place_chunk(bundle, list(range(n)), cfg)
-    chunks = [list(range(k, n, jobs)) for k in range(min(jobs, n))]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        chunk_results = list(pool.map(_place_worker, [(paths, chunk, cfg) for chunk in chunks]))
-    results: list = [None] * n
-    for chunk, chunk_result in zip(chunks, chunk_results):
-        for i, res in zip(chunk, chunk_result):
-            results[i] = res
-    return bundle, results
+    The bundle is loaded once; a worker gets only one buffer's slice at a time."""
+    bundle = _load_bundle(args)
+    slices = [slice_bundle(bundle, b, cfg.corner_radius_m) for b in bundle.buffers]
+    place = functools.partial(_place_slice, cfg=cfg)
+    if jobs <= 1 or len(slices) <= 1:
+        return list(map(place, slices))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
+        return list(pool.map(place, slices))
 
 
 def cmd_place(args) -> int:
     cfg = load_config(args.config, args.set)
-    bundle, results = _run_buffers(args, cfg, args.jobs)
+    results = _run_buffers(args, cfg, args.jobs)
     placed = [obj for res in results for obj in res.placed]
     doc = to_geojson(placed)
     doc["diagnostics"] = [d for res in results for d in res.diagnostics]
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    log.info("placed %d objects across %d intersections", len(placed), len(bundle.buffers))
+    log.info("placed %d objects across %d intersections", len(placed), len(results))
     if not placed:
         log.warning("no objects placed")
         return EX_EMPTY
@@ -178,13 +168,13 @@ def cmd_place(args) -> int:
 
 def cmd_dump_trees(args) -> int:
     cfg = load_config(args.config, args.set)
-    _, results = _run_buffers(args, cfg, jobs=1)
-    doc = {
-        res.intersection_id: {
+    bundle = _load_bundle(args)
+    doc = {}
+    for buffer in bundle.buffers:
+        res = run_intersection(bundle, buffer, cfg)
+        doc[res.intersection_id] = {
             track: [tree_to_json(t) for t in trees] for track, trees in res.trees.items()
         }
-        for res in results
-    }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EX_OK
 

@@ -3,8 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+_POSITIVE = ("high_factor", "ring_px", "corner_radius_m")
+_NON_NEGATIVE = (
+    "min_region_px",
+    "sidewalk_gap_px",
+    "high_height_m",
+    "low_height_m",
+    "inner_radius_m",
+    "offset_m",
+    "dedup_radius_m",
+)
 
 
 @dataclass(frozen=True)
@@ -27,15 +39,21 @@ class RunConfig:
     dedup_radius_m: float = 1.5
 
     def __post_init__(self) -> None:
-        if not self.high_factor > 0:
-            raise ValueError("high_factor must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        for key in _POSITIVE:
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive")
+        for key in _NON_NEGATIVE:
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative")
         for key in ("stack_dx_frac", "pedestrian_fallback_frac"):
             if not 0 < getattr(self, key) < 1:
                 raise ValueError(f"{key} must lie in (0, 1)")
-        if self.ring_px <= 0:
-            raise ValueError("ring_px must be positive")
-        if self.sidewalk_gap_px < 0:
-            raise ValueError("sidewalk_gap_px must be non-negative")
+        if not 0 <= self.iou_min <= 1:
+            raise ValueError("iou_min must lie in [0, 1]")
 
     def show(self) -> str:
         lines = [

@@ -93,6 +93,17 @@ def unproject(frame: LocalFrame, q: LocalPoint) -> GeoPoint:
     return GeoPoint(lat=frame.origin.lat + dlat, lon=frame.origin.lon + dlon)
 
 
+def within(frame: LocalFrame, p: GeoPoint, radius_m: float) -> bool:
+    """Whether p lies within radius_m of the frame origin; False, not an
+    error, for points outside the frame's validity span."""
+    dlat = p.lat - frame.origin.lat
+    dlon = p.lon - frame.origin.lon
+    if abs(dlat) >= FRAME_SPAN_DEG or abs(dlon) >= FRAME_SPAN_DEG:
+        return False
+    q = project(frame, p)
+    return math.hypot(q.x, q.y) <= radius_m
+
+
 def dist(a: LocalPoint, b: LocalPoint) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 

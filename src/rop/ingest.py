@@ -8,6 +8,7 @@ buffers (JSON).
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import math
@@ -18,15 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .geo import (
-    FRAME_SPAN_DEG,
     Footprint,
     GeoPoint,
     LocalPoint,
-    dist,
     load_footprints,
     make_frame,
     project,
     unproject,
+    within,
 )
 
 log = logging.getLogger("rop.ingest")
@@ -213,6 +213,12 @@ class PgmDirectory(Mapping):
             raise BundleError(f"{directory}: not a directory")
         self._paths = {p.stem: p for p in sorted(self._dir.glob("*.pgm"))}
 
+    def only(self, image_ids: list[str]) -> PgmDirectory:
+        """The same lazy view, restricted to image_ids."""
+        view = copy.copy(self)
+        view._paths = {i: self._paths[i] for i in image_ids}
+        return view
+
     def size_of(self, image_id: str) -> tuple[int, int]:
         return read_pgm_size(str(self._paths[image_id]))
 
@@ -332,8 +338,8 @@ def load_buffers(path: str) -> list[IntersectionBuffer]:
             raise BundleError(f"{where}: duplicate intersection_id '{iid}'")
         seen.add(iid)
         radius = float(rec.get("radius_m", 50.0))
-        if radius <= 0:
-            raise BundleError(f"{where}: radius_m must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise BundleError(f"{where}: radius_m must be positive and finite, got {radius}")
         try:
             center = GeoPoint(float(_require(rec, "lat", where)), float(_require(rec, "lon", where)))
         except ValueError as exc:
@@ -391,17 +397,7 @@ def load_inputs(
 
 def images_in_buffer(images: list[ImageMeta], buffer: IntersectionBuffer) -> list[ImageMeta]:
     frame = make_frame(buffer.center)
-    origin = LocalPoint(0.0, 0.0)
-    out = []
-    for im in images:
-        if (
-            abs(im.position.lat - buffer.center.lat) >= FRAME_SPAN_DEG
-            or abs(im.position.lon - buffer.center.lon) >= FRAME_SPAN_DEG
-        ):
-            continue  # nowhere near this intersection
-        if dist(project(frame, im.position), origin) <= buffer.radius_m:
-            out.append(im)
-    return out
+    return [im for im in images if within(frame, im.position, buffer.radius_m)]
 
 
 # Heading bins, degrees clockwise from north. A track direction names where

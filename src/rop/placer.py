@@ -26,9 +26,19 @@ from .geo import (
     nearest_vertex,
     project,
     unproject,
+    within,
 )
 from .grammar import apply_grammar
-from .ingest import Bundle, ImageMeta, IntersectionBuffer, Track, build_tracks, correct_track, images_in_buffer
+from .ingest import (
+    Bundle,
+    ImageMeta,
+    IntersectionBuffer,
+    PgmDirectory,
+    Track,
+    build_tracks,
+    correct_track,
+    images_in_buffer,
+)
 from .scene import scene_objects
 
 log = logging.getLogger("rop.placer")
@@ -276,6 +286,36 @@ def dedup_placed(
 # Full per-intersection pipeline.
 
 
+def slice_bundle(bundle: Bundle, buffer: IntersectionBuffer, corner_radius_m: float) -> Bundle:
+    """The part of bundle one buffer's placement reads, as a one-buffer Bundle.
+
+    It holds the buffer's images with their detections and label maps (still
+    lazy for a PgmDirectory), and the footprints with a vertex within
+    2 * radius_m + corner_radius_m of the center. That bound loses nothing:
+    select_corners keeps only footprints with a vertex within corner_radius_m
+    of a camera, and a track-corrected camera stays within 2 * radius_m of
+    the center. It is the foot of the perpendicular from a camera in the
+    buffer onto a line through its track's centroid, also in the buffer, so
+    it lies within radius_m of the line's point nearest the center, which
+    lies within radius_m of the center.
+    """
+    images = images_in_buffer(bundle.images, buffer)
+    ids = [im.image_id for im in images]
+    maps = bundle.label_maps
+    frame = make_frame(buffer.center)
+    reach_m = 2.0 * buffer.radius_m + corner_radius_m
+    return Bundle(
+        images=images,
+        label_maps=maps.only(ids) if isinstance(maps, PgmDirectory) else {i: maps[i] for i in ids},
+        detections={i: bundle.detections[i] for i in ids if i in bundle.detections},
+        footprints=[
+            fp for fp in bundle.footprints if any(within(frame, v, reach_m) for v in fp.ring)
+        ],
+        buffers=[buffer],
+        registry=bundle.registry,
+    )
+
+
 def _track_trees(
     bundle: Bundle, track: Track, cfg: RunConfig
 ) -> list[Atbt]:
@@ -297,16 +337,16 @@ def _track_trees(
 def run_intersection(
     bundle: Bundle, buffer: IntersectionBuffer, cfg: RunConfig = RunConfig()
 ) -> IntersectionResult:
-    """Tracks -> trees -> fusion -> corners -> placement -> dedup."""
+    """Slice -> tracks -> trees -> fusion -> corners -> placement -> dedup."""
     result = IntersectionResult(intersection_id=buffer.intersection_id)
     frame = make_frame(buffer.center)
-    members = images_in_buffer(bundle.images, buffer)
-    if not members:
+    bundle = slice_bundle(bundle, buffer, cfg.corner_radius_m)
+    if not bundle.images:
         result.diagnostics.append(
             {"intersection_id": buffer.intersection_id, "event": "no_images"}
         )
         return result
-    tracks = [correct_track(t) for t in build_tracks(members, buffer)]
+    tracks = [correct_track(t) for t in build_tracks(bundle.images, buffer)]
     raw_placed: list[PlacedObject] = []
     any_corners = False
     for track in tracks:

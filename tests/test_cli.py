@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import importlib.util
+import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from rop.cli import main
 from rop.geo import GeoPoint, LocalPoint
-from rop.synth import CameraPose, Layout, RectFootprint, save_layouts
+from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
 
 
 @pytest.fixture(scope="module")
@@ -203,23 +204,52 @@ def test_config_rejects_removed_key(key, capsys):
     assert "unknown config key" in err and key in err
 
 
-@pytest.mark.parametrize("override", ["ring_px=0", "high_factor=0", "sidewalk_gap_px=-1", "stack_dx_frac=1"])
-def test_config_rejects_invalid_value(override, capsys):
+def _count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name with a wrapper that records the arguments of each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+INVALID_VALUES = [
+    "ring_px=0",
+    "high_factor=0",
+    "sidewalk_gap_px=-1",
+    "stack_dx_frac=1",
+    "offset_m=nan",
+    "corner_radius_m=-1",
+    "corner_radius_m=0",
+    "iou_min=inf",
+    "iou_min=1.5",
+    "min_region_px=-5",
+    "dedup_radius_m=inf",
+    "high_height_m=-inf",
+]
+
+
+@pytest.mark.parametrize("override", INVALID_VALUES)
+def test_config_rejects_invalid_value(override, bundle_dir, tmp_path, monkeypatch, capsys):
+    import rop.ingest
+
     assert main(["config", "--show", "--set", override]) == 2
     assert override.split("=")[0] in capsys.readouterr().err
+    reads = _count_calls(monkeypatch, rop.ingest, "read_pgm")
+    out = tmp_path / "pred.geojson"
+    assert main(place_args(bundle_dir, out, ["--set", override])) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert reads == [] and not out.exists()
 
 
 def test_place_rejects_invalid_config_before_reading_maps(bundle_dir, tmp_path, monkeypatch, capsys):
     import rop.ingest
 
-    calls = []
-    read_pgm = rop.ingest.read_pgm
-
-    def counting_read_pgm(path):
-        calls.append(path)
-        return read_pgm(path)
-
-    monkeypatch.setattr(rop.ingest, "read_pgm", counting_read_pgm)
+    calls = _count_calls(monkeypatch, rop.ingest, "read_pgm")
     out = tmp_path / "pred.geojson"
     assert main(place_args(bundle_dir, out, ["--set", "ring_px=0"])) == 2
     assert "ring_px" in capsys.readouterr().err
@@ -261,13 +291,37 @@ def test_place_config_override_changes_behavior(tmp_path):
     assert json.loads(pred2.read_text())["features"] == []
 
 
-def test_run_synth_eval_script_applies_set_override(tmp_path):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_synth_eval.py"
-    spec = importlib.util.spec_from_file_location("run_synth_eval", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    base, moved = tmp_path / "base", tmp_path / "moved"
-    assert module.main(["--n", "1", "--out", str(base)]) == 0
-    assert module.main(["--n", "1", "--set", "offset_m=2.0", "--out", str(moved)]) == 0
-    pred = "predictions.geojson"
-    assert (base / pred).read_bytes() != (moved / pred).read_bytes()
+def test_place_loads_the_bundle_once_and_workers_never(bundle_dir, tmp_path, monkeypatch):
+    import rop.cli
+
+    calls = tmp_path / "load_inputs.calls"
+    real = rop.cli.load_inputs
+
+    def logging_load_inputs(*args, **kwargs):
+        # A file, not a list: forked workers would append to their own copy.
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rop.cli, "load_inputs", logging_load_inputs)
+    assert main(place_args(bundle_dir, tmp_path / "pred.geojson", ["--jobs", "2"])) == 0
+    assert calls.read_text().split() == [str(os.getpid())]
+
+
+def test_place_bundle_wider_than_one_frame(tmp_path):
+    # The second intersection sits 0.06 deg north of the first, beyond the
+    # 0.05 deg span of a tangent frame; each buffer must still place.
+    near, far = standard_fixtures(2, seed=1)
+    far = dataclasses.replace(far, center=GeoPoint(near.center.lat + 0.06, near.center.lon))
+    src = tmp_path / "layouts.json"
+    save_layouts([near, far], str(src))
+    bundle = tmp_path / "b"
+    assert main(["synth", "--out", str(bundle), "--layout", str(src)]) == 0
+    ref = str(bundle / "truth.geojson")
+    for jobs in ("1", "2"):
+        pred = tmp_path / f"pred{jobs}.geojson"
+        assert main(place_args(bundle, pred, ["--jobs", jobs])) == 0
+        doc = json.loads(pred.read_text())
+        assert {f["properties"]["intersection_id"] for f in doc["features"]} == {"x0000", "x0001"}
+        assert main(["eval", "--pred", str(pred), "--ref", ref, "--min-completeness", "0.97"]) == 0
+    assert (tmp_path / "pred1.geojson").read_bytes() == (tmp_path / "pred2.geojson").read_bytes()

@@ -9,24 +9,25 @@ from hypothesis import strategies as st
 
 from rop.config import RunConfig, load_config
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+_non_negative = st.floats(min_value=0.0, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _fraction = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
 
 # One strategy per field, each drawing only values the invariants accept.
 FIELDS = {
-    "min_region_px": st.integers(-(2**40), 2**40),
-    "iou_min": _finite,
-    "high_factor": st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    "min_region_px": st.integers(0, 2**40),
+    "iou_min": st.floats(min_value=0.0, max_value=1.0),
+    "high_factor": _positive,
     "ring_px": st.integers(1, 2**40),
     "sidewalk_gap_px": st.integers(0, 2**40),
     "stack_dx_frac": _fraction,
     "pedestrian_fallback_frac": _fraction,
-    "high_height_m": _finite,
-    "low_height_m": _finite,
-    "corner_radius_m": _finite,
-    "inner_radius_m": _finite,
-    "offset_m": _finite,
-    "dedup_radius_m": _finite,
+    "high_height_m": _non_negative,
+    "low_height_m": _non_negative,
+    "corner_radius_m": _positive,
+    "inner_radius_m": _non_negative,
+    "offset_m": _non_negative,
+    "dedup_radius_m": _non_negative,
 }
 
 

@@ -247,6 +247,18 @@ def test_load_buffers(tmp_path):
         load_buffers(str(path))
 
 
+@pytest.mark.parametrize("radius", ["NaN", "Infinity"])
+def test_load_buffers_rejects_non_finite_radius(tmp_path, radius):
+    # json reads both literals as floats; NaN slips past a plain `<= 0` test.
+    path = tmp_path / "buffers.json"
+    path.write_text(
+        '[{"intersection_id": "x0", "lat": 52.52, "lon": 13.405}, '
+        f'{{"intersection_id": "x1", "lat": 52.52, "lon": 13.405, "radius_m": {radius}}}]'
+    )
+    with pytest.raises(BundleError, match=r"buffers\[1\]: radius_m"):
+        load_buffers(str(path))
+
+
 def _write_bundle_files(tmp_path, *, mask_size=(64, 48)):
     (tmp_path / "masks").mkdir()
     w, h = mask_size

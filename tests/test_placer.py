@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rop.atbt import FusedKey, FusedObject
@@ -21,7 +22,7 @@ from rop.geo import (
 )
 from rop import scene
 from rop.config import RunConfig
-from rop.ingest import ImageMeta, build_tracks, images_in_buffer
+from rop.ingest import Bundle, ImageMeta, build_tracks, images_in_buffer
 from rop.placer import (
     CornerPair,
     classify_camera,
@@ -407,3 +408,55 @@ def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
     assert result.placed
     assert tracked > 0
     assert len(calls) == tracked
+
+
+def _far_copy(layout):
+    """The layout again, 0.06 deg north (beyond one frame's span), ids renamed."""
+    return dataclasses.replace(
+        layout,
+        intersection_id=f"far-{layout.intersection_id}",
+        center=GeoPoint(layout.center.lat + 0.06, layout.center.lon),
+        footprints=[dataclasses.replace(fp, id=f"far-{fp.id}") for fp in layout.footprints],
+        cameras=[dataclasses.replace(c, image_id=f"far-{c.image_id}") for c in layout.cameras],
+    )
+
+
+@pytest.fixture(scope="module")
+def neighbours():
+    """Three neighbouring fixtures plus a far copy of the first, rendered once,
+    with what each places alone."""
+    layouts = standard_fixtures(3, seed=1)
+    bundles = [render_bundle(lay)[0] for lay in [*layouts, _far_copy(layouts[0])]]
+    return bundles, [_outcome(b, b.buffers[0]) for b in bundles]
+
+
+def _outcome(bundle, buffer):
+    result = run_intersection(bundle, buffer)
+    return to_geojson(result.placed), result.diagnostics
+
+
+def _merged(bundles):
+    return Bundle(
+        images=[im for b in bundles for im in b.images],
+        label_maps={k: v for b in bundles for k, v in b.label_maps.items()},
+        detections={k: v for b in bundles for k, v in b.detections.items()},
+        footprints=[fp for b in bundles for fp in b.footprints],
+        buffers=[buf for b in bundles for buf in b.buffers],
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    target=st.integers(0, 3),
+    others=st.lists(st.integers(0, 3), unique=True),
+    target_at=st.integers(0, 4),
+)
+@example(target=0, others=[3], target_at=0)
+@example(target=3, others=[0, 1, 2], target_at=3)
+def test_placement_is_invariant_to_the_other_buffers(neighbours, target, others, target_at):
+    bundles, alone = neighbours
+    order = [i for i in others if i != target]
+    order.insert(min(target_at, len(order)), target)
+    merged = _merged([bundles[i] for i in order])
+    buffer = bundles[target].buffers[0]
+    assert _outcome(merged, buffer) == alone[target]

@@ -7,7 +7,9 @@ sign error in either formulation breaks the comparison.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,3 +300,11 @@ def test_standard_fixture_light_mounts_on_menu():
             if t.category == "traffic_light":
                 assert t.mount_m in (4.0, 7.0)
                 assert t.light_kind == ("low" if t.mount_m == 4.0 else "high")
+
+
+def test_render_preview_palette_covers_the_registry():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "render_preview.py"
+    spec = importlib.util.spec_from_file_location("render_preview", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert set(module.PALETTE) == set(DEFAULT_REGISTRY.names())
