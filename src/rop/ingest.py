@@ -15,6 +15,7 @@ import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -143,29 +144,38 @@ class Bundle:
 # PGM reading and writing (binary, 8-bit, P5).
 
 
-def _pgm_header(data: bytes, path: str) -> tuple[int, int, int, int]:
-    """Parse a P5 header: returns (width, height, maxval, raster offset)."""
+def _pgm_header(fh: BinaryIO, path: str) -> tuple[int, int]:
+    """Parse a P5 header from the start of fh: returns (width, height) and
+    leaves fh at the first raster byte. Reads on until the header is
+    complete, so comments of any length are fine."""
+    data = fh.read(512)
     if data[:2] != b"P5":
         raise BundleError(f"{path}: not a binary PGM (bad magic {data[:2]!r})")
-    tokens: list[bytes] = []
-    i = 2
-    n = len(data)
-    while i < n and len(tokens) < 3:
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-            continue
-        if c == b"#":
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        j = i
-        while j < n and data[j : j + 1] not in b" \t\r\n#":
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    if len(tokens) < 3 or i >= n:
-        raise BundleError(f"{path}: truncated PGM header")
+    while True:
+        tokens: list[bytes] = []
+        i = 2
+        n = len(data)
+        while i < n and len(tokens) < 3:
+            c = data[i : i + 1]
+            if c in b" \t\r\n":
+                i += 1
+                continue
+            if c == b"#":
+                j = data.find(b"\n", i)
+                i = n if j < 0 else j + 1
+                continue
+            j = i
+            while j < n and data[j : j + 1] not in b" \t\r\n#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+        # The last token is only known to be whole once a byte follows it.
+        if len(tokens) == 3 and i < n:
+            break
+        more = fh.read(n)
+        if not more:
+            raise BundleError(f"{path}: truncated PGM header")
+        data += more
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
@@ -174,24 +184,22 @@ def _pgm_header(data: bytes, path: str) -> tuple[int, int, int, int]:
         raise BundleError(f"{path}: bad PGM dimensions {w}x{h}")
     if maxval > 255:
         raise BundleError(f"{path}: 16-bit PGM not supported (maxval {maxval})")
-    return w, h, maxval, i + 1  # one whitespace byte separates header and raster
+    fh.seek(i + 1)  # one whitespace byte separates header and raster
+    return w, h
 
 
 def read_pgm(path: str) -> np.ndarray:
-    data = Path(path).read_bytes()
-    w, h, _, off = _pgm_header(data, path)
-    need = w * h
-    raster = data[off : off + need]
-    if len(raster) < need:
-        raise BundleError(f"{path}: truncated raster ({len(raster)} of {need} bytes)")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).copy()
+    with open(path, "rb") as fh:
+        w, h = _pgm_header(fh, path)
+        raster = np.fromfile(fh, dtype=np.uint8, count=w * h)
+    if raster.size < w * h:
+        raise BundleError(f"{path}: truncated raster ({raster.size} of {w * h} bytes)")
+    return raster.reshape(h, w)
 
 
 def read_pgm_size(path: str) -> tuple[int, int]:
     with open(path, "rb") as fh:
-        head = fh.read(512)
-    w, h, _, _ = _pgm_header(head, path)
-    return w, h
+        return _pgm_header(fh, path)
 
 
 def write_pgm(path: str, arr: np.ndarray) -> None:
@@ -249,6 +257,16 @@ def _require(record: dict, key: str, where: str):
     return record[key]
 
 
+def _number(record: dict, key: str, where: str, kind: type = float):
+    """record[key] converted by kind; a missing, null or non-numeric value is
+    a BundleError naming the record and the key."""
+    value = _require(record, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BundleError(f"{where}: {key} must be a number") from exc
+
+
 def load_images(path: str) -> list[ImageMeta]:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -262,8 +280,9 @@ def load_images(path: str) -> list[ImageMeta]:
         if image_id in seen:
             raise BundleError(f"{where}: duplicate image_id '{image_id}'")
         seen.add(image_id)
+        lat, lon = _number(rec, "lat", where), _number(rec, "lon", where)
         try:
-            position = GeoPoint(float(_require(rec, "lat", where)), float(_require(rec, "lon", where)))
+            position = GeoPoint(lat, lon)
         except ValueError as exc:
             raise BundleError(f"{where}: {exc}") from exc
         heading = rec.get("heading_deg")
@@ -274,8 +293,8 @@ def load_images(path: str) -> list[ImageMeta]:
                 raise BundleError(f"{where}: heading_deg must be a number or null") from exc
             if not math.isfinite(heading):
                 raise BundleError(f"{where}: heading_deg must be finite")
-        width = int(_require(rec, "width_px", where))
-        height = int(_require(rec, "height_px", where))
+        width = _number(rec, "width_px", where, int)
+        height = _number(rec, "height_px", where, int)
         if width <= 0 or height <= 0:
             raise BundleError(f"{where}: width_px/height_px must be positive")
         out.append(
@@ -310,14 +329,18 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
             bbox = _require(rec, "bbox", where)
             if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
                 raise BundleError(f"{where}: bbox must be [x, y, w, h]")
-            score = float(_require(rec, "score", where))
+            try:
+                bbox = tuple(float(v) for v in bbox)
+            except (TypeError, ValueError) as exc:
+                raise BundleError(f"{where}: bbox must be [x, y, w, h] numbers") from exc
+            score = _number(rec, "score", where)
             if not 0.0 <= score <= 1.0:
                 raise BundleError(f"{where}: score {score} outside [0, 1]")
             det = Detection(
                 image_id=image_id,
                 category=str(_require(rec, "category", where)),
                 subtype=(None if rec.get("subtype") is None else str(rec["subtype"])),
-                bbox=tuple(float(v) for v in bbox),
+                bbox=bbox,
                 score=score,
             )
             out.setdefault(image_id, []).append(det)
@@ -337,11 +360,12 @@ def load_buffers(path: str) -> list[IntersectionBuffer]:
         if iid in seen:
             raise BundleError(f"{where}: duplicate intersection_id '{iid}'")
         seen.add(iid)
-        radius = float(rec.get("radius_m", 50.0))
+        radius = _number(rec, "radius_m", where) if "radius_m" in rec else 50.0
         if not (math.isfinite(radius) and radius > 0):
             raise BundleError(f"{where}: radius_m must be positive and finite, got {radius}")
+        lat, lon = _number(rec, "lat", where), _number(rec, "lon", where)
         try:
-            center = GeoPoint(float(_require(rec, "lat", where)), float(_require(rec, "lon", where)))
+            center = GeoPoint(lat, lon)
         except ValueError as exc:
             raise BundleError(f"{where}: {exc}") from exc
         out.append(IntersectionBuffer(intersection_id=iid, center=center, radius_m=radius))

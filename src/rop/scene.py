@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .ingest import DEFAULT_REGISTRY, CategoryRegistry, Detection
 
@@ -45,65 +44,80 @@ def extract_regions(
     min_region_px: int = 25,
 ) -> list[Region]:
     """Connected components (4-connectivity) per category, smaller than
-    min_region_px dropped, ordered by (category id, first pixel index)."""
+    min_region_px dropped, ordered by (category id, first pixel index).
+
+    Components are built from row runs rather than pixels (run-based
+    labeling, He, Chao & Suzuki 2008): a label map holds far fewer runs of
+    the requested categories than pixels. Every moment stays an exact
+    integer until the one division by area.
+    """
     if label_map.ndim != 2:
         raise ValueError("label map must be 2-D")
-    h, w = label_map.shape
-    names = registry.names() if categories is None else list(categories)
+    w = label_map.shape[1]
+    names = registry.names() if categories is None else categories
+    flat = label_map.ravel()
+    # A run starts at column 0 or where the value differs from its left
+    # neighbour; it ends where the next run starts, so runs never span rows.
+    new_run = np.empty(flat.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
+    new_run[::w] = True
+    bounds = np.append(np.flatnonzero(new_run), flat.size)
+    keep = np.flatnonzero(np.isin(flat[bounds[:-1]], [registry.id_of(n) for n in names]))
+    if keep.size == 0:
+        return []
+    start, end = bounds[keep], bounds[keep + 1]
+    value = flat[start]
+    # Kept runs are disjoint and sorted, so the runs one row up that share a
+    # column with run i are the contiguous index range [lo[i], hi[i]).
+    lo = np.searchsorted(end, start - w, side="right")
+    hi = np.searchsorted(start, end - w, side="left")
+    count = hi - lo
+    src = np.repeat(np.arange(keep.size), count)
+    dst = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
+    same = value[src] == value[dst]
+    src, dst = src[same], dst[same]
+    # Union by hooking the larger root under the smaller, then full path
+    # compression; each pass retires at least one root per open edge. Every
+    # root ends as its component's lowest run index, i.e. its first run.
+    parent = np.arange(keep.size)
+    while True:
+        a, b = parent[src], parent[dst]
+        open_edge = a != b
+        if not open_edge.any():
+            break
+        np.minimum.at(parent, np.maximum(a, b)[open_edge], np.minimum(a, b)[open_edge])
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+    order = np.argsort(parent, kind="stable")
+    group = np.flatnonzero(np.diff(parent[order], prepend=-1))
+    root = parent[order][group]
+    row = start // w
+    col0 = start - row * w
+    length = end - start
+    area = np.add.reduceat(length[order], group)
+    row_sum = np.add.reduceat((row * length)[order], group)
+    # Columns col0 .. col0 + length - 1 sum to length * (2 * col0 + length - 1) / 2.
+    col_sum = np.add.reduceat((length * (2 * col0 + length - 1) // 2)[order], group)
+    top = row[root]
+    bottom = np.maximum.reduceat(row[order], group)
+    left = np.minimum.reduceat(col0[order], group)
+    right = np.maximum.reduceat((col0 + length)[order], group)
+    by_name = registry.by_id()
     out: list[Region] = []
-    for name in sorted(names, key=registry.id_of):
-        mask = label_map == registry.id_of(name)
-        # No component can reach min_region_px when the whole category has
-        # fewer pixels; an absent category has no bounding box to crop to.
-        n_px = np.count_nonzero(mask)
-        if n_px == 0 or n_px < min_region_px:
+    # Roots ascend by first pixel; a stable sort by category id keeps that.
+    for k in np.argsort(value[root], kind="stable"):
+        if area[k] < min_region_px:
             continue
-        # Work inside the category's bounding box; sparse categories shrink
-        # the labeling pass to a small crop. Ordering by first pixel is
-        # unchanged: lexicographic (row, col) order survives the translation.
-        rows_any = mask.any(axis=1).nonzero()[0]
-        cols_any = mask.any(axis=0).nonzero()[0]
-        r_off, c_off = int(rows_any[0]), int(cols_any[0])
-        sub = mask[r_off : rows_any[-1] + 1, c_off : cols_any[-1] + 1]
-        sw = sub.shape[1]
-        labs, n = ndimage.label(sub)
-        if n == 0:
-            continue
-        flat = labs.ravel()
-        nz = np.flatnonzero(flat)
-        comp = flat[nz]
-        area = np.bincount(comp, minlength=n + 1)
-        rsum = np.bincount(comp, weights=nz // sw, minlength=n + 1)
-        csum = np.bincount(comp, weights=nz % sw, minlength=n + 1)
-        # Assigning in reverse leaves each component's smallest index in place.
-        first = np.empty(n + 1, dtype=np.int64)
-        first[comp[::-1]] = nz[::-1]
-        slices = ndimage.find_objects(labs)
-        members = []
-        for k in range(1, n + 1):
-            if area[k] < min_region_px:
-                continue
-            rs, cs = slices[k - 1]
-            fr, fc = int(first[k]) // sw + r_off, int(first[k]) % sw + c_off
-            members.append(
-                Region(
-                    category=name,
-                    centroid=(
-                        (rsum[k] + r_off * area[k]) / area[k],
-                        (csum[k] + c_off * area[k]) / area[k],
-                    ),
-                    area_px=int(area[k]),
-                    bbox=(
-                        cs.start + c_off,
-                        rs.start + r_off,
-                        cs.stop - cs.start,
-                        rs.stop - rs.start,
-                    ),
-                    first_px=fr * w + fc,
-                )
+        out.append(
+            Region(
+                category=by_name[int(value[root[k]])],
+                centroid=(row_sum[k] / area[k], col_sum[k] / area[k]),
+                area_px=int(area[k]),
+                bbox=(int(left[k]), int(top[k]), int(right[k] - left[k]), int(bottom[k] - top[k] + 1)),
+                first_px=int(start[root[k]]),
             )
-        members.sort(key=lambda r: r.first_px)
-        out.extend(members)
+        )
     return out
 
 

@@ -82,6 +82,49 @@ def test_corrupt_pgm_names_file(bundle_dir, tmp_path, capsys):
     assert victim.name in capsys.readouterr().err
 
 
+NUMBER_FIELDS = [
+    ("images", "lat"),
+    ("images", "lon"),
+    ("images", "width_px"),
+    ("images", "height_px"),
+    ("buffers", "lat"),
+    ("buffers", "lon"),
+    ("buffers", "radius_m"),
+    ("detections", "score"),
+]
+
+
+@pytest.mark.parametrize("value", [None, "wide"])
+@pytest.mark.parametrize("flag, key", NUMBER_FIELDS)
+def test_place_rejects_non_numeric_field(flag, key, value, bundle_dir, tmp_path, capsys):
+    argv = place_args(bundle_dir, tmp_path / "pred.geojson")
+    i = argv.index(f"--{flag}") + 1
+    src = Path(argv[i])
+    if flag == "detections":
+        lines = src.read_text().splitlines()
+        lines[0] = json.dumps({**json.loads(lines[0]), key: value})
+        text = "\n".join(lines)
+    else:
+        records = json.loads(src.read_text())
+        records[0][key] = value
+        text = json.dumps(records)
+    argv[i] = str(tmp_path / src.name)
+    Path(argv[i]).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a number" in err and src.name in err
+
+
+def test_cli_import_leaves_scipy_out():
+    import subprocess
+    import sys
+
+    code = "import sys, rop.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_synth_same_seed_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["synth", "--out", str(a), "--fixtures", "2", "--seed", "9"]) == 0

@@ -93,6 +93,25 @@ def test_read_pgm_header_comments_and_whitespace(tmp_path):
     assert read_pgm_size(str(path)) == (3, 2)
 
 
+@pytest.mark.parametrize("pad", [0, 500, 501, 502, 504, 506, 507, 508, 3000])
+def test_read_pgm_header_past_the_first_read(tmp_path, pad):
+    # The pad values put the end of the comment, the width, the maxval and
+    # the separator byte around the 512th byte, and 3000 far past it.
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n#" + b"x" * pad + b"\n3 2\n255\n" + bytes([0, 1, 2, 3, 4, 5]))
+    arr = read_pgm(str(path))
+    assert arr.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert read_pgm_size(str(path)) == (3, 2)
+
+
+def test_read_pgm_array_is_writable(tmp_path):
+    path = tmp_path / "w.pgm"
+    write_pgm(str(path), np.zeros((2, 3), dtype=np.uint8))
+    arr = read_pgm(str(path))
+    arr[0, 0] = 7
+    assert arr[0, 0] == 7
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     arr = rng.integers(0, 9, size=(17, 31), dtype=np.uint8)
@@ -107,6 +126,7 @@ def test_pgm_round_trip(tmp_path):
     [
         (b"P2\n3 2\n255\n" + bytes(6), "magic"),
         (b"P5\n3 2\n", "truncated PGM header"),
+        pytest.param(b"P5\n#" + b"x" * 600, "truncated PGM header", id="endless-comment"),
         (b"P5\n3 2\n70000\n" + bytes(6), "16-bit"),
         (b"P5\n0 2\n255\n", "dimensions"),
         (b"P5\n3 2\n255\n" + bytes(5), "truncated raster"),
@@ -176,6 +196,11 @@ def test_load_images_normalizes_heading(tmp_path):
         ([_image_record(width_px=0)], "width_px"),
         ([_image_record(), _image_record()], "duplicate image_id"),
         ([_image_record(heading_deg="east")], "heading_deg"),
+        ([_image_record(lat=None)], "lat must be a number"),
+        ([_image_record(lon="x")], "lon must be a number"),
+        ([_image_record(width_px="wide")], r"images\[0\]: width_px must be a number"),
+        ([_image_record(height_px=None)], "height_px must be a number"),
+        ([_image_record(height_px=float("inf"))], "height_px must be a number"),
     ],
 )
 def test_load_images_rejects_bad_records(tmp_path, records, fragment):
@@ -219,6 +244,9 @@ def test_load_detections_referential_integrity(tmp_path):
         ("{not json", "invalid JSON"),
         (_det_line(score=1.5), "score"),
         (_det_line(bbox=[1, 2, 3]), "bbox"),
+        (_det_line(bbox=[1, 2, None, 4]), "bbox"),
+        (_det_line(score=None), "line 1: score must be a number"),
+        (_det_line(score="high"), "score must be a number"),
         (json.dumps({"category": "x", "bbox": [0, 0, 1, 1], "score": 0.5}), "image_id"),
     ],
 )
@@ -256,6 +284,16 @@ def test_load_buffers_rejects_non_finite_radius(tmp_path, radius):
         f'{{"intersection_id": "x1", "lat": 52.52, "lon": 13.405, "radius_m": {radius}}}]'
     )
     with pytest.raises(BundleError, match=r"buffers\[1\]: radius_m"):
+        load_buffers(str(path))
+
+
+@pytest.mark.parametrize("key", ["lat", "lon", "radius_m"])
+@pytest.mark.parametrize("value", [None, "x"])
+def test_load_buffers_rejects_non_numeric_fields(tmp_path, key, value):
+    rec = {"intersection_id": "x0", "lat": 52.52, "lon": 13.405, key: value}
+    path = tmp_path / "buffers.json"
+    path.write_text(json.dumps([rec]))
+    with pytest.raises(BundleError, match=rf"buffers\[0\]: {key} must be a number"):
         load_buffers(str(path))
 
 

@@ -25,7 +25,8 @@ ROAD = DEFAULT_REGISTRY.id_of("road")
 
 
 # ---------------------------------------------------------------------------
-# Oracle: scanline flood fill with explicit 4-neighbourhood, no scipy.
+# Oracle: pixel-by-pixel flood fill with an explicit 4-neighbourhood; it
+# shares nothing with the run-based labeling under test.
 
 
 def flood_regions_oracle(label_map, cid):
@@ -141,10 +142,13 @@ def random_map(seed, h=14, w=17):
     return lab
 
 
+SIDE = st.integers(1, 24)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_extract_matches_flood_fill_oracle(seed):
-    lab = random_map(seed)
+@given(st.integers(0, 2**32 - 1), SIDE, SIDE)
+def test_extract_matches_flood_fill_oracle(seed, h, w):
+    lab = random_map(seed, h, w)
     for name in ("road", "sidewalk", "traffic_light", "traffic_sign", "pedestrian"):
         got = extract_regions(lab, categories=[name], min_region_px=1)
         want = flood_regions_oracle(lab, DEFAULT_REGISTRY.id_of(name))
@@ -164,11 +168,11 @@ SCENE = ["sidewalk", "pedestrian", "traffic_light", "traffic_sign"]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([0.03, 0.15, 1.0]), st.integers(0, 12))
-def test_extract_min_region_px_matches_oracle(seed, density, min_px):
+@given(st.integers(0, 2**32 - 1), SIDE, SIDE, st.sampled_from([0.03, 0.15, 1.0]), st.integers(0, 12))
+def test_extract_min_region_px_matches_oracle(seed, h, w, density, min_px):
     # Sparse maps leave some categories with fewer than min_px pixels in all.
     rng = np.random.default_rng(seed)
-    lab = np.where(rng.random((14, 17)) < density, random_map(seed), 0).astype(np.uint8)
+    lab = np.where(rng.random((h, w)) < density, random_map(seed, h, w), 0).astype(np.uint8)
     singles = []
     for name in SCENE:
         got = extract_regions(lab, categories=[name], min_region_px=min_px)
@@ -179,6 +183,42 @@ def test_extract_min_region_px_matches_oracle(seed, density, min_px):
         assert all(r.category == name for r in got)
         singles.extend(got)
     assert extract_regions(lab, categories=SCENE[::-1], min_region_px=min_px) == singles
+
+
+@pytest.mark.parametrize(
+    "rows, n_components",
+    [
+        # A run ending at the last column is not joined to one starting at
+        # column 0 of the next row, though their flat indices are adjacent.
+        (["..##", "#...", "##.#"], 3),
+        # The arms of a U join only on its last row.
+        (["#..#.#", "#..#.#", "#..#.#", "######"], 1),
+        # A serpentine: each run touches the next through one column only.
+        (["#####", "....#", "#####", "#....", "#####", "....#"], 1),
+        # Two interleaved combs that never touch; the second starts mid-map.
+        (["#####", "#...#", "#.#.#", "..#..", "#####"], 2),
+        (["#"], 1),
+        (["#.#.#"], 3),
+        (["#", ".", "#"], 2),
+    ],
+)
+def test_extract_run_shapes_match_oracle(rows, n_components):
+    lab = np.array([[LIGHT if ch == "#" else 0 for ch in row] for row in rows], dtype=np.uint8)
+    got = extract_regions(lab, categories=["traffic_light"], min_region_px=1)
+    assert len(got) == n_components
+    assert as_dicts(got) == flood_regions_oracle(lab, LIGHT)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (6, 5)])
+def test_extract_map_of_one_category(shape):
+    lab = np.full(shape, WALK, dtype=np.uint8)
+    (region,) = extract_regions(lab, categories=SCENE, min_region_px=1)
+    h, w = shape
+    assert region.category == "sidewalk"
+    assert region.area_px == h * w
+    assert region.centroid == ((h - 1) / 2, (w - 1) / 2)
+    assert region.bbox == (0, 0, w, h)
+    assert region.first_px == 0
 
 
 @pytest.mark.parametrize("min_px", [0, 1, 25])
