@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from rop.ingest import DEFAULT_REGISTRY, write_pgm
+from rop.ingest import CATEGORY_IDS, CATEGORY_NAMES, write_pgm
 from rop.synth import load_layouts, render_image, standard_fixtures
 
-# One colour per DEFAULT_REGISTRY name.
+# One colour per CATEGORY_IDS name.
 PALETTE = {
     "other": (0, 0, 0),
     "sky": (70, 130, 180),
@@ -34,7 +34,7 @@ PALETTE = {
 
 def _write_ppm(path: Path, label_map: np.ndarray) -> None:
     lut = np.zeros((256, 3), dtype=np.uint8)
-    for name, cid in DEFAULT_REGISTRY.ids:
+    for name, cid in CATEGORY_IDS.items():
         lut[cid] = PALETTE[name]
     rgb = lut[label_map]
     h, w = label_map.shape
@@ -64,7 +64,6 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    names = {cid: name for name, cid in DEFAULT_REGISTRY.ids}
     print(f"{layout.intersection_id} ({layout.kind}): "
           f"{len(layout.footprints)} footprints, {len(layout.truth_objects)} objects, "
           f"{len(layout.pedestrians)} pedestrians, {len(layout.cameras)} poses")
@@ -74,7 +73,7 @@ def main() -> int:
         _write_ppm(out / f"{pose.image_id}.ppm", label_map)
         counts = np.bincount(label_map.ravel(), minlength=256)
         seen = ", ".join(
-            f"{names[cid]}={counts[cid]}" for cid in sorted(names) if counts[cid]
+            f"{CATEGORY_NAMES[cid]}={counts[cid]}" for cid in sorted(CATEGORY_NAMES) if counts[cid]
         )
         print(f"  {pose.image_id}: {len(dets)} detections; {seen}")
     print(f"wrote previews under {out}")

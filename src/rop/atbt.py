@@ -53,7 +53,6 @@ class FusedObject:
     key: FusedKey
     support: int
     light_kind: str | None
-    subtype: str | None
     inferred_only: bool
     source_images: list[str]
 
@@ -197,16 +196,12 @@ def fuse_track(
     fused: list[FusedObject] = []
     for (side, category, ordinal, depth), obs in observations.items():
         order = sorted(range(len(obs)), key=lambda i: rank(obs[i][0]))
-        subtypes = [o.subtype for _, o in obs]
-        kinds = [o.light_kind for _, o in obs]
-        subtype = _vote(subtypes, order)
-        light_kind = _vote(kinds, order)
+        subtype = _vote([o.subtype for _, o in obs], order)
         fused.append(
             FusedObject(
                 key=FusedKey(side, category, ordinal, depth, subtype),
                 support=len(obs),
-                light_kind=light_kind,
-                subtype=subtype,
+                light_kind=_vote([o.light_kind for _, o in obs], order),
                 inferred_only=all(o.inferred for _, o in obs),
                 source_images=sorted({iid for iid, _ in obs}),
             )

@@ -134,7 +134,7 @@ def _load_bundle(args) -> Bundle:
 def _place_slice(part: Bundle, cfg: RunConfig) -> IntersectionResult:
     """One buffer's result from its slice. Top-level so a process pool can
     pickle it. Trees stay behind: only dump-trees reads them."""
-    res = run_intersection(part, part.buffers[0], cfg)
+    res = run_intersection(part, cfg)
     res.trees = {}
     return res
 
@@ -171,7 +171,7 @@ def cmd_dump_trees(args) -> int:
     bundle = _load_bundle(args)
     doc = {}
     for buffer in bundle.buffers:
-        res = run_intersection(bundle, buffer, cfg)
+        res = run_intersection(slice_bundle(bundle, buffer, cfg.corner_radius_m), cfg)
         doc[res.intersection_id] = {
             track: [tree_to_json(t) for t in trees] for track, trees in res.trees.items()
         }

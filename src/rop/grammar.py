@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .ingest import DEFAULT_REGISTRY, CategoryRegistry
+from .ingest import CATEGORY_IDS
 from .scene import SceneObject
 
 log = logging.getLogger("rop.grammar")
@@ -40,7 +40,6 @@ def _surround_vote(
     label_map: np.ndarray,
     bbox: tuple[float, float, float, float],
     ring_px: int,
-    registry: CategoryRegistry,
 ) -> str | None:
     """Majority of {sky, building} in a ring around the bbox; None on a tie."""
     big_h, big_w = label_map.shape
@@ -54,8 +53,8 @@ def _surround_vote(
     ix1, iy1 = min(big_w, x1), min(big_h, y1)
     if ix1 > ix0 and iy1 > iy0:
         outer -= np.bincount(label_map[iy0:iy1, ix0:ix1].ravel(), minlength=256)
-    sky = int(outer[registry.id_of("sky")])
-    building = int(outer[registry.id_of("building")])
+    sky = int(outer[CATEGORY_IDS["sky"]])
+    building = int(outer[CATEGORY_IDS["building"]])
     if sky > building:
         return "sky"
     if building > sky:
@@ -68,7 +67,6 @@ def classify_light(
     label_map: np.ndarray,
     tallest_ped: int | None = None,
     cfg: RunConfig = RunConfig(),
-    registry: CategoryRegistry = DEFAULT_REGISTRY,
 ) -> str:
     """Assign light_kind high/low from the surround ring, else a downward ray.
 
@@ -86,7 +84,7 @@ def classify_light(
     if bbox is None:
         r, c = obj.centroid
         bbox = (c, r, 1.0, 1.0)
-    surround = _surround_vote(label_map, bbox, cfg.ring_px, registry)
+    surround = _surround_vote(label_map, bbox, cfg.ring_px)
     if surround is not None:
         kind = "high" if surround == "sky" else "low"
     else:
@@ -96,7 +94,7 @@ def classify_light(
         kind = "low"
         if r0 + 1 < big_h:
             column = label_map[r0 + 1 :, c]
-            ground = (column == registry.id_of("road")) | (column == registry.id_of("sidewalk"))
+            ground = (column == CATEGORY_IDS["road"]) | (column == CATEGORY_IDS["sidewalk"])
             hits = np.flatnonzero(ground)
             h = float(tallest_ped) if tallest_ped else cfg.pedestrian_fallback_frac * big_h
             if hits.size and float(r0 + 1 + hits[0]) - row > cfg.high_factor * h:
@@ -275,7 +273,6 @@ def apply_grammar(
     label_map: np.ndarray,
     tallest_ped: int,
     cfg: RunConfig = RunConfig(),
-    registry: CategoryRegistry = DEFAULT_REGISTRY,
 ) -> tuple[list[SceneObject], list[PatternGroup]]:
     """Run Rules 1-5 in order on one image's objects.
 
@@ -285,7 +282,7 @@ def apply_grammar(
     width_px = label_map.shape[1]
     for obj in objs:
         if obj.category == "traffic_light" and not obj.inferred:
-            classify_light(obj, label_map, tallest_ped or None, cfg, registry)
+            classify_light(obj, label_map, tallest_ped or None, cfg)
     objs = merge_sidewalks(objs, width_px, cfg)
     left = [o for o in objs if side_of(o, width_px) == "left"]
     right = [o for o in objs if side_of(o, width_px) == "right"]

@@ -13,7 +13,7 @@ import json
 import logging
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO
 
@@ -38,55 +38,22 @@ class BundleError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Category registry.
+# Category ids.
 
-
-@dataclass(frozen=True)
-class CategoryRegistry:
-    """Pixel-id assignment for semantic label maps."""
-
-    ids: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        names = [n for n, _ in self.ids]
-        vals = [v for _, v in self.ids]
-        if len(set(names)) != len(names) or len(set(vals)) != len(vals):
-            raise ValueError("category names and ids must be unique")
-        if any(not 0 <= v <= 255 for v in vals):
-            raise ValueError("category ids must fit one byte")
-
-    def id_of(self, name: str) -> int:
-        for n, v in self.ids:
-            if n == name:
-                return v
-        raise KeyError(name)
-
-    def name_of(self, cid: int) -> str:
-        for n, v in self.ids:
-            if v == cid:
-                return n
-        raise KeyError(cid)
-
-    def names(self) -> list[str]:
-        return [n for n, _ in self.ids]
-
-    def by_id(self) -> dict[int, str]:
-        return {v: n for n, v in self.ids}
-
-
-DEFAULT_REGISTRY = CategoryRegistry(
-    ids=(
-        ("other", 0),
-        ("road", 1),
-        ("sidewalk", 2),
-        ("building", 3),
-        ("sky", 4),
-        ("pedestrian", 5),
-        ("traffic_light", 6),
-        ("traffic_sign", 7),
-        ("vehicle", 8),
-    )
-)
+# The byte each category takes in a label map. Part of the bundle format,
+# like the PGM header rules below.
+CATEGORY_IDS = {
+    "other": 0,
+    "road": 1,
+    "sidewalk": 2,
+    "building": 3,
+    "sky": 4,
+    "pedestrian": 5,
+    "traffic_light": 6,
+    "traffic_sign": 7,
+    "vehicle": 8,
+}
+CATEGORY_NAMES = {cid: name for name, cid in CATEGORY_IDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +84,6 @@ class Track:
     intersection_id: str
     direction: str  # WE, EW, SN, NS
     images: list[ImageMeta]
-    corrected: bool = False
-    mean_shift_m: float = 0.0
 
 
 @dataclass
@@ -137,7 +102,6 @@ class Bundle:
     detections: dict[str, list[Detection]]
     footprints: list[Footprint]
     buffers: list[IntersectionBuffer]
-    registry: CategoryRegistry = field(default=DEFAULT_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +222,13 @@ def _require(record: dict, key: str, where: str):
 
 
 def _number(record: dict, key: str, where: str, kind: type = float):
-    """record[key] converted by kind; a missing, null or non-numeric value is
-    a BundleError naming the record and the key."""
+    """record[key] converted by kind; a missing, null, boolean or non-numeric
+    value, or a fractional one where kind is int, is a BundleError naming the
+    record and the key."""
     value = _require(record, key, where)
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) or fractional:
+        raise BundleError(f"{where}: {key} must be a number")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -378,7 +346,6 @@ def load_inputs(
     detections_path: str,
     footprints_path: str,
     buffers_path: str,
-    registry: CategoryRegistry = DEFAULT_REGISTRY,
 ) -> Bundle:
     """Load and cross-validate a full input bundle.
 
@@ -411,7 +378,6 @@ def load_inputs(
         detections=detections,
         footprints=footprints,
         buffers=buffers,
-        registry=registry,
     )
 
 
@@ -486,9 +452,8 @@ def build_tracks(images: list[ImageMeta], buffer: IntersectionBuffer) -> list[Tr
 def correct_track(track: Track) -> Track:
     """Straighten GPS drift by projecting positions onto a total-least-squares line.
 
-    Tracks with fewer than three images come back unchanged (corrected stays
-    False). The correction is idempotent: collinear points project onto
-    themselves.
+    Tracks with fewer than three images come back unchanged. The correction
+    is idempotent: collinear points project onto themselves.
     """
     if len(track.images) < 3:
         return track
@@ -506,7 +471,6 @@ def correct_track(track: Track) -> Track:
     direction = vt[0]
     along = centered @ direction
     projected = centroid + np.outer(along, direction)
-    mean_shift = float(np.linalg.norm(pts - projected, axis=1).mean())
     corrected_images = [
         replace(im, position=unproject(frame, LocalPoint(float(x), float(y))))
         for im, (x, y) in zip(track.images, projected)
@@ -518,6 +482,4 @@ def correct_track(track: Track) -> Track:
         intersection_id=track.intersection_id,
         direction=track.direction,
         images=corrected_images,
-        corrected=True,
-        mean_shift_m=mean_shift,
     )

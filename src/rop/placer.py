@@ -81,7 +81,7 @@ class IntersectionResult:
 
 
 def classify_camera(
-    img: ImageMeta, center: GeoPoint, frame: LocalFrame, inner_radius_m: float = 10.0
+    img: ImageMeta, center: GeoPoint, frame: LocalFrame, inner_radius_m: float
 ) -> str:
     """C1 approaching, C2 inside the inner radius, C3 past the center."""
     if img.heading_deg is None:
@@ -104,7 +104,7 @@ def select_corners(
     img: ImageMeta,
     footprints: list[Footprint],
     frame: LocalFrame,
-    radius_m: float = 26.0,
+    radius_m: float,
 ) -> CornerPair | None:
     """One corner per side of the heading line, or None.
 
@@ -160,13 +160,11 @@ def place_objects(
     frame: LocalFrame,
     intersection_id: str,
     n_track_images: int,
-    offset_m: float = 2.5,
-    high_height_m: float = 7.0,
-    low_height_m: float = 4.0,
+    cfg: RunConfig = RunConfig(),
 ) -> list[PlacedObject]:
     """Anchor fused objects to the corner pair.
 
-    Low lights and sign stacks sit offset_m in from their side's corner (one
+    Low lights and sign stacks sit cfg.offset_m in from their side's corner (one
     pole per stack, so stack members share the position); high lights hang at
     the midpoint of the two corners. Sidewalks are evidence, not assets, and
     are not placed.
@@ -174,8 +172,8 @@ def place_objects(
     if corners is None:
         raise ValueError("place_objects requires a corner pair")
     anchors = {
-        "left": _offset_toward_center(corners.A1, offset_m),
-        "right": _offset_toward_center(corners.A2, offset_m),
+        "left": _offset_toward_center(corners.A1, cfg.offset_m),
+        "right": _offset_toward_center(corners.A2, cfg.offset_m),
     }
     mid = LocalPoint((corners.A1.x + corners.A2.x) / 2.0, (corners.A1.y + corners.A2.y) / 2.0)
     out: list[PlacedObject] = []
@@ -184,17 +182,17 @@ def place_objects(
             continue
         if f.key.category == "traffic_light" and f.light_kind == "high":
             local = mid
-            height = high_height_m
+            height = cfg.high_height_m
         else:
             local = anchors[f.key.side]
-            height = low_height_m if f.key.category == "traffic_light" else None
+            height = cfg.low_height_m if f.key.category == "traffic_light" else None
         confidence = min(1.0, f.support / max(1, n_track_images))
         if f.inferred_only:
             confidence /= 2.0
         out.append(
             PlacedObject(
                 category=f.key.category,
-                subtype=f.subtype,
+                subtype=f.key.subtype,
                 light_kind=f.light_kind if f.key.category == "traffic_light" else None,
                 position=unproject(frame, local),
                 height_m=height,
@@ -213,7 +211,7 @@ def place_objects(
 
 
 def dedup_placed(
-    placed: list[PlacedObject], frame: LocalFrame, radius_m: float = 1.5
+    placed: list[PlacedObject], frame: LocalFrame, radius_m: float
 ) -> list[PlacedObject]:
     """Merge same category+subtype placements within radius_m.
 
@@ -312,45 +310,40 @@ def slice_bundle(bundle: Bundle, buffer: IntersectionBuffer, corner_radius_m: fl
             fp for fp in bundle.footprints if any(within(frame, v, reach_m) for v in fp.ring)
         ],
         buffers=[buffer],
-        registry=bundle.registry,
     )
 
 
-def _track_trees(
-    bundle: Bundle, track: Track, cfg: RunConfig
-) -> list[Atbt]:
+def _track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
     trees = []
     for img in track.images:
-        label_map = bundle.label_maps[img.image_id]
-        objs, tallest = scene_objects(
-            label_map,
-            bundle.detections.get(img.image_id, []),
-            bundle.registry,
-            min_region_px=cfg.min_region_px,
-            iou_min=cfg.iou_min,
-        )
-        objs, groups = apply_grammar(objs, label_map, tallest, cfg, bundle.registry)
+        label_map = part.label_maps[img.image_id]
+        objs, tallest = scene_objects(label_map, part.detections.get(img.image_id, []), cfg)
+        objs, groups = apply_grammar(objs, label_map, tallest, cfg)
         trees.append(build_atbt(objs, groups, img.image_id, img.width_px))
     return trees
 
 
-def run_intersection(
-    bundle: Bundle, buffer: IntersectionBuffer, cfg: RunConfig = RunConfig()
-) -> IntersectionResult:
-    """Slice -> tracks -> trees -> fusion -> corners -> placement -> dedup."""
+def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> IntersectionResult:
+    """Tracks -> trees -> fusion -> corners -> placement -> dedup, on the
+    one-buffer slice that slice_bundle cuts."""
+    if len(part.buffers) != 1:
+        raise ValueError(
+            "run_intersection takes a one-buffer slice (see slice_bundle), "
+            f"got {len(part.buffers)} buffers"
+        )
+    buffer = part.buffers[0]
     result = IntersectionResult(intersection_id=buffer.intersection_id)
     frame = make_frame(buffer.center)
-    bundle = slice_bundle(bundle, buffer, cfg.corner_radius_m)
-    if not bundle.images:
+    if not part.images:
         result.diagnostics.append(
             {"intersection_id": buffer.intersection_id, "event": "no_images"}
         )
         return result
-    tracks = [correct_track(t) for t in build_tracks(bundle.images, buffer)]
+    tracks = [correct_track(t) for t in build_tracks(part.images, buffer)]
     raw_placed: list[PlacedObject] = []
     any_corners = False
     for track in tracks:
-        trees = _track_trees(bundle, track, cfg)
+        trees = _track_trees(part, track, cfg)
         result.trees[track.track_id] = trees
         ranks = {
             img.image_id: dist(project(frame, img.position), _ORIGIN)
@@ -369,13 +362,13 @@ def run_intersection(
             key=lambda im: (ranks[im.image_id], im.image_id),
         )
         for img in c1_images:
-            corners = select_corners(img, bundle.footprints, frame, cfg.corner_radius_m)
+            corners = select_corners(img, part.footprints, frame, cfg.corner_radius_m)
             if corners is not None:
                 break
         if corners is None:
             for img in track.images:
                 if cases[img.image_id] == "C2":
-                    corners = select_corners(img, bundle.footprints, frame, cfg.corner_radius_m)
+                    corners = select_corners(img, part.footprints, frame, cfg.corner_radius_m)
                     if corners is not None:
                         break
         if corners is None:
@@ -396,9 +389,7 @@ def run_intersection(
                 frame,
                 buffer.intersection_id,
                 n_track_images=len(track.images),
-                offset_m=cfg.offset_m,
-                high_height_m=cfg.high_height_m,
-                low_height_m=cfg.low_height_m,
+                cfg=cfg,
             )
         )
     if not any_corners:

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import DEFAULT_REGISTRY, CategoryRegistry, Detection
+from .config import RunConfig
+from .ingest import CATEGORY_IDS, CATEGORY_NAMES, Detection
 
 
 @dataclass
@@ -38,13 +39,10 @@ class SceneObject:
 
 
 def extract_regions(
-    label_map: np.ndarray,
-    registry: CategoryRegistry = DEFAULT_REGISTRY,
-    categories: list[str] | None = None,
-    min_region_px: int = 25,
+    label_map: np.ndarray, categories: list[str], min_region_px: int
 ) -> list[Region]:
-    """Connected components (4-connectivity) per category, smaller than
-    min_region_px dropped, ordered by (category id, first pixel index).
+    """Connected components (4-connectivity) of the given categories, smaller
+    than min_region_px dropped, ordered by (category id, first pixel index).
 
     Components are built from row runs rather than pixels (run-based
     labeling, He, Chao & Suzuki 2008): a label map holds far fewer runs of
@@ -54,7 +52,6 @@ def extract_regions(
     if label_map.ndim != 2:
         raise ValueError("label map must be 2-D")
     w = label_map.shape[1]
-    names = registry.names() if categories is None else categories
     flat = label_map.ravel()
     # A run starts at column 0 or where the value differs from its left
     # neighbour; it ends where the next run starts, so runs never span rows.
@@ -63,7 +60,7 @@ def extract_regions(
     np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
     new_run[::w] = True
     bounds = np.append(np.flatnonzero(new_run), flat.size)
-    keep = np.flatnonzero(np.isin(flat[bounds[:-1]], [registry.id_of(n) for n in names]))
+    keep = np.flatnonzero(np.isin(flat[bounds[:-1]], [CATEGORY_IDS[n] for n in categories]))
     if keep.size == 0:
         return []
     start, end = bounds[keep], bounds[keep + 1]
@@ -103,7 +100,6 @@ def extract_regions(
     bottom = np.maximum.reduceat(row[order], group)
     left = np.minimum.reduceat(col0[order], group)
     right = np.maximum.reduceat((col0 + length)[order], group)
-    by_name = registry.by_id()
     out: list[Region] = []
     # Roots ascend by first pixel; a stable sort by category id keeps that.
     for k in np.argsort(value[root], kind="stable"):
@@ -111,7 +107,7 @@ def extract_regions(
             continue
         out.append(
             Region(
-                category=by_name[int(value[root[k]])],
+                category=CATEGORY_NAMES[int(value[root[k]])],
                 centroid=(row_sum[k] / area[k], col_sum[k] / area[k]),
                 area_px=int(area[k]),
                 bbox=(int(left[k]), int(top[k]), int(right[k] - left[k]), int(bottom[k] - top[k] + 1)),
@@ -145,7 +141,7 @@ def _from_region(obj_id: str, region: Region) -> SceneObject:
 def reconcile(
     regions: list[Region],
     detections: list[Detection],
-    iou_min: float = 0.3,
+    iou_min: float,
 ) -> list[SceneObject]:
     """Fuse sign regions with sign detections; pass lights and sidewalks through.
 
@@ -204,17 +200,14 @@ def reconcile(
 def scene_objects(
     label_map: np.ndarray,
     detections: list[Detection],
-    registry: CategoryRegistry = DEFAULT_REGISTRY,
-    min_region_px: int = 25,
-    iou_min: float = 0.3,
+    cfg: RunConfig = RunConfig(),
 ) -> tuple[list[SceneObject], int]:
     """One image's reconciled objects and its tallest pedestrian height in
     pixels (0 if none), from a single extraction over the label map."""
     regions = extract_regions(
         label_map,
-        registry,
-        categories=["sidewalk", "pedestrian", "traffic_light", "traffic_sign"],
-        min_region_px=min_region_px,
+        ["sidewalk", "pedestrian", "traffic_light", "traffic_sign"],
+        cfg.min_region_px,
     )
     tallest = max((r.bbox[3] for r in regions if r.category == "pedestrian"), default=0)
-    return reconcile(regions, detections, iou_min=iou_min), tallest
+    return reconcile(regions, detections, cfg.iou_min), tallest

@@ -20,9 +20,8 @@ import numpy as np
 
 from .geo import Footprint, GeoPoint, LocalPoint, heading_vector, make_frame, unproject
 from .ingest import (
-    DEFAULT_REGISTRY,
+    CATEGORY_IDS,
     Bundle,
-    CategoryRegistry,
     Detection,
     ImageMeta,
     IntersectionBuffer,
@@ -240,18 +239,15 @@ def _billboard_rect(
     return (max(0, r0), min(cam.height_px - 1, r1), max(0, c0), min(cam.width_px - 1, c1))
 
 
-def render_image(
-    layout: Layout, pose: CameraPose, registry: CategoryRegistry = DEFAULT_REGISTRY
-) -> tuple[np.ndarray, list[Detection]]:
+def render_image(layout: Layout, pose: CameraPose) -> tuple[np.ndarray, list[Detection]]:
     """One pinhole view: label map plus detector output for visible signs."""
     cam = layout.camera
     for fp in layout.footprints:
         if fp.contains(pose.position.x, pose.position.y):
             raise ValueError(f"camera {pose.image_id} inside footprint {fp.id}")
-    ids = {name: registry.id_of(name) for name in registry.names()}
-    canvas = np.full((cam.height_px, cam.width_px), ids["sky"], dtype=np.uint8)
+    canvas = np.full((cam.height_px, cam.width_px), CATEGORY_IDS["sky"], dtype=np.uint8)
     horizon = int(math.floor(cam.height_px / 2.0)) + 1
-    canvas[horizon:, :] = ids["road"]
+    canvas[horizon:, :] = CATEGORY_IDS["road"]
 
     # Ground-plane sidewalk aprons around every footprint; building boxes
     # drawn later reclaim the interiors, leaving the 2.5 m band.
@@ -259,7 +255,7 @@ def render_image(
         ex0, ey0, ex1, ey1 = fp.expanded(_APRON_M)
         quad = [(ex0, ey0, 0.0), (ex1, ey0, 0.0), (ex1, ey1, 0.0), (ex0, ey1, 0.0)]
         clipped = _clip_near(_to_cam(pose, cam, quad))
-        _fill_convex(canvas, _project_poly(cam, clipped), ids["sidewalk"])
+        _fill_convex(canvas, _project_poly(cam, clipped), CATEGORY_IDS["sidewalk"])
 
     # Vertical geometry, painter's order by plan distance to the camera.
     px, py = pose.position.x, pose.position.y
@@ -273,25 +269,26 @@ def render_image(
         for a, b in faces:
             quad = [(a[0], a[1], 0.0), (b[0], b[1], 0.0), (b[0], b[1], fp.height_m), (a[0], a[1], fp.height_m)]
             cx, cy = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-            drawables.append((math.hypot(cx - px, cy - py), seq, "poly", (quad, ids["building"])))
+            drawables.append((math.hypot(cx - px, cy - py), seq, "poly", (quad, CATEGORY_IDS["building"])))
             seq += 1
         roof = [(x, y, fp.height_m) for x, y in corners]
         rcx, rcy = (fp.x0 + fp.x1) / 2.0, (fp.y0 + fp.y1) / 2.0
-        drawables.append((math.hypot(rcx - px, rcy - py), seq, "poly", (roof, ids["building"])))
+        drawables.append((math.hypot(rcx - px, rcy - py), seq, "poly", (roof, CATEGORY_IDS["building"])))
         seq += 1
 
     board_specs: list[tuple[int | None, tuple]] = []  # (truth index if sign, board)
     for t_idx, t in enumerate(layout.truth_objects):
         if t.category == "traffic_light":
-            w_m, h_m, label = _LIGHT_W, _LIGHT_H, ids["traffic_light"]
+            w_m, h_m, label = _LIGHT_W, _LIGHT_H, CATEGORY_IDS["traffic_light"]
         else:
-            w_m, h_m, label = _SIGN_W, _SIGN_H, ids["traffic_sign"]
+            w_m, h_m, label = _SIGN_W, _SIGN_H, CATEGORY_IDS["traffic_sign"]
         board = (t.position.x, t.position.y, t.mount_m, w_m, h_m, label)
         d = math.hypot(t.position.x - px, t.position.y - py)
         drawables.append((d, seq, "board", (t_idx if t.category == "traffic_sign" else None, board)))
         seq += 1
     for ped in layout.pedestrians:
-        board = (ped.position.x, ped.position.y, ped.height_m / 2.0, _PED_W, ped.height_m, ids["pedestrian"])
+        label = CATEGORY_IDS["pedestrian"]
+        board = (ped.position.x, ped.position.y, ped.height_m / 2.0, _PED_W, ped.height_m, label)
         d = math.hypot(ped.position.x - px, ped.position.y - py)
         drawables.append((d, seq, "board", (None, board)))
         seq += 1
@@ -314,7 +311,7 @@ def render_image(
                 sign_rects[t_idx] = rect
 
     detections: list[Detection] = []
-    sign_id = ids["traffic_sign"]
+    sign_id = CATEGORY_IDS["traffic_sign"]
     for t_idx in sorted(sign_rects):
         r0, r1, c0, c1 = sign_rects[t_idx]
         area = (r1 - r0 + 1) * (c1 - c0 + 1)
@@ -355,9 +352,7 @@ def truth_as_placed(layout: Layout) -> list[PlacedObject]:
     return out
 
 
-def render_bundle(
-    layout: Layout, registry: CategoryRegistry = DEFAULT_REGISTRY
-) -> tuple[Bundle, list[PlacedObject]]:
+def render_bundle(layout: Layout) -> tuple[Bundle, list[PlacedObject]]:
     """Rasterize every camera pose; returns (ingest bundle, truth objects)."""
     validate_layout(layout)
     frame = make_frame(layout.center)
@@ -365,7 +360,7 @@ def render_bundle(
     label_maps: dict[str, np.ndarray] = {}
     detections: dict[str, list[Detection]] = {}
     for pose in layout.cameras:
-        canvas, dets = render_image(layout, pose, registry)
+        canvas, dets = render_image(layout, pose)
         label_maps[pose.image_id] = canvas
         if dets:
             detections[pose.image_id] = dets
@@ -393,7 +388,6 @@ def render_bundle(
                 radius_m=layout.radius_m,
             )
         ],
-        registry=registry,
     )
     return bundle, truth_as_placed(layout)
 

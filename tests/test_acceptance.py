@@ -31,8 +31,8 @@ from rop.geo import (
     unproject,
 )
 from rop.grammar import apply_grammar, classify_light, merge_sidewalks
-from rop.ingest import DEFAULT_REGISTRY, ImageMeta, build_tracks, correct_track
-from rop.placer import run_intersection, select_corners
+from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks, correct_track
+from rop.placer import run_intersection, select_corners, slice_bundle
 from rop.scene import scene_objects
 from rop.synth import (
     CameraPose,
@@ -46,6 +46,7 @@ from rop.synth import (
 )
 
 MATCH_RADIUS_M = 5.0
+CFG = RunConfig()
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -67,7 +68,7 @@ def fixture_run():
     t0 = time.perf_counter()
     for lay in layouts:
         bundle, truth = render_bundle(lay)
-        result = run_intersection(bundle, bundle.buffers[0], cfg)
+        result = run_intersection(slice_bundle(bundle, bundle.buffers[0], cfg.corner_radius_m), cfg)
         runs.append(SimpleNamespace(layout=lay, bundle=bundle, truth=truth, result=result))
         preds.extend(result.placed)
         refs.extend(truth)
@@ -184,8 +185,8 @@ def _ring_counts(canvas: np.ndarray, bbox, ring_px: int) -> tuple[int, int]:
     x1, y1 = int(np.ceil(x + w)), int(np.ceil(y + h))
     ox0, oy0 = max(0, x0 - ring_px), max(0, y0 - ring_px)
     ox1, oy1 = min(big_w, x1 + ring_px), min(big_h, y1 + ring_px)
-    sky_id = DEFAULT_REGISTRY.id_of("sky")
-    bld_id = DEFAULT_REGISTRY.id_of("building")
+    sky_id = CATEGORY_IDS["sky"]
+    bld_id = CATEGORY_IDS["building"]
     window = canvas[oy0:oy1, ox0:ox1]
     inner = canvas[max(0, y0) : min(big_h, y1), max(0, x0) : min(big_w, x1)]
     sky = int((window == sky_id).sum()) - int((inner == sky_id).sum())
@@ -283,7 +284,7 @@ def test_criterion_4_pair_inference():
         assert len(inferred) == 1 and inferred[0].light_kind == "low", (cam_x, building_h)
         # End to end: the inferred twin must land on the hidden pole.
         bundle, truth = render_bundle(lay)
-        result = run_intersection(bundle, bundle.buffers[0])
+        result = run_intersection(slice_bundle(bundle, bundle.buffers[0], CFG.corner_radius_m), CFG)
         twins = [p for p in result.placed if p.inferred_only]
         assert len(twins) == 1, (cam_x, building_h)
         rep = evaluate(result.placed, truth, radius_m=MATCH_RADIUS_M)
@@ -299,7 +300,7 @@ def test_criterion_4_pair_inference():
         real, inferred = _grammar_lights(lay)
         assert len(real) == 2 and not inferred, (cam_x, building_h)
         bundle, _ = render_bundle(lay)
-        result = run_intersection(bundle, bundle.buffers[0])
+        result = run_intersection(slice_bundle(bundle, bundle.buffers[0], CFG.corner_radius_m), CFG)
         assert not [p for p in result.placed if p.inferred_only], (cam_x, building_h)
         n_clean += 1
 
@@ -316,7 +317,7 @@ def test_criterion_4_pair_inference():
 # Criterion 5: corner selection and matching agree with brute force.
 
 
-def _corners_oracle(img: ImageMeta, footprints: list[Footprint], frame, radius_m=26.0):
+def _corners_oracle(img: ImageMeta, footprints: list[Footprint], frame, radius_m: float):
     """Exhaustive restatement of the corner rule over every ring vertex."""
     cam = project(frame, img.position)
     hx, hy = heading_vector(img.heading_deg)
@@ -395,8 +396,8 @@ def test_criterion_5_brute_force_agreement(fixture_run):
             width_px=1024,
             height_px=768,
         )
-        got = select_corners(img, fps, frame)
-        want = _corners_oracle(img, fps, frame)
+        got = select_corners(img, fps, frame, CFG.corner_radius_m)
+        want = _corners_oracle(img, fps, frame, CFG.corner_radius_m)
         if want is None:
             assert got is None, f"trial {trial}: expected no corner pair"
             n_none += 1
@@ -558,7 +559,6 @@ def test_criterion_6_structural_invariants(fixture_run):
             once = correct_track(track)
             twice = correct_track(once)
             assert [i.image_id for i in twice.images] == [i.image_id for i in once.images]
-            assert twice.corrected == once.corrected
             for a, b in zip(once.images, twice.images):
                 assert haversine_m(a.position, b.position) <= 1e-6
             n_tracks += 1

@@ -251,16 +251,15 @@ def test_fuse_majority_subtype_matches_oracle():
     assert len(fused) == 1
     winners = vote_oracle(["yield", "stop", "stop"])
     assert winners == {"stop"}
-    assert fused[0].subtype == "stop"
     assert fused[0].key.subtype == "stop"
 
 
 def test_fuse_tie_goes_to_nearest_rank():
     trees = [sign_alone_tree("i0", "yield"), sign_alone_tree("i1", "stop")]
     fused = fuse_track(trees, image_rank={"i0": 5.0, "i1": 2.0})
-    assert fused[0].subtype == "stop"
+    assert fused[0].key.subtype == "stop"
     fused = fuse_track(trees, image_rank={"i0": 1.0, "i1": 2.0})
-    assert fused[0].subtype == "yield"
+    assert fused[0].key.subtype == "yield"
 
 
 def test_fuse_default_rank_prefers_later_images():

@@ -94,7 +94,7 @@ NUMBER_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [None, "wide"])
+@pytest.mark.parametrize("value", [None, "wide", True])
 @pytest.mark.parametrize("flag, key", NUMBER_FIELDS)
 def test_place_rejects_non_numeric_field(flag, key, value, bundle_dir, tmp_path, capsys):
     argv = place_args(bundle_dir, tmp_path / "pred.geojson")
@@ -349,6 +349,26 @@ def test_place_loads_the_bundle_once_and_workers_never(bundle_dir, tmp_path, mon
     monkeypatch.setattr(rop.cli, "load_inputs", logging_load_inputs)
     assert main(place_args(bundle_dir, tmp_path / "pred.geojson", ["--jobs", "2"])) == 0
     assert calls.read_text().split() == [str(os.getpid())]
+
+
+@pytest.mark.parametrize("command", ["place", "dump-trees"])
+def test_each_buffer_is_sliced_once(command, bundle_dir, tmp_path, monkeypatch):
+    import rop.cli
+    import rop.placer
+
+    sliced = []
+    real = rop.placer.slice_bundle
+
+    def counting_slice(bundle, buffer, *args, **kwargs):
+        sliced.append(buffer.intersection_id)
+        return real(bundle, buffer, *args, **kwargs)
+
+    monkeypatch.setattr(rop.cli, "slice_bundle", counting_slice)
+    monkeypatch.setattr(rop.placer, "slice_bundle", counting_slice)
+    argv = place_args(bundle_dir, tmp_path / "out.json", ["--jobs", "1"] if command == "place" else [])
+    argv[0] = command
+    assert main(argv) == 0
+    assert sliced == ["x0000", "x0001"]
 
 
 def test_place_bundle_wider_than_one_frame(tmp_path):

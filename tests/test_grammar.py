@@ -17,14 +17,14 @@ from rop.grammar import (
     merge_sidewalks,
     side_of,
 )
-from rop.ingest import DEFAULT_REGISTRY
+from rop.ingest import CATEGORY_IDS
 from rop.scene import SceneObject
 
-SKY = DEFAULT_REGISTRY.id_of("sky")
-BUILDING = DEFAULT_REGISTRY.id_of("building")
-ROAD = DEFAULT_REGISTRY.id_of("road")
-WALK = DEFAULT_REGISTRY.id_of("sidewalk")
-LIGHT = DEFAULT_REGISTRY.id_of("traffic_light")
+SKY = CATEGORY_IDS["sky"]
+BUILDING = CATEGORY_IDS["building"]
+ROAD = CATEGORY_IDS["road"]
+WALK = CATEGORY_IDS["sidewalk"]
+LIGHT = CATEGORY_IDS["traffic_light"]
 
 CFG = RunConfig()
 
@@ -489,7 +489,7 @@ def test_apply_grammar_end_to_end():
     lab[250:280, 700:1000] = WALK
     from rop.scene import scene_objects
 
-    objs, tallest = scene_objects(lab, [], min_region_px=25)
+    objs, tallest = scene_objects(lab, [], CFG)
     out, groups = apply_grammar(objs, lab, tallest, CFG)
     lights = [o for o in out if o.category == "traffic_light"]
     assert {o.light_kind for o in lights} == {"low"}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ from rop.geo import (
 )
 from rop import scene
 from rop.config import RunConfig
-from rop.ingest import Bundle, ImageMeta, build_tracks, images_in_buffer
+from rop.ingest import Bundle, ImageMeta, build_tracks
 from rop.placer import (
     CornerPair,
     classify_camera,
@@ -31,12 +33,14 @@ from rop.placer import (
     place_objects,
     run_intersection,
     select_corners,
+    slice_bundle,
     to_geojson,
 )
 from rop.synth import render_bundle, standard_fixtures
 
 CENTER = GeoPoint(52.52, 13.405)
 FRAME = make_frame(CENTER)
+CFG = RunConfig()
 
 
 def geo_at(x, y):
@@ -78,9 +82,9 @@ BUILDINGS = [
 
 
 def test_camera_cases_along_an_approach():
-    assert classify_camera(cam(-20.0, 0.0, 90.0), CENTER, FRAME) == "C1"
-    assert classify_camera(cam(-5.0, 0.0, 90.0), CENTER, FRAME) == "C2"
-    assert classify_camera(cam(20.0, 0.0, 90.0), CENTER, FRAME) == "C3"
+    assert classify_camera(cam(-20.0, 0.0, 90.0), CENTER, FRAME, CFG.inner_radius_m) == "C1"
+    assert classify_camera(cam(-5.0, 0.0, 90.0), CENTER, FRAME, CFG.inner_radius_m) == "C2"
+    assert classify_camera(cam(20.0, 0.0, 90.0), CENTER, FRAME, CFG.inner_radius_m) == "C3"
 
 
 def test_camera_inner_radius_boundary():
@@ -91,14 +95,14 @@ def test_camera_inner_radius_boundary():
 
 def test_camera_heading_perpendicular_is_not_approaching():
     # Heading at right angles to the center direction: not moving toward it.
-    assert classify_camera(cam(-20.0, 0.0, 0.0), CENTER, FRAME) == "C3"
+    assert classify_camera(cam(-20.0, 0.0, 0.0), CENTER, FRAME, CFG.inner_radius_m) == "C3"
 
 
 def test_camera_requires_heading():
     img = cam(-20.0, 0.0)
     img.heading_deg = None
     with pytest.raises(ValueError):
-        classify_camera(img, CENTER, FRAME)
+        classify_camera(img, CENTER, FRAME, CFG.inner_radius_m)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +110,7 @@ def test_camera_requires_heading():
 # same tie rules, written against the raw rings.
 
 
-def corners_oracle(img, footprints, frame, radius_m=26.0):
+def corners_oracle(img, footprints, frame, radius_m):
     camera = project(frame, img.position)
     hx, hy = heading_vector(img.heading_deg)
     best = {}
@@ -142,7 +146,7 @@ def corners_oracle(img, footprints, frame, radius_m=26.0):
 
 
 def test_corners_c1_picks_near_pair():
-    pair = select_corners(cam(-20.0, -3.5, 90.0), BUILDINGS, FRAME)
+    pair = select_corners(cam(-20.0, -3.5, 90.0), BUILDINGS, FRAME, CFG.corner_radius_m)
     assert pair is not None
     assert pair.left_fp == "nw" and pair.right_fp == "sw"
     assert pair.A1.x == pytest.approx(-INNER, abs=1e-6)
@@ -154,7 +158,7 @@ def test_corners_c1_picks_near_pair():
 def test_corners_c2_returns_pair_ahead():
     # Inside the intersection the near pair sits behind the camera; the
     # far-side pair ahead is the valid one.
-    pair = select_corners(cam(0.0, -3.5, 90.0), BUILDINGS, FRAME)
+    pair = select_corners(cam(0.0, -3.5, 90.0), BUILDINGS, FRAME, CFG.corner_radius_m)
     assert pair is not None
     assert pair.left_fp == "ne" and pair.right_fp == "se"
     assert pair.A1.x == pytest.approx(INNER, abs=1e-6)
@@ -162,20 +166,21 @@ def test_corners_c2_returns_pair_ahead():
 
 
 def test_corners_c3_has_none():
-    assert select_corners(cam(20.0, -3.5, 90.0), BUILDINGS, FRAME) is None
+    assert select_corners(cam(20.0, -3.5, 90.0), BUILDINGS, FRAME, CFG.corner_radius_m) is None
 
 
 def test_corners_require_both_sides():
     # Only the two north buildings: the right (south) side has no candidate.
-    pair = select_corners(cam(-20.0, -3.5, 90.0), [BUILDINGS[0], BUILDINGS[1]], FRAME)
+    north = [BUILDINGS[0], BUILDINGS[1]]
+    pair = select_corners(cam(-20.0, -3.5, 90.0), north, FRAME, CFG.corner_radius_m)
     assert pair is None
 
 
 def test_corners_permutation_invariant():
     img = cam(-20.0, -3.5, 90.0)
-    base = select_corners(img, BUILDINGS, FRAME)
+    base = select_corners(img, BUILDINGS, FRAME, CFG.corner_radius_m)
     for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
-        again = select_corners(img, [BUILDINGS[i] for i in order], FRAME)
+        again = select_corners(img, [BUILDINGS[i] for i in order], FRAME, CFG.corner_radius_m)
         assert again == base
 
 
@@ -196,8 +201,8 @@ def test_corners_match_brute_force_oracle(seed):
         y0 = rng.uniform(-40.0, 25.0)
         fps.append(rect_fp(f"b{i}", x0, y0, x0 + rng.uniform(4.0, 18.0), y0 + rng.uniform(4.0, 18.0)))
     img = cam(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0), rng.uniform(0.0, 360.0))
-    got = select_corners(img, fps, FRAME)
-    want = corners_oracle(img, fps, FRAME)
+    got = select_corners(img, fps, FRAME, CFG.corner_radius_m)
+    want = corners_oracle(img, fps, FRAME, CFG.corner_radius_m)
     if want is None:
         assert got is None
     else:
@@ -218,7 +223,6 @@ def fused(side, category, ordinal=0, depth=0, subtype=None, light_kind=None, sup
         key=FusedKey(side, category, ordinal, depth, subtype),
         support=support,
         light_kind=light_kind,
-        subtype=subtype,
         inferred_only=inferred_only,
         source_images=["i0"],
     )
@@ -394,7 +398,7 @@ def test_geojson_round_trip_and_order():
 
 def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
     bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
-    buffer = bundle.buffers[0]
+    part = slice_bundle(bundle, bundle.buffers[0], CFG.corner_radius_m)
     calls = []
     real_extract = scene.extract_regions
 
@@ -403,11 +407,25 @@ def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
         return real_extract(*args, **kwargs)
 
     monkeypatch.setattr(scene, "extract_regions", counting_extract)
-    result = run_intersection(bundle, buffer, RunConfig())
-    tracked = sum(len(t.images) for t in build_tracks(images_in_buffer(bundle.images, buffer), buffer))
+    result = run_intersection(part, CFG)
+    tracked = sum(len(t.images) for t in build_tracks(part.images, part.buffers[0]))
     assert result.placed
     assert tracked > 0
     assert len(calls) == tracked
+
+
+def test_run_intersection_rejects_a_bundle_of_two_buffers():
+    a, b = (render_bundle(lay)[0] for lay in standard_fixtures(2, seed=1))
+    with pytest.raises(ValueError, match="one-buffer slice"):
+        run_intersection(_merged([a, b]), CFG)
+
+
+def test_readme_library_example_runs():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (code,) = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["doc"]["features"]
 
 
 def _far_copy(layout):
@@ -431,7 +449,7 @@ def neighbours():
 
 
 def _outcome(bundle, buffer):
-    result = run_intersection(bundle, buffer)
+    result = run_intersection(slice_bundle(bundle, buffer, CFG.corner_radius_m), CFG)
     return to_geojson(result.placed), result.diagnostics
 
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rop.ingest import DEFAULT_REGISTRY, Detection
+from rop.config import RunConfig
+from rop.ingest import CATEGORY_IDS, Detection
 from rop.scene import (
     Region,
     SceneObject,
@@ -17,11 +18,12 @@ from rop.scene import (
     scene_objects,
 )
 
-LIGHT = DEFAULT_REGISTRY.id_of("traffic_light")
-SIGN = DEFAULT_REGISTRY.id_of("traffic_sign")
-WALK = DEFAULT_REGISTRY.id_of("sidewalk")
-PED = DEFAULT_REGISTRY.id_of("pedestrian")
-ROAD = DEFAULT_REGISTRY.id_of("road")
+LIGHT = CATEGORY_IDS["traffic_light"]
+SIGN = CATEGORY_IDS["traffic_sign"]
+WALK = CATEGORY_IDS["sidewalk"]
+PED = CATEGORY_IDS["pedestrian"]
+ROAD = CATEGORY_IDS["road"]
+IOU_MIN = RunConfig().iou_min
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +132,7 @@ def test_extract_respects_category_selection():
 
 def test_extract_rejects_non_2d():
     with pytest.raises(ValueError):
-        extract_regions(np.zeros((2, 2, 2), dtype=np.uint8))
+        extract_regions(np.zeros((2, 2, 2), dtype=np.uint8), ["road"], 1)
 
 
 def random_map(seed, h=14, w=17):
@@ -151,7 +153,7 @@ def test_extract_matches_flood_fill_oracle(seed, h, w):
     lab = random_map(seed, h, w)
     for name in ("road", "sidewalk", "traffic_light", "traffic_sign", "pedestrian"):
         got = extract_regions(lab, categories=[name], min_region_px=1)
-        want = flood_regions_oracle(lab, DEFAULT_REGISTRY.id_of(name))
+        want = flood_regions_oracle(lab, CATEGORY_IDS[name])
         assert as_dicts(got) == want
 
 
@@ -161,7 +163,7 @@ def test_extract_conserves_pixels(seed):
     lab = random_map(seed)
     for name in ("road", "traffic_light", "pedestrian"):
         got = extract_regions(lab, categories=[name], min_region_px=1)
-        assert sum(r.area_px for r in got) == int((lab == DEFAULT_REGISTRY.id_of(name)).sum())
+        assert sum(r.area_px for r in got) == int((lab == CATEGORY_IDS[name]).sum())
 
 
 SCENE = ["sidewalk", "pedestrian", "traffic_light", "traffic_sign"]
@@ -177,7 +179,7 @@ def test_extract_min_region_px_matches_oracle(seed, h, w, density, min_px):
     for name in SCENE:
         got = extract_regions(lab, categories=[name], min_region_px=min_px)
         want = [
-            c for c in flood_regions_oracle(lab, DEFAULT_REGISTRY.id_of(name)) if c["area"] >= min_px
+            c for c in flood_regions_oracle(lab, CATEGORY_IDS[name]) if c["area"] >= min_px
         ]
         assert as_dicts(got) == want
         assert all(r.category == name for r in got)
@@ -271,7 +273,7 @@ def region(category, bbox, area=None, first_px=0):
 
 def test_reconcile_unique_match_uses_region_geometry():
     r = region("traffic_sign", (10, 20, 6, 6), area=30)
-    got = reconcile([r], [det((11, 21, 6, 6))])
+    got = reconcile([r], [det((11, 21, 6, 6))], IOU_MIN)
     (obj,) = got
     assert obj.id == "sign0"
     assert obj.source == "region"
@@ -283,7 +285,7 @@ def test_reconcile_unique_match_uses_region_geometry():
 
 
 def test_reconcile_unmatched_detection_uses_bbox():
-    got = reconcile([], [det((10.0, 20.0, 6.0, 8.0))])
+    got = reconcile([], [det((10.0, 20.0, 6.0, 8.0))], IOU_MIN)
     (obj,) = got
     assert obj.source == "detection"
     assert obj.centroid == (24.0, 13.0)
@@ -295,7 +297,7 @@ def test_reconcile_two_detections_one_region_all_bbox_derived():
     r = region("traffic_sign", (10, 20, 10, 10))
     d1 = det((10, 20, 10, 10))
     d2 = det((11, 21, 10, 10), subtype="yield")
-    got = reconcile([r], [d1, d2])
+    got = reconcile([r], [d1, d2], IOU_MIN)
     assert [o.id for o in got] == ["sign0", "sign1"]
     assert all(o.source == "detection" for o in got)
     assert got[1].subtype == "yield"
@@ -306,14 +308,14 @@ def test_reconcile_detection_over_two_regions_is_bbox_derived():
     r2 = region("traffic_sign", (0, 5, 10, 4))
     d = det((0, 0, 10, 9))  # IoU 4/9 with each region
     assert box_iou(d.bbox, (0.0, 0.0, 10.0, 4.0)) >= 0.3
-    got = reconcile([r1, r2], [d])
+    got = reconcile([r1, r2], [d], IOU_MIN)
     (obj,) = got
     assert obj.source == "detection"
 
 
 def test_reconcile_drops_unclaimed_sign_regions():
     r = region("traffic_sign", (50, 50, 8, 8))
-    assert reconcile([r], []) == []
+    assert reconcile([r], [], IOU_MIN) == []
 
 
 def test_reconcile_below_iou_threshold_is_no_match():
@@ -326,7 +328,7 @@ def test_reconcile_below_iou_threshold_is_no_match():
 def test_reconcile_passes_lights_and_walks_through():
     rl = region("traffic_light", (2, 2, 3, 9))
     rw = region("sidewalk", (0, 40, 30, 8))
-    got = reconcile([rl, rw], [])
+    got = reconcile([rl, rw], [], IOU_MIN)
     assert [(o.id, o.category) for o in got] == [
         ("light0", "traffic_light"),
         ("walk0", "sidewalk"),
@@ -337,7 +339,7 @@ def test_reconcile_passes_lights_and_walks_through():
 
 
 def test_reconcile_ignores_non_sign_detections():
-    got = reconcile([], [det((0, 0, 5, 5), category="vehicle")])
+    got = reconcile([], [det((0, 0, 5, 5), category="vehicle")], IOU_MIN)
     assert got == []
 
 
@@ -349,10 +351,10 @@ def test_tallest_pedestrian_px():
     lab = np.zeros((40, 40), dtype=np.uint8)
     lab[10:30, 3:6] = PED  # height 20
     lab[20:28, 20:24] = PED  # height 8
-    assert scene_objects(lab, [], min_region_px=1)[1] == 20
-    assert scene_objects(np.zeros((5, 5), dtype=np.uint8), [], min_region_px=1)[1] == 0
+    assert scene_objects(lab, [], RunConfig(min_region_px=1))[1] == 20
+    assert scene_objects(np.zeros((5, 5), dtype=np.uint8), [], RunConfig(min_region_px=1))[1] == 0
     lab[0:30, 30:32] = LIGHT
-    objs, tallest = scene_objects(lab, [], min_region_px=1)
+    objs, tallest = scene_objects(lab, [], RunConfig(min_region_px=1))
     assert tallest == 20
     assert [o.category for o in objs] == ["traffic_light"]
 
@@ -362,7 +364,7 @@ def test_build_scene_end_to_end():
     lab[10:20, 10:14] = LIGHT
     lab[30:36, 50:56] = SIGN
     lab[50:60, 0:40] = WALK
-    got, _ = scene_objects(lab, [det((50.0, 30.0, 6.0, 6.0))], min_region_px=9)
+    got, _ = scene_objects(lab, [det((50.0, 30.0, 6.0, 6.0))], RunConfig(min_region_px=9))
     kinds = {(o.id, o.category, o.source) for o in got}
     assert kinds == {
         ("light0", "traffic_light", "region"),

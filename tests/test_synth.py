@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rop.geo import GeoPoint, LocalPoint
-from rop.ingest import DEFAULT_REGISTRY, direction_of, load_inputs
+from rop.ingest import CATEGORY_IDS, direction_of, load_inputs
 from rop.scene import extract_regions
 from rop.synth import (
     CameraModel,
@@ -74,8 +74,8 @@ def project_oracle(cam_xy, heading_deg, target_xyz, model=CameraModel()):
 def test_empty_layout_is_sky_over_road():
     lay = layout(cams=[pose(0.0, 0.0, 90.0)])
     canvas, dets = render_image(lay, lay.cameras[0])
-    sky = DEFAULT_REGISTRY.id_of("sky")
-    road = DEFAULT_REGISTRY.id_of("road")
+    sky = CATEGORY_IDS["sky"]
+    road = CATEGORY_IDS["road"]
     horizon = 768 // 2 + 1
     assert dets == []
     assert (canvas[:horizon, :] == sky).all()
@@ -115,7 +115,7 @@ def test_high_light_at_20m_sits_above_horizon_in_sky():
     assert abs(row - 245.76) <= 1.0
     assert abs(col - 512.0) <= 1.0
     x, y, w, h = regions[0].bbox
-    sky = DEFAULT_REGISTRY.id_of("sky")
+    sky = CATEGORY_IDS["sky"]
     ring = canvas[y - 3 : y + h + 3, x - 3 : x + w + 3].copy()
     ring[3 : 3 + h, 3 : 3 + w] = sky
     assert (ring == sky).all()
@@ -125,7 +125,7 @@ def test_ground_aprons_leave_sidewalk_band_around_buildings():
     fp = RectFootprint("b0", 9.5, 9.5, 29.5, 29.5, 12.0)
     lay = layout(fps=[fp], cams=[pose(-30.0, -3.5, 90.0)])
     canvas, _ = render_image(lay, lay.cameras[0])
-    ids = {n: DEFAULT_REGISTRY.id_of(n) for n in ("sidewalk", "building", "road", "sky")}
+    ids = CATEGORY_IDS
     counts = np.bincount(canvas.ravel(), minlength=256)
     assert counts[ids["sidewalk"]] > 25
     assert counts[ids["building"]] > 1000
@@ -143,7 +143,7 @@ def test_building_occludes_sign_no_detection():
     canvas, dets = render_image(lay, lay.cameras[0])
     assert [d.subtype for d in dets] == ["yield"]
     bx, by, bw, bh = dets[0].bbox
-    sign = DEFAULT_REGISTRY.id_of("traffic_sign")
+    sign = CATEGORY_IDS["traffic_sign"]
     patch = canvas[int(by) : int(by + bh), int(bx) : int(bx + bw)]
     assert (patch == sign).sum() >= 9
 
@@ -307,4 +307,4 @@ def test_render_preview_palette_covers_the_registry():
     spec = importlib.util.spec_from_file_location("render_preview", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert set(module.PALETTE) == set(DEFAULT_REGISTRY.names())
+    assert set(module.PALETTE) == set(CATEGORY_IDS)
