@@ -16,13 +16,10 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .atbt import tree_to_json
 from .config import RunConfig, load_config
-from .evalx import evaluate, to_table
-from .evalx import to_json as report_to_json
 from .ingest import Bundle, load_inputs
 from .placer import (
     IntersectionResult,
@@ -31,14 +28,9 @@ from .placer import (
     slice_bundle,
     to_geojson,
 )
-from .synth import (
-    layout_from_json,
-    render_bundle,
-    save_layouts,
-    standard_fixtures,
-    write_bundle,
-    write_truth,
-)
+
+# synth, evalx and the process pool are imported where they are used, so a
+# `rop place` process loads only what placement runs.
 
 EX_OK = 0
 EX_GATE = 1
@@ -144,10 +136,12 @@ def _run_buffers(args, cfg: RunConfig, jobs: int) -> list[IntersectionResult]:
 
     The bundle is loaded once; a worker gets only one buffer's slice at a time."""
     bundle = _load_bundle(args)
-    slices = [slice_bundle(bundle, b, cfg.corner_radius_m) for b in bundle.buffers]
+    slices = slice_bundle(bundle, cfg.corner_radius_m)
     place = functools.partial(_place_slice, cfg=cfg)
     if jobs <= 1 or len(slices) <= 1:
         return list(map(place, slices))
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
         return list(pool.map(place, slices))
 
@@ -170,8 +164,8 @@ def cmd_dump_trees(args) -> int:
     cfg = load_config(args.config, args.set)
     bundle = _load_bundle(args)
     doc = {}
-    for buffer in bundle.buffers:
-        res = run_intersection(slice_bundle(bundle, buffer, cfg.corner_radius_m), cfg)
+    for part in slice_bundle(bundle, cfg.corner_radius_m):
+        res = run_intersection(part, cfg)
         doc[res.intersection_id] = {
             track: [tree_to_json(t) for t in trees] for track, trees in res.trees.items()
         }
@@ -197,6 +191,15 @@ def _merge_bundles(bundles: list[Bundle]) -> Bundle:
 
 
 def cmd_synth(args) -> int:
+    from .synth import (
+        layout_from_json,
+        render_bundle,
+        save_layouts,
+        standard_fixtures,
+        write_bundle,
+        write_truth,
+    )
+
     if (args.layout is None) == (args.fixtures is None):
         raise ValueError("exactly one of --layout or --fixtures is required")
     if args.layout is not None:
@@ -229,6 +232,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evalx import evaluate, to_table
+    from .evalx import to_json as report_to_json
+
     preds = from_geojson(json.loads(Path(args.pred).read_text()))
     refs = from_geojson(json.loads(Path(args.ref).read_text()))
     report = evaluate(preds, refs, radius_m=args.radius)

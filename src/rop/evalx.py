@@ -31,7 +31,10 @@ class GroupStats:
     n_ref: int
     n_pred: int
     n_matched: int
+    n_unmatched_pred: int
     completeness: float | None  # absent when there are no references
+    precision: float | None  # absent when there are no predictions
+    f1: float | None  # absent when either of the two above is
     mean_m: float | None
     median_m: float | None
     rmse_m: float | None
@@ -96,10 +99,20 @@ def match(
 
 
 def _stats(
-    name: str, n_ref: int, n_pred: int, dists: list[float]
+    name: str, n_ref: int, n_pred: int, n_pred_matched: int, dists: list[float]
 ) -> GroupStats:
+    """dists holds one distance per matched reference of the group;
+    n_pred_matched counts the group's matched predictions. The two differ
+    only in the light-kind groups, since matching ignores the light kind."""
     n_matched = len(dists)
     completeness = n_matched / n_ref if n_ref else None
+    precision = n_pred_matched / n_pred if n_pred else None
+    if completeness is None or precision is None:
+        f1 = None
+    elif completeness + precision == 0.0:
+        f1 = 0.0
+    else:
+        f1 = 2.0 * precision * completeness / (precision + completeness)
     if dists:
         arr = np.array(dists)
         mean = float(arr.mean())
@@ -112,7 +125,10 @@ def _stats(
         n_ref=n_ref,
         n_pred=n_pred,
         n_matched=n_matched,
+        n_unmatched_pred=n_pred - n_pred_matched,
         completeness=completeness,
+        precision=precision,
+        f1=f1,
         mean_m=mean,
         median_m=median,
         rmse_m=rmse,
@@ -124,6 +140,7 @@ def evaluate(
 ) -> EvalReport:
     pairings = match(preds, refs, radius_m=radius_m)
     by_ref = {p.ref_index: p for p in pairings}
+    matched_preds = {p.pred_index for p in pairings}
 
     def groups_of(obj: PlacedObject) -> list[str]:
         names = [obj.category]
@@ -138,18 +155,22 @@ def evaluate(
             "overall",
             len(refs),
             len(preds),
+            len(pairings),
             [p.distance_m for p in pairings],
         )
     ]
     for name in names:
         n_ref = sum(1 for r in refs if name in groups_of(r))
         n_pred = sum(1 for p in preds if name in groups_of(p))
+        n_pred_matched = sum(
+            1 for i, p in enumerate(preds) if name in groups_of(p) and i in matched_preds
+        )
         dists = [
             by_ref[i].distance_m
             for i, r in enumerate(refs)
             if name in groups_of(r) and i in by_ref
         ]
-        groups.append(_stats(name, n_ref, n_pred, dists))
+        groups.append(_stats(name, n_ref, n_pred, n_pred_matched, dists))
     return EvalReport(groups=groups, pairings=pairings, radius_m=radius_m)
 
 
@@ -162,7 +183,10 @@ def to_json(report: EvalReport) -> dict:
                 "n_ref": g.n_ref,
                 "n_pred": g.n_pred,
                 "n_matched": g.n_matched,
+                "n_unmatched_pred": g.n_unmatched_pred,
                 "completeness": None if g.completeness is None else round(g.completeness, 6),
+                "precision": None if g.precision is None else round(g.precision, 6),
+                "f1": None if g.f1 is None else round(g.f1, 6),
                 "mean_m": None if g.mean_m is None else round(g.mean_m, 4),
                 "median_m": None if g.median_m is None else round(g.median_m, 4),
                 "rmse_m": None if g.rmse_m is None else round(g.rmse_m, 4),
@@ -181,16 +205,19 @@ def to_json(report: EvalReport) -> dict:
 
 
 def to_table(report: EvalReport) -> str:
-    header = f"{'group':<22} {'refs':>5} {'preds':>5} {'match':>5} {'compl':>6} {'mean':>7} {'median':>7} {'rmse':>7}"
+    header = (
+        f"{'group':<22} {'refs':>5} {'preds':>5} {'match':>5} {'unm_p':>5} {'compl':>6} "
+        f"{'prec':>6} {'f1':>6} {'mean':>7} {'median':>7} {'rmse':>7}"
+    )
     lines = [header, "-" * len(header)]
 
     def fmt(v):
         return "-" if v is None else f"{v:.3f}"
 
     for g in report.groups:
-        compl = "-" if g.completeness is None else f"{g.completeness:.3f}"
         lines.append(
-            f"{g.group:<22} {g.n_ref:>5} {g.n_pred:>5} {g.n_matched:>5} "
-            f"{compl:>6} {fmt(g.mean_m):>7} {fmt(g.median_m):>7} {fmt(g.rmse_m):>7}"
+            f"{g.group:<22} {g.n_ref:>5} {g.n_pred:>5} {g.n_matched:>5} {g.n_unmatched_pred:>5} "
+            f"{fmt(g.completeness):>6} {fmt(g.precision):>6} {fmt(g.f1):>6} "
+            f"{fmt(g.mean_m):>7} {fmt(g.median_m):>7} {fmt(g.rmse_m):>7}"
         )
     return "\n".join(lines)

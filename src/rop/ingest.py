@@ -222,10 +222,15 @@ def _require(record: dict, key: str, where: str):
 
 
 def _number(record: dict, key: str, where: str, kind: type = float):
-    """record[key] converted by kind; a missing, null, boolean or non-numeric
-    value, or a fractional one where kind is int, is a BundleError naming the
-    record and the key."""
-    value = _require(record, key, where)
+    """record[key] converted by kind; a missing key is a BundleError, and so
+    is any value _as_number rejects."""
+    return _as_number(_require(record, key, where), key, where, kind)
+
+
+def _as_number(value, key: str, where: str, kind: type = float):
+    """value converted by kind; a null, boolean or non-numeric value, or a
+    fractional one where kind is int, is a BundleError naming the record and
+    the key."""
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
     if isinstance(value, bool) or fractional:
         raise BundleError(f"{where}: {key} must be a number")
@@ -255,12 +260,10 @@ def load_images(path: str) -> list[ImageMeta]:
             raise BundleError(f"{where}: {exc}") from exc
         heading = rec.get("heading_deg")
         if heading is not None:
-            try:
-                heading = float(heading) % 360.0
-            except (TypeError, ValueError) as exc:
-                raise BundleError(f"{where}: heading_deg must be a number or null") from exc
+            heading = _as_number(heading, "heading_deg", where)
             if not math.isfinite(heading):
                 raise BundleError(f"{where}: heading_deg must be finite")
+            heading %= 360.0
         width = _number(rec, "width_px", where, int)
         height = _number(rec, "height_px", where, int)
         if width <= 0 or height <= 0:
@@ -297,10 +300,9 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
             bbox = _require(rec, "bbox", where)
             if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
                 raise BundleError(f"{where}: bbox must be [x, y, w, h]")
-            try:
-                bbox = tuple(float(v) for v in bbox)
-            except (TypeError, ValueError) as exc:
-                raise BundleError(f"{where}: bbox must be [x, y, w, h] numbers") from exc
+            bbox = tuple([_as_number(v, "bbox", where) for v in bbox])
+            if not all(map(math.isfinite, bbox)):
+                raise BundleError(f"{where}: bbox must be finite")
             score = _number(rec, "score", where)
             if not 0.0 <= score <= 1.0:
                 raise BundleError(f"{where}: score {score} outside [0, 1]")
@@ -328,15 +330,17 @@ def load_buffers(path: str) -> list[IntersectionBuffer]:
         if iid in seen:
             raise BundleError(f"{where}: duplicate intersection_id '{iid}'")
         seen.add(iid)
-        radius = _number(rec, "radius_m", where) if "radius_m" in rec else 50.0
-        if not (math.isfinite(radius) and radius > 0):
-            raise BundleError(f"{where}: radius_m must be positive and finite, got {radius}")
+        # A record without radius_m takes the IntersectionBuffer default.
+        given = {"radius_m": _number(rec, "radius_m", where)} if "radius_m" in rec else {}
         lat, lon = _number(rec, "lat", where), _number(rec, "lon", where)
         try:
             center = GeoPoint(lat, lon)
         except ValueError as exc:
             raise BundleError(f"{where}: {exc}") from exc
-        out.append(IntersectionBuffer(intersection_id=iid, center=center, radius_m=radius))
+        buffer = IntersectionBuffer(intersection_id=iid, center=center, **given)
+        if not (math.isfinite(buffer.radius_m) and buffer.radius_m > 0):
+            raise BundleError(f"{where}: radius_m must be positive and finite, got {buffer.radius_m}")
+        out.append(buffer)
     return out
 
 

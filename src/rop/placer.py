@@ -12,6 +12,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .atbt import Atbt, FusedObject, build_atbt, fuse_track
 from .config import RunConfig
 from .geo import (
@@ -32,7 +34,6 @@ from .grammar import apply_grammar
 from .ingest import (
     Bundle,
     ImageMeta,
-    IntersectionBuffer,
     PgmDirectory,
     Track,
     build_tracks,
@@ -284,11 +285,20 @@ def dedup_placed(
 # Full per-intersection pipeline.
 
 
-def slice_bundle(bundle: Bundle, buffer: IntersectionBuffer, corner_radius_m: float) -> Bundle:
-    """The part of bundle one buffer's placement reads, as a one-buffer Bundle.
+def _in_box(frame: LocalFrame, lat: np.ndarray, lon: np.ndarray, radius_m: float) -> np.ndarray:
+    """Which points lie within radius_m of the frame origin on each axis: a
+    necessary condition of within, since |x| <= hypot(x, y)."""
+    return (np.abs(lat - frame.origin.lat) * frame.m_per_deg_lat <= radius_m) & (
+        np.abs(lon - frame.origin.lon) * frame.m_per_deg_lon <= radius_m
+    )
 
-    It holds the buffer's images with their detections and label maps (still
-    lazy for a PgmDirectory), and the footprints with a vertex within
+
+def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
+    """One slice per buffer, in buffer order: the part of bundle that buffer's
+    placement reads, as a one-buffer Bundle.
+
+    A slice holds the buffer's images with their detections and label maps
+    (still lazy for a PgmDirectory), and the footprints with a vertex within
     2 * radius_m + corner_radius_m of the center. That bound loses nothing:
     select_corners keeps only footprints with a vertex within corner_radius_m
     of a camera, and a track-corrected camera stays within 2 * radius_m of
@@ -296,21 +306,44 @@ def slice_bundle(bundle: Bundle, buffer: IntersectionBuffer, corner_radius_m: fl
     buffer onto a line through its track's centroid, also in the buffer, so
     it lies within radius_m of the line's point nearest the center, which
     lies within radius_m of the center.
+
+    Image positions and footprint vertices go into arrays once. Per buffer a
+    box test picks the candidates, and only those take the exact checks, so
+    each slice keeps the same records, in the same order, as a full scan.
     """
-    images = images_in_buffer(bundle.images, buffer)
-    ids = [im.image_id for im in images]
+    images = bundle.images
+    footprints = bundle.footprints
+    img_lat = np.array([im.position.lat for im in images])
+    img_lon = np.array([im.position.lon for im in images])
+    owner = np.repeat(np.arange(len(footprints)), [len(fp.ring) for fp in footprints])
+    v_lat = np.array([v.lat for fp in footprints for v in fp.ring])
+    v_lon = np.array([v.lon for fp in footprints for v in fp.ring])
     maps = bundle.label_maps
-    frame = make_frame(buffer.center)
-    reach_m = 2.0 * buffer.radius_m + corner_radius_m
-    return Bundle(
-        images=images,
-        label_maps=maps.only(ids) if isinstance(maps, PgmDirectory) else {i: maps[i] for i in ids},
-        detections={i: bundle.detections[i] for i in ids if i in bundle.detections},
-        footprints=[
-            fp for fp in bundle.footprints if any(within(frame, v, reach_m) for v in fp.ring)
-        ],
-        buffers=[buffer],
-    )
+    slices = []
+    for buffer in bundle.buffers:
+        frame = make_frame(buffer.center)
+        reach_m = 2.0 * buffer.radius_m + corner_radius_m
+        near = np.flatnonzero(_in_box(frame, img_lat, img_lon, buffer.radius_m))
+        kept = images_in_buffer([images[i] for i in near], buffer)
+        ids = [im.image_id for im in kept]
+        candidates = np.zeros(len(footprints), dtype=bool)
+        candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
+        slices.append(
+            Bundle(
+                images=kept,
+                label_maps=(
+                    maps.only(ids) if isinstance(maps, PgmDirectory) else {i: maps[i] for i in ids}
+                ),
+                detections={i: bundle.detections[i] for i in ids if i in bundle.detections},
+                footprints=[
+                    fp
+                    for fp in (footprints[i] for i in np.flatnonzero(candidates))
+                    if any(within(frame, v, reach_m) for v in fp.ring)
+                ],
+                buffers=[buffer],
+            )
+        )
+    return slices
 
 
 def _track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:

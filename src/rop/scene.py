@@ -60,7 +60,10 @@ def extract_regions(
     np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
     new_run[::w] = True
     bounds = np.append(np.flatnonzero(new_run), flat.size)
-    keep = np.flatnonzero(np.isin(flat[bounds[:-1]], [CATEGORY_IDS[n] for n in categories]))
+    # A label map holds one byte per pixel, so a 256-entry table picks the runs.
+    wanted = np.zeros(256, dtype=bool)
+    wanted[[CATEGORY_IDS[n] for n in categories]] = True
+    keep = np.flatnonzero(wanted[flat[bounds[:-1]]])
     if keep.size == 0:
         return []
     start, end = bounds[keep], bounds[keep + 1]
@@ -84,7 +87,7 @@ def extract_regions(
         if not open_edge.any():
             break
         np.minimum.at(parent, np.maximum(a, b)[open_edge], np.minimum(a, b)[open_edge])
-        while not np.array_equal(grand := parent[parent], parent):
+        while ((grand := parent[parent]) != parent).any():
             parent = grand
     order = np.argsort(parent, kind="stable")
     group = np.flatnonzero(np.diff(parent[order], prepend=-1))
@@ -100,21 +103,20 @@ def extract_regions(
     bottom = np.maximum.reduceat(row[order], group)
     left = np.minimum.reduceat(col0[order], group)
     right = np.maximum.reduceat((col0 + length)[order], group)
-    out: list[Region] = []
     # Roots ascend by first pixel; a stable sort by category id keeps that.
-    for k in np.argsort(value[root], kind="stable"):
-        if area[k] < min_region_px:
-            continue
-        out.append(
-            Region(
-                category=CATEGORY_NAMES[int(value[root[k]])],
-                centroid=(row_sum[k] / area[k], col_sum[k] / area[k]),
-                area_px=int(area[k]),
-                bbox=(int(left[k]), int(top[k]), int(right[k] - left[k]), int(bottom[k] - top[k] + 1)),
-                first_px=int(start[root[k]]),
-            )
+    k = np.argsort(value[root], kind="stable")
+    k = k[area[k] >= min_region_px]
+    columns = (value[root], area, row_sum, col_sum, left, top, right, bottom, start[root])
+    return [
+        Region(
+            category=CATEGORY_NAMES[v],
+            centroid=(rs / a, cs / a),
+            area_px=a,
+            bbox=(x0, y0, x1 - x0, y1 - y0 + 1),
+            first_px=first,
         )
-    return out
+        for v, a, rs, cs, x0, y0, x1, y1, first in zip(*(c[k].tolist() for c in columns))
+    ]
 
 
 def box_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
@@ -159,11 +161,12 @@ def reconcile(
     out.extend(_from_region(f"light{i}", r) for i, r in enumerate(lights))
     out.extend(_from_region(f"walk{i}", r) for i, r in enumerate(walks))
 
+    sign_boxes = [tuple(float(v) for v in r.bbox) for r in signs]
     sign_dets = [d for d in detections if d.category == "traffic_sign"]
     matches: list[list[int]] = []
     claimed = [0] * len(signs)
     for det in sign_dets:
-        hits = [j for j, r in enumerate(signs) if box_iou(det.bbox, tuple(float(v) for v in r.bbox)) >= iou_min]
+        hits = [j for j, box in enumerate(sign_boxes) if box_iou(det.bbox, box) >= iou_min]
         matches.append(hits)
         for j in hits:
             claimed[j] += 1
@@ -176,7 +179,7 @@ def reconcile(
                 category="traffic_sign",
                 centroid=r.centroid,
                 area_px=float(r.area_px),
-                bbox=tuple(float(v) for v in r.bbox),
+                bbox=sign_boxes[hits[0]],
                 subtype=det.subtype,
                 score=det.score,
                 source="region",

@@ -209,13 +209,10 @@ def _fill_convex(canvas: np.ndarray, uv: list[tuple[float, float]], value: int) 
     ok = np.isfinite(umin) & np.isfinite(umax) & (c1 >= c0)
     if not ok.any():
         return
-    rr = rows[ok].astype(np.int64)
-    c0i = c0[ok].astype(np.int64)
-    lens = (c1[ok] - c0[ok]).astype(np.int64) + 1
-    starts = rr * w + c0i
-    total = int(lens.sum())
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(lens) - lens, lens)
-    canvas.reshape(-1)[np.repeat(starts, lens) + offsets] = value
+    lo, hi = int(c0[ok].min()), int(c1[ok].max())
+    cols = np.arange(lo, hi + 1)
+    span = (cols >= c0[:, None]) & (cols <= c1[:, None])
+    canvas[r_lo : r_hi + 1, lo : hi + 1][span] = value
 
 
 def _billboard_rect(

@@ -68,7 +68,7 @@ def fixture_run():
     t0 = time.perf_counter()
     for lay in layouts:
         bundle, truth = render_bundle(lay)
-        result = run_intersection(slice_bundle(bundle, bundle.buffers[0], cfg.corner_radius_m), cfg)
+        result = run_intersection(slice_bundle(bundle, cfg.corner_radius_m)[0], cfg)
         runs.append(SimpleNamespace(layout=lay, bundle=bundle, truth=truth, result=result))
         preds.extend(result.placed)
         refs.extend(truth)
@@ -284,7 +284,7 @@ def test_criterion_4_pair_inference():
         assert len(inferred) == 1 and inferred[0].light_kind == "low", (cam_x, building_h)
         # End to end: the inferred twin must land on the hidden pole.
         bundle, truth = render_bundle(lay)
-        result = run_intersection(slice_bundle(bundle, bundle.buffers[0], CFG.corner_radius_m), CFG)
+        result = run_intersection(slice_bundle(bundle, CFG.corner_radius_m)[0], CFG)
         twins = [p for p in result.placed if p.inferred_only]
         assert len(twins) == 1, (cam_x, building_h)
         rep = evaluate(result.placed, truth, radius_m=MATCH_RADIUS_M)
@@ -300,7 +300,7 @@ def test_criterion_4_pair_inference():
         real, inferred = _grammar_lights(lay)
         assert len(real) == 2 and not inferred, (cam_x, building_h)
         bundle, _ = render_bundle(lay)
-        result = run_intersection(slice_bundle(bundle, bundle.buffers[0], CFG.corner_radius_m), CFG)
+        result = run_intersection(slice_bundle(bundle, CFG.corner_radius_m)[0], CFG)
         assert not [p for p in result.placed if p.inferred_only], (cam_x, building_h)
         n_clean += 1
 

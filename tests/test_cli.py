@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rop.cli import main
 from rop.geo import GeoPoint, LocalPoint
@@ -94,9 +98,21 @@ NUMBER_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [None, "wide", True])
-@pytest.mark.parametrize("flag, key", NUMBER_FIELDS)
-def test_place_rejects_non_numeric_field(flag, key, value, bundle_dir, tmp_path, capsys):
+NUMBER_CASES = [
+    pytest.param(flag, key, value, f"{key} must be a number", id=f"{flag}-{key}-{value}")
+    for flag, key in NUMBER_FIELDS
+    for value in (None, "wide", True)
+] + [
+    pytest.param("images", "heading_deg", True, "heading_deg must be a number", id="images-heading_deg-True"),
+    pytest.param("images", "heading_deg", "wide", "heading_deg must be a number", id="images-heading_deg-wide"),
+    pytest.param("detections", "bbox", [True, False, 5, 5], "bbox must be a number", id="detections-bbox-True"),
+    pytest.param("detections", "bbox", [math.nan, 0, 5, 5], "bbox must be finite", id="detections-bbox-nan"),
+    pytest.param("detections", "bbox", [0, 0, math.inf, 5], "bbox must be finite", id="detections-bbox-inf"),
+]
+
+
+@pytest.mark.parametrize("flag, key, value, fragment", NUMBER_CASES)
+def test_place_rejects_non_numeric_field(flag, key, value, fragment, bundle_dir, tmp_path, capsys):
     argv = place_args(bundle_dir, tmp_path / "pred.geojson")
     i = argv.index(f"--{flag}") + 1
     src = Path(argv[i])
@@ -112,17 +128,20 @@ def test_place_rejects_non_numeric_field(flag, key, value, bundle_dir, tmp_path,
     Path(argv[i]).write_text(text)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{key} must be a number" in err and src.name in err
+    assert fragment in err and src.name in err
 
 
 def test_cli_import_leaves_scipy_out():
+    # Nor does it load what `rop place` never runs: the renderer, the
+    # evaluator and the process pool are imported where they are used.
     import subprocess
     import sys
 
-    code = "import sys, rop.cli; print('scipy' in sys.modules)"
+    unused = ("scipy", "rop.synth", "rop.evalx", "concurrent.futures.process")
+    code = f"import sys, rop.cli; print([m for m in {unused!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_synth_same_seed_byte_identical(tmp_path):
@@ -356,19 +375,20 @@ def test_each_buffer_is_sliced_once(command, bundle_dir, tmp_path, monkeypatch):
     import rop.cli
     import rop.placer
 
-    sliced = []
+    calls = []
     real = rop.placer.slice_bundle
 
-    def counting_slice(bundle, buffer, *args, **kwargs):
-        sliced.append(buffer.intersection_id)
-        return real(bundle, buffer, *args, **kwargs)
+    def counting_slice(*args, **kwargs):
+        slices = real(*args, **kwargs)
+        calls.append([buf.intersection_id for part in slices for buf in part.buffers])
+        return slices
 
     monkeypatch.setattr(rop.cli, "slice_bundle", counting_slice)
     monkeypatch.setattr(rop.placer, "slice_bundle", counting_slice)
     argv = place_args(bundle_dir, tmp_path / "out.json", ["--jobs", "1"] if command == "place" else [])
     argv[0] = command
     assert main(argv) == 0
-    assert sliced == ["x0000", "x0001"]
+    assert calls == [["x0000", "x0001"]]
 
 
 def test_place_bundle_wider_than_one_frame(tmp_path):
@@ -388,3 +408,34 @@ def test_place_bundle_wider_than_one_frame(tmp_path):
         assert {f["properties"]["intersection_id"] for f in doc["features"]} == {"x0000", "x0001"}
         assert main(["eval", "--pred", str(pred), "--ref", ref, "--min-completeness", "0.97"]) == 0
     assert (tmp_path / "pred1.geojson").read_bytes() == (tmp_path / "pred2.geojson").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def placed_bytes(bundle_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("placed") / "pred.geojson"
+    assert main(place_args(bundle_dir, out)) == 0
+    return out.read_bytes()
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_place_is_invariant_to_record_order(seed, bundle_dir, placed_bytes, tmp_path_factory):
+    # Permute the image records, the detection lines (so each image's
+    # detections too) and the footprint features; the bytes must not move.
+    rng = random.Random(seed)
+    tmp_path = tmp_path_factory.mktemp("permuted")
+    images = json.loads((bundle_dir / "images.json").read_text())
+    rng.shuffle(images)
+    lines = (bundle_dir / "detections.jsonl").read_text().splitlines()
+    rng.shuffle(lines)
+    footprints = json.loads((bundle_dir / "footprints.geojson").read_text())
+    rng.shuffle(footprints["features"])
+    (tmp_path / "images.json").write_text(json.dumps(images))
+    (tmp_path / "detections.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "footprints.geojson").write_text(json.dumps(footprints))
+    argv = place_args(bundle_dir, tmp_path / "pred.geojson")
+    for name in ("images", "detections", "footprints"):
+        i = argv.index(f"--{name}") + 1
+        argv[i] = str(tmp_path / Path(argv[i]).name)
+    assert main(argv) == 0
+    assert (tmp_path / "pred.geojson").read_bytes() == placed_bytes

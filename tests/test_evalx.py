@@ -120,6 +120,15 @@ def test_match_equals_rescan_oracle(data):
         for _ in range(n_ref)
     ]
     assert match(preds, refs) == match_oracle(preds, refs)
+    for g in evaluate(preds, refs).groups:
+        assert g.precision == (g.n_matched / g.n_pred if g.n_pred else None)
+        assert g.n_unmatched_pred == g.n_pred - g.n_matched
+        if g.precision is None or g.completeness is None:
+            assert g.f1 is None
+        elif g.n_matched == 0:
+            assert g.f1 == 0.0
+        else:
+            assert math.isclose(g.f1, 2 * g.n_matched / (g.n_ref + g.n_pred))
 
 
 def test_evaluate_stats_hand_computed():
@@ -149,11 +158,35 @@ def test_evaluate_stats_hand_computed():
     assert signs.n_ref == 2 and signs.n_matched == 1 and signs.completeness == 0.5
     lights = rep.group("traffic_light")
     assert lights.n_ref == 2 and lights.n_matched == 2
+    assert overall.n_unmatched_pred == 0 and overall.precision == 1.0
+    assert math.isclose(overall.f1, 2 * 0.75 / 1.75)
+    assert signs.precision == 1.0 and math.isclose(signs.f1, 2 / 3)
+
+
+def test_precision_counts_the_group_s_matched_predictions():
+    # Matching ignores the light kind, so a high light may match a low
+    # reference: it counts for the high group's precision and the low
+    # group's completeness.
+    refs = [obj(0, 0, category="traffic_light", light_kind="low")]
+    preds = [obj(0, 1, category="traffic_light", light_kind="high"), obj(30, 0, subtype="stop")]
+    rep = evaluate(preds, refs)
+    overall = rep.group("overall")
+    assert (overall.n_matched, overall.n_unmatched_pred, overall.precision) == (1, 1, 0.5)
+    assert math.isclose(overall.f1, 2 / 3)
+    high = rep.group("traffic_light[high]")
+    assert (high.n_pred, high.n_unmatched_pred, high.precision) == (1, 0, 1.0)
+    assert high.completeness is None and high.f1 is None
+    low = rep.group("traffic_light[low]")
+    assert (low.n_ref, low.n_matched, low.completeness) == (1, 1, 1.0)
+    assert low.precision is None and low.f1 is None
+    signs = rep.group("traffic_sign")
+    assert (signs.n_unmatched_pred, signs.precision, signs.completeness) == (1, 0.0, None)
 
 
 def test_evaluate_empty_inputs():
     rep = evaluate([], [])
     assert rep.group("overall").completeness is None
+    assert rep.group("overall").precision is None and rep.group("overall").f1 is None
     assert rep.group("overall").median_m is None
     assert rep.pairings == []
 
@@ -166,6 +199,9 @@ def test_report_serializes():
     assert doc["radius_m"] == 5.0
     assert doc["groups"][0]["group"] == "overall"
     assert doc["pairings"][0]["ref_index"] == 0
+    overall = doc["groups"][0]
+    assert (overall["n_unmatched_pred"], overall["precision"], overall["f1"]) == (0, 1.0, 1.0)
     table = to_table(rep)
     assert "overall" in table and "traffic_sign" in table
+    assert "prec" in table.splitlines()[0] and "f1" in table.splitlines()[0]
     assert "1.000" in table

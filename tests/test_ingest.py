@@ -210,6 +210,8 @@ def test_load_images_normalizes_heading(tmp_path):
         ([_image_record(height_px=True)], "height_px must be a number"),
         ([_image_record(lat=True)], "lat must be a number"),
         ([_image_record(lon=False)], "lon must be a number"),
+        ([_image_record(heading_deg=True)], r"images\[0\]: heading_deg must be a number"),
+        ([_image_record(heading_deg=float("nan"))], "heading_deg must be finite"),
     ],
 )
 def test_load_images_rejects_bad_records(tmp_path, records, fragment):
@@ -257,6 +259,9 @@ def test_load_detections_referential_integrity(tmp_path):
         (_det_line(score=None), "line 1: score must be a number"),
         (_det_line(score="high"), "score must be a number"),
         (json.dumps({"category": "x", "bbox": [0, 0, 1, 1], "score": 0.5}), "image_id"),
+        (_det_line(bbox=[True, False, 5, 5]), "line 1: bbox must be a number"),
+        (_det_line(bbox=[float("nan"), 0, 5, 5]), "line 1: bbox must be finite"),
+        (_det_line(bbox=[0, 0, 5, float("-inf")]), "bbox must be finite"),
     ],
 )
 def test_load_detections_rejects_bad_lines(tmp_path, line, fragment):

@@ -7,12 +7,14 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rop.atbt import FusedKey, FusedObject
 from rop.geo import (
+    FRAME_SPAN_DEG,
     Footprint,
     GeoPoint,
     LocalPoint,
@@ -21,10 +23,18 @@ from rop.geo import (
     make_frame,
     project,
     unproject,
+    within,
 )
 from rop import scene
 from rop.config import RunConfig
-from rop.ingest import Bundle, ImageMeta, build_tracks
+from rop.ingest import (
+    Bundle,
+    Detection,
+    ImageMeta,
+    IntersectionBuffer,
+    build_tracks,
+    images_in_buffer,
+)
 from rop.placer import (
     CornerPair,
     classify_camera,
@@ -398,7 +408,7 @@ def test_geojson_round_trip_and_order():
 
 def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
     bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
-    part = slice_bundle(bundle, bundle.buffers[0], CFG.corner_radius_m)
+    part = slice_bundle(bundle, CFG.corner_radius_m)[0]
     calls = []
     real_extract = scene.extract_regions
 
@@ -449,7 +459,8 @@ def neighbours():
 
 
 def _outcome(bundle, buffer):
-    result = run_intersection(slice_bundle(bundle, buffer, CFG.corner_radius_m), CFG)
+    part = slice_bundle(bundle, CFG.corner_radius_m)[bundle.buffers.index(buffer)]
+    result = run_intersection(part, CFG)
     return to_geojson(result.placed), result.diagnostics
 
 
@@ -478,3 +489,146 @@ def test_placement_is_invariant_to_the_other_buffers(neighbours, target, others,
     merged = _merged([bundles[i] for i in order])
     buffer = bundles[target].buffers[0]
     assert _outcome(merged, buffer) == alone[target]
+
+
+# ---------------------------------------------------------------------------
+# Slicing.
+
+
+def slice_oracle(bundle, corner_radius_m):
+    """Each buffer's images and footprints, by a scalar scan of the whole bundle."""
+    out = []
+    for buffer in bundle.buffers:
+        frame = make_frame(buffer.center)
+        reach_m = 2.0 * buffer.radius_m + corner_radius_m
+        footprints = [
+            fp for fp in bundle.footprints if any(within(frame, v, reach_m) for v in fp.ring)
+        ]
+        out.append((images_in_buffer(bundle.images, buffer), footprints))
+    return out
+
+
+def _nudged(x, ulps):
+    """x moved by ulps units in the last place."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _bundle(positions, rings, buffers):
+    images = [
+        ImageMeta(f"i{k}", p, 0.0, "s0", None, 4, 4) for k, p in enumerate(positions)
+    ]
+    return Bundle(
+        images=images,
+        label_maps={im.image_id: np.zeros((4, 4), dtype=np.uint8) for im in images},
+        detections={
+            im.image_id: [Detection(im.image_id, "traffic_sign", "stop", (0, 0, 1, 1), 0.5)]
+            for im in images[::2]
+        },
+        footprints=[Footprint(f"b{k}", (*ring, ring[0])) for k, ring in enumerate(rings)],
+        buffers=buffers,
+    )
+
+
+@st.composite
+def sliceable_bundles(draw):
+    """Buffers close enough to share images; images and footprint vertices on
+    the buffer radius or the footprint reach (give or take two ulps), at the
+    corners of the box around it, at any angle, or beyond the frame span."""
+    base = make_frame(GeoPoint(draw(st.floats(-60, 60)), draw(st.floats(-170, 170))))
+    corner_radius_m = draw(st.floats(0.0, 30.0))
+    offset = st.one_of(st.just(0.0), st.floats(-80.0, 80.0))
+    buffers = [
+        IntersectionBuffer(
+            f"x{k}",
+            unproject(base, LocalPoint(draw(offset), draw(offset))),
+            draw(st.floats(1.0, 60.0)),
+        )
+        for k in range(draw(st.integers(1, 4)))
+    ]
+
+    def point():
+        buffer = draw(st.sampled_from(buffers))
+        c = buffer.center
+        frame = make_frame(c)
+        r = draw(st.sampled_from([buffer.radius_m, 2.0 * buffer.radius_m + corner_radius_m]))
+        sx, sy = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
+        kind = draw(st.sampled_from(["lat axis", "lon axis", "box corner", "angle", "far"]))
+        if kind == "lat axis":
+            lat, lon = c.lat + sy * r / frame.m_per_deg_lat, c.lon
+        elif kind == "lon axis":
+            lat, lon = c.lat, c.lon + sx * r / frame.m_per_deg_lon
+        elif kind == "box corner":
+            lat, lon = c.lat + sy * r / frame.m_per_deg_lat, c.lon + sx * r / frame.m_per_deg_lon
+        elif kind == "angle":
+            theta = draw(st.floats(0.0, 2.0 * math.pi))
+            q = unproject(frame, LocalPoint(r * math.cos(theta), r * math.sin(theta)))
+            lat, lon = q.lat, q.lon
+        else:
+            far = st.sampled_from([0.0, FRAME_SPAN_DEG, 0.06])
+            lat, lon = c.lat + sy * draw(far), c.lon + sx * draw(far)
+        ulps = st.integers(-2, 2)
+        return GeoPoint(_nudged(lat, draw(ulps)), _nudged(lon, draw(ulps)))
+
+    positions = [point() for _ in range(draw(st.integers(0, 8)))]
+    size = st.floats(-3e-4, 3e-4)
+    rings = []
+    for _ in range(draw(st.integers(0, 5))):
+        p, dlat, dlon = point(), draw(size), draw(size)
+        rings.append(
+            (
+                p,
+                GeoPoint(p.lat + dlat, p.lon),
+                GeoPoint(p.lat + dlat, p.lon + dlon),
+                GeoPoint(p.lat, p.lon + dlon),
+            )
+        )
+    # Pin one buffer's radius so that an image lies exactly on it, or a
+    # footprint vertex exactly on its reach, in within's own arithmetic.
+    pinned = draw(st.sampled_from([None, *positions, *(v for ring in rings for v in ring)]))
+    if pinned is not None:
+        j = draw(st.integers(0, len(buffers) - 1))
+        frame = make_frame(buffers[j].center)
+        if max(abs(pinned.lat - frame.origin.lat), abs(pinned.lon - frame.origin.lon)) < FRAME_SPAN_DEG:
+            q = project(frame, pinned)
+            d = math.hypot(q.x, q.y)
+            if pinned in positions:
+                radii = [d]
+            else:
+                half = (d - corner_radius_m) / 2.0
+                radii = [r for r in (half, _nudged(half, 1), _nudged(half, -1)) if 2.0 * r + corner_radius_m == d]
+            if radii and radii[0] > 0.0:
+                buffers[j] = dataclasses.replace(buffers[j], radius_m=radii[0])
+    return _bundle(positions, rings, buffers), corner_radius_m
+
+
+def _square(center, half_m):
+    frame = make_frame(center)
+    return tuple(
+        unproject(frame, LocalPoint(x, y))
+        for x, y in ((-half_m, -half_m), (half_m, -half_m), (half_m, half_m), (-half_m, half_m))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sliceable_bundles())
+@example(
+    case=(
+        _bundle(
+            [], [_square(CENTER, 5.0)], [IntersectionBuffer("x0", CENTER), IntersectionBuffer("x1", CENTER)]
+        ),
+        CFG.corner_radius_m,
+    )
+)
+def test_slice_bundle_matches_a_full_scan(case):
+    bundle, corner_radius_m = case
+    slices = slice_bundle(bundle, corner_radius_m)
+    assert [part.buffers for part in slices] == [[b] for b in bundle.buffers]
+    assert [(part.images, part.footprints) for part in slices] == slice_oracle(
+        bundle, corner_radius_m
+    )
+    for part in slices:
+        ids = [im.image_id for im in part.images]
+        assert list(part.label_maps) == ids
+        assert part.detections == {i: bundle.detections[i] for i in ids if i in bundle.detections}
