@@ -36,21 +36,13 @@ class Atbt:
         return self.nodes[0]
 
 
-@dataclass(frozen=True)
-class FusedKey:
+@dataclass
+class FusedObject:
     side: str
     category: str
     stack_ordinal: int
     depth_in_stack: int
     subtype: str | None
-
-    def sort_key(self):
-        return (self.side, self.category, self.stack_ordinal, self.depth_in_stack, self.subtype or "")
-
-
-@dataclass
-class FusedObject:
-    key: FusedKey
     support: int
     light_kind: str | None
     inferred_only: bool
@@ -159,13 +151,7 @@ def _vote(values: list, ranked_order: list[int]) -> object:
     """Majority value; ties resolved by the earliest observation in rank order."""
     counts = Counter(values)
     top = max(counts.values())
-    tied = {v for v, c in counts.items() if c == top}
-    if len(tied) == 1:
-        return tied.pop()
-    for i in ranked_order:
-        if values[i] in tied:
-            return values[i]
-    return values[ranked_order[0]]
+    return next(values[i] for i in ranked_order if counts[values[i]] == top)
 
 
 def fuse_track(
@@ -194,17 +180,17 @@ def fuse_track(
             observations.setdefault(key, []).append((tree.image_id, node.object))
 
     fused: list[FusedObject] = []
-    for (side, category, ordinal, depth), obs in observations.items():
+    for key, obs in observations.items():
         order = sorted(range(len(obs)), key=lambda i: rank(obs[i][0]))
-        subtype = _vote([o.subtype for _, o in obs], order)
         fused.append(
             FusedObject(
-                key=FusedKey(side, category, ordinal, depth, subtype),
+                *key,
+                subtype=_vote([o.subtype for _, o in obs], order),
                 support=len(obs),
                 light_kind=_vote([o.light_kind for _, o in obs], order),
                 inferred_only=all(o.inferred for _, o in obs),
                 source_images=sorted({iid for iid, _ in obs}),
             )
         )
-    fused.sort(key=lambda f: f.key.sort_key())
+    fused.sort(key=lambda f: (f.side, f.category, f.stack_ordinal, f.depth_in_stack, f.subtype or ""))
     return fused

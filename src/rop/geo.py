@@ -7,7 +7,6 @@ below a centimeter, which spares us a projection-library dependency.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -152,44 +151,3 @@ def footprint_centroid(fp: Footprint, frame: LocalFrame) -> LocalPoint:
     if abs(twice_area) < 1e-12:
         raise ValueError(f"footprint {fp.id}: zero-area ring")
     return LocalPoint(cx / (3.0 * twice_area), cy / (3.0 * twice_area))
-
-
-def _ring_area_deg(ring: tuple[GeoPoint, ...]) -> float:
-    total = 0.0
-    for i in range(len(ring) - 1):
-        a, b = ring[i], ring[i + 1]
-        total += a.lon * b.lat - b.lon * a.lat
-    return total / 2.0
-
-
-def load_footprints(path: str) -> list[Footprint]:
-    """Read building footprints from a GeoJSON FeatureCollection.
-
-    Only Polygon geometries are accepted; the outer ring is used and holes
-    are ignored.
-    """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
-        raise ValueError(f"{path}: expected a FeatureCollection, got {doc.get('type')!r}")
-    out: list[Footprint] = []
-    for i, feat in enumerate(doc.get("features", [])):
-        geom = feat.get("geometry") or {}
-        if geom.get("type") != "Polygon":
-            raise ValueError(f"{path}: features[{i}].geometry.type must be Polygon")
-        props = feat.get("properties") or {}
-        fid = props.get("id", feat.get("id"))
-        if fid is None:
-            raise ValueError(f"{path}: features[{i}] is missing the 'id' property")
-        rings = geom.get("coordinates") or []
-        if not rings:
-            raise ValueError(f"{path}: features[{i}].geometry.coordinates is empty")
-        try:
-            ring = tuple(GeoPoint(lat=float(c[1]), lon=float(c[0])) for c in rings[0])
-            fp = Footprint(id=str(fid), ring=ring)
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ValueError(f"{path}: features[{i}]: {exc}") from exc
-        if abs(_ring_area_deg(fp.ring)) < 1e-18:
-            raise ValueError(f"{path}: features[{i}] ({fp.id}) has a zero-area ring")
-        out.append(fp)
-    return out

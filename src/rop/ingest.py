@@ -23,7 +23,6 @@ from .geo import (
     Footprint,
     GeoPoint,
     LocalPoint,
-    load_footprints,
     make_frame,
     project,
     unproject,
@@ -215,57 +214,81 @@ class PgmDirectory(Mapping):
 # JSON loaders.
 
 
+def _load_json(path: str):
+    """The document in path; bad JSON or bad UTF-8 is a BundleError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise BundleError(f"{path}: {exc}") from exc
+
+
+def _records(path: str, what: str, doc) -> Iterator[tuple[str, dict]]:
+    """(where, record) for each element of doc, the JSON array of what read
+    from path; where names the file and the record. A doc that is not an
+    array, or a record that is not an object, is a BundleError."""
+    if not isinstance(doc, list):
+        raise BundleError(f"{path}: expected a JSON array of {what}")
+    for i, rec in enumerate(doc):
+        where = f"{path}: {what}[{i}]"
+        if not isinstance(rec, dict):
+            raise BundleError(f"{where}: expected a JSON object")
+        yield where, rec
+
+
 def _require(record: dict, key: str, where: str):
     if key not in record:
         raise BundleError(f"{where}: missing field '{key}'")
     return record[key]
 
 
-def _number(record: dict, key: str, where: str, kind: type = float):
-    """record[key] converted by kind; a missing key is a BundleError, and so
-    is any value _as_number rejects."""
-    return _as_number(_require(record, key, where), key, where, kind)
-
-
-def _as_number(value, key: str, where: str, kind: type = float):
-    """value converted by kind; a null, boolean or non-numeric value, or a
-    fractional one where kind is int, is a BundleError naming the record and
+def _number(value, key: str, where: str, kind: type = float):
+    """value converted by kind. Only a JSON number passes: an int or a
+    float, not a boolean, a string or null; it must be finite, and whole
+    where kind is int. Anything else is a BundleError naming the record and
     the key."""
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or fractional:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or fractional:
         raise BundleError(f"{where}: {key} must be a number")
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        number = kind(value)
+        finite = math.isfinite(number)
+    except OverflowError as exc:  # an integer too large for a float
         raise BundleError(f"{where}: {key} must be a number") from exc
+    if not finite:
+        raise BundleError(f"{where}: {key} must be finite")
+    return number
+
+
+def _field(record: dict, key: str, where: str, kind: type = float):
+    """_number of record[key]; a missing key is a BundleError."""
+    return _number(_require(record, key, where), key, where, kind)
+
+
+def _point(lat, lon, where: str) -> GeoPoint:
+    """The GeoPoint of two JSON numbers; a BundleError if either is not a
+    number or lies out of range."""
+    lat, lon = _number(lat, "lat", where), _number(lon, "lon", where)
+    try:
+        return GeoPoint(lat, lon)
+    except ValueError as exc:
+        raise BundleError(f"{where}: {exc}") from exc
 
 
 def load_images(path: str) -> list[ImageMeta]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise BundleError(f"{path}: expected a JSON array of image records")
     out: list[ImageMeta] = []
     seen: set[str] = set()
-    for i, rec in enumerate(doc):
-        where = f"{path}: images[{i}]"
+    for where, rec in _records(path, "images", _load_json(path)):
         image_id = str(_require(rec, "image_id", where))
         if image_id in seen:
             raise BundleError(f"{where}: duplicate image_id '{image_id}'")
         seen.add(image_id)
-        lat, lon = _number(rec, "lat", where), _number(rec, "lon", where)
-        try:
-            position = GeoPoint(lat, lon)
-        except ValueError as exc:
-            raise BundleError(f"{where}: {exc}") from exc
+        position = _point(_require(rec, "lat", where), _require(rec, "lon", where), where)
         heading = rec.get("heading_deg")
         if heading is not None:
-            heading = _as_number(heading, "heading_deg", where)
-            if not math.isfinite(heading):
-                raise BundleError(f"{where}: heading_deg must be finite")
-            heading %= 360.0
-        width = _number(rec, "width_px", where, int)
-        height = _number(rec, "height_px", where, int)
+            heading = _number(heading, "heading_deg", where) % 360.0
+        width = _field(rec, "width_px", where, int)
+        height = _field(rec, "height_px", where, int)
         if width <= 0 or height <= 0:
             raise BundleError(f"{where}: width_px/height_px must be positive")
         out.append(
@@ -294,16 +317,16 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise BundleError(f"{where}: invalid JSON") from exc
+            if not isinstance(rec, dict):
+                raise BundleError(f"{where}: expected a JSON object")
             image_id = str(_require(rec, "image_id", where))
             if known_images is not None and image_id not in known_images:
                 raise BundleError(f"{where}: detection references unknown image_id '{image_id}'")
             bbox = _require(rec, "bbox", where)
             if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
                 raise BundleError(f"{where}: bbox must be [x, y, w, h]")
-            bbox = tuple([_as_number(v, "bbox", where) for v in bbox])
-            if not all(map(math.isfinite, bbox)):
-                raise BundleError(f"{where}: bbox must be finite")
-            score = _number(rec, "score", where)
+            bbox = tuple([_number(v, "bbox", where) for v in bbox])
+            score = _field(rec, "score", where)
             if not 0.0 <= score <= 1.0:
                 raise BundleError(f"{where}: score {score} outside [0, 1]")
             det = Detection(
@@ -317,29 +340,60 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
     return out
 
 
+def load_footprints(path: str) -> list[Footprint]:
+    """Read building footprints from a GeoJSON FeatureCollection.
+
+    Only Polygon geometries are accepted; the outer ring is used and holes
+    are ignored, as is any altitude after a vertex's [lon, lat]. A feature
+    without an 'id' property takes the feature's own id.
+    """
+    doc = _load_json(path)
+    if not (isinstance(doc, dict) and doc.get("type") == "FeatureCollection"):
+        raise BundleError(f"{path}: expected a GeoJSON FeatureCollection")
+    out: list[Footprint] = []
+    for where, feat in _records(path, "features", doc.get("features", [])):
+        geom = feat.get("geometry") or {}
+        if not (isinstance(geom, dict) and geom.get("type") == "Polygon"):
+            raise BundleError(f"{where}.geometry.type must be Polygon")
+        props = feat.get("properties") or {}
+        if not isinstance(props, dict):
+            raise BundleError(f"{where}.properties must be an object")
+        fid = props.get("id", feat.get("id"))
+        if fid is None:
+            raise BundleError(f"{where} is missing the 'id' property")
+        rings = geom.get("coordinates")
+        if not (isinstance(rings, list) and rings and isinstance(rings[0], list)):
+            raise BundleError(f"{where}.geometry.coordinates holds no ring")
+        ring = []
+        for k, c in enumerate(rings[0]):
+            if not (isinstance(c, list) and len(c) >= 2):
+                raise BundleError(f"{where}: vertex {k} must be [lon, lat]")
+            ring.append(_point(c[1], c[0], f"{where}: vertex {k}"))
+        try:
+            fp = Footprint(id=str(fid), ring=tuple(ring))
+        except ValueError as exc:
+            raise BundleError(f"{where}: {exc}") from exc
+        twice_area = sum(a.lon * b.lat - b.lon * a.lat for a, b in zip(ring, ring[1:]))
+        if abs(twice_area) < 2e-18:
+            raise BundleError(f"{where} ({fp.id}) has a zero-area ring")
+        out.append(fp)
+    return out
+
+
 def load_buffers(path: str) -> list[IntersectionBuffer]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list):
-        raise BundleError(f"{path}: expected a JSON array of buffer records")
     out = []
     seen: set[str] = set()
-    for i, rec in enumerate(doc):
-        where = f"{path}: buffers[{i}]"
+    for where, rec in _records(path, "buffers", _load_json(path)):
         iid = str(_require(rec, "intersection_id", where))
         if iid in seen:
             raise BundleError(f"{where}: duplicate intersection_id '{iid}'")
         seen.add(iid)
         # A record without radius_m takes the IntersectionBuffer default.
-        given = {"radius_m": _number(rec, "radius_m", where)} if "radius_m" in rec else {}
-        lat, lon = _number(rec, "lat", where), _number(rec, "lon", where)
-        try:
-            center = GeoPoint(lat, lon)
-        except ValueError as exc:
-            raise BundleError(f"{where}: {exc}") from exc
+        given = {"radius_m": _field(rec, "radius_m", where)} if "radius_m" in rec else {}
+        center = _point(_require(rec, "lat", where), _require(rec, "lon", where), where)
         buffer = IntersectionBuffer(intersection_id=iid, center=center, **given)
-        if not (math.isfinite(buffer.radius_m) and buffer.radius_m > 0):
-            raise BundleError(f"{where}: radius_m must be positive and finite, got {buffer.radius_m}")
+        if buffer.radius_m <= 0:
+            raise BundleError(f"{where}: radius_m must be positive, got {buffer.radius_m}")
         out.append(buffer)
     return out
 
@@ -371,10 +425,7 @@ def load_inputs(
     if extra:
         log.warning("masks directory has %d label maps without image records", len(extra))
     detections = load_detections(detections_path, known_images={im.image_id for im in images})
-    try:
-        footprints = load_footprints(footprints_path)
-    except ValueError as exc:
-        raise BundleError(str(exc)) from exc
+    footprints = load_footprints(footprints_path)
     buffers = load_buffers(buffers_path)
     return Bundle(
         images=images,

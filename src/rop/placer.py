@@ -81,20 +81,17 @@ class IntersectionResult:
 # Camera cases.
 
 
-def classify_camera(
-    img: ImageMeta, center: GeoPoint, frame: LocalFrame, inner_radius_m: float
-) -> str:
-    """C1 approaching, C2 inside the inner radius, C3 past the center."""
+def classify_camera(img: ImageMeta, frame: LocalFrame, inner_radius_m: float) -> str:
+    """C1 approaching, C2 inside the inner radius of the center (the frame
+    origin), C3 past it."""
     if img.heading_deg is None:
         raise ValueError(f"image {img.image_id} has no heading")
     cam = project(frame, img.position)
-    ctr = project(frame, center)
-    vx, vy = ctr.x - cam.x, ctr.y - cam.y
-    if (vx * vx + vy * vy) ** 0.5 <= inner_radius_m:
+    if (cam.x * cam.x + cam.y * cam.y) ** 0.5 <= inner_radius_m:
         return "C2"
     hx, hy = heading_vector(img.heading_deg)
-    ahead = hx * vx + hy * vy
-    return "C1" if ahead > 0 else "C3"
+    # Approaching when the heading points back toward the origin.
+    return "C1" if hx * cam.x + hy * cam.y < 0 else "C3"
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +176,22 @@ def place_objects(
     mid = LocalPoint((corners.A1.x + corners.A2.x) / 2.0, (corners.A1.y + corners.A2.y) / 2.0)
     out: list[PlacedObject] = []
     for f in fused:
-        if f.key.category == "sidewalk":
+        if f.category == "sidewalk":
             continue
-        if f.key.category == "traffic_light" and f.light_kind == "high":
+        if f.category == "traffic_light" and f.light_kind == "high":
             local = mid
             height = cfg.high_height_m
         else:
-            local = anchors[f.key.side]
-            height = cfg.low_height_m if f.key.category == "traffic_light" else None
+            local = anchors[f.side]
+            height = cfg.low_height_m if f.category == "traffic_light" else None
         confidence = min(1.0, f.support / max(1, n_track_images))
         if f.inferred_only:
             confidence /= 2.0
         out.append(
             PlacedObject(
-                category=f.key.category,
-                subtype=f.key.subtype,
-                light_kind=f.light_kind if f.key.category == "traffic_light" else None,
+                category=f.category,
+                subtype=f.subtype,
+                light_kind=f.light_kind if f.category == "traffic_light" else None,
                 position=unproject(frame, local),
                 height_m=height,
                 source_images=list(f.source_images),
@@ -240,19 +237,18 @@ def dedup_placed(
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
+    strength = lambda p: (-p.confidence, p.position.lat, p.position.lon, tuple(p.source_images))
     out = []
-    for members_idx in groups.values():
-        members = [placed[i] for i in members_idx]
-        if len(members) == 1:
-            out.append(members[0])
+    for idx in groups.values():
+        if len(idx) == 1:
+            out.append(placed[idx[0]])
             continue
-        members.sort(
-            key=lambda p: (-p.confidence, p.position.lat, p.position.lon, tuple(p.source_images))
-        )
+        idx.sort(key=lambda i: strength(placed[i]))
+        members = [placed[i] for i in idx]
         total_conf = sum(p.confidence for p in members)
         weights = [p.confidence / total_conf for p in members]
-        x = sum(w * project(frame, p.position).x for w, p in zip(weights, members))
-        y = sum(w * project(frame, p.position).y for w, p in zip(weights, members))
+        x = sum(w * locals_[i].x for w, i in zip(weights, idx))
+        y = sum(w * locals_[i].y for w, i in zip(weights, idx))
         lead = members[0]
         sources = sorted({s for p in members for s in p.source_images})
         out.append(
@@ -356,6 +352,24 @@ def _track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
     return trees
 
 
+def _track_corners(
+    part: Bundle, track: Track, frame: LocalFrame, ranks: dict[str, float], cfg: RunConfig
+) -> CornerPair | None:
+    """The corner pair of the first image that has one: C1 images nearest the
+    center first, then C2 images in track order."""
+    cases = {img.image_id: classify_camera(img, frame, cfg.inner_radius_m) for img in track.images}
+    c1 = sorted(
+        (img for img in track.images if cases[img.image_id] == "C1"),
+        key=lambda im: (ranks[im.image_id], im.image_id),
+    )
+    c2 = [img for img in track.images if cases[img.image_id] == "C2"]
+    for img in c1 + c2:
+        corners = select_corners(img, part.footprints, frame, cfg.corner_radius_m)
+        if corners is not None:
+            return corners
+    return None
+
+
 def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> IntersectionResult:
     """Tracks -> trees -> fusion -> corners -> placement -> dedup, on the
     one-buffer slice that slice_bundle cuts."""
@@ -366,11 +380,13 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
         )
     buffer = part.buffers[0]
     result = IntersectionResult(intersection_id=buffer.intersection_id)
+
+    def note(event: str, **fields) -> None:
+        result.diagnostics.append({"intersection_id": buffer.intersection_id, "event": event, **fields})
+
     frame = make_frame(buffer.center)
     if not part.images:
-        result.diagnostics.append(
-            {"intersection_id": buffer.intersection_id, "event": "no_images"}
-        )
+        note("no_images")
         return result
     tracks = [correct_track(t) for t in build_tracks(part.images, buffer)]
     raw_placed: list[PlacedObject] = []
@@ -382,37 +398,12 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
             img.image_id: dist(project(frame, img.position), _ORIGIN)
             for img in track.images
         }
-        cases = {
-            img.image_id: classify_camera(img, buffer.center, frame, cfg.inner_radius_m)
-            for img in track.images
-        }
         fused = fuse_track(trees, image_rank=ranks)
         if not fused:
             continue
-        corners = None
-        c1_images = sorted(
-            (img for img in track.images if cases[img.image_id] == "C1"),
-            key=lambda im: (ranks[im.image_id], im.image_id),
-        )
-        for img in c1_images:
-            corners = select_corners(img, part.footprints, frame, cfg.corner_radius_m)
-            if corners is not None:
-                break
+        corners = _track_corners(part, track, frame, ranks, cfg)
         if corners is None:
-            for img in track.images:
-                if cases[img.image_id] == "C2":
-                    corners = select_corners(img, part.footprints, frame, cfg.corner_radius_m)
-                    if corners is not None:
-                        break
-        if corners is None:
-            result.diagnostics.append(
-                {
-                    "intersection_id": buffer.intersection_id,
-                    "track_id": track.track_id,
-                    "event": "no_corners",
-                    "unplaced": len(fused),
-                }
-            )
+            note("no_corners", track_id=track.track_id, unplaced=len(fused))
             continue
         any_corners = True
         raw_placed.extend(
@@ -426,9 +417,7 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
             )
         )
     if not any_corners:
-        result.diagnostics.append(
-            {"intersection_id": buffer.intersection_id, "event": "no_corners_any_track"}
-        )
+        note("no_corners_any_track")
         return result
     deduped = dedup_placed(raw_placed, frame, cfg.dedup_radius_m)
     kept = []
@@ -436,13 +425,7 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
         if dist(project(frame, p.position), _ORIGIN) <= buffer.radius_m:
             kept.append(p)
         else:
-            result.diagnostics.append(
-                {
-                    "intersection_id": buffer.intersection_id,
-                    "event": "outside_buffer",
-                    "category": p.category,
-                }
-            )
+            note("outside_buffer", category=p.category)
     result.placed = kept
     return result
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -550,14 +550,9 @@ def layout_from_json(doc: dict) -> Layout:
             CameraPose(c["image_id"], c["sequence_id"], LocalPoint(c["x"], c["y"]), c["heading_deg"])
             for c in doc.get("cameras", [])
         ],
-        camera=CameraModel(
-            hfov_deg=cam.get("hfov_deg", 90.0),
-            width_px=cam.get("width_px", 1024),
-            height_px=cam.get("height_px", 768),
-            cam_height_m=cam.get("cam_height_m", 1.6),
-        ),
-        radius_m=doc.get("radius_m", 50.0),
-        kind=doc.get("kind", "crossroad"),
+        # Keys the document leaves out take the dataclass defaults.
+        camera=CameraModel(**{f.name: cam[f.name] for f in fields(CameraModel) if f.name in cam}),
+        **{key: doc[key] for key in ("radius_m", "kind") if key in doc},
     )
 
 

@@ -222,7 +222,7 @@ def test_fuse_single_tree_pass_through():
     for f in fused:
         assert f.support == 1
         assert f.source_images == ["i0"]
-    cats = {f.key.category for f in fused}
+    cats = {f.category for f in fused}
     assert cats == {"traffic_light", "sidewalk"}
 
 
@@ -251,15 +251,15 @@ def test_fuse_majority_subtype_matches_oracle():
     assert len(fused) == 1
     winners = vote_oracle(["yield", "stop", "stop"])
     assert winners == {"stop"}
-    assert fused[0].key.subtype == "stop"
+    assert fused[0].subtype == "stop"
 
 
 def test_fuse_tie_goes_to_nearest_rank():
     trees = [sign_alone_tree("i0", "yield"), sign_alone_tree("i1", "stop")]
     fused = fuse_track(trees, image_rank={"i0": 5.0, "i1": 2.0})
-    assert fused[0].key.subtype == "stop"
+    assert fused[0].subtype == "stop"
     fused = fuse_track(trees, image_rank={"i0": 1.0, "i1": 2.0})
-    assert fused[0].key.subtype == "yield"
+    assert fused[0].subtype == "yield"
 
 
 def test_fuse_default_rank_prefers_later_images():
@@ -289,7 +289,7 @@ def test_fuse_keys_keep_distinct_objects_apart():
     fused = fuse_track([tree_of("i0", [a, b], []), tree_of("i1", [a, b], [])])
     assert len(fused) == 2
     assert all(f.support == 2 for f in fused)
-    ordinals = sorted(f.key.stack_ordinal for f in fused)
+    ordinals = sorted(f.stack_ordinal for f in fused)
     assert ordinals == [0, 1]
 
 
@@ -298,5 +298,5 @@ def test_fuse_output_sorted_by_key():
     b = obj("b", "traffic_light", (300.0, 100.0), light_kind="high")
     w = obj("w", "sidewalk", (600.0, 120.0))
     fused = fuse_track([tree_of("i0", [a, b, w], [])])
-    keys = [f.key.sort_key() for f in fused]
+    keys = [(f.side, f.category, f.stack_ordinal, f.depth_in_stack, f.subtype or "") for f in fused]
     assert keys == sorted(keys)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -108,6 +109,21 @@ NUMBER_CASES = [
     pytest.param("detections", "bbox", [True, False, 5, 5], "bbox must be a number", id="detections-bbox-True"),
     pytest.param("detections", "bbox", [math.nan, 0, 5, 5], "bbox must be finite", id="detections-bbox-nan"),
     pytest.param("detections", "bbox", [0, 0, math.inf, 5], "bbox must be finite", id="detections-bbox-inf"),
+] + [
+    # A number written as a JSON string is not a number, however it parses.
+    pytest.param(flag, key, value, f"{key} must be a number", id=f"{flag}-{key}-str")
+    for flag, key, value in (
+        ("images", "lat", "52.3"),
+        ("images", "lon", "13.2"),
+        ("images", "width_px", "1024"),
+        ("images", "height_px", "768"),
+        ("images", "heading_deg", "90"),
+        ("buffers", "lat", "52.3"),
+        ("buffers", "lon", "13.2"),
+        ("buffers", "radius_m", " 1e1 "),
+        ("detections", "score", "0.5"),
+        ("detections", "bbox", ["1", 2, 3, 4]),
+    )
 ]
 
 
@@ -129,6 +145,75 @@ def test_place_rejects_non_numeric_field(flag, key, value, fragment, bundle_dir,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert fragment in err and src.name in err
+
+
+BAD_RECORD_CASES = [
+    pytest.param(
+        "images",
+        lambda text: json.dumps([5, *json.loads(text)[1:]]),
+        "images[0]: expected a JSON object",
+        id="images-int",
+    ),
+    pytest.param(
+        "detections",
+        lambda text: "\n".join(["5", *text.splitlines()[1:]]),
+        "line 1: expected a JSON object",
+        id="detections-int",
+    ),
+    pytest.param(
+        "buffers",
+        lambda text: json.dumps([None, *json.loads(text)[1:]]),
+        "buffers[0]: expected a JSON object",
+        id="buffers-null",
+    ),
+    pytest.param(
+        "footprints",
+        lambda text: json.dumps(json.loads(text)["features"]),
+        "expected a GeoJSON FeatureCollection",
+        id="footprints-array",
+    ),
+    pytest.param(
+        "footprints",
+        lambda text: json.dumps({**json.loads(text), "features": ["b0"]}),
+        "features[0]: expected a JSON object",
+        id="footprints-str-feature",
+    ),
+] + [
+    pytest.param(flag, lambda text: "{" + text, "Expecting property name", id=f"{flag}-invalid-json")
+    for flag in ("images", "footprints", "buffers")
+]
+
+
+@pytest.mark.parametrize("flag, edit, fragment", BAD_RECORD_CASES)
+def test_place_rejects_malformed_bundle_file(flag, edit, fragment, bundle_dir, tmp_path, capsys):
+    argv = place_args(bundle_dir, tmp_path / "pred.geojson")
+    i = argv.index(f"--{flag}") + 1
+    src = Path(argv[i])
+    argv[i] = str(tmp_path / src.name)
+    Path(argv[i]).write_text(edit(src.read_text()))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and src.name in err
+
+
+# The bytes this two-fixture bundle places to and dumps as trees. A change
+# meant to alter the output updates these pins and records the new hashes in
+# CHANGES.md.
+PLACE_SHA256 = "80d13b3ba68c1bf528cb900329d153875127aec19737f3c39ad90df7a13381f0"
+DUMP_TREES_SHA256 = "a400e883ac6941ba49da7ebb7ee7ccfd36743afa9849669d86fb87464240d04f"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_place_output_is_pinned(jobs, bundle_dir, tmp_path):
+    out = tmp_path / "pred.geojson"
+    assert main(place_args(bundle_dir, out, ["--jobs", jobs])) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE_SHA256
+
+
+def test_dump_trees_output_is_pinned(bundle_dir, tmp_path):
+    out = tmp_path / "trees.json"
+    assert main(["dump-trees", *place_args(bundle_dir, out)[1:]]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_TREES_SHA256
 
 
 def test_cli_import_leaves_scipy_out():

@@ -244,72 +244,3 @@ def test_centroid_zero_area_raises():
     object.__setattr__(fp, "ring", line)
     with pytest.raises(ValueError):
         geo.footprint_centroid(fp, frame)
-
-
-# ---------------------------------------------------------------------------
-# GeoJSON loading.
-
-
-def test_load_footprints_round_trip(tmp_path):
-    doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {"id": "b1"},
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [
-                        [
-                            [13.4, 52.52],
-                            [13.4003, 52.52],
-                            [13.4003, 52.5202],
-                            [13.4, 52.5202],
-                            [13.4, 52.52],
-                        ]
-                    ],
-                },
-            }
-        ],
-    }
-    path = tmp_path / "fp.geojson"
-    path.write_text(__import__("json").dumps(doc))
-    fps = geo.load_footprints(str(path))
-    assert len(fps) == 1
-    assert fps[0].id == "b1"
-    assert fps[0].ring[0] == GeoPoint(52.52, 13.4)
-    assert fps[0].ring[0] == fps[0].ring[-1]
-
-
-def test_load_footprints_rejects_missing_id(tmp_path):
-    doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {},
-                "geometry": {"type": "Polygon", "coordinates": [[[0, 0], [1, 0], [1, 1], [0, 0]]]},
-            }
-        ],
-    }
-    path = tmp_path / "fp.geojson"
-    path.write_text(__import__("json").dumps(doc))
-    with pytest.raises(ValueError, match="id"):
-        geo.load_footprints(str(path))
-
-
-def test_load_footprints_rejects_non_polygon(tmp_path):
-    doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {"id": "x"},
-                "geometry": {"type": "Point", "coordinates": [0, 0]},
-            }
-        ],
-    }
-    path = tmp_path / "fp.geojson"
-    path.write_text(__import__("json").dumps(doc))
-    with pytest.raises(ValueError, match="Polygon"):
-        geo.load_footprints(str(path))

@@ -28,6 +28,7 @@ from rop.ingest import (
     images_in_buffer,
     load_buffers,
     load_detections,
+    load_footprints,
     load_images,
     load_inputs,
     read_pgm,
@@ -309,6 +310,69 @@ def test_load_buffers_rejects_non_numeric_fields(tmp_path, key, value):
     path.write_text(json.dumps([rec]))
     with pytest.raises(BundleError, match=rf"buffers\[0\]: {key} must be a number"):
         load_buffers(str(path))
+
+
+def _feature(ring, props={"id": "b1"}, **over):  # noqa: B006
+    feat = {"type": "Feature", "properties": props, "geometry": {"type": "Polygon", "coordinates": [ring]}}
+    feat.update(over)
+    return feat
+
+
+_RING = [[13.4, 52.52], [13.4003, 52.52], [13.4003, 52.5202], [13.4, 52.5202], [13.4, 52.52]]
+
+
+def _write_footprints(tmp_path, *features):
+    path = tmp_path / "fp.geojson"
+    path.write_text(json.dumps({"type": "FeatureCollection", "features": list(features)}))
+    return str(path)
+
+
+def test_load_footprints_round_trip(tmp_path):
+    fps = load_footprints(_write_footprints(tmp_path, _feature(_RING)))
+    assert len(fps) == 1
+    assert fps[0].id == "b1"
+    assert fps[0].ring[0] == GeoPoint(52.52, 13.4)
+    assert fps[0].ring[0] == fps[0].ring[-1]
+
+
+def test_load_footprints_takes_altitudes_feature_ids_and_holes(tmp_path):
+    hole = [[13.4001, 52.5201], [13.4002, 52.5201], [13.4001, 52.52015], [13.4001, 52.5201]]
+    feat = _feature([[*v, 35.0] for v in _RING], props={}, id="f7")
+    feat["geometry"]["coordinates"].append(hole)
+    fps = load_footprints(_write_footprints(tmp_path, feat))
+    assert fps[0].id == "f7"
+    assert fps[0].ring == tuple(GeoPoint(lat, lon) for lon, lat in _RING)
+
+
+def test_load_footprints_rejects_missing_id(tmp_path):
+    path = _write_footprints(tmp_path, _feature([[0, 0], [1, 0], [1, 1], [0, 0]], props={}))
+    with pytest.raises(BundleError, match="id"):
+        load_footprints(path)
+
+
+def test_load_footprints_rejects_non_polygon(tmp_path):
+    feat = _feature(_RING, props={"id": "x"}, geometry={"type": "Point", "coordinates": [0, 0]})
+    with pytest.raises(BundleError, match="Polygon"):
+        load_footprints(_write_footprints(tmp_path, feat))
+
+
+@pytest.mark.parametrize(
+    "vertex, fragment",
+    [
+        ([True, 52.52], r"features\[0\]: vertex 1: lon must be a number"),
+        ([13.4003, False], r"features\[0\]: vertex 1: lat must be a number"),
+        (["13.4003", 52.52], r"features\[0\]: vertex 1: lon must be a number"),
+        ([13.4003, "52.52"], r"features\[0\]: vertex 1: lat must be a number"),
+        ([13.4003, None], r"features\[0\]: vertex 1: lat must be a number"),
+        ([13.4003, float("nan")], r"features\[0\]: vertex 1: lat must be finite"),
+        ([13.4003], r"features\[0\]: vertex 1 must be \[lon, lat\]"),
+    ],
+    ids=["bool-lon", "bool-lat", "str-lon", "str-lat", "null-lat", "nan-lat", "short"],
+)
+def test_load_footprints_rejects_bad_vertex(tmp_path, vertex, fragment):
+    ring = [_RING[0], vertex, *_RING[2:]]
+    with pytest.raises(BundleError, match=fragment):
+        load_footprints(_write_footprints(tmp_path, _feature(ring)))
 
 
 def _write_bundle_files(tmp_path, *, mask_size=(64, 48)):

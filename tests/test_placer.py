@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rop.atbt import FusedKey, FusedObject
+from rop.atbt import FusedObject
 from rop.geo import (
     FRAME_SPAN_DEG,
     Footprint,
@@ -92,27 +92,27 @@ BUILDINGS = [
 
 
 def test_camera_cases_along_an_approach():
-    assert classify_camera(cam(-20.0, 0.0, 90.0), CENTER, FRAME, CFG.inner_radius_m) == "C1"
-    assert classify_camera(cam(-5.0, 0.0, 90.0), CENTER, FRAME, CFG.inner_radius_m) == "C2"
-    assert classify_camera(cam(20.0, 0.0, 90.0), CENTER, FRAME, CFG.inner_radius_m) == "C3"
+    assert classify_camera(cam(-20.0, 0.0, 90.0), FRAME, CFG.inner_radius_m) == "C1"
+    assert classify_camera(cam(-5.0, 0.0, 90.0), FRAME, CFG.inner_radius_m) == "C2"
+    assert classify_camera(cam(20.0, 0.0, 90.0), FRAME, CFG.inner_radius_m) == "C3"
 
 
 def test_camera_inner_radius_boundary():
     # Exactly on the inner radius counts as inside.
-    assert classify_camera(cam(-10.0, 0.0, 90.0), CENTER, FRAME, inner_radius_m=10.0) == "C2"
-    assert classify_camera(cam(-10.001, 0.0, 90.0), CENTER, FRAME, inner_radius_m=10.0) == "C1"
+    assert classify_camera(cam(-10.0, 0.0, 90.0), FRAME, inner_radius_m=10.0) == "C2"
+    assert classify_camera(cam(-10.001, 0.0, 90.0), FRAME, inner_radius_m=10.0) == "C1"
 
 
 def test_camera_heading_perpendicular_is_not_approaching():
     # Heading at right angles to the center direction: not moving toward it.
-    assert classify_camera(cam(-20.0, 0.0, 0.0), CENTER, FRAME, CFG.inner_radius_m) == "C3"
+    assert classify_camera(cam(-20.0, 0.0, 0.0), FRAME, CFG.inner_radius_m) == "C3"
 
 
 def test_camera_requires_heading():
     img = cam(-20.0, 0.0)
     img.heading_deg = None
     with pytest.raises(ValueError):
-        classify_camera(img, CENTER, FRAME, CFG.inner_radius_m)
+        classify_camera(img, FRAME, CFG.inner_radius_m)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,11 @@ def test_corners_match_brute_force_oracle(seed):
 
 def fused(side, category, ordinal=0, depth=0, subtype=None, light_kind=None, support=3, inferred_only=False):
     return FusedObject(
-        key=FusedKey(side, category, ordinal, depth, subtype),
+        side=side,
+        category=category,
+        stack_ordinal=ordinal,
+        depth_in_stack=depth,
+        subtype=subtype,
         support=support,
         light_kind=light_kind,
         inferred_only=inferred_only,
