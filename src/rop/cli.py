@@ -17,12 +17,21 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
-from .atbt import tree_to_json
-from .config import RunConfig, load_config
-from .ingest import Bundle, load_inputs
-from .placer import (
+# rop's only BLAS call is one 16x2 SVD per track, so the command line runs
+# OpenBLAS on one thread: by default it starts a worker that spins at numpy
+# import and burns CPU that places nothing. This must run before anything
+# imports numpy; a value already in the environment wins. Library users who
+# import rop's other modules keep OpenBLAS's own default.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .atbt import tree_to_json  # noqa: E402
+from .config import RunConfig, load_config  # noqa: E402
+from .ingest import Bundle, load_inputs  # noqa: E402
+from .placer import (  # noqa: E402
     IntersectionResult,
+    PlacedObject,
     from_geojson,
     run_intersection,
     slice_bundle,
@@ -231,12 +240,20 @@ def cmd_synth(args) -> int:
 # eval
 
 
+def _read_placed(path: str) -> list[PlacedObject]:
+    """The objects of a placed-object GeoJSON file; any error in it names the file."""
+    try:
+        return from_geojson(json.loads(Path(path).read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     from .evalx import evaluate, to_table
     from .evalx import to_json as report_to_json
 
-    preds = from_geojson(json.loads(Path(args.pred).read_text()))
-    refs = from_geojson(json.loads(Path(args.ref).read_text()))
+    preds = _read_placed(args.pred)
+    refs = _read_placed(args.ref)
     report = evaluate(preds, refs, radius_m=args.radius)
     if args.json:
         text = json.dumps(report_to_json(report), indent=2, sort_keys=True)
@@ -282,9 +299,23 @@ def main(argv: list[str] | None = None) -> int:
         return EX_INPUT
 
 
-def console_main() -> None:
-    raise SystemExit(main())
+def _exit(code: int) -> NoReturn:
+    """End the process with code and skip interpreter teardown, which takes
+    tens of milliseconds and writes nothing. By now main() has returned: its
+    output file is closed and any process pool joined. An exception or a
+    usage SystemExit never reaches here and exits the normal way."""
+    logging.shutdown()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # a reader closed the pipe: Python's own exit reports it
+        raise SystemExit(code) from None
+    os._exit(code)
+
+
+def console_main() -> NoReturn:
+    _exit(main())
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    _exit(main())

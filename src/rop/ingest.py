@@ -307,12 +307,17 @@ def load_images(path: str) -> list[ImageMeta]:
 
 def load_detections(path: str, known_images: set[str] | None = None) -> dict[str, list[Detection]]:
     out: dict[str, list[Detection]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh):
-            line = line.strip()
+    # Lines end at \n, as JSON Lines defines; each is decoded on its own, so a
+    # byte that is not UTF-8 is reported with its line.
+    with open(path, "rb") as fh:
+        for ln, raw in enumerate(fh):
+            where = f"{path}: line {ln + 1}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise BundleError(f"{where}: not valid UTF-8 ({exc.reason})") from exc
             if not line:
                 continue
-            where = f"{path}: line {ln + 1}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:

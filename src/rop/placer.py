@@ -33,12 +33,15 @@ from .geo import (
 from .grammar import apply_grammar
 from .ingest import (
     Bundle,
+    BundleError,
     ImageMeta,
     PgmDirectory,
     Track,
     build_tracks,
     correct_track,
     images_in_buffer,
+    _number,
+    _point,
 )
 from .scene import scene_objects
 
@@ -469,22 +472,33 @@ def to_geojson(placed: list[PlacedObject]) -> dict:
 
 
 def from_geojson(doc: dict) -> list[PlacedObject]:
+    """The objects of a placed-object GeoJSON document, as to_geojson writes
+    it. A feature without a Point's [lon, lat] numbers, or with a support or
+    confidence that is not a number, is a BundleError naming features[i]."""
+    if not isinstance(doc, dict):
+        raise BundleError("expected a GeoJSON FeatureCollection")
     out = []
-    for feat in doc.get("features", []):
-        lon, lat = feat["geometry"]["coordinates"]
+    for i, feat in enumerate(doc.get("features", [])):
+        where = f"features[{i}]"
+        geom = feat.get("geometry") if isinstance(feat, dict) else None
+        coords = geom.get("coordinates") if isinstance(geom, dict) else None
+        if not (isinstance(coords, list) and len(coords) == 2):
+            raise BundleError(f"{where}: geometry.coordinates must be [lon, lat]")
         props = feat.get("properties", {})
+        if not isinstance(props, dict):
+            raise BundleError(f"{where}: properties must be an object")
         out.append(
             PlacedObject(
                 category=props.get("category"),
                 subtype=props.get("subtype"),
                 light_kind=props.get("light_kind"),
-                position=GeoPoint(lat, lon),
+                position=_point(coords[1], coords[0], where),
                 height_m=props.get("height_m"),
                 source_images=list(props.get("source_images", [])),
-                support=int(props.get("support", 1)),
+                support=_number(props.get("support", 1), "support", where, int),
                 inferred_only=bool(props.get("inferred_only", False)),
                 intersection_id=props.get("intersection_id", ""),
-                confidence=float(props.get("confidence", 1.0)),
+                confidence=_number(props.get("confidence", 1.0), "confidence", where),
             )
         )
     return out

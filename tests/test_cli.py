@@ -8,6 +8,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,8 @@ from hypothesis import strategies as st
 from rop.cli import main
 from rop.geo import GeoPoint, LocalPoint
 from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
+
+SRC = Path(__file__).parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -216,17 +220,57 @@ def test_dump_trees_output_is_pinned(bundle_dir, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_TREES_SHA256
 
 
+def fresh_env(openblas_threads: str | None = None) -> dict[str, str]:
+    """The environment of a new interpreter on rop's source.
+    OPENBLAS_NUM_THREADS is unset unless given (importing rop.cli here has set
+    it in this process), and so is PYTHONUNBUFFERED, so a piped stdout is
+    block-buffered as by default."""
+    unset = ("OPENBLAS_NUM_THREADS", "PYTHONUNBUFFERED")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = str(SRC)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return env
+
+
+def fresh_python(*args: str, openblas_threads: str | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args],
+        env=fresh_env(openblas_threads),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def test_cli_import_leaves_scipy_out():
     # Nor does it load what `rop place` never runs: the renderer, the
     # evaluator and the process pool are imported where they are used.
-    import subprocess
-    import sys
-
     unused = ("scipy", "rop.synth", "rop.evalx", "concurrent.futures.process")
     code = f"import sys, rop.cli; print([m for m in {unused!r} if m in sys.modules])"
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "module, preset, expected",
+    [("rop.cli", None, "1"), ("rop.cli", "4", "4"), ("rop.placer", None, "None")],
+)
+def test_openblas_threads_default(module, preset, expected):
+    code = f"import os, {module}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = fresh_python("-c", code, openblas_threads=preset)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
+def test_cli_import_starts_no_blas_thread():
+    # The default reaches OpenBLAS only if it is set before numpy is imported.
+    code = "import os, rop.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"
 
 
 def test_synth_same_seed_byte_identical(tmp_path):
@@ -310,6 +354,62 @@ def test_eval_json_report(bundle_dir, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["groups"][0]["group"] == "overall"
     assert doc["groups"][0]["completeness"] == 1.0
+
+
+def _truth_with(bundle: Path, bad_feature: dict) -> dict:
+    doc = json.loads((bundle / "truth.geojson").read_text())
+    doc["features"] = [doc["features"][0], bad_feature]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "feature, fragment",
+    [
+        pytest.param({}, "features[1]: geometry.coordinates must be [lon, lat]", id="no-geometry"),
+        pytest.param(
+            {"geometry": {"type": "Point"}},
+            "features[1]: geometry.coordinates must be [lon, lat]",
+            id="no-coordinates",
+        ),
+        pytest.param(
+            {"geometry": {"type": "Point", "coordinates": [13.4]}},
+            "features[1]: geometry.coordinates must be [lon, lat]",
+            id="one-coordinate",
+        ),
+        pytest.param(
+            {"geometry": {"type": "Point", "coordinates": [13.4, "52.5"]}},
+            "features[1]: lat must be a number",
+            id="string-coordinate",
+        ),
+        pytest.param(
+            {"geometry": {"type": "Point", "coordinates": [13.4, 52.5]}, "properties": []},
+            "features[1]: properties must be an object",
+            id="array-properties",
+        ),
+        pytest.param(
+            {"geometry": {"type": "Point", "coordinates": [13.4, 52.5]}, "properties": {"support": None}},
+            "features[1]: support must be a number",
+            id="null-support",
+        ),
+    ],
+)
+@pytest.mark.parametrize("flag", ["--pred", "--ref"])
+def test_eval_rejects_malformed_feature(flag, feature, fragment, bundle_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.geojson"
+    bad.write_text(json.dumps(_truth_with(bundle_dir, feature)))
+    truth = str(bundle_dir / "truth.geojson")
+    argv = ["eval", "--pred", truth, "--ref", truth]
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: {fragment}" in err
+
+
+def test_eval_rejects_non_object_document(bundle_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.geojson"
+    bad.write_text(json.dumps(json.loads((bundle_dir / "truth.geojson").read_text())["features"]))
+    assert main(["eval", "--pred", str(bad), "--ref", str(bundle_dir / "truth.geojson")]) == 2
+    assert f"{bad}: expected a GeoJSON FeatureCollection" in capsys.readouterr().err
 
 
 def test_dump_trees_exports_heap_nodes(bundle_dir, tmp_path):
@@ -524,3 +624,74 @@ def test_place_is_invariant_to_record_order(seed, bundle_dir, placed_bytes, tmp_
         argv[i] = str(tmp_path / Path(argv[i]).name)
     assert main(argv) == 0
     assert (tmp_path / "pred.geojson").read_bytes() == placed_bytes
+
+
+# ---------------------------------------------------------------------------
+# The entry point as a process: `python -m rop.cli` ends through os._exit, so
+# these check what in-process calls to main() cannot: the exit code, that
+# piped stdout arrives whole, and that the output file is complete.
+
+
+def run_rop(*argv: str) -> subprocess.CompletedProcess:
+    return fresh_python("-m", "rop.cli", *argv)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_entry_point_places_pinned_bytes(jobs, bundle_dir, tmp_path):
+    out = tmp_path / "pred.geojson"
+    proc = run_rop(*place_args(bundle_dir, out, ["--jobs", jobs]))
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE_SHA256
+
+
+def test_entry_point_exit_codes(bundle_dir, tmp_path):
+    truth = str(bundle_dir / "truth.geojson")
+    gate = run_rop("eval", "--pred", truth, "--ref", truth, "--min-completeness", "1.1")
+    assert gate.returncode == 1, gate.stderr
+
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("images.json", "footprints.geojson", "buffers.json"):
+        (bad / name).write_bytes((bundle_dir / name).read_bytes())
+    (bad / "masks").symlink_to(bundle_dir / "masks")
+    (bad / "detections.jsonl").write_bytes(b"\xff\n")
+    proc = run_rop(*place_args(bad, tmp_path / "pred.geojson"))
+    assert proc.returncode == 2
+    assert "detections.jsonl: line 1: not valid UTF-8" in proc.stderr
+
+    empty = tmp_path / "empty"
+    assert main(["synth", "--out", str(empty), "--fixtures", "0"]) == 0
+    assert run_rop(*place_args(empty, tmp_path / "none.geojson")).returncode == 3
+
+    usage = run_rop("place")
+    assert usage.returncode == 64
+    assert "usage: rop" in usage.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["config", "--show"], ["eval"], ["eval", "--json"]], ids=["config", "eval", "eval-json"]
+)
+def test_entry_point_pipes_whole_stdout(argv, bundle_dir, capsys):
+    if argv[0] == "eval":
+        truth = str(bundle_dir / "truth.geojson")
+        argv = [*argv, "--pred", truth, "--ref", truth]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    proc = run_rop(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
+def test_entry_point_closed_pipe_exits_as_python_does():
+    # A reader that goes away before rop writes: stdout cannot be flushed, and
+    # the process exits as Python itself would, with 120 and no traceback.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rop.cli", "config", "--show"],
+        env=fresh_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 120
+    assert b"Traceback" not in err

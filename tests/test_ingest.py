@@ -272,6 +272,13 @@ def test_load_detections_rejects_bad_lines(tmp_path, line, fragment):
         load_detections(str(path))
 
 
+def test_load_detections_names_file_and_line_on_bad_utf8(tmp_path):
+    path = tmp_path / "det.jsonl"
+    path.write_bytes(_det_line().encode() + b"\n\n" + b'{"image_id": "i\xff"}\n')
+    with pytest.raises(BundleError, match=r"det\.jsonl: line 3: not valid UTF-8"):
+        load_detections(str(path))
+
+
 def test_load_buffers(tmp_path):
     path = tmp_path / "buffers.json"
     path.write_text(
