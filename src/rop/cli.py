@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atbt import tree_to_json  # noqa: E402
 from .config import RunConfig, load_config  # noqa: E402
-from .ingest import Bundle, load_inputs  # noqa: E402
+from .ingest import Bundle, _load_json, load_inputs  # noqa: E402
 from .placer import (  # noqa: E402
     IntersectionResult,
     PlacedObject,
@@ -61,7 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_bundle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--images", required=True, help="images.json manifest")
-    p.add_argument("--masks", required=True, help="directory of <image_id>.pgm label maps")
+    p.add_argument(
+        "--masks", required=True, help="directory of <image_id>.pgm or <image_id>.rle label maps"
+    )
     p.add_argument("--detections", required=True, help="detections JSONL")
     p.add_argument("--footprints", required=True, help="building footprints GeoJSON")
     p.add_argument("--buffers", required=True, help="intersection buffers JSON")
@@ -212,7 +215,7 @@ def cmd_synth(args) -> int:
     if (args.layout is None) == (args.fixtures is None):
         raise ValueError("exactly one of --layout or --fixtures is required")
     if args.layout is not None:
-        doc = json.loads(Path(args.layout).read_text())
+        doc = _load_json(args.layout)
         try:
             layouts = [layout_from_json(d) for d in (doc if isinstance(doc, list) else [doc])]
         except (KeyError, TypeError) as exc:
@@ -252,6 +255,8 @@ def cmd_eval(args) -> int:
     from .evalx import evaluate, to_table
     from .evalx import to_json as report_to_json
 
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise ValueError(f"--radius must be finite and > 0, got {args.radius}")
     preds = _read_placed(args.pred)
     refs = _read_placed(args.ref)
     report = evaluate(preds, refs, radius_m=args.radius)

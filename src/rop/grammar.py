@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .ingest import CATEGORY_IDS
+from .labelmap import LabelRuns
 from .scene import SceneObject
 
 log = logging.getLogger("rop.grammar")
@@ -37,22 +38,24 @@ def side_of(obj: SceneObject, width_px: int) -> str:
 
 
 def _surround_vote(
-    label_map: np.ndarray,
+    runs: LabelRuns,
     bbox: tuple[float, float, float, float],
     ring_px: int,
 ) -> str | None:
-    """Majority of {sky, building} in a ring around the bbox; None on a tie."""
-    big_h, big_w = label_map.shape
+    """Majority of {sky, building} in a ring around the bbox; None on a tie.
+    Only the ring's band of rows is decoded."""
+    big_h, big_w = runs.height, runs.width
     x, y, w, h = bbox
     x0, y0 = int(np.floor(x)), int(np.floor(y))
     x1, y1 = int(np.ceil(x + w)), int(np.ceil(y + h))
     ox0, oy0 = max(0, x0 - ring_px), max(0, y0 - ring_px)
     ox1, oy1 = min(big_w, x1 + ring_px), min(big_h, y1 + ring_px)
-    outer = np.bincount(label_map[oy0:oy1, ox0:ox1].ravel(), minlength=256)
+    band = runs.rows(oy0, max(oy0, oy1))
+    outer = np.bincount(band[:, ox0:ox1].ravel(), minlength=256)
     ix0, iy0 = max(0, x0), max(0, y0)
     ix1, iy1 = min(big_w, x1), min(big_h, y1)
     if ix1 > ix0 and iy1 > iy0:
-        outer -= np.bincount(label_map[iy0:iy1, ix0:ix1].ravel(), minlength=256)
+        outer -= np.bincount(band[iy0 - oy0 : iy1 - oy0, ix0:ix1].ravel(), minlength=256)
     sky = int(outer[CATEGORY_IDS["sky"]])
     building = int(outer[CATEGORY_IDS["building"]])
     if sky > building:
@@ -64,7 +67,7 @@ def _surround_vote(
 
 def classify_light(
     obj: SceneObject,
-    label_map: np.ndarray,
+    runs: LabelRuns,
     tallest_ped: int | None = None,
     cfg: RunConfig = RunConfig(),
 ) -> str:
@@ -79,12 +82,12 @@ def classify_light(
     """
     if obj.category != "traffic_light":
         raise ValueError(f"classify_light on category '{obj.category}'")
-    big_h, big_w = label_map.shape
+    big_h, big_w = runs.height, runs.width
     bbox = obj.bbox
     if bbox is None:
         r, c = obj.centroid
         bbox = (c, r, 1.0, 1.0)
-    surround = _surround_vote(label_map, bbox, cfg.ring_px)
+    surround = _surround_vote(runs, bbox, cfg.ring_px)
     if surround is not None:
         kind = "high" if surround == "sky" else "low"
     else:
@@ -93,7 +96,9 @@ def classify_light(
         r0 = int(round(row))
         kind = "low"
         if r0 + 1 < big_h:
-            column = label_map[r0 + 1 :, c]
+            # The run holding each pixel of column c below the light.
+            pixels = np.arange(r0 + 1, big_h) * big_w + c
+            column = runs.values[np.searchsorted(runs.starts, pixels, side="right") - 1]
             ground = (column == CATEGORY_IDS["road"]) | (column == CATEGORY_IDS["sidewalk"])
             hits = np.flatnonzero(ground)
             h = float(tallest_ped) if tallest_ped else cfg.pedestrian_fallback_frac * big_h
@@ -270,7 +275,7 @@ def group_patterns(
 
 def apply_grammar(
     objs: list[SceneObject],
-    label_map: np.ndarray,
+    runs: LabelRuns,
     tallest_ped: int,
     cfg: RunConfig = RunConfig(),
 ) -> tuple[list[SceneObject], list[PatternGroup]]:
@@ -279,10 +284,10 @@ def apply_grammar(
     tallest_ped is the tallest pedestrian's height in pixels, 0 if none (see
     scene.scene_objects).
     """
-    width_px = label_map.shape[1]
+    width_px = runs.width
     for obj in objs:
         if obj.category == "traffic_light" and not obj.inferred:
-            classify_light(obj, label_map, tallest_ped or None, cfg)
+            classify_light(obj, runs, tallest_ped or None, cfg)
     objs = merge_sidewalks(objs, width_px, cfg)
     left = [o for o in objs if side_of(o, width_px) == "left"]
     right = [o for o in objs if side_of(o, width_px) == "right"]

@@ -1,9 +1,9 @@
 """Input bundle loading, intersection buffers, and track building.
 
 A bundle is the on-disk contract of the pipeline: camera metadata (JSON),
-per-image semantic label maps (binary PGM, one byte per pixel), object
-detections (JSON Lines), building footprints (GeoJSON), and intersection
-buffers (JSON).
+per-image semantic label maps (binary PGM or run-length files, see
+labelmap), object detections (JSON Lines), building footprints (GeoJSON),
+and intersection buffers (JSON).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -28,19 +27,24 @@ from .geo import (
     unproject,
     within,
 )
+from .labelmap import (
+    BundleError,
+    LabelRuns,
+    PgmBuffers,
+    read_pgm,
+    read_pgm_size,
+    read_rle,
+    read_rle_size,
+)
 
 log = logging.getLogger("rop.ingest")
-
-
-class BundleError(ValueError):
-    """Raised when bundle inputs violate the format contract."""
 
 
 # ---------------------------------------------------------------------------
 # Category ids.
 
 # The byte each category takes in a label map. Part of the bundle format,
-# like the PGM header rules below.
+# like the mask file formats in labelmap.
 CATEGORY_IDS = {
     "other": 0,
     "road": 1,
@@ -97,107 +101,67 @@ class Detection:
 @dataclass
 class Bundle:
     images: list[ImageMeta]
-    label_maps: Mapping[str, np.ndarray]
+    label_maps: Mapping[str, LabelRuns]
     detections: dict[str, list[Detection]]
     footprints: list[Footprint]
     buffers: list[IntersectionBuffer]
 
 
 # ---------------------------------------------------------------------------
-# PGM reading and writing (binary, 8-bit, P5).
+# The mask directory.
 
 
-def _pgm_header(fh: BinaryIO, path: str) -> tuple[int, int]:
-    """Parse a P5 header from the start of fh: returns (width, height) and
-    leaves fh at the first raster byte. Reads on until the header is
-    complete, so comments of any length are fine."""
-    data = fh.read(512)
-    if data[:2] != b"P5":
-        raise BundleError(f"{path}: not a binary PGM (bad magic {data[:2]!r})")
-    while True:
-        tokens: list[bytes] = []
-        i = 2
-        n = len(data)
-        while i < n and len(tokens) < 3:
-            c = data[i : i + 1]
-            if c in b" \t\r\n":
-                i += 1
-                continue
-            if c == b"#":
-                j = data.find(b"\n", i)
-                i = n if j < 0 else j + 1
-                continue
-            j = i
-            while j < n and data[j : j + 1] not in b" \t\r\n#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-        # The last token is only known to be whole once a byte follows it.
-        if len(tokens) == 3 and i < n:
-            break
-        more = fh.read(n)
-        if not more:
-            raise BundleError(f"{path}: truncated PGM header")
-        data += more
-    try:
-        w, h, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise BundleError(f"{path}: malformed PGM header") from exc
-    if w <= 0 or h <= 0:
-        raise BundleError(f"{path}: bad PGM dimensions {w}x{h}")
-    if maxval > 255:
-        raise BundleError(f"{path}: 16-bit PGM not supported (maxval {maxval})")
-    fh.seek(i + 1)  # one whitespace byte separates header and raster
-    return w, h
+_IS_CATEGORY = np.zeros(256, dtype=bool)
+_IS_CATEGORY[list(CATEGORY_IDS.values())] = True
 
 
-def read_pgm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _pgm_header(fh, path)
-        raster = np.fromfile(fh, dtype=np.uint8, count=w * h)
-    if raster.size < w * h:
-        raise BundleError(f"{path}: truncated raster ({raster.size} of {w * h} bytes)")
-    return raster.reshape(h, w)
-
-
-def read_pgm_size(path: str) -> tuple[int, int]:
-    with open(path, "rb") as fh:
-        return _pgm_header(fh, path)
-
-
-def write_pgm(path: str, arr: np.ndarray) -> None:
-    a = np.ascontiguousarray(arr, dtype=np.uint8)
-    if a.ndim != 2:
-        raise ValueError("label map must be 2-D")
-    h, w = a.shape
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n255\n" % (w, h))
-        fh.write(a.tobytes())
-
-
-class PgmDirectory(Mapping):
-    """Lazy image_id -> label map view over a directory of <image_id>.pgm files."""
+class MaskDirectory(Mapping):
+    """Lazy image_id -> LabelRuns view over a directory that holds one
+    <image_id>.pgm or <image_id>.rle label map per image. A map whose value is
+    not in CATEGORY_IDS is a BundleError naming its file."""
 
     def __init__(self, directory: str):
         self._dir = Path(directory)
         if not self._dir.is_dir():
             raise BundleError(f"{directory}: not a directory")
-        self._paths = {p.stem: p for p in sorted(self._dir.glob("*.pgm"))}
+        self._paths: dict[str, Path] = {}
+        for p in sorted(self._dir.iterdir()):
+            if p.suffix not in (".pgm", ".rle"):
+                continue
+            if p.stem in self._paths:
+                other = self._paths[p.stem].name
+                raise BundleError(f"{p}: {other} is there too; keep one label map per image")
+            self._paths[p.stem] = p
+        self._pgm_buffers = PgmBuffers()
 
-    def only(self, image_ids: list[str]) -> PgmDirectory:
+    def only(self, image_ids: list[str]) -> MaskDirectory:
         """The same lazy view, restricted to image_ids."""
         view = copy.copy(self)
         view._paths = {i: self._paths[i] for i in image_ids}
         return view
 
-    def size_of(self, image_id: str) -> tuple[int, int]:
-        return read_pgm_size(str(self._paths[image_id]))
+    def path_of(self, image_id: str) -> Path:
+        return self._paths[image_id]
 
-    def __getitem__(self, image_id: str) -> np.ndarray:
+    def size_of(self, image_id: str) -> tuple[int, int]:
+        path = self._paths[image_id]
+        return (read_rle_size if path.suffix == ".rle" else read_pgm_size)(str(path))
+
+    def __getitem__(self, image_id: str) -> LabelRuns:
         try:
-            return read_pgm(str(self._paths[image_id]))
+            path = self._paths[image_id]
         except KeyError:
             raise KeyError(image_id) from None
+        if path.suffix == ".rle":
+            runs = read_rle(str(path))
+        else:
+            runs = read_pgm(str(path), self._pgm_buffers)
+        bad = np.flatnonzero(~_IS_CATEGORY[runs.values])
+        if bad.size:
+            row, col = divmod(int(runs.starts[bad[0]]), runs.width)
+            value = runs.values[bad[0]]
+            raise BundleError(f"{path}: value {value} at row {row}, column {col} is not a category id")
+        return runs
 
     def __contains__(self, image_id: object) -> bool:
         # Mapping's default would decode the whole raster via __getitem__.
@@ -416,15 +380,15 @@ def load_inputs(
     to fit in memory at once.
     """
     images = load_images(images_path)
-    label_maps = PgmDirectory(masks_dir)
+    label_maps = MaskDirectory(masks_dir)
     for im in images:
         if im.image_id not in label_maps:
             raise BundleError(f"{masks_dir}: missing label map for image '{im.image_id}'")
         w, h = label_maps.size_of(im.image_id)
         if (w, h) != (im.width_px, im.height_px):
             raise BundleError(
-                f"label map for '{im.image_id}' is {w}x{h}, "
-                f"image declares {im.width_px}x{im.height_px}"
+                f"{label_maps.path_of(im.image_id)}: label map is {w}x{h}, "
+                f"{images_path} declares {im.width_px}x{im.height_px} for '{im.image_id}'"
             )
     extra = set(label_maps) - {im.image_id for im in images}
     if extra:

@@ -1,0 +1,226 @@
+"""Label maps as row runs, and the two mask file formats that hold them.
+
+A label map assigns each pixel the byte of its category. Labelling and the
+grammar read it as row runs (LabelRuns). It is stored as binary PGM (P5, one
+byte per pixel, as a segmentation network writes it) or as a run-length .rle
+file; both readers return runs, so no full-size pixel array outlives a read.
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass
+from typing import BinaryIO
+
+import numpy as np
+
+
+class BundleError(ValueError):
+    """Raised when bundle inputs violate the format contract. Label maps are
+    the format's lowest layer, so it is defined here; rop.ingest raises it for
+    every other bundle file."""
+
+
+@dataclass(frozen=True, eq=False)
+class LabelRuns:
+    """A label map as its row runs, the one form labelling and the grammar
+    read. Run i holds values[i] from flat pixel index starts[i] up to the next
+    run's start (width * height after the last run). Every row begins a run,
+    no run is empty, and neighbouring runs in one row differ in value."""
+
+    starts: np.ndarray  # int64, ascending from 0
+    values: np.ndarray  # uint8
+    width: int
+    height: int
+
+    def rows(self, y0: int, y1: int) -> np.ndarray:
+        """Pixel rows y0 .. y1 - 1 (0 <= y0 <= y1 <= height) as a uint8 array
+        of shape (y1 - y0, width); no other row is decoded."""
+        w = self.width
+        i0, i1 = np.searchsorted(self.starts, (y0 * w, y1 * w))
+        starts = self.starts[i0:i1]
+        lengths = np.append(starts[1:], y1 * w) - starts
+        return np.repeat(self.values[i0:i1], lengths).reshape(y1 - y0, w)
+
+
+def _runs(flat: np.ndarray, change: np.ndarray, w: int, h: int) -> LabelRuns:
+    """The runs of the row-major raster flat, using change (bool, same size)
+    as scratch. The result shares no memory with either array."""
+    # A run starts at column 0 or where the value differs from its left
+    # neighbour, so runs never span rows.
+    change[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=change[1:])
+    change[::w] = True
+    starts = np.flatnonzero(change)
+    return LabelRuns(starts, flat[starts], w, h)
+
+
+def runs_of(label_map: np.ndarray) -> LabelRuns:
+    """The row runs of a 2-D array of label bytes."""
+    if label_map.ndim != 2:
+        raise ValueError("label map must be 2-D")
+    h, w = label_map.shape
+    flat = np.ascontiguousarray(label_map, dtype=np.uint8).ravel()
+    return _runs(flat, np.empty(flat.size, dtype=bool), w, h)
+
+
+def _pgm_header(fh: BinaryIO, path: str) -> tuple[int, int]:
+    """Parse a P5 header from the start of fh: returns (width, height) and
+    leaves fh at the first raster byte. Reads on until the header is
+    complete, so comments of any length are fine."""
+    data = fh.read(512)
+    if data[:2] != b"P5":
+        raise BundleError(f"{path}: not a binary PGM (bad magic {data[:2]!r})")
+    while True:
+        tokens: list[bytes] = []
+        i = 2
+        n = len(data)
+        while i < n and len(tokens) < 3:
+            c = data[i : i + 1]
+            if c in b" \t\r\n":
+                i += 1
+                continue
+            if c == b"#":
+                j = data.find(b"\n", i)
+                i = n if j < 0 else j + 1
+                continue
+            j = i
+            while j < n and data[j : j + 1] not in b" \t\r\n#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+        # The last token is only known to be whole once a byte follows it.
+        if len(tokens) == 3 and i < n:
+            break
+        more = fh.read(n)
+        if not more:
+            raise BundleError(f"{path}: truncated PGM header")
+        data += more
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError as exc:
+        raise BundleError(f"{path}: malformed PGM header") from exc
+    if w <= 0 or h <= 0:
+        raise BundleError(f"{path}: bad PGM dimensions {w}x{h}")
+    if maxval > 255:
+        raise BundleError(f"{path}: 16-bit PGM not supported (maxval {maxval})")
+    fh.seek(i + 1)  # one whitespace byte separates header and raster
+    return w, h
+
+
+class PgmBuffers:
+    """The raster and run-start mask read_pgm scans a map in, kept from one
+    read to the next: two fresh map-sized arrays per image cost more in page
+    faults than the scan. The runs read_pgm returns share no memory with them."""
+
+    def __init__(self) -> None:
+        self._raster = np.empty(0, dtype=np.uint8)
+        self._change = np.empty(0, dtype=bool)
+
+    def __reduce__(self):
+        # Scratch space only: a copy sent to a worker process starts empty.
+        return (PgmBuffers, ())
+
+    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._raster.size < n:
+            self._raster = np.empty(n, dtype=np.uint8)
+            self._change = np.empty(n, dtype=bool)
+        return self._raster[:n], self._change[:n]
+
+
+def read_pgm(path: str, buffers: PgmBuffers | None = None) -> LabelRuns:
+    with open(path, "rb") as fh:
+        w, h = _pgm_header(fh, path)
+        n = w * h
+        raster, change = (buffers or PgmBuffers()).take(n)
+        got = fh.readinto(raster)
+    if got < n:
+        raise BundleError(f"{path}: truncated raster ({got} of {n} bytes)")
+    return _runs(raster, change, w, h)
+
+
+def read_pgm_size(path: str) -> tuple[int, int]:
+    with open(path, "rb") as fh:
+        return _pgm_header(fh, path)
+
+
+def write_pgm(path: str, arr: np.ndarray) -> None:
+    a = np.ascontiguousarray(arr, dtype=np.uint8)
+    if a.ndim != 2:
+        raise ValueError("label map must be 2-D")
+    h, w = a.shape
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n%d %d\n255\n" % (w, h))
+        fh.write(a.tobytes())
+
+
+# A run-length label map: a 16-byte header of the magic b"RLE1" and the width,
+# height and run count n as little-endian uint32, then the n run lengths as
+# little-endian uint32 and the n run values as bytes, runs in row-major order.
+RLE_MAGIC = b"RLE1"
+_RLE_HEADER = struct.Struct("<4sIII")
+
+
+def _rle_header(fh: BinaryIO, path: str) -> tuple[int, int, int]:
+    """(width, height, run count) from the start of fh."""
+    head = fh.read(_RLE_HEADER.size)
+    if len(head) < _RLE_HEADER.size:
+        raise BundleError(f"{path}: truncated RLE header")
+    magic, w, h, n = _RLE_HEADER.unpack(head)
+    if magic != RLE_MAGIC:
+        raise BundleError(f"{path}: not a run-length label map (bad magic {magic!r})")
+    if w == 0 or h == 0:
+        raise BundleError(f"{path}: bad RLE dimensions {w}x{h}")
+    return w, h, n
+
+
+def _run_fault(
+    lengths: np.ndarray, starts: np.ndarray, values: np.ndarray, w: int, h: int
+) -> str | None:
+    """What keeps these runs from being a LabelRuns of a w x h map, or None."""
+    empty = np.flatnonzero(lengths == 0)
+    if empty.size:
+        return f"run {empty[0]} has length 0"
+    covered = int(starts[-1] + lengths[-1]) if lengths.size else 0
+    if covered != w * h:
+        return f"runs cover {covered} pixels, not {w}x{h} = {w * h}"
+    row = starts // w
+    crossing = np.flatnonzero((starts + lengths - 1) // w != row)
+    if crossing.size:
+        i = crossing[0]
+        return f"run {i} crosses the end of row {row[i]}"
+    split = np.flatnonzero((values[1:] == values[:-1]) & (starts[1:] % w != 0)) + 1
+    if split.size:
+        i = split[0]
+        return f"runs {i - 1} and {i} in row {row[i]} both hold value {values[i]}"
+    return None
+
+
+def read_rle(path: str) -> LabelRuns:
+    with open(path, "rb") as fh:
+        w, h, n = _rle_header(fh, path)
+        body = fh.read()
+    if len(body) != 5 * n:
+        raise BundleError(
+            f"{path}: {len(body)} bytes of runs, the header declares {n} runs ({5 * n} bytes)"
+        )
+    lengths = np.frombuffer(body, dtype="<u4", count=n)
+    values = np.frombuffer(body, dtype=np.uint8, count=n, offset=4 * n)
+    starts = np.cumsum(lengths, dtype=np.int64) - lengths
+    fault = _run_fault(lengths, starts, values, w, h)
+    if fault:
+        raise BundleError(f"{path}: {fault}")
+    return LabelRuns(starts, values, w, h)
+
+
+def read_rle_size(path: str) -> tuple[int, int]:
+    with open(path, "rb") as fh:
+        return _rle_header(fh, path)[:2]
+
+
+def write_rle(path: str, runs: LabelRuns) -> None:
+    lengths = np.diff(runs.starts, append=runs.width * runs.height)
+    with open(path, "wb") as fh:
+        fh.write(_RLE_HEADER.pack(RLE_MAGIC, runs.width, runs.height, runs.values.size))
+        fh.write(lengths.astype("<u4").tobytes())
+        fh.write(runs.values.astype(np.uint8).tobytes())

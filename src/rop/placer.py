@@ -35,7 +35,7 @@ from .ingest import (
     Bundle,
     BundleError,
     ImageMeta,
-    PgmDirectory,
+    MaskDirectory,
     Track,
     build_tracks,
     correct_track,
@@ -297,7 +297,7 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
     placement reads, as a one-buffer Bundle.
 
     A slice holds the buffer's images with their detections and label maps
-    (still lazy for a PgmDirectory), and the footprints with a vertex within
+    (still lazy for a MaskDirectory), and the footprints with a vertex within
     2 * radius_m + corner_radius_m of the center. That bound loses nothing:
     select_corners keeps only footprints with a vertex within corner_radius_m
     of a camera, and a track-corrected camera stays within 2 * radius_m of
@@ -331,7 +331,7 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
             Bundle(
                 images=kept,
                 label_maps=(
-                    maps.only(ids) if isinstance(maps, PgmDirectory) else {i: maps[i] for i in ids}
+                    maps.only(ids) if isinstance(maps, MaskDirectory) else {i: maps[i] for i in ids}
                 ),
                 detections={i: bundle.detections[i] for i in ids if i in bundle.detections},
                 footprints=[
@@ -348,9 +348,9 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
 def _track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
     trees = []
     for img in track.images:
-        label_map = part.label_maps[img.image_id]
-        objs, tallest = scene_objects(label_map, part.detections.get(img.image_id, []), cfg)
-        objs, groups = apply_grammar(objs, label_map, tallest, cfg)
+        runs = part.label_maps[img.image_id]
+        objs, tallest = scene_objects(runs, part.detections.get(img.image_id, []), cfg)
+        objs, groups = apply_grammar(objs, runs, tallest, cfg)
         trees.append(build_atbt(objs, groups, img.image_id, img.width_px))
     return trees
 
@@ -471,10 +471,23 @@ def to_geojson(placed: list[PlacedObject]) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
+def _text(props: dict, key: str, where: str, default=None, nullable: bool = False) -> str | None:
+    """props[key] (default if absent) as a string; a BundleError naming the
+    record unless it is a string, or null where nullable."""
+    value = props.get(key, default)
+    if value is None and nullable:
+        return None
+    if not isinstance(value, str):
+        raise BundleError(f"{where}: {key} must be a string" + (" or null" if nullable else ""))
+    return value
+
+
 def from_geojson(doc: dict) -> list[PlacedObject]:
     """The objects of a placed-object GeoJSON document, as to_geojson writes
-    it. A feature without a Point's [lon, lat] numbers, or with a support or
-    confidence that is not a number, is a BundleError naming features[i]."""
+    it. A feature without a Point's [lon, lat] numbers, a number property
+    that is not a number, a string property that is not a string, or
+    source_images that is not a list of strings is a BundleError naming
+    features[i]."""
     if not isinstance(doc, dict):
         raise BundleError("expected a GeoJSON FeatureCollection")
     out = []
@@ -487,18 +500,25 @@ def from_geojson(doc: dict) -> list[PlacedObject]:
         props = feat.get("properties", {})
         if not isinstance(props, dict):
             raise BundleError(f"{where}: properties must be an object")
+        position = _point(coords[1], coords[0], where)
+        support = _number(props.get("support", 1), "support", where, int)
+        confidence = _number(props.get("confidence", 1.0), "confidence", where)
+        height = props.get("height_m")
+        sources = props.get("source_images", [])
+        if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
+            raise BundleError(f"{where}: source_images must be a list of strings")
         out.append(
             PlacedObject(
-                category=props.get("category"),
-                subtype=props.get("subtype"),
-                light_kind=props.get("light_kind"),
-                position=_point(coords[1], coords[0], where),
-                height_m=props.get("height_m"),
-                source_images=list(props.get("source_images", [])),
-                support=_number(props.get("support", 1), "support", where, int),
+                category=_text(props, "category", where),
+                subtype=_text(props, "subtype", where, nullable=True),
+                light_kind=_text(props, "light_kind", where, nullable=True),
+                position=position,
+                height_m=None if height is None else _number(height, "height_m", where),
+                source_images=list(sources),
+                support=support,
                 inferred_only=bool(props.get("inferred_only", False)),
-                intersection_id=props.get("intersection_id", ""),
-                confidence=_number(props.get("confidence", 1.0), "confidence", where),
+                intersection_id=_text(props, "intersection_id", where, default=""),
+                confidence=confidence,
             )
         )
     return out

@@ -13,6 +13,7 @@ import numpy as np
 
 from .config import RunConfig
 from .ingest import CATEGORY_IDS, CATEGORY_NAMES, Detection
+from .labelmap import LabelRuns
 
 
 @dataclass
@@ -39,7 +40,7 @@ class SceneObject:
 
 
 def extract_regions(
-    label_map: np.ndarray, categories: list[str], min_region_px: int
+    runs: LabelRuns, categories: list[str], min_region_px: int
 ) -> list[Region]:
     """Connected components (4-connectivity) of the given categories, smaller
     than min_region_px dropped, ordered by (category id, first pixel index).
@@ -49,25 +50,16 @@ def extract_regions(
     the requested categories than pixels. Every moment stays an exact
     integer until the one division by area.
     """
-    if label_map.ndim != 2:
-        raise ValueError("label map must be 2-D")
-    w = label_map.shape[1]
-    flat = label_map.ravel()
-    # A run starts at column 0 or where the value differs from its left
-    # neighbour; it ends where the next run starts, so runs never span rows.
-    new_run = np.empty(flat.size, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=new_run[1:])
-    new_run[::w] = True
-    bounds = np.append(np.flatnonzero(new_run), flat.size)
+    w = runs.width
     # A label map holds one byte per pixel, so a 256-entry table picks the runs.
     wanted = np.zeros(256, dtype=bool)
     wanted[[CATEGORY_IDS[n] for n in categories]] = True
-    keep = np.flatnonzero(wanted[flat[bounds[:-1]]])
+    keep = np.flatnonzero(wanted[runs.values])
     if keep.size == 0:
         return []
-    start, end = bounds[keep], bounds[keep + 1]
-    value = flat[start]
+    start = runs.starts[keep]
+    end = np.append(runs.starts, w * runs.height)[keep + 1]
+    value = runs.values[keep]
     # Kept runs are disjoint and sorted, so the runs one row up that share a
     # column with run i are the contiguous index range [lo[i], hi[i]).
     lo = np.searchsorted(end, start - w, side="right")
@@ -201,14 +193,14 @@ def reconcile(
 
 
 def scene_objects(
-    label_map: np.ndarray,
+    runs: LabelRuns,
     detections: list[Detection],
     cfg: RunConfig = RunConfig(),
 ) -> tuple[list[SceneObject], int]:
     """One image's reconciled objects and its tallest pedestrian height in
-    pixels (0 if none), from a single extraction over the label map."""
+    pixels (0 if none), from a single extraction over the label map's runs."""
     regions = extract_regions(
-        label_map,
+        runs,
         ["sidewalk", "pedestrian", "traffic_light", "traffic_sign"],
         cfg.min_region_px,
     )

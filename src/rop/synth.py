@@ -25,8 +25,8 @@ from .ingest import (
     Detection,
     ImageMeta,
     IntersectionBuffer,
-    write_pgm,
 )
+from .labelmap import LabelRuns, runs_of, write_rle
 from .placer import PlacedObject, to_geojson
 
 _NEAR_M = 0.2
@@ -354,11 +354,11 @@ def render_bundle(layout: Layout) -> tuple[Bundle, list[PlacedObject]]:
     validate_layout(layout)
     frame = make_frame(layout.center)
     images: list[ImageMeta] = []
-    label_maps: dict[str, np.ndarray] = {}
+    label_maps: dict[str, LabelRuns] = {}
     detections: dict[str, list[Detection]] = {}
     for pose in layout.cameras:
         canvas, dets = render_image(layout, pose)
-        label_maps[pose.image_id] = canvas
+        label_maps[pose.image_id] = runs_of(canvas)
         if dets:
             detections[pose.image_id] = dets
         images.append(
@@ -405,8 +405,8 @@ def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
     out = Path(out_dir)
     masks = out / "masks"
     masks.mkdir(parents=True, exist_ok=True)
-    for image_id, arr in bundle.label_maps.items():
-        write_pgm(str(masks / f"{image_id}.pgm"), arr)
+    for image_id, runs in bundle.label_maps.items():
+        write_rle(str(masks / f"{image_id}.rle"), runs)
     images_doc = [
         {
             "image_id": im.image_id,

@@ -32,6 +32,7 @@ from rop.geo import (
 )
 from rop.grammar import apply_grammar, classify_light, merge_sidewalks
 from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks, correct_track
+from rop.labelmap import runs_of
 from rop.placer import run_intersection, select_corners, slice_bundle
 from rop.scene import scene_objects
 from rop.synth import (
@@ -196,11 +197,12 @@ def _ring_counts(canvas: np.ndarray, bbox, ring_px: int) -> tuple[int, int]:
 
 def _classify_one(layout: Layout) -> tuple[str, object]:
     canvas, dets = render_image(layout, layout.cameras[0])
-    objs, tallest = scene_objects(canvas, dets)
+    runs = runs_of(canvas)
+    objs, tallest = scene_objects(runs, dets)
     lights = [o for o in objs if o.category == "traffic_light"]
     if len(lights) != 1:
         return "NONE", None
-    kind = classify_light(lights[0], canvas, tallest or None, RunConfig())
+    kind = classify_light(lights[0], runs, tallest or None, RunConfig())
     return kind, (canvas, lights[0])
 
 
@@ -266,8 +268,9 @@ def _pair_scene(cam_x: float, building_h: float, intersection_id: str) -> Layout
 
 def _grammar_lights(layout: Layout) -> tuple[list, list]:
     canvas, dets = render_image(layout, layout.cameras[0])
-    objs, tallest = scene_objects(canvas, dets)
-    objs, _ = apply_grammar(objs, canvas, tallest)
+    runs = runs_of(canvas)
+    objs, tallest = scene_objects(runs, dets)
+    objs, _ = apply_grammar(objs, runs, tallest)
     lights = [o for o in objs if o.category == "traffic_light"]
     return [o for o in lights if not o.inferred], [o for o in lights if o.inferred]
 
@@ -619,8 +622,9 @@ def test_criterion_7_determinism(tmp_path):
                    "buffers.json", "truth.geojson", "layouts.json"]
     for name in synth_files:
         assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes(), name
-    masks = sorted(p.name for p in (bundles[0] / "masks").glob("*.pgm"))
-    assert masks == sorted(p.name for p in (bundles[1] / "masks").glob("*.pgm"))
+    masks = sorted(p.name for p in (bundles[0] / "masks").iterdir())
+    assert masks, "synth wrote no masks"
+    assert masks == sorted(p.name for p in (bundles[1] / "masks").iterdir())
     for name in masks:
         assert (bundles[0] / "masks" / name).read_bytes() == (
             bundles[1] / "masks" / name

@@ -8,16 +8,20 @@ import json
 import math
 import os
 import random
+import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop.cli import main
 from rop.geo import GeoPoint, LocalPoint
+from rop.labelmap import read_rle, write_pgm
 from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
 
 SRC = Path(__file__).parents[1] / "src"
@@ -79,16 +83,88 @@ def test_place_is_deterministic_and_jobs_invariant(bundle_dir, tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-def test_corrupt_pgm_names_file(bundle_dir, tmp_path, capsys):
-    import shutil
+def copy_with_pgm_masks(src: Path, dst: Path, image_ids=None) -> Path:
+    """A copy of the bundle in src whose masks, those of image_ids or all of
+    them, are rewritten from run-length files to PGM by write_pgm."""
+    shutil.copytree(src, dst)
+    for path in sorted((dst / "masks").glob("*.rle")):
+        if image_ids is None or path.stem in image_ids:
+            runs = read_rle(str(path))
+            write_pgm(str(path.with_suffix(".pgm")), runs.rows(0, runs.height))
+            path.unlink()
+    return dst
 
-    broken = tmp_path / "broken"
-    shutil.copytree(bundle_dir, broken)
+
+def test_corrupt_pgm_names_file(bundle_dir, tmp_path, capsys):
+    broken = copy_with_pgm_masks(bundle_dir, tmp_path / "broken")
     victim = sorted((broken / "masks").glob("*.pgm"))[0]
     victim.write_bytes(b"P6\n3 3\n255\n" + b"\0" * 27)
     rc = main(place_args(broken, tmp_path / "pred.geojson"))
     assert rc == 2
     assert victim.name in capsys.readouterr().err
+
+
+def _crossing(w, h, lengths, values):
+    # Move one pixel from the first run of row 1 to the last run of row 0.
+    k = int(np.searchsorted(np.cumsum(lengths), w))
+    assert lengths[k + 1] >= 2
+    lengths[k] += 1
+    lengths[k + 1] -= 1
+    return w, h, lengths, values
+
+
+def _split(w, h, lengths, values):
+    assert lengths[0] >= 2
+    return w, h, [1, lengths[0] - 1, *lengths[1:]], [values[0], *values]
+
+
+BAD_RLE_EDITS = [
+    pytest.param(lambda w, h, L, V: (w, h + 1, L + [w], V + [0]), "declares 1024x768", id="size"),
+    pytest.param(lambda w, h, L, V: (w, h, L, [9, *V[1:]]), "value 9 at row 0, column 0", id="category"),
+    pytest.param(lambda w, h, L, V: (w, h, [*L[:-1], L[-1] + 1], V), "runs cover", id="coverage"),
+    pytest.param(_crossing, "crosses the end of row 0", id="row-crossing"),
+    pytest.param(lambda w, h, L, V: (w, h, [L[0], 0, *L[1:]], [V[0], 0, *V[1:]]), "has length 0", id="empty-run"),
+    pytest.param(_split, "both hold value", id="split-run"),
+]
+
+
+@pytest.mark.parametrize("edit, fragment", BAD_RLE_EDITS)
+def test_bad_rle_mask_names_file(edit, fragment, bundle_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(bundle_dir, broken)
+    victim = sorted((broken / "masks").glob("*.rle"))[0]
+    data = victim.read_bytes()
+    magic, w, h, n = struct.unpack_from("<4sIII", data)
+    lengths = list(struct.unpack_from(f"<{n}I", data, 16))
+    w, h, lengths, values = edit(w, h, lengths, list(data[16 + 4 * n :]))
+    victim.write_bytes(
+        struct.pack(f"<4sIII{len(lengths)}I", magic, w, h, len(lengths), *lengths) + bytes(values)
+    )
+    assert main(place_args(broken, tmp_path / "pred.geojson")) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and victim.name in err
+
+
+def test_pgm_mask_outside_categories_names_file(bundle_dir, tmp_path, capsys):
+    broken = copy_with_pgm_masks(bundle_dir, tmp_path / "broken")
+    victim = sorted((broken / "masks").glob("*.pgm"))[0]
+    data = bytearray(victim.read_bytes())
+    data[-1] = 200  # the last pixel
+    victim.write_bytes(bytes(data))
+    assert main(place_args(broken, tmp_path / "pred.geojson")) == 2
+    err = capsys.readouterr().err
+    assert "value 200 at row 767, column 1023" in err and victim.name in err
+
+
+def test_two_masks_for_one_image_names_both(bundle_dir, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(bundle_dir, broken)
+    rle = sorted((broken / "masks").glob("*.rle"))[0]
+    runs = read_rle(str(rle))
+    write_pgm(str(rle.with_suffix(".pgm")), runs.rows(0, runs.height))
+    assert main(place_args(broken, tmp_path / "pred.geojson")) == 2
+    err = capsys.readouterr().err
+    assert rle.name in err and rle.with_suffix(".pgm").name in err
 
 
 NUMBER_FIELDS = [
@@ -220,6 +296,34 @@ def test_dump_trees_output_is_pinned(bundle_dir, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_TREES_SHA256
 
 
+@pytest.fixture(scope="module")
+def pgm_bundle_dir(bundle_dir, tmp_path_factory):
+    return copy_with_pgm_masks(bundle_dir, tmp_path_factory.mktemp("pgm") / "bundle")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_place_from_pgm_masks_is_pinned(jobs, pgm_bundle_dir, tmp_path):
+    out = tmp_path / "pred.geojson"
+    assert main(place_args(pgm_bundle_dir, out, ["--jobs", jobs])) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE_SHA256
+    trees = tmp_path / "trees.json"
+    assert main(["dump-trees", *place_args(pgm_bundle_dir, trees)[1:]]) == 0
+    assert hashlib.sha256(trees.read_bytes()).hexdigest() == DUMP_TREES_SHA256
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.data())
+def test_place_from_mixed_masks_is_pinned(bundle_dir, tmp_path_factory, data):
+    # Any split of the masks between PGM and run-length files places the
+    # same bytes.
+    images = [im["image_id"] for im in json.loads((bundle_dir / "images.json").read_text())]
+    as_pgm = data.draw(st.sets(st.sampled_from(images)))
+    mixed = copy_with_pgm_masks(bundle_dir, tmp_path_factory.mktemp("mixed") / "bundle", as_pgm)
+    out = mixed / "pred.geojson"
+    assert main(place_args(mixed, out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE_SHA256
+
+
 def fresh_env(openblas_threads: str | None = None) -> dict[str, str]:
     """The environment of a new interpreter on rop's source.
     OPENBLAS_NUM_THREADS is unset unless given (importing rop.cli here has set
@@ -298,6 +402,13 @@ def test_synth_invalid_layout_is_input_error(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "o"), "--layout", str(bad)])
     assert rc == 2
     assert "invalid layout" in capsys.readouterr().err
+
+
+def test_synth_layout_invalid_json_names_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{\n")
+    assert main(["synth", "--out", str(tmp_path / "o"), "--layout", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_synth_requires_exactly_one_source(tmp_path):
@@ -391,6 +502,26 @@ def _truth_with(bundle: Path, bad_feature: dict) -> dict:
             "features[1]: support must be a number",
             id="null-support",
         ),
+    ]
+    + [
+        pytest.param(
+            {
+                "geometry": {"type": "Point", "coordinates": [13.4, 52.5]},
+                "properties": {"category": "traffic_sign", **props},
+            },
+            f"features[1]: {fragment}",
+            id=name,
+        )
+        for name, props, fragment in [
+            ("sources-number", {"source_images": 5}, "source_images must be a list of strings"),
+            ("sources-mixed", {"source_images": ["a", 3]}, "source_images must be a list of strings"),
+            ("category-number", {"category": 5}, "category must be a string"),
+            ("category-missing", {"category": None}, "category must be a string"),
+            ("subtype-number", {"subtype": 3}, "subtype must be a string or null"),
+            ("light-kind-list", {"light_kind": ["high"]}, "light_kind must be a string or null"),
+            ("intersection-number", {"intersection_id": 7}, "intersection_id must be a string"),
+            ("height-string", {"height_m": "7"}, "height_m must be a number"),
+        ]
     ],
 )
 @pytest.mark.parametrize("flag", ["--pred", "--ref"])
@@ -403,6 +534,13 @@ def test_eval_rejects_malformed_feature(flag, feature, fragment, bundle_dir, tmp
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"{bad}: {fragment}" in err
+
+
+@pytest.mark.parametrize("radius", ["nan", "-5", "0", "inf"])
+def test_eval_rejects_bad_radius(radius, bundle_dir, capsys):
+    truth = str(bundle_dir / "truth.geojson")
+    assert main(["eval", "--pred", truth, "--ref", truth, "--radius", radius]) == 2
+    assert "--radius must be finite and > 0" in capsys.readouterr().err
 
 
 def test_eval_rejects_non_object_document(bundle_dir, tmp_path, capsys):
@@ -451,17 +589,28 @@ def test_config_rejects_removed_key(key, capsys):
     assert "unknown config key" in err and key in err
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    """Replace module.name with a wrapper that records the arguments of each call."""
+def _count_calls(monkeypatch, module, *names) -> list:
+    """Replace each module.name with a wrapper that records the arguments of
+    each call, all in one list."""
     calls = []
-    real = getattr(module, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counting)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return calls
+
+
+def _count_mask_reads(monkeypatch) -> list:
+    """Every label-map read, from either mask format."""
+    import rop.ingest
+
+    return _count_calls(monkeypatch, rop.ingest, "read_rle", "read_pgm")
 
 
 INVALID_VALUES = [
@@ -482,11 +631,9 @@ INVALID_VALUES = [
 
 @pytest.mark.parametrize("override", INVALID_VALUES)
 def test_config_rejects_invalid_value(override, bundle_dir, tmp_path, monkeypatch, capsys):
-    import rop.ingest
-
     assert main(["config", "--show", "--set", override]) == 2
     assert override.split("=")[0] in capsys.readouterr().err
-    reads = _count_calls(monkeypatch, rop.ingest, "read_pgm")
+    reads = _count_mask_reads(monkeypatch)
     out = tmp_path / "pred.geojson"
     assert main(place_args(bundle_dir, out, ["--set", override])) == 2
     assert override.split("=")[0] in capsys.readouterr().err
@@ -494,9 +641,7 @@ def test_config_rejects_invalid_value(override, bundle_dir, tmp_path, monkeypatc
 
 
 def test_place_rejects_invalid_config_before_reading_maps(bundle_dir, tmp_path, monkeypatch, capsys):
-    import rop.ingest
-
-    calls = _count_calls(monkeypatch, rop.ingest, "read_pgm")
+    calls = _count_mask_reads(monkeypatch)
     out = tmp_path / "pred.geojson"
     assert main(place_args(bundle_dir, out, ["--set", "ring_px=0"])) == 2
     assert "ring_px" in capsys.readouterr().err

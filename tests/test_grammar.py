@@ -18,6 +18,7 @@ from rop.grammar import (
     side_of,
 )
 from rop.ingest import CATEGORY_IDS
+from rop.labelmap import runs_of
 from rop.scene import SceneObject
 
 SKY = CATEGORY_IDS["sky"]
@@ -79,14 +80,14 @@ def light_raster(
 
 def test_classify_sky_and_long_drop_is_high():
     lab, light = light_raster(surround=SKY, ground_row=305)  # d = 200
-    kind = classify_light(light, lab, tallest_ped=40, cfg=CFG)
+    kind = classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG)
     assert kind == "high"
     assert light.light_kind == "high"
 
 
 def test_classify_building_and_short_drop_is_low():
     lab, light = light_raster(surround=BUILDING, ground_row=165)  # d = 60
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "low"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "low"
 
 
 def test_classify_fallback_pedestrian_scale():
@@ -96,50 +97,50 @@ def test_classify_fallback_pedestrian_scale():
     lab[50:61, 300:309] = LIGHT
     lab[655:, :] = ROAD
     light = obj("light0", "traffic_light", (55.0, 304.0), bbox=(300.0, 50.0, 9.0, 11.0))
-    assert classify_light(light, lab, tallest_ped=None, cfg=CFG) == "high"
+    assert classify_light(light, runs_of(lab), tallest_ped=None, cfg=CFG) == "high"
 
 
 def test_classify_surround_wins_disagreement():
     # Sky ring but a drop of only 60 px (suggesting low): surround wins.
     lab, light = light_raster(surround=SKY, ground_row=165)
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "high"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "high"
     # Building ring with a 200 px drop (suggesting high): surround wins.
     lab, light = light_raster(surround=BUILDING, ground_row=305)
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "low"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "low"
 
 
 def test_classify_ambiguity_band_goes_to_surround():
     # d = 100 with h = 40 is under 3h, but the building ring decides.
     lab, light = light_raster(surround=BUILDING, ground_row=205)
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "low"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "low"
 
 
 def test_classify_tied_surround_uses_ray_alone():
     lab, light = light_raster(surround=0, ground_row=305)  # d = 200 > 3h
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "high"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "high"
     lab, light = light_raster(surround=0, ground_row=184)  # d = 79 <= 3h
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "low"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "low"
 
 
 def test_classify_ray_exit_uses_surround_alone():
     lab, light = light_raster(surround=SKY, ground_row=None)
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "high"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "high"
 
 
 def test_classify_no_cues_defaults_low():
     lab, light = light_raster(surround=0, ground_row=None)
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "low"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "low"
 
 
 def test_classify_sidewalk_stops_ray():
     lab, light = light_raster(surround=BUILDING, ground_row=165, ground=WALK)
-    assert classify_light(light, lab, tallest_ped=40, cfg=CFG) == "low"
+    assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "low"
 
 
 def test_classify_rejects_non_light():
     lab, _ = light_raster()
     with pytest.raises(ValueError):
-        classify_light(obj("s", "traffic_sign", (10.0, 10.0)), lab)
+        classify_light(obj("s", "traffic_sign", (10.0, 10.0)), runs_of(lab))
 
 
 @settings(max_examples=40, deadline=None)
@@ -153,10 +154,62 @@ def test_classify_total_and_deterministic(seed):
     c = float(rng.uniform(1, 78))
     make = lambda: obj("l", "traffic_light", (r, c), bbox=(c - 1, r - 1, 3.0, 3.0))
     a, b = make(), make()
-    ka = classify_light(a, lab, tallest_ped=12, cfg=CFG)
-    kb = classify_light(b, lab, tallest_ped=12, cfg=CFG)
+    ka = classify_light(a, runs_of(lab), tallest_ped=12, cfg=CFG)
+    kb = classify_light(b, runs_of(lab), tallest_ped=12, cfg=CFG)
     assert ka in ("high", "low")
     assert ka == kb
+
+
+def classify_on_pixels(light, lab, tallest_ped, cfg):
+    """classify_light computed on the full pixel raster: a bincount over the
+    ring cut out of the array, and a ray read down the array's column."""
+    big_h, big_w = lab.shape
+    x, y, w, h = light.bbox
+    x0, y0 = int(np.floor(x)), int(np.floor(y))
+    x1, y1 = int(np.ceil(x + w)), int(np.ceil(y + h))
+    ring = cfg.ring_px
+    outer = np.bincount(
+        lab[max(0, y0 - ring) : y1 + ring, max(0, x0 - ring) : x1 + ring].ravel(), minlength=256
+    )
+    inner = np.bincount(lab[max(0, y0) : y1, max(0, x0) : x1].ravel(), minlength=256)
+    surround = (outer - inner)[[SKY, BUILDING]]
+    if surround[0] != surround[1]:
+        return "high" if surround[0] > surround[1] else "low"
+    row, col = light.centroid
+    c = min(max(int(round(col)), 0), big_w - 1)
+    r0 = int(round(row))
+    column = lab[r0 + 1 :, c]
+    hits = np.flatnonzero((column == ROAD) | (column == WALK))
+    scale = float(tallest_ped) if tallest_ped else cfg.pedestrian_fallback_frac * big_h
+    return "high" if hits.size and r0 + 1 + hits[0] - row > cfg.high_factor * scale else "low"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.integers(1, 80),
+    st.sampled_from([None, 1, 3, 12]),
+    st.sampled_from([1, 4, 15]),
+    st.booleans(),
+    st.sampled_from([0.05, 0.1, 0.6, 1.0]),
+)
+def test_classify_from_runs_matches_pixels(seed, h, w, tallest_ped, ring_px, surround, density):
+    rng = np.random.default_rng(seed)
+    # Without sky and building above the ground the surround ties, and the
+    # ray decides. Sparse ground pixels start runs of their own, so the ray
+    # must read the run that holds each pixel, not its left neighbour's.
+    above = np.array([0, BUILDING, SKY] if surround else [0], dtype=np.uint8)
+    lab = rng.choice(above, size=(h, w))
+    g = int(rng.integers(0, h + 1))
+    ground = rng.choice(np.array([ROAD, WALK], dtype=np.uint8), size=(h - g, w))
+    lab[g:] = np.where(rng.random((h - g, w)) < density, ground, lab[g:])
+    r, c = float(rng.uniform(0, h - 1)), float(rng.uniform(0, w - 1))
+    bw, bh = float(rng.uniform(0.5, 9)), float(rng.uniform(0.5, 9))
+    light = obj("l", "traffic_light", (r, c), bbox=(c - bw / 2, r - bh / 2, bw, bh))
+    cfg = RunConfig(ring_px=ring_px)
+    want = classify_on_pixels(light, lab, tallest_ped, cfg)
+    assert classify_light(light, runs_of(lab), tallest_ped=tallest_ped, cfg=cfg) == want
 
 
 def test_grammar_config_invariants():
@@ -489,8 +542,9 @@ def test_apply_grammar_end_to_end():
     lab[250:280, 700:1000] = WALK
     from rop.scene import scene_objects
 
-    objs, tallest = scene_objects(lab, [], CFG)
-    out, groups = apply_grammar(objs, lab, tallest, CFG)
+    runs = runs_of(lab)
+    objs, tallest = scene_objects(runs, [], CFG)
+    out, groups = apply_grammar(objs, runs, tallest, CFG)
     lights = [o for o in out if o.category == "traffic_light"]
     assert {o.light_kind for o in lights} == {"low"}
     real = [o for o in lights if not o.inferred]

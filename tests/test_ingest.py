@@ -1,9 +1,11 @@
-"""Bundle loading, PGM I/O, buffers, tracks, and GPS correction."""
+"""Bundle loading, label-map I/O, buffers, tracks, and GPS correction."""
 
 from __future__ import annotations
 
 import json
 import math
+import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from rop.ingest import (
     Detection,
     ImageMeta,
     IntersectionBuffer,
-    PgmDirectory,
+    MaskDirectory,
     Track,
     build_tracks,
     correct_track,
@@ -31,9 +33,17 @@ from rop.ingest import (
     load_footprints,
     load_images,
     load_inputs,
+)
+from rop.labelmap import (
+    LabelRuns,
+    PgmBuffers,
     read_pgm,
     read_pgm_size,
+    read_rle,
+    read_rle_size,
+    runs_of,
     write_pgm,
+    write_rle,
 )
 
 BERLIN = GeoPoint(52.52, 13.405)
@@ -70,25 +80,38 @@ def test_category_ids_are_unique_bytes():
 
 
 # ---------------------------------------------------------------------------
-# PGM I/O. The reference raster below is assembled by hand, byte by byte,
-# so read_pgm is checked against the format itself rather than write_pgm.
+# Label-map I/O (rop.labelmap) and the mask directory. The reference files
+# below are assembled by hand, byte by byte, so the readers are checked
+# against the formats themselves rather than against the writers.
+
+
+def pixels(runs: LabelRuns) -> np.ndarray:
+    return runs.rows(0, runs.height)
+
+
+def same_runs(a: LabelRuns, b: LabelRuns) -> bool:
+    return (
+        (a.width, a.height) == (b.width, b.height)
+        and np.array_equal(a.starts, b.starts)
+        and np.array_equal(a.values, b.values)
+    )
 
 
 def test_read_pgm_hand_assembled(tmp_path):
     raster = bytes([0, 1, 2, 3, 4, 5])
     path = tmp_path / "tiny.pgm"
     path.write_bytes(b"P5\n3 2\n255\n" + raster)
-    arr = read_pgm(str(path))
-    assert arr.shape == (2, 3)
-    assert arr.dtype == np.uint8
-    assert arr.tolist() == [[0, 1, 2], [3, 4, 5]]
+    runs = read_pgm(str(path))
+    assert (runs.width, runs.height) == (3, 2)
+    assert runs.values.dtype == np.uint8
+    assert pixels(runs).tolist() == [[0, 1, 2], [3, 4, 5]]
 
 
 def test_read_pgm_header_comments_and_whitespace(tmp_path):
     path = tmp_path / "odd.pgm"
     path.write_bytes(b"P5 # magic\n# a comment line\n 3\t2 # dims\n255\n" + bytes(6))
-    arr = read_pgm(str(path))
-    assert arr.shape == (2, 3)
+    runs = read_pgm(str(path))
+    assert pixels(runs).shape == (2, 3)
     assert read_pgm_size(str(path)) == (3, 2)
 
 
@@ -98,17 +121,24 @@ def test_read_pgm_header_past_the_first_read(tmp_path, pad):
     # the separator byte around the 512th byte, and 3000 far past it.
     path = tmp_path / "long.pgm"
     path.write_bytes(b"P5\n#" + b"x" * pad + b"\n3 2\n255\n" + bytes([0, 1, 2, 3, 4, 5]))
-    arr = read_pgm(str(path))
-    assert arr.tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert pixels(read_pgm(str(path))).tolist() == [[0, 1, 2], [3, 4, 5]]
     assert read_pgm_size(str(path)) == (3, 2)
 
 
-def test_read_pgm_array_is_writable(tmp_path):
-    path = tmp_path / "w.pgm"
-    write_pgm(str(path), np.zeros((2, 3), dtype=np.uint8))
-    arr = read_pgm(str(path))
-    arr[0, 0] = 7
-    assert arr[0, 0] == 7
+def test_read_pgm_runs_outlive_the_next_read(tmp_path):
+    # Reads that share buffers scan every raster in the same arrays; the runs
+    # each returns must not change when the next, smaller or larger, map is
+    # read.
+    maps = [np.full((2, 3), 4, dtype=np.uint8), np.arange(12, dtype=np.uint8).reshape(3, 4) % 9]
+    maps.append(maps[0])
+    buffers = PgmBuffers()
+    got = []
+    for k, arr in enumerate(maps):
+        path = tmp_path / f"m{k}.pgm"
+        write_pgm(str(path), arr)
+        got.append(read_pgm(str(path), buffers))
+    for arr, runs in zip(maps, got):
+        assert np.array_equal(pixels(runs), arr)
 
 
 def test_pgm_round_trip(tmp_path):
@@ -116,7 +146,7 @@ def test_pgm_round_trip(tmp_path):
     arr = rng.integers(0, 9, size=(17, 31), dtype=np.uint8)
     path = tmp_path / "rt.pgm"
     write_pgm(str(path), arr)
-    assert np.array_equal(read_pgm(str(path)), arr)
+    assert same_runs(read_pgm(str(path)), runs_of(arr))
     assert read_pgm_size(str(path)) == (31, 17)
 
 
@@ -138,18 +168,95 @@ def test_read_pgm_rejects_malformed(tmp_path, payload, fragment):
         read_pgm(str(path))
 
 
-def test_pgm_directory_lazy_mapping(tmp_path):
+def rle_bytes(w, h, lengths, values, magic=b"RLE1", count=None):
+    n = len(lengths) if count is None else count
+    return (
+        struct.pack("<4sIII", magic, w, h, n)
+        + struct.pack(f"<{len(lengths)}I", *lengths)
+        + bytes(values)
+    )
+
+
+def test_read_rle_hand_assembled(tmp_path):
+    path = tmp_path / "tiny.rle"
+    # Row 0: 2 x sky, 1 x road; row 1: 3 x road.
+    path.write_bytes(rle_bytes(3, 2, [2, 1, 3], [4, 1, 1]))
+    runs = read_rle(str(path))
+    assert (runs.width, runs.height) == (3, 2)
+    assert runs.starts.tolist() == [0, 2, 3]
+    assert pixels(runs).tolist() == [[4, 4, 1], [1, 1, 1]]
+    assert read_rle_size(str(path)) == (3, 2)
+
+
+@pytest.mark.parametrize(
+    "payload, fragment",
+    [
+        (rle_bytes(3, 2, [6], [0], magic=b"RLE2"), "bad magic"),
+        (b"RLE1\x03\x00\x00\x00", "truncated RLE header"),
+        (rle_bytes(0, 2, [], []), "dimensions"),
+        (rle_bytes(3, 2, [3, 3], [0, 1])[:-1], "header declares 2 runs"),
+        (rle_bytes(3, 2, [3, 3], [0, 1]) + b"\0", "header declares 2 runs"),
+        (rle_bytes(3, 2, [3, 3], [0, 1], count=3), "header declares 3 runs"),
+        (rle_bytes(3, 2, [3, 0, 3], [0, 1, 2]), "run 1 has length 0"),
+        (rle_bytes(3, 2, [3, 2], [0, 1]), "runs cover 5 pixels, not 3x2"),
+        (rle_bytes(3, 2, [3, 4], [0, 1]), "runs cover 7 pixels, not 3x2"),
+        (rle_bytes(3, 2, [], []), "runs cover 0 pixels"),
+        (rle_bytes(3, 2, [2, 4], [0, 1]), "run 1 crosses the end of row 0"),
+        (rle_bytes(3, 2, [1, 2, 3], [5, 5, 1]), "runs 0 and 1 in row 0 both hold value 5"),
+    ],
+    ids=[
+        "magic", "short-header", "zero-width", "truncated", "trailing", "count",
+        "empty-run", "short-cover", "long-cover", "no-runs", "row-crossing", "split-run",
+    ],
+)
+def test_read_rle_rejects_malformed(tmp_path, payload, fragment):
+    path = tmp_path / "bad.rle"
+    path.write_bytes(payload)
+    with pytest.raises(BundleError, match=fragment) as exc:
+        read_rle(str(path))
+    assert str(path) in str(exc.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20),
+    st.integers(1, 20),
+    st.data(),
+)
+def test_rle_round_trip_and_row_bands(tmp_path_factory, seed, h, w, data):
+    rng = np.random.default_rng(seed)
+    arr = rng.choice(np.array([0, 1, 1, 4, 6], dtype=np.uint8), size=(h, w))
+    runs = runs_of(arr)
+    y0 = data.draw(st.integers(0, h))
+    y1 = data.draw(st.integers(y0, h))
+    assert np.array_equal(runs.rows(y0, y1), arr[y0:y1])
+    path = str(tmp_path_factory.mktemp("rle") / "m.rle")
+    write_rle(path, runs)
+    back = read_rle(path)
+    assert same_runs(back, runs)
+    assert np.array_equal(back.rows(y0, y1), arr[y0:y1])
+
+
+def test_mask_directory_lazy_mapping(tmp_path):
     a = np.zeros((2, 2), dtype=np.uint8)
     b = np.ones((3, 4), dtype=np.uint8)
     write_pgm(str(tmp_path / "img_a.pgm"), a)
-    write_pgm(str(tmp_path / "img_b.pgm"), b)
-    d = PgmDirectory(str(tmp_path))
+    write_rle(str(tmp_path / "img_b.rle"), runs_of(b))
+    (tmp_path / "notes.txt").write_text("not a label map")
+    d = MaskDirectory(str(tmp_path))
     assert set(d) == {"img_a", "img_b"}
     assert len(d) == 2
-    assert np.array_equal(d["img_b"], b)
+    assert np.array_equal(pixels(d["img_a"]), a)
+    assert np.array_equal(pixels(d["img_b"]), b)
+    assert d.size_of("img_a") == (2, 2)
     assert d.size_of("img_b") == (4, 3)
     with pytest.raises(KeyError):
         d["missing"]
+    # A copy sent to a worker process reads the same maps.
+    view = pickle.loads(pickle.dumps(d.only(["img_a"])))
+    assert list(view) == ["img_a"]
+    assert np.array_equal(pixels(view["img_a"]), a)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +525,8 @@ def test_load_inputs_cross_validates(tmp_path):
         str(tmp_path / "buffers.json"),
     )
     assert isinstance(bundle, Bundle)
-    assert bundle.label_maps["i0"].shape == (48, 64)
+    runs = bundle.label_maps["i0"]
+    assert (runs.width, runs.height) == (64, 48)
     assert bundle.detections["i0"][0].category == "traffic_sign"
     assert bundle.footprints[0].id == "b0"
 
@@ -453,12 +561,12 @@ def test_load_inputs_decodes_no_label_map(tmp_path, monkeypatch):
     decoded = []
     real_read_pgm = ingest.read_pgm
 
-    def counting_read_pgm(path):
+    def counting_read_pgm(path, *args):
         decoded.append(path)
-        return real_read_pgm(path)
+        return real_read_pgm(path, *args)
 
     monkeypatch.setattr(ingest, "read_pgm", counting_read_pgm)
-    d = PgmDirectory(str(tmp_path / "masks"))
+    d = MaskDirectory(str(tmp_path / "masks"))
     assert "i0" in d
     assert "x" not in d
     bundle = load_inputs(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rop.config import RunConfig
 from rop.ingest import CATEGORY_IDS, Detection
+from rop.labelmap import read_rle, runs_of, write_rle
 from rop.scene import (
     Region,
     SceneObject,
@@ -79,7 +80,7 @@ def as_dicts(regions):
 def test_extract_single_block_geometry():
     lab = np.zeros((10, 10), dtype=np.uint8)
     lab[3:6, 2:5] = LIGHT
-    (region,) = extract_regions(lab, categories=["traffic_light"], min_region_px=1)
+    (region,) = extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=1)
     assert region.category == "traffic_light"
     assert region.area_px == 9
     assert region.centroid == (4.0, 3.0)
@@ -91,16 +92,16 @@ def test_extract_min_region_px_filter():
     lab = np.zeros((10, 10), dtype=np.uint8)
     lab[0, 0:3] = LIGHT  # area 3
     lab[5:8, 5:8] = LIGHT  # area 9
-    got = extract_regions(lab, categories=["traffic_light"], min_region_px=4)
+    got = extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=4)
     assert [r.area_px for r in got] == [9]
-    assert extract_regions(lab, categories=["traffic_light"], min_region_px=10) == []
+    assert extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=10) == []
 
 
 def test_extract_four_connectivity_splits_diagonal():
     lab = np.zeros((4, 4), dtype=np.uint8)
     lab[0, 0] = LIGHT
     lab[1, 1] = LIGHT
-    got = extract_regions(lab, categories=["traffic_light"], min_region_px=1)
+    got = extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=1)
     assert len(got) == 2
     assert [r.area_px for r in got] == [1, 1]
 
@@ -112,7 +113,7 @@ def test_extract_orders_by_category_then_first_pixel():
     lab[2, 0:2] = LIGHT  # category 6, first_px 24
     lab[2, 6:8] = LIGHT  # category 6, first_px 30
     got = extract_regions(
-        lab, categories=["sidewalk", "traffic_light", "traffic_sign"], min_region_px=1
+        runs_of(lab), categories=["sidewalk", "traffic_light", "traffic_sign"], min_region_px=1
     )
     assert [(r.category, r.first_px) for r in got] == [
         ("sidewalk", 56),
@@ -126,13 +127,13 @@ def test_extract_respects_category_selection():
     lab = np.zeros((6, 6), dtype=np.uint8)
     lab[0:3, 0:3] = LIGHT
     lab[3:6, 3:6] = SIGN
-    got = extract_regions(lab, categories=["traffic_sign"], min_region_px=1)
+    got = extract_regions(runs_of(lab), categories=["traffic_sign"], min_region_px=1)
     assert [r.category for r in got] == ["traffic_sign"]
 
 
 def test_extract_rejects_non_2d():
     with pytest.raises(ValueError):
-        extract_regions(np.zeros((2, 2, 2), dtype=np.uint8), ["road"], 1)
+        extract_regions(runs_of(np.zeros((2, 2, 2), dtype=np.uint8)), ["road"], 1)
 
 
 def random_map(seed, h=14, w=17):
@@ -152,9 +153,22 @@ SIDE = st.integers(1, 24)
 def test_extract_matches_flood_fill_oracle(seed, h, w):
     lab = random_map(seed, h, w)
     for name in ("road", "sidewalk", "traffic_light", "traffic_sign", "pedestrian"):
-        got = extract_regions(lab, categories=[name], min_region_px=1)
+        got = extract_regions(runs_of(lab), categories=[name], min_region_px=1)
         want = flood_regions_oracle(lab, CATEGORY_IDS[name])
         assert as_dicts(got) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), SIDE, SIDE)
+def test_extract_from_rle_file_matches_pixels_and_oracle(tmp_path_factory, seed, h, w):
+    lab = random_map(seed, h, w)
+    path = str(tmp_path_factory.mktemp("rle") / "m.rle")
+    write_rle(path, runs_of(lab))
+    from_file = read_rle(path)
+    for name in ("road", "sidewalk", "traffic_light", "traffic_sign", "pedestrian"):
+        got = extract_regions(from_file, categories=[name], min_region_px=1)
+        assert got == extract_regions(runs_of(lab), categories=[name], min_region_px=1)
+        assert as_dicts(got) == flood_regions_oracle(lab, CATEGORY_IDS[name])
 
 
 @settings(max_examples=30, deadline=None)
@@ -162,7 +176,7 @@ def test_extract_matches_flood_fill_oracle(seed, h, w):
 def test_extract_conserves_pixels(seed):
     lab = random_map(seed)
     for name in ("road", "traffic_light", "pedestrian"):
-        got = extract_regions(lab, categories=[name], min_region_px=1)
+        got = extract_regions(runs_of(lab), categories=[name], min_region_px=1)
         assert sum(r.area_px for r in got) == int((lab == CATEGORY_IDS[name]).sum())
 
 
@@ -177,14 +191,14 @@ def test_extract_min_region_px_matches_oracle(seed, h, w, density, min_px):
     lab = np.where(rng.random((h, w)) < density, random_map(seed, h, w), 0).astype(np.uint8)
     singles = []
     for name in SCENE:
-        got = extract_regions(lab, categories=[name], min_region_px=min_px)
+        got = extract_regions(runs_of(lab), categories=[name], min_region_px=min_px)
         want = [
             c for c in flood_regions_oracle(lab, CATEGORY_IDS[name]) if c["area"] >= min_px
         ]
         assert as_dicts(got) == want
         assert all(r.category == name for r in got)
         singles.extend(got)
-    assert extract_regions(lab, categories=SCENE[::-1], min_region_px=min_px) == singles
+    assert extract_regions(runs_of(lab), categories=SCENE[::-1], min_region_px=min_px) == singles
 
 
 @pytest.mark.parametrize(
@@ -206,7 +220,7 @@ def test_extract_min_region_px_matches_oracle(seed, h, w, density, min_px):
 )
 def test_extract_run_shapes_match_oracle(rows, n_components):
     lab = np.array([[LIGHT if ch == "#" else 0 for ch in row] for row in rows], dtype=np.uint8)
-    got = extract_regions(lab, categories=["traffic_light"], min_region_px=1)
+    got = extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=1)
     assert len(got) == n_components
     assert as_dicts(got) == flood_regions_oracle(lab, LIGHT)
 
@@ -214,7 +228,7 @@ def test_extract_run_shapes_match_oracle(rows, n_components):
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (6, 5)])
 def test_extract_map_of_one_category(shape):
     lab = np.full(shape, WALK, dtype=np.uint8)
-    (region,) = extract_regions(lab, categories=SCENE, min_region_px=1)
+    (region,) = extract_regions(runs_of(lab), categories=SCENE, min_region_px=1)
     h, w = shape
     assert region.category == "sidewalk"
     assert region.area_px == h * w
@@ -227,7 +241,7 @@ def test_extract_map_of_one_category(shape):
 def test_extract_map_without_requested_categories(min_px):
     lab = np.full((8, 9), ROAD, dtype=np.uint8)
     lab[0:2, 0:2] = 0
-    assert extract_regions(lab, categories=SCENE, min_region_px=min_px) == []
+    assert extract_regions(runs_of(lab), categories=SCENE, min_region_px=min_px) == []
 
 
 def test_extract_category_below_min_in_total():
@@ -235,7 +249,7 @@ def test_extract_category_below_min_in_total():
     lab[0, 0:4] = LIGHT
     lab[5, 0:4] = LIGHT  # 8 light pixels in two components
     lab[2:5, 5:8] = SIGN  # 9 sign pixels in one component
-    got = extract_regions(lab, categories=["traffic_light", "traffic_sign"], min_region_px=9)
+    got = extract_regions(runs_of(lab), categories=["traffic_light", "traffic_sign"], min_region_px=9)
     assert [(r.category, r.area_px) for r in got] == [("traffic_sign", 9)]
 
 
@@ -351,10 +365,10 @@ def test_tallest_pedestrian_px():
     lab = np.zeros((40, 40), dtype=np.uint8)
     lab[10:30, 3:6] = PED  # height 20
     lab[20:28, 20:24] = PED  # height 8
-    assert scene_objects(lab, [], RunConfig(min_region_px=1))[1] == 20
-    assert scene_objects(np.zeros((5, 5), dtype=np.uint8), [], RunConfig(min_region_px=1))[1] == 0
+    assert scene_objects(runs_of(lab), [], RunConfig(min_region_px=1))[1] == 20
+    assert scene_objects(runs_of(np.zeros((5, 5), dtype=np.uint8)), [], RunConfig(min_region_px=1))[1] == 0
     lab[0:30, 30:32] = LIGHT
-    objs, tallest = scene_objects(lab, [], RunConfig(min_region_px=1))
+    objs, tallest = scene_objects(runs_of(lab), [], RunConfig(min_region_px=1))
     assert tallest == 20
     assert [o.category for o in objs] == ["traffic_light"]
 
@@ -364,7 +378,7 @@ def test_build_scene_end_to_end():
     lab[10:20, 10:14] = LIGHT
     lab[30:36, 50:56] = SIGN
     lab[50:60, 0:40] = WALK
-    got, _ = scene_objects(lab, [det((50.0, 30.0, 6.0, 6.0))], RunConfig(min_region_px=9))
+    got, _ = scene_objects(runs_of(lab), [det((50.0, 30.0, 6.0, 6.0))], RunConfig(min_region_px=9))
     kinds = {(o.id, o.category, o.source) for o in got}
     assert kinds == {
         ("light0", "traffic_light", "region"),

@@ -16,6 +16,7 @@ import pytest
 
 from rop.geo import GeoPoint, LocalPoint
 from rop.ingest import CATEGORY_IDS, direction_of, load_inputs
+from rop.labelmap import runs_of
 from rop.scene import extract_regions
 from rop.synth import (
     CameraModel,
@@ -96,7 +97,7 @@ def test_billboard_centroid_matches_angle_oracle(cam_xy, heading, target):
     light = TruthObject("traffic_light", None, "low", LocalPoint(target[0], target[1]), target[2])
     lay = layout(objs=[light], cams=[pose(cam_xy[0], cam_xy[1], heading)])
     canvas, _ = render_image(lay, lay.cameras[0])
-    regions = extract_regions(canvas, categories=["traffic_light"], min_region_px=1)
+    regions = extract_regions(runs_of(canvas), categories=["traffic_light"], min_region_px=1)
     want = project_oracle(cam_xy, heading, target)
     assert want is not None and len(regions) == 1
     row, col = regions[0].centroid
@@ -108,7 +109,7 @@ def test_high_light_at_20m_sits_above_horizon_in_sky():
     light = TruthObject("traffic_light", None, "high", LocalPoint(0.0, 0.0), 7.0)
     lay = layout(objs=[light], cams=[pose(0.0, -20.0, 0.0)])
     canvas, _ = render_image(lay, lay.cameras[0])
-    regions = extract_regions(canvas, categories=["traffic_light"], min_region_px=1)
+    regions = extract_regions(runs_of(canvas), categories=["traffic_light"], min_region_px=1)
     assert len(regions) == 1
     row, col = regions[0].centroid
     # v = 384 + 512 * (1.6 - 7.0) / 20 = 245.76
@@ -153,7 +154,7 @@ def test_detection_bbox_hugs_rendered_region():
     lay = layout(objs=[sign], cams=[pose(0.0, -25.0, 0.0)])
     canvas, dets = render_image(lay, lay.cameras[0])
     assert len(dets) == 1
-    regions = extract_regions(canvas, categories=["traffic_sign"], min_region_px=1)
+    regions = extract_regions(runs_of(canvas), categories=["traffic_sign"], min_region_px=1)
     assert len(regions) == 1
     assert dets[0].bbox == tuple(float(v) for v in regions[0].bbox)
     assert dets[0].score == 1.0
@@ -171,7 +172,9 @@ def test_render_is_deterministic():
     a, _ = render_bundle(lay)
     b, _ = render_bundle(lay)
     for iid in a.label_maps:
-        assert a.label_maps[iid].tobytes() == b.label_maps[iid].tobytes()
+        ra, rb = a.label_maps[iid], b.label_maps[iid]
+        assert ra.starts.tobytes() == rb.starts.tobytes()
+        assert ra.values.tobytes() == rb.values.tobytes()
     assert a.detections == b.detections
 
 
@@ -240,8 +243,14 @@ def test_write_bundle_reloads_identically(tmp_path):
         buffers_path=paths["buffers"],
     )
     assert [im.image_id for im in loaded.images] == [im.image_id for im in bundle.images]
+    assert sorted(p.name for p in Path(paths["masks"]).iterdir()) == sorted(
+        f"{im.image_id}.rle" for im in bundle.images
+    )
     for im in bundle.images:
-        assert np.array_equal(loaded.label_maps[im.image_id], bundle.label_maps[im.image_id])
+        got, want = loaded.label_maps[im.image_id], bundle.label_maps[im.image_id]
+        assert (got.width, got.height) == (want.width, want.height)
+        assert np.array_equal(got.starts, want.starts)
+        assert np.array_equal(got.values, want.values)
     assert loaded.detections == bundle.detections
     assert [fp.id for fp in loaded.footprints] == [fp.id for fp in bundle.footprints]
     assert loaded.buffers == bundle.buffers
