@@ -154,22 +154,15 @@ def _vote(values: list, ranked_order: list[int]) -> object:
     return next(values[i] for i in ranked_order if counts[values[i]] == top)
 
 
-def fuse_track(
-    trees: list[Atbt],
-    image_rank: dict[str, float] | None = None,
-) -> list[FusedObject]:
+def fuse_track(trees: list[Atbt], image_rank: dict[str, float]) -> list[FusedObject]:
     """Merge a track's per-image trees into one object set.
 
     Nodes sharing (side, category, stack ordinal, stack depth) across images
     are one physical object; subtype and light kind resolve by majority vote
-    with ties going to the image ranked nearest the intersection.
+    with ties going to the image of lowest image_rank (which must hold every
+    tree's image), then the lowest image id.
     """
-    if not trees:
-        return []
-    if image_rank is None:
-        # Later images in track order sit nearer the intersection.
-        image_rank = {t.image_id: float(i) for i, t in enumerate(reversed(trees))}
-    rank = lambda iid: (image_rank.get(iid, float("inf")), iid)
+    rank = lambda iid: (image_rank[iid], iid)
 
     observations: dict[tuple, list[tuple[str, SceneObject]]] = {}
     for tree in trees:

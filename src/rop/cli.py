@@ -29,14 +29,16 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atbt import tree_to_json  # noqa: E402
 from .config import RunConfig, load_config  # noqa: E402
-from .ingest import Bundle, _load_json, load_inputs  # noqa: E402
+from .ingest import Bundle, load_inputs  # noqa: E402
 from .placer import (  # noqa: E402
     IntersectionResult,
     PlacedObject,
     from_geojson,
     run_intersection,
     slice_bundle,
+    slice_tracks,
     to_geojson,
+    track_trees,
 )
 
 # synth, evalx and the process pool are imported where they are used, so a
@@ -136,11 +138,10 @@ def _load_bundle(args) -> Bundle:
 
 
 def _place_slice(part: Bundle, cfg: RunConfig) -> IntersectionResult:
-    """One buffer's result from its slice. Top-level so a process pool can
-    pickle it. Trees stay behind: only dump-trees reads them."""
-    res = run_intersection(part, cfg)
-    res.trees = {}
-    return res
+    """One buffer's result from its slice. Top-level, not a partial of
+    run_intersection, so a pool can pickle it by name even after a tracer has
+    wrapped rop.cli.run_intersection, which pickle would then refuse."""
+    return run_intersection(part, cfg)
 
 
 def _run_buffers(args, cfg: RunConfig, jobs: int) -> list[IntersectionResult]:
@@ -173,13 +174,13 @@ def cmd_place(args) -> int:
 
 
 def cmd_dump_trees(args) -> int:
+    """The tree stage alone: slice -> tracks -> one tree per image."""
     cfg = load_config(args.config, args.set)
-    bundle = _load_bundle(args)
     doc = {}
-    for part in slice_bundle(bundle, cfg.corner_radius_m):
-        res = run_intersection(part, cfg)
-        doc[res.intersection_id] = {
-            track: [tree_to_json(t) for t in trees] for track, trees in res.trees.items()
+    for part in slice_bundle(_load_bundle(args), cfg.corner_radius_m):
+        doc[part.buffers[0].intersection_id] = {
+            track.track_id: [tree_to_json(t) for t in track_trees(part, track, cfg)]
+            for track in slice_tracks(part)
         }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EX_OK
@@ -204,7 +205,7 @@ def _merge_bundles(bundles: list[Bundle]) -> Bundle:
 
 def cmd_synth(args) -> int:
     from .synth import (
-        layout_from_json,
+        load_layouts,
         render_bundle,
         save_layouts,
         standard_fixtures,
@@ -215,11 +216,7 @@ def cmd_synth(args) -> int:
     if (args.layout is None) == (args.fixtures is None):
         raise ValueError("exactly one of --layout or --fixtures is required")
     if args.layout is not None:
-        doc = _load_json(args.layout)
-        try:
-            layouts = [layout_from_json(d) for d in (doc if isinstance(doc, list) else [doc])]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"{args.layout}: invalid layout document ({exc})") from exc
+        layouts = load_layouts(args.layout)
     else:
         if args.fixtures < 0:
             raise ValueError("--fixtures must be >= 0")

@@ -66,44 +66,37 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
+def _key_value(text: str, malformed: str) -> tuple[str, int | float]:
+    """The key and parsed value of one `key = value` text, a config file line
+    or a --set pair; malformed is the error when text holds no '='."""
+    if "=" not in text:
+        raise ValueError(malformed)
+    key, raw = (part.strip() for part in text.split("=", 1))
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key '{key}'")
-    kind = _FIELD_TYPES[key]
     try:
-        if kind in ("int", int):
-            return int(raw)
-        return float(raw)
+        return key, (int if _FIELD_TYPES[key] in ("int", int) else float)(raw)
     except ValueError as exc:
         raise ValueError(f"config key '{key}': cannot parse '{raw}'") from exc
-
-
-def parse_overrides(pairs: list[str]) -> dict:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"override '{pair}' is not key=value")
-        key, raw = pair.split("=", 1)
-        key, raw = key.strip(), raw.strip()
-        out[key] = _coerce(key, raw)
-    return out
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Build a RunConfig from an optional key=value file plus CLI overrides.
 
-    Unknown keys, unparsable values and values that break an invariant raise
-    ValueError here, before any bundle is read."""
+    Unknown keys, unparsable values, a file that is not UTF-8 and values that
+    break an invariant raise ValueError here, before any bundle is read."""
     values: dict = {}
     if path is not None:
-        for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        for ln, line in enumerate(text.splitlines()):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {ln + 1}: expected key = value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = _coerce(key, raw)
-    if overrides:
-        values.update(parse_overrides(overrides))
+            if line:
+                key, value = _key_value(line, f"{path}: line {ln + 1}: expected key = value")
+                values[key] = value
+    for pair in overrides or ():
+        key, value = _key_value(pair, f"override '{pair}' is not key=value")
+        values[key] = value
     return RunConfig(**values)

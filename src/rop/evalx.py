@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import haversine_m
+from .geo import M_PER_DEG_LAT, haversine_m
 from .placer import PlacedObject
 
 
@@ -67,15 +67,18 @@ def match(
     """Greedy nearest-first one-to-one matching within radius_m."""
     if not preds or not refs:
         return []
-    # Coarse degree-box prefilter before exact distances; 1 deg latitude is
-    # always > 111 km so the bound below is generous at any latitude.
+    # Coarse box prefilter before exact distances, 2 * radius_m a side in
+    # metres. A pair d apart differs by at most d in latitude, and by about d
+    # in longitude on the parallel of its larger |lat| (smaller cosine); the
+    # factor 2 covers the gap between that arc and the great circle.
     p_lat = np.array([p.position.lat for p in preds])
     p_lon = np.array([p.position.lon for p in preds])
     r_lat = np.array([r.position.lat for r in refs])
     r_lon = np.array([r.position.lon for r in refs])
-    bound = 2.0 * radius_m / 111320.0
-    near = (np.abs(p_lat[:, None] - r_lat[None, :]) <= bound) & (
-        np.abs(p_lon[:, None] - r_lon[None, :]) <= bound
+    bound_m = 2.0 * radius_m
+    cos_lat = np.minimum(np.cos(np.radians(p_lat))[:, None], np.cos(np.radians(r_lat))[None, :])
+    near = (np.abs(p_lat[:, None] - r_lat[None, :]) * M_PER_DEG_LAT <= bound_m) & (
+        np.abs(p_lon[:, None] - r_lon[None, :]) * M_PER_DEG_LAT * cos_lat <= bound_m
     )
     candidates: list[tuple[float, int, int]] = []
     for pi, ri in zip(*np.nonzero(near)):

@@ -77,7 +77,6 @@ class IntersectionResult:
     intersection_id: str
     placed: list[PlacedObject] = field(default_factory=list)
     diagnostics: list[dict] = field(default_factory=list)
-    trees: dict[str, list[Atbt]] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,14 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
     return slices
 
 
-def _track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
+def slice_tracks(part: Bundle) -> list[Track]:
+    """The drift-corrected tracks of a one-buffer slice (see slice_bundle)."""
+    return [correct_track(t) for t in build_tracks(part.images, part.buffers[0])]
+
+
+def track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
+    """One tree per image of track, in track order: the tree stage that
+    run_intersection and dump-trees share."""
     trees = []
     for img in track.images:
         runs = part.label_maps[img.image_id]
@@ -391,17 +397,14 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
     if not part.images:
         note("no_images")
         return result
-    tracks = [correct_track(t) for t in build_tracks(part.images, buffer)]
     raw_placed: list[PlacedObject] = []
     any_corners = False
-    for track in tracks:
-        trees = _track_trees(part, track, cfg)
-        result.trees[track.track_id] = trees
+    for track in slice_tracks(part):
         ranks = {
             img.image_id: dist(project(frame, img.position), _ORIGIN)
             for img in track.images
         }
-        fused = fuse_track(trees, image_rank=ranks)
+        fused = fuse_track(track_trees(part, track, cfg), image_rank=ranks)
         if not fused:
             continue
         corners = _track_corners(part, track, frame, ranks, cfg)

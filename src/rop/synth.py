@@ -25,6 +25,7 @@ from .ingest import (
     Detection,
     ImageMeta,
     IntersectionBuffer,
+    _load_json,
 )
 from .labelmap import LabelRuns, runs_of, write_rle
 from .placer import PlacedObject, to_geojson
@@ -561,7 +562,13 @@ def save_layouts(layouts: list[Layout], path: str) -> None:
 
 
 def load_layouts(path: str) -> list[Layout]:
-    return [layout_from_json(doc) for doc in json.loads(Path(path).read_text())]
+    """The layouts of a JSON file holding one layout object or a list of them.
+    Invalid JSON or an invalid layout is a ValueError naming the file."""
+    doc = _load_json(path)
+    try:
+        return [layout_from_json(d) for d in (doc if isinstance(doc, list) else [doc])]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: invalid layout document ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

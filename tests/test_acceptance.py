@@ -33,7 +33,7 @@ from rop.geo import (
 from rop.grammar import apply_grammar, classify_light, merge_sidewalks
 from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks, correct_track
 from rop.labelmap import runs_of
-from rop.placer import run_intersection, select_corners, slice_bundle
+from rop.placer import run_intersection, select_corners, slice_bundle, slice_tracks, track_trees
 from rop.scene import scene_objects
 from rop.synth import (
     CameraPose,
@@ -533,8 +533,9 @@ def _scene_inputs(run, index: int = 0):
 def test_criterion_6_structural_invariants(fixture_run):
     n_trees = n_nodes = 0
     for run in fixture_run.runs:
-        for trees in run.result.trees.values():
-            for tree in trees:
+        part = slice_bundle(run.bundle, CFG.corner_radius_m)[0]
+        for track in slice_tracks(part):
+            for tree in track_trees(part, track, CFG):
                 n_nodes += _check_heap(tree)
                 n_trees += 1
     assert n_trees >= 300

@@ -204,6 +204,12 @@ def tree_of(image_id, *objects_groups):
     return build_atbt(objs, groups, image_id, W_IMG)
 
 
+def flat_rank(trees):
+    """Every image at rank 0, so a tie goes to the lowest image id; for tests
+    whose votes have no tie."""
+    return {t.image_id: 0.0 for t in trees}
+
+
 def vote_oracle(values):
     counts = Counter(values)
     top = max(counts.values())
@@ -211,13 +217,14 @@ def vote_oracle(values):
 
 
 def test_fuse_empty():
-    assert fuse_track([]) == []
+    assert fuse_track([], image_rank={}) == []
 
 
 def test_fuse_single_tree_pass_through():
     light = obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")
     walk = obj("w0", "sidewalk", (600.0, 100.0))
-    fused = fuse_track([tree_of("i0", [light, walk], [])])
+    trees = [tree_of("i0", [light, walk], [])]
+    fused = fuse_track(trees, image_rank=flat_rank(trees))
     assert len(fused) == 2
     for f in fused:
         assert f.support == 1
@@ -231,7 +238,7 @@ def test_fuse_support_counts_occlusion():
         return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")], [])
 
     trees = [light_tree("i0"), light_tree("i1"), tree_of("i2", [], []), light_tree("i3")]
-    fused = fuse_track(trees)
+    fused = fuse_track(trees, image_rank=flat_rank(trees))
     assert len(fused) == 1
     assert fused[0].support == 3
     assert fused[0].source_images == ["i0", "i1", "i3"]
@@ -247,7 +254,7 @@ def test_fuse_majority_subtype_matches_oracle():
     sign_tree = sign_alone_tree
 
     trees = [sign_tree("i0", "yield"), sign_tree("i1", "stop"), sign_tree("i2", "stop")]
-    fused = fuse_track(trees)
+    fused = fuse_track(trees, image_rank=flat_rank(trees))
     assert len(fused) == 1
     winners = vote_oracle(["yield", "stop", "stop"])
     assert winners == {"stop"}
@@ -262,13 +269,16 @@ def test_fuse_tie_goes_to_nearest_rank():
     assert fused[0].subtype == "yield"
 
 
-def test_fuse_default_rank_prefers_later_images():
+def test_fuse_equal_ranks_go_to_lowest_image_id():
     def kind_tree(iid, kind):
         return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind=kind)], [])
 
-    # 1-1 tie on light kind: the later (nearer) image wins.
-    fused = fuse_track([kind_tree("i0", "high"), kind_tree("i1", "low")])
-    assert fused[0].light_kind == "low"
+    # 1-1 tie on light kind between images of equal rank: the lower id wins,
+    # whatever the track order.
+    for trees in ([kind_tree("i0", "high"), kind_tree("i1", "low")],
+                  [kind_tree("i1", "low"), kind_tree("i0", "high")]):
+        fused = fuse_track(trees, image_rank={"i0": 3.0, "i1": 3.0})
+        assert fused[0].light_kind == "high"
 
 
 def test_fuse_inferred_only_flag():
@@ -277,16 +287,17 @@ def test_fuse_inferred_only_flag():
     ghost.bbox = None
     t_real = tree_of("i0", [real], [])
     t_ghost = tree_of("i1", [ghost], [])
-    fused = fuse_track([t_ghost, t_ghost])
+    fused = fuse_track([t_ghost, t_ghost], image_rank=flat_rank([t_ghost]))
     assert len(fused) == 1 and fused[0].inferred_only
-    fused = fuse_track([t_ghost, t_real])
+    fused = fuse_track([t_ghost, t_real], image_rank=flat_rank([t_ghost, t_real]))
     assert len(fused) == 1 and not fused[0].inferred_only
 
 
 def test_fuse_keys_keep_distinct_objects_apart():
     a = obj("a", "traffic_light", (300.0, 100.0), light_kind="high")
     b = obj("b", "traffic_light", (300.0, 300.0), light_kind="high")
-    fused = fuse_track([tree_of("i0", [a, b], []), tree_of("i1", [a, b], [])])
+    trees = [tree_of("i0", [a, b], []), tree_of("i1", [a, b], [])]
+    fused = fuse_track(trees, image_rank=flat_rank(trees))
     assert len(fused) == 2
     assert all(f.support == 2 for f in fused)
     ordinals = sorted(f.stack_ordinal for f in fused)
@@ -297,6 +308,7 @@ def test_fuse_output_sorted_by_key():
     a = obj("a", "traffic_light", (300.0, 900.0), light_kind="high")
     b = obj("b", "traffic_light", (300.0, 100.0), light_kind="high")
     w = obj("w", "sidewalk", (600.0, 120.0))
-    fused = fuse_track([tree_of("i0", [a, b, w], [])])
+    trees = [tree_of("i0", [a, b, w], [])]
+    fused = fuse_track(trees, image_rank=flat_rank(trees))
     keys = [(f.side, f.category, f.stack_ordinal, f.depth_in_stack, f.subtype or "") for f in fused]
     assert keys == sorted(keys)

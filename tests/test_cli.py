@@ -290,7 +290,16 @@ def test_place_output_is_pinned(jobs, bundle_dir, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE_SHA256
 
 
-def test_dump_trees_output_is_pinned(bundle_dir, tmp_path):
+def test_dump_trees_output_is_pinned(bundle_dir, tmp_path, monkeypatch):
+    # dump-trees runs the tree stage only: no fusion, corners, placement or
+    # dedup.
+    import rop.placer
+
+    def later_stage(*args, **kwargs):
+        raise AssertionError("dump-trees ran a stage after the trees")
+
+    for name in ("fuse_track", "select_corners", "place_objects", "dedup_placed"):
+        monkeypatch.setattr(rop.placer, name, later_stage)
     out = tmp_path / "trees.json"
     assert main(["dump-trees", *place_args(bundle_dir, out)[1:]]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_TREES_SHA256
@@ -580,6 +589,27 @@ def test_config_show_lists_defaults_and_overrides(tmp_path, capsys):
 def test_config_rejects_unknown_key(capsys):
     assert main(["config", "--show", "--set", "bogus=1"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        (b"ring_px = 20\n\xff\n", "'utf-8' codec can't decode"),
+        (b"ring_px = 20\n# note\nring_px 30\n", "line 3: expected key = value"),
+    ],
+    ids=["not-utf8", "no-equals"],
+)
+def test_config_file_error_names_file(content, expected, tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(content)
+    assert main(["config", "--show", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_file}: ") and expected in err
+
+
+def test_config_override_without_equals_names_it(capsys):
+    assert main(["config", "--show", "--set", "ring_px 20"]) == 2
+    assert "override 'ring_px 20' is not key=value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["seed", "jobs", "buffer_radius_m", "match_radius_m", "low_factor"])

@@ -19,12 +19,12 @@ from rop.placer import PlacedObject
 FRAME = make_frame(GeoPoint(52.5, 13.4))
 
 
-def obj(x, y, category="traffic_sign", subtype=None, light_kind=None, iid="x0"):
+def obj(x, y, category="traffic_sign", subtype=None, light_kind=None, iid="x0", frame=FRAME):
     return PlacedObject(
         category=category,
         subtype=subtype,
         light_kind=light_kind,
-        position=unproject(FRAME, LocalPoint(x, y)),
+        position=unproject(frame, LocalPoint(x, y)),
         height_m=None,
         source_images=[],
         support=1,
@@ -106,19 +106,22 @@ def test_tie_breaks_by_pred_then_ref_index():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_match_equals_rescan_oracle(data):
+    # Objects scatter in metres around a centre at any latitude in [-85, 85],
+    # where a degree of longitude spans from 111 km down to under 10 km.
+    lat = data.draw(st.floats(-85, 85, allow_nan=False))
+    frame = make_frame(GeoPoint(lat, 13.4))
     n_pred = data.draw(st.integers(0, 6))
     n_ref = data.draw(st.integers(0, 6))
     coord = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
     cats = st.sampled_from(["traffic_light", "traffic_sign"])
     subs = st.sampled_from([None, "stop", "yield"])
-    preds = [
-        obj(data.draw(coord), data.draw(coord), category=data.draw(cats), subtype=data.draw(subs))
-        for _ in range(n_pred)
-    ]
-    refs = [
-        obj(data.draw(coord), data.draw(coord), category=data.draw(cats), subtype=data.draw(subs))
-        for _ in range(n_ref)
-    ]
+
+    def draw_obj():
+        x, y = data.draw(coord), data.draw(coord)
+        return obj(x, y, category=data.draw(cats), subtype=data.draw(subs), frame=frame)
+
+    preds = [draw_obj() for _ in range(n_pred)]
+    refs = [draw_obj() for _ in range(n_ref)]
     assert match(preds, refs) == match_oracle(preds, refs)
     for g in evaluate(preds, refs).groups:
         assert g.precision == (g.n_matched / g.n_pred if g.n_pred else None)

@@ -8,7 +8,9 @@ sign error in either formulation breaks the comparison.
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from rop.synth import (
     TruthObject,
     layout_from_json,
     layout_to_json,
+    load_layouts,
     render_bundle,
     render_image,
     standard_fixtures,
@@ -212,6 +215,26 @@ def test_layout_json_round_trip():
     back = layout_from_json(doc)
     assert back == lay
     assert layout_to_json(back) == doc
+
+
+def test_load_layouts_reads_one_layout_or_a_list(tmp_path):
+    # The loader behind both `rop synth --layout` and the preview script.
+    lays = standard_fixtures(n=2, seed=3)
+    path = tmp_path / "layouts.json"
+    path.write_text(json.dumps(layout_to_json(lays[1])))
+    assert load_layouts(str(path)) == [lays[1]]
+    path.write_text(json.dumps([layout_to_json(lay) for lay in lays]))
+    assert load_layouts(str(path)) == lays
+
+
+@pytest.mark.parametrize(
+    "text", ["{\n", '{"intersection_id": "z"}', '["z"]', '[{"intersection_id": "z", "center": 1}]']
+)
+def test_load_layouts_error_names_file(text, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_layouts(str(path))
 
 
 def test_truth_as_placed_heights_only_for_lights():
