@@ -10,6 +10,7 @@ makes reports byte-stable across runs.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,29 +66,20 @@ def match(
     preds: list[PlacedObject], refs: list[PlacedObject], radius_m: float = 5.0
 ) -> list[Pairing]:
     """Greedy nearest-first one-to-one matching within radius_m."""
-    if not preds or not refs:
-        return []
-    # Coarse box prefilter before exact distances, 2 * radius_m a side in
-    # metres. A pair d apart differs by at most d in latitude, and by about d
-    # in longitude on the parallel of its larger |lat| (smaller cosine); the
-    # factor 2 covers the gap between that arc and the great circle.
-    p_lat = np.array([p.position.lat for p in preds])
-    p_lon = np.array([p.position.lon for p in preds])
-    r_lat = np.array([r.position.lat for r in refs])
-    r_lon = np.array([r.position.lon for r in refs])
-    bound_m = 2.0 * radius_m
-    cos_lat = np.minimum(np.cos(np.radians(p_lat))[:, None], np.cos(np.radians(r_lat))[None, :])
-    near = (np.abs(p_lat[:, None] - r_lat[None, :]) * M_PER_DEG_LAT <= bound_m) & (
-        np.abs(p_lon[:, None] - r_lon[None, :]) * M_PER_DEG_LAT * cos_lat <= bound_m
-    )
+    # A pair d apart differs by at most d in latitude, so ±2 * radius_m of it is ample.
+    order = sorted(range(len(refs)), key=lambda ri: refs[ri].position.lat)
+    lats = [refs[ri].position.lat for ri in order]
+    half = 2.0 * radius_m / M_PER_DEG_LAT
     candidates: list[tuple[float, int, int]] = []
-    for pi, ri in zip(*np.nonzero(near)):
-        p, r = preds[pi], refs[ri]
-        if not _compatible(p, r):
-            continue
-        d = haversine_m(p.position, r.position)
-        if d <= radius_m:
-            candidates.append((d, int(pi), int(ri)))
+    for pi, p in enumerate(preds):
+        lo = bisect_left(lats, p.position.lat - half)
+        hi = bisect_right(lats, p.position.lat + half)
+        for ri in order[lo:hi]:
+            if not _compatible(p, refs[ri]):
+                continue
+            d = haversine_m(p.position, refs[ri].position)
+            if d <= radius_m:
+                candidates.append((d, pi, ri))
     candidates.sort()
     used_p: set[int] = set()
     used_r: set[int] = set()

@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,11 +28,14 @@ from .ingest import (
     ImageMeta,
     IntersectionBuffer,
     _load_json,
+    _number,
+    _require,
 )
 from .labelmap import LabelRuns, runs_of, write_rle
 from .placer import PlacedObject, to_geojson
 
 _NEAR_M = 0.2
+_type_hints = cache(get_type_hints)  # it compiles the annotation strings on each call
 
 
 @dataclass(frozen=True)
@@ -91,8 +96,8 @@ class CameraPose:
 class Layout:
     intersection_id: str
     center: GeoPoint
-    footprints: list[RectFootprint]
-    truth_objects: list[TruthObject]
+    footprints: list[RectFootprint] = field(default_factory=list)
+    truth_objects: list[TruthObject] = field(default_factory=list)
     pedestrians: list[PedestrianSpec] = field(default_factory=list)
     cameras: list[CameraPose] = field(default_factory=list)
     camera: CameraModel = field(default_factory=CameraModel)
@@ -402,42 +407,34 @@ def _fp_to_geo(fp: RectFootprint, frame) -> Footprint:
 # Disk output in the ingest formats.
 
 
+def _to_json(value, point: type):
+    """value, a JSON scalar or a list, tuple or dataclass of them, as JSON. A
+    dataclass is an object of its fields by name, but a field of type point
+    adds its own fields (lat and lon, or x and y)."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v, point) for v in value]
+    out = {}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if isinstance(v, point):
+            out.update(_to_json(v, point))
+        else:
+            out[f.name] = _to_json(v, point)
+    return out
+
+
 def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
     out = Path(out_dir)
     masks = out / "masks"
     masks.mkdir(parents=True, exist_ok=True)
     for image_id, runs in bundle.label_maps.items():
         write_rle(str(masks / f"{image_id}.rle"), runs)
-    images_doc = [
-        {
-            "image_id": im.image_id,
-            "lat": im.position.lat,
-            "lon": im.position.lon,
-            "heading_deg": im.heading_deg,
-            "sequence_id": im.sequence_id,
-            "captured_at": im.captured_at,
-            "width_px": im.width_px,
-            "height_px": im.height_px,
-        }
-        for im in bundle.images
-    ]
-    (out / "images.json").write_text(json.dumps(images_doc, indent=2, sort_keys=True))
-    lines = []
-    for image_id in sorted(bundle.detections):
-        for d in bundle.detections[image_id]:
-            lines.append(
-                json.dumps(
-                    {
-                        "image_id": d.image_id,
-                        "category": d.category,
-                        "subtype": d.subtype,
-                        "bbox": list(d.bbox),
-                        "score": d.score,
-                    },
-                    sort_keys=True,
-                )
-            )
-    (out / "detections.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
+    (out / "images.json").write_text(json.dumps(_to_json(bundle.images, GeoPoint), indent=2, sort_keys=True))
+    detections = [d for image_id in sorted(bundle.detections) for d in bundle.detections[image_id]]
+    lines = [json.dumps(record, sort_keys=True) + "\n" for record in _to_json(detections, GeoPoint)]
+    (out / "detections.jsonl").write_text("".join(lines))
     fp_doc = {
         "type": "FeatureCollection",
         "features": [
@@ -453,16 +450,7 @@ def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
         ],
     }
     (out / "footprints.geojson").write_text(json.dumps(fp_doc, indent=2, sort_keys=True))
-    buf_doc = [
-        {
-            "intersection_id": b.intersection_id,
-            "lat": b.center.lat,
-            "lon": b.center.lon,
-            "radius_m": b.radius_m,
-        }
-        for b in bundle.buffers
-    ]
-    (out / "buffers.json").write_text(json.dumps(buf_doc, indent=2, sort_keys=True))
+    (out / "buffers.json").write_text(json.dumps(_to_json(bundle.buffers, GeoPoint), indent=2, sort_keys=True))
     return {
         "images": str(out / "images.json"),
         "masks": str(masks),
@@ -481,94 +469,74 @@ def write_truth(truth: list[PlacedObject], path: str) -> None:
 
 
 def layout_to_json(layout: Layout) -> dict:
-    return {
-        "intersection_id": layout.intersection_id,
-        "kind": layout.kind,
-        "center": {"lat": layout.center.lat, "lon": layout.center.lon},
-        "radius_m": layout.radius_m,
-        "camera": {
-            "hfov_deg": layout.camera.hfov_deg,
-            "width_px": layout.camera.width_px,
-            "height_px": layout.camera.height_px,
-            "cam_height_m": layout.camera.cam_height_m,
-        },
-        "footprints": [
-            {"id": fp.id, "x0": fp.x0, "y0": fp.y0, "x1": fp.x1, "y1": fp.y1, "height_m": fp.height_m}
-            for fp in layout.footprints
-        ],
-        "truth_objects": [
-            {
-                "category": t.category,
-                "subtype": t.subtype,
-                "light_kind": t.light_kind,
-                "x": t.position.x,
-                "y": t.position.y,
-                "mount_m": t.mount_m,
-            }
-            for t in layout.truth_objects
-        ],
-        "pedestrians": [
-            {"x": p.position.x, "y": p.position.y, "height_m": p.height_m}
-            for p in layout.pedestrians
-        ],
-        "cameras": [
-            {
-                "image_id": c.image_id,
-                "sequence_id": c.sequence_id,
-                "x": c.position.x,
-                "y": c.position.y,
-                "heading_deg": c.heading_deg,
-            }
-            for c in layout.cameras
-        ],
-    }
+    return _to_json(layout, LocalPoint)
 
 
-def layout_from_json(doc: dict) -> Layout:
-    cam = doc.get("camera", {})
-    return Layout(
-        intersection_id=doc["intersection_id"],
-        center=GeoPoint(doc["center"]["lat"], doc["center"]["lon"]),
-        footprints=[
-            RectFootprint(f["id"], f["x0"], f["y0"], f["x1"], f["y1"], f["height_m"])
-            for f in doc.get("footprints", [])
-        ],
-        truth_objects=[
-            TruthObject(
-                t["category"],
-                t.get("subtype"),
-                t.get("light_kind"),
-                LocalPoint(t["x"], t["y"]),
-                t["mount_m"],
-            )
-            for t in doc.get("truth_objects", [])
-        ],
-        pedestrians=[
-            PedestrianSpec(LocalPoint(p["x"], p["y"]), p["height_m"])
-            for p in doc.get("pedestrians", [])
-        ],
-        cameras=[
-            CameraPose(c["image_id"], c["sequence_id"], LocalPoint(c["x"], c["y"]), c["heading_deg"])
-            for c in doc.get("cameras", [])
-        ],
-        # Keys the document leaves out take the dataclass defaults.
-        camera=CameraModel(**{f.name: cam[f.name] for f in fields(CameraModel) if f.name in cam}),
-        **{key: doc[key] for key in ("radius_m", "kind") if key in doc},
-    )
+def _from_json(kind: type, doc, where: str):
+    """doc, the JSON object at where, read as a kind dataclass by its field
+    types; a LocalPoint field is the record's own x and y. A field typed
+    X | None may be null or absent, any other absent field takes its default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    hints = _type_hints(kind)
+    values = {}
+    for f in fields(kind):
+        tp = hints[f.name]
+        if tp is LocalPoint:
+            values[f.name] = _from_json(LocalPoint, doc, where)
+        elif f.name in doc or type(None) in get_args(tp):
+            values[f.name] = _value(tp, doc.get(f.name), f.name, where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            _require(doc, f.name, where)
+    try:
+        return kind(**values)
+    except ValueError as exc:  # the dataclass's own check, such as GeoPoint's range
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _value(tp, value, key: str, where: str):
+    """Field key of the record at where read as tp, or a ValueError naming both."""
+    if type(None) in get_args(tp):  # X | None
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    if get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: {key} must be a list")
+        return [_value(get_args(tp)[0], v, f"{key}[{i}]", where) for i, v in enumerate(value)]
+    if is_dataclass(tp):
+        return _from_json(tp, value, f"{where}.{key}")
+    if tp is not str:
+        return _number(value, key, where, tp)
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: {key} must be a string")
+    return value
+
+
+def layout_from_json(doc: dict, where: str = "layout") -> Layout:
+    return _from_json(Layout, doc, where)
 
 
 def save_layouts(layouts: list[Layout], path: str) -> None:
-    Path(path).write_text(json.dumps([layout_to_json(l) for l in layouts], indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(_to_json(layouts, LocalPoint), indent=2, sort_keys=True))
 
 
 def load_layouts(path: str) -> list[Layout]:
-    """The layouts of a JSON file holding one layout object or a list of them.
-    Invalid JSON or an invalid layout is a ValueError naming the file."""
+    """The layouts of a JSON file of one layout object or a list, each checked
+    by validate_layout; any fault is a ValueError naming the file and layout."""
     doc = _load_json(path)
-    try:
-        return [layout_from_json(d) for d in (doc if isinstance(doc, list) else [doc])]
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: invalid layout document ({exc})") from exc
+    layouts = []
+    for i, d in enumerate(doc if isinstance(doc, list) else [doc]):
+        try:
+            layout = layout_from_json(d, f"layouts[{i}]")
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid layout: {exc}") from exc
+        try:
+            validate_layout(layout)
+        except ValueError as exc:
+            raise ValueError(f"{path}: invalid layout: layouts[{i}]: {exc}") from exc
+        layouts.append(layout)
+    return layouts
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from rop.cli import main
 from rop.geo import GeoPoint, LocalPoint
 from rop.labelmap import read_rle, write_pgm
 from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
+from test_synth import BAD_LAYOUTS
 
 SRC = Path(__file__).parents[1] / "src"
 
@@ -411,6 +412,13 @@ def test_synth_invalid_layout_is_input_error(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "o"), "--layout", str(bad)])
     assert rc == 2
     assert "invalid layout" in capsys.readouterr().err
+    # Every malformed layout of the loader's test exits 2 naming the file and the field.
+    for case in BAD_LAYOUTS:
+        text, where = case.values
+        bad.write_text(text)
+        assert main(["synth", "--out", str(tmp_path / "o"), "--layout", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and where in err
 
 
 def test_synth_layout_invalid_json_names_file(tmp_path, capsys):

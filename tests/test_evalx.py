@@ -8,15 +8,24 @@ divergence in pairing or order breaks the comparison.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop.evalx import Pairing, evaluate, match, to_json, to_table
-from rop.geo import GeoPoint, LocalPoint, haversine_m, make_frame, unproject
+from rop.geo import GeoPoint, haversine_m, make_frame
 from rop.placer import PlacedObject
 
 FRAME = make_frame(GeoPoint(52.5, 13.4))
+
+
+def wrapped(frame, x, y) -> GeoPoint:
+    """unproject(frame, LocalPoint(x, y)), with the longitude wrapped into
+    [-180, 180], which unproject cannot do."""
+    lon = frame.origin.lon + x / frame.m_per_deg_lon
+    lon += 360.0 if lon < -180.0 else -360.0 if lon > 180.0 else 0.0
+    return GeoPoint(frame.origin.lat + y / frame.m_per_deg_lat, lon)
 
 
 def obj(x, y, category="traffic_sign", subtype=None, light_kind=None, iid="x0", frame=FRAME):
@@ -24,7 +33,7 @@ def obj(x, y, category="traffic_sign", subtype=None, light_kind=None, iid="x0", 
         category=category,
         subtype=subtype,
         light_kind=light_kind,
-        position=unproject(frame, LocalPoint(x, y)),
+        position=wrapped(frame, x, y),
         height_m=None,
         source_images=[],
         support=1,
@@ -107,21 +116,29 @@ def test_tie_breaks_by_pred_then_ref_index():
 @given(st.data())
 def test_match_equals_rescan_oracle(data):
     # Objects scatter in metres around a centre at any latitude in [-85, 85],
-    # where a degree of longitude spans from 111 km down to under 10 km.
+    # where a degree of longitude spans from 111 km down to under 10 km, and
+    # at any longitude: a centre on ±180 puts the scatter across the line.
     lat = data.draw(st.floats(-85, 85, allow_nan=False))
-    frame = make_frame(GeoPoint(lat, 13.4))
+    lon = data.draw(st.sampled_from([13.4, 180.0, -180.0]) | st.floats(-180, 180, allow_nan=False))
+    frame = make_frame(GeoPoint(lat, lon))
     n_pred = data.draw(st.integers(0, 6))
     n_ref = data.draw(st.integers(0, 6))
     coord = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
     cats = st.sampled_from(["traffic_light", "traffic_sign"])
     subs = st.sampled_from([None, "stop", "yield"])
 
-    def draw_obj():
-        x, y = data.draw(coord), data.draw(coord)
+    def draw_obj(x, y):
         return obj(x, y, category=data.draw(cats), subtype=data.draw(subs), frame=frame)
 
-    preds = [draw_obj() for _ in range(n_pred)]
-    refs = [draw_obj() for _ in range(n_ref)]
+    preds = [draw_obj(data.draw(coord), data.draw(coord)) for _ in range(n_pred)]
+    refs = [draw_obj(data.draw(coord), data.draw(coord)) for _ in range(n_ref)]
+    # Pairs about one radius apart along the meridian, on either side of it:
+    # the most latitude a matching pair can span.
+    for _ in range(data.draw(st.integers(0, 2))):
+        x, y = data.draw(coord), data.draw(coord)
+        dy = data.draw(st.sampled_from([-5.0, 5.0])) * (1.0 - data.draw(st.floats(-1e-5, 1e-5)))
+        preds.append(draw_obj(x, y))
+        refs.append(draw_obj(x, y + dy))
     assert match(preds, refs) == match_oracle(preds, refs)
     for g in evaluate(preds, refs).groups:
         assert g.precision == (g.n_matched / g.n_pred if g.n_pred else None)
@@ -132,6 +149,21 @@ def test_match_equals_rescan_oracle(data):
             assert g.f1 == 0.0
         else:
             assert math.isclose(g.f1, 2 * g.n_matched / (g.n_ref + g.n_pred))
+
+
+def test_evaluate_memory_grows_with_objects_not_their_product():
+    # 3,000 references on a 30 m grid, each with a prediction 1 m east. One
+    # P x R float64 matrix alone would take 72 MB.
+    refs = [obj(30.0 * (i % 55), 30.0 * (i // 55)) for i in range(3000)]
+    preds = [obj(30.0 * (i % 55) + 1.0, 30.0 * (i // 55)) for i in range(3000)]
+    tracemalloc.start()
+    try:
+        report = evaluate(preds, refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.group("overall").n_matched == 3000
+    assert peak < 20 * 2**20
 
 
 def test_evaluate_stats_hand_computed():

@@ -32,6 +32,7 @@ from rop.synth import (
     load_layouts,
     render_bundle,
     render_image,
+    save_layouts,
     standard_fixtures,
     truth_as_placed,
     validate_layout,
@@ -209,12 +210,17 @@ def test_validate_rejects_camera_in_building():
         validate_layout(layout(fps=[fp], cams=[pose(0.0, 0.0, 0.0)]))
 
 
-def test_layout_json_round_trip():
+def test_layout_json_round_trip(tmp_path):
     lay = standard_fixtures(n=2, seed=3)[1]
     doc = layout_to_json(lay)
     back = layout_from_json(doc)
     assert back == lay
     assert layout_to_json(back) == doc
+    path = tmp_path / "layouts.json"
+    for seed in (1, 2, 3):
+        lays = standard_fixtures(n=6, seed=seed)
+        save_layouts(lays, str(path))
+        assert load_layouts(str(path)) == lays
 
 
 def test_load_layouts_reads_one_layout_or_a_list(tmp_path):
@@ -225,16 +231,96 @@ def test_load_layouts_reads_one_layout_or_a_list(tmp_path):
     assert load_layouts(str(path)) == [lays[1]]
     path.write_text(json.dumps([layout_to_json(lay) for lay in lays]))
     assert load_layouts(str(path)) == lays
+    # Footprints and truth objects may be left out, like every field with a default.
+    path.write_text(json.dumps({"intersection_id": "z", "center": {"lat": 52.5, "lon": 13.4}}))
+    assert load_layouts(str(path)) == [Layout("z", CENTER)]
 
 
-@pytest.mark.parametrize(
-    "text", ["{\n", '{"intersection_id": "z"}', '["z"]', '[{"intersection_id": "z", "center": 1}]']
-)
-def test_load_layouts_error_names_file(text, tmp_path):
+def _fixture_text(edit) -> str:
+    """The layout file of one standard fixture, after edit(its layout object)."""
+    doc = layout_to_json(standard_fixtures(n=1, seed=1)[0])
+    edit(doc)
+    return json.dumps([doc])
+
+
+def _first_light(doc: dict) -> dict:
+    return next(t for t in doc["truth_objects"] if t["category"] == "traffic_light")
+
+
+# (layout file text, what the error must name besides the file). The first
+# four keep their text as their test id.
+BAD_LAYOUTS = [
+    pytest.param(text, where, id=text)
+    for text, where in [
+        ("{\n", "line 2 column 1"),
+        ('{"intersection_id": "z"}', "layouts[0]: missing field 'center'"),
+        ('["z"]', "layouts[0]: expected a JSON object"),
+        ('[{"intersection_id": "z", "center": 1}]', "layouts[0].center: expected a JSON object"),
+    ]
+] + [
+    pytest.param(_fixture_text(edit), where, id=name)
+    for name, edit, where in [
+        (
+            "footprint-x0-string",
+            lambda d: d["footprints"][0].update(x0="abc"),
+            "layouts[0].footprints[0]: x0 must be a number",
+        ),
+        (
+            "camera-heading-bool",
+            lambda d: d["cameras"][0].update(heading_deg=True),
+            "layouts[0].cameras[0]: heading_deg must be a number",
+        ),
+        (
+            "truth-subtype-int",
+            lambda d: d["truth_objects"][0].update(subtype=5),
+            "layouts[0].truth_objects[0]: subtype must be a string",
+        ),
+        (
+            "camera-x-null",
+            lambda d: d["cameras"][0].update(x=None),
+            "layouts[0].cameras[0]: x must be a number",
+        ),
+        (
+            "pedestrian-height-string",
+            lambda d: d["pedestrians"][0].update(height_m="1.7"),
+            "layouts[0].pedestrians[0]: height_m must be a number",
+        ),
+        (
+            "camera-width-fractional",
+            lambda d: d["camera"].update(width_px=1024.5),
+            "layouts[0].camera: width_px must be a number",
+        ),
+        (
+            "center-lat-95",
+            lambda d: d["center"].update(lat=95),
+            "layouts[0].center: latitude 95.0 outside [-90, 90]",
+        ),
+        (
+            "pedestrians-string",
+            lambda d: d.update(pedestrians="x"),
+            "layouts[0]: pedestrians must be a list",
+        ),
+        (
+            "light-mount-off-menu",
+            lambda d: _first_light(d).update(mount_m=5.0),
+            "layouts[0]: x0000: light mount 5.0 not in {4.0, 7.0}",
+        ),
+        (
+            "duplicate-image-id",
+            lambda d: d["cameras"][1].update(image_id=d["cameras"][0]["image_id"]),
+            "layouts[0]: x0000: duplicate image id",
+        ),
+    ]
+]
+
+
+@pytest.mark.parametrize("text, where", BAD_LAYOUTS)
+def test_load_layouts_error_names_file(text, where, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(ValueError, match=re.escape(str(path))) as info:
         load_layouts(str(path))
+    assert where in str(info.value)
 
 
 def test_truth_as_placed_heights_only_for_lights():
