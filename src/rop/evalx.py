@@ -10,7 +10,6 @@ makes reports byte-stable across runs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +66,25 @@ def match(
 ) -> list[Pairing]:
     """Greedy nearest-first one-to-one matching within radius_m."""
     # A pair d apart differs by at most d in latitude, so ±2 * radius_m of it is ample.
-    order = sorted(range(len(refs)), key=lambda ri: refs[ri].position.lat)
-    lats = [refs[ri].position.lat for ri in order]
+    order = np.argsort([r.position.lat for r in refs], kind="stable")
+    lats = np.array([refs[ri].position.lat for ri in order])
+    lons = np.array([refs[ri].position.lon for ri in order])
     half = 2.0 * radius_m / M_PER_DEG_LAT
+    p_lats = np.array([p.position.lat for p in preds])
+    los = np.searchsorted(lats, p_lats - half, side="left").tolist()
+    his = np.searchsorted(lats, p_lats + half, side="right").tolist()
     candidates: list[tuple[float, int, int]] = []
     for pi, p in enumerate(preds):
-        lo = bisect_left(lats, p.position.lat - half)
-        hi = bisect_right(lats, p.position.lat + half)
-        for ri in order[lo:hi]:
+        lo, hi = los[pi], his[pi]
+        if lo == hi:
+            continue
+        # On the parallel of the window's largest |lat|, |Δlon| in metres is
+        # at most π/2 times a pair's distance, so 2 * radius_m drops no match.
+        dlon = np.abs(lons[lo:hi] - p.position.lon)
+        dlon = np.minimum(dlon, 360.0 - dlon)
+        widest = math.radians(min(90.0, abs(p.position.lat) + half))
+        m_per_deg_lon = M_PER_DEG_LAT * math.cos(widest)
+        for ri in order[lo:hi][dlon * m_per_deg_lon <= 2.0 * radius_m].tolist():
             if not _compatible(p, refs[ri]):
                 continue
             d = haversine_m(p.position, refs[ri].position)

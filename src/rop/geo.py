@@ -73,9 +73,19 @@ def make_frame(center: GeoPoint) -> LocalFrame:
     )
 
 
+def wrap_lon(lon: float) -> float:
+    """A longitude, or a difference of two, in degrees: moved into
+    [-180, 180) by whole turns when it lies outside [-180, 180], else
+    returned as it is, since (lon + 180) % 360 - 180 is not exact for a
+    small lon."""
+    if -180.0 <= lon <= 180.0:
+        return lon
+    return (lon + 180.0) % 360.0 - 180.0
+
+
 def project(frame: LocalFrame, p: GeoPoint) -> LocalPoint:
     dlat = p.lat - frame.origin.lat
-    dlon = p.lon - frame.origin.lon
+    dlon = wrap_lon(p.lon - frame.origin.lon)
     if abs(dlat) >= FRAME_SPAN_DEG or abs(dlon) >= FRAME_SPAN_DEG:
         raise ValueError(
             f"point ({p.lat}, {p.lon}) outside the {FRAME_SPAN_DEG} deg validity "
@@ -89,14 +99,14 @@ def unproject(frame: LocalFrame, q: LocalPoint) -> GeoPoint:
     dlon = q.x / frame.m_per_deg_lon
     if abs(dlat) >= FRAME_SPAN_DEG or abs(dlon) >= FRAME_SPAN_DEG:
         raise ValueError("local point outside the frame validity span")
-    return GeoPoint(lat=frame.origin.lat + dlat, lon=frame.origin.lon + dlon)
+    return GeoPoint(lat=frame.origin.lat + dlat, lon=wrap_lon(frame.origin.lon + dlon))
 
 
 def within(frame: LocalFrame, p: GeoPoint, radius_m: float) -> bool:
     """Whether p lies within radius_m of the frame origin; False, not an
     error, for points outside the frame's validity span."""
     dlat = p.lat - frame.origin.lat
-    dlon = p.lon - frame.origin.lon
+    dlon = wrap_lon(p.lon - frame.origin.lon)
     if abs(dlat) >= FRAME_SPAN_DEG or abs(dlon) >= FRAME_SPAN_DEG:
         return False
     q = project(frame, p)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .ingest import CATEGORY_IDS
-from .labelmap import LabelRuns
+from .labelmap import LabelRuns, concat_runs
 from .scene import SceneObject
 
 log = logging.getLogger("rop.grammar")
@@ -37,75 +37,100 @@ def side_of(obj: SceneObject, width_px: int) -> str:
 # Rules 1-2: light height classification.
 
 
-def _surround_vote(
-    runs: LabelRuns,
-    bbox: tuple[float, float, float, float],
+def surround_margins(
+    maps: list[LabelRuns],
+    boxes: list[list[tuple[float, float, float, float]]],
     ring_px: int,
-) -> str | None:
-    """Majority of {sky, building} in a ring around the bbox; None on a tie.
-    Only the ring's band of rows is decoded."""
+) -> np.ndarray:
+    """Sky pixels minus building pixels in the ring around each (x, y, w, h)
+    box of boxes[i] on maps[i], flat in that order: the box widened by
+    ring_px on every side and clipped to its map, less the box itself.
+
+    Every box of every map is counted in one pass, and nothing is decoded
+    to pixels. C(x), the sky-minus-building count before flat pixel x, is a
+    prefix sum over the runs plus the part of x's own run before x; a row's
+    stretch [a, b) of a rectangle then counts C(b) - C(a).
+    """
+    owner = np.repeat(np.arange(len(maps)), [len(b) for b in boxes])
+    n = owner.size
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    bounds, values, base = concat_runs(maps)
+    starts = bounds[:-1]
+    weight = (values == CATEGORY_IDS["sky"]).astype(np.int64) - (
+        values == CATEGORY_IDS["building"]
+    )
+    counted = weight * np.diff(bounds)
+    before = np.cumsum(counted) - counted
+    box = np.array([b for per_map in boxes for b in per_map], dtype=float)
+    lo = np.floor(box[:, :2]).astype(np.int64)
+    hi = np.ceil(box[:, :2] + box[:, 2:]).astype(np.int64)
+    # Rectangle j < n is box j widened by the ring, rectangle n + j is box j,
+    # each from corner r0 to r1 in (x, y) columns, clipped to its map.
+    rect_owner = np.tile(owner, 2)
+    size = np.array([(m.width, m.height) for m in maps])[rect_owner]
+    r0 = np.clip(np.concatenate([lo - ring_px, lo]), 0, size)
+    r1 = np.clip(np.concatenate([hi + ring_px, hi]), 0, size)
+    rows = np.where(r1[:, 0] > r0[:, 0], np.maximum(r1[:, 1] - r0[:, 1], 0), 0)
+    rect = np.repeat(np.arange(2 * n), rows)
+    y = r0[rect, 1] + np.arange(rect.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    line = base[rect_owner[rect]] + y * size[rect, 0]
+    x = np.concatenate([line + r0[rect, 0], line + r1[rect, 0]])
+    i = np.searchsorted(starts, x, side="right") - 1
+    c = before[i] + (x - starts[i]) * weight[i]
+    per_rect = np.bincount(rect, weights=c[rect.size :] - c[: rect.size], minlength=2 * n)
+    return (per_rect[:n] - per_rect[n:]).astype(np.int64)
+
+
+def _ray_kind(obj: SceneObject, runs: LabelRuns, tallest_ped: int | None, cfg: RunConfig) -> str:
+    """high when the drop from the light centroid down its column to the
+    first road or sidewalk pixel exceeds high_factor times the tallest
+    pedestrian (fallback: a fixed fraction of the image height); low
+    otherwise, and when the ray exits the image."""
     big_h, big_w = runs.height, runs.width
-    x, y, w, h = bbox
-    x0, y0 = int(np.floor(x)), int(np.floor(y))
-    x1, y1 = int(np.ceil(x + w)), int(np.ceil(y + h))
-    ox0, oy0 = max(0, x0 - ring_px), max(0, y0 - ring_px)
-    ox1, oy1 = min(big_w, x1 + ring_px), min(big_h, y1 + ring_px)
-    band = runs.rows(oy0, max(oy0, oy1))
-    outer = np.bincount(band[:, ox0:ox1].ravel(), minlength=256)
-    ix0, iy0 = max(0, x0), max(0, y0)
-    ix1, iy1 = min(big_w, x1), min(big_h, y1)
-    if ix1 > ix0 and iy1 > iy0:
-        outer -= np.bincount(band[iy0 - oy0 : iy1 - oy0, ix0:ix1].ravel(), minlength=256)
-    sky = int(outer[CATEGORY_IDS["sky"]])
-    building = int(outer[CATEGORY_IDS["building"]])
-    if sky > building:
-        return "sky"
-    if building > sky:
-        return "building"
-    return None
+    row, col = obj.centroid
+    c = min(max(int(round(col)), 0), big_w - 1)
+    r0 = int(round(row))
+    if r0 + 1 >= big_h:
+        return "low"
+    # The run holding each pixel of column c below the light.
+    pixels = np.arange(r0 + 1, big_h) * big_w + c
+    column = runs.values[np.searchsorted(runs.starts, pixels, side="right") - 1]
+    ground = (column == CATEGORY_IDS["road"]) | (column == CATEGORY_IDS["sidewalk"])
+    hits = np.flatnonzero(ground)
+    h = float(tallest_ped) if tallest_ped else cfg.pedestrian_fallback_frac * big_h
+    return "high" if hits.size and float(r0 + 1 + hits[0]) - row > cfg.high_factor * h else "low"
 
 
-def classify_light(
-    obj: SceneObject,
-    runs: LabelRuns,
-    tallest_ped: int | None = None,
+def classify_lights(
+    lights: list[list[SceneObject]],
+    maps: list[LabelRuns],
+    tallest_peds: list[int | None],
     cfg: RunConfig = RunConfig(),
-) -> str:
-    """Assign light_kind high/low from the surround ring, else a downward ray.
+) -> None:
+    """Set light_kind high/low on every light of a track: lights[i] are seen
+    on maps[i], whose tallest pedestrian is tallest_peds[i] pixels (0 or None
+    if none).
 
     A sky majority in the ring around the light reads high, a building
-    majority low. Only on a tied or empty surround does the ray decide: from
-    the light centroid down to the first road or sidewalk pixel it measures the
-    drop d, the tallest pedestrian (fallback: a fixed fraction of the image
-    height) gives the scale h, and d > high_factor*h reads high. A ray that
-    exits the image reads low.
+    majority low. Only on a tied or empty surround does the downward ray
+    decide (see _ray_kind).
     """
-    if obj.category != "traffic_light":
-        raise ValueError(f"classify_light on category '{obj.category}'")
-    big_h, big_w = runs.height, runs.width
-    bbox = obj.bbox
-    if bbox is None:
-        r, c = obj.centroid
-        bbox = (c, r, 1.0, 1.0)
-    surround = _surround_vote(runs, bbox, cfg.ring_px)
-    if surround is not None:
-        kind = "high" if surround == "sky" else "low"
-    else:
-        row, col = obj.centroid
-        c = min(max(int(round(col)), 0), big_w - 1)
-        r0 = int(round(row))
-        kind = "low"
-        if r0 + 1 < big_h:
-            # The run holding each pixel of column c below the light.
-            pixels = np.arange(r0 + 1, big_h) * big_w + c
-            column = runs.values[np.searchsorted(runs.starts, pixels, side="right") - 1]
-            ground = (column == CATEGORY_IDS["road"]) | (column == CATEGORY_IDS["sidewalk"])
-            hits = np.flatnonzero(ground)
-            h = float(tallest_ped) if tallest_ped else cfg.pedestrian_fallback_frac * big_h
-            if hits.size and float(r0 + 1 + hits[0]) - row > cfg.high_factor * h:
-                kind = "high"
-    obj.light_kind = kind
-    return kind
+    for objs in lights:
+        for obj in objs:
+            if obj.category != "traffic_light":
+                raise ValueError(f"classify_lights on category '{obj.category}'")
+    boxes = [
+        [o.bbox or (o.centroid[1], o.centroid[0], 1.0, 1.0) for o in objs] for objs in lights
+    ]
+    margins = iter(surround_margins(maps, boxes, cfg.ring_px).tolist())
+    for objs, runs, tallest in zip(lights, maps, tallest_peds):
+        for obj in objs:
+            margin = next(margins)
+            if margin:
+                obj.light_kind = "high" if margin > 0 else "low"
+            else:
+                obj.light_kind = _ray_kind(obj, runs, tallest, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -274,24 +299,28 @@ def group_patterns(
 
 
 def apply_grammar(
-    objs: list[SceneObject],
-    runs: LabelRuns,
-    tallest_ped: int,
+    scenes: list[tuple[list[SceneObject], int]],
+    maps: list[LabelRuns],
     cfg: RunConfig = RunConfig(),
-) -> tuple[list[SceneObject], list[PatternGroup]]:
-    """Run Rules 1-5 in order on one image's objects.
+) -> list[tuple[list[SceneObject], list[PatternGroup]]]:
+    """Run Rules 1-5 in order on each image of a track.
 
-    tallest_ped is the tallest pedestrian's height in pixels, 0 if none (see
-    scene.scene_objects).
+    scenes[i] holds the objects of maps[i]'s image and its tallest
+    pedestrian's height in pixels, 0 if none (see scene.scene_objects). The
+    lights of every image are classified in one call.
     """
-    width_px = runs.width
-    for obj in objs:
-        if obj.category == "traffic_light" and not obj.inferred:
-            classify_light(obj, runs, tallest_ped or None, cfg)
-    objs = merge_sidewalks(objs, width_px, cfg)
-    left = [o for o in objs if side_of(o, width_px) == "left"]
-    right = [o for o in objs if side_of(o, width_px) == "right"]
-    twin = infer_pair(left, right, width_px)
-    if twin is not None:
-        objs = objs + [twin]
-    return objs, group_patterns(objs, width_px, cfg)
+    lights = [
+        [o for o in objs if o.category == "traffic_light" and not o.inferred] for objs, _ in scenes
+    ]
+    classify_lights(lights, maps, [tallest for _, tallest in scenes], cfg)
+    out = []
+    for (objs, _), runs in zip(scenes, maps):
+        width_px = runs.width
+        objs = merge_sidewalks(objs, width_px, cfg)
+        left = [o for o in objs if side_of(o, width_px) == "left"]
+        right = [o for o in objs if side_of(o, width_px) == "right"]
+        twin = infer_pair(left, right, width_px)
+        if twin is not None:
+            objs = objs + [twin]
+        out.append((objs, group_patterns(objs, width_px, cfg)))
+    return out

@@ -43,6 +43,17 @@ class LabelRuns:
         return np.repeat(self.values[i0:i1], lengths).reshape(y1 - y0, w)
 
 
+def concat_runs(maps: list[LabelRuns]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of all maps as one sequence, over a flat pixel index that lays
+    the maps end to end: pixel p of maps[i] has index base[i] + p. Returns
+    (bounds, values, base): run j holds values[j] over [bounds[j],
+    bounds[j + 1])."""
+    size = np.array([m.width * m.height for m in maps])
+    base = np.cumsum(size) - size
+    bounds = np.concatenate([*(m.starts + b for m, b in zip(maps, base.tolist())), [size.sum()]])
+    return bounds, np.concatenate([m.values for m in maps]), base
+
+
 def _runs(flat: np.ndarray, change: np.ndarray, w: int, h: int) -> LabelRuns:
     """The runs of the row-major raster flat, using change (bool, same size)
     as scratch. The result shares no memory with either array."""

@@ -285,9 +285,12 @@ def dedup_placed(
 
 def _in_box(frame: LocalFrame, lat: np.ndarray, lon: np.ndarray, radius_m: float) -> np.ndarray:
     """Which points lie within radius_m of the frame origin on each axis: a
-    necessary condition of within, since |x| <= hypot(x, y)."""
+    necessary condition of within, since |x| <= hypot(x, y). Longitude
+    differences wrap as in geo.wrap_lon."""
+    dlon = lon - frame.origin.lon
+    dlon = np.where(np.abs(dlon) > 180.0, (dlon + 180.0) % 360.0 - 180.0, dlon)
     return (np.abs(lat - frame.origin.lat) * frame.m_per_deg_lat <= radius_m) & (
-        np.abs(lon - frame.origin.lon) * frame.m_per_deg_lon <= radius_m
+        np.abs(dlon) * frame.m_per_deg_lon <= radius_m
     )
 
 
@@ -351,14 +354,15 @@ def slice_tracks(part: Bundle) -> list[Track]:
 
 def track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
     """One tree per image of track, in track order: the tree stage that
-    run_intersection and dump-trees share."""
-    trees = []
-    for img in track.images:
-        runs = part.label_maps[img.image_id]
-        objs, tallest = scene_objects(runs, part.detections.get(img.image_id, []), cfg)
-        objs, groups = apply_grammar(objs, runs, tallest, cfg)
-        trees.append(build_atbt(objs, groups, img.image_id, img.width_px))
-    return trees
+    run_intersection and dump-trees share. Each label map is read once, and
+    the track's maps are labelled and their lights voted in one pass."""
+    maps = [part.label_maps[img.image_id] for img in track.images]
+    detections = [part.detections.get(img.image_id, []) for img in track.images]
+    scenes = scene_objects(maps, detections, cfg)
+    return [
+        build_atbt(objs, groups, img.image_id, img.width_px)
+        for img, (objs, groups) in zip(track.images, apply_grammar(scenes, maps, cfg))
+    ]
 
 
 def _track_corners(

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import RunConfig
 from .ingest import CATEGORY_IDS, CATEGORY_NAMES, Detection
-from .labelmap import LabelRuns
+from .labelmap import LabelRuns, concat_runs
 
 
 @dataclass
@@ -40,30 +40,48 @@ class SceneObject:
 
 
 def extract_regions(
-    runs: LabelRuns, categories: list[str], min_region_px: int
-) -> list[Region]:
-    """Connected components (4-connectivity) of the given categories, smaller
-    than min_region_px dropped, ordered by (category id, first pixel index).
+    maps: list[LabelRuns], categories: list[str], min_region_px: int
+) -> list[list[Region]]:
+    """Per label map, its connected components (4-connectivity) of the given
+    categories, smaller than min_region_px dropped, ordered by (category id,
+    first pixel index), in each map's own pixel coordinates.
 
     Components are built from row runs rather than pixels (run-based
     labeling, He, Chao & Suzuki 2008): a label map holds far fewer runs of
-    the requested categories than pixels. Every moment stays an exact
-    integer until the one division by area.
+    the requested categories than pixels. All maps are labelled in one pass,
+    their kept runs laid on one canvas as wide as the widest map, one map
+    below the other with a blank row between, so no run touches a run of
+    another map. Every moment stays an exact integer until the one division
+    by area.
     """
-    w = runs.width
+    out: list[list[Region]] = [[] for _ in maps]
+    if not maps:
+        return out
     # A label map holds one byte per pixel, so a 256-entry table picks the runs.
     wanted = np.zeros(256, dtype=bool)
     wanted[[CATEGORY_IDS[n] for n in categories]] = True
-    keep = np.flatnonzero(wanted[runs.values])
+    bounds, values, base = concat_runs(maps)
+    keep = np.flatnonzero(wanted[values])
     if keep.size == 0:
-        return []
-    start = runs.starts[keep]
-    end = np.append(runs.starts, w * runs.height)[keep + 1]
-    value = runs.values[keep]
+        return out
+    value = values[keep]
+    k = np.searchsorted(base, bounds[keep], side="right") - 1
+    local = bounds[keep] - base[k]
+    length = bounds[keep + 1] - bounds[keep]
+    width = np.array([m.width for m in maps])
+    height = np.array([m.height for m in maps])
+    w = width[k]
+    row = local // w
+    col0 = local - row * w
+    canvas_w = int(width.max())
+    # Each map starts one blank canvas row below the last row of the one before.
+    top_row = np.cumsum(height + 1) - (height + 1)
+    start = (top_row[k] + row) * canvas_w + col0
+    end = start + length
     # Kept runs are disjoint and sorted, so the runs one row up that share a
     # column with run i are the contiguous index range [lo[i], hi[i]).
-    lo = np.searchsorted(end, start - w, side="right")
-    hi = np.searchsorted(start, end - w, side="left")
+    lo = np.searchsorted(end, start - canvas_w, side="right")
+    hi = np.searchsorted(start, end - canvas_w, side="left")
     count = hi - lo
     src = np.repeat(np.arange(keep.size), count)
     dst = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - lo, count)
@@ -84,9 +102,6 @@ def extract_regions(
     order = np.argsort(parent, kind="stable")
     group = np.flatnonzero(np.diff(parent[order], prepend=-1))
     root = parent[order][group]
-    row = start // w
-    col0 = start - row * w
-    length = end - start
     area = np.add.reduceat(length[order], group)
     row_sum = np.add.reduceat((row * length)[order], group)
     # Columns col0 .. col0 + length - 1 sum to length * (2 * col0 + length - 1) / 2.
@@ -95,20 +110,22 @@ def extract_regions(
     bottom = np.maximum.reduceat(row[order], group)
     left = np.minimum.reduceat(col0[order], group)
     right = np.maximum.reduceat((col0 + length)[order], group)
-    # Roots ascend by first pixel; a stable sort by category id keeps that.
-    k = np.argsort(value[root], kind="stable")
-    k = k[area[k] >= min_region_px]
-    columns = (value[root], area, row_sum, col_sum, left, top, right, bottom, start[root])
-    return [
-        Region(
-            category=CATEGORY_NAMES[v],
-            centroid=(rs / a, cs / a),
-            area_px=a,
-            bbox=(x0, y0, x1 - x0, y1 - y0 + 1),
-            first_px=first,
+    # Roots ascend by map, then by first pixel; a stable sort by (map,
+    # category id) keeps that.
+    s = np.argsort(k[root] * 256 + value[root], kind="stable")
+    s = s[area[s] >= min_region_px]
+    columns = (k[root], value[root], area, row_sum, col_sum, left, top, right, bottom, local[root])
+    for m, v, a, rs, cs, x0, y0, x1, y1, first in zip(*(c[s].tolist() for c in columns)):
+        out[m].append(
+            Region(
+                category=CATEGORY_NAMES[v],
+                centroid=(rs / a, cs / a),
+                area_px=a,
+                bbox=(x0, y0, x1 - x0, y1 - y0 + 1),
+                first_px=first,
+            )
         )
-        for v, a, rs, cs, x0, y0, x1, y1, first in zip(*(c[k].tolist() for c in columns))
-    ]
+    return out
 
 
 def box_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
@@ -193,16 +210,22 @@ def reconcile(
 
 
 def scene_objects(
-    runs: LabelRuns,
-    detections: list[Detection],
+    maps: list[LabelRuns],
+    detections: list[list[Detection]],
     cfg: RunConfig = RunConfig(),
-) -> tuple[list[SceneObject], int]:
-    """One image's reconciled objects and its tallest pedestrian height in
-    pixels (0 if none), from a single extraction over the label map's runs."""
+) -> list[tuple[list[SceneObject], int]]:
+    """Per label map, its image's reconciled objects and tallest pedestrian
+    height in pixels (0 if none), from a single extraction over all the maps'
+    runs. detections[i] holds the detections of maps[i]'s image."""
     regions = extract_regions(
-        runs,
+        maps,
         ["sidewalk", "pedestrian", "traffic_light", "traffic_sign"],
         cfg.min_region_px,
     )
-    tallest = max((r.bbox[3] for r in regions if r.category == "pedestrian"), default=0)
-    return reconcile(regions, detections, cfg.iou_min), tallest
+    return [
+        (
+            reconcile(found, dets, cfg.iou_min),
+            max((r.bbox[3] for r in found if r.category == "pedestrian"), default=0),
+        )
+        for found, dets in zip(regions, detections)
+    ]

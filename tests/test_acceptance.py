@@ -30,7 +30,7 @@ from rop.geo import (
     project,
     unproject,
 )
-from rop.grammar import apply_grammar, classify_light, merge_sidewalks
+from rop.grammar import apply_grammar, classify_lights, merge_sidewalks
 from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks, correct_track
 from rop.labelmap import runs_of
 from rop.placer import run_intersection, select_corners, slice_bundle, slice_tracks, track_trees
@@ -198,12 +198,12 @@ def _ring_counts(canvas: np.ndarray, bbox, ring_px: int) -> tuple[int, int]:
 def _classify_one(layout: Layout) -> tuple[str, object]:
     canvas, dets = render_image(layout, layout.cameras[0])
     runs = runs_of(canvas)
-    objs, tallest = scene_objects(runs, dets)
+    ((objs, tallest),) = scene_objects([runs], [dets])
     lights = [o for o in objs if o.category == "traffic_light"]
     if len(lights) != 1:
         return "NONE", None
-    kind = classify_light(lights[0], runs, tallest or None, RunConfig())
-    return kind, (canvas, lights[0])
+    classify_lights([lights], [runs], [tallest], RunConfig())
+    return lights[0].light_kind, (canvas, lights[0])
 
 
 def test_criterion_3_light_classification():
@@ -269,8 +269,7 @@ def _pair_scene(cam_x: float, building_h: float, intersection_id: str) -> Layout
 def _grammar_lights(layout: Layout) -> tuple[list, list]:
     canvas, dets = render_image(layout, layout.cameras[0])
     runs = runs_of(canvas)
-    objs, tallest = scene_objects(runs, dets)
-    objs, _ = apply_grammar(objs, runs, tallest)
+    ((objs, _),) = apply_grammar(scene_objects([runs], [dets]), [runs])
     lights = [o for o in objs if o.category == "traffic_light"]
     return [o for o in lights if not o.inferred], [o for o in lights if o.inferred]
 
@@ -545,8 +544,7 @@ def test_criterion_6_structural_invariants(fixture_run):
     n_shuffles = 0
     for run in fixture_run.runs[:5]:
         img, label_map, dets = _scene_inputs(run)
-        objs, tallest = scene_objects(label_map, dets)
-        objs, groups = apply_grammar(objs, label_map, tallest)
+        ((objs, groups),) = apply_grammar(scene_objects([label_map], [dets]), [label_map])
         base = tree_to_json(build_atbt(objs, groups, img.image_id, img.width_px))
         for _ in range(100):
             o2, g2 = list(objs), list(groups)
@@ -575,7 +573,7 @@ def test_criterion_6_structural_invariants(fixture_run):
     n_merge = 0
     for run in fixture_run.runs[:5]:
         img, label_map, dets = _scene_inputs(run)
-        objs, _ = scene_objects(label_map, dets)
+        ((objs, _),) = scene_objects([label_map], [dets])
         merged = merge_sidewalks(objs, img.width_px)
         assert merge_key(merge_sidewalks(merged, img.width_px)) == merge_key(merged)
         for _ in range(10):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,76 @@ def test_projection_round_trip(lat, lon, dlat, dlon):
     back = geo.unproject(frame, geo.project(frame, p))
     assert abs(back.lat - p.lat) < 1e-9
     assert abs(back.lon - p.lon) < 1e-9
+
+
+# Frame centres on and near the antimeridian, where longitudes of one frame
+# differ by almost a whole turn.
+NEAR_180 = st.one_of(
+    st.sampled_from([180.0, -180.0]), st.floats(179.96, 180.0), st.floats(-180.0, -179.96)
+)
+SPAN_M = 0.04 * 111320.0 * math.cos(math.radians(60))
+
+
+def same_local(a, b):
+    return math.hypot(a.x - b.x, a.y - b.y) <= 1e-6
+
+
+@given(lat=st.floats(-60, 60), lon=NEAR_180, dlat=st.floats(-0.04, 0.04))
+@settings(max_examples=200)
+def test_project_is_blind_to_a_whole_turn(lat, lon, dlat):
+    # ±180 name one meridian: a point on it projects the same under either
+    # name, and so does any point under a frame centred on it.
+    frame = geo.make_frame(GeoPoint(lat, lon))
+    if abs(geo.wrap_lon(180.0 - lon)) < 0.05:
+        east, west = GeoPoint(lat + dlat, 180.0), GeoPoint(lat + dlat, -180.0)
+        assert same_local(geo.project(frame, east), geo.project(frame, west))
+    if abs(lon) == 180.0:
+        twin = geo.make_frame(GeoPoint(lat, -lon))
+        p = geo.unproject(frame, LocalPoint(25.0, -40.0))
+        assert same_local(geo.project(frame, p), geo.project(twin, p))
+
+
+@given(
+    lat=st.floats(-60, 60),
+    lon=NEAR_180,
+    x=st.floats(-SPAN_M, SPAN_M),
+    y=st.floats(-SPAN_M, SPAN_M),
+)
+@settings(max_examples=300)
+def test_projection_round_trip_across_the_antimeridian(lat, lon, x, y):
+    frame = geo.make_frame(GeoPoint(lat, lon))
+    p = geo.unproject(frame, LocalPoint(x, y))
+    assert -180.0 <= p.lon <= 180.0
+    assert same_local(geo.project(frame, p), LocalPoint(x, y))
+    back = geo.unproject(frame, geo.project(frame, p))
+    assert abs(back.lat - p.lat) < 1e-9
+    assert abs(geo.wrap_lon(back.lon - p.lon)) < 1e-9
+
+
+@given(
+    lat=st.floats(-60, 60),
+    lon=NEAR_180,
+    radius=st.floats(1.0, 500.0),
+    offsets=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)), min_size=1, max_size=20),
+)
+@settings(max_examples=200)
+def test_in_box_holds_wherever_within_does(lat, lon, radius, offsets):
+    from rop.placer import _in_box
+
+    frame = geo.make_frame(GeoPoint(lat, lon))
+    points = [geo.unproject(frame, LocalPoint(u * radius, v * radius)) for u, v in offsets]
+    boxed = _in_box(
+        frame, np.array([p.lat for p in points]), np.array([p.lon for p in points]), radius
+    )
+    for p, inside in zip(points, boxed.tolist()):
+        assert inside or not geo.within(frame, p, radius)
+
+
+def test_wrap_lon_leaves_in_range_values_exact():
+    for v in (0.0, 1e-12, -13.4, 179.99999999, 180.0, -180.0):
+        assert geo.wrap_lon(v) == v
+    assert geo.wrap_lon(359.5) == -0.5
+    assert geo.wrap_lon(-180.25) == 179.75
 
 
 @given(

@@ -11,7 +11,8 @@ from rop.config import RunConfig
 from rop.grammar import (
     PatternGroup,
     apply_grammar,
-    classify_light,
+    classify_lights,
+    surround_margins,
     group_patterns,
     infer_pair,
     merge_sidewalks,
@@ -55,8 +56,14 @@ def obj(
     )
 
 
+def classify_light(light, runs, tallest_ped=None, cfg=CFG):
+    """The kind classify_lights gives one light alone on one map."""
+    classify_lights([[light]], [runs], [tallest_ped], cfg)
+    return light.light_kind
+
+
 # ---------------------------------------------------------------------------
-# classify_light. Rasters are built so the surround ring, the ray length, and
+# classify_lights. Rasters are built so the surround ring, the ray length, and
 # the pedestrian scale are all known exactly.
 
 
@@ -161,7 +168,7 @@ def test_classify_total_and_deterministic(seed):
 
 
 def classify_on_pixels(light, lab, tallest_ped, cfg):
-    """classify_light computed on the full pixel raster: a bincount over the
+    """The kind of one light computed on the full pixel raster: a bincount over the
     ring cut out of the array, and a ray read down the array's column."""
     big_h, big_w = lab.shape
     x, y, w, h = light.bbox
@@ -210,6 +217,75 @@ def test_classify_from_runs_matches_pixels(seed, h, w, tallest_ped, ring_px, sur
     cfg = RunConfig(ring_px=ring_px)
     want = classify_on_pixels(light, lab, tallest_ped, cfg)
     assert classify_light(light, runs_of(lab), tallest_ped=tallest_ped, cfg=cfg) == want
+
+
+def surround_margin_on_pixels(lab, bbox, ring_px):
+    """Sky minus building pixels around one box, counted as the per-light
+    vote counted them: a bincount over the ring's window of the raster, less
+    one over the box itself."""
+    big_h, big_w = lab.shape
+    x, y, w, h = bbox
+    x0, y0 = int(np.floor(x)), int(np.floor(y))
+    x1, y1 = int(np.ceil(x + w)), int(np.ceil(y + h))
+    ox0, oy0 = max(0, x0 - ring_px), max(0, y0 - ring_px)
+    ox1, oy1 = min(big_w, x1 + ring_px), min(big_h, y1 + ring_px)
+    outer = np.bincount(lab[oy0:oy1, ox0:ox1].ravel(), minlength=256)
+    ix0, iy0 = max(0, x0), max(0, y0)
+    ix1, iy1 = min(big_w, x1), min(big_h, y1)
+    if ix1 > ix0 and iy1 > iy0:
+        outer -= np.bincount(lab[iy0:iy1, ix0:ix1].ravel(), minlength=256)
+    return int(outer[SKY]) - int(outer[BUILDING])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(1, 40), st.integers(1, 50)), min_size=1, max_size=6),
+    st.sampled_from([1, 4, 15]),
+)
+def test_surround_margins_of_a_track_match_pixels(seed, shapes, ring_px):
+    rng = np.random.default_rng(seed)
+    palette = np.array([0, ROAD, WALK, BUILDING, SKY, LIGHT], dtype=np.uint8)
+    labs = [rng.choice(palette, size=shape) for shape in shapes]
+    boxes = [
+        [
+            (
+                float(rng.uniform(0, w)),
+                float(rng.uniform(0, h)),
+                float(rng.uniform(0.5, 9)),
+                float(rng.uniform(0.5, 9)),
+            )
+            for _ in range(int(rng.integers(0, 5)))
+        ]
+        for h, w in shapes
+    ]
+    got = surround_margins([runs_of(lab) for lab in labs], boxes, ring_px)
+    want = [
+        surround_margin_on_pixels(lab, b, ring_px) for lab, per_map in zip(labs, boxes) for b in per_map
+    ]
+    assert got.tolist() == want
+
+
+def test_classify_lights_of_a_track_match_one_light_calls():
+    # Three maps of different sizes, one light each: a building ring, a sky
+    # ring, and an empty ring that leaves the ray to decide on the third
+    # map's own ground row and pedestrian scale.
+    first, a = light_raster(surround=BUILDING)
+    second = np.full((50, 70), SKY, dtype=np.uint8)
+    second[20:26, 30:34] = LIGHT
+    third = np.zeros((60, 40), dtype=np.uint8)
+    third[50:, :] = ROAD  # a drop of 45 px, under 3 * 20
+    lights = [
+        [a],
+        [obj("b", "traffic_light", (22.5, 31.5), bbox=(30.0, 20.0, 4.0, 6.0))],
+        [obj("c", "traffic_light", (5.0, 20.0), bbox=(18.0, 3.0, 4.0, 4.0))],
+    ]
+    maps = [runs_of(lab) for lab in (first, second, third)]
+    tallest = [5, 0, 20]
+    classify_lights(lights, maps, tallest, CFG)
+    assert [objs[0].light_kind for objs in lights] == ["low", "high", "low"]
+    for objs, runs, t in zip(lights, maps, tallest):
+        assert classify_light(objs[0], runs, t, CFG) == objs[0].light_kind
 
 
 def test_grammar_config_invariants():
@@ -543,8 +619,7 @@ def test_apply_grammar_end_to_end():
     from rop.scene import scene_objects
 
     runs = runs_of(lab)
-    objs, tallest = scene_objects(runs, [], CFG)
-    out, groups = apply_grammar(objs, runs, tallest, CFG)
+    ((out, groups),) = apply_grammar(scene_objects([runs], [[]], CFG), [runs], CFG)
     lights = [o for o in out if o.category == "traffic_light"]
     assert {o.light_kind for o in lights} == {"low"}
     real = [o for o in lights if not o.inferred]

@@ -416,16 +416,16 @@ def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
     calls = []
     real_extract = scene.extract_regions
 
-    def counting_extract(*args, **kwargs):
-        calls.append(1)
-        return real_extract(*args, **kwargs)
+    def counting_extract(maps, *args, **kwargs):
+        calls.extend(id(m) for m in maps)
+        return real_extract(maps, *args, **kwargs)
 
     monkeypatch.setattr(scene, "extract_regions", counting_extract)
     result = run_intersection(part, CFG)
     tracked = sum(len(t.images) for t in build_tracks(part.images, part.buffers[0]))
     assert result.placed
     assert tracked > 0
-    assert len(calls) == tracked
+    assert len(calls) == len(set(calls)) == tracked
 
 
 def test_run_intersection_rejects_a_bundle_of_two_buffers():

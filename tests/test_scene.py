@@ -80,7 +80,7 @@ def as_dicts(regions):
 def test_extract_single_block_geometry():
     lab = np.zeros((10, 10), dtype=np.uint8)
     lab[3:6, 2:5] = LIGHT
-    (region,) = extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=1)
+    (region,) = extract_regions([runs_of(lab)], categories=["traffic_light"], min_region_px=1)[0]
     assert region.category == "traffic_light"
     assert region.area_px == 9
     assert region.centroid == (4.0, 3.0)
@@ -92,16 +92,16 @@ def test_extract_min_region_px_filter():
     lab = np.zeros((10, 10), dtype=np.uint8)
     lab[0, 0:3] = LIGHT  # area 3
     lab[5:8, 5:8] = LIGHT  # area 9
-    got = extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=4)
+    got = extract_regions([runs_of(lab)], categories=["traffic_light"], min_region_px=4)[0]
     assert [r.area_px for r in got] == [9]
-    assert extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=10) == []
+    assert extract_regions([runs_of(lab)], categories=["traffic_light"], min_region_px=10)[0] == []
 
 
 def test_extract_four_connectivity_splits_diagonal():
     lab = np.zeros((4, 4), dtype=np.uint8)
     lab[0, 0] = LIGHT
     lab[1, 1] = LIGHT
-    got = extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=1)
+    got = extract_regions([runs_of(lab)], categories=["traffic_light"], min_region_px=1)[0]
     assert len(got) == 2
     assert [r.area_px for r in got] == [1, 1]
 
@@ -113,8 +113,8 @@ def test_extract_orders_by_category_then_first_pixel():
     lab[2, 0:2] = LIGHT  # category 6, first_px 24
     lab[2, 6:8] = LIGHT  # category 6, first_px 30
     got = extract_regions(
-        runs_of(lab), categories=["sidewalk", "traffic_light", "traffic_sign"], min_region_px=1
-    )
+        [runs_of(lab)], categories=["sidewalk", "traffic_light", "traffic_sign"], min_region_px=1
+    )[0]
     assert [(r.category, r.first_px) for r in got] == [
         ("sidewalk", 56),
         ("traffic_light", 24),
@@ -127,13 +127,13 @@ def test_extract_respects_category_selection():
     lab = np.zeros((6, 6), dtype=np.uint8)
     lab[0:3, 0:3] = LIGHT
     lab[3:6, 3:6] = SIGN
-    got = extract_regions(runs_of(lab), categories=["traffic_sign"], min_region_px=1)
+    got = extract_regions([runs_of(lab)], categories=["traffic_sign"], min_region_px=1)[0]
     assert [r.category for r in got] == ["traffic_sign"]
 
 
 def test_extract_rejects_non_2d():
     with pytest.raises(ValueError):
-        extract_regions(runs_of(np.zeros((2, 2, 2), dtype=np.uint8)), ["road"], 1)
+        extract_regions([runs_of(np.zeros((2, 2, 2), dtype=np.uint8))], ["road"], 1)
 
 
 def random_map(seed, h=14, w=17):
@@ -153,7 +153,7 @@ SIDE = st.integers(1, 24)
 def test_extract_matches_flood_fill_oracle(seed, h, w):
     lab = random_map(seed, h, w)
     for name in ("road", "sidewalk", "traffic_light", "traffic_sign", "pedestrian"):
-        got = extract_regions(runs_of(lab), categories=[name], min_region_px=1)
+        got = extract_regions([runs_of(lab)], categories=[name], min_region_px=1)[0]
         want = flood_regions_oracle(lab, CATEGORY_IDS[name])
         assert as_dicts(got) == want
 
@@ -166,8 +166,8 @@ def test_extract_from_rle_file_matches_pixels_and_oracle(tmp_path_factory, seed,
     write_rle(path, runs_of(lab))
     from_file = read_rle(path)
     for name in ("road", "sidewalk", "traffic_light", "traffic_sign", "pedestrian"):
-        got = extract_regions(from_file, categories=[name], min_region_px=1)
-        assert got == extract_regions(runs_of(lab), categories=[name], min_region_px=1)
+        got = extract_regions([from_file], categories=[name], min_region_px=1)[0]
+        assert got == extract_regions([runs_of(lab)], categories=[name], min_region_px=1)[0]
         assert as_dicts(got) == flood_regions_oracle(lab, CATEGORY_IDS[name])
 
 
@@ -176,7 +176,7 @@ def test_extract_from_rle_file_matches_pixels_and_oracle(tmp_path_factory, seed,
 def test_extract_conserves_pixels(seed):
     lab = random_map(seed)
     for name in ("road", "traffic_light", "pedestrian"):
-        got = extract_regions(runs_of(lab), categories=[name], min_region_px=1)
+        got = extract_regions([runs_of(lab)], categories=[name], min_region_px=1)[0]
         assert sum(r.area_px for r in got) == int((lab == CATEGORY_IDS[name]).sum())
 
 
@@ -191,14 +191,60 @@ def test_extract_min_region_px_matches_oracle(seed, h, w, density, min_px):
     lab = np.where(rng.random((h, w)) < density, random_map(seed, h, w), 0).astype(np.uint8)
     singles = []
     for name in SCENE:
-        got = extract_regions(runs_of(lab), categories=[name], min_region_px=min_px)
+        got = extract_regions([runs_of(lab)], categories=[name], min_region_px=min_px)[0]
         want = [
             c for c in flood_regions_oracle(lab, CATEGORY_IDS[name]) if c["area"] >= min_px
         ]
         assert as_dicts(got) == want
         assert all(r.category == name for r in got)
         singles.extend(got)
-    assert extract_regions(runs_of(lab), categories=SCENE[::-1], min_region_px=min_px) == singles
+    assert extract_regions([runs_of(lab)], categories=SCENE[::-1], min_region_px=min_px)[0] == singles
+
+
+def random_track(seed, shapes, joined):
+    """Random label maps of the given (height, width) shapes. When joined,
+    each map's last row and the next map's first row hold a light across the
+    columns they share, so maps stacked without a gap would join there."""
+    labs = [random_map(seed + i, h, w) for i, (h, w) in enumerate(shapes)]
+    if joined:
+        for above, below in zip(labs, labs[1:]):
+            shared = min(above.shape[1], below.shape[1])
+            above[-1, :shared] = LIGHT
+            below[0, :shared] = LIGHT
+    return labs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(SIDE, SIDE), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(0, 6),
+)
+def test_extract_track_matches_oracle_and_one_map_calls(seed, shapes, joined, min_px):
+    labs = random_track(seed, shapes, joined)
+    maps = [runs_of(lab) for lab in labs]
+    got = extract_regions(maps, SCENE, min_region_px=min_px)
+    assert len(got) == len(maps)
+    for lab, runs, regions in zip(labs, maps, got):
+        want = [
+            (name, c)
+            for name in sorted(SCENE, key=CATEGORY_IDS.get)
+            for c in flood_regions_oracle(lab, CATEGORY_IDS[name])
+            if c["area"] >= min_px
+        ]
+        assert list(zip([r.category for r in regions], as_dicts(regions))) == want
+        assert regions == extract_regions([runs], SCENE, min_region_px=min_px)[0]
+
+
+def test_extract_track_keeps_maps_apart():
+    # A light filling each map's last row, and the next map's first row, of
+    # maps of different widths: one component per map edge, none across.
+    labs = random_track(0, [(3, 5), (2, 9), (4, 4)], joined=True)
+    got = extract_regions([runs_of(lab) for lab in labs], ["traffic_light"], min_region_px=1)
+    for lab, regions in zip(labs, got):
+        assert as_dicts(regions) == flood_regions_oracle(lab, LIGHT)
+    assert extract_regions([], SCENE, min_region_px=1) == []
 
 
 @pytest.mark.parametrize(
@@ -220,7 +266,7 @@ def test_extract_min_region_px_matches_oracle(seed, h, w, density, min_px):
 )
 def test_extract_run_shapes_match_oracle(rows, n_components):
     lab = np.array([[LIGHT if ch == "#" else 0 for ch in row] for row in rows], dtype=np.uint8)
-    got = extract_regions(runs_of(lab), categories=["traffic_light"], min_region_px=1)
+    got = extract_regions([runs_of(lab)], categories=["traffic_light"], min_region_px=1)[0]
     assert len(got) == n_components
     assert as_dicts(got) == flood_regions_oracle(lab, LIGHT)
 
@@ -228,7 +274,7 @@ def test_extract_run_shapes_match_oracle(rows, n_components):
 @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (6, 5)])
 def test_extract_map_of_one_category(shape):
     lab = np.full(shape, WALK, dtype=np.uint8)
-    (region,) = extract_regions(runs_of(lab), categories=SCENE, min_region_px=1)
+    (region,) = extract_regions([runs_of(lab)], categories=SCENE, min_region_px=1)[0]
     h, w = shape
     assert region.category == "sidewalk"
     assert region.area_px == h * w
@@ -241,7 +287,7 @@ def test_extract_map_of_one_category(shape):
 def test_extract_map_without_requested_categories(min_px):
     lab = np.full((8, 9), ROAD, dtype=np.uint8)
     lab[0:2, 0:2] = 0
-    assert extract_regions(runs_of(lab), categories=SCENE, min_region_px=min_px) == []
+    assert extract_regions([runs_of(lab)], categories=SCENE, min_region_px=min_px)[0] == []
 
 
 def test_extract_category_below_min_in_total():
@@ -249,7 +295,9 @@ def test_extract_category_below_min_in_total():
     lab[0, 0:4] = LIGHT
     lab[5, 0:4] = LIGHT  # 8 light pixels in two components
     lab[2:5, 5:8] = SIGN  # 9 sign pixels in one component
-    got = extract_regions(runs_of(lab), categories=["traffic_light", "traffic_sign"], min_region_px=9)
+    got = extract_regions(
+        [runs_of(lab)], categories=["traffic_light", "traffic_sign"], min_region_px=9
+    )[0]
     assert [(r.category, r.area_px) for r in got] == [("traffic_sign", 9)]
 
 
@@ -365,10 +413,11 @@ def test_tallest_pedestrian_px():
     lab = np.zeros((40, 40), dtype=np.uint8)
     lab[10:30, 3:6] = PED  # height 20
     lab[20:28, 20:24] = PED  # height 8
-    assert scene_objects(runs_of(lab), [], RunConfig(min_region_px=1))[1] == 20
-    assert scene_objects(runs_of(np.zeros((5, 5), dtype=np.uint8)), [], RunConfig(min_region_px=1))[1] == 0
+    blank = runs_of(np.zeros((5, 5), dtype=np.uint8))
+    scenes = scene_objects([runs_of(lab), blank], [[], []], RunConfig(min_region_px=1))
+    assert [tallest for _, tallest in scenes] == [20, 0]
     lab[0:30, 30:32] = LIGHT
-    objs, tallest = scene_objects(runs_of(lab), [], RunConfig(min_region_px=1))
+    ((objs, tallest),) = scene_objects([runs_of(lab)], [[]], RunConfig(min_region_px=1))
     assert tallest == 20
     assert [o.category for o in objs] == ["traffic_light"]
 
@@ -378,7 +427,8 @@ def test_build_scene_end_to_end():
     lab[10:20, 10:14] = LIGHT
     lab[30:36, 50:56] = SIGN
     lab[50:60, 0:40] = WALK
-    got, _ = scene_objects(runs_of(lab), [det((50.0, 30.0, 6.0, 6.0))], RunConfig(min_region_px=9))
+    dets = [det((50.0, 30.0, 6.0, 6.0))]
+    ((got, _),) = scene_objects([runs_of(lab)], [dets], RunConfig(min_region_px=9))
     kinds = {(o.id, o.category, o.source) for o in got}
     assert kinds == {
         ("light0", "traffic_light", "region"),

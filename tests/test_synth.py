@@ -101,7 +101,7 @@ def test_billboard_centroid_matches_angle_oracle(cam_xy, heading, target):
     light = TruthObject("traffic_light", None, "low", LocalPoint(target[0], target[1]), target[2])
     lay = layout(objs=[light], cams=[pose(cam_xy[0], cam_xy[1], heading)])
     canvas, _ = render_image(lay, lay.cameras[0])
-    regions = extract_regions(runs_of(canvas), categories=["traffic_light"], min_region_px=1)
+    regions = extract_regions([runs_of(canvas)], categories=["traffic_light"], min_region_px=1)[0]
     want = project_oracle(cam_xy, heading, target)
     assert want is not None and len(regions) == 1
     row, col = regions[0].centroid
@@ -113,7 +113,7 @@ def test_high_light_at_20m_sits_above_horizon_in_sky():
     light = TruthObject("traffic_light", None, "high", LocalPoint(0.0, 0.0), 7.0)
     lay = layout(objs=[light], cams=[pose(0.0, -20.0, 0.0)])
     canvas, _ = render_image(lay, lay.cameras[0])
-    regions = extract_regions(runs_of(canvas), categories=["traffic_light"], min_region_px=1)
+    regions = extract_regions([runs_of(canvas)], categories=["traffic_light"], min_region_px=1)[0]
     assert len(regions) == 1
     row, col = regions[0].centroid
     # v = 384 + 512 * (1.6 - 7.0) / 20 = 245.76
@@ -158,7 +158,7 @@ def test_detection_bbox_hugs_rendered_region():
     lay = layout(objs=[sign], cams=[pose(0.0, -25.0, 0.0)])
     canvas, dets = render_image(lay, lay.cameras[0])
     assert len(dets) == 1
-    regions = extract_regions(runs_of(canvas), categories=["traffic_sign"], min_region_px=1)
+    regions = extract_regions([runs_of(canvas)], categories=["traffic_sign"], min_region_px=1)[0]
     assert len(regions) == 1
     assert dets[0].bbox == tuple(float(v) for v in regions[0].bbox)
     assert dets[0].score == 1.0
