@@ -20,23 +20,22 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-# rop's only BLAS call is one 16x2 SVD per track, so the command line runs
-# OpenBLAS on one thread: by default it starts a worker that spins at numpy
-# import and burns CPU that places nothing. This must run before anything
-# imports numpy; a value already in the environment wins. Library users who
-# import rop's other modules keep OpenBLAS's own default.
+# rop makes no BLAS call, yet by default OpenBLAS starts a worker thread at
+# numpy import that spins and burns CPU that places nothing, so the command
+# line runs OpenBLAS on one thread. This must run before anything imports
+# numpy; a value already in the environment wins. Library users who import
+# rop's other modules keep OpenBLAS's own default.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atbt import tree_to_json  # noqa: E402
 from .config import RunConfig, load_config  # noqa: E402
-from .ingest import Bundle, load_inputs  # noqa: E402
+from .ingest import Bundle, build_tracks, load_inputs  # noqa: E402
 from .placer import (  # noqa: E402
     IntersectionResult,
     PlacedObject,
     from_geojson,
     run_intersection,
     slice_bundle,
-    slice_tracks,
     to_geojson,
     track_trees,
 )
@@ -180,7 +179,7 @@ def cmd_dump_trees(args) -> int:
     for part in slice_bundle(_load_bundle(args), cfg.corner_radius_m):
         doc[part.buffers[0].intersection_id] = {
             track.track_id: [tree_to_json(t) for t in track_trees(part, track, cfg)]
-            for track in slice_tracks(part)
+            for track in build_tracks(part.images, part.buffers[0])
         }
     Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EX_OK

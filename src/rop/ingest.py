@@ -13,20 +13,12 @@ import json
 import logging
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geo import (
-    Footprint,
-    GeoPoint,
-    LocalPoint,
-    make_frame,
-    project,
-    unproject,
-    within,
-)
+from .geo import Footprint, GeoPoint, make_frame, project, within
 from .labelmap import (
     BundleError,
     LabelRuns,
@@ -84,7 +76,6 @@ class IntersectionBuffer:
 @dataclass
 class Track:
     track_id: str
-    intersection_id: str
     direction: str  # WE, EW, SN, NS
     images: list[ImageMeta]
 
@@ -465,45 +456,9 @@ def build_tracks(images: list[ImageMeta], buffer: IntersectionBuffer) -> list[Tr
         tracks.append(
             Track(
                 track_id=f"{buffer.intersection_id}:{direction}",
-                intersection_id=buffer.intersection_id,
                 direction=direction,
                 images=members,
             )
         )
     return tracks
 
-
-def correct_track(track: Track) -> Track:
-    """Straighten GPS drift by projecting positions onto a total-least-squares line.
-
-    Tracks with fewer than three images come back unchanged. The correction
-    is idempotent: collinear points project onto themselves.
-    """
-    if len(track.images) < 3:
-        return track
-    mean_lat = sum(im.position.lat for im in track.images) / len(track.images)
-    mean_lon = sum(im.position.lon for im in track.images) / len(track.images)
-    frame = make_frame(GeoPoint(mean_lat, mean_lon))
-    pts = np.array(
-        [[p.x, p.y] for p in (project(frame, im.position) for im in track.images)],
-        dtype=float,
-    )
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    # Principal axis = total-least-squares line direction.
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    direction = vt[0]
-    along = centered @ direction
-    projected = centroid + np.outer(along, direction)
-    corrected_images = [
-        replace(im, position=unproject(frame, LocalPoint(float(x), float(y))))
-        for im, (x, y) in zip(track.images, projected)
-    ]
-    key = _AXIS_KEY[track.direction]
-    corrected_images.sort(key=lambda im: (key(project(frame, im.position)), im.image_id))
-    return Track(
-        track_id=track.track_id,
-        intersection_id=track.intersection_id,
-        direction=track.direction,
-        images=corrected_images,
-    )

@@ -38,7 +38,6 @@ from .ingest import (
     MaskDirectory,
     Track,
     build_tracks,
-    correct_track,
     images_in_buffer,
     _number,
     _point,
@@ -300,13 +299,10 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
 
     A slice holds the buffer's images with their detections and label maps
     (still lazy for a MaskDirectory), and the footprints with a vertex within
-    2 * radius_m + corner_radius_m of the center. That bound loses nothing:
-    select_corners keeps only footprints with a vertex within corner_radius_m
-    of a camera, and a track-corrected camera stays within 2 * radius_m of
-    the center. It is the foot of the perpendicular from a camera in the
-    buffer onto a line through its track's centroid, also in the buffer, so
-    it lies within radius_m of the line's point nearest the center, which
-    lies within radius_m of the center.
+    radius_m + corner_radius_m of the center. By the triangle inequality that
+    bound loses nothing, up to rounding in the last place: select_corners
+    keeps only footprints with a vertex within corner_radius_m of a camera,
+    and every camera of the slice lies within radius_m of the center.
 
     Image positions and footprint vertices go into arrays once. Per buffer a
     box test picks the candidates, and only those take the exact checks, so
@@ -323,7 +319,7 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
     slices = []
     for buffer in bundle.buffers:
         frame = make_frame(buffer.center)
-        reach_m = 2.0 * buffer.radius_m + corner_radius_m
+        reach_m = buffer.radius_m + corner_radius_m
         near = np.flatnonzero(_in_box(frame, img_lat, img_lon, buffer.radius_m))
         kept = images_in_buffer([images[i] for i in near], buffer)
         ids = [im.image_id for im in kept]
@@ -345,11 +341,6 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
             )
         )
     return slices
-
-
-def slice_tracks(part: Bundle) -> list[Track]:
-    """The drift-corrected tracks of a one-buffer slice (see slice_bundle)."""
-    return [correct_track(t) for t in build_tracks(part.images, part.buffers[0])]
 
 
 def track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
@@ -403,7 +394,7 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
         return result
     raw_placed: list[PlacedObject] = []
     any_corners = False
-    for track in slice_tracks(part):
+    for track in build_tracks(part.images, buffer):
         ranks = {
             img.image_id: dist(project(frame, img.position), _ORIGIN)
             for img in track.images

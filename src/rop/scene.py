@@ -128,14 +128,18 @@ def extract_regions(
     return out
 
 
-def box_iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
+def box_iou(a, b) -> np.ndarray:
+    """IoU of (x, y, w, h) boxes, 0 where the union is empty. a and b
+    broadcast over their leading axes: box_iou(dets[:, None], regions[None])
+    is the detections x regions matrix."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lo = np.maximum(a[..., :2], b[..., :2])
+    hi = np.minimum(a[..., :2] + a[..., 2:], b[..., :2] + b[..., 2:])
+    side = np.maximum(0.0, hi - lo)
+    inter = side[..., 0] * side[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def _from_region(obj_id: str, region: Region) -> SceneObject:
@@ -172,15 +176,13 @@ def reconcile(
 
     sign_boxes = [tuple(float(v) for v in r.bbox) for r in signs]
     sign_dets = [d for d in detections if d.category == "traffic_sign"]
-    matches: list[list[int]] = []
-    claimed = [0] * len(signs)
-    for det in sign_dets:
-        hits = [j for j, box in enumerate(sign_boxes) if box_iou(det.bbox, box) >= iou_min]
-        matches.append(hits)
-        for j in hits:
-            claimed[j] += 1
+    hit = box_iou(
+        np.array([d.bbox for d in sign_dets], dtype=float).reshape(-1, 1, 4),
+        np.array(sign_boxes, dtype=float).reshape(1, -1, 4),
+    ) >= iou_min
+    claimed = hit.sum(axis=0)
     for i, det in enumerate(sign_dets):
-        hits = matches[i]
+        hits = np.flatnonzero(hit[i])
         if len(hits) == 1 and claimed[hits[0]] == 1:
             r = signs[hits[0]]
             obj = SceneObject(

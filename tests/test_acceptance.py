@@ -31,9 +31,9 @@ from rop.geo import (
     unproject,
 )
 from rop.grammar import apply_grammar, classify_lights, merge_sidewalks
-from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks, correct_track
+from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks
 from rop.labelmap import runs_of
-from rop.placer import run_intersection, select_corners, slice_bundle, slice_tracks, track_trees
+from rop.placer import run_intersection, select_corners, slice_bundle, track_trees
 from rop.scene import scene_objects
 from rop.synth import (
     CameraPose,
@@ -533,7 +533,7 @@ def test_criterion_6_structural_invariants(fixture_run):
     n_trees = n_nodes = 0
     for run in fixture_run.runs:
         part = slice_bundle(run.bundle, CFG.corner_radius_m)[0]
-        for track in slice_tracks(part):
+        for track in build_tracks(part.images, part.buffers[0]):
             for tree in track_trees(part, track, CFG):
                 n_nodes += _check_heap(tree)
                 n_trees += 1
@@ -553,18 +553,6 @@ def test_criterion_6_structural_invariants(fixture_run):
             shuffled = tree_to_json(build_atbt(o2, g2, img.image_id, img.width_px))
             assert shuffled == base, img.image_id
             n_shuffles += 1
-
-    # Track correction is idempotent.
-    n_tracks = 0
-    for run in fixture_run.runs[:20]:
-        for track in build_tracks(run.bundle.images, run.bundle.buffers[0]):
-            once = correct_track(track)
-            twice = correct_track(once)
-            assert [i.image_id for i in twice.images] == [i.image_id for i in once.images]
-            for a, b in zip(once.images, twice.images):
-                assert haversine_m(a.position, b.position) <= 1e-6
-            n_tracks += 1
-    assert n_tracks >= 20
 
     # Sidewalk merging is idempotent and order-independent.
     def merge_key(objs):
@@ -586,9 +574,8 @@ def test_criterion_6_structural_invariants(fixture_run):
         6,
         True,
         f"heap arithmetic on {n_trees} trees ({n_nodes} nodes); tree assembly "
-        f"invariant under {n_shuffles} input shuffles; track correction "
-        f"idempotent on {n_tracks} tracks; sidewalk merge idempotent and "
-        f"order-independent ({n_merge} shuffles)",
+        f"invariant under {n_shuffles} input shuffles; sidewalk merge "
+        f"idempotent and order-independent ({n_merge} shuffles)",
     )
 
 

@@ -778,6 +778,28 @@ def test_place_bundle_wider_than_one_frame(tmp_path):
     assert (tmp_path / "pred1.geojson").read_bytes() == (tmp_path / "pred2.geojson").read_bytes()
 
 
+def test_place_bundle_straddling_the_antimeridian(tmp_path):
+    # Centred 0.00044 deg (49 m) east of -180, so each track's images lie on
+    # both sides of the line.
+    layouts = [
+        dataclasses.replace(lay, center=GeoPoint(lay.center.lat, -179.99956))
+        for lay in standard_fixtures(2, seed=1)
+    ]
+    src = tmp_path / "layouts.json"
+    save_layouts(layouts, str(src))
+    bundle = tmp_path / "b"
+    assert main(["synth", "--out", str(bundle), "--layout", str(src)]) == 0
+    lons = [im["lon"] for im in json.loads((bundle / "images.json").read_text())]
+    assert min(lons) < -179.9999 and max(lons) > 179.9999
+    pred = tmp_path / "pred.geojson"
+    assert main(place_args(bundle, pred)) == 0
+    ref = str(bundle / "truth.geojson")
+    report = tmp_path / "report.json"
+    assert main(["eval", "--pred", str(pred), "--ref", ref, "--json", "--out", str(report)]) == 0
+    groups = {g["group"]: g for g in json.loads(report.read_text())["groups"]}
+    assert groups["overall"]["n_ref"] > 0 and groups["overall"]["completeness"] == 1.0
+
+
 @pytest.fixture(scope="module")
 def placed_bytes(bundle_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("placed") / "pred.geojson"

@@ -1,4 +1,4 @@
-"""Bundle loading, label-map I/O, buffers, tracks, and GPS correction."""
+"""Bundle loading, label-map I/O, buffers, and tracks."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop import ingest
-from rop.geo import GeoPoint, LocalPoint, dist, make_frame, project
+from rop.geo import GeoPoint, LocalPoint, make_frame
 from rop.ingest import (
     CATEGORY_IDS,
     CATEGORY_NAMES,
@@ -23,9 +23,7 @@ from rop.ingest import (
     ImageMeta,
     IntersectionBuffer,
     MaskDirectory,
-    Track,
     build_tracks,
-    correct_track,
     direction_of,
     images_in_buffer,
     load_buffers,
@@ -674,93 +672,3 @@ def test_build_tracks_tie_breaks_by_image_id():
     tracks = build_tracks([b, a], buffer)
     assert [i.image_id for i in tracks[0].images] == ["a", "b"]
 
-
-# ---------------------------------------------------------------------------
-# GPS correction. Oracle: a total-least-squares line is the principal
-# eigenvector of the covariance matrix; the projection is computed here from
-# that eigen decomposition, independently of the SVD in the implementation.
-
-
-def tls_project_oracle(pts):
-    pts = np.asarray(pts, dtype=float)
-    c = pts.mean(axis=0)
-    centered = pts - c
-    cov = centered.T @ centered
-    vals, vecs = np.linalg.eigh(cov)
-    d = vecs[:, np.argmax(vals)]
-    return c + np.outer(centered @ d, d)
-
-
-def _track_from_local(frame, offsets, direction="WE"):
-    images = [
-        im(f"i{k}", *_latlon(frame, x, y), heading=90.0) for k, (x, y) in enumerate(offsets)
-    ]
-    return Track(track_id=f"x0:{direction}", intersection_id="x0", direction=direction, images=images)
-
-
-def test_correct_track_matches_tls_oracle():
-    frame = make_frame(BERLIN)
-    offsets = [(-30.0, -2.8), (-20.0, -3.4), (-10.0, -2.9), (0.0, -3.2), (10.0, -2.7)]
-    track = _track_from_local(frame, offsets)
-    expected = tls_project_oracle(offsets)
-    got = correct_track(track)
-    got_pts = np.array([[p.x, p.y] for p in (project(frame, i.position) for i in got.images)])
-    assert np.allclose(got_pts, expected, atol=1e-6)
-
-
-def test_correct_track_under_three_images_unchanged():
-    frame = make_frame(BERLIN)
-    track = _track_from_local(frame, [(-30.0, -3.0), (-10.0, -3.5)])
-    got = correct_track(track)
-    assert got is track
-
-
-def test_correct_track_idempotent():
-    frame = make_frame(BERLIN)
-    offsets = [(-30.0, -2.8), (-18.0, -3.6), (-9.0, -2.5), (2.0, -3.3)]
-    once = correct_track(_track_from_local(frame, offsets))
-    twice = correct_track(once)
-    for a, b in zip(once.images, twice.images):
-        assert abs(a.position.lat - b.position.lat) < 1e-12
-        assert abs(a.position.lon - b.position.lon) < 1e-12
-
-
-def test_correct_track_preserves_centroid():
-    frame = make_frame(BERLIN)
-    offsets = [(-25.0, -1.0), (-12.0, -4.0), (0.0, -2.0), (14.0, -3.0)]
-    track = _track_from_local(frame, offsets)
-    got = correct_track(track)
-    before = np.mean([[p.x, p.y] for p in (project(frame, i.position) for i in track.images)], axis=0)
-    after = np.mean([[p.x, p.y] for p in (project(frame, i.position) for i in got.images)], axis=0)
-    assert np.allclose(before, after, atol=1e-6)
-
-
-def test_correct_track_reorders_along_axis():
-    frame = make_frame(BERLIN)
-    # Noise placed so raw x-order disagrees with along-line order after
-    # projection onto a steep principal axis is impossible here, so instead
-    # feed images pre-sorted wrongly and rely on the final re-sort.
-    offsets = [(0.0, -3.0), (-20.0, -3.0), (-10.0, -3.0)]
-    track = _track_from_local(frame, offsets)
-    got = correct_track(track)
-    xs = [project(frame, i.position).x for i in got.images]
-    assert xs == sorted(xs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.floats(min_value=-40.0, max_value=40.0),
-        min_size=3,
-        max_size=8,
-        unique=True,
-    )
-)
-def test_correct_track_collinear_points_fixed(xs):
-    frame = make_frame(BERLIN)
-    offsets = [(x, 0.4 * x + 1.0) for x in xs]
-    track = _track_from_local(frame, offsets)
-    got = correct_track(track)
-    got_pts = np.array([[p.x, p.y] for p in (project(frame, i.position) for i in got.images)])
-    want = np.array(sorted(offsets))
-    assert np.allclose(got_pts, want, atol=1e-5)

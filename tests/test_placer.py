@@ -27,6 +27,7 @@ from rop.geo import (
 )
 from rop import scene
 from rop.config import RunConfig
+from rop.evalx import evaluate
 from rop.ingest import (
     Bundle,
     Detection,
@@ -495,6 +496,58 @@ def test_placement_is_invariant_to_the_other_buffers(neighbours, target, others,
     assert _outcome(merged, buffer) == alone[target]
 
 
+# Centres whose buffers straddle the antimeridian: 0.00044 deg is 49 m at the
+# equator and still more than 8 m at 80 deg, inside every fixture's radius.
+STRADDLE_LON = 180.0 - 0.00044
+
+
+def _placed_locally(layout):
+    """What layout places, rendered where it stands: the placed objects as
+    (kind, position in the buffer's local frame), and the completeness
+    against the rendered truth."""
+    bundle, truth = render_bundle(layout)
+    (part,) = slice_bundle(bundle, CFG.corner_radius_m)
+    placed = run_intersection(part, CFG).placed
+    frame = make_frame(layout.center)
+    objects = [
+        ((p.category, p.subtype, p.light_kind), project(frame, p.position)) for p in placed
+    ]
+    completeness = evaluate(placed, truth, radius_m=5.0).group("overall").completeness
+    return objects, completeness
+
+
+@pytest.fixture(scope="module")
+def at_null_island():
+    layouts = [dataclasses.replace(lay, center=GeoPoint(0.0, 0.0)) for lay in standard_fixtures(4, seed=1)]
+    return layouts, [_placed_locally(lay) for lay in layouts]
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    index=st.integers(0, 3),
+    lat=st.floats(-80.0, 80.0),
+    lon=st.one_of(st.sampled_from([STRADDLE_LON, -STRADDLE_LON]), st.floats(-180.0, 180.0)),
+)
+@example(index=0, lat=0.0, lon=STRADDLE_LON)
+@example(index=1, lat=52.5, lon=-STRADDLE_LON)
+@example(index=2, lat=-80.0, lon=STRADDLE_LON)
+@example(index=3, lat=80.0, lon=-STRADDLE_LON)
+def test_placement_is_invariant_to_translation(at_null_island, index, lat, lon):
+    layouts, expected = at_null_island
+    objects, completeness = _placed_locally(
+        dataclasses.replace(layouts[index], center=GeoPoint(lat, lon))
+    )
+    want_objects, want_completeness = expected[index]
+    assert completeness == want_completeness
+    assert len(objects) == len(want_objects)
+    # Same-kind objects stand metres apart (dedup merges closer ones), so
+    # each expected object pairs with the nearest one of its kind.
+    left = list(objects)
+    for kind, q in want_objects:
+        j = min(range(len(left)), key=lambda j: (left[j][0] != kind, dist(left[j][1], q)))
+        assert left[j][0] == kind and dist(left.pop(j)[1], q) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Slicing.
 
@@ -504,7 +557,7 @@ def slice_oracle(bundle, corner_radius_m):
     out = []
     for buffer in bundle.buffers:
         frame = make_frame(buffer.center)
-        reach_m = 2.0 * buffer.radius_m + corner_radius_m
+        reach_m = buffer.radius_m + corner_radius_m
         footprints = [
             fp for fp in bundle.footprints if any(within(frame, v, reach_m) for v in fp.ring)
         ]
@@ -556,7 +609,7 @@ def sliceable_bundles(draw):
         buffer = draw(st.sampled_from(buffers))
         c = buffer.center
         frame = make_frame(c)
-        r = draw(st.sampled_from([buffer.radius_m, 2.0 * buffer.radius_m + corner_radius_m]))
+        r = draw(st.sampled_from([buffer.radius_m, buffer.radius_m + corner_radius_m]))
         sx, sy = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
         kind = draw(st.sampled_from(["lat axis", "lon axis", "box corner", "angle", "far"]))
         if kind == "lat axis":
@@ -600,8 +653,8 @@ def sliceable_bundles(draw):
             if pinned in positions:
                 radii = [d]
             else:
-                half = (d - corner_radius_m) / 2.0
-                radii = [r for r in (half, _nudged(half, 1), _nudged(half, -1)) if 2.0 * r + corner_radius_m == d]
+                rest = d - corner_radius_m
+                radii = [r for r in (rest, _nudged(rest, 1), _nudged(rest, -1)) if r + corner_radius_m == d]
             if radii and radii[0] > 0.0:
                 buffers[j] = dataclasses.replace(buffers[j], radius_m=radii[0])
     return _bundle(positions, rings, buffers), corner_radius_m

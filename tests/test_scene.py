@@ -314,6 +314,30 @@ def test_box_iou_values():
     assert box_iou((0, 0, 2, 2), (2, 0, 2, 2)) == 0.0
 
 
+def box_iou_scalar(a, b):
+    """The reference: one pair of boxes in Python floats."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
+    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    return inter / union if union > 0 else 0.0
+
+
+coordinate = st.one_of(st.integers(0, 40).map(float), st.floats(-5.0, 50.0))
+boxes = st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=boxes, b=boxes)
+def test_box_iou_matrix_equals_scalar_reference(a, b):
+    # Bit for bit, so thresholds on the matrix decide as on each pair.
+    got = box_iou(np.reshape(a, (-1, 1, 4)), np.reshape(b, (1, -1, 4)))
+    assert got.shape == (len(a), len(b))
+    assert got.tolist() == [[box_iou_scalar(p, q) for q in b] for p in a]
+
+
 # ---------------------------------------------------------------------------
 # reconcile.
 
