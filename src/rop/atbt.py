@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .grammar import PatternGroup, side_of
 from .scene import SceneObject
 
 
@@ -49,58 +48,20 @@ class FusedObject:
     source_images: list[str]
 
 
-def _stack_sort_key(members: list[SceneObject]) -> tuple:
-    return (
-        min(o.centroid[1] for o in members),
-        min(o.centroid[0] for o in members),
-        min(o.id for o in members),
-    )
+def build_atbt(stacks: dict[str, list[list[SceneObject]]], image_id: str) -> Atbt:
+    """Number one image's stacks (grammar.stack_objects) into its tree.
 
-
-def build_atbt(
-    objs: list[SceneObject],
-    groups: list[PatternGroup],
-    image_id: str,
-    width_px: int,
-) -> Atbt:
-    """Assemble one image's tree from grammar output.
-
-    Per side: pattern groups and ungrouped lights become stacks ordered by
-    leftmost member column; sidewalks append after them as final stacks. The
-    side's first stack head is the side root (heap index 2 left, 3 right);
-    within a stack member j sits at head_index * 2**j; the next stack's head
-    is the current head's right child. Input order never matters.
+    Per side, the first stack head is the side root (heap index 2 left, 3
+    right); within a stack member j sits at head_index * 2**j; the next
+    stack's head is the current head's right child.
     """
-    by_id = {o.id: o for o in objs}
-    grouped_ids = {m for g in groups for m in g.members}
-    stray = [o.id for o in objs if o.category == "traffic_sign" and o.id not in grouped_ids]
-    if stray:
-        raise ValueError(f"signs outside any pattern group: {stray}")
     nodes = [AtbtNode(heap_index=1, object=None, side=None, role="root")]
-    for side, side_root_index in (("left", 2), ("right", 3)):
-        stacks: list[tuple[list[SceneObject], str]] = []
-        for g in groups:
-            if g.side == side:
-                stacks.append(([by_id[m] for m in g.members], "stack"))
-        for o in objs:
-            if (
-                o.category == "traffic_light"
-                and o.id not in grouped_ids
-                and side_of(o, width_px) == side
-            ):
-                stacks.append(([o], "stack"))
-        stacks.sort(key=lambda s: _stack_sort_key(s[0]))
-        walks = sorted(
-            (o for o in objs if o.category == "sidewalk" and side_of(o, width_px) == side),
-            key=lambda o: (o.centroid[1], o.centroid[0], o.id),
-        )
-        stacks.extend(([w], "sidewalk") for w in walks)
-        head = side_root_index
-        for ordinal, (members, flavor) in enumerate(stacks):
+    for side, head in (("left", 2), ("right", 3)):
+        for ordinal, members in enumerate(stacks[side]):
             for depth, obj in enumerate(members):
                 if ordinal == 0 and depth == 0:
                     role = "side_root"
-                elif flavor == "sidewalk":
+                elif obj.category == "sidewalk":
                     role = "sidewalk"
                 else:
                     role = "stack_head" if depth == 0 else "stack_child"

@@ -3,14 +3,14 @@
 Five rules turn raw regions into structured evidence: lights are classified
 high (suspended over the road, ~7 m) or low (pole-mounted, ~4 m) from their
 surround and a downward ray; sidewalk fragments on one side merge; a low light
-seen on only one side implies its twin across the road; signs and low lights
-sharing a vertical stack form combination patterns.
+seen on only one side implies its twin across the road; and each side's
+objects form vertical stacks, ordered left to right, with signs and low
+lights sharing a pole in one stack.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,6 @@ from .labelmap import LabelRuns, concat_runs
 from .scene import SceneObject
 
 log = logging.getLogger("rop.grammar")
-
-
-@dataclass
-class PatternGroup:
-    members: list[str]  # SceneObject ids, top to bottom
-    kind: str  # sign_alone | sign_above_light | signs_above_and_below_light | sign_stack
-    side: str  # left | right
 
 
 def side_of(obj: SceneObject, width_px: int) -> str:
@@ -152,7 +145,6 @@ def _merged_walk(members: list[SceneObject]) -> SceneObject:
         centroid=(row, col),
         area_px=area,
         bbox=(x0, y0, x1 - x0, y1 - y0),
-        source="region",
     )
 
 
@@ -221,14 +213,13 @@ def infer_pair(
         centroid=(row, (width_px - 1) - col),
         area_px=src.area_px,
         bbox=None,
-        source="inferred",
         light_kind="low",
         inferred=True,
     )
 
 
 # ---------------------------------------------------------------------------
-# Rule 5: sign/light combination patterns.
+# Rule 5: stacks.
 
 
 def _split_by_nearest_light(cluster: list[SceneObject]) -> list[list[SceneObject]]:
@@ -248,25 +239,34 @@ def _split_by_nearest_light(cluster: list[SceneObject]) -> list[list[SceneObject
     return buckets
 
 
-def group_patterns(
+def _stack_sort_key(members: list[SceneObject]) -> tuple:
+    return (
+        min(o.centroid[1] for o in members),
+        min(o.centroid[0] for o in members),
+        min(o.id for o in members),
+    )
+
+
+def stack_objects(
     objs: list[SceneObject], width_px: int, cfg: RunConfig = RunConfig()
-) -> list[PatternGroup]:
-    """Cluster signs and low lights per side on centroid column (single
-    linkage, threshold stack_dx_frac * width). Clusters holding at least one
-    sign become groups; lone lights stay ungrouped; high lights never join."""
+) -> dict[str, list[list[SceneObject]]]:
+    """Each side's stacks, left to right, each stack top to bottom.
+
+    Signs and low lights cluster per side on centroid column (single linkage,
+    threshold stack_dx_frac * width); a cluster holding several lights splits
+    by nearest light, and every part is a stack ordered by (row, col, id).
+    Every other light is a stack of its own. Stacks order by leftmost member
+    column; the side's sidewalks follow, one stack each, by (col, row, id).
+    Input order never matters.
+    """
     thresh = cfg.stack_dx_frac * width_px
-    groups: list[PatternGroup] = []
+    out: dict[str, list[list[SceneObject]]] = {}
     for side in ("left", "right"):
+        mine = [o for o in objs if side_of(o, width_px) == side]
+        lights = [o for o in mine if o.category == "traffic_light"]
         pool = sorted(
-            (
-                o
-                for o in objs
-                if side_of(o, width_px) == side
-                and (
-                    o.category == "traffic_sign"
-                    or (o.category == "traffic_light" and o.light_kind == "low")
-                )
-            ),
+            [o for o in mine if o.category == "traffic_sign"]
+            + [o for o in lights if o.light_kind == "low"],
             key=lambda o: (o.centroid[1], o.id),
         )
         clusters: list[list[SceneObject]] = []
@@ -275,23 +275,19 @@ def group_patterns(
                 clusters[-1].append(o)
             else:
                 clusters.append([o])
-        for cluster in clusters:
-            for part in _split_by_nearest_light(cluster):
-                signs = [o for o in part if o.category == "traffic_sign"]
-                if not signs:
-                    continue
-                light = next((o for o in part if o.category == "traffic_light"), None)
-                if light is None:
-                    kind = "sign_alone" if len(signs) == 1 else "sign_stack"
-                elif any(s.centroid[0] < light.centroid[0] for s in signs) and any(
-                    s.centroid[0] > light.centroid[0] for s in signs
-                ):
-                    kind = "signs_above_and_below_light"
-                else:
-                    kind = "sign_above_light"
-                ordered = sorted(part, key=lambda o: (o.centroid[0], o.centroid[1], o.id))
-                groups.append(PatternGroup(members=[o.id for o in ordered], kind=kind, side=side))
-    return groups
+        stacks = [
+            sorted(part, key=lambda o: (o.centroid[0], o.centroid[1], o.id))
+            for cluster in clusters
+            for part in _split_by_nearest_light(cluster)
+        ]
+        stacks += [[o] for o in lights if o.light_kind != "low"]
+        stacks.sort(key=_stack_sort_key)
+        walks = sorted(
+            (o for o in mine if o.category == "sidewalk"),
+            key=lambda o: (o.centroid[1], o.centroid[0], o.id),
+        )
+        out[side] = stacks + [[w] for w in walks]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +298,9 @@ def apply_grammar(
     scenes: list[tuple[list[SceneObject], int]],
     maps: list[LabelRuns],
     cfg: RunConfig = RunConfig(),
-) -> list[tuple[list[SceneObject], list[PatternGroup]]]:
-    """Run Rules 1-5 in order on each image of a track.
+) -> list[dict[str, list[list[SceneObject]]]]:
+    """Run Rules 1-5 in order on each image of a track: per image, each
+    side's stacks (see stack_objects).
 
     scenes[i] holds the objects of maps[i]'s image and its tallest
     pedestrian's height in pixels, 0 if none (see scene.scene_objects). The
@@ -322,5 +319,5 @@ def apply_grammar(
         twin = infer_pair(left, right, width_px)
         if twin is not None:
             objs = objs + [twin]
-        out.append((objs, group_patterns(objs, width_px, cfg)))
+        out.append(stack_objects(objs, width_px, cfg))
     return out

@@ -75,8 +75,7 @@ class IntersectionBuffer:
 
 @dataclass
 class Track:
-    track_id: str
-    direction: str  # WE, EW, SN, NS
+    track_id: str  # <intersection id>:<direction>, direction WE, EW, SN or NS
     images: list[ImageMeta]
 
 
@@ -453,12 +452,6 @@ def build_tracks(images: list[ImageMeta], buffer: IntersectionBuffer) -> list[Tr
             continue
         key = _AXIS_KEY[direction]
         members.sort(key=lambda im: (key(project(frame, im.position)), im.image_id))
-        tracks.append(
-            Track(
-                track_id=f"{buffer.intersection_id}:{direction}",
-                direction=direction,
-                images=members,
-            )
-        )
+        tracks.append(Track(track_id=f"{buffer.intersection_id}:{direction}", images=members))
     return tracks
 

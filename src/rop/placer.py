@@ -351,8 +351,8 @@ def track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
     detections = [part.detections.get(img.image_id, []) for img in track.images]
     scenes = scene_objects(maps, detections, cfg)
     return [
-        build_atbt(objs, groups, img.image_id, img.width_px)
-        for img, (objs, groups) in zip(track.images, apply_grammar(scenes, maps, cfg))
+        build_atbt(stacks, img.image_id)
+        for img, stacks in zip(track.images, apply_grammar(scenes, maps, cfg))
     ]
 
 
@@ -482,14 +482,18 @@ def _text(props: dict, key: str, where: str, default=None, nullable: bool = Fals
 
 def from_geojson(doc: dict) -> list[PlacedObject]:
     """The objects of a placed-object GeoJSON document, as to_geojson writes
-    it. A feature without a Point's [lon, lat] numbers, a number property
-    that is not a number, a string property that is not a string, or
-    source_images that is not a list of strings is a BundleError naming
-    features[i]."""
+    it. A document whose features is not a list is a BundleError. So is a
+    feature without a Point's [lon, lat] numbers, a number property that is
+    not a number, a string property that is not a string, source_images that
+    is not a list of strings or an inferred_only that is not a boolean, and
+    the error names features[i]."""
     if not isinstance(doc, dict):
         raise BundleError("expected a GeoJSON FeatureCollection")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise BundleError("features must be a list")
     out = []
-    for i, feat in enumerate(doc.get("features", [])):
+    for i, feat in enumerate(features):
         where = f"features[{i}]"
         geom = feat.get("geometry") if isinstance(feat, dict) else None
         coords = geom.get("coordinates") if isinstance(geom, dict) else None
@@ -505,6 +509,9 @@ def from_geojson(doc: dict) -> list[PlacedObject]:
         sources = props.get("source_images", [])
         if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
             raise BundleError(f"{where}: source_images must be a list of strings")
+        inferred_only = props.get("inferred_only", False)
+        if not isinstance(inferred_only, bool):
+            raise BundleError(f"{where}: inferred_only must be a boolean")
         out.append(
             PlacedObject(
                 category=_text(props, "category", where),
@@ -514,7 +521,7 @@ def from_geojson(doc: dict) -> list[PlacedObject]:
                 height_m=None if height is None else _number(height, "height_m", where),
                 source_images=list(sources),
                 support=support,
-                inferred_only=bool(props.get("inferred_only", False)),
+                inferred_only=inferred_only,
                 intersection_id=_text(props, "intersection_id", where, default=""),
                 confidence=confidence,
             )

@@ -33,8 +33,6 @@ class SceneObject:
     area_px: float
     bbox: tuple[float, float, float, float] | None  # (x, y, w, h)
     subtype: str | None = None
-    score: float | None = None
-    source: str = "region"  # region | detection | inferred
     light_kind: str | None = None  # high | low
     inferred: bool = False
 
@@ -149,7 +147,6 @@ def _from_region(obj_id: str, region: Region) -> SceneObject:
         centroid=region.centroid,
         area_px=float(region.area_px),
         bbox=tuple(float(v) for v in region.bbox),
-        source="region",
     )
 
 
@@ -192,8 +189,6 @@ def reconcile(
                 area_px=float(r.area_px),
                 bbox=sign_boxes[hits[0]],
                 subtype=det.subtype,
-                score=det.score,
-                source="region",
             )
         else:
             x, y, w, h = det.bbox
@@ -204,8 +199,6 @@ def reconcile(
                 area_px=float(w * h),
                 bbox=det.bbox,
                 subtype=det.subtype,
-                score=det.score,
-                source="detection",
             )
         out.append(obj)
     return out

@@ -6,6 +6,7 @@ loosening them is an interface change, not a test fix.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -30,10 +31,10 @@ from rop.geo import (
     project,
     unproject,
 )
-from rop.grammar import apply_grammar, classify_lights, merge_sidewalks
+from rop.grammar import apply_grammar, classify_lights, merge_sidewalks, stack_objects
 from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks
 from rop.labelmap import runs_of
-from rop.placer import run_intersection, select_corners, slice_bundle, track_trees
+from rop.placer import run_intersection, select_corners, slice_bundle, to_geojson, track_trees
 from rop.scene import scene_objects
 from rop.synth import (
     CameraPose,
@@ -84,7 +85,20 @@ def fixture_run():
 # Criterion 1: completeness and runtime over 100 standard intersections.
 
 
+# The bytes of the 100 standard intersections' placed objects and of every
+# tree criterion 6 builds from them, each the sha256 of the JSON dumped with
+# sorted keys. A change meant to alter the output updates these pins and
+# records the new hashes in CHANGES.md.
+PLACED_SHA256_N100 = "a5339ec4cb4848ee0ae8eee4f590096f05e1baaaa58959e23c143acea2c95efe"
+TREES_SHA256_N100 = "b3d335d79222bd081b19ecda101895e47692d29fdfaba524b51c3a4af5317af7"
+
+
+def _sha256_json(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def test_criterion_1_completeness_and_runtime(fixture_run):
+    assert _sha256_json(to_geojson(fixture_run.preds)) == PLACED_SHA256_N100
     overall = fixture_run.report.group("overall")
     ok = (
         overall.completeness is not None
@@ -266,11 +280,16 @@ def _pair_scene(cam_x: float, building_h: float, intersection_id: str) -> Layout
     )
 
 
+def _members(stacks) -> list:
+    """Every object of one image's stacks."""
+    return [o for side in ("left", "right") for stack in stacks[side] for o in stack]
+
+
 def _grammar_lights(layout: Layout) -> tuple[list, list]:
     canvas, dets = render_image(layout, layout.cameras[0])
     runs = runs_of(canvas)
-    ((objs, _),) = apply_grammar(scene_objects([runs], [dets]), [runs])
-    lights = [o for o in objs if o.category == "traffic_light"]
+    (stacks,) = apply_grammar(scene_objects([runs], [dets]), [runs])
+    lights = [o for o in _members(stacks) if o.category == "traffic_light"]
     return [o for o in lights if not o.inferred], [o for o in lights if o.inferred]
 
 
@@ -530,28 +549,33 @@ def _scene_inputs(run, index: int = 0):
 
 
 def test_criterion_6_structural_invariants(fixture_run):
-    n_trees = n_nodes = 0
+    n_nodes = 0
+    trees = []
     for run in fixture_run.runs:
         part = slice_bundle(run.bundle, CFG.corner_radius_m)[0]
         for track in build_tracks(part.images, part.buffers[0]):
             for tree in track_trees(part, track, CFG):
                 n_nodes += _check_heap(tree)
-                n_trees += 1
+                trees.append(tree_to_json(tree))
+    n_trees = len(trees)
     assert n_trees >= 300
+    # The trees' bytes (see PLACED_SHA256_N100).
+    assert _sha256_json(trees) == TREES_SHA256_N100
 
-    # Tree assembly must not depend on input order: 500 shuffles.
+    # Tree assembly must not depend on input order: 500 shuffles of the
+    # grammar's objects, stacked again and numbered again.
     rng = random.Random(6)
     n_shuffles = 0
     for run in fixture_run.runs[:5]:
         img, label_map, dets = _scene_inputs(run)
-        ((objs, groups),) = apply_grammar(scene_objects([label_map], [dets]), [label_map])
-        base = tree_to_json(build_atbt(objs, groups, img.image_id, img.width_px))
+        (stacks,) = apply_grammar(scene_objects([label_map], [dets]), [label_map])
+        objs = _members(stacks)
+        base = tree_to_json(build_atbt(stacks, img.image_id))
         for _ in range(100):
-            o2, g2 = list(objs), list(groups)
+            o2 = list(objs)
             rng.shuffle(o2)
-            rng.shuffle(g2)
-            shuffled = tree_to_json(build_atbt(o2, g2, img.image_id, img.width_px))
-            assert shuffled == base, img.image_id
+            shuffled = build_atbt(stack_objects(o2, img.width_px, CFG), img.image_id)
+            assert tree_to_json(shuffled) == base, img.image_id
             n_shuffles += 1
 
     # Sidewalk merging is idempotent and order-independent.

@@ -5,12 +5,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop.atbt import Atbt, build_atbt, fuse_track, tree_to_json
-from rop.grammar import PatternGroup
+from rop.grammar import stack_objects
 from rop.scene import SceneObject
 
 W_IMG = 1000
@@ -40,6 +39,11 @@ def assert_heap_consistent(tree: Atbt):
             assert i // 2 in present, f"node {i} has no parent {i // 2}"
 
 
+def tree_of(image_id, objs=()):
+    """The tree of one image's objects, stacked by the grammar."""
+    return build_atbt(stack_objects(list(objs), W_IMG), image_id)
+
+
 # ---------------------------------------------------------------------------
 # build_atbt.
 
@@ -50,8 +54,7 @@ def test_worked_example_indices():
     sign = obj("s0", "traffic_sign", (100.0, 800.0), subtype="stop")
     right_light = obj("l1", "traffic_light", (300.0, 805.0), light_kind="low")
     walk = obj("w0", "sidewalk", (600.0, 700.0))
-    groups = [PatternGroup(members=["s0", "l1"], kind="sign_above_light", side="right")]
-    tree = build_atbt([left_light, sign, right_light, walk], groups, "img", W_IMG)
+    tree = tree_of("img", [left_light, sign, right_light, walk])
     by_index = {n.heap_index: n for n in tree.nodes}
     assert set(by_index) == {1, 2, 3, 6, 7}
     assert by_index[1].role == "root" and by_index[1].object is None
@@ -70,7 +73,7 @@ def test_worked_example_indices():
 
 
 def test_empty_scene_gives_root_only():
-    tree = build_atbt([], [], "img", W_IMG)
+    tree = tree_of("img")
     assert len(tree.nodes) == 1
     assert tree.root.role == "root"
     assert tree.root.heap_index == 1
@@ -83,7 +86,7 @@ def test_stack_chain_indices():
         obj("b", "traffic_light", (300.0, 200.0), light_kind="high"),
         obj("c", "traffic_light", (300.0, 300.0), light_kind="high"),
     ]
-    tree = build_atbt(lights, [], "img", W_IMG)
+    tree = tree_of("img", lights)
     by_id = {n.object.id: n for n in tree.nodes if n.object}
     assert by_id["a"].heap_index == 2
     assert by_id["b"].heap_index == 5
@@ -96,15 +99,13 @@ def test_within_stack_left_child_chain():
     top = obj("s0", "traffic_sign", (100.0, 800.0))
     mid = obj("l0", "traffic_light", (200.0, 805.0), light_kind="low")
     bot = obj("s1", "traffic_sign", (300.0, 810.0))
-    groups = [
-        PatternGroup(members=["s0", "l0", "s1"], kind="signs_above_and_below_light", side="right")
-    ]
-    tree = build_atbt([top, mid, bot], groups, "img", W_IMG)
+    tree = tree_of("img", [bot, top, mid])
     by_id = {n.object.id: n for n in tree.nodes if n.object}
     assert by_id["s0"].heap_index == 3
     assert by_id["l0"].heap_index == 6
     assert by_id["s1"].heap_index == 12
     assert [by_id[k].depth_in_stack for k in ("s0", "l0", "s1")] == [0, 1, 2]
+    assert [by_id[k].role for k in ("s0", "l0", "s1")] == ["side_root", "stack_child", "stack_child"]
     assert_heap_consistent(tree)
 
 
@@ -112,7 +113,7 @@ def test_sidewalk_is_always_last_stack():
     # Sidewalk sits left of the light in image space, but is still the final stack.
     walk = obj("w0", "sidewalk", (600.0, 50.0))
     light = obj("l0", "traffic_light", (300.0, 400.0), light_kind="low")
-    tree = build_atbt([walk, light], [], "img", W_IMG)
+    tree = tree_of("img", [walk, light])
     by_id = {n.object.id: n for n in tree.nodes if n.object}
     assert by_id["l0"].heap_index == 2
     assert by_id["l0"].role == "side_root"
@@ -123,34 +124,36 @@ def test_sidewalk_is_always_last_stack():
 
 def test_sidewalk_alone_becomes_side_root():
     walk = obj("w0", "sidewalk", (600.0, 50.0))
-    tree = build_atbt([walk], [], "img", W_IMG)
+    tree = tree_of("img", [walk])
     by_id = {n.object.id: n for n in tree.nodes if n.object}
     assert by_id["w0"].heap_index == 2
     assert by_id["w0"].role == "side_root"
 
 
-def test_ungrouped_sign_is_rejected():
+def test_lone_sign_is_its_own_stack():
     sign = obj("s0", "traffic_sign", (100.0, 200.0))
-    with pytest.raises(ValueError, match="s0"):
-        build_atbt([sign], [], "img", W_IMG)
+    light = obj("l0", "traffic_light", (300.0, 400.0), light_kind="low")
+    tree = tree_of("img", [light, sign])
+    by_id = {n.object.id: n for n in tree.nodes if n.object}
+    assert (by_id["s0"].heap_index, by_id["s0"].role) == (2, "side_root")
+    assert (by_id["l0"].heap_index, by_id["l0"].role) == (5, "stack_head")
 
 
 def test_side_split_left_right():
     ll = obj("a", "traffic_light", (300.0, 100.0), light_kind="high")
     rl = obj("b", "traffic_light", (300.0, 900.0), light_kind="high")
-    tree = build_atbt([ll, rl], [], "img", W_IMG)
+    tree = tree_of("img", [ll, rl])
     by_id = {n.object.id: n for n in tree.nodes if n.object}
     assert by_id["a"].heap_index == 2 and by_id["a"].side == "left"
     assert by_id["b"].heap_index == 3 and by_id["b"].side == "right"
 
 
 def test_stacks_order_by_min_member_column():
-    # Group spanning cols 210..190 (min 190) vs singleton light at 200.
+    # Stack spanning cols 210..190 (min 190) vs singleton light at 200.
     s0 = obj("s0", "traffic_sign", (100.0, 190.0))
     l0 = obj("l0", "traffic_light", (300.0, 210.0), light_kind="low")
     single = obj("l1", "traffic_light", (300.0, 200.0), light_kind="high")
-    groups = [PatternGroup(members=["s0", "l0"], kind="sign_above_light", side="left")]
-    tree = build_atbt([s0, l0, single], groups, "img", W_IMG)
+    tree = tree_of("img", [s0, l0, single])
     by_id = {n.object.id: n for n in tree.nodes if n.object}
     assert by_id["s0"].stack_ordinal == 0
     assert by_id["l1"].stack_ordinal == 1
@@ -158,37 +161,41 @@ def test_stacks_order_by_min_member_column():
     assert by_id["l1"].heap_index == 5
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["light", "walk"]),
+            st.sampled_from(["high", "low", "sign", "walk"]),
             st.floats(min_value=0.0, max_value=999.0),
             st.floats(min_value=0.0, max_value=700.0),
         ),
         min_size=0,
-        max_size=8,
+        max_size=10,
     ),
     st.randoms(use_true_random=False),
 )
 def test_build_is_permutation_invariant(entries, rnd):
     objs = []
     for i, (kind, col, row) in enumerate(entries):
-        if kind == "light":
-            objs.append(obj(f"l{i}", "traffic_light", (row, col), light_kind="high"))
+        if kind in ("high", "low"):
+            objs.append(obj(f"l{i}", "traffic_light", (row, col), light_kind=kind))
+        elif kind == "sign":
+            objs.append(obj(f"s{i}", "traffic_sign", (row, col)))
         else:
             objs.append(obj(f"w{i}", "sidewalk", (row, col)))
-    base = build_atbt(objs, [], "img", W_IMG)
+    base = tree_of("img", objs)
     assert_heap_consistent(base)
+    placed = Counter(n.object.id for n in base.nodes if n.object is not None)
+    assert placed == Counter(o.id for o in objs)
     shuffled = list(objs)
     rnd.shuffle(shuffled)
-    again = build_atbt(shuffled, [], "img", W_IMG)
+    again = tree_of("img", shuffled)
     assert tree_to_json(base) == tree_to_json(again)
 
 
 def test_tree_json_round_trips():
     light = obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")
-    tree = build_atbt([light], [], "img7", W_IMG)
+    tree = tree_of("img7", [light])
     doc = json.loads(json.dumps(tree_to_json(tree)))
     assert doc["image_id"] == "img7"
     ids = {n.get("object_id") for n in doc["nodes"]}
@@ -197,11 +204,6 @@ def test_tree_json_round_trips():
 
 # ---------------------------------------------------------------------------
 # fuse_track. Oracle: direct recount of votes per structural key.
-
-
-def tree_of(image_id, *objects_groups):
-    objs, groups = objects_groups if objects_groups else ([], [])
-    return build_atbt(objs, groups, image_id, W_IMG)
 
 
 def flat_rank(trees):
@@ -223,7 +225,7 @@ def test_fuse_empty():
 def test_fuse_single_tree_pass_through():
     light = obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")
     walk = obj("w0", "sidewalk", (600.0, 100.0))
-    trees = [tree_of("i0", [light, walk], [])]
+    trees = [tree_of("i0", [light, walk])]
     fused = fuse_track(trees, image_rank=flat_rank(trees))
     assert len(fused) == 2
     for f in fused:
@@ -235,9 +237,9 @@ def test_fuse_single_tree_pass_through():
 
 def test_fuse_support_counts_occlusion():
     def light_tree(iid):
-        return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")], [])
+        return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")])
 
-    trees = [light_tree("i0"), light_tree("i1"), tree_of("i2", [], []), light_tree("i3")]
+    trees = [light_tree("i0"), light_tree("i1"), tree_of("i2"), light_tree("i3")]
     fused = fuse_track(trees, image_rank=flat_rank(trees))
     assert len(fused) == 1
     assert fused[0].support == 3
@@ -245,9 +247,7 @@ def test_fuse_support_counts_occlusion():
 
 
 def sign_alone_tree(iid, subtype):
-    sign = obj("s0", "traffic_sign", (100.0, 200.0), subtype=subtype)
-    group = PatternGroup(members=["s0"], kind="sign_alone", side="left")
-    return tree_of(iid, [sign], [group])
+    return tree_of(iid, [obj("s0", "traffic_sign", (100.0, 200.0), subtype=subtype)])
 
 
 def test_fuse_majority_subtype_matches_oracle():
@@ -271,7 +271,7 @@ def test_fuse_tie_goes_to_nearest_rank():
 
 def test_fuse_equal_ranks_go_to_lowest_image_id():
     def kind_tree(iid, kind):
-        return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind=kind)], [])
+        return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind=kind)])
 
     # 1-1 tie on light kind between images of equal rank: the lower id wins,
     # whatever the track order.
@@ -285,8 +285,8 @@ def test_fuse_inferred_only_flag():
     real = obj("l0", "traffic_light", (300.0, 790.0), light_kind="low")
     ghost = obj("inferred:l0", "traffic_light", (300.0, 790.0), light_kind="low", inferred=True)
     ghost.bbox = None
-    t_real = tree_of("i0", [real], [])
-    t_ghost = tree_of("i1", [ghost], [])
+    t_real = tree_of("i0", [real])
+    t_ghost = tree_of("i1", [ghost])
     fused = fuse_track([t_ghost, t_ghost], image_rank=flat_rank([t_ghost]))
     assert len(fused) == 1 and fused[0].inferred_only
     fused = fuse_track([t_ghost, t_real], image_rank=flat_rank([t_ghost, t_real]))
@@ -296,7 +296,7 @@ def test_fuse_inferred_only_flag():
 def test_fuse_keys_keep_distinct_objects_apart():
     a = obj("a", "traffic_light", (300.0, 100.0), light_kind="high")
     b = obj("b", "traffic_light", (300.0, 300.0), light_kind="high")
-    trees = [tree_of("i0", [a, b], []), tree_of("i1", [a, b], [])]
+    trees = [tree_of("i0", [a, b]), tree_of("i1", [a, b])]
     fused = fuse_track(trees, image_rank=flat_rank(trees))
     assert len(fused) == 2
     assert all(f.support == 2 for f in fused)
@@ -308,7 +308,7 @@ def test_fuse_output_sorted_by_key():
     a = obj("a", "traffic_light", (300.0, 900.0), light_kind="high")
     b = obj("b", "traffic_light", (300.0, 100.0), light_kind="high")
     w = obj("w", "sidewalk", (600.0, 120.0))
-    trees = [tree_of("i0", [a, b, w], [])]
+    trees = [tree_of("i0", [a, b, w])]
     fused = fuse_track(trees, image_rank=flat_rank(trees))
     keys = [(f.side, f.category, f.stack_ordinal, f.depth_in_stack, f.subtype or "") for f in fused]
     assert keys == sorted(keys)

@@ -538,6 +538,7 @@ def _truth_with(bundle: Path, bad_feature: dict) -> dict:
             ("light-kind-list", {"light_kind": ["high"]}, "light_kind must be a string or null"),
             ("intersection-number", {"intersection_id": 7}, "intersection_id must be a string"),
             ("height-string", {"height_m": "7"}, "height_m must be a number"),
+            ("inferred-only-string", {"inferred_only": "no"}, "inferred_only must be a boolean"),
         ]
     ],
 )
@@ -561,10 +562,15 @@ def test_eval_rejects_bad_radius(radius, bundle_dir, capsys):
 
 
 def test_eval_rejects_non_object_document(bundle_dir, tmp_path, capsys):
+    truth = bundle_dir / "truth.geojson"
     bad = tmp_path / "bad.geojson"
-    bad.write_text(json.dumps(json.loads((bundle_dir / "truth.geojson").read_text())["features"]))
-    assert main(["eval", "--pred", str(bad), "--ref", str(bundle_dir / "truth.geojson")]) == 2
-    assert f"{bad}: expected a GeoJSON FeatureCollection" in capsys.readouterr().err
+    for doc, fragment in [
+        (json.loads(truth.read_text())["features"], "expected a GeoJSON FeatureCollection"),
+        ({"type": "FeatureCollection", "features": 5}, "features must be a list"),
+    ]:
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", "--pred", str(bad), "--ref", str(truth)]) == 2
+        assert f"{bad}: {fragment}" in capsys.readouterr().err
 
 
 def test_dump_trees_exports_heap_nodes(bundle_dir, tmp_path):

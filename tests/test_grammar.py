@@ -1,4 +1,4 @@
-"""Light classification, sidewalk merging, pair inference, pattern grouping."""
+"""Light classification, sidewalk merging, pair inference, stacking."""
 
 from __future__ import annotations
 
@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from rop.config import RunConfig
 from rop.grammar import (
-    PatternGroup,
     apply_grammar,
     classify_lights,
-    surround_margins,
-    group_patterns,
     infer_pair,
     merge_sidewalks,
     side_of,
+    stack_objects,
+    surround_margins,
 )
 from rop.ingest import CATEGORY_IDS
 from rop.labelmap import runs_of
@@ -454,7 +453,6 @@ def test_infer_low_left_sidewalk_right():
     assert got.centroid == (300.0, 999.0 - 200.0)
     assert got.area_px == 120.0
     assert got.bbox is None
-    assert got.source == "inferred"
 
 
 def test_infer_mirrors_right_to_left():
@@ -496,54 +494,51 @@ def test_infer_source_is_largest_low_light():
 
 
 # ---------------------------------------------------------------------------
-# group_patterns. Width 1000 so the stack threshold is 40 px.
+# stack_objects. Width 1000 so the stack threshold is 40 px.
+
+
+def stack_ids(objs):
+    """Each side's stacks as lists of object ids."""
+    stacks = stack_objects(objs, W_IMG, CFG)
+    return {side: [[o.id for o in stack] for stack in stacks[side]] for side in stacks}
 
 
 def test_group_sign_above_light():
     sign = obj("s0", "traffic_sign", (100.0, 200.0))
     light = obj("l0", "traffic_light", (300.0, 210.0), light_kind="low")
-    (g,) = group_patterns([sign, light], W_IMG, CFG)
-    assert g.kind == "sign_above_light"
-    assert g.members == ["s0", "l0"]
-    assert g.side == "left"
+    # One stack, the sign above the light.
+    assert stack_ids([light, sign]) == {"left": [["s0", "l0"]], "right": []}
 
 
 def test_group_sign_alone():
     sign = obj("s0", "traffic_sign", (100.0, 600.0))
-    (g,) = group_patterns([sign], W_IMG, CFG)
-    assert g.kind == "sign_alone"
-    assert g.members == ["s0"]
-    assert g.side == "right"
+    assert stack_ids([sign]) == {"left": [], "right": [["s0"]]}
 
 
 def test_group_signs_above_and_below_light():
     top = obj("s0", "traffic_sign", (100.0, 200.0))
     light = obj("l0", "traffic_light", (200.0, 205.0), light_kind="low")
     bottom = obj("s1", "traffic_sign", (300.0, 210.0))
-    (g,) = group_patterns([top, light, bottom], W_IMG, CFG)
-    assert g.kind == "signs_above_and_below_light"
-    assert g.members == ["s0", "l0", "s1"]
+    # One stack, top to bottom: a sign, the light, a sign.
+    assert stack_ids([bottom, light, top]) == {"left": [["s0", "l0", "s1"]], "right": []}
 
 
 def test_group_sign_stack_without_light():
     a = obj("s0", "traffic_sign", (100.0, 200.0))
     b = obj("s1", "traffic_sign", (160.0, 205.0))
-    (g,) = group_patterns([a, b], W_IMG, CFG)
-    assert g.kind == "sign_stack"
-    assert g.members == ["s0", "s1"]
+    assert stack_ids([b, a]) == {"left": [["s0", "s1"]], "right": []}
 
 
 def test_group_high_lights_never_join():
     sign = obj("s0", "traffic_sign", (100.0, 200.0))
     high = obj("l0", "traffic_light", (300.0, 205.0), light_kind="high")
-    (g,) = group_patterns([sign, high], W_IMG, CFG)
-    assert g.kind == "sign_alone"
-    assert g.members == ["s0"]
+    assert stack_ids([sign, high]) == {"left": [["s0"], ["l0"]], "right": []}
 
 
 def test_group_lone_light_makes_no_group():
+    # A low light with no sign near it is a stack of one light.
     light = obj("l0", "traffic_light", (300.0, 210.0), light_kind="low")
-    assert group_patterns([light], W_IMG, CFG) == []
+    assert stack_ids([light]) == {"left": [["l0"]], "right": []}
 
 
 def test_group_splits_cluster_with_two_lights():
@@ -551,36 +546,39 @@ def test_group_splits_cluster_with_two_lights():
     lb = obj("l1", "traffic_light", (300.0, 236.0), light_kind="low")
     sa = obj("s0", "traffic_sign", (100.0, 198.0))
     sb = obj("s1", "traffic_sign", (100.0, 240.0))
-    groups = group_patterns([la, lb, sa, sb], W_IMG, CFG)
-    assert len(groups) == 2
-    members = {tuple(g.members) for g in groups}
-    assert members == {("s0", "l0"), ("s1", "l1")}
-    assert all(g.kind == "sign_above_light" for g in groups)
+    # Each sign stands above the light nearest it.
+    assert stack_ids([la, lb, sa, sb]) == {"left": [["s0", "l0"], ["s1", "l1"]], "right": []}
 
 
 def test_group_does_not_cross_midline():
     sign = obj("s0", "traffic_sign", (100.0, 490.0))
     light = obj("l0", "traffic_light", (300.0, 510.0), light_kind="low")
-    (g,) = group_patterns([sign, light], W_IMG, CFG)
-    assert g.members == ["s0"]
-    assert g.kind == "sign_alone"
+    assert stack_ids([sign, light]) == {"left": [["s0"]], "right": [["l0"]]}
 
 
 def test_group_threshold_boundary():
     a = obj("s0", "traffic_sign", (100.0, 200.0))
     b = obj("s1", "traffic_sign", (160.0, 240.0))  # exactly 0.04 * 1000
-    (g,) = group_patterns([a, b], W_IMG, CFG)
-    assert g.kind == "sign_stack"
+    assert stack_ids([a, b])["left"] == [["s0", "s1"]]
     c = obj("s2", "traffic_sign", (160.0, 240.5))
-    groups = group_patterns([a, c], W_IMG, CFG)
-    assert len(groups) == 2
+    assert stack_ids([a, c])["left"] == [["s0"], ["s2"]]
+
+
+def test_stacks_put_sidewalks_last_by_column():
+    walk_far = obj("w0", "sidewalk", (600.0, 300.0))
+    walk_near = obj("w1", "sidewalk", (650.0, 20.0))
+    light = obj("l0", "traffic_light", (300.0, 400.0), light_kind="high")
+    assert stack_ids([walk_far, light, walk_near]) == {
+        "left": [["l0"], ["w1"], ["w0"]],
+        "right": [],
+    }
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["traffic_sign", "low", "high"]),
+            st.sampled_from(["traffic_sign", "low", "high", "sidewalk"]),
             st.floats(min_value=0.0, max_value=999.0),
             st.floats(min_value=0.0, max_value=700.0),
         ),
@@ -593,15 +591,27 @@ def test_group_every_sign_in_exactly_one_group(entries):
     for i, (kind, col, row) in enumerate(entries):
         if kind == "traffic_sign":
             objs.append(obj(f"s{i}", "traffic_sign", (row, col)))
+        elif kind == "sidewalk":
+            objs.append(obj(f"w{i}", "sidewalk", (row, col)))
         else:
             objs.append(obj(f"l{i}", "traffic_light", (row, col), light_kind=kind))
-    groups = group_patterns(objs, W_IMG, CFG)
-    grouped_signs = [m for g in groups for m in g.members if m.startswith("s")]
-    assert sorted(grouped_signs) == sorted(o.id for o in objs if o.category == "traffic_sign")
-    # At most one light per group.
-    for g in groups:
-        lights = [m for m in g.members if m.startswith("l")]
-        assert len(lights) <= 1
+    stacks = stack_objects(objs, W_IMG, CFG)
+    # Every object sits in exactly one stack, on its own side.
+    placed = [(side, o.id) for side in stacks for stack in stacks[side] for o in stack]
+    assert sorted(placed) == sorted((side_of(o, W_IMG), o.id) for o in objs)
+    for side in ("left", "right"):
+        for k, stack in enumerate(stacks[side]):
+            lights = [o for o in stack if o.category == "traffic_light"]
+            walks = [o for o in stack if o.category == "sidewalk"]
+            # Top to bottom.
+            assert stack == sorted(stack, key=lambda o: (o.centroid[0], o.centroid[1], o.id))
+            # At most one light per stack, and a high light or a sidewalk stands alone.
+            assert len(lights) <= 1
+            if any(o.light_kind == "high" for o in lights) or walks:
+                assert len(stack) == 1
+            # Sidewalks come after every other stack.
+            if walks:
+                assert all(s[0].category == "sidewalk" for s in stacks[side][k:])
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +629,8 @@ def test_apply_grammar_end_to_end():
     from rop.scene import scene_objects
 
     runs = runs_of(lab)
-    ((out, groups),) = apply_grammar(scene_objects([runs], [[]], CFG), [runs], CFG)
+    (stacks,) = apply_grammar(scene_objects([runs], [[]], CFG), [runs], CFG)
+    out = [o for side in ("left", "right") for stack in stacks[side] for o in stack]
     lights = [o for o in out if o.category == "traffic_light"]
     assert {o.light_kind for o in lights} == {"low"}
     real = [o for o in lights if not o.inferred]
@@ -627,4 +638,6 @@ def test_apply_grammar_end_to_end():
     assert len(real) == 1 and len(twins) == 1
     assert side_of(real[0], 1000) == "left"
     assert side_of(twins[0], 1000) == "right"
-    assert groups == []
+    # No sign: each light is a stack of its own, before its side's sidewalk.
+    assert [[o.id for o in stack] for stack in stacks["left"]] == [[real[0].id], ["walk0"]]
+    assert [[o.id for o in stack] for stack in stacks["right"]] == [[twins[0].id], ["walk1"]]

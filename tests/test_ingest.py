@@ -646,13 +646,11 @@ def test_build_tracks_bins_and_orders():
     s0 = im("s0", *_latlon(frame, 2.0, 25.0), heading=181.0)
     n0 = im("n0", *_latlon(frame, 2.0, -25.0), heading=None)
     tracks = build_tracks([e2, e0, e1, s0, n0], buffer)
-    by_dir = {t.direction: t for t in tracks}
-    assert set(by_dir) == {"WE", "NS"}
-    we = by_dir["WE"]
-    assert we.track_id == "x0:WE"
-    assert [i.image_id for i in we.images] == ["e0", "e1", "e2"]
+    by_id = {t.track_id: t for t in tracks}
+    assert set(by_id) == {"x0:WE", "x0:NS"}
+    assert [i.image_id for i in by_id["x0:WE"].images] == ["e0", "e1", "e2"]
     # NS orders by decreasing y: the single image is trivially in place.
-    assert [i.image_id for i in by_dir["NS"].images] == ["s0"]
+    assert [i.image_id for i in by_id["x0:NS"].images] == ["s0"]
 
 
 def test_build_tracks_warns_on_missing_heading(caplog):

@@ -357,14 +357,20 @@ def region(category, bbox, area=None, first_px=0):
     )
 
 
+def assert_bbox_geometry(obj, bbox):
+    """obj's geometry derives from the detection box alone."""
+    x, y, w, h = bbox
+    assert obj.bbox == bbox
+    assert obj.centroid == (y + h / 2.0, x + w / 2.0)
+    assert obj.area_px == float(w * h)
+
+
 def test_reconcile_unique_match_uses_region_geometry():
     r = region("traffic_sign", (10, 20, 6, 6), area=30)
     got = reconcile([r], [det((11, 21, 6, 6))], IOU_MIN)
     (obj,) = got
     assert obj.id == "sign0"
-    assert obj.source == "region"
     assert obj.subtype == "stop"
-    assert obj.score == 0.9
     assert obj.area_px == 30.0
     assert obj.centroid == r.centroid
     assert obj.bbox == (10.0, 20.0, 6.0, 6.0)
@@ -373,7 +379,6 @@ def test_reconcile_unique_match_uses_region_geometry():
 def test_reconcile_unmatched_detection_uses_bbox():
     got = reconcile([], [det((10.0, 20.0, 6.0, 8.0))], IOU_MIN)
     (obj,) = got
-    assert obj.source == "detection"
     assert obj.centroid == (24.0, 13.0)
     assert obj.area_px == 48.0
     assert obj.bbox == (10.0, 20.0, 6.0, 8.0)
@@ -385,7 +390,8 @@ def test_reconcile_two_detections_one_region_all_bbox_derived():
     d2 = det((11, 21, 10, 10), subtype="yield")
     got = reconcile([r], [d1, d2], IOU_MIN)
     assert [o.id for o in got] == ["sign0", "sign1"]
-    assert all(o.source == "detection" for o in got)
+    for o, d in zip(got, (d1, d2)):
+        assert_bbox_geometry(o, d.bbox)
     assert got[1].subtype == "yield"
 
 
@@ -396,7 +402,7 @@ def test_reconcile_detection_over_two_regions_is_bbox_derived():
     assert box_iou(d.bbox, (0.0, 0.0, 10.0, 4.0)) >= 0.3
     got = reconcile([r1, r2], [d], IOU_MIN)
     (obj,) = got
-    assert obj.source == "detection"
+    assert_bbox_geometry(obj, d.bbox)
 
 
 def test_reconcile_drops_unclaimed_sign_regions():
@@ -408,7 +414,7 @@ def test_reconcile_below_iou_threshold_is_no_match():
     r = region("traffic_sign", (0, 0, 10, 10))
     d = det((8, 8, 10, 10))  # IoU = 4 / 196
     got = reconcile([r], [d], iou_min=0.3)
-    assert got[0].source == "detection"
+    assert_bbox_geometry(got[0], d.bbox)
 
 
 def test_reconcile_passes_lights_and_walks_through():
@@ -453,11 +459,12 @@ def test_build_scene_end_to_end():
     lab[50:60, 0:40] = WALK
     dets = [det((50.0, 30.0, 6.0, 6.0))]
     ((got, _),) = scene_objects([runs_of(lab)], [dets], RunConfig(min_region_px=9))
-    kinds = {(o.id, o.category, o.source) for o in got}
+    kinds = {(o.id, o.category) for o in got}
     assert kinds == {
-        ("light0", "traffic_light", "region"),
-        ("walk0", "sidewalk", "region"),
-        ("sign0", "traffic_sign", "region"),
+        ("light0", "traffic_light"),
+        ("walk0", "sidewalk"),
+        ("sign0", "traffic_sign"),
     }
+    # The sign takes its region's centroid, not its detection box's (33, 53).
     sign = next(o for o in got if o.category == "traffic_sign")
     assert sign.centroid == (32.5, 52.5)
