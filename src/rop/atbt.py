@@ -10,7 +10,7 @@ matched across every image of a track without any pixel-space reasoning.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .scene import SceneObject
 
@@ -28,11 +28,7 @@ class AtbtNode:
 @dataclass
 class Atbt:
     image_id: str
-    nodes: list[AtbtNode] = field(default_factory=list)  # sorted by heap_index
-
-    @property
-    def root(self) -> AtbtNode:
-        return self.nodes[0]
+    nodes: list[AtbtNode]  # sorted by heap_index
 
 
 @dataclass

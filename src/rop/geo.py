@@ -102,12 +102,17 @@ def unproject(frame: LocalFrame, q: LocalPoint) -> GeoPoint:
     return GeoPoint(lat=frame.origin.lat + dlat, lon=wrap_lon(frame.origin.lon + dlon))
 
 
+def in_span(frame: LocalFrame, p: GeoPoint) -> bool:
+    """Whether p lies inside the frame's validity span, where project takes it."""
+    dlat = p.lat - frame.origin.lat
+    dlon = wrap_lon(p.lon - frame.origin.lon)
+    return abs(dlat) < FRAME_SPAN_DEG and abs(dlon) < FRAME_SPAN_DEG
+
+
 def within(frame: LocalFrame, p: GeoPoint, radius_m: float) -> bool:
     """Whether p lies within radius_m of the frame origin; False, not an
     error, for points outside the frame's validity span."""
-    dlat = p.lat - frame.origin.lat
-    dlon = wrap_lon(p.lon - frame.origin.lon)
-    if abs(dlat) >= FRAME_SPAN_DEG or abs(dlon) >= FRAME_SPAN_DEG:
+    if not in_span(frame, p):
         return False
     q = project(frame, p)
     return math.hypot(q.x, q.y) <= radius_m
@@ -135,15 +140,9 @@ def heading_vector(heading_deg: float) -> tuple[float, float]:
 
 def nearest_vertex(fp: Footprint, frame: LocalFrame, q: LocalPoint) -> tuple[LocalPoint, float]:
     """Ring vertex closest to q; ties go to the lowest vertex index."""
-    best: tuple[float, int, LocalPoint] | None = None
-    for i, v in enumerate(fp.ring[:-1]):
-        pv = project(frame, v)
-        d = dist(pv, q)
-        if best is None or d < best[0]:
-            best = (d, i, pv)
-    if best is None:  # unreachable for validated footprints
-        raise ValueError(f"footprint {fp.id}: empty ring")
-    return best[2], best[0]
+    pts = [project(frame, v) for v in fp.ring[:-1]]
+    d, i = min((dist(p, q), i) for i, p in enumerate(pts))
+    return pts[i], d
 
 
 def footprint_centroid(fp: Footprint, frame: LocalFrame) -> LocalPoint:

@@ -75,7 +75,7 @@ def surround_margins(
     return (per_rect[:n] - per_rect[n:]).astype(np.int64)
 
 
-def _ray_kind(obj: SceneObject, runs: LabelRuns, tallest_ped: int | None, cfg: RunConfig) -> str:
+def _ray_kind(obj: SceneObject, runs: LabelRuns, tallest_ped: float | None, cfg: RunConfig) -> str:
     """high when the drop from the light centroid down its column to the
     first road or sidewalk pixel exceeds high_factor times the tallest
     pedestrian (fallback: a fixed fraction of the image height); low
@@ -91,14 +91,14 @@ def _ray_kind(obj: SceneObject, runs: LabelRuns, tallest_ped: int | None, cfg: R
     column = runs.values[np.searchsorted(runs.starts, pixels, side="right") - 1]
     ground = (column == CATEGORY_IDS["road"]) | (column == CATEGORY_IDS["sidewalk"])
     hits = np.flatnonzero(ground)
-    h = float(tallest_ped) if tallest_ped else cfg.pedestrian_fallback_frac * big_h
+    h = tallest_ped or cfg.pedestrian_fallback_frac * big_h
     return "high" if hits.size and float(r0 + 1 + hits[0]) - row > cfg.high_factor * h else "low"
 
 
 def classify_lights(
     lights: list[list[SceneObject]],
     maps: list[LabelRuns],
-    tallest_peds: list[int | None],
+    tallest_peds: list[float | None],
     cfg: RunConfig = RunConfig(),
 ) -> None:
     """Set light_kind high/low on every light of a track: lights[i] are seen
@@ -113,9 +113,7 @@ def classify_lights(
         for obj in objs:
             if obj.category != "traffic_light":
                 raise ValueError(f"classify_lights on category '{obj.category}'")
-    boxes = [
-        [o.bbox or (o.centroid[1], o.centroid[0], 1.0, 1.0) for o in objs] for objs in lights
-    ]
+    boxes = [[o.bbox for o in objs] for objs in lights]
     margins = iter(surround_margins(maps, boxes, cfg.ring_px).tolist())
     for objs, runs, tallest in zip(lights, maps, tallest_peds):
         for obj in objs:
@@ -306,9 +304,7 @@ def apply_grammar(
     pedestrian's height in pixels, 0 if none (see scene.scene_objects). The
     lights of every image are classified in one call.
     """
-    lights = [
-        [o for o in objs if o.category == "traffic_light" and not o.inferred] for objs, _ in scenes
-    ]
+    lights = [[o for o in objs if o.category == "traffic_light"] for objs, _ in scenes]
     classify_lights(lights, maps, [tallest for _, tallest in scenes], cfg)
     out = []
     for (objs, _), runs in zip(scenes, maps):

@@ -57,6 +57,9 @@ CATEGORY_NAMES = {cid: name for name, cid in CATEGORY_IDS.items()}
 
 @dataclass
 class ImageMeta:
+    """One images.json record. synth writes the file from these fields, so
+    sequence_id and captured_at stay, though placement does not read them."""
+
     image_id: str
     position: GeoPoint
     heading_deg: float | None
@@ -81,6 +84,9 @@ class Track:
 
 @dataclass
 class Detection:
+    """One detections.jsonl line. score stays, though placement does not read
+    it: synth writes it from this field and load_detections requires it."""
+
     image_id: str
     category: str
     subtype: str | None
@@ -350,6 +356,10 @@ def load_buffers(path: str) -> list[IntersectionBuffer]:
         # A record without radius_m takes the IntersectionBuffer default.
         given = {"radius_m": _field(rec, "radius_m", where)} if "radius_m" in rec else {}
         center = _point(_require(rec, "lat", where), _require(rec, "lon", where), where)
+        try:
+            make_frame(center)  # placement needs a tangent frame at the centre
+        except ValueError as exc:
+            raise BundleError(f"{where}: {exc}") from exc
         buffer = IntersectionBuffer(intersection_id=iid, center=center, **given)
         if buffer.radius_m <= 0:
             raise BundleError(f"{where}: radius_m must be positive, got {buffer.radius_m}")

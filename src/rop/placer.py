@@ -24,6 +24,7 @@ from .geo import (
     dist,
     footprint_centroid,
     heading_vector,
+    in_span,
     make_frame,
     nearest_vertex,
     project,
@@ -73,7 +74,6 @@ class PlacedObject:
 
 @dataclass
 class IntersectionResult:
-    intersection_id: str
     placed: list[PlacedObject] = field(default_factory=list)
     diagnostics: list[dict] = field(default_factory=list)
 
@@ -302,7 +302,9 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
     radius_m + corner_radius_m of the center. By the triangle inequality that
     bound loses nothing, up to rounding in the last place: select_corners
     keeps only footprints with a vertex within corner_radius_m of a camera,
-    and every camera of the slice lies within radius_m of the center.
+    and every camera of the slice lies within radius_m of the center. A
+    footprint with a vertex outside the buffer frame's span is dropped with a
+    warning, since select_corners projects every vertex.
 
     Image positions and footprint vertices go into arrays once. Per buffer a
     box test picks the candidates, and only those take the exact checks, so
@@ -325,6 +327,15 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
         ids = [im.image_id for im in kept]
         candidates = np.zeros(len(footprints), dtype=bool)
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
+        near_fps = []
+        for fp in (footprints[i] for i in np.flatnonzero(candidates)):
+            if not any(within(frame, v, reach_m) for v in fp.ring):
+                continue
+            if all(in_span(frame, v) for v in fp.ring):
+                near_fps.append(fp)
+            else:
+                msg = "footprint %s reaches outside the frame span of buffer %s; dropped"
+                log.warning(msg, fp.id, buffer.intersection_id)
         slices.append(
             Bundle(
                 images=kept,
@@ -332,11 +343,7 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
                     maps.only(ids) if isinstance(maps, MaskDirectory) else {i: maps[i] for i in ids}
                 ),
                 detections={i: bundle.detections[i] for i in ids if i in bundle.detections},
-                footprints=[
-                    fp
-                    for fp in (footprints[i] for i in np.flatnonzero(candidates))
-                    if any(within(frame, v, reach_m) for v in fp.ring)
-                ],
+                footprints=near_fps,
                 buffers=[buffer],
             )
         )
@@ -383,7 +390,7 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
             f"got {len(part.buffers)} buffers"
         )
     buffer = part.buffers[0]
-    result = IntersectionResult(intersection_id=buffer.intersection_id)
+    result = IntersectionResult()
 
     def note(event: str, **fields) -> None:
         result.diagnostics.append({"intersection_id": buffer.intersection_id, "event": event, **fields})

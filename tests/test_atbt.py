@@ -75,8 +75,8 @@ def test_worked_example_indices():
 def test_empty_scene_gives_root_only():
     tree = tree_of("img")
     assert len(tree.nodes) == 1
-    assert tree.root.role == "root"
-    assert tree.root.heap_index == 1
+    assert tree.nodes[0].role == "root"
+    assert tree.nodes[0].heap_index == 1
 
 
 def test_stack_chain_indices():

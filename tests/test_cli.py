@@ -259,6 +259,12 @@ BAD_RECORD_CASES = [
         "features[0]: expected a JSON object",
         id="footprints-str-feature",
     ),
+    pytest.param(
+        "buffers",
+        lambda text: json.dumps([{**json.loads(text)[0], "lat": 89.5}, *json.loads(text)[1:]]),
+        "buffers[0]: frame degenerate near the poles (lat=89.5)",
+        id="buffers-polar",
+    ),
 ] + [
     pytest.param(flag, lambda text: "{" + text, "Expecting property name", id=f"{flag}-invalid-json")
     for flag in ("images", "footprints", "buffers")
@@ -282,6 +288,23 @@ def test_place_rejects_malformed_bundle_file(flag, edit, fragment, bundle_dir, t
 # CHANGES.md.
 PLACE_SHA256 = "80d13b3ba68c1bf528cb900329d153875127aec19737f3c39ad90df7a13381f0"
 DUMP_TREES_SHA256 = "a400e883ac6941ba49da7ebb7ee7ccfd36743afa9849669d86fb87464240d04f"
+# The files of `rop synth --fixtures 2 --seed 1`, hashed as tree_sha256 does.
+SYNTH_SHA256 = "620b9fa45ff4a811b936043cd917aab39e29fc153cc7e296a41fb12949ecdaf0"
+
+
+def tree_sha256(root: Path) -> str:
+    """sha256 over every file under root, in sorted relative-path order, each
+    as its POSIX relative path, a NUL byte, then its bytes."""
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        h.update(rel.encode() + b"\0" + (root / rel).read_bytes())
+    return h.hexdigest()
+
+
+def test_synth_output_is_pinned(tmp_path):
+    # A fresh directory: other tests may write next to bundle_dir's files.
+    assert main(["synth", "--out", str(tmp_path), "--fixtures", "2", "--seed", "1"]) == 0
+    assert tree_sha256(tmp_path) == SYNTH_SHA256
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -782,6 +805,32 @@ def test_place_bundle_wider_than_one_frame(tmp_path):
         assert {f["properties"]["intersection_id"] for f in doc["features"]} == {"x0000", "x0001"}
         assert main(["eval", "--pred", str(pred), "--ref", ref, "--min-completeness", "0.97"]) == 0
     assert (tmp_path / "pred1.geojson").read_bytes() == (tmp_path / "pred2.geojson").read_bytes()
+
+
+def test_place_drops_a_footprint_wider_than_the_frame(bundle_dir, tmp_path, caplog):
+    # One vertex lies 0.0002 deg north and 0.0003 deg east of the first
+    # centre, within reach of its cameras; the others lie 0.1 deg north and
+    # east, beyond the 0.05 deg span of the buffer's frame.
+    wide = tmp_path / "wide"
+    shutil.copytree(bundle_dir, wide)
+    center = json.loads((wide / "buffers.json").read_text())[0]
+    lat, lon = center["lat"] + 0.0002, center["lon"] + 0.0003
+    ring = [[lon, lat], [lon + 0.1, lat], [lon + 0.1, lat + 0.1], [lon, lat + 0.1], [lon, lat]]
+    doc = json.loads((wide / "footprints.geojson").read_text())
+    doc["features"].append(
+        {
+            "type": "Feature",
+            "properties": {"id": "wide"},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+        }
+    )
+    (wide / "footprints.geojson").write_text(json.dumps(doc))
+    for jobs in ("1", "2"):
+        out = tmp_path / f"pred{jobs}.geojson"
+        caplog.clear()
+        assert main(place_args(wide, out, ["--jobs", jobs])) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE_SHA256
+        assert "footprint wide reaches outside the frame span of buffer x0000" in caplog.text
 
 
 def test_place_bundle_straddling_the_antimeridian(tmp_path):

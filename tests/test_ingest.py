@@ -414,6 +414,18 @@ def test_load_buffers_rejects_non_finite_radius(tmp_path, radius):
         load_buffers(str(path))
 
 
+def test_load_buffers_rejects_a_centre_near_a_pole(tmp_path):
+    # Past 89 deg of latitude no tangent frame is made; 89 itself still is.
+    path = tmp_path / "buffers.json"
+    recs = [{"intersection_id": f"x{i}", "lat": lat, "lon": 13.4} for i, lat in enumerate((89.0, -89.0))]
+    path.write_text(json.dumps(recs))
+    assert [b.center.lat for b in load_buffers(str(path))] == [89.0, -89.0]
+    for lat in (89.5, -89.01):
+        path.write_text(json.dumps([*recs, {"intersection_id": "p", "lat": lat, "lon": 13.4}]))
+        with pytest.raises(BundleError, match=rf"buffers\.json: buffers\[2\]: .*poles \(lat={lat}\)"):
+            load_buffers(str(path))
+
+
 @pytest.mark.parametrize("key", ["lat", "lon", "radius_m"])
 @pytest.mark.parametrize("value", [None, "x", True])
 def test_load_buffers_rejects_non_numeric_fields(tmp_path, key, value):

@@ -1,6 +1,8 @@
-"""Region extraction and detection reconciliation."""
+"""Connected-component extraction and detection reconciliation."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from rop.config import RunConfig
 from rop.ingest import CATEGORY_IDS, Detection
 from rop.labelmap import read_rle, runs_of, write_rle
 from rop.scene import (
-    Region,
     SceneObject,
     box_iou,
     extract_regions,
@@ -33,6 +34,7 @@ IOU_MIN = RunConfig().iou_min
 
 
 def flood_regions_oracle(label_map, cid):
+    """The components of category cid, in first-pixel order."""
     lab = np.asarray(label_map)
     h, w = lab.shape
     seen = np.zeros((h, w), dtype=bool)
@@ -54,23 +56,23 @@ def flood_regions_oracle(label_map, cid):
                         stack.append((nr, nc))
             rows = [p[0] for p in px]
             cols = [p[1] for p in px]
+            first_px = min(r * w + c for r, c in px)
             comps.append(
-                dict(
-                    area=len(px),
-                    centroid=(sum(rows) / len(px), sum(cols) / len(px)),
-                    bbox=(min(cols), min(rows), max(cols) - min(cols) + 1, max(rows) - min(rows) + 1),
-                    first_px=min(r * w + c for r, c in px),
+                (
+                    first_px,
+                    dict(
+                        area=len(px),
+                        centroid=(sum(rows) / len(px), sum(cols) / len(px)),
+                        bbox=(min(cols), min(rows), max(cols) - min(cols) + 1, max(rows) - min(rows) + 1),
+                    ),
                 )
             )
-    comps.sort(key=lambda d: d["first_px"])
-    return comps
+    comps.sort(key=lambda c: c[0])
+    return [c for _, c in comps]
 
 
 def as_dicts(regions):
-    return [
-        dict(area=r.area_px, centroid=r.centroid, bbox=r.bbox, first_px=r.first_px)
-        for r in regions
-    ]
+    return [dict(area=r.area_px, centroid=r.centroid, bbox=r.bbox) for r in regions]
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +83,10 @@ def test_extract_single_block_geometry():
     lab = np.zeros((10, 10), dtype=np.uint8)
     lab[3:6, 2:5] = LIGHT
     (region,) = extract_regions([runs_of(lab)], categories=["traffic_light"], min_region_px=1)[0]
-    assert region.category == "traffic_light"
-    assert region.area_px == 9
-    assert region.centroid == (4.0, 3.0)
-    assert region.bbox == (2, 3, 3, 3)
-    assert region.first_px == 3 * 10 + 2
+    assert region == SceneObject(
+        id="", category="traffic_light", centroid=(4.0, 3.0), area_px=9.0, bbox=(2.0, 3.0, 3.0, 3.0)
+    )
+    assert all(type(v) is float for v in (region.area_px, *region.centroid, *region.bbox))
 
 
 def test_extract_min_region_px_filter():
@@ -108,18 +109,23 @@ def test_extract_four_connectivity_splits_diagonal():
 
 def test_extract_orders_by_category_then_first_pixel():
     lab = np.zeros((6, 12), dtype=np.uint8)
-    lab[4, 8:10] = WALK  # category 2, first_px 56
-    lab[0, 10:12] = SIGN  # category 7, first_px 10
-    lab[2, 0:2] = LIGHT  # category 6, first_px 24
-    lab[2, 6:8] = LIGHT  # category 6, first_px 30
-    got = extract_regions(
-        [runs_of(lab)], categories=["sidewalk", "traffic_light", "traffic_sign"], min_region_px=1
-    )[0]
-    assert [(r.category, r.first_px) for r in got] == [
-        ("sidewalk", 56),
-        ("traffic_light", 24),
-        ("traffic_light", 30),
-        ("traffic_sign", 10),
+    lab[4, 8:10] = WALK  # category 2, first pixel 56
+    lab[0, 10:12] = SIGN  # category 7, first pixel 10
+    lab[2, 6:8] = LIGHT  # category 6, first pixel 30
+    lab[2, 0:2] = LIGHT  # category 6, first pixel 24
+    names = ["traffic_sign", "sidewalk", "traffic_light"]
+    got = extract_regions([runs_of(lab)], categories=names, min_region_px=1)[0]
+    want = [
+        (name, c)
+        for name in sorted(names, key=CATEGORY_IDS.get)
+        for c in flood_regions_oracle(lab, CATEGORY_IDS[name])
+    ]
+    assert list(zip([r.category for r in got], as_dicts(got))) == want
+    assert [(name, c["bbox"]) for name, c in want] == [
+        ("sidewalk", (8, 4, 2, 1)),
+        ("traffic_light", (0, 2, 2, 1)),
+        ("traffic_light", (6, 2, 2, 1)),
+        ("traffic_sign", (10, 0, 2, 1)),
     ]
 
 
@@ -280,7 +286,6 @@ def test_extract_map_of_one_category(shape):
     assert region.area_px == h * w
     assert region.centroid == ((h - 1) / 2, (w - 1) / 2)
     assert region.bbox == (0, 0, w, h)
-    assert region.first_px == 0
 
 
 @pytest.mark.parametrize("min_px", [0, 1, 25])
@@ -346,14 +351,15 @@ def det(bbox, subtype="stop", score=0.9, category="traffic_sign"):
     return Detection(image_id="i0", category=category, subtype=subtype, bbox=bbox, score=score)
 
 
-def region(category, bbox, area=None, first_px=0):
+def region(category, bbox, area=None):
+    """An unnamed component as extract_regions emits it, with float geometry."""
     x, y, w, h = bbox
-    return Region(
+    return SceneObject(
+        id="",
         category=category,
         centroid=(y + h / 2 - 0.5, x + w / 2 - 0.5),
-        area_px=area if area is not None else w * h,
-        bbox=bbox,
-        first_px=first_px,
+        area_px=float(area if area is not None else w * h),
+        bbox=tuple(float(v) for v in bbox),
     )
 
 
@@ -425,7 +431,9 @@ def test_reconcile_passes_lights_and_walks_through():
         ("light0", "traffic_light"),
         ("walk0", "sidewalk"),
     ]
-    assert got[0].centroid == rl.centroid
+    assert got == [dataclasses.replace(rl, id="light0"), dataclasses.replace(rw, id="walk0")]
+    # The components keep their empty id: reconcile names copies.
+    assert rl.id == rw.id == ""
     assert got[0].light_kind is None
     assert not got[0].inferred
 

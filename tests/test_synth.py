@@ -119,7 +119,7 @@ def test_high_light_at_20m_sits_above_horizon_in_sky():
     # v = 384 + 512 * (1.6 - 7.0) / 20 = 245.76
     assert abs(row - 245.76) <= 1.0
     assert abs(col - 512.0) <= 1.0
-    x, y, w, h = regions[0].bbox
+    x, y, w, h = map(int, regions[0].bbox)  # whole pixels, held as floats
     sky = CATEGORY_IDS["sky"]
     ring = canvas[y - 3 : y + h + 3, x - 3 : x + w + 3].copy()
     ring[3 : 3 + h, 3 : 3 + w] = sky
