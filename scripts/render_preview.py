@@ -69,7 +69,8 @@ def main() -> int:
           f"{len(layout.footprints)} footprints, {len(layout.truth_objects)} objects, "
           f"{len(layout.pedestrians)} pedestrians, {len(layout.cameras)} poses")
     for pose in layout.cameras:
-        label_map, dets = render_image(layout, pose)
+        runs, dets = render_image(layout, pose)
+        label_map = runs.rows(0, runs.height)
         write_pgm(str(out / f"{pose.image_id}.pgm"), label_map)
         _write_ppm(out / f"{pose.image_id}.ppm", label_map)
         counts = np.bincount(label_map.ravel(), minlength=256)

@@ -54,8 +54,6 @@ _ORIGIN = LocalPoint(0.0, 0.0)
 class CornerPair:
     A1: LocalPoint  # left of the heading line
     A2: LocalPoint  # right of the heading line
-    left_fp: str
-    right_fp: str
 
 
 @dataclass
@@ -133,12 +131,7 @@ def select_corners(
             best[side] = (d_cam, fp.id, corner)
     if "left" not in best or "right" not in best:
         return None
-    return CornerPair(
-        A1=best["left"][2],
-        A2=best["right"][2],
-        left_fp=best["left"][1],
-        right_fp=best["right"][1],
-    )
+    return CornerPair(A1=best["left"][2], A2=best["right"][2])
 
 
 # ---------------------------------------------------------------------------

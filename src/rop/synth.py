@@ -2,10 +2,12 @@
 
 A Layout declares an intersection in local meters: rectangular building
 footprints, truth objects (lights, signs), pedestrians, and camera poses.
-render_bundle rasterizes pinhole views of it into the exact input formats the
-pipeline ingests, plus a truth GeoJSON. Geometry is deliberately simple
-(extruded boxes, camera-facing billboards, flat ground): the downstream rules
-consume category rasters and centroids, nothing finer.
+render_bundle renders pinhole views of it into the exact input formats the
+pipeline ingests, plus a truth GeoJSON. Each view is painted in painter's
+order as row spans, composited straight into row runs with no pixel array.
+Geometry is deliberately simple (extruded boxes, camera-facing billboards,
+flat ground): the downstream rules consume category maps and centroids,
+nothing finer.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .ingest import (
     _number,
     _require,
 )
-from .labelmap import LabelRuns, runs_of, write_rle
+from .labelmap import LabelRuns, write_rle
 from .placer import PlacedObject, to_geojson
 
 _NEAR_M = 0.2
@@ -143,7 +145,7 @@ def validate_layout(layout: Layout) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rasterization.
+# Rendering.
 
 
 def _cam_basis(pose: CameraPose) -> tuple[float, float, float, float]:
@@ -181,44 +183,93 @@ def _project_poly(cam: CameraModel, poly_cam) -> list[tuple[float, float]]:
     return [(cx + f * x / z, cy + f * y / z) for x, y, z in poly_cam]
 
 
-def _fill_convex(canvas: np.ndarray, uv: list[tuple[float, float]], value: int) -> None:
-    if len(uv) < 3:
-        return
-    h, w = canvas.shape
-    vs = np.asarray(uv, dtype=float)
-    r_lo = max(0, int(math.ceil(vs[:, 1].min())))
-    r_hi = min(h - 1, int(math.floor(vs[:, 1].max())))
-    if r_hi < r_lo:
-        return
-    rows = np.arange(r_lo, r_hi + 1, dtype=float)
-    umin = np.full(rows.shape, np.inf)
-    umax = np.full(rows.shape, -np.inf)
-    n = len(vs)
-    for i in range(n):
-        u0, v0 = vs[i]
-        u1, v1 = vs[(i + 1) % n]
-        if v0 == v1:
-            sel = rows == v0
-            if sel.any():
-                umin[sel] = np.minimum(umin[sel], min(u0, u1))
-                umax[sel] = np.maximum(umax[sel], max(u0, u1))
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, value) pairs: value runs from lo[i] through lo[i] + counts[i] - 1
+    for each i in turn."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, lo[owner] + np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _convex_spans(polys: list[list[tuple[float, float]]], w: int, h: int):
+    """The scan fill of convex image polygons, as (polygon index, row, c0, c1)
+    arrays of inclusive column spans. Row r of a polygon covers the columns
+    from the least to the greatest u where its edges meet the line v = r (an
+    edge lying on the line counts both ends), rounded inward and clamped to
+    the image; a row it does not reach, or whose span holds no whole column,
+    has no span. A polygon of fewer than three vertices covers nothing; at
+    least one must have three."""
+    keep, own, a, b, lo, hi = [], [], [], [], [], []
+    for i, uv in enumerate(polys):
+        if len(uv) < 3:
             continue
-        t = (rows - v0) / (v1 - v0)
-        sel = (t >= 0.0) & (t <= 1.0)
-        if not sel.any():
-            continue
-        uu = u0 + t[sel] * (u1 - u0)
-        umin[sel] = np.minimum(umin[sel], uu)
-        umax[sel] = np.maximum(umax[sel], uu)
+        vs = [v for _, v in uv]
+        own += [len(keep)] * len(uv)
+        keep.append(i)
+        lo.append(max(0, math.ceil(min(vs))))
+        hi.append(min(h - 1, math.floor(max(vs))))
+        a += uv
+        b += uv[1:] + uv[:1]
+    r_lo, r_hi = np.array(lo), np.array(hi)
+    counts = np.maximum(r_hi - r_lo + 1, 0)
+    poly, rows = _ranges(r_lo, counts)
+    at = (np.cumsum(counts) - counts - r_lo)[own]  # row y of edge i's polygon: slot at[i] + y
+    (u0, v0), (u1, v1) = np.array(a).T, np.array(b).T
+    flat = v0 == v1
+    # A sloped edge meets row y where t = (y - v0) / (v1 - v0) lies in [0, 1].
+    # Rounding can put t at 0 or 1 for a row just outside the edge's v range,
+    # never for one a whole row away, so one row past each end is scanned.
+    e_lo = np.maximum(np.ceil(np.minimum(v0, v1)).astype(np.int64) - 1, r_lo[own])
+    e_hi = np.minimum(np.floor(np.maximum(v0, v1)).astype(np.int64) + 1, r_hi[own])
+    e, y = _ranges(e_lo, np.where(flat, 0, np.maximum(e_hi - e_lo + 1, 0)))
+    t = (y - v0[e]) / (v1 - v0)[e]
+    meets = (t >= 0.0) & (t <= 1.0)
+    e, y, t = e[meets], y[meets], t[meets]
+    u = u0[e] + t * (u1 - u0)[e]
+    # A flat edge meets only the row it lies on, at both ends.
+    f = np.flatnonzero(flat & (v0 == np.floor(v0)) & (v0 >= r_lo[own]) & (v0 <= r_hi[own]))
+    slot = np.concatenate([at[e] + y, at[f] + v0[f].astype(np.int64)])
+    umin = np.full(rows.size, np.inf)
+    umax = np.full(rows.size, -np.inf)
+    np.minimum.at(umin, slot, np.concatenate([u, np.fmin(u0[f], u1[f])]))
+    np.maximum.at(umax, slot, np.concatenate([u, np.fmax(u0[f], u1[f])]))
     c0 = np.maximum(np.ceil(umin), 0.0)
     c1 = np.minimum(np.floor(umax), float(w - 1))
-    ok = np.isfinite(umin) & np.isfinite(umax) & (c1 >= c0)
-    if not ok.any():
-        return
-    lo, hi = int(c0[ok].min()), int(c1[ok].max())
-    cols = np.arange(lo, hi + 1)
-    span = (cols >= c0[:, None]) & (cols <= c1[:, None])
-    canvas[r_lo : r_hi + 1, lo : hi + 1][span] = value
+    ok = np.isfinite(umin) & (c1 >= c0)
+    return np.asarray(keep)[poly[ok]], rows[ok], c0[ok].astype(np.int64), c1[ok].astype(np.int64)
+
+
+_WORD_BITS = 52  # layers per int64 mask word; its top bit is read through a float64
+
+
+def _composite(
+    layer: np.ndarray, rows: np.ndarray, c0: np.ndarray, c1: np.ndarray,
+    labels: np.ndarray, w: int, h: int,
+) -> LabelRuns:
+    """The label map in which each pixel holds labels[l] of the highest layer
+    l whose span (row, c0..c1 inclusive) covers it: the painter's algorithm,
+    with no pixel array. Every pixel must be covered, and a layer may hold at
+    most one span per row."""
+    # Each span adds its layer's bit to the coverage mask at c0 and takes it
+    # away after c1; between two span ends the mask is constant, and its top
+    # bit is the visible layer. The span ends are sorted by pixel index, with
+    # layer and end flag packed below it in one int64.
+    shift = int(layer.max()).bit_length() + 1
+    tag = layer << 1
+    ends = [(rows * w + c0) << shift | tag, (rows * w + c1 + 1) << shift | tag | 1]
+    key = np.sort(np.concatenate(ends))
+    pos = key >> shift
+    last = np.flatnonzero(np.append(pos[1:] != pos[:-1], True))[:-1]  # drops w * h
+    word, bit = np.divmod((key >> 1) & ((1 << (shift - 1)) - 1), _WORD_BITS)
+    sign = 1 - 2 * (key & 1)
+    top = np.zeros(last.size, dtype=np.int64)
+    for k in range(int(word.max()) + 1):
+        mask = np.cumsum(np.where(word == k, sign << bit, 0))[last]
+        live = mask != 0
+        top[live] = k * _WORD_BITS + np.frexp(mask[live].astype(float))[1] - 1
+    starts, values = pos[last], labels[top]
+    new = np.ones(starts.size, dtype=bool)
+    new[1:] = (values[1:] != values[:-1]) | (starts[1:] % w == 0)
+    return LabelRuns(starts[new], values[new], w, h)
 
 
 def _billboard_rect(
@@ -242,83 +293,76 @@ def _billboard_rect(
     return (max(0, r0), min(cam.height_px - 1, r1), max(0, c0), min(cam.width_px - 1, c1))
 
 
-def render_image(layout: Layout, pose: CameraPose) -> tuple[np.ndarray, list[Detection]]:
-    """One pinhole view: label map plus detector output for visible signs."""
+def render_image(layout: Layout, pose: CameraPose) -> tuple[LabelRuns, list[Detection]]:
+    """One pinhole view: its label map as row runs, plus detector output for
+    visible signs."""
     cam = layout.camera
     for fp in layout.footprints:
         if fp.contains(pose.position.x, pose.position.y):
             raise ValueError(f"camera {pose.image_id} inside footprint {fp.id}")
-    canvas = np.full((cam.height_px, cam.width_px), CATEGORY_IDS["sky"], dtype=np.uint8)
-    horizon = int(math.floor(cam.height_px / 2.0)) + 1
-    canvas[horizon:, :] = CATEGORY_IDS["road"]
+    w, h = cam.width_px, cam.height_px
 
+    def project(pts: list[tuple[float, float, float]]) -> list[tuple[float, float]]:
+        return _project_poly(cam, _clip_near(_to_cam(pose, cam, pts)))
+
+    def rect(r0: int, r1: int, c0: int, c1: int) -> list[tuple[float, float]]:
+        return [(c0, r0), (c1, r0), (c1, r1), (c0, r1)]
+
+    # (label, image polygon) in paint order: a later layer covers an earlier one.
+    horizon = int(math.floor(h / 2.0)) + 1
+    layers = [
+        (CATEGORY_IDS["sky"], rect(0, horizon - 1, 0, w - 1)),
+        (CATEGORY_IDS["road"], rect(horizon, h - 1, 0, w - 1)),
+    ]
     # Ground-plane sidewalk aprons around every footprint; building boxes
     # drawn later reclaim the interiors, leaving the 2.5 m band.
     for fp in layout.footprints:
         ex0, ey0, ex1, ey1 = fp.expanded(_APRON_M)
         quad = [(ex0, ey0, 0.0), (ex1, ey0, 0.0), (ex1, ey1, 0.0), (ex0, ey1, 0.0)]
-        clipped = _clip_near(_to_cam(pose, cam, quad))
-        _fill_convex(canvas, _project_poly(cam, clipped), CATEGORY_IDS["sidewalk"])
+        layers.append((CATEGORY_IDS["sidewalk"], project(quad)))
 
-    # Vertical geometry, painter's order by plan distance to the camera.
+    # Vertical geometry, painter's order by plan distance to the camera:
+    # (distance, draw order, label, image polygon, (truth index, rect) of a sign).
     px, py = pose.position.x, pose.position.y
-    drawables: list[tuple[float, int, str, object]] = []
-    seq = 0
+    drawables: list[tuple[float, int, int, list, tuple | None]] = []
+
+    def draw(x: float, y: float, label: int, uv: list, sign: tuple | None = None) -> None:
+        drawables.append((math.hypot(x - px, y - py), len(drawables), label, uv, sign))
+
+    def board(x, y, z, w_m, h_m, label, t_idx: int | None = None) -> None:
+        box = _billboard_rect(pose, cam, x, y, z, w_m, h_m)
+        if box is not None:
+            draw(x, y, label, rect(*box), None if t_idx is None else (t_idx, box))
+
+    building = CATEGORY_IDS["building"]
     for fp in layout.footprints:
         corners = fp.corners()
-        faces = [
-            [corners[i], corners[(i + 1) % 4]] for i in range(4)
-        ]
-        for a, b in faces:
-            quad = [(a[0], a[1], 0.0), (b[0], b[1], 0.0), (b[0], b[1], fp.height_m), (a[0], a[1], fp.height_m)]
-            cx, cy = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-            drawables.append((math.hypot(cx - px, cy - py), seq, "poly", (quad, CATEGORY_IDS["building"])))
-            seq += 1
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            quad = [(*a, 0.0), (*b, 0.0), (*b, fp.height_m), (*a, fp.height_m)]
+            draw((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0, building, project(quad))
         roof = [(x, y, fp.height_m) for x, y in corners]
-        rcx, rcy = (fp.x0 + fp.x1) / 2.0, (fp.y0 + fp.y1) / 2.0
-        drawables.append((math.hypot(rcx - px, rcy - py), seq, "poly", (roof, CATEGORY_IDS["building"])))
-        seq += 1
-
-    board_specs: list[tuple[int | None, tuple]] = []  # (truth index if sign, board)
+        draw((fp.x0 + fp.x1) / 2.0, (fp.y0 + fp.y1) / 2.0, building, project(roof))
     for t_idx, t in enumerate(layout.truth_objects):
+        x, y = t.position.x, t.position.y
         if t.category == "traffic_light":
-            w_m, h_m, label = _LIGHT_W, _LIGHT_H, CATEGORY_IDS["traffic_light"]
+            board(x, y, t.mount_m, _LIGHT_W, _LIGHT_H, CATEGORY_IDS["traffic_light"])
         else:
-            w_m, h_m, label = _SIGN_W, _SIGN_H, CATEGORY_IDS["traffic_sign"]
-        board = (t.position.x, t.position.y, t.mount_m, w_m, h_m, label)
-        d = math.hypot(t.position.x - px, t.position.y - py)
-        drawables.append((d, seq, "board", (t_idx if t.category == "traffic_sign" else None, board)))
-        seq += 1
+            sign = t_idx if t.category == "traffic_sign" else None
+            board(x, y, t.mount_m, _SIGN_W, _SIGN_H, CATEGORY_IDS["traffic_sign"], sign)
     for ped in layout.pedestrians:
-        label = CATEGORY_IDS["pedestrian"]
-        board = (ped.position.x, ped.position.y, ped.height_m / 2.0, _PED_W, ped.height_m, label)
-        d = math.hypot(ped.position.x - px, ped.position.y - py)
-        drawables.append((d, seq, "board", (None, board)))
-        seq += 1
-
+        x, y = ped.position.x, ped.position.y
+        board(x, y, ped.height_m / 2.0, _PED_W, ped.height_m, CATEGORY_IDS["pedestrian"])
     drawables.sort(key=lambda d: (-d[0], d[1]))
-    sign_rects: dict[int, tuple[int, int, int, int]] = {}
-    for _, _, kind, payload in drawables:
-        if kind == "poly":
-            quad, label = payload
-            clipped = _clip_near(_to_cam(pose, cam, quad))
-            _fill_convex(canvas, _project_poly(cam, clipped), label)
-        else:
-            t_idx, (x, y, z, w_m, h_m, label) = payload
-            rect = _billboard_rect(pose, cam, x, y, z, w_m, h_m)
-            if rect is None:
-                continue
-            r0, r1, c0, c1 = rect
-            canvas[r0 : r1 + 1, c0 : c1 + 1] = label
-            if t_idx is not None:
-                sign_rects[t_idx] = rect
+    layers += [(label, uv) for _, _, label, uv, _ in drawables]
+
+    labels = np.array([label for label, _ in layers], dtype=np.uint8)
+    runs = _composite(*_convex_spans([uv for _, uv in layers], w, h), labels, w, h)
 
     detections: list[Detection] = []
     sign_id = CATEGORY_IDS["traffic_sign"]
-    for t_idx in sorted(sign_rects):
-        r0, r1, c0, c1 = sign_rects[t_idx]
+    for t_idx, (r0, r1, c0, c1) in sorted(sign for *_, sign in drawables if sign):
         area = (r1 - r0 + 1) * (c1 - c0 + 1)
-        visible = int((canvas[r0 : r1 + 1, c0 : c1 + 1] == sign_id).sum())
+        visible = int((runs.rows(r0, r1 + 1)[:, c0 : c1 + 1] == sign_id).sum())
         if visible < max(9, int(0.2 * area)):
             continue  # occluded or clipped away
         truth = layout.truth_objects[t_idx]
@@ -331,7 +375,7 @@ def render_image(layout: Layout, pose: CameraPose) -> tuple[np.ndarray, list[Det
                 score=1.0,
             )
         )
-    return canvas, detections
+    return runs, detections
 
 
 def truth_as_placed(layout: Layout) -> list[PlacedObject]:
@@ -363,8 +407,7 @@ def render_bundle(layout: Layout) -> tuple[Bundle, list[PlacedObject]]:
     label_maps: dict[str, LabelRuns] = {}
     detections: dict[str, list[Detection]] = {}
     for pose in layout.cameras:
-        canvas, dets = render_image(layout, pose)
-        label_maps[pose.image_id] = runs_of(canvas)
+        label_maps[pose.image_id], dets = render_image(layout, pose)
         if dets:
             detections[pose.image_id] = dets
         images.append(

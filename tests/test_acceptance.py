@@ -33,7 +33,6 @@ from rop.geo import (
 )
 from rop.grammar import apply_grammar, classify_lights, merge_sidewalks, stack_objects
 from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks
-from rop.labelmap import runs_of
 from rop.placer import run_intersection, select_corners, slice_bundle, to_geojson, track_trees
 from rop.scene import scene_objects
 from rop.synth import (
@@ -210,14 +209,13 @@ def _ring_counts(canvas: np.ndarray, bbox, ring_px: int) -> tuple[int, int]:
 
 
 def _classify_one(layout: Layout) -> tuple[str, object]:
-    canvas, dets = render_image(layout, layout.cameras[0])
-    runs = runs_of(canvas)
+    runs, dets = render_image(layout, layout.cameras[0])
     ((objs, tallest),) = scene_objects([runs], [dets])
     lights = [o for o in objs if o.category == "traffic_light"]
     if len(lights) != 1:
         return "NONE", None
     classify_lights([lights], [runs], [tallest], RunConfig())
-    return lights[0].light_kind, (canvas, lights[0])
+    return lights[0].light_kind, (runs.rows(0, runs.height), lights[0])
 
 
 def test_criterion_3_light_classification():
@@ -286,8 +284,7 @@ def _members(stacks) -> list:
 
 
 def _grammar_lights(layout: Layout) -> tuple[list, list]:
-    canvas, dets = render_image(layout, layout.cameras[0])
-    runs = runs_of(canvas)
+    runs, dets = render_image(layout, layout.cameras[0])
     (stacks,) = apply_grammar(scene_objects([runs], [dets]), [runs])
     lights = [o for o in _members(stacks) if o.category == "traffic_light"]
     return [o for o in lights if not o.inferred], [o for o in lights if o.inferred]
@@ -369,7 +366,7 @@ def _corners_oracle(img: ImageMeta, footprints: list[Footprint], frame, radius_m
             best[side] = (d_cam, fp.id, corner)
     if "left" not in best or "right" not in best:
         return None
-    return (best["left"][2], best["right"][2], best["left"][1], best["right"][1])
+    return (best["left"][2], best["right"][2])
 
 
 def _random_footprint(rng: random.Random, frame, fid: str, near: tuple[float, float]) -> Footprint:
@@ -424,7 +421,7 @@ def test_criterion_5_brute_force_agreement(fixture_run):
             n_none += 1
         else:
             assert got is not None, f"trial {trial}: expected a corner pair"
-            assert (got.A1, got.A2, got.left_fp, got.right_fp) == want, f"trial {trial}"
+            assert (got.A1, got.A2) == want, f"trial {trial}"
             n_pairs += 1
 
     # Part B: greedy matching versus optimal assignment on every intersection

@@ -288,8 +288,10 @@ def test_place_rejects_malformed_bundle_file(flag, edit, fragment, bundle_dir, t
 # CHANGES.md.
 PLACE_SHA256 = "80d13b3ba68c1bf528cb900329d153875127aec19737f3c39ad90df7a13381f0"
 DUMP_TREES_SHA256 = "a400e883ac6941ba49da7ebb7ee7ccfd36743afa9849669d86fb87464240d04f"
-# The files of `rop synth --fixtures 2 --seed 1`, hashed as tree_sha256 does.
+# The files of `rop synth --fixtures 2 --seed 1` and `--fixtures 20 --seed 1`,
+# hashed as tree_sha256 does.
 SYNTH_SHA256 = "620b9fa45ff4a811b936043cd917aab39e29fc153cc7e296a41fb12949ecdaf0"
+SYNTH20_SHA256 = "8654e080d4398256ebc3aa19425ecb749886bd9f5b3e9f4dae45337c1b913194"
 
 
 def tree_sha256(root: Path) -> str:
@@ -305,6 +307,11 @@ def test_synth_output_is_pinned(tmp_path):
     # A fresh directory: other tests may write next to bundle_dir's files.
     assert main(["synth", "--out", str(tmp_path), "--fixtures", "2", "--seed", "1"]) == 0
     assert tree_sha256(tmp_path) == SYNTH_SHA256
+
+
+def test_synth20_output_is_pinned(tmp_path):
+    assert main(["synth", "--out", str(tmp_path), "--fixtures", "20", "--seed", "1"]) == 0
+    assert tree_sha256(tmp_path) == SYNTH20_SHA256
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -153,13 +153,12 @@ def corners_oracle(img, footprints, frame, radius_m):
             best[side] = (d_cam, fp.id, corner)
     if "left" not in best or "right" not in best:
         return None
-    return (best["left"][1], best["left"][2], best["right"][1], best["right"][2])
+    return (best["left"][2], best["right"][2])
 
 
 def test_corners_c1_picks_near_pair():
     pair = select_corners(cam(-20.0, -3.5, 90.0), BUILDINGS, FRAME, CFG.corner_radius_m)
     assert pair is not None
-    assert pair.left_fp == "nw" and pair.right_fp == "sw"
     assert pair.A1.x == pytest.approx(-INNER, abs=1e-6)
     assert pair.A1.y == pytest.approx(INNER, abs=1e-6)
     assert pair.A2.x == pytest.approx(-INNER, abs=1e-6)
@@ -171,9 +170,10 @@ def test_corners_c2_returns_pair_ahead():
     # far-side pair ahead is the valid one.
     pair = select_corners(cam(0.0, -3.5, 90.0), BUILDINGS, FRAME, CFG.corner_radius_m)
     assert pair is not None
-    assert pair.left_fp == "ne" and pair.right_fp == "se"
     assert pair.A1.x == pytest.approx(INNER, abs=1e-6)
+    assert pair.A1.y == pytest.approx(INNER, abs=1e-6)
     assert pair.A2.x == pytest.approx(INNER, abs=1e-6)
+    assert pair.A2.y == pytest.approx(-INNER, abs=1e-6)
 
 
 def test_corners_c3_has_none():
@@ -217,8 +217,7 @@ def test_corners_match_brute_force_oracle(seed):
     if want is None:
         assert got is None
     else:
-        lid, a1, rid, a2 = want
-        assert (got.left_fp, got.right_fp) == (lid, rid)
+        a1, a2 = want
         assert got.A1.x == pytest.approx(a1.x, abs=1e-9)
         assert got.A1.y == pytest.approx(a1.y, abs=1e-9)
         assert got.A2.x == pytest.approx(a2.x, abs=1e-9)
@@ -244,7 +243,7 @@ def fused(side, category, ordinal=0, depth=0, subtype=None, light_kind=None, sup
 
 
 def pair_at(a1, a2):
-    return CornerPair(A1=LocalPoint(*a1), A2=LocalPoint(*a2), left_fp="l", right_fp="r")
+    return CornerPair(A1=LocalPoint(*a1), A2=LocalPoint(*a2))
 
 
 def test_place_low_light_offset_vector():

@@ -15,9 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rop import synth
 
 from rop.geo import GeoPoint, LocalPoint
-from rop.ingest import CATEGORY_IDS, direction_of, load_inputs
+from rop.ingest import CATEGORY_IDS, Detection, direction_of, load_inputs
 from rop.labelmap import runs_of
 from rop.scene import extract_regions
 from rop.synth import (
@@ -78,7 +82,8 @@ def project_oracle(cam_xy, heading_deg, target_xyz, model=CameraModel()):
 
 def test_empty_layout_is_sky_over_road():
     lay = layout(cams=[pose(0.0, 0.0, 90.0)])
-    canvas, dets = render_image(lay, lay.cameras[0])
+    runs, dets = render_image(lay, lay.cameras[0])
+    canvas = runs.rows(0, runs.height)
     sky = CATEGORY_IDS["sky"]
     road = CATEGORY_IDS["road"]
     horizon = 768 // 2 + 1
@@ -100,8 +105,8 @@ def test_empty_layout_is_sky_over_road():
 def test_billboard_centroid_matches_angle_oracle(cam_xy, heading, target):
     light = TruthObject("traffic_light", None, "low", LocalPoint(target[0], target[1]), target[2])
     lay = layout(objs=[light], cams=[pose(cam_xy[0], cam_xy[1], heading)])
-    canvas, _ = render_image(lay, lay.cameras[0])
-    regions = extract_regions([runs_of(canvas)], categories=["traffic_light"], min_region_px=1)[0]
+    runs, _ = render_image(lay, lay.cameras[0])
+    regions = extract_regions([runs], categories=["traffic_light"], min_region_px=1)[0]
     want = project_oracle(cam_xy, heading, target)
     assert want is not None and len(regions) == 1
     row, col = regions[0].centroid
@@ -112,8 +117,8 @@ def test_billboard_centroid_matches_angle_oracle(cam_xy, heading, target):
 def test_high_light_at_20m_sits_above_horizon_in_sky():
     light = TruthObject("traffic_light", None, "high", LocalPoint(0.0, 0.0), 7.0)
     lay = layout(objs=[light], cams=[pose(0.0, -20.0, 0.0)])
-    canvas, _ = render_image(lay, lay.cameras[0])
-    regions = extract_regions([runs_of(canvas)], categories=["traffic_light"], min_region_px=1)[0]
+    runs, _ = render_image(lay, lay.cameras[0])
+    regions = extract_regions([runs], categories=["traffic_light"], min_region_px=1)[0]
     assert len(regions) == 1
     row, col = regions[0].centroid
     # v = 384 + 512 * (1.6 - 7.0) / 20 = 245.76
@@ -121,7 +126,7 @@ def test_high_light_at_20m_sits_above_horizon_in_sky():
     assert abs(col - 512.0) <= 1.0
     x, y, w, h = map(int, regions[0].bbox)  # whole pixels, held as floats
     sky = CATEGORY_IDS["sky"]
-    ring = canvas[y - 3 : y + h + 3, x - 3 : x + w + 3].copy()
+    ring = runs.rows(0, runs.height)[y - 3 : y + h + 3, x - 3 : x + w + 3].copy()
     ring[3 : 3 + h, 3 : 3 + w] = sky
     assert (ring == sky).all()
 
@@ -129,7 +134,8 @@ def test_high_light_at_20m_sits_above_horizon_in_sky():
 def test_ground_aprons_leave_sidewalk_band_around_buildings():
     fp = RectFootprint("b0", 9.5, 9.5, 29.5, 29.5, 12.0)
     lay = layout(fps=[fp], cams=[pose(-30.0, -3.5, 90.0)])
-    canvas, _ = render_image(lay, lay.cameras[0])
+    runs, _ = render_image(lay, lay.cameras[0])
+    canvas = runs.rows(0, runs.height)
     ids = CATEGORY_IDS
     counts = np.bincount(canvas.ravel(), minlength=256)
     assert counts[ids["sidewalk"]] > 25
@@ -145,7 +151,8 @@ def test_building_occludes_sign_no_detection():
     seen = TruthObject("traffic_sign", "yield", None, LocalPoint(8.0, 5.0), 3.0)
     slab = RectFootprint("b0", -5.0, -2.0, 5.0, 2.0, 10.0)
     lay = layout(objs=[hidden, seen], fps=[slab], cams=[pose(0.0, -20.0, 0.0)])
-    canvas, dets = render_image(lay, lay.cameras[0])
+    runs, dets = render_image(lay, lay.cameras[0])
+    canvas = runs.rows(0, runs.height)
     assert [d.subtype for d in dets] == ["yield"]
     bx, by, bw, bh = dets[0].bbox
     sign = CATEGORY_IDS["traffic_sign"]
@@ -156,9 +163,9 @@ def test_building_occludes_sign_no_detection():
 def test_detection_bbox_hugs_rendered_region():
     sign = TruthObject("traffic_sign", "stop", None, LocalPoint(3.0, 0.0), 3.0)
     lay = layout(objs=[sign], cams=[pose(0.0, -25.0, 0.0)])
-    canvas, dets = render_image(lay, lay.cameras[0])
+    runs, dets = render_image(lay, lay.cameras[0])
     assert len(dets) == 1
-    regions = extract_regions([runs_of(canvas)], categories=["traffic_sign"], min_region_px=1)[0]
+    regions = extract_regions([runs], categories=["traffic_sign"], min_region_px=1)[0]
     assert len(regions) == 1
     assert dets[0].bbox == tuple(float(v) for v in regions[0].bbox)
     assert dets[0].score == 1.0
@@ -180,6 +187,230 @@ def test_render_is_deterministic():
         assert ra.starts.tobytes() == rb.starts.tobytes()
         assert ra.values.tobytes() == rb.values.tobytes()
     assert a.detections == b.detections
+
+
+# ---------------------------------------------------------------------------
+# Raster oracle: the painter's algorithm on a pixel canvas. render_image
+# composites row spans instead; both must give the same map and detections.
+
+
+def fill_convex_oracle(canvas: np.ndarray, uv: list[tuple[float, float]], value: int) -> None:
+    if len(uv) < 3:
+        return
+    h, w = canvas.shape
+    vs = np.asarray(uv, dtype=float)
+    r_lo = max(0, int(math.ceil(vs[:, 1].min())))
+    r_hi = min(h - 1, int(math.floor(vs[:, 1].max())))
+    if r_hi < r_lo:
+        return
+    rows = np.arange(r_lo, r_hi + 1, dtype=float)
+    umin = np.full(rows.shape, np.inf)
+    umax = np.full(rows.shape, -np.inf)
+    n = len(vs)
+    for i in range(n):
+        u0, v0 = vs[i]
+        u1, v1 = vs[(i + 1) % n]
+        if v0 == v1:
+            sel = rows == v0
+            if sel.any():
+                umin[sel] = np.minimum(umin[sel], min(u0, u1))
+                umax[sel] = np.maximum(umax[sel], max(u0, u1))
+            continue
+        t = (rows - v0) / (v1 - v0)
+        sel = (t >= 0.0) & (t <= 1.0)
+        if not sel.any():
+            continue
+        uu = u0 + t[sel] * (u1 - u0)
+        umin[sel] = np.minimum(umin[sel], uu)
+        umax[sel] = np.maximum(umax[sel], uu)
+    c0 = np.maximum(np.ceil(umin), 0.0)
+    c1 = np.minimum(np.floor(umax), float(w - 1))
+    ok = np.isfinite(umin) & np.isfinite(umax) & (c1 >= c0)
+    if not ok.any():
+        return
+    lo, hi = int(c0[ok].min()), int(c1[ok].max())
+    cols = np.arange(lo, hi + 1)
+    span = (cols >= c0[:, None]) & (cols <= c1[:, None])
+    canvas[r_lo : r_hi + 1, lo : hi + 1][span] = value
+
+
+def paint_oracle(lay: Layout, cam_pose: CameraPose, polys: list | None = None):
+    """(canvas, detections) of one view, painted pixel by pixel in painter's
+    order; every image polygon drawn is appended to polys when given."""
+    cam = lay.camera
+    ids = CATEGORY_IDS
+
+    def fill(quad, value):
+        uv = synth._project_poly(cam, synth._clip_near(synth._to_cam(cam_pose, cam, quad)))
+        if polys is not None:
+            polys.append(uv)
+        fill_convex_oracle(canvas, uv, value)
+
+    canvas = np.full((cam.height_px, cam.width_px), ids["sky"], dtype=np.uint8)
+    canvas[cam.height_px // 2 + 1 :, :] = ids["road"]
+    for fp in lay.footprints:
+        ex0, ey0, ex1, ey1 = fp.expanded(synth._APRON_M)
+        fill([(ex0, ey0, 0.0), (ex1, ey0, 0.0), (ex1, ey1, 0.0), (ex0, ey1, 0.0)], ids["sidewalk"])
+    px, py = cam_pose.position.x, cam_pose.position.y
+    drawables = []  # (plan distance, draw order, quad or board)
+    for fp in lay.footprints:
+        c = fp.corners()
+        for a, b in zip(c, c[1:] + c[:1]):
+            quad = [(*a, 0.0), (*b, 0.0), (*b, fp.height_m), (*a, fp.height_m)]
+            d = math.hypot((a[0] + b[0]) / 2.0 - px, (a[1] + b[1]) / 2.0 - py)
+            drawables.append((d, len(drawables), ("poly", quad)))
+        roof = [(x, y, fp.height_m) for x, y in c]
+        d = math.hypot((fp.x0 + fp.x1) / 2.0 - px, (fp.y0 + fp.y1) / 2.0 - py)
+        drawables.append((d, len(drawables), ("poly", roof)))
+    for i, t in enumerate(lay.truth_objects):
+        light = t.category == "traffic_light"
+        size = (synth._LIGHT_W, synth._LIGHT_H) if light else (synth._SIGN_W, synth._SIGN_H)
+        board = (t.position, t.mount_m, *size, ids[t.category], None if light else i)
+        d = math.hypot(t.position.x - px, t.position.y - py)
+        drawables.append((d, len(drawables), ("board", board)))
+    for ped in lay.pedestrians:
+        board = (ped.position, ped.height_m / 2.0, synth._PED_W, ped.height_m, ids["pedestrian"], None)
+        d = math.hypot(ped.position.x - px, ped.position.y - py)
+        drawables.append((d, len(drawables), ("board", board)))
+    sign_rects = {}
+    for _, _, (kind, item) in sorted(drawables, key=lambda d: (-d[0], d[1])):
+        if kind == "poly":
+            fill(item, ids["building"])
+            continue
+        at, z, w_m, h_m, value, sign = item
+        rect = synth._billboard_rect(cam_pose, cam, at.x, at.y, z, w_m, h_m)
+        if rect is None:
+            continue
+        r0, r1, c0, c1 = rect
+        canvas[r0 : r1 + 1, c0 : c1 + 1] = value
+        if sign is not None:
+            sign_rects[sign] = rect
+    dets = []
+    for i in sorted(sign_rects):
+        r0, r1, c0, c1 = sign_rects[i]
+        visible = int((canvas[r0 : r1 + 1, c0 : c1 + 1] == ids["traffic_sign"]).sum())
+        if visible < max(9, int(0.2 * (r1 - r0 + 1) * (c1 - c0 + 1))):
+            continue
+        box = (float(c0), float(r0), float(c1 - c0 + 1), float(r1 - r0 + 1))
+        dets.append(Detection(cam_pose.image_id, "traffic_sign", lay.truth_objects[i].subtype, box, 1.0))
+    return canvas, dets
+
+
+def assert_renders_like_oracle(lay: Layout) -> list:
+    """render_image against paint_oracle for every camera of lay; returns the
+    image polygons the oracle drew."""
+    polys: list = []
+    for cam_pose in lay.cameras:
+        runs, dets = render_image(lay, cam_pose)
+        canvas, want_dets = paint_oracle(lay, cam_pose, polys)
+        want = runs_of(canvas)
+        assert (runs.width, runs.height) == (want.width, want.height)
+        assert np.array_equal(runs.starts, want.starts)
+        assert np.array_equal(runs.values, want.values)
+        assert runs.values.dtype == np.uint8
+        assert dets == want_dets
+    return polys
+
+
+HALF = CameraModel(width_px=512, height_px=384)
+SQUARE = RectFootprint("b0", 0.0, 0.0, 10.0, 10.0, 12.0)
+# A building exactly as tall as the camera: its top edges and roof project
+# onto the image's centre row, a flat polygon edge on a whole row.
+EYE_LEVEL = RectFootprint("b1", -12.0, 4.0, -4.0, 9.0, CameraModel().cam_height_m)
+
+
+def edge_cases() -> list[Layout]:
+    """Hand-made layouts that force near-plane clipping to 3 and 5 vertices
+    (a camera on a building's apron, facing away from it and across it),
+    flat polygon edges on a whole row, a board one pixel across, half
+    resolution, and more layers than one 52-bit mask word holds (70
+    overlapping signs)."""
+    signs = [
+        TruthObject("traffic_sign", "stop", None, LocalPoint(-6.0 + 0.17 * k, 14.0 + 0.05 * k), 1.0 + 0.06 * k)
+        for k in range(70)
+    ]
+    light = TruthObject("traffic_light", None, "low", LocalPoint(-1.0, 3.0), 4.0)
+    speck = TruthObject("traffic_light", None, "high", LocalPoint(-8.0, 600.0), 7.0)  # one pixel
+    cams = [
+        pose(-1.0, -1.0, 45.0, "across"),
+        pose(-1.0, -1.0, 225.0, "away"),
+        pose(-8.0, -6.0, 0.0, "north"),
+        pose(12.0, 5.0, 270.0, "west"),
+    ]
+    walk = [PedestrianSpec(LocalPoint(-2.0, 2.0), 1.7)]
+    out = []
+    for model in (CameraModel(), HALF):
+        lay = layout(objs=[light, speck, *signs], peds=walk, fps=[SQUARE, EYE_LEVEL], cams=cams)
+        lay.camera = model
+        out.append(lay)
+    return out
+
+
+def test_edge_cases_clip_lie_flat_and_outgrow_one_mask_word():
+    polys = [uv for lay in edge_cases() for uv in assert_renders_like_oracle(lay)]
+    assert {3, 5} <= {len(uv) for uv in polys}
+    assert any(
+        v0 == v1 == math.floor(v0)
+        for uv in polys
+        for (_, v0), (_, v1) in zip(uv, uv[1:] + uv[:1])
+    )
+    lay = edge_cases()[0]
+    assert len(lay.truth_objects) + 5 * len(lay.footprints) > 64
+
+
+@st.composite
+def random_layouts(draw) -> Layout:
+    """Up to three buildings, some as tall as the camera; up to 75 lights and
+    signs, near or far, and two pedestrians; cameras anywhere, or just off a
+    face or corner of a building; full or half resolution."""
+    coord = st.floats(-25.0, 25.0)
+    far = st.floats(-700.0, 700.0)  # boards a pixel or two across
+    fps = []
+    for i in range(draw(st.integers(0, 3))):
+        x0, y0 = draw(coord), draw(coord)
+        x1 = x0 + draw(st.floats(1.0, 15.0))
+        y1 = y0 + draw(st.floats(1.0, 15.0))
+        height = draw(st.sampled_from([CameraModel().cam_height_m, 4.0]) | st.floats(0.5, 20.0))
+        fps.append(RectFootprint(f"b{i}", x0, y0, x1, y1, height))
+    objs = []
+    for _ in range(draw(st.integers(0, 75))):
+        at = LocalPoint(draw(coord | far), draw(coord | far))
+        mount = draw(st.floats(0.3, 8.0))
+        if draw(st.booleans()):
+            objs.append(TruthObject("traffic_light", None, "low", at, mount))
+        else:
+            objs.append(TruthObject("traffic_sign", draw(st.sampled_from(["stop", "yield"])), None, at, mount))
+    peds = [
+        PedestrianSpec(LocalPoint(draw(coord), draw(coord)), draw(st.floats(1.0, 2.0)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    cams = []
+    for k in range(draw(st.integers(1, 3))):
+        if fps and draw(st.booleans()):
+            # Just outside a building's edge or corner, within its apron.
+            fp = draw(st.sampled_from(fps))
+            gap = draw(st.floats(0.01, 2.0))
+            xs = st.sampled_from([fp.x0 - gap, fp.x1 + gap])
+            ys = st.sampled_from([fp.y0 - gap, fp.y1 + gap])
+            x, y = draw(
+                st.tuples(xs, ys)  # off a corner
+                | st.tuples(xs, st.floats(fp.y0, fp.y1))  # off a west or east face
+                | st.tuples(st.floats(fp.x0, fp.x1), ys)  # off a south or north face
+            )
+        else:
+            x, y = draw(coord), draw(coord)
+        heading = draw(st.sampled_from([0.0, 90.0, 180.0, 270.0]) | st.floats(0.0, 360.0, exclude_max=True))
+        cams.append(pose(x, y, heading, f"img{k}"))
+    assume(not any(fp.contains(c.position.x, c.position.y) for fp in fps for c in cams))
+    lay = layout(objs=objs, peds=peds, fps=fps, cams=cams)
+    lay.camera = draw(st.sampled_from([CameraModel(), HALF]))
+    return lay
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_layouts())
+def test_render_image_equals_raster_oracle(lay):
+    assert_renders_like_oracle(lay)
 
 
 # ---------------------------------------------------------------------------
