@@ -112,19 +112,20 @@ def _vote(values: list, ranked_order: list[int]) -> object:
 
 
 def fuse_track(trees: list[Atbt], image_rank: dict[str, float]) -> list[FusedObject]:
-    """Merge a track's per-image trees into one object set.
+    """Merge a track's per-image trees into the set of objects to place.
 
     Nodes sharing (side, category, stack ordinal, stack depth) across images
     are one physical object; subtype and light kind resolve by majority vote
     with ties going to the image of lowest image_rank (which must hold every
-    tree's image), then the lowest image id.
+    tree's image), then the lowest image id. Sidewalks are evidence for the
+    grammar, not assets, and are not fused.
     """
     rank = lambda iid: (image_rank[iid], iid)
 
     observations: dict[tuple, list[tuple[str, SceneObject]]] = {}
     for tree in trees:
         for node in tree.nodes:
-            if node.object is None:
+            if node.object is None or node.object.category == "sidewalk":
                 continue
             key = (node.side, node.object.category, node.stack_ordinal, node.depth_in_stack)
             observations.setdefault(key, []).append((tree.image_id, node.object))

@@ -82,6 +82,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _jobs(text: str) -> int:
+    """The value of --jobs: a whole number of at least 1."""
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -90,7 +97,7 @@ def build_parser() -> _Parser:
     _add_bundle_flags(p_place)
     _add_config_flags(p_place)
     p_place.add_argument("--out", required=True, help="output GeoJSON path")
-    p_place.add_argument("--jobs", type=int, default=1, help="worker processes across intersections")
+    p_place.add_argument("--jobs", type=_jobs, default=1, help="worker processes across intersections")
     p_place.set_defaults(func=cmd_place)
 
     p_synth = sub.add_parser("synth", help="generate synthetic fixture bundles with truth")
@@ -150,7 +157,7 @@ def _run_buffers(args, cfg: RunConfig, jobs: int) -> list[IntersectionResult]:
     bundle = _load_bundle(args)
     slices = slice_bundle(bundle, cfg.corner_radius_m)
     place = functools.partial(_place_slice, cfg=cfg)
-    if jobs <= 1 or len(slices) <= 1:
+    if jobs == 1 or len(slices) <= 1:
         return list(map(place, slices))
     from concurrent.futures import ProcessPoolExecutor
 

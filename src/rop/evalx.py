@@ -144,7 +144,7 @@ def evaluate(
     preds: list[PlacedObject], refs: list[PlacedObject], radius_m: float = 5.0
 ) -> EvalReport:
     pairings = match(preds, refs, radius_m=radius_m)
-    by_ref = {p.ref_index: p for p in pairings}
+    ref_dist = {p.ref_index: p.distance_m for p in pairings}
     matched_preds = {p.pred_index for p in pairings}
 
     def groups_of(obj: PlacedObject) -> list[str]:
@@ -153,29 +153,19 @@ def evaluate(
             names.append(f"traffic_light[{obj.light_kind}]")
         return names
 
-    names = sorted({g for obj in [*refs, *preds] for g in groups_of(obj)})
+    # Each group's reference and prediction indices, in input order.
+    members: dict[str, tuple[list[int], list[int]]] = {}
+    for side, objs in enumerate((refs, preds)):
+        for i, obj in enumerate(objs):
+            for name in groups_of(obj):
+                members.setdefault(name, ([], []))[side].append(i)
 
-    groups = [
-        _stats(
-            "overall",
-            len(refs),
-            len(preds),
-            len(pairings),
-            [p.distance_m for p in pairings],
-        )
-    ]
-    for name in names:
-        n_ref = sum(1 for r in refs if name in groups_of(r))
-        n_pred = sum(1 for p in preds if name in groups_of(p))
-        n_pred_matched = sum(
-            1 for i, p in enumerate(preds) if name in groups_of(p) and i in matched_preds
-        )
-        dists = [
-            by_ref[i].distance_m
-            for i, r in enumerate(refs)
-            if name in groups_of(r) and i in by_ref
-        ]
-        groups.append(_stats(name, n_ref, n_pred, n_pred_matched, dists))
+    overall = [p.distance_m for p in pairings]
+    groups = [_stats("overall", len(refs), len(preds), len(pairings), overall)]
+    for name, (ref_ids, pred_ids) in sorted(members.items()):
+        dists = [ref_dist[i] for i in ref_ids if i in ref_dist]
+        n_pred_matched = sum(i in matched_preds for i in pred_ids)
+        groups.append(_stats(name, len(ref_ids), len(pred_ids), n_pred_matched, dists))
     return EvalReport(groups=groups, pairings=pairings, radius_m=radius_m)
 
 

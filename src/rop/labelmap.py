@@ -67,7 +67,8 @@ def _runs(flat: np.ndarray, change: np.ndarray, w: int, h: int) -> LabelRuns:
 
 
 def runs_of(label_map: np.ndarray) -> LabelRuns:
-    """The row runs of a 2-D array of label bytes."""
+    """The row runs of a 2-D array of label bytes: the library's public
+    array-to-runs entry point, which shares its scan with read_pgm."""
     if label_map.ndim != 2:
         raise ValueError("label map must be 2-D")
     h, w = label_map.shape

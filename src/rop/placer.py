@@ -10,7 +10,7 @@ corners, and suspended lights hang over the road at the corner midpoint.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,8 +158,7 @@ def place_objects(
 
     Low lights and sign stacks sit cfg.offset_m in from their side's corner (one
     pole per stack, so stack members share the position); high lights hang at
-    the midpoint of the two corners. Sidewalks are evidence, not assets, and
-    are not placed.
+    the midpoint of the two corners.
     """
     if corners is None:
         raise ValueError("place_objects requires a corner pair")
@@ -170,8 +169,6 @@ def place_objects(
     mid = LocalPoint((corners.A1.x + corners.A2.x) / 2.0, (corners.A1.y + corners.A2.y) / 2.0)
     out: list[PlacedObject] = []
     for f in fused:
-        if f.category == "sidewalk":
-            continue
         if f.category == "traffic_light" and f.light_kind == "high":
             local = mid
             height = cfg.high_height_m
@@ -208,7 +205,8 @@ def dedup_placed(
     """Merge same category+subtype placements within radius_m.
 
     Merged position is the confidence-weighted mean; support adds up;
-    confidence, light kind, and height follow the strongest member.
+    confidence, light kind, and height follow the strongest member. Groups
+    come out in the order of their first member; to_geojson orders the output.
     """
     n = len(placed)
     locals_ = [project(frame, p.position) for p in placed]
@@ -243,31 +241,16 @@ def dedup_placed(
         weights = [p.confidence / total_conf for p in members]
         x = sum(w * locals_[i].x for w, i in zip(weights, idx))
         y = sum(w * locals_[i].y for w, i in zip(weights, idx))
-        lead = members[0]
-        sources = sorted({s for p in members for s in p.source_images})
         out.append(
-            PlacedObject(
-                category=lead.category,
-                subtype=lead.subtype,
-                light_kind=lead.light_kind,
+            replace(
+                members[0],
                 position=unproject(frame, LocalPoint(x, y)),
-                height_m=lead.height_m,
-                source_images=sources,
+                source_images=sorted({s for p in members for s in p.source_images}),
                 support=sum(p.support for p in members),
                 inferred_only=all(p.inferred_only for p in members),
-                intersection_id=lead.intersection_id,
                 confidence=max(p.confidence for p in members),
             )
         )
-    out.sort(
-        key=lambda p: (
-            p.category,
-            p.subtype or "",
-            p.position.lat,
-            p.position.lon,
-            p.light_kind or "",
-        )
-    )
     return out
 
 
@@ -420,14 +403,11 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
     if not any_corners:
         note("no_corners_any_track")
         return result
-    deduped = dedup_placed(raw_placed, frame, cfg.dedup_radius_m)
-    kept = []
-    for p in deduped:
+    for p in dedup_placed(raw_placed, frame, cfg.dedup_radius_m):
         if dist(project(frame, p.position), _ORIGIN) <= buffer.radius_m:
-            kept.append(p)
+            result.placed.append(p)
         else:
             note("outside_buffer", category=p.category)
-    result.placed = kept
     return result
 
 

@@ -223,16 +223,18 @@ def test_fuse_empty():
 
 
 def test_fuse_single_tree_pass_through():
+    # Sidewalks stay in the tree but are evidence, not assets: only the light
+    # is fused.
     light = obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")
     walk = obj("w0", "sidewalk", (600.0, 100.0))
     trees = [tree_of("i0", [light, walk])]
-    fused = fuse_track(trees, image_rank=flat_rank(trees))
-    assert len(fused) == 2
-    for f in fused:
-        assert f.support == 1
-        assert f.source_images == ["i0"]
-    cats = {f.category for f in fused}
-    assert cats == {"traffic_light", "sidewalk"}
+    assert any(n.role == "sidewalk" for n in trees[0].nodes)
+    (fused,) = fuse_track(trees, image_rank=flat_rank(trees))
+    assert fused.category == "traffic_light"
+    assert fused.support == 1
+    assert fused.source_images == ["i0"]
+    walks = [tree_of("i0", [walk]), tree_of("i1", [walk])]
+    assert fuse_track(walks, image_rank=flat_rank(walks)) == []
 
 
 def test_fuse_support_counts_occlusion():

@@ -70,6 +70,15 @@ def test_place_missing_out_flag_is_usage_error(bundle_dir):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_place_jobs_below_one_is_usage_error(jobs, bundle_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(place_args(bundle_dir, tmp_path / "pred.geojson", ["--jobs", jobs]))
+    assert exc.value.code == 64
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "pred.geojson").exists()
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -292,6 +301,9 @@ DUMP_TREES_SHA256 = "a400e883ac6941ba49da7ebb7ee7ccfd36743afa9849669d86fb8746424
 # hashed as tree_sha256 does.
 SYNTH_SHA256 = "620b9fa45ff4a811b936043cd917aab39e29fc153cc7e296a41fb12949ecdaf0"
 SYNTH20_SHA256 = "8654e080d4398256ebc3aa19425ecb749886bd9f5b3e9f4dae45337c1b913194"
+# The bytes `--fixtures 20 --seed 1` places to and dumps as trees.
+PLACE20_SHA256 = "823eaf593e6332cb2e529f94133dc95952b1fb40944b0bd62cbe884bee1eb130"
+DUMP_TREES20_SHA256 = "1284eea22f7ef9580a1165ebf523b6cc5c929e62871ab171aa93da27cc677c79"
 
 
 def tree_sha256(root: Path) -> str:
@@ -309,9 +321,27 @@ def test_synth_output_is_pinned(tmp_path):
     assert tree_sha256(tmp_path) == SYNTH_SHA256
 
 
-def test_synth20_output_is_pinned(tmp_path):
-    assert main(["synth", "--out", str(tmp_path), "--fixtures", "20", "--seed", "1"]) == 0
-    assert tree_sha256(tmp_path) == SYNTH20_SHA256
+@pytest.fixture(scope="module")
+def bundle20_dir(tmp_path_factory):
+    """`rop synth --fixtures 20 --seed 1`, rendered once. Tests write their
+    outputs elsewhere, so the directory keeps the synth bytes."""
+    out = tmp_path_factory.mktemp("bundle20")
+    assert main(["synth", "--out", str(out), "--fixtures", "20", "--seed", "1"]) == 0
+    return out
+
+
+def test_synth20_output_is_pinned(bundle20_dir):
+    assert tree_sha256(bundle20_dir) == SYNTH20_SHA256
+
+
+def test_place20_and_dump_trees20_are_pinned(bundle20_dir, tmp_path):
+    for jobs in ("1", "2"):
+        out = tmp_path / f"pred{jobs}.geojson"
+        assert main(place_args(bundle20_dir, out, ["--jobs", jobs])) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE20_SHA256
+    trees = tmp_path / "trees.json"
+    assert main(["dump-trees", *place_args(bundle20_dir, trees)[1:]]) == 0
+    assert hashlib.sha256(trees.read_bytes()).hexdigest() == DUMP_TREES20_SHA256
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

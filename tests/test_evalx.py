@@ -13,7 +13,7 @@ import tracemalloc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rop.evalx import Pairing, evaluate, match, to_json, to_table
+from rop.evalx import Pairing, _stats, evaluate, match, to_json, to_table
 from rop.geo import GeoPoint, haversine_m, make_frame
 from rop.placer import PlacedObject
 
@@ -149,6 +149,63 @@ def test_match_equals_rescan_oracle(data):
             assert g.f1 == 0.0
         else:
             assert math.isclose(g.f1, 2 * g.n_matched / (g.n_ref + g.n_pred))
+
+
+def evaluate_oracle(preds, refs, radius_m=5.0):
+    """evaluate's groups by a full recount per group: each group rescans both
+    lists and takes its distances in reference order, the overall group's in
+    pairing order."""
+    pairings = match(preds, refs, radius_m=radius_m)
+    by_ref = {p.ref_index: p for p in pairings}
+    matched_preds = {p.pred_index for p in pairings}
+
+    def groups_of(o):
+        names = [o.category]
+        if o.category == "traffic_light" and o.light_kind:
+            names.append(f"traffic_light[{o.light_kind}]")
+        return names
+
+    names = sorted({g for o in [*refs, *preds] for g in groups_of(o)})
+    overall = [p.distance_m for p in pairings]
+    groups = [_stats("overall", len(refs), len(preds), len(pairings), overall)]
+    for name in names:
+        n_ref = sum(1 for r in refs if name in groups_of(r))
+        n_pred = sum(1 for p in preds if name in groups_of(p))
+        n_pred_matched = sum(
+            1 for i, p in enumerate(preds) if name in groups_of(p) and i in matched_preds
+        )
+        dists = [
+            by_ref[i].distance_m
+            for i, r in enumerate(refs)
+            if name in groups_of(r) and i in by_ref
+        ]
+        groups.append(_stats(name, n_ref, n_pred, n_pred_matched, dists))
+    return groups
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_equals_recount_oracle(data):
+    # Up to 12 objects a side, either side possibly empty, within a few
+    # metres of each other, so most groups match several pairs and their
+    # float sums depend on the order of the distances.
+    coord = st.floats(-6, 6, allow_nan=False, allow_infinity=False)
+    objects = st.lists(
+        st.builds(
+            obj,
+            coord,
+            coord,
+            category=st.sampled_from(["traffic_light", "traffic_sign"]),
+            subtype=st.sampled_from([None, "stop", "yield"]),
+            light_kind=st.sampled_from([None, "high", "low"]),
+        ),
+        max_size=12,
+    )
+    preds, refs = data.draw(objects), data.draw(objects)
+    report = evaluate(preds, refs)
+    assert report.pairings == match(preds, refs)
+    # Dataclass equality compares every field, floats exactly, in order.
+    assert report.groups == evaluate_oracle(preds, refs)
 
 
 def test_evaluate_memory_grows_with_objects_not_their_product():

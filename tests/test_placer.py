@@ -46,6 +46,7 @@ from rop.placer import (
     select_corners,
     slice_bundle,
     to_geojson,
+    track_trees,
 )
 from rop.synth import render_bundle, standard_fixtures
 
@@ -298,21 +299,17 @@ def test_place_stack_shares_one_pole():
     assert sign.height_m is None and sign.light_kind is None
 
 
-def test_place_skips_sidewalks_and_halves_inferred():
+def test_place_halves_confidence_of_inferred_only():
     corners = pair_at((-10.0, 8.0), (10.0, 8.0))
-    placed = place_objects(
-        [
-            fused("left", "sidewalk"),
-            fused("right", "traffic_light", light_kind="low", support=2, inferred_only=True),
-        ],
+    (placed,) = place_objects(
+        [fused("right", "traffic_light", light_kind="low", support=2, inferred_only=True)],
         corners,
         FRAME,
         "x0",
         n_track_images=4,
     )
-    assert len(placed) == 1
-    assert placed[0].inferred_only
-    assert placed[0].confidence == pytest.approx(0.25)  # (2/4) / 2
+    assert placed.inferred_only
+    assert placed.confidence == pytest.approx(0.25)  # (2/4) / 2
 
 
 def test_place_confidence_caps_at_one():
@@ -426,6 +423,30 @@ def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
     assert result.placed
     assert tracked > 0
     assert len(calls) == len(set(calls)) == tracked
+
+
+def test_no_corners_counts_only_objects_that_can_be_placed():
+    # Without footprints no track finds corners. Each track reports its
+    # distinct lights and signs as unplaced; its sidewalks are not counted,
+    # and a track that saw nothing else reports nothing.
+    bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
+    part = dataclasses.replace(slice_bundle(bundle, CFG.corner_radius_m)[0], footprints=[])
+    expected = []
+    saw_sidewalks = False
+    for track in build_tracks(part.images, part.buffers[0]):
+        nodes = [n for t in track_trees(part, track, CFG) for n in t.nodes if n.object]
+        saw_sidewalks |= any(n.object.category == "sidewalk" for n in nodes)
+        keys = {
+            (n.side, n.object.category, n.stack_ordinal, n.depth_in_stack)
+            for n in nodes
+            if n.object.category != "sidewalk"
+        }
+        if keys:
+            expected.append(("no_corners", track.track_id, len(keys)))
+    assert saw_sidewalks and expected
+    diagnostics = run_intersection(part, CFG).diagnostics
+    events = [(d["event"], d.get("track_id"), d.get("unplaced")) for d in diagnostics]
+    assert events == [*expected, ("no_corners_any_track", None, None)]
 
 
 def test_run_intersection_rejects_a_bundle_of_two_buffers():
