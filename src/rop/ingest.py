@@ -3,7 +3,8 @@
 A bundle is the on-disk contract of the pipeline: camera metadata (JSON),
 per-image semantic label maps (binary PGM or run-length files, see
 labelmap), object detections (JSON Lines), building footprints (GeoJSON),
-and intersection buffers (JSON).
+and intersection buffers (JSON). Every JSON record rop reads or writes is a
+dataclass that one record codec, to_json and from_json, writes and reads.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import json
 import logging
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -57,8 +60,9 @@ CATEGORY_NAMES = {cid: name for name, cid in CATEGORY_IDS.items()}
 
 @dataclass
 class ImageMeta:
-    """One images.json record. synth writes the file from these fields, so
-    sequence_id and captured_at stay, though placement does not read them."""
+    """One images.json record. The record codec (to_json, from_json) writes
+    and reads it, its position as the record's lat and lon, so sequence_id
+    and captured_at stay, though placement does not read them."""
 
     image_id: str
     position: GeoPoint
@@ -84,8 +88,9 @@ class Track:
 
 @dataclass
 class Detection:
-    """One detections.jsonl line. score stays, though placement does not read
-    it: synth writes it from this field and load_detections requires it."""
+    """One detections.jsonl line, written and read by the record codec
+    (to_json, from_json). score stays, though placement does not read it:
+    load_detections checks that it lies in [0, 1]."""
 
     image_id: str
     category: str
@@ -196,12 +201,6 @@ def _records(path: str, what: str, doc) -> Iterator[tuple[str, dict]]:
         yield where, rec
 
 
-def _require(record: dict, key: str, where: str):
-    if key not in record:
-        raise BundleError(f"{where}: missing field '{key}'")
-    return record[key]
-
-
 def _number(value, key: str, where: str, kind: type = float):
     """value converted by kind. Only a JSON number passes: an int or a
     float, not a boolean, a string or null; it must be finite, and whole
@@ -220,48 +219,142 @@ def _number(value, key: str, where: str, kind: type = float):
     return number
 
 
-def _field(record: dict, key: str, where: str, kind: type = float):
-    """_number of record[key]; a missing key is a BundleError."""
-    return _number(_require(record, key, where), key, where, kind)
+# ---------------------------------------------------------------------------
+# The record codec: every JSON record rop reads or writes is a dataclass, and
+# to_json and from_json are its one written form.
 
 
-def _point(lat, lon, where: str) -> GeoPoint:
-    """The GeoPoint of two JSON numbers; a BundleError if either is not a
-    number or lies out of range."""
-    lat, lon = _number(lat, "lat", where), _number(lon, "lon", where)
-    try:
-        return GeoPoint(lat, lon)
-    except ValueError as exc:
-        raise BundleError(f"{where}: {exc}") from exc
+def to_json(value, point: type):
+    """value, a JSON scalar or a list, tuple or dataclass of them, as JSON. A
+    dataclass is an object of its fields by name, but a field of type point
+    adds its own fields (lat and lon, or x and y)."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [to_json(v, point) for v in value]
+    out = {}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if isinstance(v, point):
+            out.update(to_json(v, point))
+        else:
+            out[f.name] = to_json(v, point)
+    return out
+
+
+def from_json(kind: type, doc, where: str, point: type):
+    """doc, the JSON object at where, read as a kind dataclass as to_json
+    writes it: each field by its type, and a field of type point from the
+    object's own fields. A field typed X | None may be null or absent; any
+    other absent field takes its default. Any fault is a BundleError naming
+    where and the field."""
+    return _record(kind, point)(doc, where)
+
+
+# The JSON scalar types: what an error calls each, and the Python types json
+# reads a value of it as.
+_SCALARS = {
+    bool: ("a boolean", (bool,)),
+    int: ("a number", (int, float)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    type(None): ("null", (type(None),)),
+}
+# How _record reads a field besides by its key: a point read from the record
+# itself, or, for an absent key, an error or the dataclass default.
+_FLAT, _REQUIRED, _DEFAULT = object(), object(), object()
+
+
+@cache
+def _record(kind: type, point: type):
+    """from_json's reader (doc, where) -> kind, built once per kind."""
+    hints = get_type_hints(kind)
+    plan = []
+    for f in fields(kind):
+        tp = hints[f.name]
+        if tp is point:
+            plan.append((f.name, _record(tp, point), _FLAT))
+            continue
+        if f.default is not MISSING or f.default_factory is not MISSING:
+            absent = _DEFAULT
+        else:
+            absent = None if type(None) in get_args(tp) else _REQUIRED
+        plan.append((f.name, _reader(tp, point), absent))
+
+    def read(doc, where: str):
+        if not isinstance(doc, dict):
+            raise BundleError(f"{where}: expected a JSON object")
+        values = {}
+        for name, reader, absent in plan:
+            if absent is _FLAT:
+                values[name] = reader(doc, where)
+            elif name in doc:
+                values[name] = reader(doc[name], name, where)
+            elif absent is _REQUIRED:
+                raise BundleError(f"{where}: missing field '{name}'")
+            elif absent is not _DEFAULT:
+                values[name] = absent
+        try:
+            return kind(**values)
+        except ValueError as exc:  # the dataclass's own check, such as GeoPoint's range
+            raise BundleError(f"{where}: {exc}") from exc
+
+    return read
+
+
+@cache
+def _reader(tp, point: type):
+    """The reader (value, key, where) -> tp of a field typed tp, built once
+    per type."""
+    args = get_args(tp)
+    if is_dataclass(tp):
+        record = _record(tp, point)
+        return lambda value, key, where: record(value, f"{where}.{key}")
+    if get_origin(tp) is list:
+        item = _reader(args[0], point)
+
+        def read_list(value, key: str, where: str):
+            if not isinstance(value, list):
+                raise BundleError(f"{where}: {key} must be a list")
+            return [item(v, f"{key}[{i}]", where) for i, v in enumerate(value)]
+
+        return read_list
+    if get_origin(tp) is tuple:  # of fixed length, such as tuple[float, float]
+        items = [_reader(a, point) for a in args]
+
+        def read_tuple(value, key: str, where: str):
+            if not (isinstance(value, list) and len(value) == len(items)):
+                raise BundleError(f"{where}: {key} must be a list of {len(items)} items")
+            return tuple([r(v, f"{key}[{i}]", where) for i, (r, v) in enumerate(zip(items, value))])
+
+        return read_tuple
+    # A JSON scalar type, or a union of them such as float | str | None.
+    options = args or (tp,)
+    what = " or ".join(_SCALARS[t][0] for t in options)
+    takes = {py: t for t in options for py in _SCALARS[t][1]}
+
+    def read_scalar(value, key: str, where: str):
+        t = takes.get(type(value))
+        if t is None:
+            raise BundleError(f"{where}: {key} must be {what}")
+        return _number(value, key, where, t) if t is int or t is float else value
+
+    return read_scalar
 
 
 def load_images(path: str) -> list[ImageMeta]:
     out: list[ImageMeta] = []
     seen: set[str] = set()
     for where, rec in _records(path, "images", _load_json(path)):
-        image_id = str(_require(rec, "image_id", where))
-        if image_id in seen:
-            raise BundleError(f"{where}: duplicate image_id '{image_id}'")
-        seen.add(image_id)
-        position = _point(_require(rec, "lat", where), _require(rec, "lon", where), where)
-        heading = rec.get("heading_deg")
-        if heading is not None:
-            heading = _number(heading, "heading_deg", where) % 360.0
-        width = _field(rec, "width_px", where, int)
-        height = _field(rec, "height_px", where, int)
-        if width <= 0 or height <= 0:
+        image = from_json(ImageMeta, rec, where, GeoPoint)
+        if image.image_id in seen:
+            raise BundleError(f"{where}: duplicate image_id '{image.image_id}'")
+        seen.add(image.image_id)
+        if image.heading_deg is not None:
+            image.heading_deg %= 360.0
+        if image.width_px <= 0 or image.height_px <= 0:
             raise BundleError(f"{where}: width_px/height_px must be positive")
-        out.append(
-            ImageMeta(
-                image_id=image_id,
-                position=position,
-                heading_deg=heading,
-                sequence_id=str(_require(rec, "sequence_id", where)),
-                captured_at=rec.get("captured_at"),
-                width_px=width,
-                height_px=height,
-            )
-        )
+        out.append(image)
     return out
 
 
@@ -282,26 +375,12 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise BundleError(f"{where}: invalid JSON") from exc
-            if not isinstance(rec, dict):
-                raise BundleError(f"{where}: expected a JSON object")
-            image_id = str(_require(rec, "image_id", where))
-            if known_images is not None and image_id not in known_images:
-                raise BundleError(f"{where}: detection references unknown image_id '{image_id}'")
-            bbox = _require(rec, "bbox", where)
-            if not (isinstance(bbox, (list, tuple)) and len(bbox) == 4):
-                raise BundleError(f"{where}: bbox must be [x, y, w, h]")
-            bbox = tuple([_number(v, "bbox", where) for v in bbox])
-            score = _field(rec, "score", where)
-            if not 0.0 <= score <= 1.0:
-                raise BundleError(f"{where}: score {score} outside [0, 1]")
-            det = Detection(
-                image_id=image_id,
-                category=str(_require(rec, "category", where)),
-                subtype=(None if rec.get("subtype") is None else str(rec["subtype"])),
-                bbox=bbox,
-                score=score,
-            )
-            out.setdefault(image_id, []).append(det)
+            det = from_json(Detection, rec, where, GeoPoint)
+            if known_images is not None and det.image_id not in known_images:
+                raise BundleError(f"{where}: detection references unknown image_id '{det.image_id}'")
+            if not 0.0 <= det.score <= 1.0:
+                raise BundleError(f"{where}: score {det.score} outside [0, 1]")
+            out.setdefault(det.image_id, []).append(det)
     return out
 
 
@@ -333,7 +412,7 @@ def load_footprints(path: str) -> list[Footprint]:
         for k, c in enumerate(rings[0]):
             if not (isinstance(c, list) and len(c) >= 2):
                 raise BundleError(f"{where}: vertex {k} must be [lon, lat]")
-            ring.append(_point(c[1], c[0], f"{where}: vertex {k}"))
+            ring.append(from_json(GeoPoint, {"lat": c[1], "lon": c[0]}, f"{where}: vertex {k}", GeoPoint))
         try:
             fp = Footprint(id=str(fid), ring=tuple(ring))
         except ValueError as exc:
@@ -349,18 +428,14 @@ def load_buffers(path: str) -> list[IntersectionBuffer]:
     out = []
     seen: set[str] = set()
     for where, rec in _records(path, "buffers", _load_json(path)):
-        iid = str(_require(rec, "intersection_id", where))
-        if iid in seen:
-            raise BundleError(f"{where}: duplicate intersection_id '{iid}'")
-        seen.add(iid)
-        # A record without radius_m takes the IntersectionBuffer default.
-        given = {"radius_m": _field(rec, "radius_m", where)} if "radius_m" in rec else {}
-        center = _point(_require(rec, "lat", where), _require(rec, "lon", where), where)
+        buffer = from_json(IntersectionBuffer, rec, where, GeoPoint)
+        if buffer.intersection_id in seen:
+            raise BundleError(f"{where}: duplicate intersection_id '{buffer.intersection_id}'")
+        seen.add(buffer.intersection_id)
         try:
-            make_frame(center)  # placement needs a tangent frame at the centre
+            make_frame(buffer.center)  # placement needs a tangent frame at the centre
         except ValueError as exc:
             raise BundleError(f"{where}: {exc}") from exc
-        buffer = IntersectionBuffer(intersection_id=iid, center=center, **given)
         if buffer.radius_m <= 0:
             raise BundleError(f"{where}: radius_m must be positive, got {buffer.radius_m}")
         out.append(buffer)

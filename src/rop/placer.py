@@ -39,9 +39,8 @@ from .ingest import (
     MaskDirectory,
     Track,
     build_tracks,
+    from_json,
     images_in_buffer,
-    _number,
-    _point,
 )
 from .scene import scene_objects
 
@@ -62,12 +61,12 @@ class PlacedObject:
     subtype: str | None
     light_kind: str | None
     position: GeoPoint
-    height_m: float | None
-    source_images: list[str]
-    support: int
-    inferred_only: bool
-    intersection_id: str
-    confidence: float
+    height_m: float | None = None
+    source_images: list[str] = field(default_factory=list)
+    support: int = 1
+    inferred_only: bool = False
+    intersection_id: str = ""
+    confidence: float = 1.0
 
 
 @dataclass
@@ -449,24 +448,13 @@ def to_geojson(placed: list[PlacedObject]) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
-def _text(props: dict, key: str, where: str, default=None, nullable: bool = False) -> str | None:
-    """props[key] (default if absent) as a string; a BundleError naming the
-    record unless it is a string, or null where nullable."""
-    value = props.get(key, default)
-    if value is None and nullable:
-        return None
-    if not isinstance(value, str):
-        raise BundleError(f"{where}: {key} must be a string" + (" or null" if nullable else ""))
-    return value
-
-
 def from_geojson(doc: dict) -> list[PlacedObject]:
     """The objects of a placed-object GeoJSON document, as to_geojson writes
     it. A document whose features is not a list is a BundleError. So is a
-    feature without a Point's [lon, lat] numbers, a number property that is
-    not a number, a string property that is not a string, source_images that
-    is not a list of strings or an inferred_only that is not a boolean, and
-    the error names features[i]."""
+    feature without a Point's [lon, lat] or whose properties are not an
+    object, and any fault the record codec finds in its properties, read
+    with the Point's lat and lon as a PlacedObject; the error names
+    features[i]."""
     if not isinstance(doc, dict):
         raise BundleError("expected a GeoJSON FeatureCollection")
     features = doc.get("features", [])
@@ -482,28 +470,5 @@ def from_geojson(doc: dict) -> list[PlacedObject]:
         props = feat.get("properties", {})
         if not isinstance(props, dict):
             raise BundleError(f"{where}: properties must be an object")
-        position = _point(coords[1], coords[0], where)
-        support = _number(props.get("support", 1), "support", where, int)
-        confidence = _number(props.get("confidence", 1.0), "confidence", where)
-        height = props.get("height_m")
-        sources = props.get("source_images", [])
-        if not (isinstance(sources, list) and all(isinstance(s, str) for s in sources)):
-            raise BundleError(f"{where}: source_images must be a list of strings")
-        inferred_only = props.get("inferred_only", False)
-        if not isinstance(inferred_only, bool):
-            raise BundleError(f"{where}: inferred_only must be a boolean")
-        out.append(
-            PlacedObject(
-                category=_text(props, "category", where),
-                subtype=_text(props, "subtype", where, nullable=True),
-                light_kind=_text(props, "light_kind", where, nullable=True),
-                position=position,
-                height_m=None if height is None else _number(height, "height_m", where),
-                source_images=list(sources),
-                support=support,
-                inferred_only=inferred_only,
-                intersection_id=_text(props, "intersection_id", where, default=""),
-                confidence=confidence,
-            )
-        )
+        out.append(from_json(PlacedObject, {**props, "lat": coords[1], "lon": coords[0]}, where, GeoPoint))
     return out

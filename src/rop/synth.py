@@ -15,10 +15,8 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,14 +28,13 @@ from .ingest import (
     ImageMeta,
     IntersectionBuffer,
     _load_json,
-    _number,
-    _require,
+    from_json,
+    to_json,
 )
 from .labelmap import LabelRuns, write_rle
 from .placer import PlacedObject, to_geojson
 
 _NEAR_M = 0.2
-_type_hints = cache(get_type_hints)  # it compiles the annotation strings on each call
 
 
 @dataclass(frozen=True)
@@ -389,11 +386,7 @@ def truth_as_placed(layout: Layout) -> list[PlacedObject]:
                 light_kind=t.light_kind,
                 position=unproject(frame, t.position),
                 height_m=t.mount_m if t.category == "traffic_light" else None,
-                source_images=[],
-                support=1,
-                inferred_only=False,
                 intersection_id=layout.intersection_id,
-                confidence=1.0,
             )
         )
     return out
@@ -450,33 +443,15 @@ def _fp_to_geo(fp: RectFootprint, frame) -> Footprint:
 # Disk output in the ingest formats.
 
 
-def _to_json(value, point: type):
-    """value, a JSON scalar or a list, tuple or dataclass of them, as JSON. A
-    dataclass is an object of its fields by name, but a field of type point
-    adds its own fields (lat and lon, or x and y)."""
-    if value is None or isinstance(value, (str, int, float)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_to_json(v, point) for v in value]
-    out = {}
-    for f in fields(value):
-        v = getattr(value, f.name)
-        if isinstance(v, point):
-            out.update(_to_json(v, point))
-        else:
-            out[f.name] = _to_json(v, point)
-    return out
-
-
 def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
     out = Path(out_dir)
     masks = out / "masks"
     masks.mkdir(parents=True, exist_ok=True)
     for image_id, runs in bundle.label_maps.items():
         write_rle(str(masks / f"{image_id}.rle"), runs)
-    (out / "images.json").write_text(json.dumps(_to_json(bundle.images, GeoPoint), indent=2, sort_keys=True))
+    (out / "images.json").write_text(json.dumps(to_json(bundle.images, GeoPoint), indent=2, sort_keys=True))
     detections = [d for image_id in sorted(bundle.detections) for d in bundle.detections[image_id]]
-    lines = [json.dumps(record, sort_keys=True) + "\n" for record in _to_json(detections, GeoPoint)]
+    lines = [json.dumps(record, sort_keys=True) + "\n" for record in to_json(detections, GeoPoint)]
     (out / "detections.jsonl").write_text("".join(lines))
     fp_doc = {
         "type": "FeatureCollection",
@@ -493,7 +468,7 @@ def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
         ],
     }
     (out / "footprints.geojson").write_text(json.dumps(fp_doc, indent=2, sort_keys=True))
-    (out / "buffers.json").write_text(json.dumps(_to_json(bundle.buffers, GeoPoint), indent=2, sort_keys=True))
+    (out / "buffers.json").write_text(json.dumps(to_json(bundle.buffers, GeoPoint), indent=2, sort_keys=True))
     return {
         "images": str(out / "images.json"),
         "masks": str(masks),
@@ -512,56 +487,15 @@ def write_truth(truth: list[PlacedObject], path: str) -> None:
 
 
 def layout_to_json(layout: Layout) -> dict:
-    return _to_json(layout, LocalPoint)
-
-
-def _from_json(kind: type, doc, where: str):
-    """doc, the JSON object at where, read as a kind dataclass by its field
-    types; a LocalPoint field is the record's own x and y. A field typed
-    X | None may be null or absent, any other absent field takes its default."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a JSON object")
-    hints = _type_hints(kind)
-    values = {}
-    for f in fields(kind):
-        tp = hints[f.name]
-        if tp is LocalPoint:
-            values[f.name] = _from_json(LocalPoint, doc, where)
-        elif f.name in doc or type(None) in get_args(tp):
-            values[f.name] = _value(tp, doc.get(f.name), f.name, where)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            _require(doc, f.name, where)
-    try:
-        return kind(**values)
-    except ValueError as exc:  # the dataclass's own check, such as GeoPoint's range
-        raise ValueError(f"{where}: {exc}") from exc
-
-
-def _value(tp, value, key: str, where: str):
-    """Field key of the record at where read as tp, or a ValueError naming both."""
-    if type(None) in get_args(tp):  # X | None
-        if value is None:
-            return None
-        tp = get_args(tp)[0]
-    if get_origin(tp) is list:
-        if not isinstance(value, list):
-            raise ValueError(f"{where}: {key} must be a list")
-        return [_value(get_args(tp)[0], v, f"{key}[{i}]", where) for i, v in enumerate(value)]
-    if is_dataclass(tp):
-        return _from_json(tp, value, f"{where}.{key}")
-    if tp is not str:
-        return _number(value, key, where, tp)
-    if not isinstance(value, str):
-        raise ValueError(f"{where}: {key} must be a string")
-    return value
+    return to_json(layout, LocalPoint)
 
 
 def layout_from_json(doc: dict, where: str = "layout") -> Layout:
-    return _from_json(Layout, doc, where)
+    return from_json(Layout, doc, where, LocalPoint)
 
 
 def save_layouts(layouts: list[Layout], path: str) -> None:
-    Path(path).write_text(json.dumps(_to_json(layouts, LocalPoint), indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(to_json(layouts, LocalPoint), indent=2, sort_keys=True))
 
 
 def load_layouts(path: str) -> list[Layout]:

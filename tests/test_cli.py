@@ -196,9 +196,10 @@ NUMBER_CASES = [
 ] + [
     pytest.param("images", "heading_deg", True, "heading_deg must be a number", id="images-heading_deg-True"),
     pytest.param("images", "heading_deg", "wide", "heading_deg must be a number", id="images-heading_deg-wide"),
-    pytest.param("detections", "bbox", [True, False, 5, 5], "bbox must be a number", id="detections-bbox-True"),
-    pytest.param("detections", "bbox", [math.nan, 0, 5, 5], "bbox must be finite", id="detections-bbox-nan"),
-    pytest.param("detections", "bbox", [0, 0, math.inf, 5], "bbox must be finite", id="detections-bbox-inf"),
+    pytest.param("detections", "bbox", [True, False, 5, 5], "bbox[0] must be a number", id="detections-bbox-True"),
+    pytest.param("detections", "bbox", [math.nan, 0, 5, 5], "bbox[0] must be finite", id="detections-bbox-nan"),
+    pytest.param("detections", "bbox", [0, 0, math.inf, 5], "bbox[2] must be finite", id="detections-bbox-inf"),
+    pytest.param("detections", "bbox", ["1", 2, 3, 4], "bbox[0] must be a number", id="detections-bbox-str"),
 ] + [
     # A number written as a JSON string is not a number, however it parses.
     pytest.param(flag, key, value, f"{key} must be a number", id=f"{flag}-{key}-str")
@@ -212,7 +213,22 @@ NUMBER_CASES = [
         ("buffers", "lon", "13.2"),
         ("buffers", "radius_m", " 1e1 "),
         ("detections", "score", "0.5"),
-        ("detections", "bbox", ["1", 2, 3, 4]),
+    )
+]
+
+# An id or a name is a JSON string: a number is not read as its digits. The
+# error names the file, the record and the field.
+STRING_CASES = [
+    pytest.param(flag, key, value, f"{where}: {key} must be {what}", id=f"{flag}-{key}-{value!r}")
+    for flag, where, key, value, what in (
+        ("images", "images[0]", "image_id", 12, "a string"),
+        ("images", "images[0]", "sequence_id", 3, "a string"),
+        ("images", "images[0]", "captured_at", [], "a number or a string or null"),
+        ("images", "images[0]", "captured_at", {}, "a number or a string or null"),
+        ("detections", "line 1", "image_id", 12, "a string"),
+        ("detections", "line 1", "category", 7, "a string"),
+        ("detections", "line 1", "subtype", 5, "a string or null"),
+        ("buffers", "buffers[0]", "intersection_id", 0, "a string"),
     )
 ]
 
@@ -235,6 +251,11 @@ def test_place_rejects_non_numeric_field(flag, key, value, fragment, bundle_dir,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert fragment in err and src.name in err
+
+
+@pytest.mark.parametrize("flag, key, value, fragment", STRING_CASES)
+def test_place_rejects_non_string_field(flag, key, value, fragment, bundle_dir, tmp_path, capsys):
+    test_place_rejects_non_numeric_field(flag, key, value, fragment, bundle_dir, tmp_path, capsys)
 
 
 BAD_RECORD_CASES = [
@@ -565,7 +586,10 @@ def _truth_with(bundle: Path, bad_feature: dict) -> dict:
             id="one-coordinate",
         ),
         pytest.param(
-            {"geometry": {"type": "Point", "coordinates": [13.4, "52.5"]}},
+            {
+                "geometry": {"type": "Point", "coordinates": [13.4, "52.5"]},
+                "properties": {"category": "traffic_sign"},
+            },
             "features[1]: lat must be a number",
             id="string-coordinate",
         ),
@@ -575,9 +599,17 @@ def _truth_with(bundle: Path, bad_feature: dict) -> dict:
             id="array-properties",
         ),
         pytest.param(
-            {"geometry": {"type": "Point", "coordinates": [13.4, 52.5]}, "properties": {"support": None}},
+            {
+                "geometry": {"type": "Point", "coordinates": [13.4, 52.5]},
+                "properties": {"category": "traffic_sign", "support": None},
+            },
             "features[1]: support must be a number",
             id="null-support",
+        ),
+        pytest.param(
+            {"geometry": {"type": "Point", "coordinates": [13.4, 52.5]}, "properties": {"support": 2}},
+            "features[1]: missing field 'category'",
+            id="category-absent",
         ),
     ]
     + [
@@ -590,8 +622,8 @@ def _truth_with(bundle: Path, bad_feature: dict) -> dict:
             id=name,
         )
         for name, props, fragment in [
-            ("sources-number", {"source_images": 5}, "source_images must be a list of strings"),
-            ("sources-mixed", {"source_images": ["a", 3]}, "source_images must be a list of strings"),
+            ("sources-number", {"source_images": 5}, "source_images must be a list"),
+            ("sources-mixed", {"source_images": ["a", 3]}, "source_images[1] must be a string"),
             ("category-number", {"category": 5}, "category must be a string"),
             ("category-missing", {"category": None}, "category must be a string"),
             ("subtype-number", {"subtype": 3}, "subtype must be a string or null"),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
+import re
 import struct
 
 import numpy as np
@@ -25,12 +26,14 @@ from rop.ingest import (
     MaskDirectory,
     build_tracks,
     direction_of,
+    from_json,
     images_in_buffer,
     load_buffers,
     load_detections,
     load_footprints,
     load_images,
     load_inputs,
+    to_json,
 )
 from rop.labelmap import (
     LabelRuns,
@@ -43,6 +46,7 @@ from rop.labelmap import (
     write_pgm,
     write_rle,
 )
+from rop.placer import PlacedObject
 
 BERLIN = GeoPoint(52.52, 13.405)
 
@@ -365,9 +369,9 @@ def test_load_detections_referential_integrity(tmp_path):
         (_det_line(score=None), "line 1: score must be a number"),
         (_det_line(score="high"), "score must be a number"),
         (json.dumps({"category": "x", "bbox": [0, 0, 1, 1], "score": 0.5}), "image_id"),
-        (_det_line(bbox=[True, False, 5, 5]), "line 1: bbox must be a number"),
-        (_det_line(bbox=[float("nan"), 0, 5, 5]), "line 1: bbox must be finite"),
-        (_det_line(bbox=[0, 0, 5, float("-inf")]), "bbox must be finite"),
+        (_det_line(bbox=[True, False, 5, 5]), r"line 1: bbox\[0\] must be a number"),
+        (_det_line(bbox=[float("nan"), 0, 5, 5]), r"line 1: bbox\[0\] must be finite"),
+        (_det_line(bbox=[0, 0, 5, float("-inf")]), r"bbox\[3\] must be finite"),
     ],
 )
 def test_load_detections_rejects_bad_lines(tmp_path, line, fragment):
@@ -497,6 +501,90 @@ def test_load_footprints_rejects_bad_vertex(tmp_path, vertex, fragment):
     ring = [_RING[0], vertex, *_RING[2:]]
     with pytest.raises(BundleError, match=fragment):
         load_footprints(_write_footprints(tmp_path, _feature(ring)))
+
+
+# ---------------------------------------------------------------------------
+# The record codec.
+
+_number = st.floats(allow_nan=False, allow_infinity=False)
+_whole = st.integers(-(2**53), 2**53)
+_text = st.text(max_size=6)
+_geo = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+
+# One JSON value of each type. A record field replaced by one it does not take
+# must fail to read.
+_JSON_VALUES = {"null": None, "boolean": True, "number": 2, "string": "x", "list": [], "object": {}}
+
+# Each record type: a strategy for its values, and the JSON values of
+# _JSON_VALUES each of its fields takes, by the field's JSON name.
+_RECORDS = {
+    ImageMeta: (
+        st.builds(ImageMeta, _text, _geo, st.none() | _number, _text, st.none() | _number | _text, _whole, _whole),
+        {
+            "image_id": {"string"},
+            "lat": {"number"},
+            "lon": {"number"},
+            "heading_deg": {"null", "number"},
+            "sequence_id": {"string"},
+            "captured_at": {"null", "number", "string"},
+            "width_px": {"number"},
+            "height_px": {"number"},
+        },
+    ),
+    Detection: (
+        st.builds(Detection, _text, _text, st.none() | _text, st.tuples(*[_number] * 4), _number),
+        # No list of _JSON_VALUES is a bbox: it holds four numbers.
+        {"image_id": {"string"}, "category": {"string"}, "subtype": {"null", "string"}, "bbox": set(), "score": {"number"}},
+    ),
+    IntersectionBuffer: (
+        st.builds(IntersectionBuffer, _text, _geo, _number),
+        {"intersection_id": {"string"}, "lat": {"number"}, "lon": {"number"}, "radius_m": {"number"}},
+    ),
+    PlacedObject: (
+        st.builds(
+            PlacedObject,
+            _text,
+            st.none() | _text,
+            st.none() | _text,
+            _geo,
+            st.none() | _number,
+            st.lists(_text, max_size=3),
+            _whole,
+            st.booleans(),
+            _text,
+            _number,
+        ),
+        {
+            "category": {"string"},
+            "subtype": {"null", "string"},
+            "light_kind": {"null", "string"},
+            "lat": {"number"},
+            "lon": {"number"},
+            "height_m": {"null", "number"},
+            "source_images": {"list"},
+            "support": {"number"},
+            "inferred_only": {"boolean"},
+            "intersection_id": {"string"},
+            "confidence": {"number"},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_RECORDS), ids=lambda kind: kind.__name__)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_codec_round_trips_a_record_and_names_a_wrongly_typed_field(kind, data):
+    # Every field in turn takes every JSON value of a type it does not take.
+    strategy, takes = _RECORDS[kind]
+    record = data.draw(strategy)
+    doc = json.loads(json.dumps(to_json(record, GeoPoint)))
+    assert set(doc) == set(takes)
+    assert from_json(kind, doc, "r", GeoPoint) == record
+    for key, json_types in takes.items():
+        for wrong in set(_JSON_VALUES) - json_types:
+            with pytest.raises(BundleError, match=rf"^r: {re.escape(key)} must be "):
+                from_json(kind, {**doc, key: _JSON_VALUES[wrong]}, "r", GeoPoint)
 
 
 def _write_bundle_files(tmp_path, *, mask_size=(64, 48)):
