@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .scene import SceneObject
 
 
-@dataclass
+@dataclass(slots=True)
 class AtbtNode:
     heap_index: int
     object: SceneObject | None
@@ -31,7 +31,7 @@ class Atbt:
     nodes: list[AtbtNode]  # sorted by heap_index
 
 
-@dataclass
+@dataclass(slots=True)
 class FusedObject:
     side: str
     category: str

@@ -17,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import NoReturn
 
@@ -34,9 +35,10 @@ from .placer import (  # noqa: E402
     IntersectionResult,
     PlacedObject,
     from_geojson,
+    geojson_feature,
+    output_order,
     run_intersection,
     slice_bundle,
-    to_geojson,
     track_trees,
 )
 
@@ -165,13 +167,50 @@ def _run_buffers(args, cfg: RunConfig, jobs: int) -> list[IntersectionResult]:
         return list(pool.map(place, slices))
 
 
+def write_json(path: str, members: Iterable[tuple[str, object]]) -> None:
+    """Write the JSON object of members, (key, value) pairs in key order, to path
+    as json.dumps(dict(members), indent=2, sort_keys=True) + "\n", one value, or
+    one item of a value that is an iterator (a list), at a time. A pipe or device
+    such as /dev/stdout is written in place; a file is written beside its real
+    path and renamed onto it when whole, so a failed write leaves it as it was."""
+    encode = json.JSONEncoder(indent=2, sort_keys=True).encode
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{os.path.realpath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "w" if in_place else "x", encoding="utf-8")
+    try:
+        with fh:
+            opening = "{"
+            for key, value in members:
+                fh.write(f"{opening}\n  {encode(key)}: ")
+                opening = ","
+                if not isinstance(value, Iterator):
+                    fh.write(encode(value).replace("\n", "\n  "))
+                    continue
+                item_opening = "["
+                for item in value:
+                    fh.write(f"{item_opening}\n    " + encode(item).replace("\n", "\n    "))
+                    item_opening = ","
+                fh.write("[]" if item_opening == "[" else "\n  ]")
+            fh.write("{}\n" if opening == "{" else "\n}\n")
+        if not in_place:
+            os.replace(tmp, os.path.realpath(path))
+    except BaseException:
+        if not in_place:
+            os.unlink(tmp)
+        raise
+
+
+def write_placed(path: str, placed: list[PlacedObject], diagnostics: list[dict]) -> None:
+    """The bytes of to_geojson(placed) with diagnostics, one feature at a time."""
+    features = map(geojson_feature, sorted(placed, key=output_order))
+    write_json(path, [("diagnostics", diagnostics), ("features", features), ("type", "FeatureCollection")])
+
+
 def cmd_place(args) -> int:
     cfg = load_config(args.config, args.set)
     results = _run_buffers(args, cfg, args.jobs)
     placed = [obj for res in results for obj in res.placed]
-    doc = to_geojson(placed)
-    doc["diagnostics"] = [d for res in results for d in res.diagnostics]
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_placed(args.out, placed, [d for res in results for d in res.diagnostics])
     log.info("placed %d objects across %d intersections", len(placed), len(results))
     if not placed:
         log.warning("no objects placed")
@@ -182,13 +221,11 @@ def cmd_place(args) -> int:
 def cmd_dump_trees(args) -> int:
     """The tree stage alone: slice -> tracks -> one tree per image."""
     cfg = load_config(args.config, args.set)
-    doc = {}
-    for part in slice_bundle(_load_bundle(args), cfg.corner_radius_m):
-        doc[part.buffers[0].intersection_id] = {
-            track.track_id: [tree_to_json(t) for t in track_trees(part, track, cfg)]
-            for track in build_tracks(part.images, part.buffers[0])
-        }
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    parts = slice_bundle(_load_bundle(args), cfg.corner_radius_m)
+    write_json(args.out, ((part.buffers[0].intersection_id, {
+        track.track_id: [tree_to_json(t) for t in track_trees(part, track, cfg)]
+        for track in build_tracks(part.images, part.buffers[0])
+    }) for part in sorted(parts, key=lambda part: part.buffers[0].intersection_id)))
     return EX_OK
 
 

@@ -17,7 +17,7 @@ EARTH_RADIUS_M = 6378137.0
 FRAME_SPAN_DEG = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """WGS84 coordinate in decimal degrees."""
 
@@ -31,7 +31,7 @@ class GeoPoint:
             raise ValueError(f"longitude {self.lon} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalPoint:
     """Meters east (x) and north (y) of a frame origin."""
 
@@ -46,7 +46,7 @@ class LocalFrame:
     m_per_deg_lon: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Footprint:
     """Building outline: closed vertex ring, first vertex repeated last."""
 

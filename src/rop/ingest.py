@@ -13,6 +13,7 @@ import copy
 import json
 import logging
 import math
+import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache
@@ -58,7 +59,7 @@ CATEGORY_NAMES = {cid: name for name, cid in CATEGORY_IDS.items()}
 # Core records.
 
 
-@dataclass
+@dataclass(slots=True)
 class ImageMeta:
     """One images.json record. The record codec (to_json, from_json) writes
     and reads it, its position as the record's lat and lon, so sequence_id
@@ -86,7 +87,7 @@ class Track:
     images: list[ImageMeta]
 
 
-@dataclass
+@dataclass(slots=True)
 class Detection:
     """One detections.jsonl line, written and read by the record codec
     (to_json, from_json). score stays, though placement does not read it:
@@ -125,14 +126,14 @@ class MaskDirectory(Mapping):
         self._dir = Path(directory)
         if not self._dir.is_dir():
             raise BundleError(f"{directory}: not a directory")
-        self._paths: dict[str, Path] = {}
+        self._paths: dict[str, str] = {}  # a str, not a Path, which also keeps its parts
         for p in sorted(self._dir.iterdir()):
             if p.suffix not in (".pgm", ".rle"):
                 continue
             if p.stem in self._paths:
-                other = self._paths[p.stem].name
+                other = Path(self._paths[p.stem]).name
                 raise BundleError(f"{p}: {other} is there too; keep one label map per image")
-            self._paths[p.stem] = p
+            self._paths[p.stem] = str(p)
         self._pgm_buffers = PgmBuffers()
 
     def only(self, image_ids: list[str]) -> MaskDirectory:
@@ -141,22 +142,22 @@ class MaskDirectory(Mapping):
         view._paths = {i: self._paths[i] for i in image_ids}
         return view
 
-    def path_of(self, image_id: str) -> Path:
+    def path_of(self, image_id: str) -> str:
         return self._paths[image_id]
 
     def size_of(self, image_id: str) -> tuple[int, int]:
         path = self._paths[image_id]
-        return (read_rle_size if path.suffix == ".rle" else read_pgm_size)(str(path))
+        return (read_rle_size if path.endswith(".rle") else read_pgm_size)(path)
 
     def __getitem__(self, image_id: str) -> LabelRuns:
         try:
             path = self._paths[image_id]
         except KeyError:
             raise KeyError(image_id) from None
-        if path.suffix == ".rle":
-            runs = read_rle(str(path))
+        if path.endswith(".rle"):
+            runs = read_rle(path)
         else:
-            runs = read_pgm(str(path), self._pgm_buffers)
+            runs = read_pgm(path, self._pgm_buffers)
         bad = np.flatnonzero(~_IS_CATEGORY[runs.values])
         if bad.size:
             row, col = divmod(int(runs.starts[bad[0]]), runs.width)
@@ -337,6 +338,8 @@ def _reader(tp, point: type):
         t = takes.get(type(value))
         if t is None:
             raise BundleError(f"{where}: {key} must be {what}")
+        if t is str:  # one object per distinct string, however many records repeat it
+            return sys.intern(value)
         return _number(value, key, where, t) if t is int or t is float else value
 
     return read_scalar
@@ -380,6 +383,8 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
                 raise BundleError(f"{where}: detection references unknown image_id '{det.image_id}'")
             if not 0.0 <= det.score <= 1.0:
                 raise BundleError(f"{where}: score {det.score} outside [0, 1]")
+            if not (det.bbox[2] > 0 and det.bbox[3] > 0):
+                raise BundleError(f"{where}: bbox width and height must be positive, got {list(det.bbox)}")
             out.setdefault(det.image_id, []).append(det)
     return out
 
@@ -389,7 +394,8 @@ def load_footprints(path: str) -> list[Footprint]:
 
     Only Polygon geometries are accepted; the outer ring is used and holes
     are ignored, as is any altitude after a vertex's [lon, lat]. A feature
-    without an 'id' property takes the feature's own id.
+    without an 'id' property takes the feature's own id. An id is a string,
+    or a whole number, which is read as its digits.
     """
     doc = _load_json(path)
     if not (isinstance(doc, dict) and doc.get("type") == "FeatureCollection"):
@@ -405,6 +411,9 @@ def load_footprints(path: str) -> list[Footprint]:
         fid = props.get("id", feat.get("id"))
         if fid is None:
             raise BundleError(f"{where} is missing the 'id' property")
+        whole = isinstance(fid, int) or (isinstance(fid, float) and fid.is_integer())
+        if isinstance(fid, bool) or not (isinstance(fid, str) or whole):
+            raise BundleError(f"{where}: id must be a string or a whole number, got {json.dumps(fid)}")
         rings = geom.get("coordinates")
         if not (isinstance(rings, list) and rings and isinstance(rings[0], list)):
             raise BundleError(f"{where}.geometry.coordinates holds no ring")
@@ -414,7 +423,7 @@ def load_footprints(path: str) -> list[Footprint]:
                 raise BundleError(f"{where}: vertex {k} must be [lon, lat]")
             ring.append(from_json(GeoPoint, {"lat": c[1], "lon": c[0]}, f"{where}: vertex {k}", GeoPoint))
         try:
-            fp = Footprint(id=str(fid), ring=tuple(ring))
+            fp = Footprint(id=fid if isinstance(fid, str) else str(int(fid)), ring=tuple(ring))
         except ValueError as exc:
             raise BundleError(f"{where}: {exc}") from exc
         twice_area = sum(a.lon * b.lat - b.lon * a.lat for a, b in zip(ring, ring[1:]))

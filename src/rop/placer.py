@@ -55,7 +55,7 @@ class CornerPair:
     A2: LocalPoint  # right of the heading line
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacedObject:
     category: str
     subtype: str | None
@@ -414,37 +414,31 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
 # GeoJSON output.
 
 
+def output_order(p: PlacedObject) -> tuple:
+    """The sort key of the one output order: to_geojson's and rop place's."""
+    return (p.intersection_id, p.category, p.subtype or "", p.position.lat, p.position.lon, p.light_kind or "")
+
+
+def geojson_feature(p: PlacedObject) -> dict:
+    return {
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": [p.position.lon, p.position.lat]},
+        "properties": {
+            "category": p.category,
+            "subtype": p.subtype,
+            "light_kind": p.light_kind,
+            "height_m": p.height_m,
+            "support": p.support,
+            "confidence": round(p.confidence, 6),
+            "inferred_only": p.inferred_only,
+            "source_images": p.source_images,
+            "intersection_id": p.intersection_id,
+        },
+    }
+
+
 def to_geojson(placed: list[PlacedObject]) -> dict:
-    ordered = sorted(
-        placed,
-        key=lambda p: (
-            p.intersection_id,
-            p.category,
-            p.subtype or "",
-            p.position.lat,
-            p.position.lon,
-            p.light_kind or "",
-        ),
-    )
-    features = []
-    for p in ordered:
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [p.position.lon, p.position.lat]},
-                "properties": {
-                    "category": p.category,
-                    "subtype": p.subtype,
-                    "light_kind": p.light_kind,
-                    "height_m": p.height_m,
-                    "support": p.support,
-                    "confidence": round(p.confidence, 6),
-                    "inferred_only": p.inferred_only,
-                    "source_images": p.source_images,
-                    "intersection_id": p.intersection_id,
-                },
-            }
-        )
+    features = [geojson_feature(p) for p in sorted(placed, key=output_order)]
     return {"type": "FeatureCollection", "features": features}
 
 

@@ -17,7 +17,7 @@ from .ingest import CATEGORY_IDS, CATEGORY_NAMES, Detection
 from .labelmap import LabelRuns, concat_runs
 
 
-@dataclass
+@dataclass(slots=True)
 class SceneObject:
     id: str
     category: str

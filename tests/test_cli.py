@@ -12,6 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rop.cli import main
+from rop.cli import main, write_json, write_placed
 from rop.geo import GeoPoint, LocalPoint
+from rop.ingest import images_in_buffer, load_buffers, load_images
 from rop.labelmap import read_rle, write_pgm
+from rop.placer import PlacedObject, to_geojson
 from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
 from test_synth import BAD_LAYOUTS
 
@@ -258,6 +261,12 @@ def test_place_rejects_non_string_field(flag, key, value, fragment, bundle_dir, 
     test_place_rejects_non_numeric_field(flag, key, value, fragment, bundle_dir, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("bbox", [[10, 20, 0, 8], [10, 20, 5, -8]], ids=["zero-width", "negative-height"])
+def test_place_rejects_a_bbox_without_area(bbox, bundle_dir, tmp_path, capsys):
+    fragment = "line 1: bbox width and height must be positive"
+    test_place_rejects_non_numeric_field("detections", "bbox", bbox, fragment, bundle_dir, tmp_path, capsys)
+
+
 BAD_RECORD_CASES = [
     pytest.param(
         "images",
@@ -387,6 +396,17 @@ def test_dump_trees_output_is_pinned(bundle_dir, tmp_path, monkeypatch):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DUMP_TREES_SHA256
 
 
+def test_dump_trees_writes_buffers_in_id_order(bundle_dir, tmp_path):
+    # dump-trees writes one buffer at a time, so it orders the buffers itself.
+    buffers = json.loads((bundle_dir / "buffers.json").read_text())
+    assert len(buffers) == 2
+    (tmp_path / "buffers.json").write_text(json.dumps(buffers[::-1]))
+    argv = place_args(bundle_dir, tmp_path / "trees.json")
+    argv[argv.index("--buffers") + 1] = str(tmp_path / "buffers.json")
+    assert main(["dump-trees", *argv[1:]]) == 0
+    assert hashlib.sha256((tmp_path / "trees.json").read_bytes()).hexdigest() == DUMP_TREES_SHA256
+
+
 @pytest.fixture(scope="module")
 def pgm_bundle_dir(bundle_dir, tmp_path_factory):
     return copy_with_pgm_masks(bundle_dir, tmp_path_factory.mktemp("pgm") / "bundle")
@@ -413,6 +433,119 @@ def test_place_from_mixed_masks_is_pinned(bundle_dir, tmp_path_factory, data):
     out = mixed / "pred.geojson"
     assert main(place_args(mixed, out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE_SHA256
+
+
+@pytest.mark.parametrize("earlier", [None, b"an earlier run\n"], ids=["no-earlier-out", "earlier-out"])
+@pytest.mark.parametrize("command", ["place", "dump-trees"])
+def test_a_bad_mask_in_the_last_buffer_leaves_no_partial_output(
+    command, earlier, bundle_dir, tmp_path, capsys
+):
+    # dump-trees writes each buffer as it finishes, in intersection_id order.
+    # A fault in the last buffer still leaves --out as it was, and no
+    # temporary file beside it.
+    broken = tmp_path / "broken"
+    shutil.copytree(bundle_dir, broken)
+    last = max(load_buffers(str(broken / "buffers.json")), key=lambda b: b.intersection_id)
+    first_image = images_in_buffer(load_images(str(broken / "images.json")), last)[0]
+    victim = broken / "masks" / f"{first_image.image_id}.rle"
+    data = bytearray(victim.read_bytes())
+    data[-1] = 9  # the last run's value: not a category id
+    victim.write_bytes(bytes(data))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "out.json"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    assert main([command, *place_args(broken, out)[1:]]) == 2
+    assert victim.name in capsys.readouterr().err
+    assert sorted(out_dir.iterdir()) == ([] if earlier is None else [out])
+    if earlier is not None:
+        assert out.read_bytes() == earlier
+
+
+def test_place_writes_through_a_symlink(bundle_dir, tmp_path):
+    # The file the link names is replaced; the link stays a link.
+    target = tmp_path / "real.geojson"
+    target.write_bytes(b"an earlier run\n")
+    link = tmp_path / "link.geojson"
+    link.symlink_to(target)
+    assert main(place_args(bundle_dir, link)) == 0
+    assert link.is_symlink()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PLACE_SHA256
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.geojson", "real.geojson"]
+
+
+def test_write_json_writes_a_pipe_in_place(tmp_path):
+    # A pipe or a device, such as /dev/stdout, cannot be renamed onto.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_json(str(fifo), [("a", iter([1, 2])), ("b", {"c": None})])
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [(json.dumps({"a": [1, 2], "b": {"c": None}}, indent=2, sort_keys=True) + "\n").encode()]
+    assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=12,
+)
+# Ids, categories and subtypes with non-ASCII text, which the output escapes.
+_name = st.text(alphabet=st.sampled_from("aZ_:-09 éß北\u200b\"\\\n"), max_size=8)
+_placed = st.builds(
+    PlacedObject,
+    category=_name,
+    subtype=st.none() | _name,
+    light_kind=st.sampled_from([None, "high", "low"]),
+    position=st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+    height_m=st.none() | st.floats(0.0, 10.0),
+    source_images=st.lists(_name, max_size=3),
+    support=st.integers(1, 9),
+    inferred_only=st.booleans(),
+    intersection_id=_name,
+    confidence=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    placed=st.lists(_placed, max_size=30),
+    diagnostics=st.lists(st.dictionaries(st.text(max_size=5), _json_values, max_size=3), max_size=3),
+)
+def test_streamed_place_output_is_the_whole_document_dumped(placed, diagnostics, tmp_path_factory):
+    out = tmp_path_factory.mktemp("streamed") / "pred.geojson"
+    write_placed(str(out), placed, diagnostics)
+    doc = {**to_geojson(placed), "diagnostics": diagnostics}
+    assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert list(out.parent.iterdir()) == [out]
+
+
+_tree = st.fixed_dictionaries(
+    {"image_id": _name, "nodes": st.lists(st.dictionaries(_name, _json_scalars, max_size=4), max_size=4)}
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    doc=st.dictionaries(_name, st.dictionaries(_name, st.lists(_tree, max_size=3), max_size=3), max_size=4),
+    listed=st.lists(_json_values, max_size=4),
+)
+def test_streamed_trees_are_the_whole_document_dumped(doc, listed, tmp_path_factory):
+    # As dump-trees writes them: one buffer's trees at a time, in key order.
+    out = tmp_path_factory.mktemp("streamed") / "trees.json"
+    write_json(str(out), ((key, doc[key]) for key in sorted(doc)))
+    assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # A value that is an iterator is written as a list, one item at a time.
+    write_json(str(out), [("listed", iter(listed)), ("~", doc)])
+    expected = json.dumps({"listed": listed, "~": doc}, indent=2, sort_keys=True) + "\n"
+    assert out.read_text(encoding="utf-8") == expected
 
 
 def fresh_env(openblas_threads: str | None = None) -> dict[str, str]:
@@ -513,13 +646,16 @@ def test_synth_requires_exactly_one_source(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "o")]) == 2
 
 
+# What rop place writes when it places nothing.
+EMPTY_PLACED = b'{\n  "diagnostics": [],\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
+
+
 def test_place_empty_bundle_exits_three(tmp_path):
     out = tmp_path / "empty"
     assert main(["synth", "--out", str(out), "--fixtures", "0"]) == 0
     rc = main(place_args(out, tmp_path / "pred.geojson"))
     assert rc == 3
-    doc = json.loads((tmp_path / "pred.geojson").read_text())
-    assert doc["features"] == []
+    assert (tmp_path / "pred.geojson").read_bytes() == EMPTY_PLACED
 
 
 def test_eval_perfect_run_and_gate(bundle_dir, tmp_path, capsys):
@@ -991,6 +1127,7 @@ def test_entry_point_exit_codes(bundle_dir, tmp_path):
     empty = tmp_path / "empty"
     assert main(["synth", "--out", str(empty), "--fixtures", "0"]) == 0
     assert run_rop(*place_args(empty, tmp_path / "none.geojson")).returncode == 3
+    assert (tmp_path / "none.geojson").read_bytes() == EMPTY_PLACED
 
     usage = run_rop("place")
     assert usage.returncode == 64

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop import ingest
-from rop.geo import GeoPoint, LocalPoint, make_frame
+from rop.atbt import AtbtNode, FusedObject
+from rop.geo import Footprint, GeoPoint, LocalPoint, make_frame
 from rop.ingest import (
     CATEGORY_IDS,
     CATEGORY_NAMES,
@@ -47,6 +48,7 @@ from rop.labelmap import (
     write_rle,
 )
 from rop.placer import PlacedObject
+from rop.scene import SceneObject
 
 BERLIN = GeoPoint(52.52, 13.405)
 
@@ -372,6 +374,8 @@ def test_load_detections_referential_integrity(tmp_path):
         (_det_line(bbox=[True, False, 5, 5]), r"line 1: bbox\[0\] must be a number"),
         (_det_line(bbox=[float("nan"), 0, 5, 5]), r"line 1: bbox\[0\] must be finite"),
         (_det_line(bbox=[0, 0, 5, float("-inf")]), r"bbox\[3\] must be finite"),
+        (_det_line(bbox=[1, 2, 0, 8]), r"line 1: bbox width and height must be positive, got \[1.0, 2.0, 0.0, "),
+        (_det_line(bbox=[1, 2, 5, -8]), r"line 1: bbox width and height must be positive"),
     ],
 )
 def test_load_detections_rejects_bad_lines(tmp_path, line, fragment):
@@ -475,6 +479,32 @@ def test_load_footprints_takes_altitudes_feature_ids_and_holes(tmp_path):
 def test_load_footprints_rejects_missing_id(tmp_path):
     path = _write_footprints(tmp_path, _feature([[0, 0], [1, 0], [1, 1], [0, 0]], props={}))
     with pytest.raises(BundleError, match="id"):
+        load_footprints(path)
+
+
+@pytest.mark.parametrize(
+    "fid, expected",
+    [("b1", "b1"), ("", ""), (4711, "4711"), (4711.0, "4711"), (-3, "-3")],
+    ids=["string", "empty-string", "number", "whole-float", "negative"],
+)
+@pytest.mark.parametrize("where", ["properties", "feature"])
+def test_load_footprints_takes_a_string_or_whole_number_id(fid, expected, where, tmp_path):
+    feat = _feature(_RING, props={"id": fid}) if where == "properties" else _feature(_RING, props={}, id=fid)
+    assert load_footprints(_write_footprints(tmp_path, feat))[0].id == expected
+
+
+@pytest.mark.parametrize(
+    "fid, shown",
+    [([1, 2], "[1, 2]"), (True, "true"), (False, "false"), ({"a": 1}, '{"a": 1}'), (1.5, "1.5")],
+    ids=["list", "true", "false", "object", "fraction"],
+)
+@pytest.mark.parametrize("where", ["properties", "feature"])
+def test_load_footprints_rejects_an_id_of_another_kind(fid, shown, where, tmp_path):
+    # An id is never a value's Python str(): [1, 2], true and {"a": 1} are not ids.
+    feat = _feature(_RING, props={"id": fid}) if where == "properties" else _feature(_RING, props={}, id=fid)
+    path = _write_footprints(tmp_path, _feature(_RING), feat)
+    message = rf"fp.geojson: features\[1\]: id must be a string or a whole number, got {re.escape(shown)}$"
+    with pytest.raises(BundleError, match=message):
         load_footprints(path)
 
 
@@ -585,6 +615,39 @@ def test_codec_round_trips_a_record_and_names_a_wrongly_typed_field(kind, data):
         for wrong in set(_JSON_VALUES) - json_types:
             with pytest.raises(BundleError, match=rf"^r: {re.escape(key)} must be "):
                 from_json(kind, {**doc, key: _JSON_VALUES[wrong]}, "r", GeoPoint)
+
+
+# One of each record rop holds one of per image, detection, object or vertex.
+# Each is slotted: no per-instance __dict__.
+_ORIGIN = GeoPoint(0.0, 0.0)
+_PER_ITEM_RECORDS = [
+    _ORIGIN,
+    LocalPoint(0.0, 0.0),
+    Footprint("f", (_ORIGIN, GeoPoint(0.0, 1e-4), GeoPoint(1e-4, 1e-4), _ORIGIN)),
+    ImageMeta("i0", _ORIGIN, 90.0, "s0", None, 64, 48),
+    Detection("i0", "traffic_sign", "stop", (1.0, 2.0, 3.0, 4.0), 0.9),
+    PlacedObject("traffic_sign", "stop", None, _ORIGIN),
+    SceneObject("o1", "traffic_sign", (1.0, 2.0), 3.0, None),
+    AtbtNode(1, None, None, "root"),
+    FusedObject("left", "traffic_sign", 0, 0, "stop", 1, None, False, ["i0"]),
+]
+
+
+@pytest.mark.parametrize("record", _PER_ITEM_RECORDS, ids=lambda r: type(r).__name__)
+def test_per_item_records_are_slotted(record):
+    assert not hasattr(record, "__dict__")
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_loaded_detections_share_their_strings(tmp_path):
+    # Each distinct string is held once, however many lines repeat it.
+    path = tmp_path / "det.jsonl"
+    path.write_text("\n".join([_det_line(), _det_line(), _det_line("i1")]))
+    dets = load_detections(str(path))
+    first, second = dets["i0"]
+    assert first.category is second.category is dets["i1"][0].category
+    assert first.image_id is second.image_id
+    assert first.subtype is second.subtype
 
 
 def _write_bundle_files(tmp_path, *, mask_size=(64, 48)):
