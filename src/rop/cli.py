@@ -11,11 +11,11 @@ Exit codes: 0 success, 1 failed --min-completeness gate, 2 input error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import math
 import os
+import pickle
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -42,8 +42,8 @@ from .placer import (  # noqa: E402
     track_trees,
 )
 
-# synth, evalx and the process pool are imported where they are used, so a
-# `rop place` process loads only what placement runs.
+# synth and evalx are imported where they are used, so a `rop place` process
+# loads only what placement runs.
 
 EX_OK = 0
 EX_GATE = 1
@@ -88,6 +88,8 @@ def _jobs(text: str) -> int:
     """The value of --jobs: a whole number of at least 1."""
     if not (text.strip().isdecimal() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"must be a whole number >= 1, got {text!r}")
+    if int(text) > 1 and not hasattr(os, "fork"):
+        raise argparse.ArgumentTypeError(f"{text} needs os.fork, which this platform lacks; use 1")
     return int(text)
 
 
@@ -99,7 +101,9 @@ def build_parser() -> _Parser:
     _add_bundle_flags(p_place)
     _add_config_flags(p_place)
     p_place.add_argument("--out", required=True, help="output GeoJSON path")
-    p_place.add_argument("--jobs", type=_jobs, default=1, help="worker processes across intersections")
+    p_place.add_argument(
+        "--jobs", type=_jobs, default=1, help="processes across intersections: this one and forked workers"
+    )
     p_place.set_defaults(func=cmd_place)
 
     p_synth = sub.add_parser("synth", help="generate synthetic fixture bundles with truth")
@@ -145,26 +149,105 @@ def _load_bundle(args) -> Bundle:
     return load_inputs(args.images, args.masks, args.detections, args.footprints, args.buffers)
 
 
-def _place_slice(part: Bundle, cfg: RunConfig) -> IntersectionResult:
-    """One buffer's result from its slice. Top-level, not a partial of
-    run_intersection, so a pool can pickle it by name even after a tracer has
-    wrapped rop.cli.run_intersection, which pickle would then refuse."""
-    return run_intersection(part, cfg)
+def deal(sizes: list[int], n: int) -> list[list[int]]:
+    """The buffer indices of each of n processes, each list in buffer order.
+
+    Buffers go out by size (image count), largest first and ties in buffer
+    order, each to the least-loaded process, ties to the lowest process."""
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], i)):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += sizes[i]
+    return [sorted(share) for share in shares]
+
+
+def _place_share(
+    slices: list[Bundle], share: list[int], cfg: RunConfig
+) -> tuple[list[IntersectionResult], tuple[int, Exception] | None]:
+    """The results of share's buffers in order, or, at the first buffer that
+    fails, no results and that buffer's index with its exception."""
+    results = []
+    for i in share:
+        try:
+            results.append(run_intersection(slices[i], cfg))
+        except Exception as exc:
+            return [], (i, exc)
+    return results, None
+
+
+def _worker(
+    slices: list[Bundle], share: list[int], cfg: RunConfig, out: int, inherited: list[int]
+) -> NoReturn:
+    """A forked worker's whole life: place share, write the pickled outcome to
+    the pipe end out, exit. It never returns into the caller of rop's main."""
+    code = 1
+    try:
+        for fd in inherited:  # read ends of this worker's own and earlier pipes
+            os.close(fd)
+        with open(out, "wb") as fh:
+            fh.write(pickle.dumps(_place_share(slices, share, cfg), pickle.HIGHEST_PROTOCOL))
+        code = 0
+    except Exception:  # the payload cannot be sent: say why, exit 1
+        sys.excepthook(*sys.exc_info())
+    finally:
+        sys.stderr.flush()
+        os._exit(code)
 
 
 def _run_buffers(args, cfg: RunConfig, jobs: int) -> list[IntersectionResult]:
     """Per-buffer results in buffer order, identical for any job count.
 
-    The bundle is loaded once; a worker gets only one buffer's slice at a time."""
+    The bundle is loaded and sliced once. With jobs above 1 the slices are
+    dealt to min(jobs, buffers) processes: this one places the first share,
+    and each other share goes to a forked worker, which inherits the slices
+    and sends its results back through a pipe. The exception of the lowest
+    failing buffer is raised, as --jobs 1 would raise it. The rop command
+    runs one thread (OpenBLAS included, see above), so it forks safely."""
     bundle = _load_bundle(args)
-    slices = slice_bundle(bundle, cfg.corner_radius_m)
-    place = functools.partial(_place_slice, cfg=cfg)
-    if jobs == 1 or len(slices) <= 1:
-        return list(map(place, slices))
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
-        return list(pool.map(place, slices))
+    slices = slice_bundle(bundle, cfg)
+    shares = deal([len(part.images) for part in slices], max(1, min(jobs, len(slices))))
+    readers: dict[int, int] = {}  # worker pid -> read end of its pipe, until read
+    running: list[int] = []  # worker pids not yet reaped
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            sys.stdout.flush()
+            sys.stderr.flush()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _worker(slices, share, cfg, w, [r, *readers.values()])
+            os.close(w)
+            readers[pid] = r
+            running.append(pid)
+        outcomes = [_place_share(slices, shares[0], cfg)]
+        for k, pid in enumerate(running.copy(), 1):
+            with open(readers.pop(pid), "rb") as fh:
+                payload = fh.read()
+            _, status = os.waitpid(pid, 0)
+            running.remove(pid)
+            if status:
+                raise RuntimeError(
+                    f"place worker {k} (pid {pid}) ended without its results: wait status {status}, "
+                    f"exit code {os.waitstatus_to_exitcode(status)}"
+                )
+            outcomes.append(pickle.loads(payload))
+    finally:
+        for r in readers.values():  # a worker blocked on a full pipe gets EPIPE
+            os.close(r)
+        for pid in running:
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    placed = {i: result for share, (done, _) in zip(shares, outcomes) for i, result in zip(share, done)}
+    return [placed[i] for i in range(len(slices))]
 
 
 def write_json(path: str, members: Iterable[tuple[str, object]]) -> None:
@@ -221,7 +304,7 @@ def cmd_place(args) -> int:
 def cmd_dump_trees(args) -> int:
     """The tree stage alone: slice -> tracks -> one tree per image."""
     cfg = load_config(args.config, args.set)
-    parts = slice_bundle(_load_bundle(args), cfg.corner_radius_m)
+    parts = slice_bundle(_load_bundle(args), cfg)
     write_json(args.out, ((part.buffers[0].intersection_id, {
         track.track_id: [tree_to_json(t) for t in track_trees(part, track, cfg)]
         for track in build_tracks(part.images, part.buffers[0])
@@ -347,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
 def _exit(code: int) -> NoReturn:
     """End the process with code and skip interpreter teardown, which takes
     tens of milliseconds and writes nothing. By now main() has returned: its
-    output file is closed and any process pool joined. An exception or a
+    output file is closed and every forked worker reaped. An exception or a
     usage SystemExit never reaches here and exits the normal way."""
     logging.shutdown()
     try:

@@ -129,10 +129,6 @@ class PgmBuffers:
         self._raster = np.empty(0, dtype=np.uint8)
         self._change = np.empty(0, dtype=bool)
 
-    def __reduce__(self):
-        # Scratch space only: a copy sent to a worker process starts empty.
-        return (PgmBuffers, ())
-
     def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if self._raster.size < n:
             self._raster = np.empty(n, dtype=np.uint8)

@@ -268,18 +268,23 @@ def _in_box(frame: LocalFrame, lat: np.ndarray, lon: np.ndarray, radius_m: float
     )
 
 
-def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
+def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
     """One slice per buffer, in buffer order: the part of bundle that buffer's
     placement reads, as a one-buffer Bundle.
 
-    A slice holds the buffer's images with their detections and label maps
-    (still lazy for a MaskDirectory), and the footprints with a vertex within
-    radius_m + corner_radius_m of the center. By the triangle inequality that
-    bound loses nothing, up to rounding in the last place: select_corners
-    keeps only footprints with a vertex within corner_radius_m of a camera,
-    and every camera of the slice lies within radius_m of the center. A
-    footprint with a vertex outside the buffer frame's span is dropped with a
-    warning, since select_corners projects every vertex.
+    A slice holds the buffer's images that approach its center or stand in
+    it (C1 or C2), with their detections and label maps (still lazy for a
+    MaskDirectory). A camera that has passed the center (C3) is left out, so
+    a neighbour's camera leaving this center joins none of its tracks and a
+    buffer places the same whatever buffers surround it. An image without a
+    heading stays, and build_tracks drops it with a warning. The slice also
+    holds the footprints with a vertex within radius_m + corner_radius_m of
+    the center. By the triangle inequality that bound loses nothing, up to
+    rounding in the last place: select_corners keeps only footprints with a
+    vertex within corner_radius_m of a camera, and every camera of the slice
+    lies within radius_m of the center. A footprint with a vertex outside the
+    buffer frame's span is dropped with a warning, since select_corners
+    projects every vertex.
 
     Image positions and footprint vertices go into arrays once. Per buffer a
     box test picks the candidates, and only those take the exact checks, so
@@ -296,9 +301,13 @@ def slice_bundle(bundle: Bundle, corner_radius_m: float) -> list[Bundle]:
     slices = []
     for buffer in bundle.buffers:
         frame = make_frame(buffer.center)
-        reach_m = buffer.radius_m + corner_radius_m
+        reach_m = buffer.radius_m + cfg.corner_radius_m
         near = np.flatnonzero(_in_box(frame, img_lat, img_lon, buffer.radius_m))
-        kept = images_in_buffer([images[i] for i in near], buffer)
+        kept = [
+            im
+            for im in images_in_buffer([images[i] for i in near], buffer)
+            if im.heading_deg is None or classify_camera(im, frame, cfg.inner_radius_m) != "C3"
+        ]
         ids = [im.image_id for im in kept]
         candidates = np.zeros(len(footprints), dtype=bool)
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True

@@ -69,7 +69,7 @@ def fixture_run():
     t0 = time.perf_counter()
     for lay in layouts:
         bundle, truth = render_bundle(lay)
-        result = run_intersection(slice_bundle(bundle, cfg.corner_radius_m)[0], cfg)
+        result = run_intersection(slice_bundle(bundle, cfg)[0], cfg)
         runs.append(SimpleNamespace(layout=lay, bundle=bundle, truth=truth, result=result))
         preds.extend(result.placed)
         refs.extend(truth)
@@ -302,7 +302,7 @@ def test_criterion_4_pair_inference():
         assert len(inferred) == 1 and inferred[0].light_kind == "low", (cam_x, building_h)
         # End to end: the inferred twin must land on the hidden pole.
         bundle, truth = render_bundle(lay)
-        result = run_intersection(slice_bundle(bundle, CFG.corner_radius_m)[0], CFG)
+        result = run_intersection(slice_bundle(bundle, CFG)[0], CFG)
         twins = [p for p in result.placed if p.inferred_only]
         assert len(twins) == 1, (cam_x, building_h)
         rep = evaluate(result.placed, truth, radius_m=MATCH_RADIUS_M)
@@ -318,7 +318,7 @@ def test_criterion_4_pair_inference():
         real, inferred = _grammar_lights(lay)
         assert len(real) == 2 and not inferred, (cam_x, building_h)
         bundle, _ = render_bundle(lay)
-        result = run_intersection(slice_bundle(bundle, CFG.corner_radius_m)[0], CFG)
+        result = run_intersection(slice_bundle(bundle, CFG)[0], CFG)
         assert not [p for p in result.placed if p.inferred_only], (cam_x, building_h)
         n_clean += 1
 
@@ -549,7 +549,7 @@ def test_criterion_6_structural_invariants(fixture_run):
     n_nodes = 0
     trees = []
     for run in fixture_run.runs:
-        part = slice_bundle(run.bundle, CFG.corner_radius_m)[0]
+        part = slice_bundle(run.bundle, CFG)[0]
         for track in build_tracks(part.images, part.buffers[0]):
             for tree in track_trees(part, track, CFG):
                 n_nodes += _check_heap(tree)

@@ -9,6 +9,7 @@ import math
 import os
 import random
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -20,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rop.cli import main, write_json, write_placed
+from rop.cli import deal, main, write_json, write_placed
+from rop.config import RunConfig
 from rop.geo import GeoPoint, LocalPoint
-from rop.ingest import images_in_buffer, load_buffers, load_images
+from rop.ingest import images_in_buffer, load_buffers, load_images, load_inputs
 from rop.labelmap import read_rle, write_pgm
-from rop.placer import PlacedObject, to_geojson
+from rop.placer import IntersectionResult, PlacedObject, slice_bundle, to_geojson
 from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
 from test_synth import BAD_LAYOUTS
 
@@ -365,7 +367,7 @@ def test_synth20_output_is_pinned(bundle20_dir):
 
 
 def test_place20_and_dump_trees20_are_pinned(bundle20_dir, tmp_path):
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3", "4"):
         out = tmp_path / f"pred{jobs}.geojson"
         assert main(place_args(bundle20_dir, out, ["--jobs", jobs])) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE20_SHA256
@@ -374,7 +376,7 @@ def test_place20_and_dump_trees20_are_pinned(bundle20_dir, tmp_path):
     assert hashlib.sha256(trees.read_bytes()).hexdigest() == DUMP_TREES20_SHA256
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_place_output_is_pinned(jobs, bundle_dir, tmp_path):
     out = tmp_path / "pred.geojson"
     assert main(place_args(bundle_dir, out, ["--jobs", jobs])) == 0
@@ -412,7 +414,7 @@ def pgm_bundle_dir(bundle_dir, tmp_path_factory):
     return copy_with_pgm_masks(bundle_dir, tmp_path_factory.mktemp("pgm") / "bundle")
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
 def test_place_from_pgm_masks_is_pinned(jobs, pgm_bundle_dir, tmp_path):
     out = tmp_path / "pred.geojson"
     assert main(place_args(pgm_bundle_dir, out, ["--jobs", jobs])) == 0
@@ -461,6 +463,136 @@ def test_a_bad_mask_in_the_last_buffer_leaves_no_partial_output(
     assert sorted(out_dir.iterdir()) == ([] if earlier is None else [out])
     if earlier is not None:
         assert out.read_bytes() == earlier
+
+
+def _truncate_runs(mask: Path) -> None:
+    """Cut the run bytes of an .rle label map short; its header stays whole."""
+    data = mask.read_bytes()
+    mask.write_bytes(data[: 16 + (len(data) - 16) // 2])
+
+
+def _first_mask_of(bundle: Path, intersection_id: str) -> Path:
+    buffers = {b.intersection_id: b for b in load_buffers(str(bundle / "buffers.json"))}
+    first = images_in_buffer(load_images(str(bundle / "images.json")), buffers[intersection_id])[0]
+    return bundle / "masks" / f"{first.image_id}.rle"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_first_failing_buffer_wins_at_any_jobs(bundle20_dir, tmp_path, capsys):
+    # Whichever process reaches a fault first, the error is the one --jobs 1
+    # raises: that of the lowest failing buffer.
+    broken = tmp_path / "broken"
+    shutil.copytree(bundle20_dir, broken)
+    first, later = _first_mask_of(broken, "x0001"), _first_mask_of(broken, "x0004")
+    _truncate_runs(first)
+    _truncate_runs(later)
+    errors = []
+    for jobs in ("1", "2", "3"):
+        out_dir = tmp_path / f"out{jobs}"
+        out_dir.mkdir()
+        assert main(place_args(broken, out_dir / "pred.geojson", ["--jobs", jobs])) == 2
+        errors.append(capsys.readouterr().err)
+        assert list(out_dir.iterdir()) == []
+        assert_no_child_left()
+    assert first.name in errors[0] and later.name not in errors[0]
+    assert errors == [errors[0]] * 3
+
+
+def _buffer_sizes(bundle: Path) -> list[int]:
+    """The image count of each buffer's slice, in buffer order."""
+    files = ("images.json", "masks", "detections.jsonl", "footprints.geojson", "buffers.json")
+    parts = slice_bundle(load_inputs(*(str(bundle / name) for name in files)), RunConfig())
+    return [len(part.images) for part in parts]
+
+
+def assert_fair_deal(sizes: list[int], n: int) -> None:
+    """deal gives each buffer to exactly one of n processes, each share in
+    buffer order, and the process loads differ by at most the largest size."""
+    shares = deal(sizes, n)
+    assert shares == deal(sizes, n) and len(shares) == n
+    assert sorted(i for share in shares for i in share) == list(range(len(sizes)))
+    assert all(share == sorted(share) for share in shares)
+    loads = [sum(sizes[i] for i in share) for share in shares]
+    assert max(loads) - min(loads) <= max(sizes, default=0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_deal_is_balanced_by_image_count(n, bundle20_dir):
+    # The bundle alternates crossroads (4 tracks) with T-junctions (3), so a
+    # deal by position would give one process every crossroad at n = 2.
+    assert_fair_deal(_buffer_sizes(bundle20_dir), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), max_size=30), n=st.integers(1, 5))
+def test_deal_gives_each_buffer_to_one_process(sizes, n):
+    assert_fair_deal(sizes, n)
+
+
+def test_place_jobs_loads_no_process_pool(bundle20_dir, tmp_path):
+    out = tmp_path / "pred.geojson"
+    argv = place_args(bundle20_dir, out, ["--jobs", "2"])
+    code = (
+        f"import sys, rop.cli; rc = rop.cli.main({argv!r}); "
+        "print(rc, [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 []"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLACE20_SHA256
+
+
+def _worker_buffers(bundle: Path, n: int, k: int) -> set[str]:
+    """The intersection ids that worker k of n places."""
+    buffers = load_buffers(str(bundle / "buffers.json"))
+    return {buffers[i].intersection_id for i in deal(_buffer_sizes(bundle), n)[k]}
+
+
+def test_a_killed_worker_is_an_error_not_a_short_output(bundle20_dir, tmp_path, monkeypatch):
+    # Worker 1 is killed mid-share. Worker 2 fills its pipe and blocks on it
+    # until the parent, on its way out, closes the read end.
+    import rop.cli
+
+    parent, real = os.getpid(), rop.cli.run_intersection
+    doomed, bulky = _worker_buffers(bundle20_dir, 3, 1), _worker_buffers(bundle20_dir, 3, 2)
+
+    def run_intersection(part, cfg):
+        if os.getpid() != parent:
+            if part.buffers[0].intersection_id in doomed:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if part.buffers[0].intersection_id in bulky:
+                return IntersectionResult(diagnostics=[{"pad": "x" * 200_000}])
+        return real(part, cfg)
+
+    def hung(signum, frame):
+        raise TimeoutError("the parent waits for a worker that is blocked on its pipe")
+
+    monkeypatch.setattr(rop.cli, "run_intersection", run_intersection)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match=r"place worker 1 \(pid \d+\) .*wait status 9\b"):
+            main(place_args(bundle20_dir, out_dir / "pred.geojson", ["--jobs", "3"]))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert list(out_dir.iterdir()) == []
+    assert_no_child_left()
+
+
+def test_jobs_above_one_needs_fork(bundle_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(SystemExit) as exc:
+        main(place_args(bundle_dir, tmp_path / "pred.geojson", ["--jobs", "2"]))
+    assert exc.value.code == 64
+    assert "os.fork" in capsys.readouterr().err
+    assert main(place_args(bundle_dir, tmp_path / "pred.geojson", ["--jobs", "1"])) == 0
 
 
 def test_place_writes_through_a_symlink(bundle_dir, tmp_path):
@@ -572,8 +704,8 @@ def fresh_python(*args: str, openblas_threads: str | None = None) -> subprocess.
 
 
 def test_cli_import_leaves_scipy_out():
-    # Nor does it load what `rop place` never runs: the renderer, the
-    # evaluator and the process pool are imported where they are used.
+    # Nor does it load what `rop place` never runs: the renderer and the
+    # evaluator are imported where they are used, and no process pool is.
     unused = ("scipy", "rop.synth", "rop.evalx", "concurrent.futures.process")
     code = f"import sys, rop.cli; print([m for m in {unused!r} if m in sys.modules])"
     out = fresh_python("-c", code)

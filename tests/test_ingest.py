@@ -257,7 +257,7 @@ def test_mask_directory_lazy_mapping(tmp_path):
     assert d.size_of("img_b") == (4, 3)
     with pytest.raises(KeyError):
         d["missing"]
-    # A copy sent to a worker process reads the same maps.
+    # A pickled copy of a view reads the same maps.
     view = pickle.loads(pickle.dumps(d.only(["img_a"])))
     assert list(view) == ["img_a"]
     assert np.array_equal(pixels(view["img_a"]), a)

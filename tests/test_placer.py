@@ -409,7 +409,7 @@ def test_geojson_round_trip_and_order():
 
 def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
     bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
-    part = slice_bundle(bundle, CFG.corner_radius_m)[0]
+    part = slice_bundle(bundle, CFG)[0]
     calls = []
     real_extract = scene.extract_regions
 
@@ -430,7 +430,7 @@ def test_no_corners_counts_only_objects_that_can_be_placed():
     # distinct lights and signs as unplaced; its sidewalks are not counted,
     # and a track that saw nothing else reports nothing.
     bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
-    part = dataclasses.replace(slice_bundle(bundle, CFG.corner_radius_m)[0], footprints=[])
+    part = dataclasses.replace(slice_bundle(bundle, CFG)[0], footprints=[])
     expected = []
     saw_sidewalks = False
     for track in build_tracks(part.images, part.buffers[0]):
@@ -484,7 +484,7 @@ def neighbours():
 
 
 def _outcome(bundle, buffer):
-    part = slice_bundle(bundle, CFG.corner_radius_m)[bundle.buffers.index(buffer)]
+    part = slice_bundle(bundle, CFG)[bundle.buffers.index(buffer)]
     result = run_intersection(part, CFG)
     return to_geojson(result.placed), result.diagnostics
 
@@ -499,18 +499,36 @@ def _merged(bundles):
     )
 
 
-@settings(max_examples=12, deadline=None)
+def _on_a_street(layouts, gap_m):
+    """The layouts re-centred gap_m apart along one east-west street. Each
+    still renders alone, so a camera sees only its own intersection, but
+    neighbouring buffers share images."""
+    frame = make_frame(layouts[0].center)
+    return [
+        dataclasses.replace(lay, center=unproject(frame, LocalPoint(k * gap_m, 0.0)))
+        for k, lay in enumerate(layouts)
+    ]
+
+
+@settings(max_examples=16, deadline=None)
 @given(
     target=st.integers(0, 3),
     others=st.lists(st.integers(0, 3), unique=True),
     target_at=st.integers(0, 4),
+    street_gap_m=st.one_of(st.none(), st.floats(70.0, 110.0)),
 )
-@example(target=0, others=[3], target_at=0)
-@example(target=3, others=[0, 1, 2], target_at=3)
-def test_placement_is_invariant_to_the_other_buffers(neighbours, target, others, target_at):
+@example(target=0, others=[3], target_at=0, street_gap_m=None)
+@example(target=3, others=[0, 1, 2], target_at=3, street_gap_m=None)
+@example(target=1, others=[0, 2], target_at=1, street_gap_m=70.0)
+@example(target=0, others=[1], target_at=0, street_gap_m=110.0)
+def test_placement_is_invariant_to_the_other_buffers(neighbours, target, others, target_at, street_gap_m):
     bundles, alone = neighbours
     order = [i for i in others if i != target]
     order.insert(min(target_at, len(order)), target)
+    if street_gap_m is not None:
+        street = _on_a_street(standard_fixtures(4, seed=1), street_gap_m)
+        bundles = {i: render_bundle(street[i])[0] for i in order}
+        alone = {target: _outcome(bundles[target], bundles[target].buffers[0])}
     merged = _merged([bundles[i] for i in order])
     buffer = bundles[target].buffers[0]
     assert _outcome(merged, buffer) == alone[target]
@@ -526,7 +544,7 @@ def _placed_locally(layout):
     (kind, position in the buffer's local frame), and the completeness
     against the rendered truth."""
     bundle, truth = render_bundle(layout)
-    (part,) = slice_bundle(bundle, CFG.corner_radius_m)
+    (part,) = slice_bundle(bundle, CFG)
     placed = run_intersection(part, CFG).placed
     frame = make_frame(layout.center)
     objects = [
@@ -580,21 +598,27 @@ def projects(frame, p):
     return True
 
 
-def slice_oracle(bundle, corner_radius_m):
+def slice_oracle(bundle, cfg):
     """Each buffer's images and footprints, by a scalar scan of the whole
-    bundle: a footprint is kept when a vertex lies within reach and every
-    vertex projects into the buffer's frame."""
+    bundle: an image is kept when it lies in the buffer and has no heading or
+    does not leave the center (C3); a footprint is kept when a vertex lies
+    within reach and every vertex projects into the buffer's frame."""
     out = []
     for buffer in bundle.buffers:
         frame = make_frame(buffer.center)
-        reach_m = buffer.radius_m + corner_radius_m
+        reach_m = buffer.radius_m + cfg.corner_radius_m
         footprints = [
             fp
             for fp in bundle.footprints
             if any(within(frame, v, reach_m) for v in fp.ring)
             and all(projects(frame, v) for v in fp.ring)
         ]
-        out.append((images_in_buffer(bundle.images, buffer), footprints))
+        images = [
+            im
+            for im in images_in_buffer(bundle.images, buffer)
+            if im.heading_deg is None or classify_camera(im, frame, cfg.inner_radius_m) != "C3"
+        ]
+        out.append((images, footprints))
     return out
 
 
@@ -605,9 +629,11 @@ def _nudged(x, ulps):
     return x
 
 
-def _bundle(positions, rings, buffers):
+def _bundle(positions, rings, buffers, headings=()):
+    """Images at positions, heading north unless headings says otherwise."""
+    headings = [*headings, *[0.0] * (len(positions) - len(headings))]
     images = [
-        ImageMeta(f"i{k}", p, 0.0, "s0", None, 4, 4) for k, p in enumerate(positions)
+        ImageMeta(f"i{k}", p, h, "s0", None, 4, 4) for k, (p, h) in enumerate(zip(positions, headings))
     ]
     return Bundle(
         images=images,
@@ -628,7 +654,7 @@ def sliceable_bundles(draw):
     corners of the box around it, at any angle, or beyond the frame span.
     Some footprints reach 0.1 deg from their first vertex, past the span."""
     base = make_frame(GeoPoint(draw(st.floats(-60, 60)), draw(st.floats(-170, 170))))
-    corner_radius_m = draw(st.floats(0.0, 30.0))
+    corner_radius_m = draw(st.floats(0.0, 30.0, exclude_min=True))
     offset = st.one_of(st.just(0.0), st.floats(-80.0, 80.0))
     buffers = [
         IntersectionBuffer(
@@ -663,6 +689,8 @@ def sliceable_bundles(draw):
         return GeoPoint(_nudged(lat, draw(ulps)), _nudged(lon, draw(ulps)))
 
     positions = [point() for _ in range(draw(st.integers(0, 8)))]
+    heading = st.one_of(st.none(), st.sampled_from([0.0, 90.0, 180.0, 270.0]), st.floats(0.0, 360.0))
+    headings = [draw(heading) for _ in positions]
     size = st.one_of(st.floats(-3e-4, 3e-4), st.sampled_from([-0.1, 0.1]))
     rings = []
     for _ in range(draw(st.integers(0, 5))):
@@ -691,7 +719,12 @@ def sliceable_bundles(draw):
                 radii = [r for r in (rest, _nudged(rest, 1), _nudged(rest, -1)) if r + corner_radius_m == d]
             if radii and radii[0] > 0.0:
                 buffers[j] = dataclasses.replace(buffers[j], radius_m=radii[0])
-    return _bundle(positions, rings, buffers), corner_radius_m
+    cfg = dataclasses.replace(
+        CFG,
+        corner_radius_m=corner_radius_m,
+        inner_radius_m=draw(st.sampled_from([0.0, CFG.inner_radius_m, 30.0])),
+    )
+    return _bundle(positions, rings, buffers, headings), cfg
 
 
 def _square(center, half_m):
@@ -709,16 +742,14 @@ def _square(center, half_m):
         _bundle(
             [], [_square(CENTER, 5.0)], [IntersectionBuffer("x0", CENTER), IntersectionBuffer("x1", CENTER)]
         ),
-        CFG.corner_radius_m,
+        CFG,
     )
 )
 def test_slice_bundle_matches_a_full_scan(case):
-    bundle, corner_radius_m = case
-    slices = slice_bundle(bundle, corner_radius_m)
+    bundle, cfg = case
+    slices = slice_bundle(bundle, cfg)
     assert [part.buffers for part in slices] == [[b] for b in bundle.buffers]
-    assert [(part.images, part.footprints) for part in slices] == slice_oracle(
-        bundle, corner_radius_m
-    )
+    assert [(part.images, part.footprints) for part in slices] == slice_oracle(bundle, cfg)
     for part in slices:
         ids = [im.image_id for im in part.images]
         assert list(part.label_maps) == ids
