@@ -5,7 +5,8 @@ with truth), eval (score predictions against references), dump-trees
 (per-image tree export), config (print the effective configuration).
 
 Exit codes: 0 success, 1 failed --min-completeness gate, 2 input error,
-3 empty output, 64 usage error. ROP_LOG sets the log level.
+3 empty output, 64 usage error, 70 internal fault (a bug in rop, reported in
+one line; ROP_LOG=DEBUG adds its traceback). ROP_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -50,8 +51,13 @@ EX_GATE = 1
 EX_INPUT = 2
 EX_EMPTY = 3
 EX_USAGE = 64
+EX_SOFTWARE = 70
 
 log = logging.getLogger("rop.cli")
+
+
+class Fault(Exception):
+    """A fault in rop itself, not in its input, as its one line of stderr."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,13 +173,19 @@ def _place_share(
     slices: list[Bundle], share: list[int], cfg: RunConfig
 ) -> tuple[list[IntersectionResult], tuple[int, Exception] | None]:
     """The results of share's buffers in order, or, at the first buffer that
-    fails, no results and that buffer's index with its exception."""
+    fails, no results and that buffer's index with its exception. An input
+    error passes as it is; any other exception becomes a Fault naming the
+    buffer, its traceback logged at DEBUG in the process that hit it."""
     results = []
     for i in share:
         try:
             results.append(run_intersection(slices[i], cfg))
-        except Exception as exc:
+        except (ValueError, OSError) as exc:
             return [], (i, exc)
+        except Exception as exc:
+            iid = slices[i].buffers[0].intersection_id
+            log.debug("fault placing %s", iid, exc_info=True)
+            return [], (i, Fault(f"{iid}: {type(exc).__name__}: {exc}"))
     return results, None
 
 
@@ -189,8 +201,8 @@ def _worker(
         with open(out, "wb") as fh:
             fh.write(pickle.dumps(_place_share(slices, share, cfg), pickle.HIGHEST_PROTOCOL))
         code = 0
-    except Exception:  # the payload cannot be sent: say why, exit 1
-        sys.excepthook(*sys.exc_info())
+    except Exception:  # the payload cannot be sent: exit 1, the parent reports it
+        log.debug("place worker cannot send its results", exc_info=True)
     finally:
         sys.stderr.flush()
         os._exit(code)
@@ -425,6 +437,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EX_INPUT
+    except Exception as exc:
+        if not isinstance(exc, Fault):
+            log.debug("internal fault", exc_info=True)
+            exc = Fault(f"{type(exc).__name__}: {exc}")
+        sys.stderr.write(f"internal error: {exc}\n")
+        return EX_SOFTWARE
 
 
 def _exit(code: int) -> NoReturn:

@@ -10,7 +10,6 @@ from pathlib import Path
 _POSITIVE = ("high_factor", "ring_px", "corner_radius_m")
 _NON_NEGATIVE = (
     "min_region_px",
-    "sidewalk_gap_px",
     "high_height_m",
     "low_height_m",
     "inner_radius_m",
@@ -27,7 +26,6 @@ class RunConfig:
     # grammar
     high_factor: float = 3.0
     ring_px: int = 15
-    sidewalk_gap_px: int = 40
     stack_dx_frac: float = 0.04
     pedestrian_fallback_frac: float = 0.22
     # placer

@@ -1,11 +1,12 @@
 """Urban-grammar rules over one image's scene objects.
 
-Five rules turn raw regions into structured evidence: lights are classified
+Four rules turn raw regions into structured evidence: lights are classified
 high (suspended over the road, ~7 m) or low (pole-mounted, ~4 m) from their
-surround and a downward ray; sidewalk fragments on one side merge; a low light
-seen on only one side implies its twin across the road; and each side's
-objects form vertical stacks, ordered left to right, with signs and low
-lights sharing a pole in one stack.
+surround and a downward ray (Rules 1-2); a low light seen on only one side
+implies its twin across the road (Rule 4); and each side's objects form
+vertical stacks, ordered left to right, with signs and low lights sharing a
+pole in one stack and each sidewalk component a stack of its own (Rule 5).
+There is no Rule 3; the others keep the numbers the docs cite.
 """
 
 from __future__ import annotations
@@ -122,59 +123,6 @@ def classify_lights(
                 obj.light_kind = "high" if margin > 0 else "low"
             else:
                 obj.light_kind = _ray_kind(obj, runs, tallest, cfg)
-
-
-# ---------------------------------------------------------------------------
-# Rule 3: sidewalk merging.
-
-
-def _merged_walk(members: list[SceneObject]) -> SceneObject:
-    members = sorted(members, key=lambda o: (o.bbox[0], o.id))
-    x0 = min(o.bbox[0] for o in members)
-    y0 = min(o.bbox[1] for o in members)
-    x1 = max(o.bbox[0] + o.bbox[2] for o in members)
-    y1 = max(o.bbox[1] + o.bbox[3] for o in members)
-    area = sum(o.area_px for o in members)
-    row = sum(o.centroid[0] * o.area_px for o in members) / area
-    col = sum(o.centroid[1] * o.area_px for o in members) / area
-    return SceneObject(
-        id=members[0].id,
-        category="sidewalk",
-        centroid=(row, col),
-        area_px=area,
-        bbox=(x0, y0, x1 - x0, y1 - y0),
-    )
-
-
-def merge_sidewalks(
-    objs: list[SceneObject], width_px: int, cfg: RunConfig = RunConfig()
-) -> list[SceneObject]:
-    """Chain-merge same-side sidewalk blocks whose horizontal gap fits the
-    threshold (transitively); everything else passes through. Output order is
-    canonical, so the result does not depend on input order."""
-    walks = [o for o in objs if o.category == "sidewalk"]
-    rest = [o for o in objs if o.category != "sidewalk"]
-    merged: list[SceneObject] = []
-    for side in ("left", "right"):
-        blocks = sorted(
-            (o for o in walks if side_of(o, width_px) == side),
-            key=lambda o: (o.bbox[0], o.id),
-        )
-        chain: list[SceneObject] = []
-        reach = None
-        for o in blocks:
-            if chain and o.bbox[0] - reach > cfg.sidewalk_gap_px:
-                merged.append(_merged_walk(chain))
-                chain = []
-                reach = None
-            chain.append(o)
-            right_edge = o.bbox[0] + o.bbox[2]
-            reach = right_edge if reach is None else max(reach, right_edge)
-        if chain:
-            merged.append(_merged_walk(chain))
-    out = rest + merged
-    out.sort(key=lambda o: (o.category, o.centroid[1], o.centroid[0], o.id))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +245,8 @@ def apply_grammar(
     maps: list[LabelRuns],
     cfg: RunConfig = RunConfig(),
 ) -> list[dict[str, list[list[SceneObject]]]]:
-    """Run Rules 1-5 in order on each image of a track: per image, each
-    side's stacks (see stack_objects).
+    """Run Rules 1-2, 4 and 5 in order on each image of a track: per image,
+    each side's stacks (see stack_objects).
 
     scenes[i] holds the objects of maps[i]'s image and its tallest
     pedestrian's height in pixels, 0 if none (see scene.scene_objects). The
@@ -309,7 +257,6 @@ def apply_grammar(
     out = []
     for (objs, _), runs in zip(scenes, maps):
         width_px = runs.width
-        objs = merge_sidewalks(objs, width_px, cfg)
         left = [o for o in objs if side_of(o, width_px) == "left"]
         right = [o for o in objs if side_of(o, width_px) == "right"]
         twin = infer_pair(left, right, width_px)

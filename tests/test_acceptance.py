@@ -31,7 +31,7 @@ from rop.geo import (
     project,
     unproject,
 )
-from rop.grammar import apply_grammar, classify_lights, merge_sidewalks, stack_objects
+from rop.grammar import apply_grammar, classify_lights, stack_objects
 from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks
 from rop.placer import run_intersection, select_corners, slice_bundle, to_geojson, track_trees
 from rop.scene import scene_objects
@@ -89,7 +89,7 @@ def fixture_run():
 # sorted keys. A change meant to alter the output updates these pins and
 # records the new hashes in CHANGES.md.
 PLACED_SHA256_N100 = "a5339ec4cb4848ee0ae8eee4f590096f05e1baaaa58959e23c143acea2c95efe"
-TREES_SHA256_N100 = "b3d335d79222bd081b19ecda101895e47692d29fdfaba524b51c3a4af5317af7"
+TREES_SHA256_N100 = "117aecf54219f558bb1942ccae7657769f35bdac7612d913a3b237aff4731c94"
 
 
 def _sha256_json(doc) -> str:
@@ -575,28 +575,11 @@ def test_criterion_6_structural_invariants(fixture_run):
             assert tree_to_json(shuffled) == base, img.image_id
             n_shuffles += 1
 
-    # Sidewalk merging is idempotent and order-independent.
-    def merge_key(objs):
-        return [(o.id, o.category, o.bbox, o.area_px, o.centroid) for o in objs]
-
-    n_merge = 0
-    for run in fixture_run.runs[:5]:
-        img, label_map, dets = _scene_inputs(run)
-        ((objs, _),) = scene_objects([label_map], [dets])
-        merged = merge_sidewalks(objs, img.width_px)
-        assert merge_key(merge_sidewalks(merged, img.width_px)) == merge_key(merged)
-        for _ in range(10):
-            o2 = list(objs)
-            rng.shuffle(o2)
-            assert merge_key(merge_sidewalks(o2, img.width_px)) == merge_key(merged)
-            n_merge += 1
-
     _report(
         6,
         True,
         f"heap arithmetic on {n_trees} trees ({n_nodes} nodes); tree assembly "
-        f"invariant under {n_shuffles} input shuffles; sidewalk merge "
-        f"idempotent and order-independent ({n_merge} shuffles)",
+        f"invariant under {n_shuffles} input shuffles",
     )
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import random
+import re
 import shutil
 import signal
 import struct
@@ -324,18 +327,108 @@ def test_place_rejects_malformed_bundle_file(flag, edit, fragment, bundle_dir, t
     assert fragment in err and src.name in err
 
 
+def _json_paths(value, prefix=()):
+    """The path, as keys and indices, of every member below value."""
+    members = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, member in members:
+        yield (*prefix, key)
+        yield from _json_paths(member, (*prefix, key))
+
+
+OTHER_TYPES = [None, True, 7, 2.5, "x", [], {}]
+BUNDLE_FILES = {
+    "images": "images.json",
+    "detections": "detections.jsonl",
+    "footprints": "footprints.geojson",
+    "buffers": "buffers.json",
+}
+
+
+@st.composite
+def bundle_mutations(draw, bundle: Path):
+    """A flag of place_args and an edit of the file or directory it names:
+    one field, record or mask file dropped, retyped, duplicated or cut short."""
+    flag = draw(st.sampled_from([*BUNDLE_FILES, "masks"]))
+    op = draw(st.sampled_from(["drop", "retype", "duplicate", "truncate"]))
+    if flag == "masks":
+        name = draw(st.sampled_from(sorted(p.name for p in (bundle / "masks").iterdir())))
+        cut = draw(st.floats(0.0, 1.0, exclude_max=True))
+
+        def edit_masks(masks: Path) -> None:
+            mask = masks / name
+            if op == "drop":
+                mask.unlink()
+            elif op == "retype":  # run-length bytes under the PGM suffix
+                mask.rename(mask.with_suffix(".pgm"))
+            elif op == "duplicate":
+                runs = read_rle(str(mask))
+                write_pgm(str(mask.with_suffix(".pgm")), runs.rows(0, runs.height))
+            else:
+                data = mask.read_bytes()
+                mask.write_bytes(data[: int(cut * len(data))])
+
+        return flag, edit_masks
+    text = (bundle / BUNDLE_FILES[flag]).read_text()
+    if op == "truncate":
+        cut = draw(st.integers(0, len(text) - 1))
+        return flag, lambda _: text[:cut]
+    lines = flag == "detections"
+    doc = [json.loads(line) for line in text.splitlines()] if lines else json.loads(text)
+    records = doc["features"] if flag == "footprints" else doc
+    i = draw(st.integers(0, len(records) - 1))
+    if op == "duplicate":
+        records.insert(i, records[i])
+    else:
+        path = (i, *draw(st.sampled_from([(), *_json_paths(records[i])])))
+        parent = records
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from([v for v in OTHER_TYPES if type(v) is not type(parent[path[-1]])]))
+    edited = "".join(json.dumps(r) + "\n" for r in doc) if lines else json.dumps(doc)
+    return flag, lambda _: edited
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_mutated_bundle_places_or_names_a_file(bundle_dir, tmp_path_factory, data):
+    # Any one damaged field, record or mask file places, exits 3 on an empty
+    # output, or exits 2 with one line that names an input. Never a fault.
+    flag, edit = data.draw(bundle_mutations(bundle_dir))
+    work = tmp_path_factory.mktemp("mutated")
+    argv = place_args(bundle_dir, work / "pred.geojson")
+    i = argv.index(f"--{flag}") + 1
+    src = Path(argv[i])
+    argv[i] = str(work / src.name)
+    if flag == "masks":
+        shutil.copytree(src, argv[i])
+        edit(Path(argv[i]))
+    else:
+        Path(argv[i]).write_text(edit(src.read_text()))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 2:
+        (line,) = err.getvalue().splitlines()
+        inputs = [argv[argv.index(f"--{f}") + 1] for f in (*BUNDLE_FILES, "masks")]
+        assert line.startswith("error: ") and any(path in line for path in inputs), line
+
+
 # The bytes this two-fixture bundle places to and dumps as trees. A change
 # meant to alter the output updates these pins and records the new hashes in
 # CHANGES.md.
 PLACE_SHA256 = "80d13b3ba68c1bf528cb900329d153875127aec19737f3c39ad90df7a13381f0"
-DUMP_TREES_SHA256 = "a400e883ac6941ba49da7ebb7ee7ccfd36743afa9849669d86fb87464240d04f"
+DUMP_TREES_SHA256 = "ae256498860cd31be130d2c23ed60a16d79f8cb2ca0b4418018d176c7e831f95"
 # The files of `rop synth --fixtures 2 --seed 1` and `--fixtures 20 --seed 1`,
 # hashed as tree_sha256 does.
 SYNTH_SHA256 = "620b9fa45ff4a811b936043cd917aab39e29fc153cc7e296a41fb12949ecdaf0"
 SYNTH20_SHA256 = "8654e080d4398256ebc3aa19425ecb749886bd9f5b3e9f4dae45337c1b913194"
 # The bytes `--fixtures 20 --seed 1` places to and dumps as trees.
 PLACE20_SHA256 = "823eaf593e6332cb2e529f94133dc95952b1fb40944b0bd62cbe884bee1eb130"
-DUMP_TREES20_SHA256 = "1284eea22f7ef9580a1165ebf523b6cc5c929e62871ab171aa93da27cc677c79"
+DUMP_TREES20_SHA256 = "8e39abf10ccc404db23447fb69ca158bafc7b0db42dd62c5a9f3f93e5dda3410"
 
 
 def tree_sha256(root: Path) -> str:
@@ -360,6 +453,53 @@ def bundle20_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("bundle20")
     assert main(["synth", "--out", str(out), "--fixtures", "20", "--seed", "1"]) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def c2_bundle_dir(tmp_path_factory):
+    """The first standard fixture plus one camera 6 m from its centre, inside
+    the default 10 m inner radius: the only C2 view that any bundle here has."""
+    lay = standard_fixtures(1, seed=1)[0]
+    lay.cameras.append(CameraPose("x0000-WE-zz", "x0000-WE-s0", LocalPoint(-6.0, 0.0), 90.0))
+    out = tmp_path_factory.mktemp("c2_bundle")
+    save_layouts([lay], str(out / "layout.json"))
+    assert main(["synth", "--out", str(out), "--layout", str(out / "layout.json")]) == 0
+    return out
+
+
+# Every RunConfig key, in field order: its default, one other value, and a
+# scene whose `place` or `dump-trees` bytes differ between the two. A key that
+# no scene moves is a knob that nothing tests: give it a scene or remove it.
+KNOBS = [
+    ("min_region_px", 25, 5, "bundle_dir", "place"),
+    ("iou_min", 0.3, 0.0, "bundle_dir", "dump-trees"),
+    ("high_factor", 3.0, 1.5, "bundle20_dir", "place"),
+    ("ring_px", 15, 3, "bundle20_dir", "place"),
+    ("stack_dx_frac", 0.04, 0.01, "bundle_dir", "place"),
+    ("pedestrian_fallback_frac", 0.22, 0.01, "bundle20_dir", "place"),
+    ("high_height_m", 7.0, 6.0, "bundle_dir", "place"),
+    ("low_height_m", 4.0, 3.0, "bundle_dir", "place"),
+    ("corner_radius_m", 26.0, 10.0, "bundle_dir", "place"),
+    ("inner_radius_m", 10.0, 0.0, "c2_bundle_dir", "place"),
+    ("offset_m", 2.5, 1.0, "bundle_dir", "place"),
+    ("dedup_radius_m", 1.5, 10.0, "bundle_dir", "place"),
+]
+
+
+def test_knobs_list_every_config_key_and_its_default():
+    assert [key for key, *_ in KNOBS] == [f.name for f in dataclasses.fields(RunConfig)]
+    assert {key: default for key, default, *_ in KNOBS} == dataclasses.asdict(RunConfig())
+
+
+@pytest.mark.parametrize("key, default, other, scene, command", KNOBS, ids=[k[0] for k in KNOBS])
+def test_every_config_key_moves_some_output(key, default, other, scene, command, request, tmp_path):
+    bundle = request.getfixturevalue(scene)
+    outputs = []
+    for value in (default, other):
+        out = tmp_path / f"{value}.json"
+        assert main([command, *place_args(bundle, out, ["--set", f"{key}={value}"])[1:]]) in (0, 3)
+        outputs.append(out.read_bytes())
+    assert outputs[0] != outputs[1], f"{key} = {other} changes no byte of {command} on {scene}"
 
 
 def test_synth20_output_is_pinned(bundle20_dir):
@@ -552,7 +692,7 @@ def _worker_buffers(bundle: Path, n: int, k: int) -> set[str]:
     return {buffers[i].intersection_id for i in deal(_buffer_sizes(bundle), n)[k]}
 
 
-def test_a_killed_worker_is_an_error_not_a_short_output(bundle20_dir, tmp_path, monkeypatch):
+def test_a_killed_worker_is_an_error_not_a_short_output(bundle20_dir, tmp_path, monkeypatch, capsys):
     # Worker 1 is killed mid-share. Worker 2 fills its pipe and blocks on it
     # until the parent, on its way out, closes the read end.
     import rop.cli
@@ -577,13 +717,37 @@ def test_a_killed_worker_is_an_error_not_a_short_output(bundle20_dir, tmp_path, 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     try:
-        with pytest.raises(RuntimeError, match=r"place worker 1 \(pid \d+\) .*wait status 9\b"):
-            main(place_args(bundle20_dir, out_dir / "pred.geojson", ["--jobs", "3"]))
+        assert main(place_args(bundle20_dir, out_dir / "pred.geojson", ["--jobs", "3"])) == 70
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"internal error: RuntimeError: place worker 1 \(pid \d+\) .*wait status 9\b.*\n", err)
     assert list(out_dir.iterdir()) == []
     assert_no_child_left()
+
+
+def test_an_internal_fault_exits_70_in_one_line_at_any_jobs(bundle20_dir, tmp_path, monkeypatch, capsys):
+    # A bug in rop is not an input error (2) and not a failed gate (1). The
+    # line names the buffer being placed, whichever process placed it.
+    import rop.cli
+
+    real = rop.cli.run_intersection
+
+    def run_intersection(part, cfg):
+        if part.buffers[0].intersection_id == "x0003":
+            raise KeyError("corner")
+        return real(part, cfg)
+
+    monkeypatch.setattr(rop.cli, "run_intersection", run_intersection)
+    assert all("x0003" not in _worker_buffers(bundle20_dir, n, 0) for n in (2, 3))  # a worker's
+    for jobs in ("1", "2", "3"):
+        out_dir = tmp_path / f"out{jobs}"
+        out_dir.mkdir()
+        assert main(place_args(bundle20_dir, out_dir / "pred.geojson", ["--jobs", jobs])) == 70
+        assert capsys.readouterr().err == "internal error: x0003: KeyError: 'corner'\n"
+        assert list(out_dir.iterdir()) == []
+        assert_no_child_left()
 
 
 def test_jobs_above_one_needs_fork(bundle_dir, tmp_path, monkeypatch, capsys):
@@ -951,7 +1115,7 @@ def test_config_show_lists_defaults_and_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "offset_m = 2.5" in out
     assert "ring_px = 15" in out
-    assert len(out.splitlines()) == 13
+    assert len(out.splitlines()) == 12
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("high_factor = 4.5  # widened\n")
     assert main(["config", "--show", "--config", str(cfg_file), "--set", "ring_px=20"]) == 0
@@ -986,7 +1150,9 @@ def test_config_override_without_equals_names_it(capsys):
     assert "override 'ring_px 20' is not key=value" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["seed", "jobs", "buffer_radius_m", "match_radius_m", "low_factor"])
+@pytest.mark.parametrize(
+    "key", ["seed", "jobs", "buffer_radius_m", "match_radius_m", "low_factor", "sidewalk_gap_px"]
+)
 def test_config_rejects_removed_key(key, capsys):
     assert main(["config", "--show", "--set", f"{key}=1"]) == 2
     err = capsys.readouterr().err
@@ -1020,7 +1186,6 @@ def _count_mask_reads(monkeypatch) -> list:
 INVALID_VALUES = [
     "ring_px=0",
     "high_factor=0",
-    "sidewalk_gap_px=-1",
     "stack_dx_frac=1",
     "offset_m=nan",
     "corner_radius_m=-1",
@@ -1264,6 +1429,36 @@ def test_entry_point_exit_codes(bundle_dir, tmp_path):
     usage = run_rop("place")
     assert usage.returncode == 64
     assert "usage: rop" in usage.stderr
+
+
+@pytest.mark.parametrize("level", ["WARNING", "DEBUG"])
+def test_entry_point_prints_a_fault_traceback_only_at_debug(level, bundle_dir, tmp_path):
+    # x0001 is placed by the forked worker at --jobs 2; its traceback is
+    # logged there, and the parent's last line is the fault's.
+    code = (
+        "import rop.cli\n"
+        "def run_intersection(part, cfg):\n"
+        "    if part.buffers[0].intersection_id == 'x0001':\n"
+        "        raise KeyError('corner')\n"
+        "    return real(part, cfg)\n"
+        "real, rop.cli.run_intersection = rop.cli.run_intersection, run_intersection\n"
+        "rop.cli.console_main()\n"
+    )
+    argv = place_args(bundle_dir, tmp_path / "pred.geojson", ["--jobs", "2"])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**fresh_env(), "ROP_LOG": level},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 70
+    lines = proc.stderr.splitlines()
+    assert lines[-1] == "internal error: x0001: KeyError: 'corner'"
+    if level == "DEBUG":
+        assert "Traceback (most recent call last)" in proc.stderr and "in run_intersection" in proc.stderr
+    else:
+        assert lines == lines[-1:]
 
 
 @pytest.mark.parametrize(

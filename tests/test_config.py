@@ -19,7 +19,6 @@ FIELDS = {
     "iou_min": st.floats(min_value=0.0, max_value=1.0),
     "high_factor": _positive,
     "ring_px": st.integers(1, 2**40),
-    "sidewalk_gap_px": st.integers(0, 2**40),
     "stack_dx_frac": _fraction,
     "pedestrian_fallback_frac": _fraction,
     "high_height_m": _non_negative,

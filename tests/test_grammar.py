@@ -1,4 +1,4 @@
-"""Light classification, sidewalk merging, pair inference, stacking."""
+"""Light classification, pair inference, stacking."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from rop.grammar import (
     apply_grammar,
     classify_lights,
     infer_pair,
-    merge_sidewalks,
     side_of,
     stack_objects,
     surround_margins,
@@ -297,7 +296,7 @@ def test_grammar_config_invariants():
 
 
 # ---------------------------------------------------------------------------
-# merge_sidewalks. Oracle: pairwise union-find transitive closure.
+# infer_pair.
 
 
 def walk(oid, x, w, y=700.0, h=30.0, width_px=1000):
@@ -310,134 +309,6 @@ def walk(oid, x, w, y=700.0, h=30.0, width_px=1000):
         bbox=(x, y, w, h),
     )
 
-
-def merge_oracle(walks, width_px, gap_px):
-    n = len(walks)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = walks[i], walks[j]
-            if side_of(a, width_px) != side_of(b, width_px):
-                continue
-            gap = max(a.bbox[0], b.bbox[0]) - min(a.bbox[0] + a.bbox[2], b.bbox[0] + b.bbox[2])
-            if gap <= gap_px:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(walks[i])
-    out = set()
-    for members in groups.values():
-        x0 = min(o.bbox[0] for o in members)
-        y0 = min(o.bbox[1] for o in members)
-        x1 = max(o.bbox[0] + o.bbox[2] for o in members)
-        y1 = max(o.bbox[1] + o.bbox[3] for o in members)
-        area = sum(o.area_px for o in members)
-        row = sum(o.centroid[0] * o.area_px for o in members) / area
-        col = sum(o.centroid[1] * o.area_px for o in members) / area
-        oid = min(members, key=lambda o: (o.bbox[0], o.id)).id
-        out.add((oid, round(row, 6), round(col, 6), round(area, 6), tuple(round(v, 6) for v in (x0, y0, x1 - x0, y1 - y0))))
-    return out
-
-
-def as_walk_set(objs):
-    return {
-        (o.id, round(o.centroid[0], 6), round(o.centroid[1], 6), round(o.area_px, 6), tuple(round(v, 6) for v in o.bbox))
-        for o in objs
-        if o.category == "sidewalk"
-    }
-
-
-def test_merge_two_blocks_within_gap():
-    a = walk("w0", 0.0, 100.0)
-    b = walk("w1", 130.0, 90.0)  # gap 30 <= 40
-    got = merge_sidewalks([a, b], 1000, CFG)
-    (m,) = [o for o in got if o.category == "sidewalk"]
-    assert m.id == "w0"
-    assert m.area_px == a.area_px + b.area_px
-    assert m.bbox == (0.0, 700.0, 220.0, 30.0)
-    # Pixel-weighted centroid.
-    want_col = (50.0 * 3000 + 175.0 * 2700) / 5700
-    assert m.centroid[1] == pytest.approx(want_col)
-
-
-def test_merge_respects_gap_threshold():
-    a = walk("w0", 0.0, 100.0)
-    b = walk("w1", 300.0, 90.0)  # gap 200
-    got = merge_sidewalks([a, b], 1000, CFG)
-    assert len([o for o in got if o.category == "sidewalk"]) == 2
-
-
-def test_merge_three_chained_blocks():
-    blocks = [walk("w0", 0.0, 80.0), walk("w1", 100.0, 80.0), walk("w2", 200.0, 80.0)]
-    got = merge_sidewalks(blocks, 1000, CFG)
-    walks_out = [o for o in got if o.category == "sidewalk"]
-    assert len(walks_out) == 1
-    assert walks_out[0].bbox == (0.0, 700.0, 280.0, 30.0)
-    assert as_walk_set(got) == merge_oracle(blocks, 1000, CFG.sidewalk_gap_px)
-
-
-def test_merge_overlapping_blocks():
-    a = walk("w0", 0.0, 100.0)
-    b = walk("w1", 50.0, 100.0)
-    got = merge_sidewalks([a, b], 1000, CFG)
-    (m,) = [o for o in got if o.category == "sidewalk"]
-    assert m.bbox == (0.0, 700.0, 150.0, 30.0)
-
-
-def test_merge_keeps_sides_apart():
-    a = walk("w0", 430.0, 60.0)  # centroid col 460: left of 500
-    b = walk("w1", 510.0, 60.0)  # centroid col 540: right
-    got = merge_sidewalks([a, b], 1000, CFG)
-    assert len([o for o in got if o.category == "sidewalk"]) == 2
-
-
-def test_merge_passes_other_objects_through():
-    light = obj("l0", "traffic_light", (100.0, 200.0))
-    a = walk("w0", 0.0, 100.0)
-    got = merge_sidewalks([light, a], 1000, CFG)
-    assert any(o.id == "l0" and o.category == "traffic_light" for o in got)
-
-
-def test_merge_idempotent():
-    blocks = [walk("w0", 0.0, 80.0), walk("w1", 100.0, 80.0), walk("w2", 600.0, 50.0)]
-    once = merge_sidewalks(blocks, 1000, CFG)
-    twice = merge_sidewalks(once, 1000, CFG)
-    assert as_walk_set(once) == as_walk_set(twice)
-    assert [o.id for o in once] == [o.id for o in twice]
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=900.0),
-            st.floats(min_value=5.0, max_value=120.0),
-        ),
-        min_size=0,
-        max_size=7,
-    ),
-    st.randoms(use_true_random=False),
-)
-def test_merge_matches_union_find_oracle_and_ignores_order(boxes, rnd):
-    blocks = [walk(f"w{i}", x, min(w, 999.0 - x)) for i, (x, w) in enumerate(boxes)]
-    got = merge_sidewalks(blocks, 1000, CFG)
-    assert as_walk_set(got) == merge_oracle(blocks, 1000, CFG.sidewalk_gap_px)
-    shuffled = list(blocks)
-    rnd.shuffle(shuffled)
-    again = merge_sidewalks(shuffled, 1000, CFG)
-    assert [o.id for o in again] == [o.id for o in got]
-    assert as_walk_set(again) == as_walk_set(got)
-
-
-# ---------------------------------------------------------------------------
-# infer_pair.
 
 W_IMG = 1000
 
@@ -641,3 +512,26 @@ def test_apply_grammar_end_to_end():
     # No sign: each light is a stack of its own, before its side's sidewalk.
     assert [[o.id for o in stack] for stack in stacks["left"]] == [[real[0].id], ["walk0"]]
     assert [[o.id for o in stack] for stack in stacks["right"]] == [[twins[0].id], ["walk1"]]
+
+
+def test_apply_grammar_keeps_each_sidewalk_component():
+    # Blocks on one side, however near, are never merged: each component of
+    # the label map is one stack, left to right. A side that shows any
+    # sidewalk still anchors Rule 4's twin.
+    lab = np.zeros((400, 1000), dtype=np.uint8)
+    lab[60:140, 80:240] = BUILDING
+    lab[90:111, 150:159] = LIGHT
+    lab[230:, :] = ROAD
+    lab[250:280, 0:100] = WALK
+    lab[250:280, 110:300] = WALK  # a 10 px gap
+    lab[250:280, 700:760] = WALK
+    lab[250:280, 800:1000] = WALK
+    from rop.scene import scene_objects
+
+    runs = runs_of(lab)
+    (stacks,) = apply_grammar(scene_objects([runs], [[]], CFG), [runs], CFG)
+    for side, spans in (("left", [(0, 100), (110, 190)]), ("right", [(700, 60), (800, 200)])):
+        walks = [stack for stack in stacks[side] if stack[0].category == "sidewalk"]
+        assert [len(stack) for stack in walks] == [1, 1]
+        assert [(s[0].bbox[0], s[0].bbox[2]) for s in walks] == spans
+    assert [o.inferred for stack in stacks["right"] for o in stack if o.category == "traffic_light"] == [True]
