@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rop.ingest import CATEGORY_IDS, CATEGORY_NAMES
+from rop.labelmap import CATEGORY_IDS, CATEGORY_NAMES
 from rop.labelmap import write_pgm
 from rop.synth import load_layouts, render_image, standard_fixtures
 

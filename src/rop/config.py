@@ -20,10 +20,10 @@ _NON_NEGATIVE = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    # scene
+    # scene: labelling and sign reconciliation
     min_region_px: int = 25
     iou_min: float = 0.3
-    # grammar
+    # scene: the light vote (Rules 1-2); stack_dx_frac is grammar's (Rule 5)
     high_factor: float = 3.0
     ring_px: int = 15
     stack_dx_frac: float = 0.04

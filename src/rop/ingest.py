@@ -20,39 +20,10 @@ from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-import numpy as np
-
 from .geo import Footprint, GeoPoint, make_frame, project, within
-from .labelmap import (
-    BundleError,
-    LabelRuns,
-    PgmBuffers,
-    read_pgm,
-    read_pgm_size,
-    read_rle,
-    read_rle_size,
-)
+from .labelmap import BundleError, LabelRuns, PgmBuffers, label_map_size, read_label_map
 
 log = logging.getLogger("rop.ingest")
-
-
-# ---------------------------------------------------------------------------
-# Category ids.
-
-# The byte each category takes in a label map. Part of the bundle format,
-# like the mask file formats in labelmap.
-CATEGORY_IDS = {
-    "other": 0,
-    "road": 1,
-    "sidewalk": 2,
-    "building": 3,
-    "sky": 4,
-    "pedestrian": 5,
-    "traffic_light": 6,
-    "traffic_sign": 7,
-    "vehicle": 8,
-}
-CATEGORY_NAMES = {cid: name for name, cid in CATEGORY_IDS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +84,10 @@ class Bundle:
 # The mask directory.
 
 
-_IS_CATEGORY = np.zeros(256, dtype=bool)
-_IS_CATEGORY[list(CATEGORY_IDS.values())] = True
-
-
 class MaskDirectory(Mapping):
     """Lazy image_id -> LabelRuns view over a directory that holds one
-    <image_id>.pgm or <image_id>.rle label map per image. A map whose value is
-    not in CATEGORY_IDS is a BundleError naming its file."""
+    <image_id>.pgm or <image_id>.rle label map per image, each read by
+    labelmap.read_label_map when looked up."""
 
     def __init__(self, directory: str):
         self._dir = Path(directory)
@@ -146,24 +113,14 @@ class MaskDirectory(Mapping):
         return self._paths[image_id]
 
     def size_of(self, image_id: str) -> tuple[int, int]:
-        path = self._paths[image_id]
-        return (read_rle_size if path.endswith(".rle") else read_pgm_size)(path)
+        return label_map_size(self._paths[image_id])
 
     def __getitem__(self, image_id: str) -> LabelRuns:
         try:
             path = self._paths[image_id]
         except KeyError:
             raise KeyError(image_id) from None
-        if path.endswith(".rle"):
-            runs = read_rle(path)
-        else:
-            runs = read_pgm(path, self._pgm_buffers)
-        bad = np.flatnonzero(~_IS_CATEGORY[runs.values])
-        if bad.size:
-            row, col = divmod(int(runs.starts[bad[0]]), runs.width)
-            value = runs.values[bad[0]]
-            raise BundleError(f"{path}: value {value} at row {row}, column {col} is not a category id")
-        return runs
+        return read_label_map(path, self._pgm_buffers)
 
     def __contains__(self, image_id: object) -> bool:
         # Mapping's default would decode the whole raster via __getitem__.

@@ -1,13 +1,19 @@
-"""Label maps as row runs, and the two mask file formats that hold them.
+"""Label maps as row runs, the category bytes they hold, and the two mask
+file formats.
 
-A label map assigns each pixel the byte of its category. Labelling and the
-grammar read it as row runs (LabelRuns). It is stored as binary PGM (P5, one
-byte per pixel, as a segmentation network writes it) or as a run-length .rle
-file; both readers return runs, so no full-size pixel array outlives a read.
+A label map assigns each pixel the byte of its category (CATEGORY_IDS).
+Labelling and the light vote in rop.scene read it as row runs (LabelRuns). It
+is stored as binary PGM (P5, one byte per pixel, as a segmentation network
+writes it) or as a run-length .rle file. read_label_map and label_map_size
+pick the format by suffix; a map is read straight into runs, so no
+full-size pixel array outlives a read, and a byte that is not a category id
+is a BundleError naming the file.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO
@@ -21,12 +27,29 @@ class BundleError(ValueError):
     every other bundle file."""
 
 
+# The byte each category takes in a label map: part of the bundle format.
+CATEGORY_IDS = {
+    "other": 0,
+    "road": 1,
+    "sidewalk": 2,
+    "building": 3,
+    "sky": 4,
+    "pedestrian": 5,
+    "traffic_light": 6,
+    "traffic_sign": 7,
+    "vehicle": 8,
+}
+CATEGORY_NAMES = {cid: name for name, cid in CATEGORY_IDS.items()}
+_IS_CATEGORY = np.zeros(256, dtype=bool)
+_IS_CATEGORY[list(CATEGORY_IDS.values())] = True
+
+
 @dataclass(frozen=True, eq=False)
 class LabelRuns:
-    """A label map as its row runs, the one form labelling and the grammar
-    read. Run i holds values[i] from flat pixel index starts[i] up to the next
-    run's start (width * height after the last run). Every row begins a run,
-    no run is empty, and neighbouring runs in one row differ in value."""
+    """A label map as its row runs, the one form rop.scene reads. Run i
+    holds values[i] from flat pixel index starts[i] up to the next run's
+    start (width * height after the last run). Every row begins a run, no
+    run is empty, and neighbouring runs in one row differ in value."""
 
     starts: np.ndarray  # int64, ascending from 0
     values: np.ndarray  # uint8
@@ -68,7 +91,7 @@ def _runs(flat: np.ndarray, change: np.ndarray, w: int, h: int) -> LabelRuns:
 
 def runs_of(label_map: np.ndarray) -> LabelRuns:
     """The row runs of a 2-D array of label bytes: the library's public
-    array-to-runs entry point, which shares its scan with read_pgm."""
+    array-to-runs entry point, which shares its scan with the PGM reader."""
     if label_map.ndim != 2:
         raise ValueError("label map must be 2-D")
     h, w = label_map.shape
@@ -121,9 +144,10 @@ def _pgm_header(fh: BinaryIO, path: str) -> tuple[int, int]:
 
 
 class PgmBuffers:
-    """The raster and run-start mask read_pgm scans a map in, kept from one
+    """The raster and run-start mask a PGM map is scanned in, kept from one
     read to the next: two fresh map-sized arrays per image cost more in page
-    faults than the scan. The runs read_pgm returns share no memory with them."""
+    faults than the scan. The runs read_label_map returns share no memory
+    with them."""
 
     def __init__(self) -> None:
         self._raster = np.empty(0, dtype=np.uint8)
@@ -136,20 +160,20 @@ class PgmBuffers:
         return self._raster[:n], self._change[:n]
 
 
-def read_pgm(path: str, buffers: PgmBuffers | None = None) -> LabelRuns:
+def _read_pgm(path: str, buffers: PgmBuffers | None) -> LabelRuns:
     with open(path, "rb") as fh:
         w, h = _pgm_header(fh, path)
         n = w * h
+        # A header may declare far more raster than the file holds: that is
+        # a short raster, found before a buffer of the declared size is taken.
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode) and (got := info.st_size - fh.tell()) < n:
+            raise BundleError(f"{path}: truncated raster ({got} of {n} bytes)")
         raster, change = (buffers or PgmBuffers()).take(n)
         got = fh.readinto(raster)
     if got < n:
         raise BundleError(f"{path}: truncated raster ({got} of {n} bytes)")
     return _runs(raster, change, w, h)
-
-
-def read_pgm_size(path: str) -> tuple[int, int]:
-    with open(path, "rb") as fh:
-        return _pgm_header(fh, path)
 
 
 def write_pgm(path: str, arr: np.ndarray) -> None:
@@ -204,7 +228,7 @@ def _run_fault(
     return None
 
 
-def read_rle(path: str) -> LabelRuns:
+def _read_rle(path: str) -> LabelRuns:
     with open(path, "rb") as fh:
         w, h, n = _rle_header(fh, path)
         body = fh.read()
@@ -221,9 +245,23 @@ def read_rle(path: str) -> LabelRuns:
     return LabelRuns(starts, values, w, h)
 
 
-def read_rle_size(path: str) -> tuple[int, int]:
+def read_label_map(path: str, buffers: PgmBuffers | None = None) -> LabelRuns:
+    """The label map in path: a run-length map if path ends in .rle, else a
+    binary PGM, scanned in buffers when given. A format fault, or a value
+    that is not in CATEGORY_IDS, is a BundleError naming path."""
+    runs = _read_rle(path) if path.endswith(".rle") else _read_pgm(path, buffers)
+    bad = np.flatnonzero(~_IS_CATEGORY[runs.values])
+    if bad.size:
+        row, col = divmod(int(runs.starts[bad[0]]), runs.width)
+        value = runs.values[bad[0]]
+        raise BundleError(f"{path}: value {value} at row {row}, column {col} is not a category id")
+    return runs
+
+
+def label_map_size(path: str) -> tuple[int, int]:
+    """(width, height) of the label map in path, read from its header alone."""
     with open(path, "rb") as fh:
-        return _rle_header(fh, path)[:2]
+        return _rle_header(fh, path)[:2] if path.endswith(".rle") else _pgm_header(fh, path)
 
 
 def write_rle(path: str, runs: LabelRuns) -> None:

@@ -337,13 +337,12 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
 def track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
     """One tree per image of track, in track order: the tree stage that
     run_intersection and dump-trees share. Each label map is read once, and
-    the track's maps are labelled and their lights voted in one pass."""
+    scene_objects makes the track's one pass over their runs."""
     maps = [part.label_maps[img.image_id] for img in track.images]
     detections = [part.detections.get(img.image_id, []) for img in track.images]
-    scenes = scene_objects(maps, detections, cfg)
     return [
-        build_atbt(stacks, img.image_id)
-        for img, stacks in zip(track.images, apply_grammar(scenes, maps, cfg))
+        build_atbt(apply_grammar(objs, runs.width, cfg), img.image_id)
+        for img, runs, objs in zip(track.images, maps, scene_objects(maps, detections, cfg))
     ]
 
 

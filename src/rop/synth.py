@@ -22,7 +22,6 @@ import numpy as np
 
 from .geo import Footprint, GeoPoint, LocalPoint, heading_vector, make_frame, unproject
 from .ingest import (
-    CATEGORY_IDS,
     Bundle,
     Detection,
     ImageMeta,
@@ -31,7 +30,7 @@ from .ingest import (
     from_json,
     to_json,
 )
-from .labelmap import LabelRuns, write_rle
+from .labelmap import CATEGORY_IDS, LabelRuns, write_rle
 from .placer import PlacedObject, to_geojson
 
 _NEAR_M = 0.2

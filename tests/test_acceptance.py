@@ -31,8 +31,9 @@ from rop.geo import (
     project,
     unproject,
 )
-from rop.grammar import apply_grammar, classify_lights, stack_objects
-from rop.ingest import CATEGORY_IDS, ImageMeta, build_tracks
+from rop.grammar import apply_grammar, stack_objects
+from rop.ingest import ImageMeta, build_tracks
+from rop.labelmap import CATEGORY_IDS
 from rop.placer import run_intersection, select_corners, slice_bundle, to_geojson, track_trees
 from rop.scene import scene_objects
 from rop.synth import (
@@ -210,11 +211,10 @@ def _ring_counts(canvas: np.ndarray, bbox, ring_px: int) -> tuple[int, int]:
 
 def _classify_one(layout: Layout) -> tuple[str, object]:
     runs, dets = render_image(layout, layout.cameras[0])
-    ((objs, tallest),) = scene_objects([runs], [dets])
+    (objs,) = scene_objects([runs], [dets])
     lights = [o for o in objs if o.category == "traffic_light"]
     if len(lights) != 1:
         return "NONE", None
-    classify_lights([lights], [runs], [tallest], RunConfig())
     return lights[0].light_kind, (runs.rows(0, runs.height), lights[0])
 
 
@@ -285,7 +285,8 @@ def _members(stacks) -> list:
 
 def _grammar_lights(layout: Layout) -> tuple[list, list]:
     runs, dets = render_image(layout, layout.cameras[0])
-    (stacks,) = apply_grammar(scene_objects([runs], [dets]), [runs])
+    (objs,) = scene_objects([runs], [dets])
+    stacks = apply_grammar(objs, runs.width)
     lights = [o for o in _members(stacks) if o.category == "traffic_light"]
     return [o for o in lights if not o.inferred], [o for o in lights if o.inferred]
 
@@ -565,7 +566,8 @@ def test_criterion_6_structural_invariants(fixture_run):
     n_shuffles = 0
     for run in fixture_run.runs[:5]:
         img, label_map, dets = _scene_inputs(run)
-        (stacks,) = apply_grammar(scene_objects([label_map], [dets]), [label_map])
+        (scene,) = scene_objects([label_map], [dets])
+        stacks = apply_grammar(scene, label_map.width)
         objs = _members(stacks)
         base = tree_to_json(build_atbt(stacks, img.image_id))
         for _ in range(100):

@@ -28,7 +28,7 @@ from rop.cli import deal, main, write_json, write_placed
 from rop.config import RunConfig
 from rop.geo import GeoPoint, LocalPoint
 from rop.ingest import images_in_buffer, load_buffers, load_images, load_inputs
-from rop.labelmap import read_rle, write_pgm
+from rop.labelmap import read_label_map, write_pgm
 from rop.placer import IntersectionResult, PlacedObject, slice_bundle, to_geojson
 from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
 from test_synth import BAD_LAYOUTS
@@ -107,7 +107,7 @@ def copy_with_pgm_masks(src: Path, dst: Path, image_ids=None) -> Path:
     shutil.copytree(src, dst)
     for path in sorted((dst / "masks").glob("*.rle")):
         if image_ids is None or path.stem in image_ids:
-            runs = read_rle(str(path))
+            runs = read_label_map(str(path))
             write_pgm(str(path.with_suffix(".pgm")), runs.rows(0, runs.height))
             path.unlink()
     return dst
@@ -120,6 +120,22 @@ def test_corrupt_pgm_names_file(bundle_dir, tmp_path, capsys):
     rc = main(place_args(broken, tmp_path / "pred.geojson"))
     assert rc == 2
     assert victim.name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["place", "dump-trees"])
+def test_a_pgm_header_larger_than_its_file_names_the_file(command, bundle_dir, tmp_path, capsys):
+    # The first image declares 200000 x 200000 pixels, and its 31-byte mask
+    # declares the same: 40 GB of raster that the file does not hold. That
+    # is a short raster, not an allocation of the declared size.
+    broken = copy_with_pgm_masks(bundle_dir, tmp_path / "broken")
+    images = json.loads((broken / "images.json").read_text())
+    images[0].update(width_px=200000, height_px=200000)
+    (broken / "images.json").write_text(json.dumps(images))
+    victim = broken / "masks" / f"{images[0]['image_id']}.pgm"
+    victim.write_bytes(b"P5\n200000 200000\n255\n" + bytes(10))
+    assert main([command, *place_args(broken, tmp_path / "out.json")[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "truncated raster (10 of 40000000000 bytes)" in err and victim.name in err
 
 
 def _crossing(w, h, lengths, values):
@@ -178,7 +194,7 @@ def test_two_masks_for_one_image_names_both(bundle_dir, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(bundle_dir, broken)
     rle = sorted((broken / "masks").glob("*.rle"))[0]
-    runs = read_rle(str(rle))
+    runs = read_label_map(str(rle))
     write_pgm(str(rle.with_suffix(".pgm")), runs.rows(0, runs.height))
     assert main(place_args(broken, tmp_path / "pred.geojson")) == 2
     err = capsys.readouterr().err
@@ -361,7 +377,7 @@ def bundle_mutations(draw, bundle: Path):
             elif op == "retype":  # run-length bytes under the PGM suffix
                 mask.rename(mask.with_suffix(".pgm"))
             elif op == "duplicate":
-                runs = read_rle(str(mask))
+                runs = read_label_map(str(mask))
                 write_pgm(str(mask.with_suffix(".pgm")), runs.rows(0, runs.height))
             else:
                 data = mask.read_bytes()
@@ -1180,7 +1196,7 @@ def _count_mask_reads(monkeypatch) -> list:
     """Every label-map read, from either mask format."""
     import rop.ingest
 
-    return _count_calls(monkeypatch, rop.ingest, "read_rle", "read_pgm")
+    return _count_calls(monkeypatch, rop.ingest, "read_label_map")
 
 
 INVALID_VALUES = [

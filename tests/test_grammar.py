@@ -1,4 +1,5 @@
-"""Light classification, pair inference, stacking."""
+"""The urban-grammar rules: light classification (Rules 1-2, which
+rop.scene runs on a track's label maps), pair inference and stacking."""
 
 from __future__ import annotations
 
@@ -8,17 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop.config import RunConfig
-from rop.grammar import (
-    apply_grammar,
-    classify_lights,
-    infer_pair,
-    side_of,
-    stack_objects,
-    surround_margins,
-)
-from rop.ingest import CATEGORY_IDS
-from rop.labelmap import runs_of
-from rop.scene import SceneObject
+from rop.grammar import apply_grammar, infer_pair, side_of, stack_objects
+from rop.labelmap import CATEGORY_IDS, runs_of
+from rop.scene import SceneObject, classify_lights, scene_objects, surround_margins
 
 SKY = CATEGORY_IDS["sky"]
 BUILDING = CATEGORY_IDS["building"]
@@ -497,10 +490,9 @@ def test_apply_grammar_end_to_end():
     lab[230:, :] = ROAD
     lab[250:280, 0:300] = WALK
     lab[250:280, 700:1000] = WALK
-    from rop.scene import scene_objects
-
     runs = runs_of(lab)
-    (stacks,) = apply_grammar(scene_objects([runs], [[]], CFG), [runs], CFG)
+    (objs,) = scene_objects([runs], [[]], CFG)
+    stacks = apply_grammar(objs, runs.width, CFG)
     out = [o for side in ("left", "right") for stack in stacks[side] for o in stack]
     lights = [o for o in out if o.category == "traffic_light"]
     assert {o.light_kind for o in lights} == {"low"}
@@ -526,10 +518,9 @@ def test_apply_grammar_keeps_each_sidewalk_component():
     lab[250:280, 110:300] = WALK  # a 10 px gap
     lab[250:280, 700:760] = WALK
     lab[250:280, 800:1000] = WALK
-    from rop.scene import scene_objects
-
     runs = runs_of(lab)
-    (stacks,) = apply_grammar(scene_objects([runs], [[]], CFG), [runs], CFG)
+    (objs,) = scene_objects([runs], [[]], CFG)
+    stacks = apply_grammar(objs, runs.width, CFG)
     for side, spans in (("left", [(0, 100), (110, 190)]), ("right", [(700, 60), (800, 200)])):
         walks = [stack for stack in stacks[side] if stack[0].category == "sidewalk"]
         assert [len(stack) for stack in walks] == [1, 1]

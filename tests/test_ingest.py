@@ -17,8 +17,6 @@ from rop import ingest
 from rop.atbt import AtbtNode, FusedObject
 from rop.geo import Footprint, GeoPoint, LocalPoint, make_frame
 from rop.ingest import (
-    CATEGORY_IDS,
-    CATEGORY_NAMES,
     Bundle,
     BundleError,
     Detection,
@@ -37,12 +35,12 @@ from rop.ingest import (
     to_json,
 )
 from rop.labelmap import (
+    CATEGORY_IDS,
+    CATEGORY_NAMES,
     LabelRuns,
     PgmBuffers,
-    read_pgm,
-    read_pgm_size,
-    read_rle,
-    read_rle_size,
+    label_map_size,
+    read_label_map,
     runs_of,
     write_pgm,
     write_rle,
@@ -105,7 +103,7 @@ def test_read_pgm_hand_assembled(tmp_path):
     raster = bytes([0, 1, 2, 3, 4, 5])
     path = tmp_path / "tiny.pgm"
     path.write_bytes(b"P5\n3 2\n255\n" + raster)
-    runs = read_pgm(str(path))
+    runs = read_label_map(str(path))
     assert (runs.width, runs.height) == (3, 2)
     assert runs.values.dtype == np.uint8
     assert pixels(runs).tolist() == [[0, 1, 2], [3, 4, 5]]
@@ -114,9 +112,9 @@ def test_read_pgm_hand_assembled(tmp_path):
 def test_read_pgm_header_comments_and_whitespace(tmp_path):
     path = tmp_path / "odd.pgm"
     path.write_bytes(b"P5 # magic\n# a comment line\n 3\t2 # dims\n255\n" + bytes(6))
-    runs = read_pgm(str(path))
+    runs = read_label_map(str(path))
     assert pixels(runs).shape == (2, 3)
-    assert read_pgm_size(str(path)) == (3, 2)
+    assert label_map_size(str(path)) == (3, 2)
 
 
 @pytest.mark.parametrize("pad", [0, 500, 501, 502, 504, 506, 507, 508, 3000])
@@ -125,8 +123,8 @@ def test_read_pgm_header_past_the_first_read(tmp_path, pad):
     # the separator byte around the 512th byte, and 3000 far past it.
     path = tmp_path / "long.pgm"
     path.write_bytes(b"P5\n#" + b"x" * pad + b"\n3 2\n255\n" + bytes([0, 1, 2, 3, 4, 5]))
-    assert pixels(read_pgm(str(path))).tolist() == [[0, 1, 2], [3, 4, 5]]
-    assert read_pgm_size(str(path)) == (3, 2)
+    assert pixels(read_label_map(str(path))).tolist() == [[0, 1, 2], [3, 4, 5]]
+    assert label_map_size(str(path)) == (3, 2)
 
 
 def test_read_pgm_runs_outlive_the_next_read(tmp_path):
@@ -140,7 +138,7 @@ def test_read_pgm_runs_outlive_the_next_read(tmp_path):
     for k, arr in enumerate(maps):
         path = tmp_path / f"m{k}.pgm"
         write_pgm(str(path), arr)
-        got.append(read_pgm(str(path), buffers))
+        got.append(read_label_map(str(path), buffers))
     for arr, runs in zip(maps, got):
         assert np.array_equal(pixels(runs), arr)
 
@@ -150,8 +148,8 @@ def test_pgm_round_trip(tmp_path):
     arr = rng.integers(0, 9, size=(17, 31), dtype=np.uint8)
     path = tmp_path / "rt.pgm"
     write_pgm(str(path), arr)
-    assert same_runs(read_pgm(str(path)), runs_of(arr))
-    assert read_pgm_size(str(path)) == (31, 17)
+    assert same_runs(read_label_map(str(path)), runs_of(arr))
+    assert label_map_size(str(path)) == (31, 17)
 
 
 @pytest.mark.parametrize(
@@ -169,7 +167,29 @@ def test_read_pgm_rejects_malformed(tmp_path, payload, fragment):
     path = tmp_path / "bad.pgm"
     path.write_bytes(payload)
     with pytest.raises(BundleError, match=fragment):
-        read_pgm(str(path))
+        read_label_map(str(path))
+
+
+def test_read_pgm_header_larger_than_the_file_is_a_truncated_raster(tmp_path):
+    # A 31-byte file whose header declares a 200000 x 200000 raster is short
+    # of raster, found from the file's size before any buffer is taken.
+    path = tmp_path / "huge.pgm"
+    path.write_bytes(b"P5\n200000 200000\n255\n" + bytes(10))
+    assert path.stat().st_size == 31
+    with pytest.raises(BundleError, match=r"truncated raster \(10 of 40000000000 bytes\)") as exc:
+        read_label_map(str(path))
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("suffix", [".pgm", ".rle"])
+def test_read_label_map_rejects_a_value_outside_the_categories(tmp_path, suffix):
+    arr = np.zeros((2, 3), dtype=np.uint8)
+    arr[1, 2] = 9
+    path = tmp_path / f"m{suffix}"
+    (write_pgm if suffix == ".pgm" else lambda p, a: write_rle(p, runs_of(a)))(str(path), arr)
+    with pytest.raises(BundleError, match="value 9 at row 1, column 2 is not a category id") as exc:
+        read_label_map(str(path))
+    assert str(path) in str(exc.value)
 
 
 def rle_bytes(w, h, lengths, values, magic=b"RLE1", count=None):
@@ -185,11 +205,11 @@ def test_read_rle_hand_assembled(tmp_path):
     path = tmp_path / "tiny.rle"
     # Row 0: 2 x sky, 1 x road; row 1: 3 x road.
     path.write_bytes(rle_bytes(3, 2, [2, 1, 3], [4, 1, 1]))
-    runs = read_rle(str(path))
+    runs = read_label_map(str(path))
     assert (runs.width, runs.height) == (3, 2)
     assert runs.starts.tolist() == [0, 2, 3]
     assert pixels(runs).tolist() == [[4, 4, 1], [1, 1, 1]]
-    assert read_rle_size(str(path)) == (3, 2)
+    assert label_map_size(str(path)) == (3, 2)
 
 
 @pytest.mark.parametrize(
@@ -217,7 +237,7 @@ def test_read_rle_rejects_malformed(tmp_path, payload, fragment):
     path = tmp_path / "bad.rle"
     path.write_bytes(payload)
     with pytest.raises(BundleError, match=fragment) as exc:
-        read_rle(str(path))
+        read_label_map(str(path))
     assert str(path) in str(exc.value)
 
 
@@ -237,7 +257,7 @@ def test_rle_round_trip_and_row_bands(tmp_path_factory, seed, h, w, data):
     assert np.array_equal(runs.rows(y0, y1), arr[y0:y1])
     path = str(tmp_path_factory.mktemp("rle") / "m.rle")
     write_rle(path, runs)
-    back = read_rle(path)
+    back = read_label_map(path)
     assert same_runs(back, runs)
     assert np.array_equal(back.rows(y0, y1), arr[y0:y1])
 
@@ -720,13 +740,13 @@ def test_load_inputs_rejects_dimension_mismatch(tmp_path):
 def test_load_inputs_decodes_no_label_map(tmp_path, monkeypatch):
     _write_bundle_files(tmp_path)
     decoded = []
-    real_read_pgm = ingest.read_pgm
+    real_read = ingest.read_label_map
 
-    def counting_read_pgm(path, *args):
+    def counting_read(path, *args):
         decoded.append(path)
-        return real_read_pgm(path, *args)
+        return real_read(path, *args)
 
-    monkeypatch.setattr(ingest, "read_pgm", counting_read_pgm)
+    monkeypatch.setattr(ingest, "read_label_map", counting_read)
     d = MaskDirectory(str(tmp_path / "masks"))
     assert "i0" in d
     assert "x" not in d

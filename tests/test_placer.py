@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -418,11 +419,26 @@ def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
         return real_extract(maps, *args, **kwargs)
 
     monkeypatch.setattr(scene, "extract_regions", counting_extract)
+    # Every rop module that holds concat_runs: each tracked image's runs are
+    # laid end to end once, for the labelling and the light vote together.
+    concatenated = []
+    for name, module in list(sys.modules.items()):
+        real_concat = getattr(module, "concat_runs", None)
+        if name.startswith("rop.") and real_concat is not None:
+
+            def counting_concat(maps, real_concat=real_concat):
+                concatenated.extend(id(m) for m in maps)
+                return real_concat(maps)
+
+            monkeypatch.setattr(module, "concat_runs", counting_concat)
     result = run_intersection(part, CFG)
-    tracked = sum(len(t.images) for t in build_tracks(part.images, part.buffers[0]))
+    tracks = build_tracks(part.images, part.buffers[0])
+    tracked = sum(len(t.images) for t in tracks)
     assert result.placed
     assert tracked > 0
     assert len(calls) == len(set(calls)) == tracked
+    assert any(o.category == "traffic_light" for o in result.placed)
+    assert len(concatenated) == len(set(concatenated)) == tracked
 
 
 def test_no_corners_counts_only_objects_that_can_be_placed():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop.config import RunConfig
-from rop.ingest import CATEGORY_IDS, Detection
-from rop.labelmap import read_rle, runs_of, write_rle
+from rop.ingest import Detection
+from rop.labelmap import CATEGORY_IDS, read_label_map, runs_of, write_rle
 from rop.scene import (
     SceneObject,
     box_iou,
@@ -84,7 +84,7 @@ def test_extract_single_block_geometry():
     lab[3:6, 2:5] = LIGHT
     (region,) = extract_regions([runs_of(lab)], categories=["traffic_light"], min_region_px=1)[0]
     assert region == SceneObject(
-        id="", category="traffic_light", centroid=(4.0, 3.0), area_px=9.0, bbox=(2.0, 3.0, 3.0, 3.0)
+        id="light0", category="traffic_light", centroid=(4.0, 3.0), area_px=9.0, bbox=(2.0, 3.0, 3.0, 3.0)
     )
     assert all(type(v) is float for v in (region.area_px, *region.centroid, *region.bbox))
 
@@ -127,6 +127,8 @@ def test_extract_orders_by_category_then_first_pixel():
         ("traffic_light", (6, 2, 2, 1)),
         ("traffic_sign", (10, 0, 2, 1)),
     ]
+    # Each is named as it is labelled, by category and order in its map.
+    assert [r.id for r in got] == ["walk0", "light0", "light1", "sign0"]
 
 
 def test_extract_respects_category_selection():
@@ -170,7 +172,7 @@ def test_extract_from_rle_file_matches_pixels_and_oracle(tmp_path_factory, seed,
     lab = random_map(seed, h, w)
     path = str(tmp_path_factory.mktemp("rle") / "m.rle")
     write_rle(path, runs_of(lab))
-    from_file = read_rle(path)
+    from_file = read_label_map(path)
     for name in ("road", "sidewalk", "traffic_light", "traffic_sign", "pedestrian"):
         got = extract_regions([from_file], categories=[name], min_region_px=1)[0]
         assert got == extract_regions([runs_of(lab)], categories=[name], min_region_px=1)[0]
@@ -319,30 +321,6 @@ def test_box_iou_values():
     assert box_iou((0, 0, 2, 2), (2, 0, 2, 2)) == 0.0
 
 
-def box_iou_scalar(a, b):
-    """The reference: one pair of boxes in Python floats."""
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    return inter / union if union > 0 else 0.0
-
-
-coordinate = st.one_of(st.integers(0, 40).map(float), st.floats(-5.0, 50.0))
-boxes = st.lists(st.tuples(coordinate, coordinate, coordinate, coordinate), max_size=5)
-
-
-@settings(max_examples=200, deadline=None)
-@given(a=boxes, b=boxes)
-def test_box_iou_matrix_equals_scalar_reference(a, b):
-    # Bit for bit, so thresholds on the matrix decide as on each pair.
-    got = box_iou(np.reshape(a, (-1, 1, 4)), np.reshape(b, (1, -1, 4)))
-    assert got.shape == (len(a), len(b))
-    assert got.tolist() == [[box_iou_scalar(p, q) for q in b] for p in a]
-
-
 # ---------------------------------------------------------------------------
 # reconcile.
 
@@ -351,11 +329,11 @@ def det(bbox, subtype="stop", score=0.9, category="traffic_sign"):
     return Detection(image_id="i0", category=category, subtype=subtype, bbox=bbox, score=score)
 
 
-def region(category, bbox, area=None):
-    """An unnamed component as extract_regions emits it, with float geometry."""
+def region(category, bbox, area=None, name=""):
+    """A component as extract_regions emits it, with float geometry."""
     x, y, w, h = bbox
     return SceneObject(
-        id="",
+        id=name,
         category=category,
         centroid=(y + h / 2 - 0.5, x + w / 2 - 0.5),
         area_px=float(area if area is not None else w * h),
@@ -375,6 +353,7 @@ def test_reconcile_unique_match_uses_region_geometry():
     r = region("traffic_sign", (10, 20, 6, 6), area=30)
     got = reconcile([r], [det((11, 21, 6, 6))], IOU_MIN)
     (obj,) = got
+    assert obj is r  # the component itself, named for its detection
     assert obj.id == "sign0"
     assert obj.subtype == "stop"
     assert obj.area_px == 30.0
@@ -424,16 +403,17 @@ def test_reconcile_below_iou_threshold_is_no_match():
 
 
 def test_reconcile_passes_lights_and_walks_through():
-    rl = region("traffic_light", (2, 2, 3, 9))
-    rw = region("sidewalk", (0, 40, 30, 8))
-    got = reconcile([rl, rw], [], IOU_MIN)
+    rw = region("sidewalk", (0, 40, 30, 8), name="walk0")
+    rl = region("traffic_light", (2, 2, 3, 9), name="light0")
+    want = [dataclasses.replace(rl), dataclasses.replace(rw)]
+    got = reconcile([rw, rl], [], IOU_MIN)
     assert [(o.id, o.category) for o in got] == [
         ("light0", "traffic_light"),
         ("walk0", "sidewalk"),
     ]
-    assert got == [dataclasses.replace(rl, id="light0"), dataclasses.replace(rw, id="walk0")]
-    # The components keep their empty id: reconcile names copies.
-    assert rl.id == rw.id == ""
+    # The components themselves, lights first, with their names unchanged.
+    assert got == want
+    assert got[0] is rl and got[1] is rw
     assert got[0].light_kind is None
     assert not got[0].inferred
 
@@ -444,20 +424,32 @@ def test_reconcile_ignores_non_sign_detections():
 
 
 # ---------------------------------------------------------------------------
-# Pedestrian height and assembled scenes.
+# Assembled scenes: pedestrian height and the one pass over a track's runs.
 
 
 def test_tallest_pedestrian_px():
-    lab = np.zeros((40, 40), dtype=np.uint8)
-    lab[10:30, 3:6] = PED  # height 20
-    lab[20:28, 20:24] = PED  # height 8
-    blank = runs_of(np.zeros((5, 5), dtype=np.uint8))
-    scenes = scene_objects([runs_of(lab), blank], [[], []], RunConfig(min_region_px=1))
-    assert [tallest for _, tallest in scenes] == [20, 0]
-    lab[0:30, 30:32] = LIGHT
-    ((objs, tallest),) = scene_objects([runs_of(lab)], [[]], RunConfig(min_region_px=1))
-    assert tallest == 20
-    assert [o.category for o in objs] == ["traffic_light"]
+    # Three maps of one track, each with a light whose surround is empty, so
+    # the downward ray decides: the light sits 55 px above the road. The
+    # first map's tallest pedestrian is 20 px tall, so 55 <= 3 * 20 reads
+    # low; its 8 px pedestrian would read high. The second map has no
+    # pedestrian and falls back to 0.22 * 80 px, so 55 > 52.8 reads high, as
+    # the first map's pedestrian does not carry over. On the third a 40 px
+    # sign is no pedestrian, so it reads high too.
+    labs = []
+    for k in range(3):
+        lab = np.zeros((80, 60), dtype=np.uint8)
+        lab[20:25, 40:44] = LIGHT  # centroid (22.0, 41.5)
+        lab[77:, :] = ROAD
+        labs.append(lab)
+    labs[0][10:30, 3:6] = PED  # height 20
+    labs[0][20:28, 20:24] = PED  # height 8
+    labs[2][5:45, 50:52] = SIGN  # height 40, no detection
+    scenes = scene_objects([runs_of(lab) for lab in labs], [[], [], []], RunConfig(min_region_px=1))
+    assert [[(o.category, o.light_kind) for o in objs] for objs in scenes] == [
+        [("traffic_light", "low")],
+        [("traffic_light", "high")],
+        [("traffic_light", "high")],
+    ]
 
 
 def test_build_scene_end_to_end():
@@ -466,7 +458,7 @@ def test_build_scene_end_to_end():
     lab[30:36, 50:56] = SIGN
     lab[50:60, 0:40] = WALK
     dets = [det((50.0, 30.0, 6.0, 6.0))]
-    ((got, _),) = scene_objects([runs_of(lab)], [dets], RunConfig(min_region_px=9))
+    (got,) = scene_objects([runs_of(lab)], [dets], RunConfig(min_region_px=9))
     kinds = {(o.id, o.category) for o in got}
     assert kinds == {
         ("light0", "traffic_light"),

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 from rop import synth
 
 from rop.geo import GeoPoint, LocalPoint
-from rop.ingest import CATEGORY_IDS, Detection, direction_of, load_inputs
-from rop.labelmap import runs_of
+from rop.ingest import Detection, direction_of, load_inputs
+from rop.labelmap import CATEGORY_IDS, runs_of
 from rop.scene import extract_regions
 from rop.synth import (
     CameraModel,
