@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import pickle
 import sys
@@ -30,7 +29,7 @@ from typing import NoReturn
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atbt import tree_to_json  # noqa: E402
-from .config import RunConfig, load_config  # noqa: E402
+from .config import RunConfig, check_range, load_config  # noqa: E402
 from .ingest import Bundle, build_tracks, load_inputs  # noqa: E402
 from .placer import (  # noqa: E402
     IntersectionResult,
@@ -52,6 +51,9 @@ EX_INPUT = 2
 EX_EMPTY = 3
 EX_USAGE = 64
 EX_SOFTWARE = 70
+
+# The range of each numeric flag, checked before its command runs (exit 2).
+FLAG_RANGES = {"--fixtures": ">= 0", "--radius": "> 0", "--min-completeness": "in [0, 1]"}
 
 log = logging.getLogger("rop.cli")
 
@@ -129,7 +131,7 @@ def build_parser() -> _Parser:
         "--min-completeness",
         type=float,
         default=None,
-        help="exit 1 when overall completeness falls below this",
+        help="exit 1 when overall completeness falls below this, finite in [0, 1]",
     )
     p_eval.set_defaults(func=cmd_eval)
 
@@ -271,7 +273,10 @@ def write_json(path: str, members: Iterable[tuple[str, object]]) -> None:
     encode = json.JSONEncoder(indent=2, sort_keys=True).encode
     in_place = os.path.exists(path) and not os.path.isfile(path)
     tmp = path if in_place else f"{os.path.realpath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "w" if in_place else "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "w" if in_place else "x", encoding="utf-8")
+    except OSError as exc:  # name path, not the temporary file beside it
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with fh:
             opening = "{"
@@ -356,8 +361,6 @@ def cmd_synth(args) -> int:
     if args.layout is not None:
         layouts = load_layouts(args.layout)
     else:
-        if args.fixtures < 0:
-            raise ValueError("--fixtures must be >= 0")
         layouts = standard_fixtures(n=args.fixtures, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,8 +393,6 @@ def cmd_eval(args) -> int:
     from .evalx import evaluate, to_table
     from .evalx import to_json as report_to_json
 
-    if not (math.isfinite(args.radius) and args.radius > 0):
-        raise ValueError(f"--radius must be finite and > 0, got {args.radius}")
     preds = _read_placed(args.pred)
     refs = _read_placed(args.ref)
     report = evaluate(preds, refs, radius_m=args.radius)
@@ -433,6 +434,10 @@ def main(argv: list[str] | None = None) -> int:
         format="%(name)s %(levelname)s %(message)s",
     )
     try:
+        for flag, rule in FLAG_RANGES.items():
+            value = getattr(args, flag[2:].replace("-", "_"), None)
+            if value is not None:
+                check_range(flag, value, rule)
         return args.func(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,57 +1,54 @@
-"""Run configuration: one flat dataclass, file + override parsing."""
+"""Run configuration: one flat dataclass, file + override parsing, and the
+range check of every number a user types."""
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-_POSITIVE = ("high_factor", "ring_px", "corner_radius_m")
-_NON_NEGATIVE = (
-    "min_region_px",
-    "high_height_m",
-    "low_height_m",
-    "inner_radius_m",
-    "offset_m",
-    "dedup_radius_m",
-)
+INT_MAX = 2**62  # so ring_px added to a pixel coordinate stays inside int64
+RANGES = {
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
+
+
+def check_range(name: str, value: int | float, rule: str) -> None:
+    """Raise a ValueError naming name and value unless value lies in rule, a
+    key of RANGES, and is at most INT_MAX if an int or finite if a float."""
+    if isinstance(value, int):
+        bound, bounded = "at most 2**62", value <= INT_MAX
+    else:
+        bound, bounded = "finite", math.isfinite(value)
+    if not (bounded and RANGES[rule](value)):
+        raise ValueError(f"{name} must be {bound} and {rule}, got {value}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     # scene: labelling and sign reconciliation
-    min_region_px: int = 25
-    iou_min: float = 0.3
+    min_region_px: int = field(default=25, metadata={"range": ">= 0"})
+    iou_min: float = field(default=0.3, metadata={"range": "in [0, 1]"})
     # scene: the light vote (Rules 1-2); stack_dx_frac is grammar's (Rule 5)
-    high_factor: float = 3.0
-    ring_px: int = 15
-    stack_dx_frac: float = 0.04
-    pedestrian_fallback_frac: float = 0.22
+    high_factor: float = field(default=3.0, metadata={"range": "> 0"})
+    ring_px: int = field(default=15, metadata={"range": "> 0"})
+    stack_dx_frac: float = field(default=0.04, metadata={"range": "in (0, 1)"})
+    pedestrian_fallback_frac: float = field(default=0.22, metadata={"range": "in (0, 1)"})
     # placer
-    high_height_m: float = 7.0
-    low_height_m: float = 4.0
-    corner_radius_m: float = 26.0
-    inner_radius_m: float = 10.0
-    offset_m: float = 2.5
-    dedup_radius_m: float = 1.5
+    high_height_m: float = field(default=7.0, metadata={"range": ">= 0"})
+    low_height_m: float = field(default=4.0, metadata={"range": ">= 0"})
+    corner_radius_m: float = field(default=26.0, metadata={"range": "> 0"})
+    inner_radius_m: float = field(default=10.0, metadata={"range": ">= 0"})
+    offset_m: float = field(default=2.5, metadata={"range": ">= 0"})
+    dedup_radius_m: float = field(default=1.5, metadata={"range": ">= 0"})
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        for key in _POSITIVE:
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive")
-        for key in _NON_NEGATIVE:
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be non-negative")
-        for key in ("stack_dx_frac", "pedestrian_fallback_frac"):
-            if not 0 < getattr(self, key) < 1:
-                raise ValueError(f"{key} must lie in (0, 1)")
-        if not 0 <= self.iou_min <= 1:
-            raise ValueError("iou_min must lie in [0, 1]")
+            check_range(f.name, getattr(self, f.name), f.metadata["range"])
 
     def show(self) -> str:
         lines = [

@@ -499,9 +499,11 @@ def save_layouts(layouts: list[Layout], path: str) -> None:
 
 def load_layouts(path: str) -> list[Layout]:
     """The layouts of a JSON file of one layout object or a list, each checked
-    by validate_layout; any fault is a ValueError naming the file and layout."""
+    by validate_layout, with no intersection or image id in two layouts; any
+    fault is a ValueError naming the file and layout."""
     doc = _load_json(path)
     layouts = []
+    first: dict[tuple[str, str], int] = {}  # (field, id) -> index of the first layout with it
     for i, d in enumerate(doc if isinstance(doc, list) else [doc]):
         try:
             layout = layout_from_json(d, f"layouts[{i}]")
@@ -511,6 +513,12 @@ def load_layouts(path: str) -> list[Layout]:
             validate_layout(layout)
         except ValueError as exc:
             raise ValueError(f"{path}: invalid layout: layouts[{i}]: {exc}") from exc
+        image_ids = [("image_id", pose.image_id) for pose in layout.cameras]
+        for key in [("intersection_id", layout.intersection_id), *image_ids]:
+            j = first.setdefault(key, i)
+            if j != i:
+                where = f"layouts[{i}]: {key[0]} {key[1]!r} is also in layouts[{j}]"
+                raise ValueError(f"{path}: invalid layout: {where}")
         layouts.append(layout)
     return layouts
 

@@ -621,6 +621,15 @@ def test_a_bad_mask_in_the_last_buffer_leaves_no_partial_output(
         assert out.read_bytes() == earlier
 
 
+@pytest.mark.parametrize("command", ["place", "dump-trees"])
+def test_an_out_in_a_missing_directory_names_out(command, bundle_dir, tmp_path, capsys):
+    # The error names --out, not the temporary file written beside it.
+    out = tmp_path / "missing" / "out.json"
+    assert main([command, *place_args(bundle_dir, out)[1:]]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _truncate_runs(mask: Path) -> None:
     """Cut the run bytes of an .rle label map short; its header stays whole."""
     data = mask.read_bytes()
@@ -958,6 +967,12 @@ def test_synth_requires_exactly_one_source(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "o")]) == 2
 
 
+def test_synth_rejects_negative_fixtures(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "o"), "--fixtures", "-1"]) == 2
+    assert "--fixtures must be at most 2**62 and >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # What rop place writes when it places nothing.
 EMPTY_PLACED = b'{\n  "diagnostics": [],\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
 
@@ -1094,11 +1109,24 @@ def test_eval_rejects_malformed_feature(flag, feature, fragment, bundle_dir, tmp
     assert f"{bad}: {fragment}" in err
 
 
-@pytest.mark.parametrize("radius", ["nan", "-5", "0", "inf"])
-def test_eval_rejects_bad_radius(radius, bundle_dir, capsys):
+EVAL_RANGES = {"--radius": "> 0", "--min-completeness": "in [0, 1]"}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    # The --radius cases keep their value alone as their test id.
+    [pytest.param("--radius", v, id=v) for v in ["nan", "-5", "0", "inf"]]
+    + [
+        pytest.param("--min-completeness", v, id=f"min-completeness={v}")
+        for v in ["nan", "inf", "-0.1", "1.1"]
+    ],
+)
+def test_eval_rejects_bad_radius(flag, value, bundle_dir, tmp_path, capsys):
     truth = str(bundle_dir / "truth.geojson")
-    assert main(["eval", "--pred", truth, "--ref", truth, "--radius", radius]) == 2
-    assert "--radius must be finite and > 0" in capsys.readouterr().err
+    out = tmp_path / "report.txt"
+    assert main(["eval", "--pred", truth, "--ref", truth, "--out", str(out), flag, value]) == 2
+    assert f"{flag} must be finite and {EVAL_RANGES[flag]}, got " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_rejects_non_object_document(bundle_dir, tmp_path, capsys):
@@ -1211,6 +1239,10 @@ INVALID_VALUES = [
     "min_region_px=-5",
     "dedup_radius_m=inf",
     "high_height_m=-inf",
+    # Ints above 2**62, where ring_px added to a pixel coordinate can leave int64.
+    "ring_px=9223372036854775807",
+    "ring_px=10000000000000000000",
+    "min_region_px=4611686018427387905",
 ]
 
 
@@ -1423,8 +1455,12 @@ def test_entry_point_places_pinned_bytes(jobs, bundle_dir, tmp_path):
 
 
 def test_entry_point_exit_codes(bundle_dir, tmp_path):
-    truth = str(bundle_dir / "truth.geojson")
-    gate = run_rop("eval", "--pred", truth, "--ref", truth, "--min-completeness", "1.1")
+    truth = bundle_dir / "truth.geojson"
+    doc = json.loads(truth.read_text())
+    doc["features"] = doc["features"][1:]
+    missed = tmp_path / "missed.geojson"
+    missed.write_text(json.dumps(doc))
+    gate = run_rop("eval", "--pred", str(missed), "--ref", str(truth), "--min-completeness", "1.0")
     assert gate.returncode == 1, gate.stderr
 
     bad = tmp_path / "bad"

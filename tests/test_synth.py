@@ -474,6 +474,13 @@ def _fixture_text(edit) -> str:
     return json.dumps([doc])
 
 
+def _two_fixtures_text(edit) -> str:
+    """The layout file of two standard fixtures, after edit(their layout objects)."""
+    docs = [layout_to_json(lay) for lay in standard_fixtures(n=2, seed=1)]
+    edit(docs)
+    return json.dumps(docs)
+
+
 def _first_light(doc: dict) -> dict:
     return next(t for t in doc["truth_objects"] if t["category"] == "traffic_light")
 
@@ -540,6 +547,20 @@ BAD_LAYOUTS = [
             "duplicate-image-id",
             lambda d: d["cameras"][1].update(image_id=d["cameras"][0]["image_id"]),
             "layouts[0]: x0000: duplicate image id",
+        ),
+    ]
+] + [
+    pytest.param(_two_fixtures_text(edit), where, id=name)
+    for name, edit, where in [
+        (
+            "repeated-layout",
+            lambda docs: docs.append(docs[0]),
+            "layouts[2]: intersection_id 'x0000' is also in layouts[0]",
+        ),
+        (
+            "image-id-in-two-layouts",
+            lambda docs: docs[1]["cameras"][0].update(image_id=docs[0]["cameras"][0]["image_id"]),
+            "layouts[1]: image_id 'x0000-WE-00' is also in layouts[0]",
         ),
     ]
 ]
