@@ -9,7 +9,6 @@ dataclass that one record codec, to_json and from_json, writes and reads.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .geo import Footprint, GeoPoint, make_frame, project, within
-from .labelmap import BundleError, LabelRuns, PgmBuffers, label_map_size, read_label_map
+from .labelmap import BundleError, LabelRuns, label_map_size, read_label_map
 
 log = logging.getLogger("rop.ingest")
 
@@ -86,8 +85,9 @@ class Bundle:
 
 class MaskDirectory(Mapping):
     """Lazy image_id -> LabelRuns view over a directory that holds one
-    <image_id>.pgm or <image_id>.rle label map per image, each read by
-    labelmap.read_label_map when looked up."""
+    <image_id>.pgm or <image_id>.rle label map per image, each read when
+    looked up by labelmap.read_label_map, the one reader, which scans every
+    PGM in its own scratch."""
 
     def __init__(self, directory: str):
         self._dir = Path(directory)
@@ -101,13 +101,6 @@ class MaskDirectory(Mapping):
                 other = Path(self._paths[p.stem]).name
                 raise BundleError(f"{p}: {other} is there too; keep one label map per image")
             self._paths[p.stem] = str(p)
-        self._pgm_buffers = PgmBuffers()
-
-    def only(self, image_ids: list[str]) -> MaskDirectory:
-        """The same lazy view, restricted to image_ids."""
-        view = copy.copy(self)
-        view._paths = {i: self._paths[i] for i in image_ids}
-        return view
 
     def path_of(self, image_id: str) -> str:
         return self._paths[image_id]
@@ -120,7 +113,7 @@ class MaskDirectory(Mapping):
             path = self._paths[image_id]
         except KeyError:
             raise KeyError(image_id) from None
-        return read_label_map(path, self._pgm_buffers)
+        return read_label_map(path)
 
     def __contains__(self, image_id: object) -> bool:
         # Mapping's default would decode the whole raster via __getitem__.

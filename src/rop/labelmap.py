@@ -8,6 +8,11 @@ writes it) or as a run-length .rle file. read_label_map and label_map_size
 pick the format by suffix; a map is read straight into runs, so no
 full-size pixel array outlives a read, and a byte that is not a category id
 is a BundleError naming the file.
+
+A PGM is scanned in one scratch raster and run-start mask that this module
+keeps for the life of the process, reused by every read and sized to the
+largest PGM read so far; the runs a read returns share no memory with it.
+So read_label_map must not run in two threads at once.
 """
 
 from __future__ import annotations
@@ -143,37 +148,30 @@ def _pgm_header(fh: BinaryIO, path: str) -> tuple[int, int]:
     return w, h
 
 
-class PgmBuffers:
-    """The raster and run-start mask a PGM map is scanned in, kept from one
-    read to the next: two fresh map-sized arrays per image cost more in page
-    faults than the scan. The runs read_label_map returns share no memory
-    with them."""
-
-    def __init__(self) -> None:
-        self._raster = np.empty(0, dtype=np.uint8)
-        self._change = np.empty(0, dtype=bool)
-
-    def take(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._raster.size < n:
-            self._raster = np.empty(n, dtype=np.uint8)
-            self._change = np.empty(n, dtype=bool)
-        return self._raster[:n], self._change[:n]
+# The raster and run-start mask every PGM map is scanned in, kept from one read
+# to the next: two fresh map-sized arrays per image cost more in page faults
+# than the scan. They grow to the largest map read and are never shrunk.
+_raster = np.empty(0, dtype=np.uint8)
+_change = np.empty(0, dtype=bool)
 
 
-def _read_pgm(path: str, buffers: PgmBuffers | None) -> LabelRuns:
+def _read_pgm(path: str) -> LabelRuns:
+    global _raster, _change
     with open(path, "rb") as fh:
         w, h = _pgm_header(fh, path)
         n = w * h
         # A header may declare far more raster than the file holds: that is
-        # a short raster, found before a buffer of the declared size is taken.
+        # a short raster, found before the scratch grows to the declared size.
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode) and (got := info.st_size - fh.tell()) < n:
             raise BundleError(f"{path}: truncated raster ({got} of {n} bytes)")
-        raster, change = (buffers or PgmBuffers()).take(n)
-        got = fh.readinto(raster)
+        if _raster.size < n:
+            _raster = np.empty(n, dtype=np.uint8)
+            _change = np.empty(n, dtype=bool)
+        got = fh.readinto(_raster[:n])
     if got < n:
         raise BundleError(f"{path}: truncated raster ({got} of {n} bytes)")
-    return _runs(raster, change, w, h)
+    return _runs(_raster[:n], _change[:n], w, h)
 
 
 def write_pgm(path: str, arr: np.ndarray) -> None:
@@ -245,11 +243,11 @@ def _read_rle(path: str) -> LabelRuns:
     return LabelRuns(starts, values, w, h)
 
 
-def read_label_map(path: str, buffers: PgmBuffers | None = None) -> LabelRuns:
+def read_label_map(path: str) -> LabelRuns:
     """The label map in path: a run-length map if path ends in .rle, else a
-    binary PGM, scanned in buffers when given. A format fault, or a value
-    that is not in CATEGORY_IDS, is a BundleError naming path."""
-    runs = _read_rle(path) if path.endswith(".rle") else _read_pgm(path, buffers)
+    binary PGM. A format fault, or a value that is not in CATEGORY_IDS, is a
+    BundleError naming path."""
+    runs = _read_rle(path) if path.endswith(".rle") else _read_pgm(path)
     bad = np.flatnonzero(~_IS_CATEGORY[runs.values])
     if bad.size:
         row, col = divmod(int(runs.starts[bad[0]]), runs.width)

@@ -36,7 +36,6 @@ from .ingest import (
     Bundle,
     BundleError,
     ImageMeta,
-    MaskDirectory,
     Track,
     build_tracks,
     from_json,
@@ -273,8 +272,8 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
     placement reads, as a one-buffer Bundle.
 
     A slice holds the buffer's images that approach its center or stand in
-    it (C1 or C2), with their detections and label maps (still lazy for a
-    MaskDirectory). A camera that has passed the center (C3) is left out, so
+    it (C1 or C2), and shares the bundle's label maps and detections, of which
+    it reads only its own images'. A camera that has passed the center (C3) is left out, so
     a neighbour's camera leaving this center joins none of its tracks and a
     buffer places the same whatever buffers surround it. An image without a
     heading stays, and build_tracks drops it with a warning. The slice also
@@ -297,7 +296,6 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
     owner = np.repeat(np.arange(len(footprints)), [len(fp.ring) for fp in footprints])
     v_lat = np.array([v.lat for fp in footprints for v in fp.ring])
     v_lon = np.array([v.lon for fp in footprints for v in fp.ring])
-    maps = bundle.label_maps
     slices = []
     for buffer in bundle.buffers:
         frame = make_frame(buffer.center)
@@ -308,7 +306,6 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
             for im in images_in_buffer([images[i] for i in near], buffer)
             if im.heading_deg is None or classify_camera(im, frame, cfg.inner_radius_m) != "C3"
         ]
-        ids = [im.image_id for im in kept]
         candidates = np.zeros(len(footprints), dtype=bool)
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
         near_fps = []
@@ -320,17 +317,7 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
             else:
                 msg = "footprint %s reaches outside the frame span of buffer %s; dropped"
                 log.warning(msg, fp.id, buffer.intersection_id)
-        slices.append(
-            Bundle(
-                images=kept,
-                label_maps=(
-                    maps.only(ids) if isinstance(maps, MaskDirectory) else {i: maps[i] for i in ids}
-                ),
-                detections={i: bundle.detections[i] for i in ids if i in bundle.detections},
-                footprints=near_fps,
-                buffers=[buffer],
-            )
-        )
+        slices.append(replace(bundle, images=kept, footprints=near_fps, buffers=[buffer]))
     return slices
 
 

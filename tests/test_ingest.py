@@ -38,7 +38,6 @@ from rop.labelmap import (
     CATEGORY_IDS,
     CATEGORY_NAMES,
     LabelRuns,
-    PgmBuffers,
     label_map_size,
     read_label_map,
     runs_of,
@@ -128,17 +127,15 @@ def test_read_pgm_header_past_the_first_read(tmp_path, pad):
 
 
 def test_read_pgm_runs_outlive_the_next_read(tmp_path):
-    # Reads that share buffers scan every raster in the same arrays; the runs
-    # each returns must not change when the next, smaller or larger, map is
-    # read.
+    # Every PGM read scans its raster in labelmap's one scratch; the runs each
+    # returns must not change when the next, smaller or larger, map is read.
     maps = [np.full((2, 3), 4, dtype=np.uint8), np.arange(12, dtype=np.uint8).reshape(3, 4) % 9]
     maps.append(maps[0])
-    buffers = PgmBuffers()
     got = []
     for k, arr in enumerate(maps):
         path = tmp_path / f"m{k}.pgm"
         write_pgm(str(path), arr)
-        got.append(read_label_map(str(path), buffers))
+        got.append(read_label_map(str(path)))
     for arr, runs in zip(maps, got):
         assert np.array_equal(pixels(runs), arr)
 
@@ -277,10 +274,6 @@ def test_mask_directory_lazy_mapping(tmp_path):
     assert d.size_of("img_b") == (4, 3)
     with pytest.raises(KeyError):
         d["missing"]
-    # A pickled copy of a view reads the same maps.
-    view = pickle.loads(pickle.dumps(d.only(["img_a"])))
-    assert list(view) == ["img_a"]
-    assert np.array_equal(pixels(view["img_a"]), a)
 
 
 # ---------------------------------------------------------------------------

@@ -767,6 +767,5 @@ def test_slice_bundle_matches_a_full_scan(case):
     assert [part.buffers for part in slices] == [[b] for b in bundle.buffers]
     assert [(part.images, part.footprints) for part in slices] == slice_oracle(bundle, cfg)
     for part in slices:
-        ids = [im.image_id for im in part.images]
-        assert list(part.label_maps) == ids
-        assert part.detections == {i: bundle.detections[i] for i in ids if i in bundle.detections}
+        assert part.label_maps is bundle.label_maps
+        assert part.detections is bundle.detections
