@@ -2,11 +2,13 @@
 
 Subcommands: place (bundle -> placed-object GeoJSON), synth (fixture bundles
 with truth), eval (score predictions against references), dump-trees
-(per-image tree export), config (print the effective configuration).
+(per-image tree export), config (check the configuration; --show prints it).
 
 Exit codes: 0 success, 1 failed --min-completeness gate, 2 input error,
 3 empty output, 64 usage error, 70 internal fault (a bug in rop, reported in
-one line; ROP_LOG=DEBUG adds its traceback). ROP_LOG sets the log level.
+one line; ROP_LOG=DEBUG adds its traceback), 120 a reader closed the output
+pipe (nothing on stderr: the code Python exits with when it cannot flush
+stdout). ROP_LOG sets the log level.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ EX_INPUT = 2
 EX_EMPTY = 3
 EX_USAGE = 64
 EX_SOFTWARE = 70
+EX_PIPE = 120
 
 # The range of each numeric flag, checked before its command runs (exit 2).
 FLAG_RANGES = {"--fixtures": ">= 0", "--radius": "> 0", "--min-completeness": "in [0, 1]"}
@@ -141,7 +144,7 @@ def build_parser() -> _Parser:
     p_trees.add_argument("--out", required=True, help="output JSON path")
     p_trees.set_defaults(func=cmd_dump_trees)
 
-    p_cfg = sub.add_parser("config", help="print the effective configuration")
+    p_cfg = sub.add_parser("config", help="check the effective configuration")
     _add_config_flags(p_cfg)
     p_cfg.add_argument("--show", action="store_true", help="print name = value lines")
     p_cfg.set_defaults(func=cmd_config)
@@ -418,7 +421,8 @@ def cmd_eval(args) -> int:
 
 def cmd_config(args) -> int:
     cfg = load_config(args.config, args.set)
-    print(cfg.show())
+    if args.show:
+        print(cfg.show())
     return EX_OK
 
 
@@ -439,6 +443,8 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 check_range(flag, value, rule)
         return args.func(args)
+    except BrokenPipeError:  # a reader that stops reading is not bad input
+        return EX_PIPE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EX_INPUT
@@ -454,13 +460,16 @@ def _exit(code: int) -> NoReturn:
     """End the process with code and skip interpreter teardown, which takes
     tens of milliseconds and writes nothing. By now main() has returned: its
     output file is closed and every forked worker reaped. An exception or a
-    usage SystemExit never reaches here and exits the normal way."""
+    usage SystemExit never reaches here and exits the normal way. A stream
+    whose reader has gone away ends the process with EX_PIPE, as in main()."""
     logging.shutdown()
-    try:
-        sys.stdout.flush()
-        sys.stderr.flush()
-    except OSError:  # a reader closed the pipe: Python's own exit reports it
-        raise SystemExit(code) from None
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = EX_PIPE
+        except OSError:  # a full disk, say: Python's own exit reports it
+            raise SystemExit(code) from None
     os._exit(code)
 
 

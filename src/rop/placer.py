@@ -156,10 +156,18 @@ def place_objects(
 
     Low lights and sign stacks sit cfg.offset_m in from their side's corner (one
     pole per stack, so stack members share the position); high lights hang at
-    the midpoint of the two corners.
+    the midpoint of the two corners. An offset_m that is not below a corner's
+    distance from the center would move its anchor onto or past the center,
+    and is a ValueError naming the intersection.
     """
     if corners is None:
         raise ValueError("place_objects requires a corner pair")
+    d = min(dist(corners.A1, _ORIGIN), dist(corners.A2, _ORIGIN))
+    if cfg.offset_m > 0 and cfg.offset_m >= d:
+        raise ValueError(
+            f"{intersection_id}: offset_m must be below {d:.3f} m, the distance from the "
+            f"center to the nearer chosen corner, got {cfg.offset_m}"
+        )
     anchors = {
         "left": _offset_toward_center(corners.A1, cfg.offset_m),
         "right": _offset_toward_center(corners.A2, cfg.offset_m),

@@ -775,6 +775,23 @@ def test_an_internal_fault_exits_70_in_one_line_at_any_jobs(bundle20_dir, tmp_pa
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("offset_m", ["20", "1e5"])
+def test_an_offset_m_past_a_corner_names_it_and_the_buffer(offset_m, bundle20_dir, tmp_path, capsys):
+    # Every buffer of fixtures20 has a chosen corner nearer its center than
+    # 20 m, so the lowest buffer, x0000, fails first at any --jobs.
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"out{jobs}"
+        out_dir.mkdir()
+        argv = place_args(bundle20_dir, out_dir / "pred.geojson", ["--jobs", jobs, "--set", f"offset_m={offset_m}"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        pattern = rf"error: x0000: offset_m must be below (\d+\.\d+) m, .*, got {float(offset_m)}\n"
+        match = re.fullmatch(pattern, err)
+        assert match and float(match[1]) < float(offset_m), err
+        assert list(out_dir.iterdir()) == []
+        assert_no_child_left()
+
+
 def test_jobs_above_one_needs_fork(bundle_dir, tmp_path, monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
     with pytest.raises(SystemExit) as exc:
@@ -1168,6 +1185,13 @@ def test_config_show_lists_defaults_and_overrides(tmp_path, capsys):
     assert "ring_px = 20" in out
 
 
+def test_config_without_show_only_checks(capsys):
+    assert main(["config"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["config", "--set", "bogus=1"]) == 2
+    assert "bogus" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_key(capsys):
     assert main(["config", "--show", "--set", "bogus=1"]) == 2
     assert "bogus" in capsys.readouterr().err
@@ -1540,3 +1564,27 @@ def test_entry_point_closed_pipe_exits_as_python_does():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 120
     assert b"Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "place"])
+def test_a_reader_that_closes_the_pipe_is_not_bad_input(command, bundle_dir, bundle20_dir, tmp_path, capsys):
+    # The output is larger than the 8 KB stdio buffer, so the write fails
+    # inside main, not at exit: a broken pipe ends rop quietly with 120.
+    if command == "eval":
+        truth = str(bundle20_dir / "truth.geojson")
+        argv = ["eval", "--pred", truth, "--ref", truth, "--json"]
+        assert main(argv) == 0
+        size = len(capsys.readouterr().out)
+    else:
+        out = tmp_path / "pred.geojson"
+        assert main(place_args(bundle_dir, out)) == 0
+        size = out.stat().st_size
+        argv = place_args(bundle_dir, Path("/dev/stdout"))
+    assert size > 8192
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rop.cli", *argv], env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 120
+    assert b"error:" not in err and b"Traceback" not in err

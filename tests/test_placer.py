@@ -325,6 +325,24 @@ def test_place_confidence_caps_at_one():
     assert placed.confidence == 1.0
 
 
+def test_place_offset_stays_short_of_the_nearer_corner():
+    # The left corner is 5 m from the center: an offset of 5 m or more would
+    # put its anchor on or past the center.
+    corners = pair_at((-3.0, 4.0), (10.0, 8.0))
+    objs = [fused("left", "traffic_sign")]
+    (placed,) = place_objects(objs, corners, FRAME, "x0", 1, RunConfig(offset_m=4.99))
+    local = project(FRAME, placed.position)
+    assert math.hypot(local.x, local.y) == pytest.approx(0.01, abs=1e-6)
+    assert local.x < 0 and local.y > 0
+    for offset_m in (5.0, 20.0):
+        with pytest.raises(ValueError, match=rf"^x0: offset_m must be below 5\.000 m, .*, got {offset_m}$"):
+            place_objects(objs, corners, FRAME, "x0", 1, RunConfig(offset_m=offset_m))
+    # No offset leaves even a corner at the center in place.
+    (placed,) = place_objects(objs, pair_at((0.0, 0.0), (10.0, 8.0)), FRAME, "x0", 1, RunConfig(offset_m=0.0))
+    local = project(FRAME, placed.position)
+    assert math.hypot(local.x, local.y) == pytest.approx(0.0, abs=1e-6)
+
+
 def test_place_requires_corners():
     with pytest.raises(ValueError):
         place_objects([fused("left", "traffic_sign")], None, FRAME, "x0", n_track_images=1)
