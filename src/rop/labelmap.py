@@ -148,9 +148,8 @@ def _pgm_header(fh: BinaryIO, path: str) -> tuple[int, int]:
     return w, h
 
 
-# The raster and run-start mask every PGM map is scanned in, kept from one read
-# to the next: two fresh map-sized arrays per image cost more in page faults
-# than the scan. They grow to the largest map read and are never shrunk.
+# The PGM scratch (see above): two fresh map-sized arrays per image cost more
+# in page faults than the scan.
 _raster = np.empty(0, dtype=np.uint8)
 _change = np.empty(0, dtype=bool)
 

@@ -156,9 +156,9 @@ def place_objects(
 
     Low lights and sign stacks sit cfg.offset_m in from their side's corner (one
     pole per stack, so stack members share the position); high lights hang at
-    the midpoint of the two corners. An offset_m that is not below a corner's
-    distance from the center would move its anchor onto or past the center,
-    and is a ValueError naming the intersection.
+    the midpoint of the two corners. An offset_m that is not below the nearer
+    corner's distance from the center would move its anchor onto or past the
+    center, and is a ValueError naming the intersection.
     """
     if corners is None:
         raise ValueError("place_objects requires a corner pair")
@@ -280,12 +280,12 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
     placement reads, as a one-buffer Bundle.
 
     A slice holds the buffer's images that approach its center or stand in
-    it (C1 or C2), and shares the bundle's label maps and detections, of which
-    it reads only its own images'. A camera that has passed the center (C3) is left out, so
-    a neighbour's camera leaving this center joins none of its tracks and a
-    buffer places the same whatever buffers surround it. An image without a
-    heading stays, and build_tracks drops it with a warning. The slice also
-    holds the footprints with a vertex within radius_m + corner_radius_m of
+    it (C1 or C2), and shares the bundle's label maps and detections, of
+    which it reads only its own images'. A camera that has passed the center
+    (C3) is left out, so a neighbour's camera leaving this center joins none
+    of its tracks and a buffer places the same whatever buffers surround it.
+    An image without a heading stays, and build_tracks drops it with a
+    warning. The slice also holds the footprints with a vertex within radius_m + corner_radius_m of
     the center. By the triangle inequality that bound loses nothing, up to
     rounding in the last place: select_corners keeps only footprints with a
     vertex within corner_radius_m of a camera, and every camera of the slice

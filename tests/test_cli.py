@@ -782,8 +782,8 @@ def test_an_offset_m_past_a_corner_names_it_and_the_buffer(offset_m, bundle20_di
     for jobs in ("1", "2"):
         out_dir = tmp_path / f"out{jobs}"
         out_dir.mkdir()
-        argv = place_args(bundle20_dir, out_dir / "pred.geojson", ["--jobs", jobs, "--set", f"offset_m={offset_m}"])
-        assert main(argv) == 2
+        extra = ["--jobs", jobs, "--set", f"offset_m={offset_m}"]
+        assert main(place_args(bundle20_dir, out_dir / "pred.geojson", extra)) == 2
         err = capsys.readouterr().err
         pattern = rf"error: x0000: offset_m must be below (\d+\.\d+) m, .*, got {float(offset_m)}\n"
         match = re.fullmatch(pattern, err)
@@ -1551,18 +1551,22 @@ def test_entry_point_pipes_whole_stdout(argv, bundle_dir, capsys):
     assert proc.stdout == expected
 
 
-def test_entry_point_closed_pipe_exits_as_python_does():
-    # A reader that goes away before rop writes: stdout cannot be flushed, and
-    # the process exits as Python itself would, with 120 and no traceback.
+def run_rop_into_a_closed_pipe(*argv: str) -> tuple[int, bytes]:
+    """The exit code and stderr of rop run with argv, its stdout a pipe whose
+    reader has gone away before rop writes."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "rop.cli", "config", "--show"],
-        env=fresh_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
+        [sys.executable, "-m", "rop.cli", *argv], env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 120
+    return proc.returncode, err
+
+
+def test_entry_point_closed_pipe_exits_as_python_does():
+    # A reader that goes away before rop writes: stdout cannot be flushed, and
+    # the process exits as Python itself would, with 120 and no traceback.
+    code, err = run_rop_into_a_closed_pipe("config", "--show")
+    assert code == 120
     assert b"Traceback" not in err
 
 
@@ -1581,10 +1585,6 @@ def test_a_reader_that_closes_the_pipe_is_not_bad_input(command, bundle_dir, bun
         size = out.stat().st_size
         argv = place_args(bundle_dir, Path("/dev/stdout"))
     assert size > 8192
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "rop.cli", *argv], env=fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 120
+    code, err = run_rop_into_a_closed_pipe(*argv)
+    assert code == 120
     assert b"error:" not in err and b"Traceback" not in err
