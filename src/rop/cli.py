@@ -32,7 +32,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atbt import tree_to_json  # noqa: E402
 from .config import RunConfig, check_range, load_config  # noqa: E402
-from .ingest import Bundle, build_tracks, load_inputs  # noqa: E402
+from .ingest import Bundle, _load_json, build_tracks, load_inputs  # noqa: E402
 from .placer import (  # noqa: E402
     IntersectionResult,
     PlacedObject,
@@ -386,10 +386,7 @@ def cmd_synth(args) -> int:
 
 def _read_placed(path: str) -> list[PlacedObject]:
     """The objects of a placed-object GeoJSON file; any error in it names the file."""
-    try:
-        return from_geojson(json.loads(Path(path).read_text()))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return from_geojson(_load_json(path), path)
 
 
 def cmd_eval(args) -> int:
@@ -398,6 +395,8 @@ def cmd_eval(args) -> int:
 
     preds = _read_placed(args.pred)
     refs = _read_placed(args.ref)
+    if args.min_completeness is not None and not refs:
+        raise ValueError(f"{args.ref}: no reference objects, so --min-completeness cannot be checked")
     report = evaluate(preds, refs, radius_m=args.radius)
     if args.json:
         text = json.dumps(report_to_json(report), indent=2, sort_keys=True)
@@ -409,7 +408,7 @@ def cmd_eval(args) -> int:
         print(text)
     if args.min_completeness is not None:
         c = report.group("overall").completeness
-        if c is not None and c < args.min_completeness:
+        if c < args.min_completeness:
             log.error("completeness %.4f below gate %.4f", c, args.min_completeness)
             return EX_GATE
     return EX_OK

@@ -169,25 +169,31 @@ def evaluate(
     return EvalReport(groups=groups, pairings=pairings, radius_m=radius_m)
 
 
+# A group's columns, in table order: (GroupStats field, decimals in JSON or
+# None for a name or count, table header, table alignment and width). The
+# table shows each ratio and distance to 3 decimals.
+_COLUMNS = [
+    ("group", None, "group", "<22"),
+    ("n_ref", None, "refs", ">5"),
+    ("n_pred", None, "preds", ">5"),
+    ("n_matched", None, "match", ">5"),
+    ("n_unmatched_pred", None, "unm_p", ">5"),
+    ("completeness", 6, "compl", ">6"),
+    ("precision", 6, "prec", ">6"),
+    ("f1", 6, "f1", ">6"),
+    ("mean_m", 4, "mean", ">7"),
+    ("median_m", 4, "median", ">7"),
+    ("rmse_m", 4, "rmse", ">7"),
+]
+
+
 def to_json(report: EvalReport) -> dict:
+    def cell(value, decimals):
+        return value if decimals is None or value is None else round(value, decimals)
+
     return {
         "radius_m": report.radius_m,
-        "groups": [
-            {
-                "group": g.group,
-                "n_ref": g.n_ref,
-                "n_pred": g.n_pred,
-                "n_matched": g.n_matched,
-                "n_unmatched_pred": g.n_unmatched_pred,
-                "completeness": None if g.completeness is None else round(g.completeness, 6),
-                "precision": None if g.precision is None else round(g.precision, 6),
-                "f1": None if g.f1 is None else round(g.f1, 6),
-                "mean_m": None if g.mean_m is None else round(g.mean_m, 4),
-                "median_m": None if g.median_m is None else round(g.median_m, 4),
-                "rmse_m": None if g.rmse_m is None else round(g.rmse_m, 4),
-            }
-            for g in report.groups
-        ],
+        "groups": [{name: cell(getattr(g, name), d) for name, d, _, _ in _COLUMNS} for g in report.groups],
         "pairings": [
             {
                 "ref_index": p.ref_index,
@@ -200,19 +206,11 @@ def to_json(report: EvalReport) -> dict:
 
 
 def to_table(report: EvalReport) -> str:
-    header = (
-        f"{'group':<22} {'refs':>5} {'preds':>5} {'match':>5} {'unm_p':>5} {'compl':>6} "
-        f"{'prec':>6} {'f1':>6} {'mean':>7} {'median':>7} {'rmse':>7}"
-    )
+    def cell(value, decimals):
+        return value if decimals is None else "-" if value is None else f"{value:.3f}"
+
+    header = " ".join(f"{head:{align}}" for _, _, head, align in _COLUMNS)
     lines = [header, "-" * len(header)]
-
-    def fmt(v):
-        return "-" if v is None else f"{v:.3f}"
-
     for g in report.groups:
-        lines.append(
-            f"{g.group:<22} {g.n_ref:>5} {g.n_pred:>5} {g.n_matched:>5} {g.n_unmatched_pred:>5} "
-            f"{fmt(g.completeness):>6} {fmt(g.precision):>6} {fmt(g.f1):>6} "
-            f"{fmt(g.mean_m):>7} {fmt(g.median_m):>7} {fmt(g.rmse_m):>7}"
-        )
+        lines.append(" ".join(f"{cell(getattr(g, name), d):{align}}" for name, d, _, align in _COLUMNS))
     return "\n".join(lines)

@@ -4,7 +4,8 @@ A bundle is the on-disk contract of the pipeline: camera metadata (JSON),
 per-image semantic label maps (binary PGM or run-length files, see
 labelmap), object detections (JSON Lines), building footprints (GeoJSON),
 and intersection buffers (JSON). Every JSON record rop reads or writes is a
-dataclass that one record codec, to_json and from_json, writes and reads.
+dataclass that one record codec, to_json and from_json, writes and reads,
+and every GeoJSON feature goes through geojson_features or feature.
 """
 
 from __future__ import annotations
@@ -295,6 +296,41 @@ def _reader(tp, point: type):
     return read_scalar
 
 
+# ---------------------------------------------------------------------------
+# GeoJSON (RFC 7946): the one reader of FeatureCollections, footprints and
+# placed objects alike, and the one builder of the features rop writes.
+
+
+def geojson_features(doc, path: str, geometry: str) -> Iterator[tuple[str, object, dict, object]]:
+    """(where, coordinates, properties, id) of each feature of doc, the GeoJSON
+    FeatureCollection in path. Each feature must be an object with a geometry
+    of type geometry and properties that are an object or null, read as {};
+    id is the feature's own, or None. Any fault is a BundleError naming path."""
+    if not (isinstance(doc, dict) and doc.get("type") == "FeatureCollection"):
+        raise BundleError(f"{path}: expected a GeoJSON FeatureCollection")
+    if not isinstance(doc.get("features"), list):
+        raise BundleError(f"{path}: features must be a list")
+    for where, feat in _records(path, "features", doc["features"]):
+        geom = feat.get("geometry")
+        if not (isinstance(geom, dict) and geom.get("type") == geometry):
+            raise BundleError(f"{where}: geometry.type must be {geometry}")
+        props = feat.get("properties")
+        if not (props is None or isinstance(props, dict)):
+            raise BundleError(f"{where}: properties must be an object or null")
+        yield where, geom.get("coordinates"), props or {}, feat.get("id")
+
+
+def lon_lat(position, where: str) -> dict:
+    """A GeoJSON position, [lon, lat] and an ignored altitude, as a record's lat and lon."""
+    if not (isinstance(position, list) and len(position) >= 2):
+        raise BundleError(f"{where} must be [lon, lat]")
+    return {"lat": position[1], "lon": position[0]}
+
+
+def feature(geometry: str, coordinates, properties: dict) -> dict:
+    return {"type": "Feature", "geometry": {"type": geometry, "coordinates": coordinates}, "properties": properties}
+
+
 def load_images(path: str) -> list[ImageMeta]:
     out: list[ImageMeta] = []
     seen: set[str] = set()
@@ -340,38 +376,26 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
 
 
 def load_footprints(path: str) -> list[Footprint]:
-    """Read building footprints from a GeoJSON FeatureCollection.
+    """Read building footprints from a GeoJSON FeatureCollection of Polygons.
 
-    Only Polygon geometries are accepted; the outer ring is used and holes
-    are ignored, as is any altitude after a vertex's [lon, lat]. A feature
-    without an 'id' property takes the feature's own id. An id is a string,
-    or a whole number, which is read as its digits.
+    The outer ring is used and holes are ignored. A feature without an 'id'
+    property takes the feature's own id. An id is a string, or a whole
+    number, which is read as its digits.
     """
-    doc = _load_json(path)
-    if not (isinstance(doc, dict) and doc.get("type") == "FeatureCollection"):
-        raise BundleError(f"{path}: expected a GeoJSON FeatureCollection")
     out: list[Footprint] = []
-    for where, feat in _records(path, "features", doc.get("features", [])):
-        geom = feat.get("geometry") or {}
-        if not (isinstance(geom, dict) and geom.get("type") == "Polygon"):
-            raise BundleError(f"{where}.geometry.type must be Polygon")
-        props = feat.get("properties") or {}
-        if not isinstance(props, dict):
-            raise BundleError(f"{where}.properties must be an object")
-        fid = props.get("id", feat.get("id"))
+    for where, rings, props, own_id in geojson_features(_load_json(path), path, "Polygon"):
+        fid = props.get("id", own_id)
         if fid is None:
             raise BundleError(f"{where} is missing the 'id' property")
         whole = isinstance(fid, int) or (isinstance(fid, float) and fid.is_integer())
         if isinstance(fid, bool) or not (isinstance(fid, str) or whole):
             raise BundleError(f"{where}: id must be a string or a whole number, got {json.dumps(fid)}")
-        rings = geom.get("coordinates")
         if not (isinstance(rings, list) and rings and isinstance(rings[0], list)):
-            raise BundleError(f"{where}.geometry.coordinates holds no ring")
+            raise BundleError(f"{where}: geometry.coordinates holds no ring")
         ring = []
         for k, c in enumerate(rings[0]):
-            if not (isinstance(c, list) and len(c) >= 2):
-                raise BundleError(f"{where}: vertex {k} must be [lon, lat]")
-            ring.append(from_json(GeoPoint, {"lat": c[1], "lon": c[0]}, f"{where}: vertex {k}", GeoPoint))
+            at = f"{where}: vertex {k}"
+            ring.append(from_json(GeoPoint, lon_lat(c, at), at, GeoPoint))
         try:
             fp = Footprint(id=fid if isinstance(fid, str) else str(int(fid)), ring=tuple(ring))
         except ValueError as exc:

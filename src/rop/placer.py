@@ -10,7 +10,7 @@ corners, and suspended lights hang over the road at the corner midpoint.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,12 +34,14 @@ from .geo import (
 from .grammar import apply_grammar
 from .ingest import (
     Bundle,
-    BundleError,
     ImageMeta,
     Track,
     build_tracks,
+    feature,
     from_json,
+    geojson_features,
     images_in_buffer,
+    lon_lat,
 )
 from .scene import scene_objects
 
@@ -422,22 +424,14 @@ def output_order(p: PlacedObject) -> tuple:
     return (p.intersection_id, p.category, p.subtype or "", p.position.lat, p.position.lon, p.light_kind or "")
 
 
+# A placed object's feature properties: its fields but position, the Point's.
+_PROPERTIES = tuple(f.name for f in fields(PlacedObject) if f.name != "position")
+
+
 def geojson_feature(p: PlacedObject) -> dict:
-    return {
-        "type": "Feature",
-        "geometry": {"type": "Point", "coordinates": [p.position.lon, p.position.lat]},
-        "properties": {
-            "category": p.category,
-            "subtype": p.subtype,
-            "light_kind": p.light_kind,
-            "height_m": p.height_m,
-            "support": p.support,
-            "confidence": round(p.confidence, 6),
-            "inferred_only": p.inferred_only,
-            "source_images": p.source_images,
-            "intersection_id": p.intersection_id,
-        },
-    }
+    properties = {name: getattr(p, name) for name in _PROPERTIES}
+    properties["confidence"] = round(p.confidence, 6)
+    return feature("Point", [p.position.lon, p.position.lat], properties)
 
 
 def to_geojson(placed: list[PlacedObject]) -> dict:
@@ -445,27 +439,12 @@ def to_geojson(placed: list[PlacedObject]) -> dict:
     return {"type": "FeatureCollection", "features": features}
 
 
-def from_geojson(doc: dict) -> list[PlacedObject]:
-    """The objects of a placed-object GeoJSON document, as to_geojson writes
-    it. A document whose features is not a list is a BundleError. So is a
-    feature without a Point's [lon, lat] or whose properties are not an
-    object, and any fault the record codec finds in its properties, read
-    with the Point's lat and lon as a PlacedObject; the error names
-    features[i]."""
-    if not isinstance(doc, dict):
-        raise BundleError("expected a GeoJSON FeatureCollection")
-    features = doc.get("features", [])
-    if not isinstance(features, list):
-        raise BundleError("features must be a list")
-    out = []
-    for i, feat in enumerate(features):
-        where = f"features[{i}]"
-        geom = feat.get("geometry") if isinstance(feat, dict) else None
-        coords = geom.get("coordinates") if isinstance(geom, dict) else None
-        if not (isinstance(coords, list) and len(coords) == 2):
-            raise BundleError(f"{where}: geometry.coordinates must be [lon, lat]")
-        props = feat.get("properties", {})
-        if not isinstance(props, dict):
-            raise BundleError(f"{where}: properties must be an object")
-        out.append(from_json(PlacedObject, {**props, "lat": coords[1], "lon": coords[0]}, where, GeoPoint))
-    return out
+def from_geojson(doc, path: str = "<document>") -> list[PlacedObject]:
+    """The objects of a FeatureCollection of Points read from path, as
+    to_geojson writes it: each feature's properties, read with its Point's
+    lat and lon as a PlacedObject by the record codec. Any fault is a
+    BundleError naming path and the feature."""
+    return [
+        from_json(PlacedObject, {**props, **lon_lat(c, f"{where}: geometry.coordinates")}, where, GeoPoint)
+        for where, c, props, _ in geojson_features(doc, path, "Point")
+    ]

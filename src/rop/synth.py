@@ -27,6 +27,7 @@ from .ingest import (
     ImageMeta,
     IntersectionBuffer,
     _load_json,
+    feature,
     from_json,
     to_json,
 )
@@ -452,20 +453,8 @@ def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
     detections = [d for image_id in sorted(bundle.detections) for d in bundle.detections[image_id]]
     lines = [json.dumps(record, sort_keys=True) + "\n" for record in to_json(detections, GeoPoint)]
     (out / "detections.jsonl").write_text("".join(lines))
-    fp_doc = {
-        "type": "FeatureCollection",
-        "features": [
-            {
-                "type": "Feature",
-                "properties": {"id": fp.id},
-                "geometry": {
-                    "type": "Polygon",
-                    "coordinates": [[[v.lon, v.lat] for v in fp.ring]],
-                },
-            }
-            for fp in bundle.footprints
-        ],
-    }
+    footprints = [feature("Polygon", [[[v.lon, v.lat] for v in fp.ring]], {"id": fp.id}) for fp in bundle.footprints]
+    fp_doc = {"type": "FeatureCollection", "features": footprints}
     (out / "footprints.geojson").write_text(json.dumps(fp_doc, indent=2, sort_keys=True))
     (out / "buffers.json").write_text(json.dumps(to_json(bundle.buffers, GeoPoint), indent=2, sort_keys=True))
     return {

@@ -288,6 +288,19 @@ def test_place_rejects_a_bbox_without_area(bbox, bundle_dir, tmp_path, capsys):
     test_place_rejects_non_numeric_field("detections", "bbox", bbox, fragment, bundle_dir, tmp_path, capsys)
 
 
+def _footprint_properties(props):
+    """An edit of a footprints file that moves the first feature's id from its
+    properties to the feature and sets its properties to props."""
+
+    def edit(text):
+        doc = json.loads(text)
+        first = doc["features"][0]
+        doc["features"][0] = {**first, "id": first["properties"]["id"], "properties": props}
+        return json.dumps(doc)
+
+    return edit
+
+
 BAD_RECORD_CASES = [
     pytest.param(
         "images",
@@ -320,6 +333,27 @@ BAD_RECORD_CASES = [
         id="footprints-str-feature",
     ),
     pytest.param(
+        "images",
+        lambda text: json.dumps([{**json.loads(text)[0], "lat": 10**400}, *json.loads(text)[1:]]),
+        "images.json: images[0]: lat must be a number",
+        id="images-int-beyond-float",
+    ),
+    pytest.param(
+        "footprints",
+        lambda text: json.dumps({"type": "FeatureCollection"}),
+        "footprints.geojson: features must be a list",
+        id="footprints-no-features",
+    ),
+] + [
+    pytest.param(
+        "footprints",
+        _footprint_properties(props),
+        "footprints.geojson: features[0]: properties must be an object or null",
+        id=f"footprints-properties-{name}",
+    )
+    for name, props in [("list", []), ("zero", 0), ("false", False), ("empty-string", "")]
+] + [
+    pytest.param(
         "buffers",
         lambda text: json.dumps([{**json.loads(text)[0], "lat": 89.5}, *json.loads(text)[1:]]),
         "buffers[0]: frame degenerate near the poles (lat=89.5)",
@@ -341,6 +375,15 @@ def test_place_rejects_malformed_bundle_file(flag, edit, fragment, bundle_dir, t
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert fragment in err and src.name in err
+
+
+def test_place_names_a_masks_path_that_is_a_file(bundle_dir, tmp_path, capsys):
+    argv = place_args(bundle_dir, tmp_path / "pred.geojson")
+    masks = str(bundle_dir / "images.json")
+    argv[argv.index("--masks") + 1] = masks
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {masks}: not a directory\n"
+    assert not (tmp_path / "pred.geojson").exists()
 
 
 def _json_paths(value, prefix=()):
@@ -1024,13 +1067,25 @@ def test_eval_empty_ref_reports_absent_completeness(bundle_dir, tmp_path, capsys
     assert main(place_args(bundle_dir, pred)) == 0
     empty = tmp_path / "none.geojson"
     empty.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
-    rc = main(
-        ["eval", "--pred", str(pred), "--ref", str(empty), "--min-completeness", "0.99"]
-    )
+    rc = main(["eval", "--pred", str(pred), "--ref", str(empty)])
     assert rc == 0
     table = capsys.readouterr().out
     line = [ln for ln in table.splitlines() if ln.startswith("overall")][0]
     assert " - " in line
+
+
+def test_eval_gate_on_an_empty_ref_names_the_file(bundle_dir, tmp_path, capsys):
+    # With no reference there is no completeness to gate on.
+    empty = tmp_path / "none.geojson"
+    empty.write_text(json.dumps({"type": "FeatureCollection", "features": []}))
+    out = tmp_path / "report.txt"
+    truth = str(bundle_dir / "truth.geojson")
+    argv = ["eval", "--pred", truth, "--ref", str(empty), "--out", str(out), "--min-completeness", "0.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {empty}: no reference objects, so --min-completeness cannot be checked\n"
+    )
+    assert not out.exists()
 
 
 def test_eval_json_report(bundle_dir, tmp_path, capsys):
@@ -1054,7 +1109,13 @@ def _truth_with(bundle: Path, bad_feature: dict) -> dict:
 @pytest.mark.parametrize(
     "feature, fragment",
     [
-        pytest.param({}, "features[1]: geometry.coordinates must be [lon, lat]", id="no-geometry"),
+        pytest.param({}, "features[1]: geometry.type must be Point", id="no-geometry"),
+        pytest.param(
+            {"geometry": {"type": "Polygon", "coordinates": [[[13.4, 52.5]]]}},
+            "features[1]: geometry.type must be Point",
+            id="polygon",
+        ),
+        pytest.param(5, "features[1]: expected a JSON object", id="int-feature"),
         pytest.param(
             {"geometry": {"type": "Point"}},
             "features[1]: geometry.coordinates must be [lon, lat]",
@@ -1156,6 +1217,45 @@ def test_eval_rejects_non_object_document(bundle_dir, tmp_path, capsys):
         bad.write_text(json.dumps(doc))
         assert main(["eval", "--pred", str(bad), "--ref", str(truth)]) == 2
         assert f"{bad}: {fragment}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(
+            lambda truth: truth["features"][0], "expected a GeoJSON FeatureCollection", id="one-feature"
+        ),
+        pytest.param(lambda truth: {"type": "FeatureCollection"}, "features must be a list", id="no-features"),
+        pytest.param(
+            lambda truth: {"features": truth["features"]}, "expected a GeoJSON FeatureCollection", id="no-type"
+        ),
+    ],
+)
+@pytest.mark.parametrize("flag", ["--pred", "--ref"])
+def test_eval_reads_only_a_feature_collection(flag, doc, message, bundle_dir, tmp_path, capsys):
+    # None of these is a FeatureCollection with a features list, so none
+    # reads as zero objects, and a gate is not passed by default.
+    truth = bundle_dir / "truth.geojson"
+    bad = tmp_path / "bad.geojson"
+    bad.write_text(json.dumps(doc(json.loads(truth.read_text()))))
+    argv = ["eval", "--pred", str(truth), "--ref", str(truth), "--min-completeness", "1.0"]
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def test_eval_reads_a_point_with_an_altitude_as_a_vertex_is_read(bundle_dir, tmp_path, capsys):
+    truth = bundle_dir / "truth.geojson"
+    doc = json.loads(truth.read_text())
+    for feat in doc["features"]:
+        feat["geometry"]["coordinates"].append(12.5)
+    high = tmp_path / "high.geojson"
+    high.write_text(json.dumps(doc))
+    assert main(["eval", "--pred", str(truth), "--ref", str(truth), "--json"]) == 0
+    flat = capsys.readouterr().out
+    assert main(["eval", "--pred", str(high), "--ref", str(high), "--json"]) == 0
+    assert capsys.readouterr().out == flat
+    assert json.loads(flat)["groups"][0]["completeness"] == 1.0
 
 
 def test_dump_trees_exports_heap_nodes(bundle_dir, tmp_path):
@@ -1267,6 +1367,7 @@ INVALID_VALUES = [
     "ring_px=9223372036854775807",
     "ring_px=10000000000000000000",
     "min_region_px=4611686018427387905",
+    "ring_px=abc",
 ]
 
 

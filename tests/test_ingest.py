@@ -167,6 +167,13 @@ def test_read_pgm_rejects_malformed(tmp_path, payload, fragment):
         read_label_map(str(path))
 
 
+def test_read_pgm_names_the_file_of_a_non_numeric_header_token(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n3 two\n255\n" + bytes(6))
+    with pytest.raises(BundleError, match=rf"^{re.escape(str(path))}: malformed PGM header$"):
+        read_label_map(str(path))
+
+
 def test_read_pgm_header_larger_than_the_file_is_a_truncated_raster(tmp_path):
     # A 31-byte file whose header declares a 200000 x 200000 raster is short
     # of raster, found from the file's size before any buffer is taken.
@@ -544,6 +551,32 @@ def test_load_footprints_rejects_bad_vertex(tmp_path, vertex, fragment):
     ring = [_RING[0], vertex, *_RING[2:]]
     with pytest.raises(BundleError, match=fragment):
         load_footprints(_write_footprints(tmp_path, _feature(ring)))
+
+
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        (_RING[:-1], "features[0]: footprint b1: ring is not closed"),
+        ([_RING[0], _RING[1], _RING[0]], "features[0]: footprint b1: ring needs >= 4 vertices, got 3"),
+        ([_RING[0], _RING[1], [13.4001, 52.52], _RING[0]], "features[0] (b1) has a zero-area ring"),
+    ],
+    ids=["unclosed", "three-vertices", "zero-area"],
+)
+def test_load_footprints_rejects_a_bad_ring(tmp_path, ring, message):
+    with pytest.raises(BundleError, match=rf"fp\.geojson: {re.escape(message)}$"):
+        load_footprints(_write_footprints(tmp_path, _feature(ring)))
+
+
+def test_load_footprints_names_a_polygon_without_a_ring(tmp_path):
+    feat = _feature(_RING, geometry={"type": "Polygon", "coordinates": []})
+    with pytest.raises(BundleError, match=r"fp\.geojson: features\[0\]: geometry\.coordinates holds no ring$"):
+        load_footprints(_write_footprints(tmp_path, feat))
+
+
+def test_load_footprints_reads_null_properties_as_empty(tmp_path):
+    # properties: null is an empty object, so the feature's own id is taken.
+    fps = load_footprints(_write_footprints(tmp_path, _feature(_RING, props=None, id="f9")))
+    assert [fp.id for fp in fps] == ["f9"]
 
 
 # ---------------------------------------------------------------------------

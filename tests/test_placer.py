@@ -483,6 +483,51 @@ def test_no_corners_counts_only_objects_that_can_be_placed():
     assert events == [*expected, ("no_corners_any_track", None, None)]
 
 
+def test_a_buffer_whose_slice_holds_no_image_notes_no_images():
+    bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
+    # The fixture's nearest camera stands 17 m from its center.
+    lonely = dataclasses.replace(bundle.buffers[0], intersection_id="lonely", radius_m=5.0)
+    bundle = dataclasses.replace(bundle, buffers=[*bundle.buffers, lonely])
+    part = slice_bundle(bundle, CFG)[1]
+    assert part.images == []
+    result = run_intersection(part, CFG)
+    assert result.placed == []
+    assert result.diagnostics == [{"intersection_id": "lonely", "event": "no_images"}]
+
+
+def test_an_object_placed_past_the_buffer_notes_outside_buffer():
+    # A 20 m buffer holds one camera per approach, 17-18 m out. Four blocks
+    # take the place of the fixture's, each with its corner nearest the center
+    # at (+-16.5, +-16.5), 23.3 m out: past radius_m, within radius_m +
+    # corner_radius_m. Low lights and signs sit offset_m in from those
+    # corners, 20.8 m out, and fall outside the buffer; high lights hang at
+    # the corners' midpoint, inside it.
+    bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
+    buffer = dataclasses.replace(bundle.buffers[0], radius_m=20.0)
+    frame = make_frame(buffer.center)
+
+    def block(sx, sy, near=16.5, size=20.0):
+        xs, ys = sorted([sx * near, sx * (near + size)]), sorted([sy * near, sy * (near + size)])
+        corners = [(xs[0], ys[0]), (xs[1], ys[0]), (xs[1], ys[1]), (xs[0], ys[1]), (xs[0], ys[0])]
+        return Footprint(f"block{sx:+d}{sy:+d}", tuple(unproject(frame, LocalPoint(x, y)) for x, y in corners))
+
+    blocks = [block(sx, sy) for sx in (1, -1) for sy in (1, -1)]
+    (part,) = slice_bundle(dataclasses.replace(bundle, footprints=blocks, buffers=[buffer]), CFG)
+    result = run_intersection(part, CFG)
+    outside = [d for d in result.diagnostics if d["event"] == "outside_buffer"]
+    assert outside == [
+        {"intersection_id": "x0000", "event": "outside_buffer", "category": category}
+        for category in ["traffic_light", "traffic_sign", "traffic_sign"] * 2
+    ]
+    # The same slice under a buffer wide enough to keep every placed object:
+    # the ones past 20 m are exactly those noted, in the same order.
+    wide = run_intersection(dataclasses.replace(part, buffers=[dataclasses.replace(buffer, radius_m=50.0)]), CFG)
+    far = [dist(project(frame, p.position), LocalPoint(0.0, 0.0)) > 20.0 for p in wide.placed]
+    assert [d["category"] for d in outside] == [p.category for p, f in zip(wide.placed, far) if f]
+    assert result.placed == [p for p, f in zip(wide.placed, far) if not f]
+    assert result.placed and all(p.light_kind == "high" for p in result.placed)
+
+
 def test_run_intersection_rejects_a_bundle_of_two_buffers():
     a, b = (render_bundle(lay)[0] for lay in standard_fixtures(2, seed=1))
     with pytest.raises(ValueError, match="one-buffer slice"):

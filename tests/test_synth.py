@@ -544,6 +544,11 @@ BAD_LAYOUTS = [
             "layouts[0]: x0000: light mount 5.0 not in {4.0, 7.0}",
         ),
         (
+            "footprint-x1-at-x0",
+            lambda d: d["footprints"][0].update(x1=d["footprints"][0]["x0"]),
+            "layouts[0]: x0000: footprint x0000-ne is degenerate",
+        ),
+        (
             "duplicate-image-id",
             lambda d: d["cameras"][1].update(image_id=d["cameras"][0]["image_id"]),
             "layouts[0]: x0000: duplicate image id",
