@@ -161,9 +161,9 @@ def _load_bundle(args) -> Bundle:
 
 
 def deal(sizes: list[int], n: int) -> list[list[int]]:
-    """The buffer indices of each of n processes, each list in buffer order.
+    """The slice indices of each of n processes, each list in slice order.
 
-    Buffers go out by size (image count), largest first and ties in buffer
+    Buffers go out by size (image count), largest first and ties in slice
     order, each to the least-loaded process, ties to the lowest process."""
     shares: list[list[int]] = [[] for _ in range(n)]
     loads = [0] * n
@@ -214,7 +214,7 @@ def _worker(
 
 
 def _run_buffers(args, cfg: RunConfig, jobs: int) -> list[IntersectionResult]:
-    """Per-buffer results in buffer order, identical for any job count.
+    """Per-buffer results in slice order, identical for any job count.
 
     The bundle is loaded and sliced once. With jobs above 1 the slices are
     dealt to min(jobs, buffers) processes: this one places the first share,
@@ -328,7 +328,7 @@ def cmd_dump_trees(args) -> int:
     write_json(args.out, ((part.buffers[0].intersection_id, {
         track.track_id: [tree_to_json(t) for t in track_trees(part, track, cfg)]
         for track in build_tracks(part.images, part.buffers[0])
-    }) for part in sorted(parts, key=lambda part: part.buffers[0].intersection_id)))
+    }) for part in parts))
     return EX_OK
 
 

@@ -1,5 +1,5 @@
 """Run configuration: one flat dataclass, file + override parsing, and the
-range check of every number a user types."""
+range check of every ranged number rop reads, typed or in a record."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ RANGES = {
     "> 0": lambda v: v > 0,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1)": lambda v: 0 < v < 1,
+    "in (0, 180)": lambda v: 0 < v < 180,
 }
 
 
@@ -26,6 +27,13 @@ def check_range(name: str, value: int | float, rule: str) -> None:
         bound, bounded = "finite", math.isfinite(value)
     if not (bounded and RANGES[rule](value)):
         raise ValueError(f"{name} must be {bound} and {rule}, got {value}")
+
+
+def check_fields(record) -> None:
+    """check_range on each ranged field of the dataclass record that is not None."""
+    for f in dataclasses.fields(record):
+        if "range" in f.metadata and getattr(record, f.name) is not None:
+            check_range(f.name, getattr(record, f.name), f.metadata["range"])
 
 
 @dataclass(frozen=True)
@@ -47,8 +55,7 @@ class RunConfig:
     dedup_radius_m: float = field(default=1.5, metadata={"range": ">= 0"})
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            check_range(f.name, getattr(self, f.name), f.metadata["range"])
+        check_fields(self)
 
     def show(self) -> str:
         lines = [

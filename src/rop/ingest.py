@@ -15,11 +15,12 @@ import logging
 import math
 import sys
 from collections.abc import Iterator, Mapping
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+from .config import check_fields
 from .geo import Footprint, GeoPoint, make_frame, project, within
 from .labelmap import BundleError, LabelRuns, label_map_size, read_label_map
 
@@ -41,15 +42,15 @@ class ImageMeta:
     heading_deg: float | None
     sequence_id: str
     captured_at: float | str | None
-    width_px: int
-    height_px: int
+    width_px: int = field(metadata={"range": "> 0"})
+    height_px: int = field(metadata={"range": "> 0"})
 
 
 @dataclass(frozen=True)
 class IntersectionBuffer:
     intersection_id: str
     center: GeoPoint
-    radius_m: float = 50.0
+    radius_m: float = field(default=50.0, metadata={"range": "> 0"})
 
 
 @dataclass
@@ -61,14 +62,13 @@ class Track:
 @dataclass(slots=True)
 class Detection:
     """One detections.jsonl line, written and read by the record codec
-    (to_json, from_json). score stays, though placement does not read it:
-    load_detections checks that it lies in [0, 1]."""
+    (to_json, from_json). score stays, though placement does not read it."""
 
     image_id: str
     category: str
     subtype: str | None
     bbox: tuple[float, float, float, float]  # x, y, w, h in pixels
-    score: float
+    score: float = field(metadata={"range": "in [0, 1]"})
 
 
 @dataclass
@@ -198,8 +198,8 @@ def from_json(kind: type, doc, where: str, point: type):
     """doc, the JSON object at where, read as a kind dataclass as to_json
     writes it: each field by its type, and a field of type point from the
     object's own fields. A field typed X | None may be null or absent; any
-    other absent field takes its default. Any fault is a BundleError naming
-    where and the field."""
+    other absent field takes its default; a field with a range is checked by
+    config.check_fields. Any fault is a BundleError naming where and the field."""
     return _record(kind, point)(doc, where)
 
 
@@ -247,9 +247,11 @@ def _record(kind: type, point: type):
             elif absent is not _DEFAULT:
                 values[name] = absent
         try:
-            return kind(**values)
-        except ValueError as exc:  # the dataclass's own check, such as GeoPoint's range
+            record = kind(**values)
+            check_fields(record)
+        except ValueError as exc:  # a dataclass's own check, such as GeoPoint's, or a field's range
             raise BundleError(f"{where}: {exc}") from exc
+        return record
 
     return read
 
@@ -341,8 +343,6 @@ def load_images(path: str) -> list[ImageMeta]:
         seen.add(image.image_id)
         if image.heading_deg is not None:
             image.heading_deg %= 360.0
-        if image.width_px <= 0 or image.height_px <= 0:
-            raise BundleError(f"{where}: width_px/height_px must be positive")
         out.append(image)
     return out
 
@@ -367,8 +367,6 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
             det = from_json(Detection, rec, where, GeoPoint)
             if known_images is not None and det.image_id not in known_images:
                 raise BundleError(f"{where}: detection references unknown image_id '{det.image_id}'")
-            if not 0.0 <= det.score <= 1.0:
-                raise BundleError(f"{where}: score {det.score} outside [0, 1]")
             if not (det.bbox[2] > 0 and det.bbox[3] > 0):
                 raise BundleError(f"{where}: bbox width and height must be positive, got {list(det.bbox)}")
             out.setdefault(det.image_id, []).append(det)
@@ -419,8 +417,6 @@ def load_buffers(path: str) -> list[IntersectionBuffer]:
             make_frame(buffer.center)  # placement needs a tangent frame at the centre
         except ValueError as exc:
             raise BundleError(f"{where}: {exc}") from exc
-        if buffer.radius_m <= 0:
-            raise BundleError(f"{where}: radius_m must be positive, got {buffer.radius_m}")
         out.append(buffer)
     return out
 

@@ -278,8 +278,8 @@ def _in_box(frame: LocalFrame, lat: np.ndarray, lon: np.ndarray, radius_m: float
 
 
 def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
-    """One slice per buffer, in buffer order: the part of bundle that buffer's
-    placement reads, as a one-buffer Bundle.
+    """One slice per buffer, in intersection_id order: the part of bundle that
+    buffer's placement reads, as a one-buffer Bundle.
 
     A slice holds the buffer's images that approach its center or stand in
     it (C1 or C2), and shares the bundle's label maps and detections, of
@@ -307,7 +307,7 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
     v_lat = np.array([v.lat for fp in footprints for v in fp.ring])
     v_lon = np.array([v.lon for fp in footprints for v in fp.ring])
     slices = []
-    for buffer in bundle.buffers:
+    for buffer in sorted(bundle.buffers, key=lambda b: b.intersection_id):
         frame = make_frame(buffer.center)
         reach_m = buffer.radius_m + cfg.corner_radius_m
         near = np.flatnonzero(_in_box(frame, img_lat, img_lon, buffer.radius_m))

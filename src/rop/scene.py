@@ -149,18 +149,19 @@ def reconcile(
     """Fuse one image's sign components (extract_regions) with its sign
     detections.
 
-    Lights and sidewalks pass through as they are. Each sign detection i
-    yields one object, sign{i}. When exactly one detection overlaps exactly
-    one sign component at IoU >= iou_min, that component becomes the object,
-    keeping its centroid, area, and bbox; otherwise geometry derives from the
-    detection bbox alone. Sign components no detection claims are dropped
-    (the detector is the authority on sign existence), and detections of
-    other categories are ignored here.
+    Lights and sidewalks pass through as they are. Each sign detection i, in
+    (bbox, subtype, score) order, not line order, yields one object, sign{i}.
+    When exactly one detection overlaps exactly one sign component at IoU >=
+    iou_min, that component becomes the object, keeping its centroid, area,
+    and bbox; otherwise geometry derives from the detection bbox alone. Sign
+    components no detection claims are dropped (the detector is the authority
+    on sign existence), and detections of other categories are ignored here.
     """
     out = [r for r in regions if r.category == "traffic_light"]
     out += [r for r in regions if r.category == "sidewalk"]
     signs = [r for r in regions if r.category == "traffic_sign"]
     sign_dets = [d for d in detections if d.category == "traffic_sign"]
+    sign_dets.sort(key=lambda d: (d.bbox, d.subtype or "", d.score))
     hits = [[j for j, r in enumerate(signs) if box_iou(d.bbox, r.bbox) >= iou_min] for d in sign_dets]
     claimed = Counter(j for row in hits for j in row)
     for i, (det, row) in enumerate(zip(sign_dets, hits)):

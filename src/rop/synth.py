@@ -39,10 +39,10 @@ _NEAR_M = 0.2
 
 @dataclass(frozen=True)
 class CameraModel:
-    hfov_deg: float = 90.0
-    width_px: int = 1024
-    height_px: int = 768
-    cam_height_m: float = 1.6
+    hfov_deg: float = field(default=90.0, metadata={"range": "in (0, 180)"})
+    width_px: int = field(default=1024, metadata={"range": "> 0"})
+    height_px: int = field(default=768, metadata={"range": "> 0"})
+    cam_height_m: float = field(default=1.6, metadata={"range": "> 0"})
 
     @property
     def focal_px(self) -> float:
@@ -56,7 +56,7 @@ class RectFootprint:
     y0: float
     x1: float
     y1: float
-    height_m: float
+    height_m: float = field(metadata={"range": "> 0"})
 
     def expanded(self, margin: float) -> tuple[float, float, float, float]:
         return (self.x0 - margin, self.y0 - margin, self.x1 + margin, self.y1 + margin)
@@ -80,7 +80,7 @@ class TruthObject:
 @dataclass(frozen=True)
 class PedestrianSpec:
     position: LocalPoint
-    height_m: float
+    height_m: float = field(metadata={"range": "> 0"})
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class Layout:
     pedestrians: list[PedestrianSpec] = field(default_factory=list)
     cameras: list[CameraPose] = field(default_factory=list)
     camera: CameraModel = field(default_factory=CameraModel)
-    radius_m: float = 50.0
+    radius_m: float = field(default=50.0, metadata={"range": "> 0"})
     kind: str = "crossroad"
 
 
@@ -118,7 +118,7 @@ def validate_layout(layout: Layout) -> None:
     for fp in layout.footprints:
         for x, y in fp.corners():
             check_reach(x, y, f"footprint {fp.id}")
-        if fp.x1 <= fp.x0 or fp.y1 <= fp.y0 or fp.height_m <= 0:
+        if fp.x1 <= fp.x0 or fp.y1 <= fp.y0:
             raise ValueError(f"{layout.intersection_id}: footprint {fp.id} is degenerate")
     for t in layout.truth_objects:
         check_reach(t.position.x, t.position.y, f"truth {t.category}")

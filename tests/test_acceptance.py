@@ -90,7 +90,7 @@ def fixture_run():
 # sorted keys. A change meant to alter the output updates these pins and
 # records the new hashes in CHANGES.md.
 PLACED_SHA256_N100 = "a5339ec4cb4848ee0ae8eee4f590096f05e1baaaa58959e23c143acea2c95efe"
-TREES_SHA256_N100 = "117aecf54219f558bb1942ccae7657769f35bdac7612d913a3b237aff4731c94"
+TREES_SHA256_N100 = "415f1be9dc48cf66fdc94e8b5e00955f5818332c3538a77d177ff7c008b11f45"
 
 
 def _sha256_json(doc) -> str:

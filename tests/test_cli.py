@@ -480,14 +480,14 @@ def test_a_mutated_bundle_places_or_names_a_file(bundle_dir, tmp_path_factory, d
 # meant to alter the output updates these pins and records the new hashes in
 # CHANGES.md.
 PLACE_SHA256 = "80d13b3ba68c1bf528cb900329d153875127aec19737f3c39ad90df7a13381f0"
-DUMP_TREES_SHA256 = "ae256498860cd31be130d2c23ed60a16d79f8cb2ca0b4418018d176c7e831f95"
+DUMP_TREES_SHA256 = "c58279b476452aa689cd4a839cea4691ed8f9a2f4a10369508f5ef72ae9647c7"
 # The files of `rop synth --fixtures 2 --seed 1` and `--fixtures 20 --seed 1`,
 # hashed as tree_sha256 does.
 SYNTH_SHA256 = "620b9fa45ff4a811b936043cd917aab39e29fc153cc7e296a41fb12949ecdaf0"
 SYNTH20_SHA256 = "8654e080d4398256ebc3aa19425ecb749886bd9f5b3e9f4dae45337c1b913194"
 # The bytes `--fixtures 20 --seed 1` places to and dumps as trees.
 PLACE20_SHA256 = "823eaf593e6332cb2e529f94133dc95952b1fb40944b0bd62cbe884bee1eb130"
-DUMP_TREES20_SHA256 = "8e39abf10ccc404db23447fb69ca158bafc7b0db42dd62c5a9f3f93e5dda3410"
+DUMP_TREES20_SHA256 = "891dffc6904b01a327c55ed362a0850aee1070410a0739155e46a59c50c7604b"
 
 
 def tree_sha256(root: Path) -> str:
@@ -598,7 +598,7 @@ def test_dump_trees_output_is_pinned(bundle_dir, tmp_path, monkeypatch):
 
 
 def test_dump_trees_writes_buffers_in_id_order(bundle_dir, tmp_path):
-    # dump-trees writes one buffer at a time, so it orders the buffers itself.
+    # dump-trees writes the buffers in slice order, that of their ids.
     buffers = json.loads((bundle_dir / "buffers.json").read_text())
     assert len(buffers) == 2
     (tmp_path / "buffers.json").write_text(json.dumps(buffers[::-1]))
@@ -1541,7 +1541,8 @@ def placed_bytes(bundle_dir, tmp_path_factory):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_place_is_invariant_to_record_order(seed, bundle_dir, placed_bytes, tmp_path_factory):
     # Permute the image records, the detection lines (so each image's
-    # detections too) and the footprint features; the bytes must not move.
+    # detections too), the footprint features and the buffers; neither the
+    # placed bytes nor the trees' may move.
     rng = random.Random(seed)
     tmp_path = tmp_path_factory.mktemp("permuted")
     images = json.loads((bundle_dir / "images.json").read_text())
@@ -1550,15 +1551,42 @@ def test_place_is_invariant_to_record_order(seed, bundle_dir, placed_bytes, tmp_
     rng.shuffle(lines)
     footprints = json.loads((bundle_dir / "footprints.geojson").read_text())
     rng.shuffle(footprints["features"])
+    buffers = json.loads((bundle_dir / "buffers.json").read_text())
+    rng.shuffle(buffers)
     (tmp_path / "images.json").write_text(json.dumps(images))
     (tmp_path / "detections.jsonl").write_text("\n".join(lines) + "\n")
     (tmp_path / "footprints.geojson").write_text(json.dumps(footprints))
+    (tmp_path / "buffers.json").write_text(json.dumps(buffers))
     argv = place_args(bundle_dir, tmp_path / "pred.geojson")
-    for name in ("images", "detections", "footprints"):
+    for name in ("images", "detections", "footprints", "buffers"):
         i = argv.index(f"--{name}") + 1
         argv[i] = str(tmp_path / Path(argv[i]).name)
     assert main(argv) == 0
     assert (tmp_path / "pred.geojson").read_bytes() == placed_bytes
+    argv[argv.index("--out") + 1] = str(tmp_path / "trees.json")
+    assert main(["dump-trees", *argv[1:]]) == 0
+    assert hashlib.sha256((tmp_path / "trees.json").read_bytes()).hexdigest() == DUMP_TREES_SHA256
+
+
+def test_place_writes_diagnostics_in_intersection_id_order(bundle_dir, tmp_path):
+    # Two more buffers of 5 m, each far from every camera, note no_images.
+    # Whatever the order of the buffer records, the bytes are the same.
+    buffers = json.loads((bundle_dir / "buffers.json").read_text())
+    lat, lon = buffers[0]["lat"], buffers[0]["lon"]
+    buffers += [{"intersection_id": iid, "lat": lat + 0.01, "lon": lon + dlon, "radius_m": 5.0}
+                for iid, dlon in (("empty-a", 0.0), ("empty-b", 0.01))]
+    outputs = []
+    for order in (buffers, buffers[::-1]):
+        (tmp_path / "buffers.json").write_text(json.dumps(order))
+        argv = place_args(bundle_dir, tmp_path / "pred.geojson")
+        argv[argv.index("--buffers") + 1] = str(tmp_path / "buffers.json")
+        assert main(argv) == 0
+        outputs.append((tmp_path / "pred.geojson").read_bytes())
+    diagnostics = json.loads(outputs[0])["diagnostics"]
+    assert [(d["intersection_id"], d["event"]) for d in diagnostics] == [
+        ("empty-a", "no_images"), ("empty-b", "no_images")
+    ]
+    assert outputs[1] == outputs[0]
 
 
 # ---------------------------------------------------------------------------

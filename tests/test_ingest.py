@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import pickle
@@ -46,6 +47,7 @@ from rop.labelmap import (
 )
 from rop.placer import PlacedObject
 from rop.scene import SceneObject
+from rop.synth import Layout, PedestrianSpec, RectFootprint
 
 BERLIN = GeoPoint(52.52, 13.405)
 
@@ -584,6 +586,10 @@ def test_load_footprints_reads_null_properties_as_empty(tmp_path):
 
 _number = st.floats(allow_nan=False, allow_infinity=False)
 _whole = st.integers(-(2**53), 2**53)
+# In-range values of the ranged fields: a pixel size, a score and a radius.
+_size = st.integers(1, 2**53)
+_score = st.floats(0.0, 1.0)
+_positive = st.floats(0.0, exclude_min=True, allow_infinity=False)
 _text = st.text(max_size=6)
 _geo = st.builds(GeoPoint, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
 
@@ -595,7 +601,7 @@ _JSON_VALUES = {"null": None, "boolean": True, "number": 2, "string": "x", "list
 # _JSON_VALUES each of its fields takes, by the field's JSON name.
 _RECORDS = {
     ImageMeta: (
-        st.builds(ImageMeta, _text, _geo, st.none() | _number, _text, st.none() | _number | _text, _whole, _whole),
+        st.builds(ImageMeta, _text, _geo, st.none() | _number, _text, st.none() | _number | _text, _size, _size),
         {
             "image_id": {"string"},
             "lat": {"number"},
@@ -608,12 +614,12 @@ _RECORDS = {
         },
     ),
     Detection: (
-        st.builds(Detection, _text, _text, st.none() | _text, st.tuples(*[_number] * 4), _number),
+        st.builds(Detection, _text, _text, st.none() | _text, st.tuples(*[_number] * 4), _score),
         # No list of _JSON_VALUES is a bbox: it holds four numbers.
         {"image_id": {"string"}, "category": {"string"}, "subtype": {"null", "string"}, "bbox": set(), "score": {"number"}},
     ),
     IntersectionBuffer: (
-        st.builds(IntersectionBuffer, _text, _geo, _number),
+        st.builds(IntersectionBuffer, _text, _geo, _positive),
         {"intersection_id": {"string"}, "lat": {"number"}, "lon": {"number"}, "radius_m": {"number"}},
     ),
     PlacedObject: (
@@ -661,6 +667,63 @@ def test_codec_round_trips_a_record_and_names_a_wrongly_typed_field(kind, data):
         for wrong in set(_JSON_VALUES) - json_types:
             with pytest.raises(BundleError, match=rf"^r: {re.escape(key)} must be "):
                 from_json(kind, {**doc, key: _JSON_VALUES[wrong]}, "r", GeoPoint)
+
+
+# Values outside each range rule a record field declares in its metadata.
+_OUT_OF_RANGE = {"> 0": [0, -1], "in [0, 1]": [-0.5, 1.5], "in (0, 180)": [0, 180]}
+_LAYOUT = Layout(
+    "x0",
+    GeoPoint(0.0, 0.0),
+    footprints=[RectFootprint("f", 0.0, 0.0, 1.0, 1.0, 5.0)],
+    pedestrians=[PedestrianSpec(LocalPoint(1.0, 2.0), 1.7)],
+)
+# (record, its codec's point type, the keys from it to the record that holds
+# the ranged fields): each record type with a ranged field, as it nests.
+_RANGED_RECORDS = [
+    (ImageMeta("i0", GeoPoint(0.0, 0.0), 90.0, "s0", None, 64, 48), GeoPoint, []),
+    (Detection("i0", "traffic_sign", "stop", (1.0, 2.0, 3.0, 4.0), 0.9), GeoPoint, []),
+    (IntersectionBuffer("x0", GeoPoint(0.0, 0.0)), GeoPoint, []),
+    (_LAYOUT, LocalPoint, []),
+    (_LAYOUT, LocalPoint, ["camera"]),
+    (_LAYOUT, LocalPoint, ["footprints", 0]),
+    (_LAYOUT, LocalPoint, ["pedestrians", 0]),
+]
+
+
+def _out_of_range_cases():
+    for record, point, path in _RANGED_RECORDS:
+        inner = record
+        for key in path:
+            inner = inner[key] if isinstance(key, int) else getattr(inner, key)
+        for f in dataclasses.fields(inner):
+            for value in _OUT_OF_RANGE[f.metadata["range"]] if "range" in f.metadata else []:
+                name = f"{type(inner).__name__}.{f.name}={value}"
+                yield pytest.param(record, point, path, f.name, value, id=name)
+
+
+@pytest.mark.parametrize("record, point, path, key, value", list(_out_of_range_cases()))
+def test_codec_names_a_field_out_of_its_range(record, point, path, key, value):
+    # Each field with a range in its metadata, given a value outside it, is a
+    # BundleError naming the record and the key, however deep it nests.
+    doc = json.loads(json.dumps(to_json(record, point)))
+    assert from_json(type(record), doc, "r", point) == record
+    inner = doc
+    for k in path:
+        inner = inner[k]
+    inner[key] = value
+    where = "r" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    with pytest.raises(BundleError, match=rf"^{re.escape(where)}: {key} must be .*, got {value}"):
+        from_json(type(record), doc, "r", point)
+
+
+def test_every_ranged_field_has_an_out_of_range_case():
+    # The fields README lists as ranged: a range dropped from one fails here.
+    names = {p.id.split("=")[0] for p in _out_of_range_cases()}
+    assert names == {
+        "ImageMeta.width_px", "ImageMeta.height_px", "Detection.score", "IntersectionBuffer.radius_m",
+        "Layout.radius_m", "CameraModel.hfov_deg", "CameraModel.width_px", "CameraModel.height_px",
+        "CameraModel.cam_height_m", "RectFootprint.height_m", "PedestrianSpec.height_m",
+    }
 
 
 # One of each record rop holds one of per image, detection, object or vertex.

@@ -488,7 +488,7 @@ def test_a_buffer_whose_slice_holds_no_image_notes_no_images():
     # The fixture's nearest camera stands 17 m from its center.
     lonely = dataclasses.replace(bundle.buffers[0], intersection_id="lonely", radius_m=5.0)
     bundle = dataclasses.replace(bundle, buffers=[*bundle.buffers, lonely])
-    part = slice_bundle(bundle, CFG)[1]
+    part = slice_bundle(bundle, CFG)[0]  # slices come in intersection_id order
     assert part.images == []
     result = run_intersection(part, CFG)
     assert result.placed == []
@@ -563,7 +563,7 @@ def neighbours():
 
 
 def _outcome(bundle, buffer):
-    part = slice_bundle(bundle, CFG)[bundle.buffers.index(buffer)]
+    (part,) = [p for p in slice_bundle(bundle, CFG) if p.buffers == [buffer]]
     result = run_intersection(part, CFG)
     return to_geojson(result.placed), result.diagnostics
 

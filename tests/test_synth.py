@@ -553,6 +553,49 @@ BAD_LAYOUTS = [
             lambda d: d["cameras"][1].update(image_id=d["cameras"][0]["image_id"]),
             "layouts[0]: x0000: duplicate image id",
         ),
+        # One value outside each range a layout's fields declare. At hfov_deg
+        # 0 rendering would divide by zero; at radius_m 0 it would write a
+        # buffers.json that rop place rejects.
+        (
+            "camera-hfov-0",
+            lambda d: d["camera"].update(hfov_deg=0),
+            "layouts[0].camera: hfov_deg must be finite and in (0, 180), got 0.0",
+        ),
+        (
+            "camera-hfov-180",
+            lambda d: d["camera"].update(hfov_deg=180),
+            "layouts[0].camera: hfov_deg must be finite and in (0, 180), got 180.0",
+        ),
+        (
+            "camera-height-negative",
+            lambda d: d["camera"].update(cam_height_m=-3),
+            "layouts[0].camera: cam_height_m must be finite and > 0, got -3.0",
+        ),
+        (
+            "camera-width-0",
+            lambda d: d["camera"].update(width_px=0),
+            "layouts[0].camera: width_px must be at most 2**62 and > 0, got 0",
+        ),
+        (
+            "pedestrian-height-negative",
+            lambda d: d["pedestrians"][0].update(height_m=-1),
+            "layouts[0].pedestrians[0]: height_m must be finite and > 0, got -1.0",
+        ),
+        (
+            "footprint-height-0",
+            lambda d: d["footprints"][0].update(height_m=0),
+            "layouts[0].footprints[0]: height_m must be finite and > 0, got 0.0",
+        ),
+        (
+            "radius-0",
+            lambda d: d.update(radius_m=0),
+            "layouts[0]: radius_m must be finite and > 0, got 0.0",
+        ),
+        (
+            "radius-negative",
+            lambda d: d.update(radius_m=-5),
+            "layouts[0]: radius_m must be finite and > 0, got -5.0",
+        ),
     ]
 ] + [
     pytest.param(_two_fixtures_text(edit), where, id=name)
