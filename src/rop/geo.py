@@ -138,25 +138,20 @@ def heading_vector(heading_deg: float) -> tuple[float, float]:
     return math.sin(r), math.cos(r)
 
 
-def nearest_vertex(fp: Footprint, frame: LocalFrame, q: LocalPoint) -> tuple[LocalPoint, float]:
-    """Ring vertex closest to q; ties go to the lowest vertex index."""
-    pts = [project(frame, v) for v in fp.ring[:-1]]
+def nearest_vertex(pts: list[LocalPoint], q: LocalPoint) -> tuple[LocalPoint, float]:
+    """The vertex of pts, an open ring in metres, nearest q, and its distance; ties go to the lowest index."""
     d, i = min((dist(p, q), i) for i, p in enumerate(pts))
     return pts[i], d
 
 
-def footprint_centroid(fp: Footprint, frame: LocalFrame) -> LocalPoint:
-    """Area-weighted (shoelace) centroid of the outer ring."""
-    pts = [project(frame, v) for v in fp.ring[:-1]]
-    twice_area = 0.0
-    cx = 0.0
-    cy = 0.0
-    for i, p in enumerate(pts):
-        nxt = pts[(i + 1) % len(pts)]
+def footprint_centroid(pts: list[LocalPoint]) -> LocalPoint:
+    """Area-weighted (shoelace) centroid of pts, an open ring in metres."""
+    twice_area = cx = cy = 0.0
+    for p, nxt in zip(pts, pts[1:] + pts[:1]):
         w = p.x * nxt.y - nxt.x * p.y
         twice_area += w
         cx += (p.x + nxt.x) * w
         cy += (p.y + nxt.y) * w
     if abs(twice_area) < 1e-12:
-        raise ValueError(f"footprint {fp.id}: zero-area ring")
+        raise ValueError("zero-area ring")
     return LocalPoint(cx / (3.0 * twice_area), cy / (3.0 * twice_area))

@@ -4,8 +4,9 @@ A bundle is the on-disk contract of the pipeline: camera metadata (JSON),
 per-image semantic label maps (binary PGM or run-length files, see
 labelmap), object detections (JSON Lines), building footprints (GeoJSON),
 and intersection buffers (JSON). Every JSON record rop reads or writes is a
-dataclass that one record codec, to_json and from_json, writes and reads,
-and every GeoJSON feature goes through geojson_features or feature.
+dataclass that one record codec, to_json and from_json, writes and reads, a
+point field marked flat in its metadata as the record's own lat and lon (or x
+and y); every GeoJSON feature goes through geojson_features or feature.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class ImageMeta:
     and captured_at stay, though placement does not read them."""
 
     image_id: str
-    position: GeoPoint
+    position: GeoPoint = field(metadata={"flat": True})
     heading_deg: float | None
     sequence_id: str
     captured_at: float | str | None
@@ -49,7 +50,7 @@ class ImageMeta:
 @dataclass(frozen=True)
 class IntersectionBuffer:
     intersection_id: str
-    center: GeoPoint
+    center: GeoPoint = field(metadata={"flat": True})
     radius_m: float = field(default=50.0, metadata={"range": "> 0"})
 
 
@@ -176,31 +177,28 @@ def _number(value, key: str, where: str, kind: type = float):
 # to_json and from_json are its one written form.
 
 
-def to_json(value, point: type):
+def to_json(value):
     """value, a JSON scalar or a list, tuple or dataclass of them, as JSON. A
-    dataclass is an object of its fields by name, but a field of type point
-    adds its own fields (lat and lon, or x and y)."""
+    dataclass is an object of its fields by name, but a field whose metadata
+    says flat adds its own fields (lat and lon, or x and y)."""
     if value is None or isinstance(value, (str, int, float)):
         return value
     if isinstance(value, (list, tuple)):
-        return [to_json(v, point) for v in value]
+        return [to_json(v) for v in value]
     out = {}
     for f in fields(value):
-        v = getattr(value, f.name)
-        if isinstance(v, point):
-            out.update(to_json(v, point))
-        else:
-            out[f.name] = to_json(v, point)
+        v = to_json(getattr(value, f.name))
+        out.update(v if f.metadata.get("flat") else {f.name: v})
     return out
 
 
-def from_json(kind: type, doc, where: str, point: type):
+def from_json(kind: type, doc, where: str):
     """doc, the JSON object at where, read as a kind dataclass as to_json
-    writes it: each field by its type, and a field of type point from the
-    object's own fields. A field typed X | None may be null or absent; any
-    other absent field takes its default; a field with a range is checked by
+    writes it: each field by its type, and a flat field from the object's
+    own fields. A field typed X | None may be null or absent; any other
+    absent field takes its default; a field with a range is checked by
     config.check_fields. Any fault is a BundleError naming where and the field."""
-    return _record(kind, point)(doc, where)
+    return _record(kind)(doc, where)
 
 
 # The JSON scalar types: what an error calls each, and the Python types json
@@ -212,26 +210,26 @@ _SCALARS = {
     str: ("a string", (str,)),
     type(None): ("null", (type(None),)),
 }
-# How _record reads a field besides by its key: a point read from the record
-# itself, or, for an absent key, an error or the dataclass default.
+# How _record reads a field besides by its key: a flat field read from the
+# record itself, or, for an absent key, an error or the dataclass default.
 _FLAT, _REQUIRED, _DEFAULT = object(), object(), object()
 
 
 @cache
-def _record(kind: type, point: type):
+def _record(kind: type):
     """from_json's reader (doc, where) -> kind, built once per kind."""
     hints = get_type_hints(kind)
     plan = []
     for f in fields(kind):
         tp = hints[f.name]
-        if tp is point:
-            plan.append((f.name, _record(tp, point), _FLAT))
+        if f.metadata.get("flat"):
+            plan.append((f.name, _record(tp), _FLAT))
             continue
         if f.default is not MISSING or f.default_factory is not MISSING:
             absent = _DEFAULT
         else:
             absent = None if type(None) in get_args(tp) else _REQUIRED
-        plan.append((f.name, _reader(tp, point), absent))
+        plan.append((f.name, _reader(tp), absent))
 
     def read(doc, where: str):
         if not isinstance(doc, dict):
@@ -257,15 +255,15 @@ def _record(kind: type, point: type):
 
 
 @cache
-def _reader(tp, point: type):
+def _reader(tp):
     """The reader (value, key, where) -> tp of a field typed tp, built once
     per type."""
     args = get_args(tp)
     if is_dataclass(tp):
-        record = _record(tp, point)
+        record = _record(tp)
         return lambda value, key, where: record(value, f"{where}.{key}")
     if get_origin(tp) is list:
-        item = _reader(args[0], point)
+        item = _reader(args[0])
 
         def read_list(value, key: str, where: str):
             if not isinstance(value, list):
@@ -274,7 +272,7 @@ def _reader(tp, point: type):
 
         return read_list
     if get_origin(tp) is tuple:  # of fixed length, such as tuple[float, float]
-        items = [_reader(a, point) for a in args]
+        items = [_reader(a) for a in args]
 
         def read_tuple(value, key: str, where: str):
             if not (isinstance(value, list) and len(value) == len(items)):
@@ -337,7 +335,7 @@ def load_images(path: str) -> list[ImageMeta]:
     out: list[ImageMeta] = []
     seen: set[str] = set()
     for where, rec in _records(path, "images", _load_json(path)):
-        image = from_json(ImageMeta, rec, where, GeoPoint)
+        image = from_json(ImageMeta, rec, where)
         if image.image_id in seen:
             raise BundleError(f"{where}: duplicate image_id '{image.image_id}'")
         seen.add(image.image_id)
@@ -364,7 +362,7 @@ def load_detections(path: str, known_images: set[str] | None = None) -> dict[str
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise BundleError(f"{where}: invalid JSON") from exc
-            det = from_json(Detection, rec, where, GeoPoint)
+            det = from_json(Detection, rec, where)
             if known_images is not None and det.image_id not in known_images:
                 raise BundleError(f"{where}: detection references unknown image_id '{det.image_id}'")
             if not (det.bbox[2] > 0 and det.bbox[3] > 0):
@@ -393,7 +391,7 @@ def load_footprints(path: str) -> list[Footprint]:
         ring = []
         for k, c in enumerate(rings[0]):
             at = f"{where}: vertex {k}"
-            ring.append(from_json(GeoPoint, lon_lat(c, at), at, GeoPoint))
+            ring.append(from_json(GeoPoint, lon_lat(c, at), at))
         try:
             fp = Footprint(id=fid if isinstance(fid, str) else str(int(fid)), ring=tuple(ring))
         except ValueError as exc:
@@ -409,7 +407,7 @@ def load_buffers(path: str) -> list[IntersectionBuffer]:
     out = []
     seen: set[str] = set()
     for where, rec in _records(path, "buffers", _load_json(path)):
-        buffer = from_json(IntersectionBuffer, rec, where, GeoPoint)
+        buffer = from_json(IntersectionBuffer, rec, where)
         if buffer.intersection_id in seen:
             raise BundleError(f"{where}: duplicate intersection_id '{buffer.intersection_id}'")
         seen.add(buffer.intersection_id)

@@ -17,7 +17,6 @@ import numpy as np
 from .atbt import Atbt, FusedObject, build_atbt, fuse_track
 from .config import RunConfig
 from .geo import (
-    Footprint,
     GeoPoint,
     LocalFrame,
     LocalPoint,
@@ -34,7 +33,6 @@ from .geo import (
 from .grammar import apply_grammar
 from .ingest import (
     Bundle,
-    ImageMeta,
     Track,
     build_tracks,
     feature,
@@ -61,7 +59,7 @@ class PlacedObject:
     category: str
     subtype: str | None
     light_kind: str | None
-    position: GeoPoint
+    position: GeoPoint = field(metadata={"flat": True})
     height_m: float | None = None
     source_images: list[str] = field(default_factory=list)
     support: int = 1
@@ -80,15 +78,12 @@ class IntersectionResult:
 # Camera cases.
 
 
-def classify_camera(img: ImageMeta, frame: LocalFrame, inner_radius_m: float) -> str:
+def classify_camera(cam: LocalPoint, heading_deg: float, inner_radius_m: float) -> str:
     """C1 approaching, C2 inside the inner radius of the center (the frame
-    origin), C3 past it."""
-    if img.heading_deg is None:
-        raise ValueError(f"image {img.image_id} has no heading")
-    cam = project(frame, img.position)
+    origin), C3 past it, for a camera at cam, in metres, facing heading_deg."""
     if (cam.x * cam.x + cam.y * cam.y) ** 0.5 <= inner_radius_m:
         return "C2"
-    hx, hy = heading_vector(img.heading_deg)
+    hx, hy = heading_vector(heading_deg)
     # Approaching when the heading points back toward the origin.
     return "C1" if hx * cam.x + hy * cam.y < 0 else "C3"
 
@@ -98,12 +93,13 @@ def classify_camera(img: ImageMeta, frame: LocalFrame, inner_radius_m: float) ->
 
 
 def select_corners(
-    img: ImageMeta,
-    footprints: list[Footprint],
-    frame: LocalFrame,
+    cam: LocalPoint,
+    outlines: list[tuple[str, list[LocalPoint]]],
+    heading_deg: float,
     radius_m: float,
 ) -> CornerPair | None:
-    """One corner per side of the heading line, or None.
+    """One corner per side of the heading line of a camera at cam, or None;
+    outlines holds each footprint's id and open ring, in the frame's metres.
 
     Candidate footprints have a vertex within radius_m of the camera. Each
     contributes the vertex nearest the intersection center (the frame origin);
@@ -111,24 +107,21 @@ def select_corners(
     are compared, so a camera inside the intersection still finds the pair
     ahead of it. Per side the footprint nearest the camera wins.
     """
-    if img.heading_deg is None:
-        raise ValueError(f"image {img.image_id} has no heading")
-    cam = project(frame, img.position)
-    hx, hy = heading_vector(img.heading_deg)
+    hx, hy = heading_vector(heading_deg)
     best: dict[str, tuple[float, str, LocalPoint]] = {}
-    for fp in footprints:
-        _, d_cam = nearest_vertex(fp, frame, cam)
+    for fp_id, pts in outlines:
+        _, d_cam = nearest_vertex(pts, cam)
         if d_cam > radius_m:
             continue
-        corner, _ = nearest_vertex(fp, frame, _ORIGIN)
+        corner, _ = nearest_vertex(pts, _ORIGIN)
         if hx * (corner.x - cam.x) + hy * (corner.y - cam.y) <= 0:
             continue  # behind the camera
-        centroid = footprint_centroid(fp, frame)
+        centroid = footprint_centroid(pts)
         cross = hx * (centroid.y - cam.y) - hy * (centroid.x - cam.x)
         side = "left" if cross > 0 else "right"
-        key = (d_cam, fp.id)
+        key = (d_cam, fp_id)
         if side not in best or key < (best[side][0], best[side][1]):
-            best[side] = (d_cam, fp.id, corner)
+            best[side] = (d_cam, fp_id, corner)
     if "left" not in best or "right" not in best:
         return None
     return CornerPair(A1=best["left"][2], A2=best["right"][2])
@@ -292,7 +285,7 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
     rounding in the last place: select_corners keeps only footprints with a
     vertex within corner_radius_m of a camera, and every camera of the slice
     lies within radius_m of the center. A footprint with a vertex outside the
-    buffer frame's span is dropped with a warning, since select_corners
+    buffer frame's span is dropped with a warning, since run_intersection
     projects every vertex.
 
     Image positions and footprint vertices go into arrays once. Per buffer a
@@ -314,7 +307,8 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
         kept = [
             im
             for im in images_in_buffer([images[i] for i in near], buffer)
-            if im.heading_deg is None or classify_camera(im, frame, cfg.inner_radius_m) != "C3"
+            if im.heading_deg is None
+            or classify_camera(project(frame, im.position), im.heading_deg, cfg.inner_radius_m) != "C3"
         ]
         candidates = np.zeros(len(footprints), dtype=bool)
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
@@ -344,18 +338,17 @@ def track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
 
 
 def _track_corners(
-    part: Bundle, track: Track, frame: LocalFrame, ranks: dict[str, float], cfg: RunConfig
+    track: Track, cams: dict[str, LocalPoint], ranks: dict[str, float], outlines: list, cfg: RunConfig
 ) -> CornerPair | None:
     """The corner pair of the first image that has one: C1 images nearest the
-    center first, then C2 images in track order."""
-    cases = {img.image_id: classify_camera(img, frame, cfg.inner_radius_m) for img in track.images}
-    c1 = sorted(
-        (img for img in track.images if cases[img.image_id] == "C1"),
-        key=lambda im: (ranks[im.image_id], im.image_id),
-    )
-    c2 = [img for img in track.images if cases[img.image_id] == "C2"]
-    for img in c1 + c2:
-        corners = select_corners(img, part.footprints, frame, cfg.corner_radius_m)
+    center first, then C2 images in track order. cams holds each image's
+    camera and outlines the slice's footprints, as select_corners takes them."""
+    cases = {"C1": [], "C2": [], "C3": []}
+    for im in track.images:
+        cases[classify_camera(cams[im.image_id], im.heading_deg, cfg.inner_radius_m)].append(im)
+    c1 = sorted(cases["C1"], key=lambda im: (ranks[im.image_id], im.image_id))
+    for img in c1 + cases["C2"]:
+        corners = select_corners(cams[img.image_id], outlines, img.heading_deg, cfg.corner_radius_m)
         if corners is not None:
             return corners
     return None
@@ -363,7 +356,8 @@ def _track_corners(
 
 def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> IntersectionResult:
     """Tracks -> trees -> fusion -> corners -> placement -> dedup, on the
-    one-buffer slice that slice_bundle cuts."""
+    one-buffer slice that slice_bundle cuts. Each footprint ring and each
+    camera is projected into the buffer's frame once."""
     if len(part.buffers) != 1:
         raise ValueError(
             "run_intersection takes a one-buffer slice (see slice_bundle), "
@@ -379,17 +373,16 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
     if not part.images:
         note("no_images")
         return result
+    outlines = [(fp.id, [project(frame, v) for v in fp.ring[:-1]]) for fp in part.footprints]
     raw_placed: list[PlacedObject] = []
     any_corners = False
     for track in build_tracks(part.images, buffer):
-        ranks = {
-            img.image_id: dist(project(frame, img.position), _ORIGIN)
-            for img in track.images
-        }
+        cams = {img.image_id: project(frame, img.position) for img in track.images}
+        ranks = {image_id: dist(cam, _ORIGIN) for image_id, cam in cams.items()}
         fused = fuse_track(track_trees(part, track, cfg), image_rank=ranks)
         if not fused:
             continue
-        corners = _track_corners(part, track, frame, ranks, cfg)
+        corners = _track_corners(track, cams, ranks, outlines, cfg)
         if corners is None:
             note("no_corners", track_id=track.track_id, unplaced=len(fused))
             continue
@@ -424,8 +417,8 @@ def output_order(p: PlacedObject) -> tuple:
     return (p.intersection_id, p.category, p.subtype or "", p.position.lat, p.position.lon, p.light_kind or "")
 
 
-# A placed object's feature properties: its fields but position, the Point's.
-_PROPERTIES = tuple(f.name for f in fields(PlacedObject) if f.name != "position")
+# A placed object's feature properties: its fields but the flat position, the Point's.
+_PROPERTIES = tuple(f.name for f in fields(PlacedObject) if not f.metadata.get("flat"))
 
 
 def geojson_feature(p: PlacedObject) -> dict:
@@ -445,6 +438,6 @@ def from_geojson(doc, path: str = "<document>") -> list[PlacedObject]:
     lat and lon as a PlacedObject by the record codec. Any fault is a
     BundleError naming path and the feature."""
     return [
-        from_json(PlacedObject, {**props, **lon_lat(c, f"{where}: geometry.coordinates")}, where, GeoPoint)
+        from_json(PlacedObject, {**props, **lon_lat(c, f"{where}: geometry.coordinates")}, where)
         for where, c, props, _ in geojson_features(doc, path, "Point")
     ]

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import check_fields
 from .geo import Footprint, GeoPoint, LocalPoint, heading_vector, make_frame, unproject
 from .ingest import (
     Bundle,
@@ -73,13 +74,13 @@ class TruthObject:
     category: str  # traffic_light | traffic_sign
     subtype: str | None
     light_kind: str | None  # high | low | None
-    position: LocalPoint
+    position: LocalPoint = field(metadata={"flat": True})
     mount_m: float  # height of the object center above ground
 
 
 @dataclass(frozen=True)
 class PedestrianSpec:
-    position: LocalPoint
+    position: LocalPoint = field(metadata={"flat": True})
     height_m: float = field(metadata={"range": "> 0"})
 
 
@@ -87,7 +88,7 @@ class PedestrianSpec:
 class CameraPose:
     image_id: str
     sequence_id: str
-    position: LocalPoint
+    position: LocalPoint = field(metadata={"flat": True})
     heading_deg: float
 
 
@@ -111,6 +112,15 @@ _APRON_M = 2.5
 
 
 def validate_layout(layout: Layout) -> None:
+    records = [("", layout), ("camera: ", layout.camera)]
+    records += [(f"footprint {fp.id}: ", fp) for fp in layout.footprints]
+    records += [(f"pedestrians[{i}]: ", p) for i, p in enumerate(layout.pedestrians)]
+    for what, record in records:
+        try:
+            check_fields(record)
+        except ValueError as exc:
+            raise ValueError(f"{layout.intersection_id}: {what}{exc}") from exc
+
     def check_reach(x, y, what):
         if math.hypot(x, y) > 100.0:
             raise ValueError(f"{layout.intersection_id}: {what} farther than 100 m from center")
@@ -449,14 +459,14 @@ def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
     masks.mkdir(parents=True, exist_ok=True)
     for image_id, runs in bundle.label_maps.items():
         write_rle(str(masks / f"{image_id}.rle"), runs)
-    (out / "images.json").write_text(json.dumps(to_json(bundle.images, GeoPoint), indent=2, sort_keys=True))
+    (out / "images.json").write_text(json.dumps(to_json(bundle.images), indent=2, sort_keys=True))
     detections = [d for image_id in sorted(bundle.detections) for d in bundle.detections[image_id]]
-    lines = [json.dumps(record, sort_keys=True) + "\n" for record in to_json(detections, GeoPoint)]
+    lines = [json.dumps(record, sort_keys=True) + "\n" for record in to_json(detections)]
     (out / "detections.jsonl").write_text("".join(lines))
     footprints = [feature("Polygon", [[[v.lon, v.lat] for v in fp.ring]], {"id": fp.id}) for fp in bundle.footprints]
     fp_doc = {"type": "FeatureCollection", "features": footprints}
     (out / "footprints.geojson").write_text(json.dumps(fp_doc, indent=2, sort_keys=True))
-    (out / "buffers.json").write_text(json.dumps(to_json(bundle.buffers, GeoPoint), indent=2, sort_keys=True))
+    (out / "buffers.json").write_text(json.dumps(to_json(bundle.buffers), indent=2, sort_keys=True))
     return {
         "images": str(out / "images.json"),
         "masks": str(masks),
@@ -474,16 +484,8 @@ def write_truth(truth: list[PlacedObject], path: str) -> None:
 # Layout JSON I/O.
 
 
-def layout_to_json(layout: Layout) -> dict:
-    return to_json(layout, LocalPoint)
-
-
-def layout_from_json(doc: dict, where: str = "layout") -> Layout:
-    return from_json(Layout, doc, where, LocalPoint)
-
-
 def save_layouts(layouts: list[Layout], path: str) -> None:
-    Path(path).write_text(json.dumps(to_json(layouts, LocalPoint), indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(to_json(layouts), indent=2, sort_keys=True))
 
 
 def load_layouts(path: str) -> list[Layout]:
@@ -495,7 +497,7 @@ def load_layouts(path: str) -> list[Layout]:
     first: dict[tuple[str, str], int] = {}  # (field, id) -> index of the first layout with it
     for i, d in enumerate(doc if isinstance(doc, list) else [doc]):
         try:
-            layout = layout_from_json(d, f"layouts[{i}]")
+            layout = from_json(Layout, d, f"layouts[{i}]")
         except ValueError as exc:
             raise ValueError(f"{path}: invalid layout: {exc}") from exc
         try:

@@ -415,7 +415,8 @@ def test_criterion_5_brute_force_agreement(fixture_run):
             width_px=1024,
             height_px=768,
         )
-        got = select_corners(img, fps, frame, CFG.corner_radius_m)
+        outlines = [(fp.id, [project(frame, v) for v in fp.ring[:-1]]) for fp in fps]
+        got = select_corners(project(frame, img.position), outlines, img.heading_deg, CFG.corner_radius_m)
         want = _corners_oracle(img, fps, frame, CFG.corner_radius_m)
         if want is None:
             assert got is None, f"trial {trial}: expected no corner pair"

@@ -1568,6 +1568,26 @@ def test_place_is_invariant_to_record_order(seed, bundle_dir, placed_bytes, tmp_
     assert hashlib.sha256((tmp_path / "trees.json").read_bytes()).hexdigest() == DUMP_TREES_SHA256
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_place_is_invariant_to_ring_start_and_orientation(seed, bundle20_dir, tmp_path):
+    # Each footprint ring starts at a seeded vertex, and about half of the
+    # rings run the other way round; the placed bytes must not move.
+    rng = random.Random(seed)
+    doc = json.loads((bundle20_dir / "footprints.geojson").read_text())
+    for feat in doc["features"]:
+        ring = feat["geometry"]["coordinates"][0][:-1]
+        k = rng.randrange(len(ring))
+        ring = ring[k:] + ring[:k]
+        if rng.random() < 0.5:
+            ring.reverse()
+        feat["geometry"]["coordinates"][0] = ring + ring[:1]
+    (tmp_path / "footprints.geojson").write_text(json.dumps(doc))
+    argv = place_args(bundle20_dir, tmp_path / "pred.geojson")
+    argv[argv.index("--footprints") + 1] = str(tmp_path / "footprints.geojson")
+    assert main(argv) == 0
+    assert hashlib.sha256((tmp_path / "pred.geojson").read_bytes()).hexdigest() == PLACE20_SHA256
+
+
 def test_place_writes_diagnostics_in_intersection_id_order(bundle_dir, tmp_path):
     # Two more buffers of 5 m, each far from every camera, note no_images.
     # Whatever the order of the buffer records, the bytes are the same.

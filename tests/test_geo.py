@@ -51,6 +51,11 @@ def ring_from_local(frame, pts):
     return tuple(g + [g[0]])
 
 
+def outline(frame, fp):
+    """A footprint's open ring in frame's metres, as the vertex helpers take it."""
+    return [geo.project(frame, v) for v in fp.ring[:-1]]
+
+
 BERLIN = GeoPoint(52.52, 13.405)
 
 
@@ -245,7 +250,7 @@ def test_footprint_validation():
 def test_nearest_vertex_unit_square():
     frame = geo.make_frame(BERLIN)
     fp = Footprint("sq", ring_from_local(frame, [(0, 0), (1, 0), (1, 1), (0, 1)]))
-    v, d = geo.nearest_vertex(fp, frame, LocalPoint(0.1, 0.1))
+    v, d = geo.nearest_vertex(outline(frame, fp), LocalPoint(0.1, 0.1))
     assert d == pytest.approx(math.hypot(0.1, 0.1), abs=1e-6)
     assert v.x == pytest.approx(0.0, abs=1e-6)
     assert v.y == pytest.approx(0.0, abs=1e-6)
@@ -254,7 +259,7 @@ def test_nearest_vertex_unit_square():
 def test_nearest_vertex_on_vertex_distance_zero():
     frame = geo.make_frame(BERLIN)
     fp = Footprint("sq", ring_from_local(frame, [(0, 0), (2, 0), (2, 2), (0, 2)]))
-    _, d = geo.nearest_vertex(fp, frame, LocalPoint(2.0, 0.0))
+    _, d = geo.nearest_vertex(outline(frame, fp), LocalPoint(2.0, 0.0))
     assert d < 1e-6
 
 
@@ -273,7 +278,7 @@ def test_nearest_vertex_matches_brute_force(pts, qx, qy):
     frame = geo.make_frame(BERLIN)
     fp = Footprint("rand", ring_from_local(frame, pts))
     q = LocalPoint(qx, qy)
-    v, d = geo.nearest_vertex(fp, frame, q)
+    v, d = geo.nearest_vertex(outline(frame, fp), q)
     bv, bd = brute_nearest_vertex(fp, frame, q)
     assert d == pytest.approx(bd, abs=1e-6)
     assert math.hypot(v.x - bv.x, v.y - bv.y) < 1e-6
@@ -282,7 +287,7 @@ def test_nearest_vertex_matches_brute_force(pts, qx, qy):
 def test_centroid_unit_square():
     frame = geo.make_frame(BERLIN)
     fp = Footprint("sq", ring_from_local(frame, [(0, 0), (1, 0), (1, 1), (0, 1)]))
-    c = geo.footprint_centroid(fp, frame)
+    c = geo.footprint_centroid(outline(frame, fp))
     assert c.x == pytest.approx(0.5, abs=1e-6)
     assert c.y == pytest.approx(0.5, abs=1e-6)
 
@@ -291,8 +296,8 @@ def test_centroid_translation_invariance():
     frame = geo.make_frame(BERLIN)
     base = [(0, 0), (4, 0), (4, 2), (0, 2)]
     moved = [(x + 10, y - 7) for x, y in base]
-    c0 = geo.footprint_centroid(Footprint("a", ring_from_local(frame, base)), frame)
-    c1 = geo.footprint_centroid(Footprint("b", ring_from_local(frame, moved)), frame)
+    c0 = geo.footprint_centroid(outline(frame, Footprint("a", ring_from_local(frame, base))))
+    c1 = geo.footprint_centroid(outline(frame, Footprint("b", ring_from_local(frame, moved))))
     assert c1.x - c0.x == pytest.approx(10.0, abs=1e-6)
     assert c1.y - c0.y == pytest.approx(-7.0, abs=1e-6)
 
@@ -301,7 +306,7 @@ def test_centroid_matches_fan_triangulation_oracle():
     frame = geo.make_frame(BERLIN)
     pts = [(0, 0), (6, 0), (7, 3), (3, 6), (-1, 4)]
     fp = Footprint("penta", ring_from_local(frame, pts))
-    c = geo.footprint_centroid(fp, frame)
+    c = geo.footprint_centroid(outline(frame, fp))
     ox, oy = fan_centroid_oracle(pts)
     assert c.x == pytest.approx(ox, abs=1e-6)
     assert c.y == pytest.approx(oy, abs=1e-6)
@@ -314,4 +319,4 @@ def test_centroid_zero_area_raises():
     object.__setattr__(fp, "id", "line")
     object.__setattr__(fp, "ring", line)
     with pytest.raises(ValueError):
-        geo.footprint_centroid(fp, frame)
+        geo.footprint_centroid(outline(frame, fp))

@@ -660,13 +660,13 @@ def test_codec_round_trips_a_record_and_names_a_wrongly_typed_field(kind, data):
     # Every field in turn takes every JSON value of a type it does not take.
     strategy, takes = _RECORDS[kind]
     record = data.draw(strategy)
-    doc = json.loads(json.dumps(to_json(record, GeoPoint)))
+    doc = json.loads(json.dumps(to_json(record)))
     assert set(doc) == set(takes)
-    assert from_json(kind, doc, "r", GeoPoint) == record
+    assert from_json(kind, doc, "r") == record
     for key, json_types in takes.items():
         for wrong in set(_JSON_VALUES) - json_types:
             with pytest.raises(BundleError, match=rf"^r: {re.escape(key)} must be "):
-                from_json(kind, {**doc, key: _JSON_VALUES[wrong]}, "r", GeoPoint)
+                from_json(kind, {**doc, key: _JSON_VALUES[wrong]}, "r")
 
 
 # Values outside each range rule a record field declares in its metadata.
@@ -677,43 +677,43 @@ _LAYOUT = Layout(
     footprints=[RectFootprint("f", 0.0, 0.0, 1.0, 1.0, 5.0)],
     pedestrians=[PedestrianSpec(LocalPoint(1.0, 2.0), 1.7)],
 )
-# (record, its codec's point type, the keys from it to the record that holds
-# the ranged fields): each record type with a ranged field, as it nests.
+# (record, the keys from it to the record that holds the ranged fields):
+# each record type with a ranged field, as it nests.
 _RANGED_RECORDS = [
-    (ImageMeta("i0", GeoPoint(0.0, 0.0), 90.0, "s0", None, 64, 48), GeoPoint, []),
-    (Detection("i0", "traffic_sign", "stop", (1.0, 2.0, 3.0, 4.0), 0.9), GeoPoint, []),
-    (IntersectionBuffer("x0", GeoPoint(0.0, 0.0)), GeoPoint, []),
-    (_LAYOUT, LocalPoint, []),
-    (_LAYOUT, LocalPoint, ["camera"]),
-    (_LAYOUT, LocalPoint, ["footprints", 0]),
-    (_LAYOUT, LocalPoint, ["pedestrians", 0]),
+    (ImageMeta("i0", GeoPoint(0.0, 0.0), 90.0, "s0", None, 64, 48), []),
+    (Detection("i0", "traffic_sign", "stop", (1.0, 2.0, 3.0, 4.0), 0.9), []),
+    (IntersectionBuffer("x0", GeoPoint(0.0, 0.0)), []),
+    (_LAYOUT, []),
+    (_LAYOUT, ["camera"]),
+    (_LAYOUT, ["footprints", 0]),
+    (_LAYOUT, ["pedestrians", 0]),
 ]
 
 
 def _out_of_range_cases():
-    for record, point, path in _RANGED_RECORDS:
+    for record, path in _RANGED_RECORDS:
         inner = record
         for key in path:
             inner = inner[key] if isinstance(key, int) else getattr(inner, key)
         for f in dataclasses.fields(inner):
             for value in _OUT_OF_RANGE[f.metadata["range"]] if "range" in f.metadata else []:
                 name = f"{type(inner).__name__}.{f.name}={value}"
-                yield pytest.param(record, point, path, f.name, value, id=name)
+                yield pytest.param(record, path, f.name, value, id=name)
 
 
-@pytest.mark.parametrize("record, point, path, key, value", list(_out_of_range_cases()))
-def test_codec_names_a_field_out_of_its_range(record, point, path, key, value):
+@pytest.mark.parametrize("record, path, key, value", list(_out_of_range_cases()))
+def test_codec_names_a_field_out_of_its_range(record, path, key, value):
     # Each field with a range in its metadata, given a value outside it, is a
     # BundleError naming the record and the key, however deep it nests.
-    doc = json.loads(json.dumps(to_json(record, point)))
-    assert from_json(type(record), doc, "r", point) == record
+    doc = json.loads(json.dumps(to_json(record)))
+    assert from_json(type(record), doc, "r") == record
     inner = doc
     for k in path:
         inner = inner[k]
     inner[key] = value
     where = "r" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
     with pytest.raises(BundleError, match=rf"^{re.escape(where)}: {key} must be .*, got {value}"):
-        from_json(type(record), doc, "r", point)
+        from_json(type(record), doc, "r")
 
 
 def test_every_ranged_field_has_an_out_of_range_case():

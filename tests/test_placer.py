@@ -90,32 +90,36 @@ BUILDINGS = [
 ]
 
 
+def case_of(img, frame=FRAME, inner_radius_m=CFG.inner_radius_m):
+    """classify_camera of an image, its camera projected into frame."""
+    return classify_camera(project(frame, img.position), img.heading_deg, inner_radius_m)
+
+
+def corners_of(img, footprints, radius_m=CFG.corner_radius_m):
+    """select_corners of an image and footprints, projected into FRAME."""
+    outlines = [(fp.id, [project(FRAME, v) for v in fp.ring[:-1]]) for fp in footprints]
+    return select_corners(project(FRAME, img.position), outlines, img.heading_deg, radius_m)
+
+
 # ---------------------------------------------------------------------------
 # classify_camera.
 
 
 def test_camera_cases_along_an_approach():
-    assert classify_camera(cam(-20.0, 0.0, 90.0), FRAME, CFG.inner_radius_m) == "C1"
-    assert classify_camera(cam(-5.0, 0.0, 90.0), FRAME, CFG.inner_radius_m) == "C2"
-    assert classify_camera(cam(20.0, 0.0, 90.0), FRAME, CFG.inner_radius_m) == "C3"
+    assert case_of(cam(-20.0, 0.0, 90.0)) == "C1"
+    assert case_of(cam(-5.0, 0.0, 90.0)) == "C2"
+    assert case_of(cam(20.0, 0.0, 90.0)) == "C3"
 
 
 def test_camera_inner_radius_boundary():
     # Exactly on the inner radius counts as inside.
-    assert classify_camera(cam(-10.0, 0.0, 90.0), FRAME, inner_radius_m=10.0) == "C2"
-    assert classify_camera(cam(-10.001, 0.0, 90.0), FRAME, inner_radius_m=10.0) == "C1"
+    assert case_of(cam(-10.0, 0.0, 90.0), inner_radius_m=10.0) == "C2"
+    assert case_of(cam(-10.001, 0.0, 90.0), inner_radius_m=10.0) == "C1"
 
 
 def test_camera_heading_perpendicular_is_not_approaching():
     # Heading at right angles to the center direction: not moving toward it.
-    assert classify_camera(cam(-20.0, 0.0, 0.0), FRAME, CFG.inner_radius_m) == "C3"
-
-
-def test_camera_requires_heading():
-    img = cam(-20.0, 0.0)
-    img.heading_deg = None
-    with pytest.raises(ValueError):
-        classify_camera(img, FRAME, CFG.inner_radius_m)
+    assert case_of(cam(-20.0, 0.0, 0.0)) == "C3"
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,7 @@ def corners_oracle(img, footprints, frame, radius_m):
 
 
 def test_corners_c1_picks_near_pair():
-    pair = select_corners(cam(-20.0, -3.5, 90.0), BUILDINGS, FRAME, CFG.corner_radius_m)
+    pair = corners_of(cam(-20.0, -3.5, 90.0), BUILDINGS)
     assert pair is not None
     assert pair.A1.x == pytest.approx(-INNER, abs=1e-6)
     assert pair.A1.y == pytest.approx(INNER, abs=1e-6)
@@ -170,7 +174,7 @@ def test_corners_c1_picks_near_pair():
 def test_corners_c2_returns_pair_ahead():
     # Inside the intersection the near pair sits behind the camera; the
     # far-side pair ahead is the valid one.
-    pair = select_corners(cam(0.0, -3.5, 90.0), BUILDINGS, FRAME, CFG.corner_radius_m)
+    pair = corners_of(cam(0.0, -3.5, 90.0), BUILDINGS)
     assert pair is not None
     assert pair.A1.x == pytest.approx(INNER, abs=1e-6)
     assert pair.A1.y == pytest.approx(INNER, abs=1e-6)
@@ -179,27 +183,27 @@ def test_corners_c2_returns_pair_ahead():
 
 
 def test_corners_c3_has_none():
-    assert select_corners(cam(20.0, -3.5, 90.0), BUILDINGS, FRAME, CFG.corner_radius_m) is None
+    assert corners_of(cam(20.0, -3.5, 90.0), BUILDINGS) is None
 
 
 def test_corners_require_both_sides():
     # Only the two north buildings: the right (south) side has no candidate.
     north = [BUILDINGS[0], BUILDINGS[1]]
-    pair = select_corners(cam(-20.0, -3.5, 90.0), north, FRAME, CFG.corner_radius_m)
+    pair = corners_of(cam(-20.0, -3.5, 90.0), north)
     assert pair is None
 
 
 def test_corners_permutation_invariant():
     img = cam(-20.0, -3.5, 90.0)
-    base = select_corners(img, BUILDINGS, FRAME, CFG.corner_radius_m)
+    base = corners_of(img, BUILDINGS)
     for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
-        again = select_corners(img, [BUILDINGS[i] for i in order], FRAME, CFG.corner_radius_m)
+        again = corners_of(img, [BUILDINGS[i] for i in order])
         assert again == base
 
 
 def test_corners_radius_gates_candidates():
     img = cam(-20.0, -3.5, 90.0)
-    assert select_corners(img, BUILDINGS, FRAME, radius_m=5.0) is None
+    assert corners_of(img, BUILDINGS, radius_m=5.0) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,7 +218,7 @@ def test_corners_match_brute_force_oracle(seed):
         y0 = rng.uniform(-40.0, 25.0)
         fps.append(rect_fp(f"b{i}", x0, y0, x0 + rng.uniform(4.0, 18.0), y0 + rng.uniform(4.0, 18.0)))
     img = cam(rng.uniform(-30.0, 30.0), rng.uniform(-30.0, 30.0), rng.uniform(0.0, 360.0))
-    got = select_corners(img, fps, FRAME, CFG.corner_radius_m)
+    got = corners_of(img, fps)
     want = corners_oracle(img, fps, FRAME, CFG.corner_radius_m)
     if want is None:
         assert got is None
@@ -695,7 +699,7 @@ def slice_oracle(bundle, cfg):
         images = [
             im
             for im in images_in_buffer(bundle.images, buffer)
-            if im.heading_deg is None or classify_camera(im, frame, cfg.inner_radius_m) != "C3"
+            if im.heading_deg is None or case_of(im, frame, cfg.inner_radius_m) != "C3"
         ]
         out.append((images, footprints))
     return out

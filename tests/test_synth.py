@@ -7,6 +7,7 @@ sign error in either formulation breaks the comparison.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from rop import synth
 
 from rop.geo import GeoPoint, LocalPoint
-from rop.ingest import Detection, direction_of, load_inputs
+from rop.ingest import Detection, direction_of, from_json, load_inputs, to_json
 from rop.labelmap import CATEGORY_IDS, runs_of
 from rop.scene import extract_regions
 from rop.synth import (
@@ -31,8 +32,6 @@ from rop.synth import (
     PedestrianSpec,
     RectFootprint,
     TruthObject,
-    layout_from_json,
-    layout_to_json,
     load_layouts,
     render_bundle,
     render_image,
@@ -441,12 +440,47 @@ def test_validate_rejects_camera_in_building():
         validate_layout(layout(fps=[fp], cams=[pose(0.0, 0.0, 0.0)]))
 
 
+def _first(items, **changes):
+    return [dataclasses.replace(items[0], **changes), *items[1:]]
+
+
+# (changes to the first standard fixture, the error render_bundle must raise).
+_OUT_OF_RANGE_LAYOUTS = {
+    "hfov-0": (
+        lambda lay: {"camera": CameraModel(hfov_deg=0)},
+        "x0000: camera: hfov_deg must be at most 2**62 and in (0, 180), got 0",
+    ),
+    "width-0": (
+        lambda lay: {"camera": CameraModel(width_px=0)},
+        "x0000: camera: width_px must be at most 2**62 and > 0, got 0",
+    ),
+    "radius-negative": (lambda lay: {"radius_m": -5.0}, "x0000: radius_m must be finite and > 0, got -5.0"),
+    "footprint-height-negative": (
+        lambda lay: {"footprints": _first(lay.footprints, height_m=-3)},
+        "x0000: footprint x0000-ne: height_m must be at most 2**62 and > 0, got -3",
+    ),
+    "pedestrian-height-0": (
+        lambda lay: {"pedestrians": _first(lay.pedestrians, height_m=0.0)},
+        "x0000: pedestrians[0]: height_m must be finite and > 0, got 0.0",
+    ),
+}
+
+
+@pytest.mark.parametrize("changes, message", list(_OUT_OF_RANGE_LAYOUTS.values()), ids=list(_OUT_OF_RANGE_LAYOUTS))
+def test_render_bundle_names_a_field_out_of_its_range(changes, message):
+    # A layout built in code, not read by the codec, has its ranges checked
+    # by validate_layout before anything is rendered.
+    lay = standard_fixtures(1)[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        render_bundle(dataclasses.replace(lay, **changes(lay)))
+
+
 def test_layout_json_round_trip(tmp_path):
     lay = standard_fixtures(n=2, seed=3)[1]
-    doc = layout_to_json(lay)
-    back = layout_from_json(doc)
+    doc = to_json(lay)
+    back = from_json(Layout, doc, "layout")
     assert back == lay
-    assert layout_to_json(back) == doc
+    assert to_json(back) == doc
     path = tmp_path / "layouts.json"
     for seed in (1, 2, 3):
         lays = standard_fixtures(n=6, seed=seed)
@@ -458,9 +492,9 @@ def test_load_layouts_reads_one_layout_or_a_list(tmp_path):
     # The loader behind both `rop synth --layout` and the preview script.
     lays = standard_fixtures(n=2, seed=3)
     path = tmp_path / "layouts.json"
-    path.write_text(json.dumps(layout_to_json(lays[1])))
+    path.write_text(json.dumps(to_json(lays[1])))
     assert load_layouts(str(path)) == [lays[1]]
-    path.write_text(json.dumps([layout_to_json(lay) for lay in lays]))
+    path.write_text(json.dumps([to_json(lay) for lay in lays]))
     assert load_layouts(str(path)) == lays
     # Footprints and truth objects may be left out, like every field with a default.
     path.write_text(json.dumps({"intersection_id": "z", "center": {"lat": 52.5, "lon": 13.4}}))
@@ -469,14 +503,14 @@ def test_load_layouts_reads_one_layout_or_a_list(tmp_path):
 
 def _fixture_text(edit) -> str:
     """The layout file of one standard fixture, after edit(its layout object)."""
-    doc = layout_to_json(standard_fixtures(n=1, seed=1)[0])
+    doc = to_json(standard_fixtures(n=1, seed=1)[0])
     edit(doc)
     return json.dumps([doc])
 
 
 def _two_fixtures_text(edit) -> str:
     """The layout file of two standard fixtures, after edit(their layout objects)."""
-    docs = [layout_to_json(lay) for lay in standard_fixtures(n=2, seed=1)]
+    docs = [to_json(lay) for lay in standard_fixtures(n=2, seed=1)]
     edit(docs)
     return json.dumps(docs)
 
@@ -672,9 +706,9 @@ def test_write_bundle_reloads_identically(tmp_path):
 def test_standard_fixtures_are_deterministic():
     a = standard_fixtures(n=6, seed=1)
     b = standard_fixtures(n=6, seed=1)
-    assert [layout_to_json(x) for x in a] == [layout_to_json(y) for y in b]
+    assert [to_json(x) for x in a] == [to_json(y) for y in b]
     c = standard_fixtures(n=6, seed=2)
-    assert [layout_to_json(x) for x in a] != [layout_to_json(y) for y in c]
+    assert [to_json(x) for x in a] != [to_json(y) for y in c]
 
 
 def test_standard_fixtures_validate_and_alternate_kinds():
