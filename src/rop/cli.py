@@ -119,8 +119,9 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate synthetic fixture bundles with truth")
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--layout", default=None, help="layout JSON (single object or list)")
-    p_synth.add_argument("--fixtures", type=int, default=None, metavar="N", help="generate N standard fixtures")
+    source = p_synth.add_mutually_exclusive_group(required=True)
+    source.add_argument("--layout", default=None, help="layout JSON (single object or list)")
+    source.add_argument("--fixtures", type=int, default=None, metavar="N", help="generate N standard fixtures")
     p_synth.add_argument("--seed", type=int, default=1)
     p_synth.set_defaults(func=cmd_synth)
 
@@ -359,8 +360,6 @@ def cmd_synth(args) -> int:
         write_truth,
     )
 
-    if (args.layout is None) == (args.fixtures is None):
-        raise ValueError("exactly one of --layout or --fixtures is required")
     if args.layout is not None:
         layouts = load_layouts(args.layout)
     else:

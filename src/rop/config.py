@@ -4,8 +4,9 @@ range check of every ranged number rop reads, typed or in a record."""
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 INT_MAX = 2**62  # so ring_px added to a pixel coordinate stays inside int64
@@ -18,22 +19,32 @@ RANGES = {
 }
 
 
-def check_range(name: str, value: int | float, rule: str) -> None:
-    """Raise a ValueError naming name and value unless value lies in rule, a
-    key of RANGES, and is at most INT_MAX if an int or finite if a float."""
-    if isinstance(value, int):
+def check_range(name: str, value: int | float, rule: str, kind: type | None = None) -> None:
+    """Raise a ValueError naming name and value unless value, a number and
+    not a bool, lies in rule, a key of RANGES, and is at most INT_MAX if kind
+    (by default value's own type) is int, else finite."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value}")
+    if (kind or type(value)) is int:
         bound, bounded = "at most 2**62", value <= INT_MAX
-    else:
-        bound, bounded = "finite", math.isfinite(value)
+    else:  # an int too large for a float is not finite either
+        bound, bounded = "finite", abs(value) <= sys.float_info.max
     if not (bounded and RANGES[rule](value)):
         raise ValueError(f"{name} must be {bound} and {rule}, got {value}")
 
 
+@cache
+def _ranged_fields(kind: type) -> list[tuple[str, str, type]]:
+    """(name, rule, declared type: int or float) of each ranged field of the dataclass kind."""
+    ranged = [f for f in dataclasses.fields(kind) if "range" in f.metadata]
+    return [(f.name, f.metadata["range"], int if f.type in ("int", int) else float) for f in ranged]
+
+
 def check_fields(record) -> None:
-    """check_range on each ranged field of the dataclass record that is not None."""
-    for f in dataclasses.fields(record):
-        if "range" in f.metadata and getattr(record, f.name) is not None:
-            check_range(f.name, getattr(record, f.name), f.metadata["range"])
+    """check_range, by the field's declared type, on each ranged field of record that is not None."""
+    for name, rule, kind in _ranged_fields(type(record)):
+        if getattr(record, name) is not None:
+            check_range(name, getattr(record, name), rule, kind)
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,8 @@ class RunConfig:
         return "\n".join(lines)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# Every key is ranged, so this is every key's declared type.
+_FIELD_TYPES = {name: kind for name, _, kind in _ranged_fields(RunConfig)}
 
 
 def _key_value(text: str, malformed: str) -> tuple[str, int | float]:
@@ -77,7 +89,7 @@ def _key_value(text: str, malformed: str) -> tuple[str, int | float]:
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key '{key}'")
     try:
-        return key, (int if _FIELD_TYPES[key] in ("int", int) else float)(raw)
+        return key, _FIELD_TYPES[key](raw)
     except ValueError as exc:
         raise ValueError(f"config key '{key}': cannot parse '{raw}'") from exc
 

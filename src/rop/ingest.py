@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .config import check_fields
-from .geo import Footprint, GeoPoint, make_frame, project, within
+from .geo import Footprint, GeoPoint, LocalPoint, make_frame, project
 from .labelmap import BundleError, LabelRuns, label_map_size, read_label_map
 
 log = logging.getLogger("rop.ingest")
@@ -56,8 +56,12 @@ class IntersectionBuffer:
 
 @dataclass
 class Track:
+    """One heading bin's images, far to near, and at the same index each one's
+    camera in the buffer's frame, in metres."""
+
     track_id: str  # <intersection id>:<direction>, direction WE, EW, SN or NS
     images: list[ImageMeta]
+    cams: list[LocalPoint]
 
 
 @dataclass(slots=True)
@@ -461,11 +465,6 @@ def load_inputs(
 # Buffers and tracks.
 
 
-def images_in_buffer(images: list[ImageMeta], buffer: IntersectionBuffer) -> list[ImageMeta]:
-    frame = make_frame(buffer.center)
-    return [im for im in images if within(frame, im.position, buffer.radius_m)]
-
-
 # Heading bins, degrees clockwise from north. A track direction names where
 # traffic comes from and goes to: WE drives eastward, SN drives northward.
 def direction_of(heading_deg: float) -> str:
@@ -479,41 +478,31 @@ def direction_of(heading_deg: float) -> str:
     return "SN"
 
 
-_AXIS_KEY = {
-    "WE": lambda p: p.x,
-    "EW": lambda p: -p.x,
-    "SN": lambda p: p.y,
-    "NS": lambda p: -p.y,
-}
-
 _DIRECTIONS = ("WE", "EW", "SN", "NS")
 
 
 def build_tracks(images: list[ImageMeta], buffer: IntersectionBuffer) -> list[Track]:
-    """Group one intersection's images into per-direction tracks.
+    """Group one intersection's images into one track per heading bin.
 
-    Sequences sharing a heading bin are merged and re-ordered along the travel
-    axis so the track progresses toward (and through) the intersection center.
-    Images without a heading are excluded with a warning.
+    Each image's camera is projected into the buffer's frame once. A track
+    runs far to near: by its camera's distance from the center, farthest
+    first, ties by image id. Images without a heading are excluded with a
+    warning.
     """
     frame = make_frame(buffer.center)
-    bins: dict[str, list[ImageMeta]] = {}
+    bins: dict[str, list[tuple[ImageMeta, LocalPoint]]] = {}
     for im in images:
         if im.heading_deg is None:
-            log.warning(
-                "image %s (intersection %s) has no heading; excluded from tracks",
-                im.image_id,
-                buffer.intersection_id,
-            )
+            msg = "image %s (intersection %s) has no heading; excluded from tracks"
+            log.warning(msg, im.image_id, buffer.intersection_id)
             continue
-        bins.setdefault(direction_of(im.heading_deg), []).append(im)
+        bins.setdefault(direction_of(im.heading_deg), []).append((im, project(frame, im.position)))
     tracks = []
     for direction in _DIRECTIONS:
         members = bins.get(direction)
         if not members:
             continue
-        key = _AXIS_KEY[direction]
-        members.sort(key=lambda im: (key(project(frame, im.position)), im.image_id))
-        tracks.append(Track(track_id=f"{buffer.intersection_id}:{direction}", images=members))
+        members.sort(key=lambda m: (-math.hypot(m[1].x, m[1].y), m[0].image_id))
+        images, cams = zip(*members)
+        tracks.append(Track(f"{buffer.intersection_id}:{direction}", list(images), list(cams)))
     return tracks
-

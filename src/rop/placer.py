@@ -38,7 +38,6 @@ from .ingest import (
     feature,
     from_json,
     geojson_features,
-    images_in_buffer,
     lon_lat,
 )
 from .scene import scene_objects
@@ -275,7 +274,8 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
     buffer's placement reads, as a one-buffer Bundle.
 
     A slice holds the buffer's images that approach its center or stand in
-    it (C1 or C2), and shares the bundle's label maps and detections, of
+    it (C1 or C2), each projected into the buffer's frame once for both
+    tests, and shares the bundle's label maps and detections, of
     which it reads only its own images'. A camera that has passed the center
     (C3) is left out, so a neighbour's camera leaving this center joins none
     of its tracks and a buffer places the same whatever buffers surround it.
@@ -304,12 +304,13 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
         frame = make_frame(buffer.center)
         reach_m = buffer.radius_m + cfg.corner_radius_m
         near = np.flatnonzero(_in_box(frame, img_lat, img_lon, buffer.radius_m))
-        kept = [
-            im
-            for im in images_in_buffer([images[i] for i in near], buffer)
-            if im.heading_deg is None
-            or classify_camera(project(frame, im.position), im.heading_deg, cfg.inner_radius_m) != "C3"
-        ]
+        kept = []
+        for im in (images[i] for i in near if in_span(frame, images[i].position)):
+            cam = project(frame, im.position)
+            if dist(cam, _ORIGIN) <= buffer.radius_m and (
+                im.heading_deg is None or classify_camera(cam, im.heading_deg, cfg.inner_radius_m) != "C3"
+            ):
+                kept.append(im)
         candidates = np.zeros(len(footprints), dtype=bool)
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
         near_fps = []
@@ -337,18 +338,17 @@ def track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
     ]
 
 
-def _track_corners(
-    track: Track, cams: dict[str, LocalPoint], ranks: dict[str, float], outlines: list, cfg: RunConfig
-) -> CornerPair | None:
+def _track_corners(track: Track, ranks: dict[str, float], outlines: list, cfg: RunConfig) -> CornerPair | None:
     """The corner pair of the first image that has one: C1 images nearest the
-    center first, then C2 images in track order. cams holds each image's
-    camera and outlines the slice's footprints, as select_corners takes them."""
+    center first, then C2 images in track order, far to near. Each camera is
+    the track's own; ranks holds each image's distance from the center and
+    outlines the slice's footprints, as select_corners takes them."""
     cases = {"C1": [], "C2": [], "C3": []}
-    for im in track.images:
-        cases[classify_camera(cams[im.image_id], im.heading_deg, cfg.inner_radius_m)].append(im)
-    c1 = sorted(cases["C1"], key=lambda im: (ranks[im.image_id], im.image_id))
-    for img in c1 + cases["C2"]:
-        corners = select_corners(cams[img.image_id], outlines, img.heading_deg, cfg.corner_radius_m)
+    for im, cam in zip(track.images, track.cams):
+        cases[classify_camera(cam, im.heading_deg, cfg.inner_radius_m)].append((im, cam))
+    c1 = sorted(cases["C1"], key=lambda m: (ranks[m[0].image_id], m[0].image_id))
+    for img, cam in c1 + cases["C2"]:
+        corners = select_corners(cam, outlines, img.heading_deg, cfg.corner_radius_m)
         if corners is not None:
             return corners
     return None
@@ -356,8 +356,8 @@ def _track_corners(
 
 def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> IntersectionResult:
     """Tracks -> trees -> fusion -> corners -> placement -> dedup, on the
-    one-buffer slice that slice_bundle cuts. Each footprint ring and each
-    camera is projected into the buffer's frame once."""
+    one-buffer slice that slice_bundle cuts. Each footprint ring is projected
+    into the buffer's frame once; each camera is its track's own."""
     if len(part.buffers) != 1:
         raise ValueError(
             "run_intersection takes a one-buffer slice (see slice_bundle), "
@@ -377,12 +377,11 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
     raw_placed: list[PlacedObject] = []
     any_corners = False
     for track in build_tracks(part.images, buffer):
-        cams = {img.image_id: project(frame, img.position) for img in track.images}
-        ranks = {image_id: dist(cam, _ORIGIN) for image_id, cam in cams.items()}
+        ranks = {img.image_id: dist(cam, _ORIGIN) for img, cam in zip(track.images, track.cams)}
         fused = fuse_track(track_trees(part, track, cfg), image_rank=ranks)
         if not fused:
             continue
-        corners = _track_corners(track, cams, ranks, outlines, cfg)
+        corners = _track_corners(track, ranks, outlines, cfg)
         if corners is None:
             note("no_corners", track_id=track.track_id, unplaced=len(fused))
             continue

@@ -27,10 +27,11 @@ from hypothesis import strategies as st
 from rop.cli import deal, main, write_json, write_placed
 from rop.config import RunConfig
 from rop.geo import GeoPoint, LocalPoint
-from rop.ingest import images_in_buffer, load_buffers, load_images, load_inputs
+from rop.ingest import load_buffers, load_images, load_inputs
 from rop.labelmap import read_label_map, write_pgm
 from rop.placer import IntersectionResult, PlacedObject, slice_bundle, to_geojson
 from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
+from test_placer import images_in_buffer
 from test_synth import BAD_LAYOUTS
 
 SRC = Path(__file__).parents[1] / "src"
@@ -1023,8 +1024,14 @@ def test_synth_layout_invalid_json_names_file(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
-def test_synth_requires_exactly_one_source(tmp_path):
-    assert main(["synth", "--out", str(tmp_path / "o")]) == 2
+def test_synth_requires_exactly_one_source(tmp_path, capsys):
+    # Neither source, or both, is a usage error.
+    for source in ([], ["--layout", "layouts.json", "--fixtures", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "o"), *source])
+        assert exc.value.code == 64
+        assert capsys.readouterr().err.startswith("usage: rop synth")
+        assert not (tmp_path / "o").exists()
 
 
 def test_synth_rejects_negative_fixtures(tmp_path, capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,3 +42,22 @@ def test_show_round_trips_through_load_config(tmp_path_factory, cfg):
     path = tmp_path_factory.getbasetemp() / "round-trip.cfg"
     path.write_text(cfg.show() + "\n", encoding="utf-8")
     assert load_config(str(path)) == cfg
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        # The bound follows the field's declared type, not the value's.
+        ({"iou_min": 2}, "iou_min must be finite and in [0, 1], got 2"),
+        ({"corner_radius_m": 0}, "corner_radius_m must be finite and > 0, got 0"),
+        ({"high_factor": 10**400}, f"high_factor must be finite and > 0, got {10**400}"),
+        ({"ring_px": 2**62 + 1}, f"ring_px must be at most 2**62 and > 0, got {2**62 + 1}"),
+        # A bool is not a number, whatever Python makes of it.
+        ({"ring_px": True}, "ring_px must be a number, got True"),
+        ({"iou_min": False}, "iou_min must be a number, got False"),
+    ],
+    ids=["int-for-float", "zero-for-float", "huge-int-for-float", "int-past-cap", "bool-for-int", "bool-for-float"],
+)
+def test_range_message_follows_the_declared_type(values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(**values)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from rop import ingest
 from rop.atbt import AtbtNode, FusedObject
-from rop.geo import Footprint, GeoPoint, LocalPoint, make_frame
+from rop.config import RunConfig
+from rop.geo import Footprint, GeoPoint, LocalPoint, make_frame, project
 from rop.ingest import (
     Bundle,
     BundleError,
@@ -27,7 +28,6 @@ from rop.ingest import (
     build_tracks,
     direction_of,
     from_json,
-    images_in_buffer,
     load_buffers,
     load_detections,
     load_footprints,
@@ -45,7 +45,7 @@ from rop.labelmap import (
     write_pgm,
     write_rle,
 )
-from rop.placer import PlacedObject
+from rop.placer import PlacedObject, slice_bundle
 from rop.scene import SceneObject
 from rop.synth import Layout, PedestrianSpec, RectFootprint
 
@@ -855,19 +855,19 @@ def test_load_inputs_decodes_no_label_map(tmp_path, monkeypatch):
 # Buffers.
 
 
-def test_images_in_buffer_radius_cut():
+def test_slice_bundle_radius_cut():
     frame = make_frame(BERLIN)
     buffer = IntersectionBuffer("x0", BERLIN, radius_m=50.0)
     # Positions laid out at known local offsets via the same frame the
-    # filter uses; distances are then exact by construction.
-    from rop.geo import unproject
-
-    inside = im("a", *_latlon(frame, 30.0, 0.0))
-    edge = im("b", *_latlon(frame, 0.0, 49.9))
-    outside = im("c", *_latlon(frame, 60.0, 0.0))
+    # filter uses; distances are then exact by construction. The cameras
+    # near the center head toward it, so only the radius decides.
+    inside = im("a", *_latlon(frame, 30.0, 0.0), heading=270.0)
+    edge = im("b", *_latlon(frame, 0.0, 49.9), heading=180.0)
+    outside = im("c", *_latlon(frame, 60.0, 0.0), heading=270.0)
     far = im("d", 12.0, 100.0)  # other side of the world, caught by the degree prefilter
-    got = images_in_buffer([inside, edge, outside, far], buffer)
-    assert [g.image_id for g in got] == ["a", "b"]
+    bundle = Bundle([inside, edge, outside, far], {}, {}, [], [buffer])
+    (part,) = slice_bundle(bundle, RunConfig())
+    assert [g.image_id for g in part.images] == ["a", "b"]
 
 
 def _latlon(frame, x, y):
@@ -920,9 +920,13 @@ def test_build_tracks_bins_and_orders():
     tracks = build_tracks([e2, e0, e1, s0, n0], buffer)
     by_id = {t.track_id: t for t in tracks}
     assert set(by_id) == {"x0:WE", "x0:NS"}
+    # Far to near: by distance from the center, farthest first.
     assert [i.image_id for i in by_id["x0:WE"].images] == ["e0", "e1", "e2"]
-    # NS orders by decreasing y: the single image is trivially in place.
     assert [i.image_id for i in by_id["x0:NS"].images] == ["s0"]
+    for track in tracks:
+        assert len(track.cams) == len(track.images)
+        for image, cam in zip(track.images, track.cams):
+            assert cam == project(frame, image.position)
 
 
 def test_build_tracks_warns_on_missing_heading(caplog):

@@ -35,7 +35,6 @@ from rop.ingest import (
     ImageMeta,
     IntersectionBuffer,
     build_tracks,
-    images_in_buffer,
 )
 from rop.placer import (
     CornerPair,
@@ -669,6 +668,65 @@ def test_placement_is_invariant_to_translation(at_null_island, index, lat, lon):
         assert left[j][0] == kind and dist(left.pop(j)[1], q) <= 1e-6
 
 
+# (cos, sin) of k quarter turns.
+_QUARTER_TURNS = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+def _turned(q, k):
+    """The local point q turned k quarter turns clockwise about the origin."""
+    c, s = _QUARTER_TURNS[k]
+    return LocalPoint(c * q.x + s * q.y, c * q.y - s * q.x)
+
+
+def _turned_bundle(bundle, k):
+    """The one-buffer bundle turned k quarter turns clockwise about its
+    buffer's center: image positions, headings and footprint rings. Label
+    maps and detections stay as they are, since they are camera-relative."""
+    frame = make_frame(bundle.buffers[0].center)
+    turn = lambda p: unproject(frame, _turned(project(frame, p), k))
+    return dataclasses.replace(
+        bundle,
+        images=[
+            dataclasses.replace(im, position=turn(im.position), heading_deg=(im.heading_deg + 90.0 * k) % 360.0)
+            for im in bundle.images
+        ],
+        footprints=[dataclasses.replace(fp, ring=tuple(turn(v) for v in fp.ring)) for fp in bundle.footprints],
+    )
+
+
+def _placed_by_kind(bundle):
+    """The positions of bundle's placed objects in their buffer's frame, by
+    (intersection, category, subtype, light kind)."""
+    out = {}
+    for part in slice_bundle(bundle, CFG):
+        frame = make_frame(part.buffers[0].center)
+        for p in run_intersection(part, CFG).placed:
+            kind = (p.intersection_id, p.category, p.subtype, p.light_kind)
+            out.setdefault(kind, []).append(project(frame, p.position))
+    return out
+
+
+@pytest.fixture(scope="module")
+def two_fixtures():
+    bundles = [render_bundle(lay)[0] for lay in standard_fixtures(2, seed=1)]
+    return bundles, _placed_by_kind(_merged(bundles))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3], ids=["90", "180", "270"])
+def test_placement_turns_with_the_bundle(two_fixtures, k):
+    # Turning every camera and footprint about its center turns what is
+    # placed with them, and places the same objects.
+    bundles, upright = two_fixtures
+    turned = _placed_by_kind(_merged([_turned_bundle(b, k) for b in bundles]))
+    assert {kind: len(ps) for kind, ps in turned.items()} == {kind: len(ps) for kind, ps in upright.items()}
+    for kind, points in upright.items():
+        left = list(turned[kind])
+        for q in points:
+            want = _turned(q, k)
+            j = min(range(len(left)), key=lambda j: dist(left[j], want))
+            assert dist(left.pop(j), want) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # Slicing.
 
@@ -679,6 +737,13 @@ def projects(frame, p):
     except ValueError:
         return False
     return True
+
+
+def images_in_buffer(images, buffer):
+    """The images that lie within the buffer's radius of its center, by a
+    scalar scan: the slice's radius test, kept here as its oracle."""
+    frame = make_frame(buffer.center)
+    return [im for im in images if within(frame, im.position, buffer.radius_m)]
 
 
 def slice_oracle(bundle, cfg):

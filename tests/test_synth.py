@@ -448,7 +448,7 @@ def _first(items, **changes):
 _OUT_OF_RANGE_LAYOUTS = {
     "hfov-0": (
         lambda lay: {"camera": CameraModel(hfov_deg=0)},
-        "x0000: camera: hfov_deg must be at most 2**62 and in (0, 180), got 0",
+        "x0000: camera: hfov_deg must be finite and in (0, 180), got 0",
     ),
     "width-0": (
         lambda lay: {"camera": CameraModel(width_px=0)},
@@ -457,7 +457,7 @@ _OUT_OF_RANGE_LAYOUTS = {
     "radius-negative": (lambda lay: {"radius_m": -5.0}, "x0000: radius_m must be finite and > 0, got -5.0"),
     "footprint-height-negative": (
         lambda lay: {"footprints": _first(lay.footprints, height_m=-3)},
-        "x0000: footprint x0000-ne: height_m must be at most 2**62 and > 0, got -3",
+        "x0000: footprint x0000-ne: height_m must be finite and > 0, got -3",
     ),
     "pedestrian-height-0": (
         lambda lay: {"pedestrians": _first(lay.pedestrians, height_m=0.0)},
