@@ -4,6 +4,7 @@ range check of every ranged number rop reads, typed or in a record."""
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import sys
 from dataclasses import dataclass, field
 from functools import cache
@@ -22,9 +23,12 @@ RANGES = {
 def check_range(name: str, value: int | float, rule: str, kind: type | None = None) -> None:
     """Raise a ValueError naming name and value unless value, a number and
     not a bool, lies in rule, a key of RANGES, and is at most INT_MAX if kind
-    (by default value's own type) is int, else finite."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value}")
+    (by default value's own type) is int, else finite. If kind is int, value
+    must be an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if kind is int and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if (kind or type(value)) is int:
         bound, bounded = "at most 2**62", value <= INT_MAX
     else:  # an int too large for a float is not finite either
@@ -41,10 +45,9 @@ def _ranged_fields(kind: type) -> list[tuple[str, str, type]]:
 
 
 def check_fields(record) -> None:
-    """check_range, by the field's declared type, on each ranged field of record that is not None."""
+    """check_range, by the field's declared type, on each ranged field of record."""
     for name, rule, kind in _ranged_fields(type(record)):
-        if getattr(record, name) is not None:
-            check_range(name, getattr(record, name), rule, kind)
+        check_range(name, getattr(record, name), rule, kind)
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,6 @@ class RunConfig:
     corner_radius_m: float = field(default=26.0, metadata={"range": "> 0"})
     inner_radius_m: float = field(default=10.0, metadata={"range": ">= 0"})
     offset_m: float = field(default=2.5, metadata={"range": ">= 0"})
-    dedup_radius_m: float = field(default=1.5, metadata={"range": ">= 0"})
 
     def __post_init__(self) -> None:
         check_fields(self)

@@ -199,59 +199,29 @@ def place_objects(
 # Deduplication across tracks.
 
 
-def dedup_placed(
-    placed: list[PlacedObject], frame: LocalFrame, radius_m: float
-) -> list[PlacedObject]:
-    """Merge same category+subtype placements within radius_m.
+def dedup_placed(placed: list[PlacedObject]) -> list[PlacedObject]:
+    """Merge the same-kind placements (category and subtype) that sit on one
+    point. Every position is computed from footprint vertices, so objects
+    that should merge sit on exactly the same point, and only they merge.
 
-    Merged position is the confidence-weighted mean; support adds up;
-    confidence, light kind, and height follow the strongest member. Groups
-    come out in the order of their first member; to_geojson orders the output.
+    Support adds up, source images join, and the group is inferred only if
+    every member is; confidence, light kind and height follow the strongest
+    member: the most confident, ties broken by source images, then light
+    kind, so the input order changes nothing. Groups come out in the order of
+    their first member; to_geojson orders the output.
     """
-    n = len(placed)
-    locals_ = [project(frame, p.position) for p in placed]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = placed[i], placed[j]
-            if (a.category, a.subtype) != (b.category, b.subtype):
-                continue
-            if dist(locals_[i], locals_[j]) <= radius_m:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    strength = lambda p: (-p.confidence, p.position.lat, p.position.lon, tuple(p.source_images))
-    out = []
-    for idx in groups.values():
-        if len(idx) == 1:
-            out.append(placed[idx[0]])
-            continue
-        idx.sort(key=lambda i: strength(placed[i]))
-        members = [placed[i] for i in idx]
-        total_conf = sum(p.confidence for p in members)
-        weights = [p.confidence / total_conf for p in members]
-        x = sum(w * locals_[i].x for w, i in zip(weights, idx))
-        y = sum(w * locals_[i].y for w, i in zip(weights, idx))
-        out.append(
-            replace(
-                members[0],
-                position=unproject(frame, LocalPoint(x, y)),
-                source_images=sorted({s for p in members for s in p.source_images}),
-                support=sum(p.support for p in members),
-                inferred_only=all(p.inferred_only for p in members),
-                confidence=max(p.confidence for p in members),
-            )
+    groups: dict[tuple, list[PlacedObject]] = {}
+    for p in placed:
+        groups.setdefault((p.category, p.subtype, p.position), []).append(p)
+    return [
+        replace(
+            min(members, key=lambda p: (-p.confidence, p.source_images, p.light_kind or "")),
+            source_images=sorted({s for p in members for s in p.source_images}),
+            support=sum(p.support for p in members),
+            inferred_only=all(p.inferred_only for p in members),
         )
-    return out
+        for members in groups.values()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +327,8 @@ def _track_corners(track: Track, ranks: dict[str, float], outlines: list, cfg: R
 def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> IntersectionResult:
     """Tracks -> trees -> fusion -> corners -> placement -> dedup, on the
     one-buffer slice that slice_bundle cuts. Each footprint ring is projected
-    into the buffer's frame once; each camera is its track's own."""
+    into the buffer's frame once; each camera is its track's own. Dedup
+    merges same-kind objects placed on one point, across tracks."""
     if len(part.buffers) != 1:
         raise ValueError(
             "run_intersection takes a one-buffer slice (see slice_bundle), "
@@ -399,7 +370,7 @@ def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> Intersection
     if not any_corners:
         note("no_corners_any_track")
         return result
-    for p in dedup_placed(raw_placed, frame, cfg.dedup_radius_m):
+    for p in dedup_placed(raw_placed):
         if dist(project(frame, p.position), _ORIGIN) <= buffer.radius_m:
             result.placed.append(p)
         else:

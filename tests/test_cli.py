@@ -542,7 +542,6 @@ KNOBS = [
     ("corner_radius_m", 26.0, 10.0, "bundle_dir", "place"),
     ("inner_radius_m", 10.0, 0.0, "c2_bundle_dir", "place"),
     ("offset_m", 2.5, 1.0, "bundle_dir", "place"),
-    ("dedup_radius_m", 1.5, 10.0, "bundle_dir", "place"),
 ]
 
 
@@ -1283,7 +1282,7 @@ def test_config_show_lists_defaults_and_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "offset_m = 2.5" in out
     assert "ring_px = 15" in out
-    assert len(out.splitlines()) == 12
+    assert len(out.splitlines()) == 11
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("high_factor = 4.5  # widened\n")
     assert main(["config", "--show", "--config", str(cfg_file), "--set", "ring_px=20"]) == 0
@@ -1326,7 +1325,7 @@ def test_config_override_without_equals_names_it(capsys):
 
 
 @pytest.mark.parametrize(
-    "key", ["seed", "jobs", "buffer_radius_m", "match_radius_m", "low_factor", "sidewalk_gap_px"]
+    "key", ["seed", "jobs", "buffer_radius_m", "match_radius_m", "low_factor", "sidewalk_gap_px", "dedup_radius_m"]
 )
 def test_config_rejects_removed_key(key, capsys):
     assert main(["config", "--show", "--set", f"{key}=1"]) == 2
@@ -1368,7 +1367,6 @@ INVALID_VALUES = [
     "iou_min=inf",
     "iou_min=1.5",
     "min_region_px=-5",
-    "dedup_radius_m=inf",
     "high_height_m=-inf",
     # Ints above 2**62, where ring_px added to a pixel coordinate can leave int64.
     "ring_px=9223372036854775807",

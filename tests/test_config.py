@@ -28,7 +28,6 @@ FIELDS = {
     "corner_radius_m": _positive,
     "inner_radius_m": _non_negative,
     "offset_m": _non_negative,
-    "dedup_radius_m": _non_negative,
 }
 
 
@@ -55,8 +54,15 @@ def test_show_round_trips_through_load_config(tmp_path_factory, cfg):
         # A bool is not a number, whatever Python makes of it.
         ({"ring_px": True}, "ring_px must be a number, got True"),
         ({"iou_min": False}, "iou_min must be a number, got False"),
+        # A value of the wrong kind is refused by name, never let through.
+        ({"ring_px": 2.5}, "ring_px must be an integer, got 2.5"),
+        ({"iou_min": None}, "iou_min must be a number, got None"),
+        ({"iou_min": "0.5"}, "iou_min must be a number, got '0.5'"),
     ],
-    ids=["int-for-float", "zero-for-float", "huge-int-for-float", "int-past-cap", "bool-for-int", "bool-for-float"],
+    ids=[
+        "int-for-float", "zero-for-float", "huge-int-for-float", "int-past-cap", "bool-for-int", "bool-for-float",
+        "float-for-int", "none", "str",
+    ],
 )
 def test_range_message_follows_the_declared_type(values, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -352,10 +352,13 @@ def test_place_requires_corners():
 
 
 # ---------------------------------------------------------------------------
-# dedup_placed. Oracle: hand-computed weighted mean.
+# dedup_placed. Oracle: hand-merged fields.
 
 
-def placed_at(x, y, category="traffic_light", subtype=None, confidence=0.5, support=1, sources=("i0",), light_kind="low"):
+def placed_at(
+    x, y, category="traffic_light", subtype=None, confidence=0.5, support=1, sources=("i0",), light_kind="low",
+    inferred_only=False,
+):
     from rop.placer import PlacedObject
 
     return PlacedObject(
@@ -363,46 +366,80 @@ def placed_at(x, y, category="traffic_light", subtype=None, confidence=0.5, supp
         subtype=subtype,
         light_kind=light_kind,
         position=geo_at(x, y),
-        height_m=4.0 if category == "traffic_light" else None,
+        height_m=(7.0 if light_kind == "high" else 4.0) if category == "traffic_light" else None,
         source_images=list(sources),
         support=support,
-        inferred_only=False,
+        inferred_only=inferred_only,
         intersection_id="x0",
         confidence=confidence,
     )
 
 
 def test_dedup_merges_close_same_kind():
-    a = placed_at(0.0, 0.0, confidence=0.75, support=3, sources=("i0",))
-    b = placed_at(0.8, 0.0, confidence=0.25, support=1, sources=("i1",))
-    (merged,) = dedup_placed([a, b], FRAME, radius_m=1.5)
-    local = project(FRAME, merged.position)
-    assert local.x == pytest.approx(0.75 * 0.0 + 0.25 * 0.8, abs=1e-6)
+    # Close means on one point: every placement is computed from footprint vertices.
+    a = placed_at(3.0, 4.0, confidence=0.25, support=1, sources=("i2", "i1"), inferred_only=True)
+    b = placed_at(3.0, 4.0, confidence=0.75, support=3, sources=("i0", "i1"), light_kind="high")
+    (merged,) = dedup_placed([a, b])
+    assert merged.position == a.position
     assert merged.support == 4
     assert merged.confidence == 0.75
-    assert merged.source_images == ["i0", "i1"]
+    assert merged.source_images == ["i0", "i1", "i2"]
+    assert (merged.light_kind, merged.height_m) == ("high", 7.0)
+    assert not merged.inferred_only
 
 
 def test_dedup_respects_distance_and_identity():
-    far = [placed_at(0.0, 0.0), placed_at(3.0, 0.0)]
-    assert len(dedup_placed(far, FRAME, radius_m=1.5)) == 2
+    # Same kind 1e-6 m apart: two objects.
+    near = [placed_at(3.0, 4.0), placed_at(3.0 + 1e-6, 4.0)]
+    assert near[0].position != near[1].position
+    assert len(dedup_placed(near)) == 2
+    # One point, another category or subtype: no merge either.
     mixed = [
-        placed_at(0.0, 0.0, category="traffic_sign", subtype="stop", light_kind=None),
-        placed_at(0.5, 0.0, category="traffic_sign", subtype="yield", light_kind=None),
+        placed_at(3.0, 4.0, category="traffic_sign", subtype="stop", light_kind=None),
+        placed_at(3.0, 4.0, category="traffic_sign", subtype="yield", light_kind=None),
+        placed_at(3.0, 4.0, category="traffic_light"),
     ]
-    assert len(dedup_placed(mixed, FRAME, radius_m=1.5)) == 2
-
-
-def test_dedup_chains_transitively():
-    chain = [placed_at(0.0, 0.0), placed_at(1.2, 0.0), placed_at(2.4, 0.0)]
-    assert len(dedup_placed(chain, FRAME, radius_m=1.5)) == 1
+    assert len(dedup_placed(mixed)) == 3
 
 
 def test_dedup_lead_member_sets_kind():
     a = placed_at(0.0, 0.0, confidence=0.9, light_kind="low")
-    b = placed_at(0.5, 0.0, confidence=0.4, light_kind="high")
-    (merged,) = dedup_placed([a, b], FRAME, radius_m=1.5)
-    assert merged.light_kind == "low"
+    b = placed_at(0.0, 0.0, confidence=0.4, light_kind="high")
+    for order in ([a, b], [b, a]):
+        (merged,) = dedup_placed(order)
+        assert (merged.light_kind, merged.height_m) == ("low", 4.0)
+
+
+# A few shared anchors, as place_objects computes them: every member of a
+# group sits on exactly one of these points.
+_ANCHORS = [(0.0, 0.0), (12.5, -3.25), (-7.0, 9.0)]
+_placements = st.builds(
+    lambda at, kind, confidence, support, sources, inferred_only: placed_at(
+        *_ANCHORS[at],
+        category=kind[0],
+        subtype=kind[1],
+        light_kind=kind[2],
+        confidence=confidence,
+        support=support,
+        sources=sources,
+        inferred_only=inferred_only,
+    ),
+    at=st.integers(0, len(_ANCHORS) - 1),
+    kind=st.sampled_from(
+        [("traffic_light", None, "low"), ("traffic_light", None, "high"), ("traffic_sign", "stop", None)]
+    ),
+    confidence=st.sampled_from([0.25, 0.5, 1.0]),
+    support=st.integers(1, 4),
+    sources=st.lists(st.sampled_from(["i0", "i1", "i2"]), min_size=1, max_size=2, unique=True).map(sorted),
+    inferred_only=st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(placed=st.lists(_placements, max_size=8), data=st.data())
+def test_dedup_is_invariant_to_input_order(placed, data):
+    shuffled = data.draw(st.permutations(placed))
+    assert to_geojson(dedup_placed(shuffled)) == to_geojson(dedup_placed(placed))
 
 
 # ---------------------------------------------------------------------------
@@ -660,8 +697,8 @@ def test_placement_is_invariant_to_translation(at_null_island, index, lat, lon):
     want_objects, want_completeness = expected[index]
     assert completeness == want_completeness
     assert len(objects) == len(want_objects)
-    # Same-kind objects stand metres apart (dedup merges closer ones), so
-    # each expected object pairs with the nearest one of its kind.
+    # Same-kind objects merge only on one point, so distinct ones may stand
+    # close: each expected object pairs with the nearest one of its kind.
     left = list(objects)
     for kind, q in want_objects:
         j = min(range(len(left)), key=lambda j: (left[j][0] != kind, dist(left[j][1], q)))
