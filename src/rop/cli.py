@@ -337,26 +337,14 @@ def cmd_dump_trees(args) -> int:
 # synth
 
 
-def _merge_bundles(bundles: list[Bundle]) -> Bundle:
-    merged = Bundle(
-        images=[], label_maps={}, detections={}, footprints=[], buffers=[]
-    )
-    for b in bundles:
-        merged.images.extend(b.images)
-        merged.label_maps.update(b.label_maps)
-        merged.detections.update(b.detections)
-        merged.footprints.extend(b.footprints)
-        merged.buffers.extend(b.buffers)
-    return merged
-
-
 def cmd_synth(args) -> int:
     from .synth import (
         load_layouts,
         render_bundle,
         save_layouts,
         standard_fixtures,
-        write_bundle,
+        truth_as_placed,
+        write_bundles,
         write_truth,
     )
 
@@ -365,15 +353,9 @@ def cmd_synth(args) -> int:
     else:
         layouts = standard_fixtures(n=args.fixtures, seed=args.seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    bundles = []
-    truth = []
-    for lay in layouts:
-        bundle, refs = render_bundle(lay)
-        bundles.append(bundle)
-        truth.extend(refs)
-    write_bundle(_merge_bundles(bundles), str(out_dir))
-    write_truth(truth, str(out_dir / "truth.geojson"))
+    # Each layout renders as write_bundles draws it: one layout's maps are in memory at a time.
+    write_bundles((render_bundle(lay)[0] for lay in layouts), str(out_dir))
+    write_truth([ref for lay in layouts for ref in truth_as_placed(lay)], str(out_dir / "truth.geojson"))
     save_layouts(layouts, str(out_dir / "layouts.json"))
     log.info("wrote %d layouts to %s", len(layouts), out_dir)
     return EX_OK

@@ -31,8 +31,9 @@ def check_range(name: str, value: int | float, rule: str, kind: type | None = No
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if (kind or type(value)) is int:
         bound, bounded = "at most 2**62", value <= INT_MAX
-    else:  # an int too large for a float is not finite either
-        bound, bounded = "finite", abs(value) <= sys.float_info.max
+    else:  # compare Python numbers (a float32 bound overflows); an int too large for a float is not finite either
+        number = value if isinstance(value, numbers.Integral) else float(value)
+        bound, bounded = "finite", abs(number) <= sys.float_info.max
     if not (bounded and RANGES[rule](value)):
         raise ValueError(f"{name} must be {bound} and {rule}, got {value}")
 
@@ -61,8 +62,6 @@ class RunConfig:
     stack_dx_frac: float = field(default=0.04, metadata={"range": "in (0, 1)"})
     pedestrian_fallback_frac: float = field(default=0.22, metadata={"range": "in (0, 1)"})
     # placer
-    high_height_m: float = field(default=7.0, metadata={"range": ">= 0"})
-    low_height_m: float = field(default=4.0, metadata={"range": ">= 0"})
     corner_radius_m: float = field(default=26.0, metadata={"range": "> 0"})
     inner_radius_m: float = field(default=10.0, metadata={"range": ">= 0"})
     offset_m: float = field(default=2.5, metadata={"range": ">= 0"})

@@ -45,6 +45,8 @@ from .scene import scene_objects
 log = logging.getLogger("rop.placer")
 
 _ORIGIN = LocalPoint(0.0, 0.0)
+# The height written for each light kind, as synth mounts them; nothing measures it.
+LIGHT_HEIGHT_M = {"high": 7.0, "low": 4.0}
 
 
 @dataclass(frozen=True)
@@ -169,12 +171,8 @@ def place_objects(
     mid = LocalPoint((corners.A1.x + corners.A2.x) / 2.0, (corners.A1.y + corners.A2.y) / 2.0)
     out: list[PlacedObject] = []
     for f in fused:
-        if f.category == "traffic_light" and f.light_kind == "high":
-            local = mid
-            height = cfg.high_height_m
-        else:
-            local = anchors[f.side]
-            height = cfg.low_height_m if f.category == "traffic_light" else None
+        is_light = f.category == "traffic_light"
+        local = mid if is_light and f.light_kind == "high" else anchors[f.side]
         confidence = min(1.0, f.support / max(1, n_track_images))
         if f.inferred_only:
             confidence /= 2.0
@@ -182,9 +180,9 @@ def place_objects(
             PlacedObject(
                 category=f.category,
                 subtype=f.subtype,
-                light_kind=f.light_kind if f.category == "traffic_light" else None,
+                light_kind=f.light_kind if is_light else None,
                 position=unproject(frame, local),
-                height_m=height,
+                height_m=LIGHT_HEIGHT_M[f.light_kind] if is_light else None,
                 source_images=list(f.source_images),
                 support=f.support,
                 inferred_only=f.inferred_only,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -453,20 +454,34 @@ def _fp_to_geo(fp: RectFootprint, frame) -> Footprint:
 # Disk output in the ingest formats.
 
 
-def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
+def _dump(doc, path: str | Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+
+
+def write_bundles(parts: Iterable[Bundle], out_dir: str) -> dict[str, str]:
+    """Write the bundle that merges parts, in order, to out_dir; return its paths.
+    Each part's label maps go to masks/ as it arrives, and it is dropped before the
+    next is drawn: one part's maps are in memory at a time. Other records go last."""
     out = Path(out_dir)
     masks = out / "masks"
     masks.mkdir(parents=True, exist_ok=True)
-    for image_id, runs in bundle.label_maps.items():
-        write_rle(str(masks / f"{image_id}.rle"), runs)
-    (out / "images.json").write_text(json.dumps(to_json(bundle.images), indent=2, sort_keys=True))
-    detections = [d for image_id in sorted(bundle.detections) for d in bundle.detections[image_id]]
-    lines = [json.dumps(record, sort_keys=True) + "\n" for record in to_json(detections)]
-    (out / "detections.jsonl").write_text("".join(lines))
-    footprints = [feature("Polygon", [[[v.lon, v.lat] for v in fp.ring]], {"id": fp.id}) for fp in bundle.footprints]
-    fp_doc = {"type": "FeatureCollection", "features": footprints}
-    (out / "footprints.geojson").write_text(json.dumps(fp_doc, indent=2, sort_keys=True))
-    (out / "buffers.json").write_text(json.dumps(to_json(bundle.buffers), indent=2, sort_keys=True))
+    merged = Bundle(images=[], label_maps={}, detections={}, footprints=[], buffers=[])
+    for part in parts:
+        for image_id in part.label_maps:
+            write_rle(str(masks / f"{image_id}.rle"), part.label_maps[image_id])
+        merged.images += part.images
+        merged.detections.update(part.detections)
+        merged.footprints += part.footprints
+        merged.buffers += part.buffers
+        del part  # so its label maps are freed before the next part is drawn
+    _dump(to_json(merged.images), out / "images.json")
+    with open(out / "detections.jsonl", "w") as fh:
+        for image_id in sorted(merged.detections):
+            fh.writelines(json.dumps(to_json(d), sort_keys=True) + "\n" for d in merged.detections[image_id])
+    footprints = [feature("Polygon", [[[v.lon, v.lat] for v in fp.ring]], {"id": fp.id}) for fp in merged.footprints]
+    _dump({"type": "FeatureCollection", "features": footprints}, out / "footprints.geojson")
+    _dump(to_json(merged.buffers), out / "buffers.json")
     return {
         "images": str(out / "images.json"),
         "masks": str(masks),
@@ -476,8 +491,12 @@ def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
     }
 
 
+def write_bundle(bundle: Bundle, out_dir: str) -> dict[str, str]:
+    return write_bundles([bundle], out_dir)
+
+
 def write_truth(truth: list[PlacedObject], path: str) -> None:
-    Path(path).write_text(json.dumps(to_geojson(truth), indent=2, sort_keys=True))
+    _dump(to_geojson(truth), path)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +504,7 @@ def write_truth(truth: list[PlacedObject], path: str) -> None:
 
 
 def save_layouts(layouts: list[Layout], path: str) -> None:
-    Path(path).write_text(json.dumps(to_json(layouts), indent=2, sort_keys=True))
+    _dump(to_json(layouts), path)
 
 
 def load_layouts(path: str) -> list[Layout]:

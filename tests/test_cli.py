@@ -17,6 +17,7 @@ import struct
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -537,8 +538,6 @@ KNOBS = [
     ("ring_px", 15, 3, "bundle20_dir", "place"),
     ("stack_dx_frac", 0.04, 0.01, "bundle_dir", "place"),
     ("pedestrian_fallback_frac", 0.22, 0.01, "bundle20_dir", "place"),
-    ("high_height_m", 7.0, 6.0, "bundle_dir", "place"),
-    ("low_height_m", 4.0, 3.0, "bundle_dir", "place"),
     ("corner_radius_m", 26.0, 10.0, "bundle_dir", "place"),
     ("inner_radius_m", 10.0, 0.0, "c2_bundle_dir", "place"),
     ("offset_m", 2.5, 1.0, "bundle_dir", "place"),
@@ -1007,13 +1006,15 @@ def test_synth_invalid_layout_is_input_error(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "o"), "--layout", str(bad)])
     assert rc == 2
     assert "invalid layout" in capsys.readouterr().err
-    # Every malformed layout of the loader's test exits 2 naming the file and the field.
+    # Every malformed layout of the loader's test exits 2 naming the file and the field,
+    # before any mask is written, even where the bad layout follows good ones.
     for case in BAD_LAYOUTS:
         text, where = case.values
         bad.write_text(text)
         assert main(["synth", "--out", str(tmp_path / "o"), "--layout", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and where in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_synth_layout_invalid_json_names_file(tmp_path, capsys):
@@ -1037,6 +1038,26 @@ def test_synth_rejects_negative_fixtures(tmp_path, capsys):
     assert main(["synth", "--out", str(tmp_path / "o"), "--fixtures", "-1"]) == 2
     assert "--fixtures must be at most 2**62 and >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_synth_holds_one_layout_of_label_maps_at_a_time(tmp_path, monkeypatch):
+    # Each layout's maps are written and dropped before the next is rendered.
+    import rop.synth
+
+    render = rop.synth.render_bundle
+    earlier: list[weakref.ref] = []
+    alive = {}  # intersection id -> label maps of earlier layouts alive as it renders
+
+    def tracked(layout):
+        alive[layout.intersection_id] = sum(ref() is not None for ref in earlier)
+        bundle, truth = render(layout)
+        earlier.extend(weakref.ref(runs) for runs in bundle.label_maps.values())
+        return bundle, truth
+
+    monkeypatch.setattr(rop.synth, "render_bundle", tracked)
+    assert main(["synth", "--out", str(tmp_path), "--fixtures", "3", "--seed", "1"]) == 0
+    assert alive == {"x0000": 0, "x0001": 0, "x0002": 0}
+    assert len(earlier) == len(list((tmp_path / "masks").iterdir())) > 0
 
 
 # What rop place writes when it places nothing.
@@ -1282,7 +1303,7 @@ def test_config_show_lists_defaults_and_overrides(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "offset_m = 2.5" in out
     assert "ring_px = 15" in out
-    assert len(out.splitlines()) == 11
+    assert len(out.splitlines()) == 9
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("high_factor = 4.5  # widened\n")
     assert main(["config", "--show", "--config", str(cfg_file), "--set", "ring_px=20"]) == 0
@@ -1325,7 +1346,11 @@ def test_config_override_without_equals_names_it(capsys):
 
 
 @pytest.mark.parametrize(
-    "key", ["seed", "jobs", "buffer_radius_m", "match_radius_m", "low_factor", "sidewalk_gap_px", "dedup_radius_m"]
+    "key",
+    [
+        "seed", "jobs", "buffer_radius_m", "match_radius_m", "low_factor", "sidewalk_gap_px", "dedup_radius_m",
+        "high_height_m", "low_height_m",
+    ],
 )
 def test_config_rejects_removed_key(key, capsys):
     assert main(["config", "--show", "--set", f"{key}=1"]) == 2
@@ -1367,7 +1392,7 @@ INVALID_VALUES = [
     "iou_min=inf",
     "iou_min=1.5",
     "min_region_px=-5",
-    "high_height_m=-inf",
+    "inner_radius_m=-inf",
     # Ints above 2**62, where ring_px added to a pixel coordinate can leave int64.
     "ring_px=9223372036854775807",
     "ring_px=10000000000000000000",

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import re
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +25,6 @@ FIELDS = {
     "ring_px": st.integers(1, 2**40),
     "stack_dx_frac": _fraction,
     "pedestrian_fallback_frac": _fraction,
-    "high_height_m": _non_negative,
-    "low_height_m": _non_negative,
     "corner_radius_m": _positive,
     "inner_radius_m": _non_negative,
     "offset_m": _non_negative,
@@ -67,3 +67,15 @@ def test_show_round_trips_through_load_config(tmp_path_factory, cfg):
 def test_range_message_follows_the_declared_type(values, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RunConfig(**values)
+
+
+def test_float32_infinity_is_not_finite():
+    # float32 cannot hold the largest float, so a bound cast to it overflows to inf.
+    with pytest.raises(ValueError, match=r"^offset_m must be finite and >= 0, got inf$"):
+        RunConfig(offset_m=np.float32("inf"))
+
+
+def test_float32_value_passes_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert RunConfig(offset_m=np.float32(2.5)).offset_m == 2.5
