@@ -32,7 +32,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .atbt import tree_to_json  # noqa: E402
 from .config import RunConfig, check_range, load_config  # noqa: E402
-from .ingest import Bundle, _load_json, build_tracks, load_inputs  # noqa: E402
+from .ingest import Bundle, Slice, _load_json, load_inputs  # noqa: E402
 from .placer import (  # noqa: E402
     IntersectionResult,
     PlacedObject,
@@ -176,7 +176,7 @@ def deal(sizes: list[int], n: int) -> list[list[int]]:
 
 
 def _place_share(
-    slices: list[Bundle], share: list[int], cfg: RunConfig
+    slices: list[Slice], share: list[int], cfg: RunConfig
 ) -> tuple[list[IntersectionResult], tuple[int, Exception] | None]:
     """The results of share's buffers in order, or, at the first buffer that
     fails, no results and that buffer's index with its exception. An input
@@ -189,14 +189,14 @@ def _place_share(
         except (ValueError, OSError) as exc:
             return [], (i, exc)
         except Exception as exc:
-            iid = slices[i].buffers[0].intersection_id
+            iid = slices[i].buffer.intersection_id
             log.debug("fault placing %s", iid, exc_info=True)
             return [], (i, Fault(f"{iid}: {type(exc).__name__}: {exc}"))
     return results, None
 
 
 def _worker(
-    slices: list[Bundle], share: list[int], cfg: RunConfig, out: int, inherited: list[int]
+    slices: list[Slice], share: list[int], cfg: RunConfig, out: int, inherited: list[int]
 ) -> NoReturn:
     """A forked worker's whole life: place share, write the pickled outcome to
     the pipe end out, exit. It never returns into the caller of rop's main."""
@@ -225,7 +225,7 @@ def _run_buffers(args, cfg: RunConfig, jobs: int) -> list[IntersectionResult]:
     runs one thread (OpenBLAS included, see above), so it forks safely."""
     bundle = _load_bundle(args)
     slices = slice_bundle(bundle, cfg)
-    shares = deal([len(part.images) for part in slices], max(1, min(jobs, len(slices))))
+    shares = deal([part.n_images for part in slices], max(1, min(jobs, len(slices))))
     readers: dict[int, int] = {}  # worker pid -> read end of its pipe, until read
     running: list[int] = []  # worker pids not yet reaped
     try:
@@ -326,9 +326,8 @@ def cmd_dump_trees(args) -> int:
     """The tree stage alone: slice -> tracks -> one tree per image."""
     cfg = load_config(args.config, args.set)
     parts = slice_bundle(_load_bundle(args), cfg)
-    write_json(args.out, ((part.buffers[0].intersection_id, {
-        track.track_id: [tree_to_json(t) for t in track_trees(part, track, cfg)]
-        for track in build_tracks(part.images, part.buffers[0])
+    write_json(args.out, ((part.buffer.intersection_id, {
+        track.track_id: [tree_to_json(t) for t in track_trees(part, track, cfg)] for track in part.tracks
     }) for part in parts))
     return EX_OK
 

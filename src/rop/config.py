@@ -98,12 +98,13 @@ def _key_value(text: str, malformed: str) -> tuple[str, int | float]:
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> RunConfig:
     """Build a RunConfig from an optional key=value file plus CLI overrides.
 
-    Unknown keys, unparsable values, a file that is not UTF-8 and values that
-    break an invariant raise ValueError here, before any bundle is read."""
+    Unknown keys, unparsable values, a file that is not UTF-8 (a leading
+    byte order mark is skipped) and values that break an invariant raise
+    ValueError here, before any bundle is read."""
     values: dict = {}
     if path is not None:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         for ln, line in enumerate(text.splitlines()):

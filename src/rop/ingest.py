@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .config import check_fields
-from .geo import Footprint, GeoPoint, LocalPoint, make_frame, project
+from .geo import Footprint, GeoPoint, LocalFrame, LocalPoint, make_frame
 from .labelmap import BundleError, LabelRuns, label_map_size, read_label_map
 
 log = logging.getLogger("rop.ingest")
@@ -57,7 +57,8 @@ class IntersectionBuffer:
 @dataclass
 class Track:
     """One heading bin's images, far to near, and at the same index each one's
-    camera in the buffer's frame, in metres."""
+    camera in the buffer's frame, in metres; build_tracks makes it from the
+    cameras slice_bundle projects."""
 
     track_id: str  # <intersection id>:<direction>, direction WE, EW, SN or NS
     images: list[ImageMeta]
@@ -83,6 +84,24 @@ class Bundle:
     detections: dict[str, list[Detection]]
     footprints: list[Footprint]
     buffers: list[IntersectionBuffer]
+
+
+@dataclass
+class Slice:
+    """One buffer's whole placement input, as slice_bundle cuts it: the
+    buffer's frame; its tracks, far to near, each camera in the frame's
+    metres; the outlines of the footprints near it, each an id and an open
+    ring in metres, as select_corners takes them; how many images it kept,
+    those without a heading too; and the bundle's label maps and
+    detections, of which it reads only its tracks' images'."""
+
+    buffer: IntersectionBuffer
+    frame: LocalFrame
+    tracks: list[Track]
+    outlines: list[tuple[str, list[LocalPoint]]]
+    n_images: int
+    label_maps: Mapping[str, LabelRuns]
+    detections: dict[str, list[Detection]]
 
 
 # ---------------------------------------------------------------------------
@@ -481,28 +500,20 @@ def direction_of(heading_deg: float) -> str:
 _DIRECTIONS = ("WE", "EW", "SN", "NS")
 
 
-def build_tracks(images: list[ImageMeta], buffer: IntersectionBuffer) -> list[Track]:
-    """Group one intersection's images into one track per heading bin.
-
-    Each image's camera is projected into the buffer's frame once. A track
-    runs far to near: by its camera's distance from the center, farthest
-    first, ties by image id. Images without a heading are excluded with a
-    warning.
-    """
-    frame = make_frame(buffer.center)
+def build_tracks(members: list[tuple[ImageMeta, LocalPoint]], intersection_id: str) -> list[Track]:
+    """One track per heading bin of members, one intersection's images that
+    have a heading, each with its camera in the buffer's frame, in metres, as
+    slice_bundle projects it. A track runs far to near: by its camera's
+    distance from the center, farthest first, ties by image id."""
     bins: dict[str, list[tuple[ImageMeta, LocalPoint]]] = {}
-    for im in images:
-        if im.heading_deg is None:
-            msg = "image %s (intersection %s) has no heading; excluded from tracks"
-            log.warning(msg, im.image_id, buffer.intersection_id)
-            continue
-        bins.setdefault(direction_of(im.heading_deg), []).append((im, project(frame, im.position)))
+    for m in members:
+        bins.setdefault(direction_of(m[0].heading_deg), []).append(m)
     tracks = []
     for direction in _DIRECTIONS:
-        members = bins.get(direction)
-        if not members:
+        binned = bins.get(direction)
+        if not binned:
             continue
-        members.sort(key=lambda m: (-math.hypot(m[1].x, m[1].y), m[0].image_id))
-        images, cams = zip(*members)
-        tracks.append(Track(f"{buffer.intersection_id}:{direction}", list(images), list(cams)))
+        binned.sort(key=lambda m: (-math.hypot(m[1].x, m[1].y), m[0].image_id))
+        images, cams = zip(*binned)
+        tracks.append(Track(f"{intersection_id}:{direction}", list(images), list(cams)))
     return tracks

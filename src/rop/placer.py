@@ -28,11 +28,11 @@ from .geo import (
     nearest_vertex,
     project,
     unproject,
-    within,
 )
 from .grammar import apply_grammar
 from .ingest import (
     Bundle,
+    Slice,
     Track,
     build_tracks,
     feature,
@@ -237,24 +237,24 @@ def _in_box(frame: LocalFrame, lat: np.ndarray, lon: np.ndarray, radius_m: float
     )
 
 
-def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
-    """One slice per buffer, in intersection_id order: the part of bundle that
-    buffer's placement reads, as a one-buffer Bundle.
+def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
+    """One Slice per buffer, in intersection_id order. Placement makes each
+    frame, projects each camera and footprint vertex, and groups images into
+    tracks here and nowhere else.
 
-    A slice holds the buffer's images that approach its center or stand in
-    it (C1 or C2), each projected into the buffer's frame once for both
-    tests, and shares the bundle's label maps and detections, of
-    which it reads only its own images'. A camera that has passed the center
-    (C3) is left out, so a neighbour's camera leaving this center joins none
-    of its tracks and a buffer places the same whatever buffers surround it.
-    An image without a heading stays, and build_tracks drops it with a
-    warning. The slice also holds the footprints with a vertex within radius_m + corner_radius_m of
-    the center. By the triangle inequality that bound loses nothing, up to
-    rounding in the last place: select_corners keeps only footprints with a
-    vertex within corner_radius_m of a camera, and every camera of the slice
-    lies within radius_m of the center. A footprint with a vertex outside the
-    buffer frame's span is dropped with a warning, since run_intersection
-    projects every vertex.
+    A slice keeps the buffer's images that approach its center or stand in
+    it (C1 or C2), each projected into the buffer's frame once, for both
+    tests and for its track. A camera that has passed the center (C3) is
+    left out, so a neighbour's camera leaving this center joins none of its
+    tracks and a buffer places the same whatever buffers surround it. An
+    image without a heading is kept and counted, but joins no track, with a
+    warning. The outlines are the footprints with a vertex within radius_m +
+    corner_radius_m of the center. By the triangle inequality that bound
+    loses nothing, up to rounding in the last place: select_corners keeps
+    only footprints with a vertex within corner_radius_m of a camera, and
+    every camera of the slice lies within radius_m of the center. A
+    footprint with a vertex outside the buffer frame's span is dropped with
+    a warning, since its outline needs every vertex.
 
     Image positions and footprint vertices go into arrays once. Per buffer a
     box test picks the candidates, and only those take the exact checks, so
@@ -269,35 +269,40 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Bundle]:
     v_lon = np.array([v.lon for fp in footprints for v in fp.ring])
     slices = []
     for buffer in sorted(bundle.buffers, key=lambda b: b.intersection_id):
+        iid = buffer.intersection_id
         frame = make_frame(buffer.center)
         reach_m = buffer.radius_m + cfg.corner_radius_m
         near = np.flatnonzero(_in_box(frame, img_lat, img_lon, buffer.radius_m))
         kept = []
         for im in (images[i] for i in near if in_span(frame, images[i].position)):
             cam = project(frame, im.position)
-            if dist(cam, _ORIGIN) <= buffer.radius_m and (
-                im.heading_deg is None or classify_camera(cam, im.heading_deg, cfg.inner_radius_m) != "C3"
-            ):
-                kept.append(im)
+            if dist(cam, _ORIGIN) > buffer.radius_m:
+                continue
+            if im.heading_deg is None:
+                log.warning("image %s (intersection %s) has no heading; excluded from tracks", im.image_id, iid)
+            elif classify_camera(cam, im.heading_deg, cfg.inner_radius_m) == "C3":
+                continue
+            kept.append((im, cam))
         candidates = np.zeros(len(footprints), dtype=bool)
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
-        near_fps = []
+        outlines = []
         for fp in (footprints[i] for i in np.flatnonzero(candidates)):
-            if not any(within(frame, v, reach_m) for v in fp.ring):
+            pts = [project(frame, v) for v in fp.ring[:-1] if in_span(frame, v)]
+            if not any(dist(p, _ORIGIN) <= reach_m for p in pts):
                 continue
-            if all(in_span(frame, v) for v in fp.ring):
-                near_fps.append(fp)
+            if len(pts) == len(fp.ring) - 1:
+                outlines.append((fp.id, pts))
             else:
-                msg = "footprint %s reaches outside the frame span of buffer %s; dropped"
-                log.warning(msg, fp.id, buffer.intersection_id)
-        slices.append(replace(bundle, images=kept, footprints=near_fps, buffers=[buffer]))
+                log.warning("footprint %s reaches outside the frame span of buffer %s; dropped", fp.id, iid)
+        tracks = build_tracks([m for m in kept if m[0].heading_deg is not None], iid)
+        slices.append(Slice(buffer, frame, tracks, outlines, len(kept), bundle.label_maps, bundle.detections))
     return slices
 
 
-def track_trees(part: Bundle, track: Track, cfg: RunConfig) -> list[Atbt]:
-    """One tree per image of track, in track order: the tree stage that
-    run_intersection and dump-trees share. Each label map is read once, and
-    scene_objects makes the track's one pass over their runs."""
+def track_trees(part: Slice, track: Track, cfg: RunConfig) -> list[Atbt]:
+    """One tree per image of track, one of part's tracks, in track order: the
+    tree stage that run_intersection and dump-trees share. Each label map is
+    read once, and scene_objects makes the track's one pass over their runs."""
     maps = [part.label_maps[img.image_id] for img in track.images]
     detections = [part.detections.get(img.image_id, []) for img in track.images]
     return [
@@ -322,54 +327,37 @@ def _track_corners(track: Track, ranks: dict[str, float], outlines: list, cfg: R
     return None
 
 
-def run_intersection(part: Bundle, cfg: RunConfig = RunConfig()) -> IntersectionResult:
-    """Tracks -> trees -> fusion -> corners -> placement -> dedup, on the
-    one-buffer slice that slice_bundle cuts. Each footprint ring is projected
-    into the buffer's frame once; each camera is its track's own. Dedup
-    merges same-kind objects placed on one point, across tracks."""
-    if len(part.buffers) != 1:
-        raise ValueError(
-            "run_intersection takes a one-buffer slice (see slice_bundle), "
-            f"got {len(part.buffers)} buffers"
-        )
-    buffer = part.buffers[0]
+def run_intersection(part: Slice, cfg: RunConfig = RunConfig()) -> IntersectionResult:
+    """Trees -> fusion -> corners -> placement -> dedup, on one buffer's
+    Slice: its frame, tracks, cameras and outlines as slice_bundle computed
+    them. Dedup merges same-kind objects placed on one point, across tracks."""
+    buffer = part.buffer
     result = IntersectionResult()
 
     def note(event: str, **fields) -> None:
         result.diagnostics.append({"intersection_id": buffer.intersection_id, "event": event, **fields})
 
-    frame = make_frame(buffer.center)
-    if not part.images:
+    if not part.n_images:
         note("no_images")
         return result
-    outlines = [(fp.id, [project(frame, v) for v in fp.ring[:-1]]) for fp in part.footprints]
     raw_placed: list[PlacedObject] = []
     any_corners = False
-    for track in build_tracks(part.images, buffer):
+    for track in part.tracks:
         ranks = {img.image_id: dist(cam, _ORIGIN) for img, cam in zip(track.images, track.cams)}
         fused = fuse_track(track_trees(part, track, cfg), image_rank=ranks)
         if not fused:
             continue
-        corners = _track_corners(track, ranks, outlines, cfg)
+        corners = _track_corners(track, ranks, part.outlines, cfg)
         if corners is None:
             note("no_corners", track_id=track.track_id, unplaced=len(fused))
             continue
         any_corners = True
-        raw_placed.extend(
-            place_objects(
-                fused,
-                corners,
-                frame,
-                buffer.intersection_id,
-                n_track_images=len(track.images),
-                cfg=cfg,
-            )
-        )
+        raw_placed.extend(place_objects(fused, corners, part.frame, buffer.intersection_id, len(track.images), cfg))
     if not any_corners:
         note("no_corners_any_track")
         return result
     for p in dedup_placed(raw_placed):
-        if dist(project(frame, p.position), _ORIGIN) <= buffer.radius_m:
+        if dist(project(part.frame, p.position), _ORIGIN) <= buffer.radius_m:
             result.placed.append(p)
         else:
             note("outside_buffer", category=p.category)

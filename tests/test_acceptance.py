@@ -32,7 +32,7 @@ from rop.geo import (
     unproject,
 )
 from rop.grammar import apply_grammar, stack_objects
-from rop.ingest import ImageMeta, build_tracks
+from rop.ingest import ImageMeta
 from rop.labelmap import CATEGORY_IDS
 from rop.placer import run_intersection, select_corners, slice_bundle, to_geojson, track_trees
 from rop.scene import scene_objects
@@ -552,7 +552,7 @@ def test_criterion_6_structural_invariants(fixture_run):
     trees = []
     for run in fixture_run.runs:
         part = slice_bundle(run.bundle, CFG)[0]
-        for track in build_tracks(part.images, part.buffers[0]):
+        for track in part.tracks:
             for tree in track_trees(part, track, CFG):
                 n_nodes += _check_heap(tree)
                 trees.append(tree_to_json(tree))

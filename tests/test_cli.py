@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import threading
 import weakref
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -713,7 +715,7 @@ def _buffer_sizes(bundle: Path) -> list[int]:
     """The image count of each buffer's slice, in buffer order."""
     files = ("images.json", "masks", "detections.jsonl", "footprints.geojson", "buffers.json")
     parts = slice_bundle(load_inputs(*(str(bundle / name) for name in files)), RunConfig())
-    return [len(part.images) for part in parts]
+    return [part.n_images for part in parts]
 
 
 def assert_fair_deal(sizes: list[int], n: int) -> None:
@@ -769,9 +771,9 @@ def test_a_killed_worker_is_an_error_not_a_short_output(bundle20_dir, tmp_path, 
 
     def run_intersection(part, cfg):
         if os.getpid() != parent:
-            if part.buffers[0].intersection_id in doomed:
+            if part.buffer.intersection_id in doomed:
                 os.kill(os.getpid(), signal.SIGKILL)
-            if part.buffers[0].intersection_id in bulky:
+            if part.buffer.intersection_id in bulky:
                 return IntersectionResult(diagnostics=[{"pad": "x" * 200_000}])
         return real(part, cfg)
 
@@ -802,7 +804,7 @@ def test_an_internal_fault_exits_70_in_one_line_at_any_jobs(bundle20_dir, tmp_pa
     real = rop.cli.run_intersection
 
     def run_intersection(part, cfg):
-        if part.buffers[0].intersection_id == "x0003":
+        if part.buffer.intersection_id == "x0003":
             raise KeyError("corner")
         return real(part, cfg)
 
@@ -1340,6 +1342,14 @@ def test_config_file_error_names_file(content, expected, tmp_path, capsys):
     assert err.startswith(f"error: {cfg_file}: ") and expected in err
 
 
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # Windows Notepad saves UTF-8 with a BOM; the first key must still be known.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"\xef\xbb\xbfring_px = 12\n")
+    assert main(["config", "--show", "--config", str(cfg_file)]) == 0
+    assert "ring_px = 12" in capsys.readouterr().out
+
+
 def test_config_override_without_equals_names_it(capsys):
     assert main(["config", "--show", "--set", "ring_px 20"]) == 2
     assert "override 'ring_px 20' is not key=value" in capsys.readouterr().err
@@ -1482,7 +1492,7 @@ def test_each_buffer_is_sliced_once(command, bundle_dir, tmp_path, monkeypatch):
 
     def counting_slice(*args, **kwargs):
         slices = real(*args, **kwargs)
-        calls.append([buf.intersection_id for part in slices for buf in part.buffers])
+        calls.append([part.buffer.intersection_id for part in slices])
         return slices
 
     monkeypatch.setattr(rop.cli, "slice_bundle", counting_slice)
@@ -1491,6 +1501,81 @@ def test_each_buffer_is_sliced_once(command, bundle_dir, tmp_path, monkeypatch):
     argv[0] = command
     assert main(argv) == 0
     assert calls == [["x0000", "x0001"]]
+
+
+@pytest.mark.parametrize("command", ["place", "dump-trees"])
+def test_each_coordinate_is_projected_once(command, bundle_dir, tmp_path, monkeypatch):
+    # Slicing makes each buffer's frame and projects each camera and each
+    # footprint vertex into it once; nothing after it does either again.
+    import rop.cli
+    import rop.geo
+    import rop.ingest
+    import rop.placer
+
+    loaded, frames, projected = [], [], collections.Counter()
+    real_load, real_frame, real_project = rop.cli.load_inputs, rop.geo.make_frame, rop.geo.project
+
+    def loading(*args):
+        loaded.append(real_load(*args))
+        return loaded[-1]
+
+    def making_frame(center):
+        if loaded:  # load_buffers makes one to check each center
+            frames.append(center)
+        return real_frame(center)
+
+    def projecting(frame, p):
+        projected[frame, p] += 1
+        return real_project(frame, p)
+
+    monkeypatch.setattr(rop.cli, "load_inputs", loading)
+    for module in (rop.geo, rop.ingest, rop.placer):
+        for name, fn in (("make_frame", making_frame), ("project", projecting)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    argv = place_args(bundle_dir, tmp_path / "out.json", ["--jobs", "1"] if command == "place" else [])
+    argv[0] = command
+    assert main(argv) == 0
+    (bundle,) = loaded
+    assert sorted(frames, key=astuple) == sorted((b.center for b in bundle.buffers), key=astuple)
+    inputs = {im.position for im in bundle.images} | {v for fp in bundle.footprints for v in fp.ring}
+    counts = [n for (_, p), n in projected.items() if p in inputs]
+    assert counts and set(counts) == {1}
+
+
+def test_a_buffer_whose_images_all_lack_a_heading(bundle_dir, tmp_path):
+    # Each of x0001's images is kept by its slice and warned about once, at
+    # any --jobs, but joins no track: the buffer finds no corners and has no
+    # trees. x0000 places as before.
+    bundle = tmp_path / "headless"
+    shutil.copytree(bundle_dir, bundle)
+    images = json.loads((bundle / "images.json").read_text())
+    for image in images:
+        if image["image_id"].startswith("x0001-"):
+            image["heading_deg"] = None
+    (bundle / "images.json").write_text(json.dumps(images))
+    buffer = next(b for b in load_buffers(str(bundle / "buffers.json")) if b.intersection_id == "x0001")
+    kept = images_in_buffer(load_images(str(bundle / "images.json")), buffer)
+    assert kept and all(im.image_id.startswith("x0001-") for im in kept)
+    warnings = [f"WARNING image {im.image_id} (intersection x0001) has no heading; excluded from tracks" for im in kept]
+
+    def logged(stderr):  # each line without the name of the logger
+        return [line.split(" ", 1)[1] for line in stderr.splitlines()]
+
+    for jobs in ("1", "2"):
+        out = tmp_path / f"pred{jobs}.geojson"
+        proc = run_rop(*place_args(bundle, out, ["--jobs", jobs]))
+        assert proc.returncode == 0, proc.stderr
+        assert logged(proc.stderr) == warnings
+        doc = json.loads(out.read_text())
+        assert [d["event"] for d in doc["diagnostics"] if d["intersection_id"] == "x0001"] == ["no_corners_any_track"]
+        assert {f["properties"]["intersection_id"] for f in doc["features"]} == {"x0000"}
+    argv = place_args(bundle, tmp_path / "trees.json")
+    argv[0] = "dump-trees"
+    proc = run_rop(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert logged(proc.stderr) == warnings
+    assert json.loads((tmp_path / "trees.json").read_text())["x0001"] == {}
 
 
 def test_place_bundle_wider_than_one_frame(tmp_path):
@@ -1693,7 +1778,7 @@ def test_entry_point_prints_a_fault_traceback_only_at_debug(level, bundle_dir, t
     code = (
         "import rop.cli\n"
         "def run_intersection(part, cfg):\n"
-        "    if part.buffers[0].intersection_id == 'x0001':\n"
+        "    if part.buffer.intersection_id == 'x0001':\n"
         "        raise KeyError('corner')\n"
         "    return real(part, cfg)\n"
         "real, rop.cli.run_intersection = rop.cli.run_intersection, run_intersection\n"

@@ -867,7 +867,8 @@ def test_slice_bundle_radius_cut():
     far = im("d", 12.0, 100.0)  # other side of the world, caught by the degree prefilter
     bundle = Bundle([inside, edge, outside, far], {}, {}, [], [buffer])
     (part,) = slice_bundle(bundle, RunConfig())
-    assert [g.image_id for g in part.images] == ["a", "b"]
+    assert part.n_images == 2
+    assert [(t.track_id, [g.image_id for g in t.images]) for t in part.tracks] == [("x0:EW", ["a"]), ("x0:NS", ["b"])]
 
 
 def _latlon(frame, x, y):
@@ -907,42 +908,47 @@ def test_direction_bins(heading, direction):
 # Track building.
 
 
+def _members(frame, images):
+    """Each image with its camera in frame, as slice_bundle hands them to build_tracks."""
+    return [(image, project(frame, image.position)) for image in images]
+
+
 def test_build_tracks_bins_and_orders():
     frame = make_frame(BERLIN)
-    buffer = IntersectionBuffer("x0", BERLIN)
     # Eastbound track approaching from the west: x increases along travel.
     e2 = im("e2", *_latlon(frame, -10.0, -3.0), heading=92.0, seq="s1")
     e0 = im("e0", *_latlon(frame, -30.0, -3.0), heading=88.0, seq="s0")
     e1 = im("e1", *_latlon(frame, -20.0, -3.0), heading=90.0, seq="s0")
-    # Southbound image and one with no heading.
+    # A southbound image.
     s0 = im("s0", *_latlon(frame, 2.0, 25.0), heading=181.0)
-    n0 = im("n0", *_latlon(frame, 2.0, -25.0), heading=None)
-    tracks = build_tracks([e2, e0, e1, s0, n0], buffer)
+    members = _members(frame, [e2, e0, e1, s0])
+    tracks = build_tracks(members, "x0")
     by_id = {t.track_id: t for t in tracks}
     assert set(by_id) == {"x0:WE", "x0:NS"}
     # Far to near: by distance from the center, farthest first.
     assert [i.image_id for i in by_id["x0:WE"].images] == ["e0", "e1", "e2"]
     assert [i.image_id for i in by_id["x0:NS"].images] == ["s0"]
+    # Each camera is the one it came with, at the same index as its image.
+    cams = {image.image_id: cam for image, cam in members}
     for track in tracks:
-        assert len(track.cams) == len(track.images)
-        for image, cam in zip(track.images, track.cams):
-            assert cam == project(frame, image.position)
+        assert track.cams == [cams[image.image_id] for image in track.images]
 
 
-def test_build_tracks_warns_on_missing_heading(caplog):
-    buffer = IntersectionBuffer("x0", BERLIN)
-    with caplog.at_level("WARNING", logger="rop.ingest"):
-        tracks = build_tracks([im("n0", 52.52, 13.405, heading=None)], buffer)
-    assert tracks == []
-    assert any("n0" in r.message for r in caplog.records)
+def test_slice_bundle_warns_on_missing_heading(caplog):
+    # An image without a heading is kept and counted, but joins no track.
+    bundle = Bundle([im("n0", 52.52, 13.405, heading=None)], {}, {}, [], [IntersectionBuffer("x0", BERLIN)])
+    with caplog.at_level("WARNING", logger="rop.placer"):
+        (part,) = slice_bundle(bundle, RunConfig())
+    assert part.tracks == [] and part.n_images == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "image n0 (intersection x0) has no heading; excluded from tracks"
+    ]
 
 
 def test_build_tracks_tie_breaks_by_image_id():
     frame = make_frame(BERLIN)
-    buffer = IntersectionBuffer("x0", BERLIN)
     lat, lon = _latlon(frame, -10.0, 0.0)
     b = im("b", lat, lon, heading=90.0)
     a = im("a", lat, lon, heading=90.0)
-    tracks = build_tracks([b, a], buffer)
+    tracks = build_tracks(_members(frame, [b, a]), "x0")
     assert [i.image_id for i in tracks[0].images] == ["a", "b"]
-

@@ -34,7 +34,6 @@ from rop.ingest import (
     Detection,
     ImageMeta,
     IntersectionBuffer,
-    build_tracks,
 )
 from rop.placer import (
     CornerPair,
@@ -490,8 +489,7 @@ def test_run_intersection_extracts_regions_once_per_image(monkeypatch):
 
             monkeypatch.setattr(module, "concat_runs", counting_concat)
     result = run_intersection(part, CFG)
-    tracks = build_tracks(part.images, part.buffers[0])
-    tracked = sum(len(t.images) for t in tracks)
+    tracked = sum(len(t.images) for t in part.tracks)
     assert result.placed
     assert tracked > 0
     assert len(calls) == len(set(calls)) == tracked
@@ -504,10 +502,10 @@ def test_no_corners_counts_only_objects_that_can_be_placed():
     # distinct lights and signs as unplaced; its sidewalks are not counted,
     # and a track that saw nothing else reports nothing.
     bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
-    part = dataclasses.replace(slice_bundle(bundle, CFG)[0], footprints=[])
+    part = dataclasses.replace(slice_bundle(bundle, CFG)[0], outlines=[])
     expected = []
     saw_sidewalks = False
-    for track in build_tracks(part.images, part.buffers[0]):
+    for track in part.tracks:
         nodes = [n for t in track_trees(part, track, CFG) for n in t.nodes if n.object]
         saw_sidewalks |= any(n.object.category == "sidewalk" for n in nodes)
         keys = {
@@ -529,7 +527,7 @@ def test_a_buffer_whose_slice_holds_no_image_notes_no_images():
     lonely = dataclasses.replace(bundle.buffers[0], intersection_id="lonely", radius_m=5.0)
     bundle = dataclasses.replace(bundle, buffers=[*bundle.buffers, lonely])
     part = slice_bundle(bundle, CFG)[0]  # slices come in intersection_id order
-    assert part.images == []
+    assert part.n_images == 0 and part.tracks == []
     result = run_intersection(part, CFG)
     assert result.placed == []
     assert result.diagnostics == [{"intersection_id": "lonely", "event": "no_images"}]
@@ -561,17 +559,11 @@ def test_an_object_placed_past_the_buffer_notes_outside_buffer():
     ]
     # The same slice under a buffer wide enough to keep every placed object:
     # the ones past 20 m are exactly those noted, in the same order.
-    wide = run_intersection(dataclasses.replace(part, buffers=[dataclasses.replace(buffer, radius_m=50.0)]), CFG)
+    wide = run_intersection(dataclasses.replace(part, buffer=dataclasses.replace(buffer, radius_m=50.0)), CFG)
     far = [dist(project(frame, p.position), LocalPoint(0.0, 0.0)) > 20.0 for p in wide.placed]
     assert [d["category"] for d in outside] == [p.category for p, f in zip(wide.placed, far) if f]
     assert result.placed == [p for p, f in zip(wide.placed, far) if not f]
     assert result.placed and all(p.light_kind == "high" for p in result.placed)
-
-
-def test_run_intersection_rejects_a_bundle_of_two_buffers():
-    a, b = (render_bundle(lay)[0] for lay in standard_fixtures(2, seed=1))
-    with pytest.raises(ValueError, match="one-buffer slice"):
-        run_intersection(_merged([a, b]), CFG)
 
 
 def test_readme_library_example_runs():
@@ -603,7 +595,7 @@ def neighbours():
 
 
 def _outcome(bundle, buffer):
-    (part,) = [p for p in slice_bundle(bundle, CFG) if p.buffers == [buffer]]
+    (part,) = [p for p in slice_bundle(bundle, CFG) if p.buffer == buffer]
     result = run_intersection(part, CFG)
     return to_geojson(result.placed), result.diagnostics
 
@@ -736,10 +728,9 @@ def _placed_by_kind(bundle):
     (intersection, category, subtype, light kind)."""
     out = {}
     for part in slice_bundle(bundle, CFG):
-        frame = make_frame(part.buffers[0].center)
         for p in run_intersection(part, CFG).placed:
             kind = (p.intersection_id, p.category, p.subtype, p.light_kind)
-            out.setdefault(kind, []).append(project(frame, p.position))
+            out.setdefault(kind, []).append(project(part.frame, p.position))
     return out
 
 
@@ -933,8 +924,16 @@ def _square(center, half_m):
 def test_slice_bundle_matches_a_full_scan(case):
     bundle, cfg = case
     slices = slice_bundle(bundle, cfg)
-    assert [part.buffers for part in slices] == [[b] for b in bundle.buffers]
-    assert [(part.images, part.footprints) for part in slices] == slice_oracle(bundle, cfg)
-    for part in slices:
+    assert [part.buffer for part in slices] == bundle.buffers
+    by_id = lambda im: im.image_id
+    for part, (images, footprints) in zip(slices, slice_oracle(bundle, cfg), strict=True):
+        frame = make_frame(part.buffer.center)
+        assert part.frame == frame
+        assert part.n_images == len(images)
+        tracked = sorted((im for t in part.tracks for im in t.images), key=by_id)
+        assert tracked == sorted((im for im in images if im.heading_deg is not None), key=by_id)
+        for track in part.tracks:
+            assert track.cams == [project(frame, im.position) for im in track.images]
+        assert part.outlines == [(fp.id, [project(frame, v) for v in fp.ring[:-1]]) for fp in footprints]
         assert part.label_maps is bundle.label_maps
         assert part.detections is bundle.detections
