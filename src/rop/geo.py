@@ -42,8 +42,7 @@ class LocalPoint:
 @dataclass(frozen=True)
 class LocalFrame:
     origin: GeoPoint
-    m_per_deg_lat: float
-    m_per_deg_lon: float
+    m_per_deg_lon: float  # metres per degree of latitude are M_PER_DEG_LAT everywhere
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,11 +65,7 @@ def make_frame(center: GeoPoint) -> LocalFrame:
     """Local tangent frame centered on an intersection."""
     if abs(center.lat) > 89.0:
         raise ValueError(f"frame degenerate near the poles (lat={center.lat})")
-    return LocalFrame(
-        origin=center,
-        m_per_deg_lat=M_PER_DEG_LAT,
-        m_per_deg_lon=M_PER_DEG_LAT * math.cos(math.radians(center.lat)),
-    )
+    return LocalFrame(origin=center, m_per_deg_lon=M_PER_DEG_LAT * math.cos(math.radians(center.lat)))
 
 
 def wrap_lon(lon: float) -> float:
@@ -91,11 +86,11 @@ def project(frame: LocalFrame, p: GeoPoint) -> LocalPoint:
             f"point ({p.lat}, {p.lon}) outside the {FRAME_SPAN_DEG} deg validity "
             f"span of the frame at ({frame.origin.lat}, {frame.origin.lon})"
         )
-    return LocalPoint(x=dlon * frame.m_per_deg_lon, y=dlat * frame.m_per_deg_lat)
+    return LocalPoint(x=dlon * frame.m_per_deg_lon, y=dlat * M_PER_DEG_LAT)
 
 
 def unproject(frame: LocalFrame, q: LocalPoint) -> GeoPoint:
-    dlat = q.y / frame.m_per_deg_lat
+    dlat = q.y / M_PER_DEG_LAT
     dlon = q.x / frame.m_per_deg_lon
     if abs(dlat) >= FRAME_SPAN_DEG or abs(dlon) >= FRAME_SPAN_DEG:
         raise ValueError("local point outside the frame validity span")

@@ -57,12 +57,14 @@ class IntersectionBuffer:
 @dataclass
 class Track:
     """One heading bin's images, far to near, and at the same index each one's
-    camera in the buffer's frame, in metres; build_tracks makes it from the
-    cameras slice_bundle projects."""
+    camera in the buffer's frame, in metres; corner_order lists their indices
+    as corner selection tries them: C1 views nearest first, ties by image id,
+    then C2 views far to near. build_tracks makes it from slice_bundle's cases."""
 
     track_id: str  # <intersection id>:<direction>, direction WE, EW, SN or NS
     images: list[ImageMeta]
     cams: list[LocalPoint]
+    corner_order: list[int]
 
 
 @dataclass(slots=True)
@@ -500,12 +502,12 @@ def direction_of(heading_deg: float) -> str:
 _DIRECTIONS = ("WE", "EW", "SN", "NS")
 
 
-def build_tracks(members: list[tuple[ImageMeta, LocalPoint]], intersection_id: str) -> list[Track]:
+def build_tracks(members: list[tuple[ImageMeta, LocalPoint, str]], intersection_id: str) -> list[Track]:
     """One track per heading bin of members, one intersection's images that
-    have a heading, each with its camera in the buffer's frame, in metres, as
-    slice_bundle projects it. A track runs far to near: by its camera's
-    distance from the center, farthest first, ties by image id."""
-    bins: dict[str, list[tuple[ImageMeta, LocalPoint]]] = {}
+    have a heading, each with its camera in the buffer's frame, in metres, and
+    its case, C1 or C2, as slice_bundle projects and classifies it. A track
+    runs far to near, ties by image id, and orders its corners as Track says."""
+    bins: dict[str, list[tuple[ImageMeta, LocalPoint, str]]] = {}
     for m in members:
         bins.setdefault(direction_of(m[0].heading_deg), []).append(m)
     tracks = []
@@ -514,6 +516,9 @@ def build_tracks(members: list[tuple[ImageMeta, LocalPoint]], intersection_id: s
         if not binned:
             continue
         binned.sort(key=lambda m: (-math.hypot(m[1].x, m[1].y), m[0].image_id))
-        images, cams = zip(*binned)
-        tracks.append(Track(f"{intersection_id}:{direction}", list(images), list(cams)))
+        images, cams, cases = zip(*binned)
+        # A stable sort of the track order: equal distances stay in image id order.
+        near_first = sorted(range(len(cams)), key=lambda i: math.hypot(cams[i].x, cams[i].y))
+        order = [i for i in near_first if cases[i] == "C1"] + [i for i, case in enumerate(cases) if case == "C2"]
+        tracks.append(Track(f"{intersection_id}:{direction}", list(images), list(cams), order))
     return tracks

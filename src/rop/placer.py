@@ -10,6 +10,7 @@ corners, and suspended lights hang over the road at the corner midpoint.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -17,6 +18,7 @@ import numpy as np
 from .atbt import Atbt, FusedObject, build_atbt, fuse_track
 from .config import RunConfig
 from .geo import (
+    M_PER_DEG_LAT,
     GeoPoint,
     LocalFrame,
     LocalPoint,
@@ -106,10 +108,11 @@ def select_corners(
     contributes the vertex nearest the intersection center (the frame origin);
     candidates whose corner sits behind the camera are dropped before sides
     are compared, so a camera inside the intersection still finds the pair
-    ahead of it. Per side the footprint nearest the camera wins.
+    ahead of it. Per side the footprint nearest the camera wins, ties by id,
+    then by the corner's x and y, so the order of outlines changes nothing.
     """
     hx, hy = heading_vector(heading_deg)
-    best: dict[str, tuple[float, str, LocalPoint]] = {}
+    best: dict[str, tuple[float, str, float, float]] = {}
     for fp_id, pts in outlines:
         _, d_cam = nearest_vertex(pts, cam)
         if d_cam > radius_m:
@@ -120,12 +123,11 @@ def select_corners(
         centroid = footprint_centroid(pts)
         cross = hx * (centroid.y - cam.y) - hy * (centroid.x - cam.x)
         side = "left" if cross > 0 else "right"
-        key = (d_cam, fp_id)
-        if side not in best or key < (best[side][0], best[side][1]):
-            best[side] = (d_cam, fp_id, corner)
+        key = (d_cam, fp_id, corner.x, corner.y)
+        best[side] = min(best.get(side, key), key)
     if "left" not in best or "right" not in best:
         return None
-    return CornerPair(A1=best["left"][2], A2=best["right"][2])
+    return CornerPair(A1=LocalPoint(*best["left"][2:]), A2=LocalPoint(*best["right"][2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +149,11 @@ def place_objects(
     intersection_id: str,
     n_track_images: int,
     cfg: RunConfig = RunConfig(),
-) -> list[PlacedObject]:
-    """Anchor fused objects to the corner pair.
+    radius_m: float = math.inf,
+) -> tuple[list[PlacedObject], list[PlacedObject]]:
+    """Anchor fused objects to the corner pair: those whose anchor lies within
+    radius_m of the center, and those past it. Each anchor in use is tested
+    in metres and unprojected once.
 
     Low lights and sign stacks sit cfg.offset_m in from their side's corner (one
     pole per stack, so stack members share the position); high lights hang at
@@ -167,21 +172,26 @@ def place_objects(
     anchors = {
         "left": _offset_toward_center(corners.A1, cfg.offset_m),
         "right": _offset_toward_center(corners.A2, cfg.offset_m),
+        "high": LocalPoint((corners.A1.x + corners.A2.x) / 2.0, (corners.A1.y + corners.A2.y) / 2.0),
     }
-    mid = LocalPoint((corners.A1.x + corners.A2.x) / 2.0, (corners.A1.y + corners.A2.y) / 2.0)
-    out: list[PlacedObject] = []
+    inside, past = [], []
+    spots: dict[str, tuple[list[PlacedObject], GeoPoint]] = {}  # each anchor in use: its list and position
     for f in fused:
         is_light = f.category == "traffic_light"
-        local = mid if is_light and f.light_kind == "high" else anchors[f.side]
+        anchor = "high" if is_light and f.light_kind == "high" else f.side
+        if anchor not in spots:
+            local = anchors[anchor]
+            spots[anchor] = (inside if dist(local, _ORIGIN) <= radius_m else past), unproject(frame, local)
+        into, position = spots[anchor]
         confidence = min(1.0, f.support / max(1, n_track_images))
         if f.inferred_only:
             confidence /= 2.0
-        out.append(
+        into.append(
             PlacedObject(
                 category=f.category,
                 subtype=f.subtype,
                 light_kind=f.light_kind if is_light else None,
-                position=unproject(frame, local),
+                position=position,
                 height_m=LIGHT_HEIGHT_M[f.light_kind] if is_light else None,
                 source_images=list(f.source_images),
                 support=f.support,
@@ -190,7 +200,7 @@ def place_objects(
                 confidence=confidence,
             )
         )
-    return out
+    return inside, past
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +242,20 @@ def _in_box(frame: LocalFrame, lat: np.ndarray, lon: np.ndarray, radius_m: float
     differences wrap as in geo.wrap_lon."""
     dlon = lon - frame.origin.lon
     dlon = np.where(np.abs(dlon) > 180.0, (dlon + 180.0) % 360.0 - 180.0, dlon)
-    return (np.abs(lat - frame.origin.lat) * frame.m_per_deg_lat <= radius_m) & (
+    return (np.abs(lat - frame.origin.lat) * M_PER_DEG_LAT <= radius_m) & (
         np.abs(dlon) * frame.m_per_deg_lon <= radius_m
     )
 
 
 def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
     """One Slice per buffer, in intersection_id order. Placement makes each
-    frame, projects each camera and footprint vertex, and groups images into
-    tracks here and nowhere else.
+    frame, projects and classifies each camera, projects each footprint
+    vertex, and groups images into tracks here and nowhere else.
 
     A slice keeps the buffer's images that approach its center or stand in
-    it (C1 or C2), each projected into the buffer's frame once, for both
-    tests and for its track. A camera that has passed the center (C3) is
+    it (C1 or C2), each projected into the buffer's frame and classified
+    once, for both tests and for its track, whose corner order follows the
+    cases. A camera that has passed the center (C3) is
     left out, so a neighbour's camera leaving this center joins none of its
     tracks and a buffer places the same whatever buffers surround it. An
     image without a heading is kept and counted, but joins no track, with a
@@ -278,11 +289,12 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
             cam = project(frame, im.position)
             if dist(cam, _ORIGIN) > buffer.radius_m:
                 continue
+            case = None
             if im.heading_deg is None:
                 log.warning("image %s (intersection %s) has no heading; excluded from tracks", im.image_id, iid)
-            elif classify_camera(cam, im.heading_deg, cfg.inner_radius_m) == "C3":
+            elif (case := classify_camera(cam, im.heading_deg, cfg.inner_radius_m)) == "C3":
                 continue
-            kept.append((im, cam))
+            kept.append((im, cam, case))
         candidates = np.zeros(len(footprints), dtype=bool)
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
         outlines = []
@@ -311,56 +323,41 @@ def track_trees(part: Slice, track: Track, cfg: RunConfig) -> list[Atbt]:
     ]
 
 
-def _track_corners(track: Track, ranks: dict[str, float], outlines: list, cfg: RunConfig) -> CornerPair | None:
-    """The corner pair of the first image that has one: C1 images nearest the
-    center first, then C2 images in track order, far to near. Each camera is
-    the track's own; ranks holds each image's distance from the center and
-    outlines the slice's footprints, as select_corners takes them."""
-    cases = {"C1": [], "C2": [], "C3": []}
-    for im, cam in zip(track.images, track.cams):
-        cases[classify_camera(cam, im.heading_deg, cfg.inner_radius_m)].append((im, cam))
-    c1 = sorted(cases["C1"], key=lambda m: (ranks[m[0].image_id], m[0].image_id))
-    for img, cam in c1 + cases["C2"]:
-        corners = select_corners(cam, outlines, img.heading_deg, cfg.corner_radius_m)
-        if corners is not None:
-            return corners
-    return None
-
-
 def run_intersection(part: Slice, cfg: RunConfig = RunConfig()) -> IntersectionResult:
     """Trees -> fusion -> corners -> placement -> dedup, on one buffer's
-    Slice: its frame, tracks, cameras and outlines as slice_bundle computed
-    them. Dedup merges same-kind objects placed on one point, across tracks."""
-    buffer = part.buffer
+    Slice as slice_bundle cut it; no placed object is projected back. Dedup
+    merges same-kind objects placed on one point, across tracks, and notes
+    each merged one whose anchor lies past radius_m as outside_buffer."""
+    iid, radius_m = part.buffer.intersection_id, part.buffer.radius_m
     result = IntersectionResult()
 
     def note(event: str, **fields) -> None:
-        result.diagnostics.append({"intersection_id": buffer.intersection_id, "event": event, **fields})
+        result.diagnostics.append({"intersection_id": iid, "event": event, **fields})
 
     if not part.n_images:
         note("no_images")
         return result
-    raw_placed: list[PlacedObject] = []
-    any_corners = False
+    inside, past = [], []  # the placements within the buffer's radius, and past it
     for track in part.tracks:
         ranks = {img.image_id: dist(cam, _ORIGIN) for img, cam in zip(track.images, track.cams)}
         fused = fuse_track(track_trees(part, track, cfg), image_rank=ranks)
         if not fused:
             continue
-        corners = _track_corners(track, ranks, part.outlines, cfg)
+        views = ((track.cams[i], track.images[i].heading_deg) for i in track.corner_order)
+        tries = (select_corners(cam, part.outlines, heading, cfg.corner_radius_m) for cam, heading in views)
+        corners = next((c for c in tries if c is not None), None)
         if corners is None:
             note("no_corners", track_id=track.track_id, unplaced=len(fused))
             continue
-        any_corners = True
-        raw_placed.extend(place_objects(fused, corners, part.frame, buffer.intersection_id, len(track.images), cfg))
-    if not any_corners:
+        near, far = place_objects(fused, corners, part.frame, iid, len(track.images), cfg, radius_m)
+        inside += near
+        past += far
+    if not inside and not past:  # every track that fused objects found no corners
         note("no_corners_any_track")
         return result
-    for p in dedup_placed(raw_placed):
-        if dist(project(part.frame, p.position), _ORIGIN) <= buffer.radius_m:
-            result.placed.append(p)
-        else:
-            note("outside_buffer", category=p.category)
+    result.placed = dedup_placed(inside)
+    for p in dedup_placed(past):
+        note("outside_buffer", category=p.category)
     return result
 
 

@@ -1505,15 +1505,19 @@ def test_each_buffer_is_sliced_once(command, bundle_dir, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["place", "dump-trees"])
 def test_each_coordinate_is_projected_once(command, bundle_dir, tmp_path, monkeypatch):
-    # Slicing makes each buffer's frame and projects each camera and each
-    # footprint vertex into it once; nothing after it does either again.
+    # Slicing makes each buffer's frame, projects each camera and each
+    # footprint vertex into it once and classifies each camera it keeps
+    # once; nothing after it does any of these again, and no position that
+    # placement unprojected is projected back.
     import rop.cli
     import rop.geo
     import rop.ingest
     import rop.placer
 
     loaded, frames, projected = [], [], collections.Counter()
+    classified, unprojected = collections.Counter(), set()
     real_load, real_frame, real_project = rop.cli.load_inputs, rop.geo.make_frame, rop.geo.project
+    real_classify, real_unproject = rop.placer.classify_camera, rop.geo.unproject
 
     def loading(*args):
         loaded.append(real_load(*args))
@@ -1528,9 +1532,19 @@ def test_each_coordinate_is_projected_once(command, bundle_dir, tmp_path, monkey
         projected[frame, p] += 1
         return real_project(frame, p)
 
+    def classifying(cam, *args):
+        classified[cam] += 1
+        return real_classify(cam, *args)
+
+    def unprojecting(frame, q):
+        p = real_unproject(frame, q)
+        unprojected.add(p)
+        return p
+
     monkeypatch.setattr(rop.cli, "load_inputs", loading)
+    monkeypatch.setattr(rop.placer, "classify_camera", classifying)
     for module in (rop.geo, rop.ingest, rop.placer):
-        for name, fn in (("make_frame", making_frame), ("project", projecting)):
+        for name, fn in (("make_frame", making_frame), ("project", projecting), ("unproject", unprojecting)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, fn)
     argv = place_args(bundle_dir, tmp_path / "out.json", ["--jobs", "1"] if command == "place" else [])
@@ -1541,6 +1555,10 @@ def test_each_coordinate_is_projected_once(command, bundle_dir, tmp_path, monkey
     inputs = {im.position for im in bundle.images} | {v for fp in bundle.footprints for v in fp.ring}
     counts = [n for (_, p), n in projected.items() if p in inputs]
     assert counts and set(counts) == {1}
+    monkeypatch.undo()
+    kept = [cam for part in rop.placer.slice_bundle(bundle, RunConfig()) for t in part.tracks for cam in t.cams]
+    assert kept and all(classified[cam] == 1 for cam in kept)
+    assert not unprojected & {p for _, p in projected}
 
 
 def test_a_buffer_whose_images_all_lack_a_heading(bundle_dir, tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rop.evalx import Pairing, _stats, evaluate, match, to_json, to_table
-from rop.geo import GeoPoint, haversine_m, make_frame
+from rop.geo import M_PER_DEG_LAT, GeoPoint, haversine_m, make_frame
 from rop.placer import PlacedObject
 
 FRAME = make_frame(GeoPoint(52.5, 13.4))
@@ -25,7 +25,7 @@ def wrapped(frame, x, y) -> GeoPoint:
     [-180, 180], which unproject cannot do."""
     lon = frame.origin.lon + x / frame.m_per_deg_lon
     lon += 360.0 if lon < -180.0 else -360.0 if lon > 180.0 else 0.0
-    return GeoPoint(frame.origin.lat + y / frame.m_per_deg_lat, lon)
+    return GeoPoint(frame.origin.lat + y / M_PER_DEG_LAT, lon)
 
 
 def obj(x, y, category="traffic_sign", subtype=None, light_kind=None, iid="x0", frame=FRAME):

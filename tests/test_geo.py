@@ -65,13 +65,13 @@ BERLIN = GeoPoint(52.52, 13.405)
 
 def test_make_frame_scales():
     frame = geo.make_frame(BERLIN)
-    assert frame.m_per_deg_lat == 111320.0
+    assert geo.M_PER_DEG_LAT == 111320.0
     assert frame.m_per_deg_lon == pytest.approx(111320.0 * math.cos(math.radians(52.52)))
 
 
 def test_make_frame_equator_scales_match():
     frame = geo.make_frame(GeoPoint(0.0, 0.0))
-    assert frame.m_per_deg_lon == pytest.approx(frame.m_per_deg_lat)
+    assert frame.m_per_deg_lon == pytest.approx(geo.M_PER_DEG_LAT)
 
 
 @pytest.mark.parametrize("lat", [89.5, -89.2, 90.0])
@@ -102,7 +102,7 @@ def test_project_out_of_span_raises():
     with pytest.raises(ValueError):
         geo.project(frame, GeoPoint(BERLIN.lat + 0.06, BERLIN.lon))
     with pytest.raises(ValueError):
-        geo.unproject(frame, LocalPoint(0.0, 0.06 * frame.m_per_deg_lat))
+        geo.unproject(frame, LocalPoint(0.0, 0.06 * geo.M_PER_DEG_LAT))
 
 
 @given(

@@ -45,7 +45,7 @@ from rop.labelmap import (
     write_pgm,
     write_rle,
 )
-from rop.placer import PlacedObject, slice_bundle
+from rop.placer import PlacedObject, classify_camera, slice_bundle
 from rop.scene import SceneObject
 from rop.synth import Layout, PedestrianSpec, RectFootprint
 
@@ -909,8 +909,10 @@ def test_direction_bins(heading, direction):
 
 
 def _members(frame, images):
-    """Each image with its camera in frame, as slice_bundle hands them to build_tracks."""
-    return [(image, project(frame, image.position)) for image in images]
+    """Each image with its camera in frame and its case, as slice_bundle hands them to build_tracks."""
+    cams = [project(frame, image.position) for image in images]
+    inner_radius_m = RunConfig().inner_radius_m
+    return [(image, cam, classify_camera(cam, image.heading_deg, inner_radius_m)) for image, cam in zip(images, cams)]
 
 
 def test_build_tracks_bins_and_orders():
@@ -929,9 +931,11 @@ def test_build_tracks_bins_and_orders():
     assert [i.image_id for i in by_id["x0:WE"].images] == ["e0", "e1", "e2"]
     assert [i.image_id for i in by_id["x0:NS"].images] == ["s0"]
     # Each camera is the one it came with, at the same index as its image.
-    cams = {image.image_id: cam for image, cam in members}
+    cams = {image.image_id: cam for image, cam, _ in members}
     for track in tracks:
         assert track.cams == [cams[image.image_id] for image in track.images]
+    # Corner selection tries the approaching views nearest first.
+    assert [by_id["x0:WE"].images[i].image_id for i in by_id["x0:WE"].corner_order] == ["e2", "e1", "e0"]
 
 
 def test_slice_bundle_warns_on_missing_heading(caplog):

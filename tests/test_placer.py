@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from rop.atbt import FusedObject
 from rop.geo import (
     FRAME_SPAN_DEG,
+    M_PER_DEG_LAT,
     Footprint,
     GeoPoint,
     LocalPoint,
@@ -26,6 +27,7 @@ from rop.geo import (
     unproject,
     within,
 )
+import rop.placer
 from rop import scene
 from rop.config import RunConfig
 from rop.evalx import evaluate
@@ -153,11 +155,11 @@ def corners_oracle(img, footprints, frame, radius_m):
             cy += (p.y + q.y) * w
         gx, gy = cx / (3 * tw), cy / (3 * tw)
         side = "left" if hx * (gy - camera.y) - hy * (gx - camera.x) > 0 else "right"
-        if side not in best or (d_cam, fp.id) < (best[side][0], best[side][1]):
-            best[side] = (d_cam, fp.id, corner)
+        if side not in best or (d_cam, fp.id, corner.x, corner.y) < best[side][:4]:
+            best[side] = (d_cam, fp.id, corner.x, corner.y, corner)
     if "left" not in best or "right" not in best:
         return None
-    return (best["left"][2], best["right"][2])
+    return (best["left"][4], best["right"][4])
 
 
 def test_corners_c1_picks_near_pair():
@@ -197,6 +199,18 @@ def test_corners_permutation_invariant():
     for order in ([3, 2, 1, 0], [1, 3, 0, 2]):
         again = corners_of(img, [BUILDINGS[i] for i in order])
         assert again == base
+
+
+def test_corners_do_not_depend_on_the_order_of_footprints_that_share_an_id():
+    # Two left footprints share an id and the vertex nearest the camera, so
+    # only their corners, (-8, -10) and (-8, -19), tell them apart.
+    left = [
+        ("fp", [LocalPoint(-8.0, -20.0), LocalPoint(-8.0, -10.0), LocalPoint(-20.0, -10.0), LocalPoint(-20.0, -20.0)]),
+        ("fp", [LocalPoint(-8.0, -20.0), LocalPoint(-30.0, -20.0), LocalPoint(-30.0, -19.0), LocalPoint(-8.0, -19.0)]),
+    ]
+    right = ("r", [LocalPoint(8.0, -20.0), LocalPoint(20.0, -20.0), LocalPoint(20.0, -10.0), LocalPoint(8.0, -10.0)])
+    pairs = {select_corners(LocalPoint(0.0, -30.0), [*order, right], 0.0, 26.0) for order in (left, left[::-1])}
+    assert pairs == {CornerPair(A1=LocalPoint(-8.0, -19.0), A2=LocalPoint(8.0, -10.0))}
 
 
 def test_corners_radius_gates_candidates():
@@ -252,7 +266,7 @@ def pair_at(a1, a2):
 
 def test_place_low_light_offset_vector():
     corners = pair_at((-10.0, 8.0), (10.0, 8.0))
-    (placed,) = place_objects(
+    (placed,), _ = place_objects(
         [fused("right", "traffic_light", light_kind="low")],
         corners,
         FRAME,
@@ -273,7 +287,7 @@ def test_place_low_light_offset_vector():
 
 def test_place_high_light_midpoint():
     corners = pair_at((-10.0, 8.0), (10.0, 8.0))
-    (placed,) = place_objects(
+    (placed,), _ = place_objects(
         [fused("left", "traffic_light", light_kind="high")],
         corners,
         FRAME,
@@ -293,7 +307,7 @@ def test_place_stack_shares_one_pole():
         fused("left", "traffic_sign", depth=1, subtype="yield"),
         fused("left", "traffic_light", depth=2, light_kind="low"),
     ]
-    placed = place_objects(stack, corners, FRAME, "x0", n_track_images=3)
+    placed, _ = place_objects(stack, corners, FRAME, "x0", n_track_images=3)
     assert len(placed) == 3
     positions = {(round(p.position.lat, 12), round(p.position.lon, 12)) for p in placed}
     assert len(positions) == 1
@@ -304,7 +318,7 @@ def test_place_stack_shares_one_pole():
 
 def test_place_halves_confidence_of_inferred_only():
     corners = pair_at((-10.0, 8.0), (10.0, 8.0))
-    (placed,) = place_objects(
+    (placed,), _ = place_objects(
         [fused("right", "traffic_light", light_kind="low", support=2, inferred_only=True)],
         corners,
         FRAME,
@@ -317,7 +331,7 @@ def test_place_halves_confidence_of_inferred_only():
 
 def test_place_confidence_caps_at_one():
     corners = pair_at((-10.0, 8.0), (10.0, 8.0))
-    (placed,) = place_objects(
+    (placed,), _ = place_objects(
         [fused("left", "traffic_light", light_kind="low", support=9)],
         corners,
         FRAME,
@@ -332,7 +346,7 @@ def test_place_offset_stays_short_of_the_nearer_corner():
     # put its anchor on or past the center.
     corners = pair_at((-3.0, 4.0), (10.0, 8.0))
     objs = [fused("left", "traffic_sign")]
-    (placed,) = place_objects(objs, corners, FRAME, "x0", 1, RunConfig(offset_m=4.99))
+    (placed,), _ = place_objects(objs, corners, FRAME, "x0", 1, RunConfig(offset_m=4.99))
     local = project(FRAME, placed.position)
     assert math.hypot(local.x, local.y) == pytest.approx(0.01, abs=1e-6)
     assert local.x < 0 and local.y > 0
@@ -340,9 +354,31 @@ def test_place_offset_stays_short_of_the_nearer_corner():
         with pytest.raises(ValueError, match=rf"^x0: offset_m must be below 5\.000 m, .*, got {offset_m}$"):
             place_objects(objs, corners, FRAME, "x0", 1, RunConfig(offset_m=offset_m))
     # No offset leaves even a corner at the center in place.
-    (placed,) = place_objects(objs, pair_at((0.0, 0.0), (10.0, 8.0)), FRAME, "x0", 1, RunConfig(offset_m=0.0))
+    (placed,), _ = place_objects(objs, pair_at((0.0, 0.0), (10.0, 8.0)), FRAME, "x0", 1, RunConfig(offset_m=0.0))
     local = project(FRAME, placed.position)
     assert math.hypot(local.x, local.y) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_place_splits_objects_by_their_anchor_and_unprojects_each_anchor_once(monkeypatch):
+    # The offset corners sit 10.3 m from the center, the midpoint 8 m: under
+    # a 9 m radius the high light is inside, the low light and signs past it.
+    unprojected = []
+
+    def unprojecting(frame, q):
+        unprojected.append(q)
+        return unproject(frame, q)
+
+    monkeypatch.setattr(rop.placer, "unproject", unprojecting)
+    objs = [
+        fused("left", "traffic_sign", subtype="stop"),
+        fused("left", "traffic_light", depth=1, light_kind="low"),
+        fused("right", "traffic_light", light_kind="high"),
+        fused("right", "traffic_sign", subtype="yield"),
+    ]
+    inside, past = place_objects(objs, pair_at((-10.0, 8.0), (10.0, 8.0)), FRAME, "x0", 3, CFG, radius_m=9.0)
+    assert [p.light_kind for p in inside] == ["high"]
+    assert [p.subtype or p.light_kind for p in past] == ["stop", "low", "yield"]
+    assert len(unprojected) == len(set(unprojected)) == 3
 
 
 def test_place_requires_corners():
@@ -519,6 +555,32 @@ def test_no_corners_counts_only_objects_that_can_be_placed():
     diagnostics = run_intersection(part, CFG).diagnostics
     events = [(d["event"], d.get("track_id"), d.get("unplaced")) for d in diagnostics]
     assert events == [*expected, ("no_corners_any_track", None, None)]
+
+
+def test_corner_selection_tries_c1_nearest_first_then_c2_far_to_near(monkeypatch):
+    # One northbound track: approaching views (C1) 20, 30 and 40 m south of
+    # the center, two of them at 20 m, and views inside the inner radius (C2)
+    # 8 and 4 m south. Corner selection tries C1 nearest first, equal
+    # distances by image id, then C2 far to near, and stops at the first
+    # view that finds a pair. Each view's heading names it.
+    views = {"a30": -30.0, "b20": -20.0, "c20": -20.0, "d40": -40.0, "e8": -8.0, "f4": -4.0}
+    images = [cam(0.0, y, heading=float(i), image_id=image_id) for i, (image_id, y) in enumerate(views.items())]
+    (part,) = slice_bundle(Bundle(images, {}, {}, [], [IntersectionBuffer("x0", CENTER)]), CFG)
+    assert [len(track.images) for track in part.tracks] == [len(views)]
+    monkeypatch.setattr(rop.placer, "track_trees", lambda *args: [])
+    monkeypatch.setattr(rop.placer, "fuse_track", lambda *args, **kwargs: [fused("left", "traffic_sign")])
+    every = ["b20", "c20", "a30", "d40", "e8", "f4"]
+    for finds, tried in [("b20", every[:1]), ("a30", every[:3]), ("f4", every), (None, every)]:
+        calls = []
+
+        def finding(camera, outlines, heading_deg, radius_m, finds=finds, calls=calls):
+            calls.append(images[int(heading_deg)].image_id)
+            return pair_at((-10.0, 8.0), (10.0, 8.0)) if calls[-1] == finds else None
+
+        monkeypatch.setattr(rop.placer, "select_corners", finding)
+        result = run_intersection(part, CFG)
+        assert calls == tried
+        assert len(result.placed) == (finds is not None)
 
 
 def test_a_buffer_whose_slice_holds_no_image_notes_no_images():
@@ -849,11 +911,11 @@ def sliceable_bundles(draw):
         sx, sy = draw(st.sampled_from([-1.0, 1.0])), draw(st.sampled_from([-1.0, 1.0]))
         kind = draw(st.sampled_from(["lat axis", "lon axis", "box corner", "angle", "far"]))
         if kind == "lat axis":
-            lat, lon = c.lat + sy * r / frame.m_per_deg_lat, c.lon
+            lat, lon = c.lat + sy * r / M_PER_DEG_LAT, c.lon
         elif kind == "lon axis":
             lat, lon = c.lat, c.lon + sx * r / frame.m_per_deg_lon
         elif kind == "box corner":
-            lat, lon = c.lat + sy * r / frame.m_per_deg_lat, c.lon + sx * r / frame.m_per_deg_lon
+            lat, lon = c.lat + sy * r / M_PER_DEG_LAT, c.lon + sx * r / frame.m_per_deg_lon
         elif kind == "angle":
             theta = draw(st.floats(0.0, 2.0 * math.pi))
             q = unproject(frame, LocalPoint(r * math.cos(theta), r * math.sin(theta)))
