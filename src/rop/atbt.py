@@ -104,24 +104,16 @@ def tree_to_json(tree: Atbt) -> dict:
 # Track fusion.
 
 
-def _vote(values: list, ranked_order: list[int]) -> object:
-    """Majority value; ties resolved by the earliest observation in rank order."""
-    counts = Counter(values)
-    top = max(counts.values())
-    return next(values[i] for i in ranked_order if counts[values[i]] == top)
-
-
-def fuse_track(trees: list[Atbt], image_rank: dict[str, float]) -> list[FusedObject]:
-    """Merge a track's per-image trees into the set of objects to place.
+def fuse_track(trees: list[Atbt]) -> list[FusedObject]:
+    """Merge a track's per-image trees, nearest image first, into the set of
+    objects to place.
 
     Nodes sharing (side, category, stack ordinal, stack depth) across images
-    are one physical object; subtype and light kind resolve by majority vote
-    with ties going to the image of lowest image_rank (which must hold every
-    tree's image), then the lowest image id. Sidewalks are evidence for the
-    grammar, not assets, and are not fused.
+    are one physical object; subtype and light kind resolve by majority vote,
+    a tie going to the earliest tree (most_common keeps first-seen order): the
+    nearest image, then the lowest image id, as Track.near_first orders them.
+    Sidewalks are evidence for the grammar, not assets, and are not fused.
     """
-    rank = lambda iid: (image_rank[iid], iid)
-
     observations: dict[tuple, list[tuple[str, SceneObject]]] = {}
     for tree in trees:
         for node in tree.nodes:
@@ -130,18 +122,16 @@ def fuse_track(trees: list[Atbt], image_rank: dict[str, float]) -> list[FusedObj
             key = (node.side, node.object.category, node.stack_ordinal, node.depth_in_stack)
             observations.setdefault(key, []).append((tree.image_id, node.object))
 
-    fused: list[FusedObject] = []
-    for key, obs in observations.items():
-        order = sorted(range(len(obs)), key=lambda i: rank(obs[i][0]))
-        fused.append(
-            FusedObject(
-                *key,
-                subtype=_vote([o.subtype for _, o in obs], order),
-                support=len(obs),
-                light_kind=_vote([o.light_kind for _, o in obs], order),
-                inferred_only=all(o.inferred for _, o in obs),
-                source_images=sorted({iid for iid, _ in obs}),
-            )
+    fused = [
+        FusedObject(
+            *key,
+            subtype=Counter(o.subtype for _, o in obs).most_common(1)[0][0],
+            support=len(obs),
+            light_kind=Counter(o.light_kind for _, o in obs).most_common(1)[0][0],
+            inferred_only=all(o.inferred for _, o in obs),
+            source_images=sorted({iid for iid, _ in obs}),
         )
+        for key, obs in observations.items()
+    ]
     fused.sort(key=lambda f: (f.side, f.category, f.stack_ordinal, f.depth_in_stack, f.subtype or ""))
     return fused

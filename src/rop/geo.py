@@ -139,14 +139,18 @@ def nearest_vertex(pts: list[LocalPoint], q: LocalPoint) -> tuple[LocalPoint, fl
     return pts[i], d
 
 
-def footprint_centroid(pts: list[LocalPoint]) -> LocalPoint:
-    """Area-weighted (shoelace) centroid of pts, an open ring in metres."""
+def footprint_centroid(ring: tuple[GeoPoint, ...]) -> tuple[float, float] | None:
+    """Shoelace centroid of a closed ring, in degrees east and north of its first
+    vertex (about which it sums, wrapping as wrap_lon), or None when twice its
+    area is within 1e-8 of its box's squared diagonal: no area enclosed."""
+    xs = [wrap_lon(v.lon - ring[0].lon) for v in ring]
+    ys = [v.lat - ring[0].lat for v in ring]
     twice_area = cx = cy = 0.0
-    for p, nxt in zip(pts, pts[1:] + pts[:1]):
-        w = p.x * nxt.y - nxt.x * p.y
+    for x0, y0, x1, y1 in zip(xs, ys, xs[1:], ys[1:]):
+        w = x0 * y1 - x1 * y0
         twice_area += w
-        cx += (p.x + nxt.x) * w
-        cy += (p.y + nxt.y) * w
-    if abs(twice_area) < 1e-12:
-        raise ValueError("zero-area ring")
-    return LocalPoint(cx / (3.0 * twice_area), cy / (3.0 * twice_area))
+        cx += (x0 + x1) * w
+        cy += (y0 + y1) * w
+    if abs(twice_area) <= 1e-8 * ((max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2):
+        return None
+    return cx / (3.0 * twice_area), cy / (3.0 * twice_area)

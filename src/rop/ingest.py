@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .config import check_fields
-from .geo import Footprint, GeoPoint, LocalFrame, LocalPoint, make_frame
+from .geo import Footprint, GeoPoint, LocalFrame, LocalPoint, footprint_centroid, make_frame
 from .labelmap import BundleError, LabelRuns, label_map_size, read_label_map
 
 log = logging.getLogger("rop.ingest")
@@ -57,13 +57,14 @@ class IntersectionBuffer:
 @dataclass
 class Track:
     """One heading bin's images, far to near, and at the same index each one's
-    camera in the buffer's frame, in metres; corner_order lists their indices
-    as corner selection tries them: C1 views nearest first, ties by image id,
-    then C2 views far to near. build_tracks makes it from slice_bundle's cases."""
+    camera in the buffer's frame, in metres. near_first, their indices nearest
+    first, ties by image id, orders fusion; corner_order tries C1 views in that
+    order, then C2 views far to near. build_tracks makes both."""
 
     track_id: str  # <intersection id>:<direction>, direction WE, EW, SN or NS
     images: list[ImageMeta]
     cams: list[LocalPoint]
+    near_first: list[int]
     corner_order: list[int]
 
 
@@ -92,15 +93,16 @@ class Bundle:
 class Slice:
     """One buffer's whole placement input, as slice_bundle cuts it: the
     buffer's frame; its tracks, far to near, each camera in the frame's
-    metres; the outlines of the footprints near it, each an id and an open
-    ring in metres, as select_corners takes them; how many images it kept,
-    those without a heading too; and the bundle's label maps and
-    detections, of which it reads only its tracks' images'."""
+    metres; the outlines of the footprints near it, each an id, open ring,
+    corner (the vertex nearest the center) and centroid in metres, as
+    select_corners takes them; how many images it kept, those without a
+    heading too; and the bundle's label maps and detections, of which it reads
+    only its tracks' images'."""
 
     buffer: IntersectionBuffer
     frame: LocalFrame
     tracks: list[Track]
-    outlines: list[tuple[str, list[LocalPoint]]]
+    outlines: list[tuple[str, list[LocalPoint], LocalPoint, LocalPoint]]
     n_images: int
     label_maps: Mapping[str, LabelRuns]
     detections: dict[str, list[Detection]]
@@ -421,8 +423,7 @@ def load_footprints(path: str) -> list[Footprint]:
             fp = Footprint(id=fid if isinstance(fid, str) else str(int(fid)), ring=tuple(ring))
         except ValueError as exc:
             raise BundleError(f"{where}: {exc}") from exc
-        twice_area = sum(a.lon * b.lat - b.lon * a.lat for a, b in zip(ring, ring[1:]))
-        if abs(twice_area) < 2e-18:
+        if footprint_centroid(fp.ring) is None:
             raise BundleError(f"{where} ({fp.id}) has a zero-area ring")
         out.append(fp)
     return out
@@ -502,12 +503,12 @@ def direction_of(heading_deg: float) -> str:
 _DIRECTIONS = ("WE", "EW", "SN", "NS")
 
 
-def build_tracks(members: list[tuple[ImageMeta, LocalPoint, str]], intersection_id: str) -> list[Track]:
+def build_tracks(members: list[tuple[ImageMeta, LocalPoint, str, float]], intersection_id: str) -> list[Track]:
     """One track per heading bin of members, one intersection's images that
-    have a heading, each with its camera in the buffer's frame, in metres, and
-    its case, C1 or C2, as slice_bundle projects and classifies it. A track
-    runs far to near, ties by image id, and orders its corners as Track says."""
-    bins: dict[str, list[tuple[ImageMeta, LocalPoint, str]]] = {}
+    have a heading, each with its camera in the buffer's frame, in metres, case
+    (C1 or C2) and distance from the center, as slice_bundle measures them. A
+    track runs far to near, ties by image id, and orders its views as Track says."""
+    bins: dict[str, list[tuple[ImageMeta, LocalPoint, str, float]]] = {}
     for m in members:
         bins.setdefault(direction_of(m[0].heading_deg), []).append(m)
     tracks = []
@@ -515,10 +516,10 @@ def build_tracks(members: list[tuple[ImageMeta, LocalPoint, str]], intersection_
         binned = bins.get(direction)
         if not binned:
             continue
-        binned.sort(key=lambda m: (-math.hypot(m[1].x, m[1].y), m[0].image_id))
-        images, cams, cases = zip(*binned)
+        binned.sort(key=lambda m: (-m[3], m[0].image_id))
+        images, cams, cases, dists = zip(*binned)
         # A stable sort of the track order: equal distances stay in image id order.
-        near_first = sorted(range(len(cams)), key=lambda i: math.hypot(cams[i].x, cams[i].y))
+        near_first = sorted(range(len(dists)), key=dists.__getitem__)
         order = [i for i in near_first if cases[i] == "C1"] + [i for i, case in enumerate(cases) if case == "C2"]
-        tracks.append(Track(f"{intersection_id}:{direction}", list(images), list(cams), order))
+        tracks.append(Track(f"{intersection_id}:{direction}", list(images), list(cams), near_first, order))
     return tracks

@@ -97,15 +97,15 @@ def classify_camera(cam: LocalPoint, heading_deg: float, inner_radius_m: float) 
 
 def select_corners(
     cam: LocalPoint,
-    outlines: list[tuple[str, list[LocalPoint]]],
+    outlines: list[tuple[str, list[LocalPoint], LocalPoint, LocalPoint]],
     heading_deg: float,
     radius_m: float,
 ) -> CornerPair | None:
     """One corner per side of the heading line of a camera at cam, or None;
-    outlines holds each footprint's id and open ring, in the frame's metres.
+    outlines holds each footprint's id, open ring, corner and centroid in metres.
 
     Candidate footprints have a vertex within radius_m of the camera. Each
-    contributes the vertex nearest the intersection center (the frame origin);
+    contributes its corner, the vertex nearest the center (the frame origin);
     candidates whose corner sits behind the camera are dropped before sides
     are compared, so a camera inside the intersection still finds the pair
     ahead of it. Per side the footprint nearest the camera wins, ties by id,
@@ -113,14 +113,12 @@ def select_corners(
     """
     hx, hy = heading_vector(heading_deg)
     best: dict[str, tuple[float, str, float, float]] = {}
-    for fp_id, pts in outlines:
+    for fp_id, pts, corner, centroid in outlines:
         _, d_cam = nearest_vertex(pts, cam)
         if d_cam > radius_m:
             continue
-        corner, _ = nearest_vertex(pts, _ORIGIN)
         if hx * (corner.x - cam.x) + hy * (corner.y - cam.y) <= 0:
             continue  # behind the camera
-        centroid = footprint_centroid(pts)
         cross = hx * (centroid.y - cam.y) - hy * (centroid.x - cam.x)
         side = "left" if cross > 0 else "right"
         key = (d_cam, fp_id, corner.x, corner.y)
@@ -249,23 +247,26 @@ def _in_box(frame: LocalFrame, lat: np.ndarray, lon: np.ndarray, radius_m: float
 
 def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
     """One Slice per buffer, in intersection_id order. Placement makes each
-    frame, projects and classifies each camera, projects each footprint
-    vertex, and groups images into tracks here and nowhere else.
+    frame, projects, classifies and measures each camera, projects each
+    footprint vertex, finds each outline's corner and centroid, and groups
+    images into tracks here and nowhere else.
 
     A slice keeps the buffer's images that approach its center or stand in
-    it (C1 or C2), each projected into the buffer's frame and classified
-    once, for both tests and for its track, whose corner order follows the
-    cases. A camera that has passed the center (C3) is
-    left out, so a neighbour's camera leaving this center joins none of its
-    tracks and a buffer places the same whatever buffers surround it. An
-    image without a heading is kept and counted, but joins no track, with a
-    warning. The outlines are the footprints with a vertex within radius_m +
-    corner_radius_m of the center. By the triangle inequality that bound
+    it (C1 or C2), each projected into the buffer's frame, classified and
+    measured once, for both tests and for its track's orders. A camera that
+    has passed the center (C3) is left out, so a neighbour's camera leaving
+    this center joins none of its tracks and a buffer places the same
+    whatever buffers surround it. An image without a heading is kept and
+    counted, but joins no track, with a warning. The outlines are the
+    footprints whose corner, the vertex nearest the center, lies within
+    radius_m + corner_radius_m of it. By the triangle inequality that bound
     loses nothing, up to rounding in the last place: select_corners keeps
     only footprints with a vertex within corner_radius_m of a camera, and
     every camera of the slice lies within radius_m of the center. A
     footprint with a vertex outside the buffer frame's span is dropped with
-    a warning, since its outline needs every vertex.
+    a warning, since its outline needs every vertex. Its centroid is the sum
+    the loader checked, footprint_centroid's, in metres; so only a footprint
+    built in code can enclose no area, and it is left out.
 
     Image positions and footprint vertices go into arrays once. Per buffer a
     box test picks the candidates, and only those take the exact checks, so
@@ -287,25 +288,27 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
         kept = []
         for im in (images[i] for i in near if in_span(frame, images[i].position)):
             cam = project(frame, im.position)
-            if dist(cam, _ORIGIN) > buffer.radius_m:
+            if (d := dist(cam, _ORIGIN)) > buffer.radius_m:
                 continue
             case = None
             if im.heading_deg is None:
                 log.warning("image %s (intersection %s) has no heading; excluded from tracks", im.image_id, iid)
             elif (case := classify_camera(cam, im.heading_deg, cfg.inner_radius_m)) == "C3":
                 continue
-            kept.append((im, cam, case))
+            kept.append((im, cam, case, d))
         candidates = np.zeros(len(footprints), dtype=bool)
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
         outlines = []
         for fp in (footprints[i] for i in np.flatnonzero(candidates)):
             pts = [project(frame, v) for v in fp.ring[:-1] if in_span(frame, v)]
-            if not any(dist(p, _ORIGIN) <= reach_m for p in pts):
+            corner, d_corner = nearest_vertex(pts, _ORIGIN) if pts else (None, math.inf)
+            if d_corner > reach_m:
                 continue
-            if len(pts) == len(fp.ring) - 1:
-                outlines.append((fp.id, pts))
-            else:
+            if len(pts) < len(fp.ring) - 1:
                 log.warning("footprint %s reaches outside the frame span of buffer %s; dropped", fp.id, iid)
+            elif (c := footprint_centroid(fp.ring)) is not None:
+                centroid = LocalPoint(pts[0].x + c[0] * frame.m_per_deg_lon, pts[0].y + c[1] * M_PER_DEG_LAT)
+                outlines.append((fp.id, pts, corner, centroid))
         tracks = build_tracks([m for m in kept if m[0].heading_deg is not None], iid)
         slices.append(Slice(buffer, frame, tracks, outlines, len(kept), bundle.label_maps, bundle.detections))
     return slices
@@ -325,9 +328,11 @@ def track_trees(part: Slice, track: Track, cfg: RunConfig) -> list[Atbt]:
 
 def run_intersection(part: Slice, cfg: RunConfig = RunConfig()) -> IntersectionResult:
     """Trees -> fusion -> corners -> placement -> dedup, on one buffer's
-    Slice as slice_bundle cut it; no placed object is projected back. Dedup
-    merges same-kind objects placed on one point, across tracks, and notes
-    each merged one whose anchor lies past radius_m as outside_buffer."""
+    Slice as slice_bundle cut it; no placed object is projected back. Fusion
+    takes each track's trees in near_first order, corner selection its views
+    in corner_order. Dedup merges same-kind objects placed on one point,
+    across tracks, and notes each merged one whose anchor lies past radius_m
+    as outside_buffer."""
     iid, radius_m = part.buffer.intersection_id, part.buffer.radius_m
     result = IntersectionResult()
 
@@ -339,8 +344,8 @@ def run_intersection(part: Slice, cfg: RunConfig = RunConfig()) -> IntersectionR
         return result
     inside, past = [], []  # the placements within the buffer's radius, and past it
     for track in part.tracks:
-        ranks = {img.image_id: dist(cam, _ORIGIN) for img, cam in zip(track.images, track.cams)}
-        fused = fuse_track(track_trees(part, track, cfg), image_rank=ranks)
+        trees = track_trees(part, track, cfg)
+        fused = fuse_track([trees[i] for i in track.near_first])
         if not fused:
             continue
         views = ((track.cams[i], track.images[i].heading_deg) for i in track.corner_order)

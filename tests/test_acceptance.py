@@ -22,12 +22,15 @@ from rop.cli import main as cli_main
 from rop.config import RunConfig
 from rop.evalx import evaluate, match
 from rop.geo import (
+    M_PER_DEG_LAT,
     Footprint,
     GeoPoint,
     LocalPoint,
+    footprint_centroid,
     haversine_m,
     heading_vector,
     make_frame,
+    nearest_vertex,
     project,
     unproject,
 )
@@ -395,6 +398,15 @@ def _random_footprint(rng: random.Random, frame, fid: str, near: tuple[float, fl
     return Footprint(fid, tuple(ring))
 
 
+def _outline(fp, frame):
+    """fp's outline as slice_bundle hands it to select_corners: its id, open
+    ring, corner and centroid, in frame's metres."""
+    pts = [project(frame, v) for v in fp.ring[:-1]]
+    dlon, dlat = footprint_centroid(fp.ring)
+    centroid = LocalPoint(pts[0].x + dlon * frame.m_per_deg_lon, pts[0].y + dlat * M_PER_DEG_LAT)
+    return fp.id, pts, nearest_vertex(pts, LocalPoint(0.0, 0.0))[0], centroid
+
+
 def test_criterion_5_brute_force_agreement(fixture_run):
     # Part A: select_corners versus an exhaustive vertex scan, 1000 fixtures.
     rng = random.Random(20260818)
@@ -415,7 +427,7 @@ def test_criterion_5_brute_force_agreement(fixture_run):
             width_px=1024,
             height_px=768,
         )
-        outlines = [(fp.id, [project(frame, v) for v in fp.ring[:-1]]) for fp in fps]
+        outlines = [_outline(fp, frame) for fp in fps]
         got = select_corners(project(frame, img.position), outlines, img.heading_deg, CFG.corner_radius_m)
         want = _corners_oracle(img, fps, frame, CFG.corner_radius_m)
         if want is None:

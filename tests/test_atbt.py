@@ -203,13 +203,8 @@ def test_tree_json_round_trips():
 
 
 # ---------------------------------------------------------------------------
-# fuse_track. Oracle: direct recount of votes per structural key.
-
-
-def flat_rank(trees):
-    """Every image at rank 0, so a tie goes to the lowest image id; for tests
-    whose votes have no tie."""
-    return {t.image_id: 0.0 for t in trees}
+# fuse_track. Oracle: direct recount of votes per structural key. Trees come
+# nearest image first, as run_intersection passes them (Track.near_first).
 
 
 def vote_oracle(values):
@@ -219,7 +214,7 @@ def vote_oracle(values):
 
 
 def test_fuse_empty():
-    assert fuse_track([], image_rank={}) == []
+    assert fuse_track([]) == []
 
 
 def test_fuse_single_tree_pass_through():
@@ -229,12 +224,12 @@ def test_fuse_single_tree_pass_through():
     walk = obj("w0", "sidewalk", (600.0, 100.0))
     trees = [tree_of("i0", [light, walk])]
     assert any(n.role == "sidewalk" for n in trees[0].nodes)
-    (fused,) = fuse_track(trees, image_rank=flat_rank(trees))
+    (fused,) = fuse_track(trees)
     assert fused.category == "traffic_light"
     assert fused.support == 1
     assert fused.source_images == ["i0"]
     walks = [tree_of("i0", [walk]), tree_of("i1", [walk])]
-    assert fuse_track(walks, image_rank=flat_rank(walks)) == []
+    assert fuse_track(walks) == []
 
 
 def test_fuse_support_counts_occlusion():
@@ -242,7 +237,7 @@ def test_fuse_support_counts_occlusion():
         return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind="low")])
 
     trees = [light_tree("i0"), light_tree("i1"), tree_of("i2"), light_tree("i3")]
-    fused = fuse_track(trees, image_rank=flat_rank(trees))
+    fused = fuse_track(trees)
     assert len(fused) == 1
     assert fused[0].support == 3
     assert fused[0].source_images == ["i0", "i1", "i3"]
@@ -256,7 +251,7 @@ def test_fuse_majority_subtype_matches_oracle():
     sign_tree = sign_alone_tree
 
     trees = [sign_tree("i0", "yield"), sign_tree("i1", "stop"), sign_tree("i2", "stop")]
-    fused = fuse_track(trees, image_rank=flat_rank(trees))
+    fused = fuse_track(trees)
     assert len(fused) == 1
     winners = vote_oracle(["yield", "stop", "stop"])
     assert winners == {"stop"}
@@ -264,23 +259,25 @@ def test_fuse_majority_subtype_matches_oracle():
 
 
 def test_fuse_tie_goes_to_nearest_rank():
-    trees = [sign_alone_tree("i0", "yield"), sign_alone_tree("i1", "stop")]
-    fused = fuse_track(trees, image_rank={"i0": 5.0, "i1": 2.0})
-    assert fused[0].subtype == "stop"
-    fused = fuse_track(trees, image_rank={"i0": 1.0, "i1": 2.0})
-    assert fused[0].subtype == "yield"
+    # A 1-1 tie goes to the nearest image: the first tree, whichever it is.
+    i0, i1 = sign_alone_tree("i0", "yield"), sign_alone_tree("i1", "stop")
+    assert vote_oracle(["yield", "stop"]) == {"yield", "stop"}
+    assert fuse_track([i1, i0])[0].subtype == "stop"
+    assert fuse_track([i0, i1])[0].subtype == "yield"
 
 
 def test_fuse_equal_ranks_go_to_lowest_image_id():
     def kind_tree(iid, kind):
         return tree_of(iid, [obj("l0", "traffic_light", (300.0, 200.0), light_kind=kind)])
 
-    # 1-1 tie on light kind between images of equal rank: the lower id wins,
-    # whatever the track order.
-    for trees in ([kind_tree("i0", "high"), kind_tree("i1", "low")],
-                  [kind_tree("i1", "low"), kind_tree("i0", "high")]):
-        fused = fuse_track(trees, image_rank={"i0": 3.0, "i1": 3.0})
-        assert fused[0].light_kind == "high"
+    # Images at one distance reach fusion in image id order (build_tracks
+    # makes Track.near_first so), and the 1-1 tie on light kind goes to the
+    # first of them, the lower id. Fusion reads only the order: given the
+    # other way round, the tie goes to i1.
+    high, low = kind_tree("i0", "high"), kind_tree("i1", "low")
+    assert vote_oracle(["high", "low"]) == {"high", "low"}
+    assert fuse_track([high, low])[0].light_kind == "high"
+    assert fuse_track([low, high])[0].light_kind == "low"
 
 
 def test_fuse_inferred_only_flag():
@@ -289,9 +286,9 @@ def test_fuse_inferred_only_flag():
     ghost.bbox = None
     t_real = tree_of("i0", [real])
     t_ghost = tree_of("i1", [ghost])
-    fused = fuse_track([t_ghost, t_ghost], image_rank=flat_rank([t_ghost]))
+    fused = fuse_track([t_ghost, t_ghost])
     assert len(fused) == 1 and fused[0].inferred_only
-    fused = fuse_track([t_ghost, t_real], image_rank=flat_rank([t_ghost, t_real]))
+    fused = fuse_track([t_ghost, t_real])
     assert len(fused) == 1 and not fused[0].inferred_only
 
 
@@ -299,7 +296,7 @@ def test_fuse_keys_keep_distinct_objects_apart():
     a = obj("a", "traffic_light", (300.0, 100.0), light_kind="high")
     b = obj("b", "traffic_light", (300.0, 300.0), light_kind="high")
     trees = [tree_of("i0", [a, b]), tree_of("i1", [a, b])]
-    fused = fuse_track(trees, image_rank=flat_rank(trees))
+    fused = fuse_track(trees)
     assert len(fused) == 2
     assert all(f.support == 2 for f in fused)
     ordinals = sorted(f.stack_ordinal for f in fused)
@@ -311,6 +308,6 @@ def test_fuse_output_sorted_by_key():
     b = obj("b", "traffic_light", (300.0, 100.0), light_kind="high")
     w = obj("w", "sidewalk", (600.0, 120.0))
     trees = [tree_of("i0", [a, b, w])]
-    fused = fuse_track(trees, image_rank=flat_rank(trees))
+    fused = fuse_track(trees)
     keys = [(f.side, f.category, f.stack_ordinal, f.depth_in_stack, f.subtype or "") for f in fused]
     assert keys == sorted(keys)

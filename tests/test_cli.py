@@ -29,8 +29,8 @@ from hypothesis import strategies as st
 
 from rop.cli import deal, main, write_json, write_placed
 from rop.config import RunConfig
-from rop.geo import GeoPoint, LocalPoint
-from rop.ingest import load_buffers, load_images, load_inputs
+from rop.geo import GeoPoint, LocalPoint, make_frame, unproject
+from rop.ingest import feature, load_buffers, load_images, load_inputs
 from rop.labelmap import read_label_map, write_pgm
 from rop.placer import IntersectionResult, PlacedObject, slice_bundle, to_geojson
 from rop.synth import CameraPose, Layout, RectFootprint, save_layouts, standard_fixtures
@@ -1506,9 +1506,10 @@ def test_each_buffer_is_sliced_once(command, bundle_dir, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["place", "dump-trees"])
 def test_each_coordinate_is_projected_once(command, bundle_dir, tmp_path, monkeypatch):
     # Slicing makes each buffer's frame, projects each camera and each
-    # footprint vertex into it once and classifies each camera it keeps
-    # once; nothing after it does any of these again, and no position that
-    # placement unprojected is projected back.
+    # footprint vertex into it once, classifies and measures the distance
+    # from the center of each camera it keeps once, and finds each outline's
+    # corner once; nothing after it does any of these again, and no position
+    # that placement unprojected is projected back.
     import rop.cli
     import rop.geo
     import rop.ingest
@@ -1518,6 +1519,8 @@ def test_each_coordinate_is_projected_once(command, bundle_dir, tmp_path, monkey
     classified, unprojected = collections.Counter(), set()
     real_load, real_frame, real_project = rop.cli.load_inputs, rop.geo.make_frame, rop.geo.project
     real_classify, real_unproject = rop.placer.classify_camera, rop.geo.unproject
+    measured, cornered = collections.Counter(), collections.Counter()
+    real_hypot, real_nearest = math.hypot, rop.placer.nearest_vertex
 
     def loading(*args):
         loaded.append(real_load(*args))
@@ -1541,8 +1544,19 @@ def test_each_coordinate_is_projected_once(command, bundle_dir, tmp_path, monkey
         unprojected.add(p)
         return p
 
+    def hypot(*args):
+        measured[args] += 1
+        return real_hypot(*args)
+
+    def nearest(pts, q):
+        if q == LocalPoint(0.0, 0.0):
+            cornered[tuple(pts)] += 1
+        return real_nearest(pts, q)
+
     monkeypatch.setattr(rop.cli, "load_inputs", loading)
     monkeypatch.setattr(rop.placer, "classify_camera", classifying)
+    monkeypatch.setattr(math, "hypot", hypot)
+    monkeypatch.setattr(rop.placer, "nearest_vertex", nearest)
     for module in (rop.geo, rop.ingest, rop.placer):
         for name, fn in (("make_frame", making_frame), ("project", projecting), ("unproject", unprojecting)):
             if hasattr(module, name):
@@ -1556,9 +1570,32 @@ def test_each_coordinate_is_projected_once(command, bundle_dir, tmp_path, monkey
     counts = [n for (_, p), n in projected.items() if p in inputs]
     assert counts and set(counts) == {1}
     monkeypatch.undo()
-    kept = [cam for part in rop.placer.slice_bundle(bundle, RunConfig()) for t in part.tracks for cam in t.cams]
+    slices = rop.placer.slice_bundle(bundle, RunConfig())
+    kept = [cam for part in slices for t in part.tracks for cam in t.cams]
     assert kept and all(classified[cam] == 1 for cam in kept)
+    assert all(measured[cam.x, cam.y] == 1 for cam in kept)
+    outlines = [tuple(outline[1]) for part in slices for outline in part.outlines]
+    assert outlines and all(cornered[pts] == 1 for pts in outlines)
     assert not unprojected & {p for _, p in projected}
+
+
+def test_a_collinear_footprint_exits_2_naming_the_file_and_the_footprint(bundle_dir, tmp_path, capsys):
+    # A ring along one line, (6, -6) -> (11, -11) -> (16, -16) m from x0000's
+    # center, encloses no area. Before the loader refused it, rop placed
+    # against it: 28 predictions where the bundle gives 25.
+    broken = tmp_path / "broken"
+    shutil.copytree(bundle_dir, broken)
+    (x0000,) = [b for b in load_buffers(str(broken / "buffers.json")) if b.intersection_id == "x0000"]
+    frame = make_frame(x0000.center)
+    line = [unproject(frame, LocalPoint(x, -x)) for x in (6.0, 11.0, 16.0, 6.0)]
+    doc = json.loads((broken / "footprints.geojson").read_text())
+    doc["features"].append(feature("Polygon", [[[v.lon, v.lat] for v in line]], {"id": "line"}))
+    (broken / "footprints.geojson").write_text(json.dumps(doc))
+    out = tmp_path / "pred.geojson"
+    assert main(place_args(broken, out)) == 2
+    err = capsys.readouterr().err
+    assert f"footprints.geojson: features[{len(doc['features']) - 1}] (line) has a zero-area ring" in err
+    assert not out.exists()
 
 
 def test_a_buffer_whose_images_all_lack_a_heading(bundle_dir, tmp_path):

@@ -56,6 +56,13 @@ def outline(frame, fp):
     return [geo.project(frame, v) for v in fp.ring[:-1]]
 
 
+def centroid_in(frame, fp):
+    """footprint_centroid of fp, its degree offset taken into frame's metres."""
+    dlon, dlat = geo.footprint_centroid(fp.ring)
+    first = geo.project(frame, fp.ring[0])
+    return LocalPoint(first.x + dlon * frame.m_per_deg_lon, first.y + dlat * geo.M_PER_DEG_LAT)
+
+
 BERLIN = GeoPoint(52.52, 13.405)
 
 
@@ -287,7 +294,7 @@ def test_nearest_vertex_matches_brute_force(pts, qx, qy):
 def test_centroid_unit_square():
     frame = geo.make_frame(BERLIN)
     fp = Footprint("sq", ring_from_local(frame, [(0, 0), (1, 0), (1, 1), (0, 1)]))
-    c = geo.footprint_centroid(outline(frame, fp))
+    c = centroid_in(frame, fp)
     assert c.x == pytest.approx(0.5, abs=1e-6)
     assert c.y == pytest.approx(0.5, abs=1e-6)
 
@@ -296,8 +303,8 @@ def test_centroid_translation_invariance():
     frame = geo.make_frame(BERLIN)
     base = [(0, 0), (4, 0), (4, 2), (0, 2)]
     moved = [(x + 10, y - 7) for x, y in base]
-    c0 = geo.footprint_centroid(outline(frame, Footprint("a", ring_from_local(frame, base))))
-    c1 = geo.footprint_centroid(outline(frame, Footprint("b", ring_from_local(frame, moved))))
+    c0 = centroid_in(frame, Footprint("a", ring_from_local(frame, base)))
+    c1 = centroid_in(frame, Footprint("b", ring_from_local(frame, moved)))
     assert c1.x - c0.x == pytest.approx(10.0, abs=1e-6)
     assert c1.y - c0.y == pytest.approx(-7.0, abs=1e-6)
 
@@ -306,17 +313,24 @@ def test_centroid_matches_fan_triangulation_oracle():
     frame = geo.make_frame(BERLIN)
     pts = [(0, 0), (6, 0), (7, 3), (3, 6), (-1, 4)]
     fp = Footprint("penta", ring_from_local(frame, pts))
-    c = geo.footprint_centroid(outline(frame, fp))
+    c = centroid_in(frame, fp)
     ox, oy = fan_centroid_oracle(pts)
     assert c.x == pytest.approx(ox, abs=1e-6)
     assert c.y == pytest.approx(oy, abs=1e-6)
 
 
-def test_centroid_zero_area_raises():
+def test_centroid_of_a_ring_that_encloses_no_area_is_none():
     frame = geo.make_frame(BERLIN)
     line = ring_from_local(frame, [(0, 0), (1, 0), (2, 0)])
-    fp = Footprint.__new__(Footprint)  # bypass load-time area validation
-    object.__setattr__(fp, "id", "line")
-    object.__setattr__(fp, "ring", line)
-    with pytest.raises(ValueError):
-        geo.footprint_centroid(outline(frame, fp))
+    assert geo.footprint_centroid(line) is None
+    diagonal = ring_from_local(frame, [(6, -6), (11, -11), (16, -16)])
+    assert geo.footprint_centroid(diagonal) is None
+
+
+def test_centroid_wraps_longitude_across_the_antimeridian():
+    frame = geo.make_frame(GeoPoint(-40.0, 180.0))
+    fp = Footprint("dateline", ring_from_local(frame, [(-5, -5), (5, -5), (5, 5), (-5, 5)]))
+    assert fp.ring[0].lon > 179.0 and fp.ring[1].lon < -179.0
+    c = centroid_in(frame, fp)
+    assert c.x == pytest.approx(0.0, abs=1e-6)
+    assert c.y == pytest.approx(0.0, abs=1e-6)

@@ -561,12 +561,65 @@ def test_load_footprints_rejects_bad_vertex(tmp_path, vertex, fragment):
         (_RING[:-1], "features[0]: footprint b1: ring is not closed"),
         ([_RING[0], _RING[1], _RING[0]], "features[0]: footprint b1: ring needs >= 4 vertices, got 3"),
         ([_RING[0], _RING[1], [13.4001, 52.52], _RING[0]], "features[0] (b1) has a zero-area ring"),
+        (
+            [_RING[0], [13.4001, 52.5201], [13.4002, 52.5202], _RING[0]],
+            "features[0] (b1) has a zero-area ring",
+        ),
     ],
-    ids=["unclosed", "three-vertices", "zero-area"],
+    ids=["unclosed", "three-vertices", "zero-area", "collinear-diagonal"],
 )
 def test_load_footprints_rejects_a_bad_ring(tmp_path, ring, message):
     with pytest.raises(BundleError, match=rf"fp\.geojson: {re.escape(message)}$"):
         load_footprints(_write_footprints(tmp_path, _feature(ring)))
+
+
+def _lon_lat_ring(lat, lon, offsets):
+    """A closed ring of [lon, lat] vertices at (dlat, dlon) degree offsets
+    from (lat, lon), a longitude past ±180 moved by a whole turn."""
+    turn = lambda x: x - 360.0 if x > 180.0 else x + 360.0 if x < -180.0 else x
+    ring = [[turn(lon + dlon), lat + dlat] for dlat, dlon in offsets]
+    return [*ring, ring[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lat=st.floats(-89.9, 89.9),
+    lon=st.floats(-180.0, 180.0),
+    direction=st.floats(0.0, 2.0 * math.pi),
+    length_deg=st.floats(1e-4, 0.05),
+    steps=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5),
+)
+def test_a_collinear_ring_anywhere_is_refused_naming_its_file_and_footprint(
+    tmp_path_factory, lat, lon, direction, length_deg, steps
+):
+    # Vertices on one line through the first vertex enclose no area, however
+    # large their coordinates: the loader refuses the ring, naming the file
+    # and the footprint, and rop exits 2 on it. The ring spans length_deg or
+    # more, so rounding each coordinate to a float moves its vertices off the
+    # line by under 1e-9 of its size.
+    dlat, dlon = length_deg * math.sin(direction), length_deg * math.cos(direction)
+    ring = _lon_lat_ring(lat, lon, [(0.0, 0.0), (dlat, dlon), *((t * dlat, t * dlon) for t in steps)])
+    path = _write_footprints(tmp_path_factory.mktemp("fp"), _feature(ring, props={"id": "line7"}))
+    with pytest.raises(BundleError, match=rf"^{re.escape(path)}: features\[0\] \(line7\) has a zero-area ring$"):
+        load_footprints(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lat=st.floats(-89.0, 89.0),
+    lon=st.floats(-180.0, 180.0),
+    width_m=st.floats(0.01, 200.0),
+    height_m=st.floats(0.01, 200.0),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+def test_a_rectangle_from_a_centimetre_to_200_m_loads(tmp_path_factory, lat, lon, width_m, height_m, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    m_per_deg_lon = 111320.0 * math.cos(math.radians(lat))
+    corners = [(0.0, 0.0), (width_m, 0.0), (width_m, height_m), (0.0, height_m)]
+    offsets = [((x * s + y * c) / 111320.0, (x * c - y * s) / m_per_deg_lon) for x, y in corners]
+    path = _write_footprints(tmp_path_factory.mktemp("fp"), _feature(_lon_lat_ring(lat, lon, offsets)))
+    (fp,) = load_footprints(path)
+    assert fp.id == "b1"
 
 
 def test_load_footprints_names_a_polygon_without_a_ring(tmp_path):
@@ -909,10 +962,14 @@ def test_direction_bins(heading, direction):
 
 
 def _members(frame, images):
-    """Each image with its camera in frame and its case, as slice_bundle hands them to build_tracks."""
+    """Each image with its camera in frame, its case and its distance from the
+    center, as slice_bundle hands them to build_tracks."""
     cams = [project(frame, image.position) for image in images]
     inner_radius_m = RunConfig().inner_radius_m
-    return [(image, cam, classify_camera(cam, image.heading_deg, inner_radius_m)) for image, cam in zip(images, cams)]
+    return [
+        (image, cam, classify_camera(cam, image.heading_deg, inner_radius_m), math.hypot(cam.x, cam.y))
+        for image, cam in zip(images, cams)
+    ]
 
 
 def test_build_tracks_bins_and_orders():
@@ -931,10 +988,12 @@ def test_build_tracks_bins_and_orders():
     assert [i.image_id for i in by_id["x0:WE"].images] == ["e0", "e1", "e2"]
     assert [i.image_id for i in by_id["x0:NS"].images] == ["s0"]
     # Each camera is the one it came with, at the same index as its image.
-    cams = {image.image_id: cam for image, cam, _ in members}
+    cams = {image.image_id: cam for image, cam, _, _ in members}
     for track in tracks:
         assert track.cams == [cams[image.image_id] for image in track.images]
-    # Corner selection tries the approaching views nearest first.
+    # Fusion takes the views nearest first, and corner selection tries the
+    # approaching ones in that order.
+    assert [by_id["x0:WE"].images[i].image_id for i in by_id["x0:WE"].near_first] == ["e2", "e1", "e0"]
     assert [by_id["x0:WE"].images[i].image_id for i in by_id["x0:WE"].corner_order] == ["e2", "e1", "e0"]
 
 
@@ -954,5 +1013,9 @@ def test_build_tracks_tie_breaks_by_image_id():
     lat, lon = _latlon(frame, -10.0, 0.0)
     b = im("b", lat, lon, heading=90.0)
     a = im("a", lat, lon, heading=90.0)
-    tracks = build_tracks(_members(frame, [b, a]), "x0")
-    assert [i.image_id for i in tracks[0].images] == ["a", "b"]
+    for images in ([b, a], [a, b]):
+        (track,) = build_tracks(_members(frame, images), "x0")
+        assert [i.image_id for i in track.images] == ["a", "b"]
+        # Nearest first, equal distances by image id too: fusion gives a tie to a.
+        assert [track.images[i].image_id for i in track.near_first] == ["a", "b"]
+        assert [track.images[i].image_id for i in track.corner_order] == ["a", "b"]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rop.atbt import FusedObject
+from rop.atbt import FusedObject, build_atbt
 from rop.geo import (
     FRAME_SPAN_DEG,
     M_PER_DEG_LAT,
@@ -95,9 +95,39 @@ def case_of(img, frame=FRAME, inner_radius_m=CFG.inner_radius_m):
     return classify_camera(project(frame, img.position), img.heading_deg, inner_radius_m)
 
 
+def encloses_area(fp):
+    """Whether fp's ring encloses area by the loader's rule: twice its area,
+    summed about the first vertex in degrees, above 1e-8 of its box's squared
+    diagonal."""
+    first = fp.ring[0]
+    xs = [(v.lon - first.lon) - 360.0 * round((v.lon - first.lon) / 360.0) for v in fp.ring]
+    ys = [v.lat - first.lat for v in fp.ring]
+    twice_area = sum(xs[i] * ys[i + 1] - xs[i + 1] * ys[i] for i in range(len(xs) - 1))
+    return abs(twice_area) > 1e-8 * ((max(xs) - min(xs)) ** 2 + (max(ys) - min(ys)) ** 2)
+
+
+def outline_oracle(fp, frame=FRAME):
+    """fp's outline as select_corners takes it, projected into frame."""
+    return outline_of(fp.id, [project(frame, v) for v in fp.ring[:-1]])
+
+
+def outline_of(fp_id, pts):
+    """The outline of an open ring pts in metres, by a scalar scan: its id,
+    the ring, its vertex nearest the center (lowest index on a tie) and its
+    shoelace centroid (summed about the first vertex)."""
+    corner = min(enumerate(pts), key=lambda ip: (math.hypot(ip[1].x, ip[1].y), ip[0]))[1]
+    tw = cx = cy = 0.0
+    for p, q in zip(pts, pts[1:] + pts[:1]):
+        (px, py), (qx, qy) = (p.x - pts[0].x, p.y - pts[0].y), (q.x - pts[0].x, q.y - pts[0].y)
+        tw += px * qy - qx * py
+        cx += (px + qx) * (px * qy - qx * py)
+        cy += (py + qy) * (px * qy - qx * py)
+    return fp_id, pts, corner, LocalPoint(pts[0].x + cx / (3 * tw), pts[0].y + cy / (3 * tw))
+
+
 def corners_of(img, footprints, radius_m=CFG.corner_radius_m):
     """select_corners of an image and footprints, projected into FRAME."""
-    outlines = [(fp.id, [project(FRAME, v) for v in fp.ring[:-1]]) for fp in footprints]
+    outlines = [outline_oracle(fp) for fp in footprints]
     return select_corners(project(FRAME, img.position), outlines, img.heading_deg, radius_m)
 
 
@@ -204,11 +234,12 @@ def test_corners_permutation_invariant():
 def test_corners_do_not_depend_on_the_order_of_footprints_that_share_an_id():
     # Two left footprints share an id and the vertex nearest the camera, so
     # only their corners, (-8, -10) and (-8, -19), tell them apart.
+    ring = lambda *xy: [LocalPoint(x, y) for x, y in xy]
     left = [
-        ("fp", [LocalPoint(-8.0, -20.0), LocalPoint(-8.0, -10.0), LocalPoint(-20.0, -10.0), LocalPoint(-20.0, -20.0)]),
-        ("fp", [LocalPoint(-8.0, -20.0), LocalPoint(-30.0, -20.0), LocalPoint(-30.0, -19.0), LocalPoint(-8.0, -19.0)]),
+        outline_of("fp", ring((-8.0, -20.0), (-8.0, -10.0), (-20.0, -10.0), (-20.0, -20.0))),
+        outline_of("fp", ring((-8.0, -20.0), (-30.0, -20.0), (-30.0, -19.0), (-8.0, -19.0))),
     ]
-    right = ("r", [LocalPoint(8.0, -20.0), LocalPoint(20.0, -20.0), LocalPoint(20.0, -10.0), LocalPoint(8.0, -10.0)])
+    right = outline_of("r", ring((8.0, -20.0), (20.0, -20.0), (20.0, -10.0), (8.0, -10.0)))
     pairs = {select_corners(LocalPoint(0.0, -30.0), [*order, right], 0.0, 26.0) for order in (left, left[::-1])}
     assert pairs == {CornerPair(A1=LocalPoint(-8.0, -19.0), A2=LocalPoint(8.0, -10.0))}
 
@@ -557,6 +588,30 @@ def test_no_corners_counts_only_objects_that_can_be_placed():
     assert events == [*expected, ("no_corners_any_track", None, None)]
 
 
+@pytest.mark.parametrize("kinds", [("high", "low"), ("low", "high")])
+def test_a_fusion_tie_between_images_at_one_distance_goes_to_the_lower_image_id(kinds, monkeypatch):
+    # Two approaching views from one spot, in one track, each see one light
+    # at the same place in its tree, of a different kind. The 1-1 vote goes
+    # to the nearest image, and between equal distances to the lower image
+    # id, a, whatever the bundle order: a's kind is placed.
+    images = [cam(-20.0, -3.5, 90.0, image_id=image_id) for image_id in ("b", "a")]
+    bundle = Bundle(images, {}, {}, BUILDINGS, [IntersectionBuffer("x0", CENTER)])
+    (part,) = slice_bundle(bundle, CFG)
+    (track,) = part.tracks
+    assert [im.image_id for im in track.images] == ["a", "b"]
+    trees = {
+        image_id: build_atbt(
+            {"left": [[scene.SceneObject(f"light-{image_id}", "traffic_light", (300.0, 200.0), 80.0,
+                                          (196.0, 296.0, 8.0, 8.0), light_kind=kind)]], "right": []},
+            image_id,
+        )
+        for image_id, kind in zip(("a", "b"), kinds)
+    }
+    monkeypatch.setattr(rop.placer, "track_trees", lambda part, track, cfg: [trees[im.image_id] for im in track.images])
+    (placed,) = run_intersection(part, CFG).placed
+    assert (placed.category, placed.light_kind, placed.source_images) == ("traffic_light", kinds[0], ["a", "b"])
+
+
 def test_corner_selection_tries_c1_nearest_first_then_c2_far_to_near(monkeypatch):
     # One northbound track: approaching views (C1) 20, 30 and 40 m south of
     # the center, two of them at 20 m, and views inside the inner radius (C2)
@@ -567,8 +622,8 @@ def test_corner_selection_tries_c1_nearest_first_then_c2_far_to_near(monkeypatch
     images = [cam(0.0, y, heading=float(i), image_id=image_id) for i, (image_id, y) in enumerate(views.items())]
     (part,) = slice_bundle(Bundle(images, {}, {}, [], [IntersectionBuffer("x0", CENTER)]), CFG)
     assert [len(track.images) for track in part.tracks] == [len(views)]
-    monkeypatch.setattr(rop.placer, "track_trees", lambda *args: [])
-    monkeypatch.setattr(rop.placer, "fuse_track", lambda *args, **kwargs: [fused("left", "traffic_sign")])
+    monkeypatch.setattr(rop.placer, "track_trees", lambda part, track, cfg: [None] * len(track.images))
+    monkeypatch.setattr(rop.placer, "fuse_track", lambda trees: [fused("left", "traffic_sign")])
     every = ["b20", "c20", "a30", "d40", "e8", "f4"]
     for finds, tried in [("b20", every[:1]), ("a30", every[:3]), ("f4", every), (None, every)]:
         calls = []
@@ -840,7 +895,8 @@ def slice_oracle(bundle, cfg):
     """Each buffer's images and footprints, by a scalar scan of the whole
     bundle: an image is kept when it lies in the buffer and has no heading or
     does not leave the center (C3); a footprint is kept when a vertex lies
-    within reach and every vertex projects into the buffer's frame."""
+    within reach, every vertex projects into the buffer's frame and its ring
+    encloses area (a code-built bundle may hold one that does not)."""
     out = []
     for buffer in bundle.buffers:
         frame = make_frame(buffer.center)
@@ -850,6 +906,7 @@ def slice_oracle(bundle, cfg):
             for fp in bundle.footprints
             if any(within(frame, v, reach_m) for v in fp.ring)
             and all(projects(frame, v) for v in fp.ring)
+            and encloses_area(fp)
         ]
         images = [
             im
@@ -996,6 +1053,10 @@ def test_slice_bundle_matches_a_full_scan(case):
         assert tracked == sorted((im for im in images if im.heading_deg is not None), key=by_id)
         for track in part.tracks:
             assert track.cams == [project(frame, im.position) for im in track.images]
-        assert part.outlines == [(fp.id, [project(frame, v) for v in fp.ring[:-1]]) for fp in footprints]
+        want = [outline_oracle(fp, frame) for fp in footprints]
+        assert [outline[:3] for outline in part.outlines] == [outline[:3] for outline in want]
+        for (*_, got), (_, pts, _, centroid) in zip(part.outlines, want):
+            extent = max(dist(p, q) for p in pts for q in pts)
+            assert (got.x, got.y) == pytest.approx((centroid.x, centroid.y), abs=1e-6 + 1e-3 * extent)
         assert part.label_maps is bundle.label_maps
         assert part.detections is bundle.detections
