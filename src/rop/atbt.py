@@ -9,8 +9,8 @@ matched across every image of a track without any pixel-space reasoning.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .scene import SceneObject
 
@@ -51,7 +51,7 @@ def build_atbt(stacks: dict[str, list[list[SceneObject]]], image_id: str) -> Atb
     right); within a stack member j sits at head_index * 2**j; the next
     stack's head is the current head's right child.
     """
-    nodes = [AtbtNode(heap_index=1, object=None, side=None, role="root")]
+    nodes = [AtbtNode(1, None, None, "root")]
     for side, head in (("left", 2), ("right", 3)):
         for ordinal, members in enumerate(stacks[side]):
             for depth, obj in enumerate(members):
@@ -61,18 +61,10 @@ def build_atbt(stacks: dict[str, list[list[SceneObject]]], image_id: str) -> Atb
                     role = "sidewalk"
                 else:
                     role = "stack_head" if depth == 0 else "stack_child"
-                nodes.append(
-                    AtbtNode(
-                        heap_index=head * 2**depth,
-                        object=obj,
-                        side=side,
-                        role=role,
-                        stack_ordinal=ordinal,
-                        depth_in_stack=depth,
-                    )
-                )
+                # Fields in order: heap_index (head * 2**depth), object, side, role, stack_ordinal, depth_in_stack.
+                nodes.append(AtbtNode(head << depth, obj, side, role, ordinal, depth))
             head = 2 * head + 1
-    nodes.sort(key=lambda n: n.heap_index)
+    nodes.sort(key=attrgetter("heap_index"))
     return Atbt(image_id=image_id, nodes=nodes)
 
 
@@ -104,14 +96,23 @@ def tree_to_json(tree: Atbt) -> dict:
 # Track fusion.
 
 
+def _vote(values: list):
+    """The most frequent of values, a tie going to the first seen: max keeps
+    the first of equal counts, and a dict keeps first-seen order."""
+    counts: dict = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    return max(counts, key=counts.__getitem__)
+
+
 def fuse_track(trees: list[Atbt]) -> list[FusedObject]:
     """Merge a track's per-image trees, nearest image first, into the set of
     objects to place.
 
     Nodes sharing (side, category, stack ordinal, stack depth) across images
     are one physical object; subtype and light kind resolve by majority vote,
-    a tie going to the earliest tree (most_common keeps first-seen order): the
-    nearest image, then the lowest image id, as Track.near_first orders them.
+    a tie going to the earliest tree (see _vote): the nearest image, then the
+    lowest image id, as Track.near_first orders them.
     Sidewalks are evidence for the grammar, not assets, and are not fused.
     """
     observations: dict[tuple, list[tuple[str, SceneObject]]] = {}
@@ -125,9 +126,9 @@ def fuse_track(trees: list[Atbt]) -> list[FusedObject]:
     fused = [
         FusedObject(
             *key,
-            subtype=Counter(o.subtype for _, o in obs).most_common(1)[0][0],
+            subtype=_vote([o.subtype for _, o in obs]),
             support=len(obs),
-            light_kind=Counter(o.light_kind for _, o in obs).most_common(1)[0][0],
+            light_kind=_vote([o.light_kind for _, o in obs]),
             inferred_only=all(o.inferred for _, o in obs),
             source_images=sorted({iid for iid, _ in obs}),
         )

@@ -14,6 +14,7 @@ stdout). ROP_LOG sets the log level.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -29,20 +30,29 @@ from typing import NoReturn
 # numpy; a value already in the environment wins. Library users who import
 # rop's other modules keep OpenBLAS's own default.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from .atbt import tree_to_json  # noqa: E402
-from .config import RunConfig, check_range, load_config  # noqa: E402
-from .ingest import Bundle, Slice, _load_json, load_inputs  # noqa: E402
-from .placer import (  # noqa: E402
-    IntersectionResult,
-    PlacedObject,
-    from_geojson,
-    geojson_feature,
-    output_order,
-    run_intersection,
-    slice_bundle,
-    track_trees,
-)
+# Importing numpy and rop makes tens of collector passes that free next to
+# nothing, so the collector is paused while they import and then left as it
+# was found; console_main then freezes what they made. Like the line above,
+# this is the command line's alone.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .atbt import tree_to_json
+    from .config import RunConfig, check_range, load_config
+    from .ingest import Bundle, Slice, _load_json, load_inputs
+    from .placer import (
+        IntersectionResult,
+        PlacedObject,
+        from_geojson,
+        geojson_feature,
+        output_order,
+        run_intersection,
+        slice_bundle,
+        track_trees,
+    )
+finally:
+    if _collecting:
+        gc.enable()
 
 # synth and evalx are imported where they are used, so a `rop place` process
 # loads only what placement runs.
@@ -453,8 +463,12 @@ def _exit(code: int) -> NoReturn:
 
 
 def console_main() -> NoReturn:
+    """The rop command: main() in a process that ends with it. Every object
+    the imports made lives until then, so they are frozen out of the
+    collector's passes first."""
+    gc.freeze()
     _exit(main())
 
 
 if __name__ == "__main__":
-    _exit(main())
+    console_main()

@@ -25,14 +25,17 @@ def check_range(name: str, value: int | float, rule: str, kind: type | None = No
     not a bool, lies in rule, a key of RANGES, and is at most INT_MAX if kind
     (by default value's own type) is int, else finite. If kind is int, value
     must be an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # A plain int or float, the common case, skips the slower ABC checks.
+    exact = type(value) is int or type(value) is float
+    if not exact and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if kind is int and not isinstance(value, numbers.Integral):
+    integral = type(value) is int if exact else isinstance(value, numbers.Integral)
+    if kind is int and not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if (kind or type(value)) is int:
         bound, bounded = "at most 2**62", value <= INT_MAX
     else:  # compare Python numbers (a float32 bound overflows); an int too large for a float is not finite either
-        number = value if isinstance(value, numbers.Integral) else float(value)
+        number = value if integral else float(value)
         bound, bounded = "finite", abs(number) <= sys.float_info.max
     if not (bounded and RANGES[rule](value)):
         raise ValueError(f"{name} must be {bound} and {rule}, got {value}")

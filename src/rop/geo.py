@@ -8,7 +8,7 @@ below a centimeter, which spares us a projection-library dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 M_PER_DEG_LAT = 111320.0
 # Spherical radius consistent with M_PER_DEG_LAT (R * pi / 180 = 111319.49).
@@ -47,10 +47,13 @@ class LocalFrame:
 
 @dataclass(frozen=True, slots=True)
 class Footprint:
-    """Building outline: closed vertex ring, first vertex repeated last."""
+    """Building outline: closed vertex ring, first vertex repeated last. Its
+    centroid, footprint_centroid(ring), is computed once, here: None when the
+    ring encloses no area."""
 
     id: str
     ring: tuple[GeoPoint, ...]
+    centroid: tuple[float, float] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.ring) < 4:
@@ -59,6 +62,7 @@ class Footprint:
             )
         if self.ring[0] != self.ring[-1]:
             raise ValueError(f"footprint {self.id}: ring is not closed")
+        object.__setattr__(self, "centroid", footprint_centroid(self.ring))
 
 
 def make_frame(center: GeoPoint) -> LocalFrame:

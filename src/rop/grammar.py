@@ -15,7 +15,16 @@ from .scene import SceneObject
 
 
 def side_of(obj: SceneObject, width_px: int) -> str:
+    """The one midline rule: left when the centroid's column is below width_px / 2."""
     return "left" if obj.centroid[1] < width_px / 2.0 else "right"
+
+
+def _split_sides(objs: list[SceneObject], width_px: int) -> dict[str, list[SceneObject]]:
+    """objs by side_of, "left" then "right", each in input order."""
+    sides: dict[str, list[SceneObject]] = {"left": [], "right": []}
+    for o in objs:
+        sides[side_of(o, width_px)].append(o)
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +88,42 @@ def _split_by_nearest_light(cluster: list[SceneObject]) -> list[list[SceneObject
 
 
 def _stack_sort_key(members: list[SceneObject]) -> tuple:
+    if len(members) == 1:  # most stacks: the key is the one member's
+        (row, col), oid = members[0].centroid, members[0].id
+        return col, row, oid
     return (
         min(o.centroid[1] for o in members),
         min(o.centroid[0] for o in members),
         min(o.id for o in members),
     )
+
+
+def _side_stacks(mine: list[SceneObject], width_px: int, cfg: RunConfig) -> list[list[SceneObject]]:
+    """The stacks of one side's objects, as stack_objects orders them."""
+    thresh = cfg.stack_dx_frac * width_px
+    lights = [o for o in mine if o.category == "traffic_light"]
+    pool = sorted(
+        [o for o in mine if o.category == "traffic_sign"] + [o for o in lights if o.light_kind == "low"],
+        key=lambda o: (o.centroid[1], o.id),
+    )
+    clusters: list[list[SceneObject]] = []
+    for o in pool:
+        if clusters and o.centroid[1] - clusters[-1][-1].centroid[1] <= thresh:
+            clusters[-1].append(o)
+        else:
+            clusters.append([o])
+    stacks = [
+        sorted(part, key=lambda o: (o.centroid[0], o.centroid[1], o.id))
+        for cluster in clusters
+        for part in _split_by_nearest_light(cluster)
+    ]
+    stacks += [[o] for o in lights if o.light_kind != "low"]
+    stacks.sort(key=_stack_sort_key)
+    walks = sorted(
+        (o for o in mine if o.category == "sidewalk"),
+        key=lambda o: (o.centroid[1], o.centroid[0], o.id),
+    )
+    return stacks + [[w] for w in walks]
 
 
 def stack_objects(
@@ -96,37 +136,10 @@ def stack_objects(
     by nearest light, and every part is a stack ordered by (row, col, id).
     Every other light is a stack of its own. Stacks order by leftmost member
     column; the side's sidewalks follow, one stack each, by (col, row, id).
-    Input order never matters.
+    Input order never matters. The objects are split by side once, by
+    _split_sides, as apply_grammar splits them.
     """
-    thresh = cfg.stack_dx_frac * width_px
-    out: dict[str, list[list[SceneObject]]] = {}
-    for side in ("left", "right"):
-        mine = [o for o in objs if side_of(o, width_px) == side]
-        lights = [o for o in mine if o.category == "traffic_light"]
-        pool = sorted(
-            [o for o in mine if o.category == "traffic_sign"]
-            + [o for o in lights if o.light_kind == "low"],
-            key=lambda o: (o.centroid[1], o.id),
-        )
-        clusters: list[list[SceneObject]] = []
-        for o in pool:
-            if clusters and o.centroid[1] - clusters[-1][-1].centroid[1] <= thresh:
-                clusters[-1].append(o)
-            else:
-                clusters.append([o])
-        stacks = [
-            sorted(part, key=lambda o: (o.centroid[0], o.centroid[1], o.id))
-            for cluster in clusters
-            for part in _split_by_nearest_light(cluster)
-        ]
-        stacks += [[o] for o in lights if o.light_kind != "low"]
-        stacks.sort(key=_stack_sort_key)
-        walks = sorted(
-            (o for o in mine if o.category == "sidewalk"),
-            key=lambda o: (o.centroid[1], o.centroid[0], o.id),
-        )
-        out[side] = stacks + [[w] for w in walks]
-    return out
+    return {side: _side_stacks(mine, width_px, cfg) for side, mine in _split_sides(objs, width_px).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +151,11 @@ def apply_grammar(
 ) -> dict[str, list[list[SceneObject]]]:
     """Run Rules 4 and 5 on one image's finished objects (see
     scene.scene_objects) in an image width_px pixels wide: each side's
-    stacks (see stack_objects), with Rule 4's twin among them when it fires."""
-    left = [o for o in objs if side_of(o, width_px) == "left"]
-    right = [o for o in objs if side_of(o, width_px) == "right"]
-    twin = infer_pair(left, right, width_px)
+    stacks (see stack_objects), with Rule 4's twin among them when it fires.
+    The objects are split by side once; the twin joins the side side_of puts
+    it on, and both rules read those two lists."""
+    sides = _split_sides(objs, width_px)
+    twin = infer_pair(sides["left"], sides["right"], width_px)
     if twin is not None:
-        objs = objs + [twin]
-    return stack_objects(objs, width_px, cfg)
+        sides[side_of(twin, width_px)].append(twin)
+    return {side: _side_stacks(mine, width_px, cfg) for side, mine in sides.items()}

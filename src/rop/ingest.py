@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .config import check_fields
-from .geo import Footprint, GeoPoint, LocalFrame, LocalPoint, footprint_centroid, make_frame
+from .geo import Footprint, GeoPoint, LocalFrame, LocalPoint, make_frame
 from .labelmap import BundleError, LabelRuns, label_map_size, read_label_map
 
 log = logging.getLogger("rop.ingest")
@@ -116,20 +117,28 @@ class MaskDirectory(Mapping):
     """Lazy image_id -> LabelRuns view over a directory that holds one
     <image_id>.pgm or <image_id>.rle label map per image, each read when
     looked up by labelmap.read_label_map, the one reader, which scans every
-    PGM in its own scratch."""
+    PGM in its own scratch.
+
+    The index is built from the directory's sorted names as strings, with
+    pathlib's rule for a suffix: a.b.rle is image a.b, while .rle, x.RLE and
+    notes.txt are no label map. Only the directory itself is parsed as a
+    Path, so each path reads as pathlib would write it."""
 
     def __init__(self, directory: str):
-        self._dir = Path(directory)
-        if not self._dir.is_dir():
+        top = str(Path(directory))
+        if not os.path.isdir(top):
             raise BundleError(f"{directory}: not a directory")
-        self._paths: dict[str, str] = {}  # a str, not a Path, which also keeps its parts
-        for p in sorted(self._dir.iterdir()):
-            if p.suffix not in (".pgm", ".rle"):
+        prefix = "" if top == "." else os.path.join(top, "")  # Path(".") / name is name
+        self._paths: dict[str, str] = {}
+        for name in sorted(os.listdir(top)):
+            if len(name) <= 4 or name[-4:] not in (".pgm", ".rle"):
                 continue
-            if p.stem in self._paths:
-                other = Path(self._paths[p.stem]).name
-                raise BundleError(f"{p}: {other} is there too; keep one label map per image")
-            self._paths[p.stem] = str(p)
+            path = prefix + name
+            stem = name[:-4]
+            if stem in self._paths:
+                other = os.path.basename(self._paths[stem])
+                raise BundleError(f"{path}: {other} is there too; keep one label map per image")
+            self._paths[stem] = path
 
     def path_of(self, image_id: str) -> str:
         return self._paths[image_id]
@@ -318,6 +327,8 @@ def _reader(tp):
             raise BundleError(f"{where}: {key} must be {what}")
         if t is str:  # one object per distinct string, however many records repeat it
             return sys.intern(value)
+        if t is float and type(value) is float and math.isfinite(value):  # _number's common case
+            return value
         return _number(value, key, where, t) if t is int or t is float else value
 
     return read_scalar
@@ -423,7 +434,7 @@ def load_footprints(path: str) -> list[Footprint]:
             fp = Footprint(id=fid if isinstance(fid, str) else str(int(fid)), ring=tuple(ring))
         except ValueError as exc:
             raise BundleError(f"{where}: {exc}") from exc
-        if footprint_centroid(fp.ring) is None:
+        if fp.centroid is None:
             raise BundleError(f"{where} ({fp.id}) has a zero-area ring")
         out.append(fp)
     return out

@@ -47,6 +47,9 @@ CATEGORY_IDS = {
 CATEGORY_NAMES = {cid: name for name, cid in CATEGORY_IDS.items()}
 _IS_CATEGORY = np.zeros(256, dtype=bool)
 _IS_CATEGORY[list(CATEGORY_IDS.values())] = True
+# Every byte below this one is a category id (the ids are 0-8), so a map
+# whose largest value is below it holds nothing else.
+_IDS_BELOW = int(np.argmin(_IS_CATEGORY))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,12 +193,11 @@ RLE_MAGIC = b"RLE1"
 _RLE_HEADER = struct.Struct("<4sIII")
 
 
-def _rle_header(fh: BinaryIO, path: str) -> tuple[int, int, int]:
-    """(width, height, run count) from the start of fh."""
-    head = fh.read(_RLE_HEADER.size)
+def _rle_header(head: bytes, path: str) -> tuple[int, int, int]:
+    """(width, height, run count) from head, the file's first bytes."""
     if len(head) < _RLE_HEADER.size:
         raise BundleError(f"{path}: truncated RLE header")
-    magic, w, h, n = _RLE_HEADER.unpack(head)
+    magic, w, h, n = _RLE_HEADER.unpack_from(head)
     if magic != RLE_MAGIC:
         raise BundleError(f"{path}: not a run-length label map (bad magic {magic!r})")
     if w == 0 or h == 0:
@@ -225,40 +227,56 @@ def _run_fault(
     return None
 
 
+def _runs_tile(lengths: np.ndarray, starts: np.ndarray, values: np.ndarray, w: int, h: int) -> bool:
+    """Whether _run_fault finds nothing, in a few cheap passes: no run is
+    empty and the runs cover w * h pixels, so they tile the map in order; then
+    no run crosses a row end exactly when all h row starts begin a run; and
+    two neighbours may hold one value only across a row start."""
+    if not (lengths.size and lengths.all() and int(starts[-1] + lengths[-1]) == w * h):
+        return False
+    row_start = starts == starts // w * w
+    return np.count_nonzero(row_start) == h and not np.greater(values[1:] == values[:-1], row_start[1:]).any()
+
+
 def _read_rle(path: str) -> LabelRuns:
-    with open(path, "rb") as fh:
-        w, h, n = _rle_header(fh, path)
-        body = fh.read()
-    if len(body) != 5 * n:
-        raise BundleError(
-            f"{path}: {len(body)} bytes of runs, the header declares {n} runs ({5 * n} bytes)"
-        )
-    lengths = np.frombuffer(body, dtype="<u4", count=n)
-    values = np.frombuffer(body, dtype=np.uint8, count=n, offset=4 * n)
-    starts = np.cumsum(lengths, dtype=np.int64) - lengths
-    fault = _run_fault(lengths, starts, values, w, h)
-    if fault:
-        raise BundleError(f"{path}: {fault}")
+    with open(path, "rb", buffering=0) as fh:  # read whole, so unbuffered
+        data = fh.read()
+    w, h, n = _rle_header(data, path)
+    if (body := len(data) - _RLE_HEADER.size) != 5 * n:
+        raise BundleError(f"{path}: {body} bytes of runs, the header declares {n} runs ({5 * n} bytes)")
+    lengths = np.frombuffer(data, dtype="<u4", count=n, offset=_RLE_HEADER.size)
+    values = np.frombuffer(data, dtype=np.uint8, count=n, offset=_RLE_HEADER.size + 4 * n)
+    starts = lengths.astype(np.int64).cumsum() - lengths
+    if not _runs_tile(lengths, starts, values, w, h):
+        raise BundleError(f"{path}: {_run_fault(lengths, starts, values, w, h)}")
     return LabelRuns(starts, values, w, h)
 
 
 def read_label_map(path: str) -> LabelRuns:
     """The label map in path: a run-length map if path ends in .rle, else a
     binary PGM. A format fault, or a value that is not in CATEGORY_IDS, is a
-    BundleError naming path."""
+    BundleError naming path.
+
+    A valid map passes each check in a few whole-array passes: the runs'
+    tiling (_runs_tile) and the largest value. Only a map that fails one is
+    scanned again, to name its first fault."""
     runs = _read_rle(path) if path.endswith(".rle") else _read_pgm(path)
-    bad = np.flatnonzero(~_IS_CATEGORY[runs.values])
-    if bad.size:
-        row, col = divmod(int(runs.starts[bad[0]]), runs.width)
-        value = runs.values[bad[0]]
-        raise BundleError(f"{path}: value {value} at row {row}, column {col} is not a category id")
+    if runs.values.max() >= _IDS_BELOW:
+        bad = np.flatnonzero(~_IS_CATEGORY[runs.values])
+        if bad.size:
+            row, col = divmod(int(runs.starts[bad[0]]), runs.width)
+            value = runs.values[bad[0]]
+            raise BundleError(f"{path}: value {value} at row {row}, column {col} is not a category id")
     return runs
 
 
 def label_map_size(path: str) -> tuple[int, int]:
     """(width, height) of the label map in path, read from its header alone."""
+    if path.endswith(".rle"):  # unbuffered: the header is all it reads
+        with open(path, "rb", buffering=0) as fh:
+            return _rle_header(fh.read(_RLE_HEADER.size), path)[:2]
     with open(path, "rb") as fh:
-        return _rle_header(fh, path)[:2] if path.endswith(".rle") else _pgm_header(fh, path)
+        return _pgm_header(fh, path)
 
 
 def write_rle(path: str, runs: LabelRuns) -> None:

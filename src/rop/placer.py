@@ -23,7 +23,6 @@ from .geo import (
     LocalFrame,
     LocalPoint,
     dist,
-    footprint_centroid,
     heading_vector,
     in_span,
     make_frame,
@@ -81,10 +80,11 @@ class IntersectionResult:
 # Camera cases.
 
 
-def classify_camera(cam: LocalPoint, heading_deg: float, inner_radius_m: float) -> str:
+def classify_camera(cam: LocalPoint, d: float, heading_deg: float, inner_radius_m: float) -> str:
     """C1 approaching, C2 inside the inner radius of the center (the frame
-    origin), C3 past it, for a camera at cam, in metres, facing heading_deg."""
-    if (cam.x * cam.x + cam.y * cam.y) ** 0.5 <= inner_radius_m:
+    origin), C3 past it, for a camera at cam, in metres, d from the center,
+    facing heading_deg."""
+    if d <= inner_radius_m:
         return "C2"
     hx, hy = heading_vector(heading_deg)
     # Approaching when the heading points back toward the origin.
@@ -264,9 +264,9 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
     only footprints with a vertex within corner_radius_m of a camera, and
     every camera of the slice lies within radius_m of the center. A
     footprint with a vertex outside the buffer frame's span is dropped with
-    a warning, since its outline needs every vertex. Its centroid is the sum
-    the loader checked, footprint_centroid's, in metres; so only a footprint
-    built in code can enclose no area, and it is left out.
+    a warning, since its outline needs every vertex. Its centroid is the one
+    the footprint carries, the sum the loader checked, in metres; so only a
+    footprint built in code can enclose no area, and it is left out.
 
     Image positions and footprint vertices go into arrays once. Per buffer a
     box test picks the candidates, and only those take the exact checks, so
@@ -293,7 +293,7 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
             case = None
             if im.heading_deg is None:
                 log.warning("image %s (intersection %s) has no heading; excluded from tracks", im.image_id, iid)
-            elif (case := classify_camera(cam, im.heading_deg, cfg.inner_radius_m)) == "C3":
+            elif (case := classify_camera(cam, d, im.heading_deg, cfg.inner_radius_m)) == "C3":
                 continue
             kept.append((im, cam, case, d))
         candidates = np.zeros(len(footprints), dtype=bool)
@@ -306,7 +306,7 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
                 continue
             if len(pts) < len(fp.ring) - 1:
                 log.warning("footprint %s reaches outside the frame span of buffer %s; dropped", fp.id, iid)
-            elif (c := footprint_centroid(fp.ring)) is not None:
+            elif (c := fp.centroid) is not None:
                 centroid = LocalPoint(pts[0].x + c[0] * frame.m_per_deg_lon, pts[0].y + c[1] * M_PER_DEG_LAT)
                 outlines.append((fp.id, pts, corner, centroid))
         tracks = build_tracks([m for m in kept if m[0].heading_deg is not None], iid)

@@ -974,6 +974,15 @@ def test_openblas_threads_default(module, preset, expected):
     assert out.stdout.strip() == expected
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cli_import_leaves_the_collector_as_it_found_it(collecting):
+    # rop.cli pauses the collector while it imports, and no longer.
+    code = f"import gc; gc.{'enable' if collecting else 'disable'}(); import rop.cli; print(gc.isenabled())"
+    out = fresh_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(collecting)
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
 def test_cli_import_starts_no_blas_thread():
     # The default reaches OpenBLAS only if it is set before numpy is imported.

@@ -247,6 +247,82 @@ def test_read_rle_rejects_malformed(tmp_path, payload, fragment):
     assert str(path) in str(exc.value)
 
 
+def rle_fault(w, h, lengths, values):
+    """The first fault of a run-length map's runs, in the reader's order and
+    words, or None: a scan of one run at a time."""
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    for i, n in enumerate(lengths):
+        if n == 0:
+            return f"run {i} has length 0"
+    if sum(lengths) != w * h:
+        return f"runs cover {sum(lengths)} pixels, not {w}x{h} = {w * h}"
+    for i, (s, n) in enumerate(zip(starts, lengths)):
+        if (s + n - 1) // w != s // w:
+            return f"run {i} crosses the end of row {s // w}"
+    for i in range(1, len(lengths)):
+        if values[i] == values[i - 1] and starts[i] % w:
+            return f"runs {i - 1} and {i} in row {starts[i] // w} both hold value {values[i]}"
+    for s, v in zip(starts, values):
+        if v not in CATEGORY_NAMES:
+            return f"value {v} at row {s // w}, column {s % w} is not a category id"
+    return None
+
+
+@st.composite
+def rle_maps(draw):
+    """(w, h, lengths, values) of a valid map of at most 6 x 6 pixels, or of
+    one broken by a single fault."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lengths, values = [], []
+    for _ in range(h):
+        cuts = sorted(draw(st.sets(st.integers(1, w - 1), max_size=w - 1))) if w > 1 else []
+        for a, b in zip([0, *cuts], [*cuts, w]):
+            lengths.append(b - a)
+            values.append(draw(st.integers(0, 8)))
+    # Neighbours inside a row differ: step a value that repeats its left one.
+    for i in range(1, len(values)):
+        if values[i] == values[i - 1] and sum(lengths[:i]) % w:
+            values[i] = (values[i] + 1) % 9
+    fault = draw(st.sampled_from(["none", "empty", "short", "long", "crossing", "split", "byte"]))
+    i = draw(st.integers(0, len(lengths) - 1))
+    if fault == "empty":
+        lengths.insert(i, 0)
+        values.insert(i, values[i])
+    elif fault == "short":
+        lengths[i] -= 1
+    elif fault == "long":
+        lengths[i] += 1
+    elif fault == "crossing" and i + 1 < len(lengths) and lengths[i + 1] > 1:
+        lengths[i] += 1
+        lengths[i + 1] -= 1
+    elif fault == "split" and lengths[i] > 1:
+        lengths[i : i + 1] = [1, lengths[i] - 1]
+        values.insert(i, values[i])
+    elif fault == "byte":
+        values[i] = draw(st.integers(9, 255))
+    return w, h, lengths, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(rle_maps())
+def test_read_rle_matches_a_run_by_run_check(tmp_path_factory, rle):
+    # The reader checks whole arrays at once and scans again only to name a
+    # fault; either way it keeps or refuses the map as the scalar check does.
+    w, h, lengths, values = rle
+    path = tmp_path_factory.mktemp("rle") / "m.rle"
+    path.write_bytes(rle_bytes(w, h, lengths, values))
+    fault = rle_fault(w, h, lengths, values)
+    if fault is None:
+        runs = read_label_map(str(path))
+        assert (runs.width, runs.height) == (w, h)
+        assert runs.starts.tolist() == [sum(lengths[:i]) for i in range(len(lengths))]
+        assert runs.values.tolist() == values
+    else:
+        with pytest.raises(BundleError) as exc:
+            read_label_map(str(path))
+        assert str(exc.value) == f"{path}: {fault}"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),
@@ -274,15 +350,37 @@ def test_mask_directory_lazy_mapping(tmp_path):
     write_pgm(str(tmp_path / "img_a.pgm"), a)
     write_rle(str(tmp_path / "img_b.rle"), runs_of(b))
     (tmp_path / "notes.txt").write_text("not a label map")
+    # The index takes pathlib's suffix: a.b.rle is image a.b, while a file
+    # named .rle has no suffix and an upper-case one is not a label map's.
+    write_rle(str(tmp_path / "a.b.rle"), runs_of(b))
+    for name in (".rle", "x.RLE"):
+        (tmp_path / name).write_bytes(b"")
     d = MaskDirectory(str(tmp_path))
-    assert set(d) == {"img_a", "img_b"}
-    assert len(d) == 2
+    assert set(d) == {"img_a", "img_b", "a.b"}
+    assert len(d) == 3
+    assert d.path_of("a.b") == str(tmp_path / "a.b.rle")
     assert np.array_equal(pixels(d["img_a"]), a)
     assert np.array_equal(pixels(d["img_b"]), b)
     assert d.size_of("img_a") == (2, 2)
     assert d.size_of("img_b") == (4, 3)
     with pytest.raises(KeyError):
         d["missing"]
+
+
+@pytest.mark.parametrize("read", [label_map_size, read_label_map])
+def test_a_directory_named_like_a_label_map_is_an_error_naming_it(tmp_path, read):
+    path = tmp_path / "m.rle"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError, match=re.escape(str(path))):
+        read(str(path))
+
+
+def test_mask_directory_refuses_two_maps_of_one_image(tmp_path):
+    write_pgm(str(tmp_path / "x.pgm"), np.zeros((2, 2), dtype=np.uint8))
+    write_rle(str(tmp_path / "x.rle"), runs_of(np.zeros((2, 2), dtype=np.uint8)))
+    with pytest.raises(BundleError) as exc:
+        MaskDirectory(str(tmp_path))
+    assert str(exc.value) == f"{tmp_path / 'x.rle'}: x.pgm is there too; keep one label map per image"
 
 
 # ---------------------------------------------------------------------------
@@ -966,9 +1064,10 @@ def _members(frame, images):
     center, as slice_bundle hands them to build_tracks."""
     cams = [project(frame, image.position) for image in images]
     inner_radius_m = RunConfig().inner_radius_m
+    dists = [math.hypot(cam.x, cam.y) for cam in cams]
     return [
-        (image, cam, classify_camera(cam, image.heading_deg, inner_radius_m), math.hypot(cam.x, cam.y))
-        for image, cam in zip(images, cams)
+        (image, cam, classify_camera(cam, d, image.heading_deg, inner_radius_m), d)
+        for image, cam, d in zip(images, cams, dists)
     ]
 
 

@@ -91,8 +91,10 @@ BUILDINGS = [
 
 
 def case_of(img, frame=FRAME, inner_radius_m=CFG.inner_radius_m):
-    """classify_camera of an image, its camera projected into frame."""
-    return classify_camera(project(frame, img.position), img.heading_deg, inner_radius_m)
+    """classify_camera of an image, its camera projected into frame and
+    measured from the center as slice_bundle measures it."""
+    c = project(frame, img.position)
+    return classify_camera(c, math.hypot(c.x, c.y), img.heading_deg, inner_radius_m)
 
 
 def encloses_area(fp):
