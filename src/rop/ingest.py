@@ -1,9 +1,9 @@
 """Input bundle loading, intersection buffers, and track building.
 
 A bundle is the on-disk contract of the pipeline: camera metadata (JSON),
-per-image semantic label maps (binary PGM or run-length files, see
-labelmap), object detections (JSON Lines), building footprints (GeoJSON),
-and intersection buffers (JSON). Every JSON record rop reads or writes is a
+per-image semantic label maps (binary PGM or run-length files, which
+labelmap indexes and reads), object detections (JSON Lines), building
+footprints (GeoJSON), and intersection buffers (JSON). Every JSON record rop reads or writes is a
 dataclass that one record codec, to_json and from_json, writes and reads, a
 point field marked flat in its metadata as the record's own lat and lon (or x
 and y); every GeoJSON feature goes through geojson_features or feature.
@@ -14,17 +14,15 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
-from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .config import check_fields
 from .geo import Footprint, GeoPoint, LocalFrame, LocalPoint, make_frame
-from .labelmap import BundleError, LabelRuns, label_map_size, read_label_map
+from .labelmap import BundleError, LabelRuns, MaskDirectory
 
 log = logging.getLogger("rop.ingest")
 
@@ -107,61 +105,6 @@ class Slice:
     n_images: int
     label_maps: Mapping[str, LabelRuns]
     detections: dict[str, list[Detection]]
-
-
-# ---------------------------------------------------------------------------
-# The mask directory.
-
-
-class MaskDirectory(Mapping):
-    """Lazy image_id -> LabelRuns view over a directory that holds one
-    <image_id>.pgm or <image_id>.rle label map per image, each read when
-    looked up by labelmap.read_label_map, the one reader, which scans every
-    PGM in its own scratch.
-
-    The index is built from the directory's sorted names as strings, with
-    pathlib's rule for a suffix: a.b.rle is image a.b, while .rle, x.RLE and
-    notes.txt are no label map. Only the directory itself is parsed as a
-    Path, so each path reads as pathlib would write it."""
-
-    def __init__(self, directory: str):
-        top = str(Path(directory))
-        if not os.path.isdir(top):
-            raise BundleError(f"{directory}: not a directory")
-        prefix = "" if top == "." else os.path.join(top, "")  # Path(".") / name is name
-        self._paths: dict[str, str] = {}
-        for name in sorted(os.listdir(top)):
-            if len(name) <= 4 or name[-4:] not in (".pgm", ".rle"):
-                continue
-            path = prefix + name
-            stem = name[:-4]
-            if stem in self._paths:
-                other = os.path.basename(self._paths[stem])
-                raise BundleError(f"{path}: {other} is there too; keep one label map per image")
-            self._paths[stem] = path
-
-    def path_of(self, image_id: str) -> str:
-        return self._paths[image_id]
-
-    def size_of(self, image_id: str) -> tuple[int, int]:
-        return label_map_size(self._paths[image_id])
-
-    def __getitem__(self, image_id: str) -> LabelRuns:
-        try:
-            path = self._paths[image_id]
-        except KeyError:
-            raise KeyError(image_id) from None
-        return read_label_map(path)
-
-    def __contains__(self, image_id: object) -> bool:
-        # Mapping's default would decode the whole raster via __getitem__.
-        return image_id in self._paths
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._paths)
-
-    def __len__(self) -> int:
-        return len(self._paths)
 
 
 # ---------------------------------------------------------------------------

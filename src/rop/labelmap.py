@@ -1,13 +1,14 @@
-"""Label maps as row runs, the category bytes they hold, and the two mask
-file formats.
+"""Label maps as row runs, the category bytes they hold, the two mask file
+formats and the mask directory.
 
 A label map assigns each pixel the byte of its category (CATEGORY_IDS).
 Labelling and the light vote in rop.scene read it as row runs (LabelRuns). It
 is stored as binary PGM (P5, one byte per pixel, as a segmentation network
-writes it) or as a run-length .rle file. read_label_map and label_map_size
-pick the format by suffix; a map is read straight into runs, so no
-full-size pixel array outlives a read, and a byte that is not a category id
-is a BundleError naming the file.
+writes it) or as a run-length .rle file. One table of suffixes (_FORMATS)
+decides which file names MaskDirectory indexes and which format
+read_label_map and label_map_size read; a map is read straight into runs, so
+no full-size pixel array outlives a read, and a byte that is not a category
+id is a BundleError naming the file.
 
 A PGM is scanned in one scratch raster and run-start mask that this module
 keeps for the life of the process, reused by every read and sized to the
@@ -18,9 +19,12 @@ So read_label_map must not run in two threads at once.
 from __future__ import annotations
 
 import os
+import re
 import stat
 import struct
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
@@ -45,11 +49,6 @@ CATEGORY_IDS = {
     "vehicle": 8,
 }
 CATEGORY_NAMES = {cid: name for name, cid in CATEGORY_IDS.items()}
-_IS_CATEGORY = np.zeros(256, dtype=bool)
-_IS_CATEGORY[list(CATEGORY_IDS.values())] = True
-# Every byte below this one is a category id (the ids are 0-8), so a map
-# whose largest value is below it holds nothing else.
-_IDS_BELOW = int(np.argmin(_IS_CATEGORY))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,17 +73,6 @@ class LabelRuns:
         return np.repeat(self.values[i0:i1], lengths).reshape(y1 - y0, w)
 
 
-def concat_runs(maps: list[LabelRuns]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The runs of all maps as one sequence, over a flat pixel index that lays
-    the maps end to end: pixel p of maps[i] has index base[i] + p. Returns
-    (bounds, values, base): run j holds values[j] over [bounds[j],
-    bounds[j + 1])."""
-    size = np.array([m.width * m.height for m in maps])
-    base = np.cumsum(size) - size
-    bounds = np.concatenate([*(m.starts + b for m, b in zip(maps, base.tolist())), [size.sum()]])
-    return bounds, np.concatenate([m.values for m in maps]), base
-
-
 def _runs(flat: np.ndarray, change: np.ndarray, w: int, h: int) -> LabelRuns:
     """The runs of the row-major raster flat, using change (bool, same size)
     as scratch. The result shares no memory with either array."""
@@ -107,6 +95,14 @@ def runs_of(label_map: np.ndarray) -> LabelRuns:
     return _runs(flat, np.empty(flat.size, dtype=bool), w, h)
 
 
+# A P5 header: the magic, then width, height and maxval, each after
+# whitespace and # comments (none needed after the magic, one at least between
+# two tokens), then one byte that ends the maxval; the raster follows it.
+_SEP = rb"(?:[ \t\r\n]|#[^\n]*\n)"
+_TOKEN = rb"([^ \t\r\n#]+)"
+_PGM_HEADER = re.compile(rb"P5" + _SEP + b"*" + _TOKEN + (_SEP + b"+" + _TOKEN) * 2 + rb"[ \t\r\n#]")
+
+
 def _pgm_header(fh: BinaryIO, path: str) -> tuple[int, int]:
     """Parse a P5 header from the start of fh: returns (width, height) and
     leaves fh at the first raster byte. Reads on until the header is
@@ -114,40 +110,20 @@ def _pgm_header(fh: BinaryIO, path: str) -> tuple[int, int]:
     data = fh.read(512)
     if data[:2] != b"P5":
         raise BundleError(f"{path}: not a binary PGM (bad magic {data[:2]!r})")
-    while True:
-        tokens: list[bytes] = []
-        i = 2
-        n = len(data)
-        while i < n and len(tokens) < 3:
-            c = data[i : i + 1]
-            if c in b" \t\r\n":
-                i += 1
-                continue
-            if c == b"#":
-                j = data.find(b"\n", i)
-                i = n if j < 0 else j + 1
-                continue
-            j = i
-            while j < n and data[j : j + 1] not in b" \t\r\n#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-        # The last token is only known to be whole once a byte follows it.
-        if len(tokens) == 3 and i < n:
-            break
-        more = fh.read(n)
+    while not (m := _PGM_HEADER.match(data)):
+        more = fh.read(len(data))
         if not more:
             raise BundleError(f"{path}: truncated PGM header")
         data += more
     try:
-        w, h, maxval = (int(t) for t in tokens)
+        w, h, maxval = (int(t) for t in m.groups())
     except ValueError as exc:
         raise BundleError(f"{path}: malformed PGM header") from exc
     if w <= 0 or h <= 0:
         raise BundleError(f"{path}: bad PGM dimensions {w}x{h}")
     if maxval > 255:
         raise BundleError(f"{path}: 16-bit PGM not supported (maxval {maxval})")
-    fh.seek(i + 1)  # one whitespace byte separates header and raster
+    fh.seek(m.end())
     return w, h
 
 
@@ -208,34 +184,26 @@ def _rle_header(head: bytes, path: str) -> tuple[int, int, int]:
 def _run_fault(
     lengths: np.ndarray, starts: np.ndarray, values: np.ndarray, w: int, h: int
 ) -> str | None:
-    """What keeps these runs from being a LabelRuns of a w x h map, or None."""
-    empty = np.flatnonzero(lengths == 0)
-    if empty.size:
-        return f"run {empty[0]} has length 0"
+    """What keeps these runs from being a LabelRuns of a w x h map, or None.
+    A valid map costs a few whole-array passes: no run is empty and the runs
+    cover w * h pixels, so they tile the map in order; then no run crosses a
+    row end exactly when all h row starts begin a run; and two neighbours may
+    hold one value only across a row start. Only a known fault is looked for
+    run by run, to name its first run."""
+    if not lengths.all():
+        return f"run {np.argmin(lengths)} has length 0"
     covered = int(starts[-1] + lengths[-1]) if lengths.size else 0
     if covered != w * h:
         return f"runs cover {covered} pixels, not {w}x{h} = {w * h}"
-    row = starts // w
-    crossing = np.flatnonzero((starts + lengths - 1) // w != row)
-    if crossing.size:
-        i = crossing[0]
-        return f"run {i} crosses the end of row {row[i]}"
-    split = np.flatnonzero((values[1:] == values[:-1]) & (starts[1:] % w != 0)) + 1
-    if split.size:
-        i = split[0]
-        return f"runs {i - 1} and {i} in row {row[i]} both hold value {values[i]}"
-    return None
-
-
-def _runs_tile(lengths: np.ndarray, starts: np.ndarray, values: np.ndarray, w: int, h: int) -> bool:
-    """Whether _run_fault finds nothing, in a few cheap passes: no run is
-    empty and the runs cover w * h pixels, so they tile the map in order; then
-    no run crosses a row end exactly when all h row starts begin a run; and
-    two neighbours may hold one value only across a row start."""
-    if not (lengths.size and lengths.all() and int(starts[-1] + lengths[-1]) == w * h):
-        return False
     row_start = starts == starts // w * w
-    return np.count_nonzero(row_start) == h and not np.greater(values[1:] == values[:-1], row_start[1:]).any()
+    if np.count_nonzero(row_start) != h:
+        i = np.argmax((starts + lengths - 1) // w != starts // w)
+        return f"run {i} crosses the end of row {starts[i] // w}"
+    split = np.greater(values[1:] == values[:-1], row_start[1:])
+    if split.any():
+        i = split.argmax() + 1
+        return f"runs {i - 1} and {i} in row {starts[i] // w} both hold value {values[i]}"
+    return None
 
 
 def _read_rle(path: str) -> LabelRuns:
@@ -247,9 +215,17 @@ def _read_rle(path: str) -> LabelRuns:
     lengths = np.frombuffer(data, dtype="<u4", count=n, offset=_RLE_HEADER.size)
     values = np.frombuffer(data, dtype=np.uint8, count=n, offset=_RLE_HEADER.size + 4 * n)
     starts = lengths.astype(np.int64).cumsum() - lengths
-    if not _runs_tile(lengths, starts, values, w, h):
-        raise BundleError(f"{path}: {_run_fault(lengths, starts, values, w, h)}")
+    if fault := _run_fault(lengths, starts, values, w, h):
+        raise BundleError(f"{path}: {fault}")
     return LabelRuns(starts, values, w, h)
+
+
+# The mask formats by file suffix: each one's reader, and the header parser
+# that label_map_size calls on the open file.
+_FORMATS = {
+    ".pgm": (_read_pgm, _pgm_header),
+    ".rle": (_read_rle, lambda fh, path: _rle_header(fh.read(_RLE_HEADER.size), path)[:2]),
+}
 
 
 def read_label_map(path: str) -> LabelRuns:
@@ -258,25 +234,70 @@ def read_label_map(path: str) -> LabelRuns:
     BundleError naming path.
 
     A valid map passes each check in a few whole-array passes: the runs'
-    tiling (_runs_tile) and the largest value. Only a map that fails one is
+    tiling (_run_fault) and the largest value. Only a map that fails one is
     scanned again, to name its first fault."""
-    runs = _read_rle(path) if path.endswith(".rle") else _read_pgm(path)
-    if runs.values.max() >= _IDS_BELOW:
-        bad = np.flatnonzero(~_IS_CATEGORY[runs.values])
-        if bad.size:
-            row, col = divmod(int(runs.starts[bad[0]]), runs.width)
-            value = runs.values[bad[0]]
-            raise BundleError(f"{path}: value {value} at row {row}, column {col} is not a category id")
+    read, _ = _FORMATS.get(path[-4:], _FORMATS[".pgm"])
+    runs = read(path)
+    # The ids are 0 .. 8, so a byte is a category id exactly when it is below 9.
+    if runs.values.max() >= len(CATEGORY_IDS):
+        i = np.argmax(runs.values >= len(CATEGORY_IDS))
+        row, col = divmod(int(runs.starts[i]), runs.width)
+        raise BundleError(f"{path}: value {runs.values[i]} at row {row}, column {col} is not a category id")
     return runs
 
 
 def label_map_size(path: str) -> tuple[int, int]:
-    """(width, height) of the label map in path, read from its header alone."""
-    if path.endswith(".rle"):  # unbuffered: the header is all it reads
-        with open(path, "rb", buffering=0) as fh:
-            return _rle_header(fh.read(_RLE_HEADER.size), path)[:2]
-    with open(path, "rb") as fh:
-        return _pgm_header(fh, path)
+    """(width, height) of the label map in path, read from its header alone,
+    in the format read_label_map reads."""
+    _, header = _FORMATS.get(path[-4:], _FORMATS[".pgm"])
+    with open(path, "rb", buffering=0) as fh:  # unbuffered: the header is all it reads
+        return header(fh, path)
+
+
+class MaskDirectory(Mapping):
+    """Lazy image_id -> LabelRuns view over a directory that holds one
+    <image_id>.pgm or <image_id>.rle label map per image, each read by
+    read_label_map when looked up.
+
+    The index is built from the directory's sorted names as strings, with
+    pathlib's rule for a suffix: a.b.rle is image a.b, while .rle, x.RLE and
+    notes.txt are no label map. Only the directory itself is parsed as a
+    Path, so each path reads as pathlib would write it."""
+
+    def __init__(self, directory: str):
+        top = str(Path(directory))
+        if not os.path.isdir(top):
+            raise BundleError(f"{directory}: not a directory")
+        prefix = "" if top == "." else os.path.join(top, "")  # Path(".") / name is name
+        self._paths: dict[str, str] = {}
+        for name in sorted(os.listdir(top)):
+            if len(name) <= 4 or name[-4:] not in _FORMATS:
+                continue
+            path = prefix + name
+            stem = name[:-4]
+            if stem in self._paths:
+                other = os.path.basename(self._paths[stem])
+                raise BundleError(f"{path}: {other} is there too; keep one label map per image")
+            self._paths[stem] = path
+
+    def path_of(self, image_id: str) -> str:
+        return self._paths[image_id]
+
+    def size_of(self, image_id: str) -> tuple[int, int]:
+        return label_map_size(self._paths[image_id])
+
+    def __getitem__(self, image_id: str) -> LabelRuns:
+        return read_label_map(self._paths[image_id])
+
+    def __contains__(self, image_id: object) -> bool:
+        # Mapping's default would decode the whole raster via __getitem__.
+        return image_id in self._paths
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
 
 
 def write_rle(path: str, runs: LabelRuns) -> None:

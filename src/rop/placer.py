@@ -331,8 +331,8 @@ def run_intersection(part: Slice, cfg: RunConfig = RunConfig()) -> IntersectionR
     Slice as slice_bundle cut it; no placed object is projected back. Fusion
     takes each track's trees in near_first order, corner selection its views
     in corner_order. Dedup merges same-kind objects placed on one point,
-    across tracks, and notes each merged one whose anchor lies past radius_m
-    as outside_buffer."""
+    across tracks; each such point past radius_m is noted once, as
+    outside_buffer, and not placed."""
     iid, radius_m = part.buffer.intersection_id, part.buffer.radius_m
     result = IntersectionResult()
 
@@ -357,12 +357,9 @@ def run_intersection(part: Slice, cfg: RunConfig = RunConfig()) -> IntersectionR
         near, far = place_objects(fused, corners, part.frame, iid, len(track.images), cfg, radius_m)
         inside += near
         past += far
-    if not inside and not past:  # every track that fused objects found no corners
-        note("no_corners_any_track")
-        return result
     result.placed = dedup_placed(inside)
-    for p in dedup_placed(past):
-        note("outside_buffer", category=p.category)
+    for category, _, _ in dict.fromkeys((p.category, p.subtype, p.position) for p in past):
+        note("outside_buffer", category=category)
     return result
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .ingest import Detection
-from .labelmap import CATEGORY_IDS, CATEGORY_NAMES, LabelRuns, concat_runs
+from .labelmap import CATEGORY_IDS, CATEGORY_NAMES, LabelRuns
 
 
 @dataclass(slots=True)
@@ -35,6 +35,17 @@ class SceneObject:
 
 # The id prefix of a category's objects; any other category is its own.
 _ID_PREFIX = {"sidewalk": "walk", "traffic_light": "light", "traffic_sign": "sign"}
+
+
+def concat_runs(maps: list[LabelRuns]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of all maps as one sequence, over a flat pixel index that lays
+    the maps end to end: pixel p of maps[i] has index base[i] + p. Returns
+    (bounds, values, base): run j holds values[j] over [bounds[j],
+    bounds[j + 1])."""
+    size = np.array([m.width * m.height for m in maps])
+    base = np.cumsum(size) - size
+    bounds = np.concatenate([*(m.starts + b for m, b in zip(maps, base.tolist())), [size.sum()]])
+    return bounds, np.concatenate([m.values for m in maps]), base
 
 
 def extract_regions(

@@ -1396,9 +1396,9 @@ def _count_calls(monkeypatch, module, *names) -> list:
 
 def _count_mask_reads(monkeypatch) -> list:
     """Every label-map read, from either mask format."""
-    import rop.ingest
+    import rop.labelmap
 
-    return _count_calls(monkeypatch, rop.ingest, "read_label_map")
+    return _count_calls(monkeypatch, rop.labelmap, "read_label_map")
 
 
 INVALID_VALUES = [
@@ -1609,8 +1609,9 @@ def test_a_collinear_footprint_exits_2_naming_the_file_and_the_footprint(bundle_
 
 def test_a_buffer_whose_images_all_lack_a_heading(bundle_dir, tmp_path):
     # Each of x0001's images is kept by its slice and warned about once, at
-    # any --jobs, but joins no track: the buffer finds no corners and has no
-    # trees. x0000 places as before.
+    # any --jobs, but joins no track: the buffer has no trees, places nothing
+    # and notes nothing, since no track failed to find corners. x0000 places
+    # as before.
     bundle = tmp_path / "headless"
     shutil.copytree(bundle_dir, bundle)
     images = json.loads((bundle / "images.json").read_text())
@@ -1632,7 +1633,7 @@ def test_a_buffer_whose_images_all_lack_a_heading(bundle_dir, tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert logged(proc.stderr) == warnings
         doc = json.loads(out.read_text())
-        assert [d["event"] for d in doc["diagnostics"] if d["intersection_id"] == "x0001"] == ["no_corners_any_track"]
+        assert [d for d in doc["diagnostics"] if d["intersection_id"] == "x0001"] == []
         assert {f["properties"]["intersection_id"] for f in doc["features"]} == {"x0000"}
     argv = place_args(bundle, tmp_path / "trees.json")
     argv[0] = "dump-trees"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import pickle
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rop import ingest
+from rop import labelmap
 from rop.atbt import AtbtNode, FusedObject
 from rop.config import RunConfig
 from rop.geo import Footprint, GeoPoint, LocalPoint, make_frame, project
@@ -24,7 +25,6 @@ from rop.ingest import (
     Detection,
     ImageMeta,
     IntersectionBuffer,
-    MaskDirectory,
     build_tracks,
     direction_of,
     from_json,
@@ -39,6 +39,7 @@ from rop.labelmap import (
     CATEGORY_IDS,
     CATEGORY_NAMES,
     LabelRuns,
+    MaskDirectory,
     label_map_size,
     read_label_map,
     runs_of,
@@ -174,6 +175,105 @@ def test_read_pgm_names_the_file_of_a_non_numeric_header_token(tmp_path):
     path.write_bytes(b"P5\n3 two\n255\n" + bytes(6))
     with pytest.raises(BundleError, match=rf"^{re.escape(str(path))}: malformed PGM header$"):
         read_label_map(str(path))
+
+
+def pgm_header_oracle(data: bytes) -> tuple[int, int, int] | str:
+    """(width, height, raster offset) of a P5 file's bytes, or the message a
+    header fault raises: a tokenizer that reads the header one byte at a
+    time, in 512 bytes first and then in doubling reads, as the reader does."""
+    fh = io.BytesIO(data)
+    data = fh.read(512)
+    if data[:2] != b"P5":
+        return f"not a binary PGM (bad magic {data[:2]!r})"
+    while True:
+        tokens: list[bytes] = []
+        i = 2
+        n = len(data)
+        while i < n and len(tokens) < 3:
+            c = data[i : i + 1]
+            if c in b" \t\r\n":
+                i += 1
+                continue
+            if c == b"#":
+                j = data.find(b"\n", i)
+                i = n if j < 0 else j + 1
+                continue
+            j = i
+            while j < n and data[j : j + 1] not in b" \t\r\n#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+        # The last token is only known to be whole once a byte follows it.
+        if len(tokens) == 3 and i < n:
+            break
+        more = fh.read(n)
+        if not more:
+            return "truncated PGM header"
+        data += more
+    try:
+        w, h, maxval = (int(t) for t in tokens)
+    except ValueError:
+        return "malformed PGM header"
+    if w <= 0 or h <= 0:
+        return f"bad PGM dimensions {w}x{h}"
+    if maxval > 255:
+        return f"16-bit PGM not supported (maxval {maxval})"
+    return w, h, i + 1  # one byte separates header and raster
+
+
+@st.composite
+def pgm_files(draw):
+    """The bytes of a P5 file built from header tokens, whitespace runs and #
+    comments, whose lengths put the header's end on either side of the 512th
+    byte; some end early, some hold a bad token, magic or size."""
+    space = st.text(" \t\r\n", min_size=1, max_size=3).map(str.encode)
+    comment = st.builds(
+        lambda pad, end: b"#" + b"x" * pad + end,
+        st.one_of(st.integers(0, 8), st.integers(490, 515), st.integers(516, 1100)),
+        st.sampled_from([b"\n"] * 4 + [b""]),
+    )
+    gap = st.lists(st.one_of(space, comment), max_size=3).map(b"".join)
+    token = st.one_of(
+        st.integers(1, 4).map(lambda v: str(v).encode()),
+        st.sampled_from([b"255", b"0", b"70000", b"x", b"+2", b"03", b"-1", b"1\xff"]),
+    )
+    head = [draw(st.sampled_from([b"P5"] * 7 + [b"P2"]))]
+    for k in range(3):
+        sep = draw(gap)
+        if k and not sep:  # two tokens need a space or a comment between them
+            sep = draw(st.one_of(space, comment))
+        head += [sep, draw(token)]
+    head.append(draw(st.sampled_from([b"\n", b" ", b"\t", b"#", b""])))
+    data = b"".join(head) + bytes(i % 9 for i in range(draw(st.integers(0, 40))))
+    if draw(st.integers(0, 3)) == 0:  # cut short, most often near the end
+        data = data[: len(data) - draw(st.integers(1, len(data)))]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(pgm_files())
+def test_read_pgm_header_matches_a_byte_by_byte_tokenizer(tmp_path_factory, data):
+    # The reader's one header pattern keeps the tokenizer's width, height and
+    # raster offset, or raises its message, and the raster check follows.
+    path = tmp_path_factory.mktemp("pgm") / "m.pgm"
+    path.write_bytes(data)
+    header = pgm_header_oracle(data)
+    if isinstance(header, str):
+        for read in (label_map_size, read_label_map):
+            with pytest.raises(BundleError) as exc:
+                read(str(path))
+            assert str(exc.value) == f"{path}: {header}"
+        return
+    w, h, offset = header
+    assert label_map_size(str(path)) == (w, h)
+    raster = data[offset : offset + w * h]
+    if len(raster) < w * h:
+        with pytest.raises(BundleError) as exc:
+            read_label_map(str(path))
+        assert str(exc.value) == f"{path}: truncated raster ({len(raster)} of {w * h} bytes)"
+    else:
+        runs = read_label_map(str(path))
+        assert pixels(runs).tobytes() == raster
 
 
 def test_read_pgm_header_larger_than_the_file_is_a_truncated_raster(tmp_path):
@@ -980,13 +1080,13 @@ def test_load_inputs_rejects_dimension_mismatch(tmp_path):
 def test_load_inputs_decodes_no_label_map(tmp_path, monkeypatch):
     _write_bundle_files(tmp_path)
     decoded = []
-    real_read = ingest.read_label_map
+    real_read = labelmap.read_label_map
 
     def counting_read(path, *args):
         decoded.append(path)
         return real_read(path, *args)
 
-    monkeypatch.setattr(ingest, "read_label_map", counting_read)
+    monkeypatch.setattr(labelmap, "read_label_map", counting_read)
     d = MaskDirectory(str(tmp_path / "masks"))
     assert "i0" in d
     assert "x" not in d

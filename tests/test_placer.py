@@ -587,7 +587,27 @@ def test_no_corners_counts_only_objects_that_can_be_placed():
     assert saw_sidewalks and expected
     diagnostics = run_intersection(part, CFG).diagnostics
     events = [(d["event"], d.get("track_id"), d.get("unplaced")) for d in diagnostics]
-    assert events == [*expected, ("no_corners_any_track", None, None)]
+    assert events == expected
+
+
+def test_run_intersection_dedups_once_per_buffer(monkeypatch):
+    # One dedup_placed call per buffer, whether its tracks place objects or
+    # none finds corners; the objects past radius_m are noted without one.
+    bundle, _ = render_bundle(standard_fixtures(1, seed=1)[0])
+    part = slice_bundle(bundle, CFG)[0]
+    calls = []
+    real_dedup = rop.placer.dedup_placed
+
+    def counting_dedup(placed):
+        calls.append(len(placed))
+        return real_dedup(placed)
+
+    monkeypatch.setattr(rop.placer, "dedup_placed", counting_dedup)
+    for outlines in (part.outlines, []):
+        calls.clear()
+        result = run_intersection(dataclasses.replace(part, outlines=outlines), CFG)
+        assert len(calls) == 1
+        assert bool(result.placed) == bool(outlines)
 
 
 @pytest.mark.parametrize("kinds", [("high", "low"), ("low", "high")])
