@@ -39,10 +39,11 @@ gc.disable()
 try:
     from .atbt import tree_to_json
     from .config import RunConfig, check_range, load_config
-    from .ingest import Bundle, Slice, _load_json, load_inputs
+    from .ingest import Bundle, _load_json, load_inputs
     from .placer import (
         IntersectionResult,
         PlacedObject,
+        Slice,
         from_geojson,
         geojson_feature,
         output_order,

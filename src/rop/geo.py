@@ -82,14 +82,12 @@ def wrap_lon(lon: float) -> float:
     return (lon + 180.0) % 360.0 - 180.0
 
 
-def project(frame: LocalFrame, p: GeoPoint) -> LocalPoint:
+def project(frame: LocalFrame, p: GeoPoint) -> LocalPoint | None:
+    """p in the frame's metres, or None when p lies outside the frame's validity span."""
     dlat = p.lat - frame.origin.lat
     dlon = wrap_lon(p.lon - frame.origin.lon)
     if abs(dlat) >= FRAME_SPAN_DEG or abs(dlon) >= FRAME_SPAN_DEG:
-        raise ValueError(
-            f"point ({p.lat}, {p.lon}) outside the {FRAME_SPAN_DEG} deg validity "
-            f"span of the frame at ({frame.origin.lat}, {frame.origin.lon})"
-        )
+        return None
     return LocalPoint(x=dlon * frame.m_per_deg_lon, y=dlat * M_PER_DEG_LAT)
 
 
@@ -101,20 +99,11 @@ def unproject(frame: LocalFrame, q: LocalPoint) -> GeoPoint:
     return GeoPoint(lat=frame.origin.lat + dlat, lon=wrap_lon(frame.origin.lon + dlon))
 
 
-def in_span(frame: LocalFrame, p: GeoPoint) -> bool:
-    """Whether p lies inside the frame's validity span, where project takes it."""
-    dlat = p.lat - frame.origin.lat
-    dlon = wrap_lon(p.lon - frame.origin.lon)
-    return abs(dlat) < FRAME_SPAN_DEG and abs(dlon) < FRAME_SPAN_DEG
-
-
 def within(frame: LocalFrame, p: GeoPoint, radius_m: float) -> bool:
-    """Whether p lies within radius_m of the frame origin; False, not an
-    error, for points outside the frame's validity span."""
-    if not in_span(frame, p):
-        return False
+    """Whether p lies within radius_m of the frame origin; False for a point
+    outside the frame's validity span, where project returns None."""
     q = project(frame, p)
-    return math.hypot(q.x, q.y) <= radius_m
+    return q is not None and math.hypot(q.x, q.y) <= radius_m
 
 
 def dist(a: LocalPoint, b: LocalPoint) -> float:

@@ -1,4 +1,4 @@
-"""Input bundle loading, intersection buffers, and track building.
+"""Bundle loading: the records in a bundle's files, and the record codec.
 
 A bundle is the on-disk contract of the pipeline: camera metadata (JSON),
 per-image semantic label maps (binary PGM or run-length files, which
@@ -21,7 +21,7 @@ from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
 from .config import check_fields
-from .geo import Footprint, GeoPoint, LocalFrame, LocalPoint, make_frame
+from .geo import Footprint, GeoPoint, make_frame
 from .labelmap import BundleError, LabelRuns, MaskDirectory
 
 log = logging.getLogger("rop.ingest")
@@ -53,20 +53,6 @@ class IntersectionBuffer:
     radius_m: float = field(default=50.0, metadata={"range": "> 0"})
 
 
-@dataclass
-class Track:
-    """One heading bin's images, far to near, and at the same index each one's
-    camera in the buffer's frame, in metres. near_first, their indices nearest
-    first, ties by image id, orders fusion; corner_order tries C1 views in that
-    order, then C2 views far to near. build_tracks makes both."""
-
-    track_id: str  # <intersection id>:<direction>, direction WE, EW, SN or NS
-    images: list[ImageMeta]
-    cams: list[LocalPoint]
-    near_first: list[int]
-    corner_order: list[int]
-
-
 @dataclass(slots=True)
 class Detection:
     """One detections.jsonl line, written and read by the record codec
@@ -86,25 +72,6 @@ class Bundle:
     detections: dict[str, list[Detection]]
     footprints: list[Footprint]
     buffers: list[IntersectionBuffer]
-
-
-@dataclass
-class Slice:
-    """One buffer's whole placement input, as slice_bundle cuts it: the
-    buffer's frame; its tracks, far to near, each camera in the frame's
-    metres; the outlines of the footprints near it, each an id, open ring,
-    corner (the vertex nearest the center) and centroid in metres, as
-    select_corners takes them; how many images it kept, those without a
-    heading too; and the bundle's label maps and detections, of which it reads
-    only its tracks' images'."""
-
-    buffer: IntersectionBuffer
-    frame: LocalFrame
-    tracks: list[Track]
-    outlines: list[tuple[str, list[LocalPoint], LocalPoint, LocalPoint]]
-    n_images: int
-    label_maps: Mapping[str, LabelRuns]
-    detections: dict[str, list[Detection]]
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +98,6 @@ def _records(path: str, what: str, doc) -> Iterator[tuple[str, dict]]:
         if not isinstance(rec, dict):
             raise BundleError(f"{where}: expected a JSON object")
         yield where, rec
-
-
-def _number(value, key: str, where: str, kind: type = float):
-    """value converted by kind. Only a JSON number passes: an int or a
-    float, not a boolean, a string or null; it must be finite, and whole
-    where kind is int. Anything else is a BundleError naming the record and
-    the key."""
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or fractional:
-        raise BundleError(f"{where}: {key} must be a number")
-    try:
-        number = kind(value)
-        finite = math.isfinite(number)
-    except OverflowError as exc:  # an integer too large for a float
-        raise BundleError(f"{where}: {key} must be a number") from exc
-    if not finite:
-        raise BundleError(f"{where}: {key} must be finite")
-    return number
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +219,21 @@ def _reader(tp):
             raise BundleError(f"{where}: {key} must be {what}")
         if t is str:  # one object per distinct string, however many records repeat it
             return sys.intern(value)
-        if t is float and type(value) is float and math.isfinite(value):  # _number's common case
+        if t is not int and t is not float:
             return value
-        return _number(value, key, where, t) if t is int or t is float else value
+        if t is float and type(value) is float and math.isfinite(value):  # the common case
+            return value
+        # A number must be finite, and whole where the field is an int.
+        if t is int and type(value) is float and not value.is_integer():
+            raise BundleError(f"{where}: {key} must be a number")
+        try:
+            number = t(value)
+            finite = math.isfinite(number)
+        except OverflowError as exc:  # an integer too large for a float
+            raise BundleError(f"{where}: {key} must be a number") from exc
+        if not finite:
+            raise BundleError(f"{where}: {key} must be finite")
+        return number
 
     return read_scalar
 
@@ -435,45 +396,3 @@ def load_inputs(
         footprints=footprints,
         buffers=buffers,
     )
-
-
-# ---------------------------------------------------------------------------
-# Buffers and tracks.
-
-
-# Heading bins, degrees clockwise from north. A track direction names where
-# traffic comes from and goes to: WE drives eastward, SN drives northward.
-def direction_of(heading_deg: float) -> str:
-    h = heading_deg % 360.0
-    if 45.0 <= h < 135.0:
-        return "WE"
-    if 135.0 <= h < 225.0:
-        return "NS"
-    if 225.0 <= h < 315.0:
-        return "EW"
-    return "SN"
-
-
-_DIRECTIONS = ("WE", "EW", "SN", "NS")
-
-
-def build_tracks(members: list[tuple[ImageMeta, LocalPoint, str, float]], intersection_id: str) -> list[Track]:
-    """One track per heading bin of members, one intersection's images that
-    have a heading, each with its camera in the buffer's frame, in metres, case
-    (C1 or C2) and distance from the center, as slice_bundle measures them. A
-    track runs far to near, ties by image id, and orders its views as Track says."""
-    bins: dict[str, list[tuple[ImageMeta, LocalPoint, str, float]]] = {}
-    for m in members:
-        bins.setdefault(direction_of(m[0].heading_deg), []).append(m)
-    tracks = []
-    for direction in _DIRECTIONS:
-        binned = bins.get(direction)
-        if not binned:
-            continue
-        binned.sort(key=lambda m: (-m[3], m[0].image_id))
-        images, cams, cases, dists = zip(*binned)
-        # A stable sort of the track order: equal distances stay in image id order.
-        near_first = sorted(range(len(dists)), key=dists.__getitem__)
-        order = [i for i in near_first if cases[i] == "C1"] + [i for i, case in enumerate(cases) if case == "C2"]
-        tracks.append(Track(f"{intersection_id}:{direction}", list(images), list(cams), near_first, order))
-    return tracks

@@ -1,4 +1,11 @@
-"""Geographic placement: camera cases, footprint corners, and Rule 6 offsets.
+"""Slicing and geographic placement: camera cases, tracks, footprint corners,
+and Rule 6 offsets.
+
+slice_bundle cuts each buffer's Slice, its whole placement input: the frame,
+one Track per compass bin of its cameras' headings, and the footprint outlines
+near it. Each image position and footprint vertex is projected into the frame
+once; a point outside the frame's validity span projects to None and is left
+out.
 
 A camera near an intersection is approaching (C1), inside (C2), or leaving
 (C3). For C1/C2 views, the footprints flanking the heading line contribute one
@@ -11,6 +18,8 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -24,7 +33,6 @@ from .geo import (
     LocalPoint,
     dist,
     heading_vector,
-    in_span,
     make_frame,
     nearest_vertex,
     project,
@@ -33,14 +41,15 @@ from .geo import (
 from .grammar import apply_grammar
 from .ingest import (
     Bundle,
-    Slice,
-    Track,
-    build_tracks,
+    Detection,
+    ImageMeta,
+    IntersectionBuffer,
     feature,
     from_json,
     geojson_features,
     lon_lat,
 )
+from .labelmap import LabelRuns
 from .scene import scene_objects
 
 log = logging.getLogger("rop.placer")
@@ -77,7 +86,7 @@ class IntersectionResult:
 
 
 # ---------------------------------------------------------------------------
-# Camera cases.
+# Camera cases, tracks and slices.
 
 
 def classify_camera(cam: LocalPoint, d: float, heading_deg: float, inner_radius_m: float) -> str:
@@ -89,6 +98,70 @@ def classify_camera(cam: LocalPoint, d: float, heading_deg: float, inner_radius_
     hx, hy = heading_vector(heading_deg)
     # Approaching when the heading points back toward the origin.
     return "C1" if hx * cam.x + hy * cam.y < 0 else "C3"
+
+
+# Heading bins, degrees clockwise from north, each from one bound up to the
+# next: SN below 45 and from 315 on. A track direction names where traffic
+# comes from and goes to: WE drives eastward, SN drives northward.
+def direction_of(heading_deg: float) -> str:
+    return ("SN", "WE", "NS", "EW", "SN")[bisect_right((45.0, 135.0, 225.0, 315.0), heading_deg % 360.0)]
+
+
+_DIRECTIONS = ("WE", "EW", "SN", "NS")  # the order of a buffer's tracks
+
+
+@dataclass
+class Track:
+    """One heading bin's images, far to near, and at the same index each one's
+    camera in the buffer's frame, in metres. near_first, their indices nearest
+    first, ties by image id, orders fusion; corner_order tries C1 views in that
+    order, then C2 views far to near. build_tracks makes both."""
+
+    track_id: str  # <intersection id>:<direction>, direction WE, EW, SN or NS
+    images: list[ImageMeta]
+    cams: list[LocalPoint]
+    near_first: list[int]
+    corner_order: list[int]
+
+
+def build_tracks(members: list[tuple[ImageMeta, LocalPoint, str, float]], intersection_id: str) -> list[Track]:
+    """One track per heading bin of members, one intersection's images that
+    have a heading, each with its camera in the buffer's frame, in metres, case
+    (C1 or C2) and distance from the center, as slice_bundle measures them. A
+    track runs far to near, ties by image id, and orders its views as Track says."""
+    bins: dict[str, list[tuple[ImageMeta, LocalPoint, str, float]]] = {d: [] for d in _DIRECTIONS}
+    for m in members:
+        bins[direction_of(m[0].heading_deg)].append(m)
+    tracks = []
+    for direction, binned in bins.items():
+        if not binned:
+            continue
+        binned.sort(key=lambda m: (-m[3], m[0].image_id))
+        images, cams, cases, dists = zip(*binned)
+        # A stable sort of the track order: equal distances stay in image id order.
+        near_first = sorted(range(len(dists)), key=dists.__getitem__)
+        order = [i for i in near_first if cases[i] == "C1"] + [i for i, case in enumerate(cases) if case == "C2"]
+        tracks.append(Track(f"{intersection_id}:{direction}", list(images), list(cams), near_first, order))
+    return tracks
+
+
+@dataclass
+class Slice:
+    """One buffer's whole placement input, as slice_bundle cuts it: the
+    buffer's frame; its tracks, far to near, each camera in the frame's
+    metres; the outlines of the footprints near it, each an id, open ring,
+    corner (the vertex nearest the center) and centroid in metres, as
+    select_corners takes them; how many images it kept, those without a
+    heading too; and the bundle's label maps and detections, of which it reads
+    only its tracks' images'."""
+
+    buffer: IntersectionBuffer
+    frame: LocalFrame
+    tracks: list[Track]
+    outlines: list[tuple[str, list[LocalPoint], LocalPoint, LocalPoint]]
+    n_images: int
+    label_maps: Mapping[str, LabelRuns]
+    detections: dict[str, list[Detection]]
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +344,8 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
     Image positions and footprint vertices go into arrays once. Per buffer a
     box test picks the candidates, and only those take the exact checks, so
     each slice keeps the same records, in the same order, as a full scan.
+    Each candidate image and vertex is projected once: one that projects to
+    None lies outside the frame's span, which a wide box can reach past.
     """
     images = bundle.images
     footprints = bundle.footprints
@@ -286,9 +361,8 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
         reach_m = buffer.radius_m + cfg.corner_radius_m
         near = np.flatnonzero(_in_box(frame, img_lat, img_lon, buffer.radius_m))
         kept = []
-        for im in (images[i] for i in near if in_span(frame, images[i].position)):
-            cam = project(frame, im.position)
-            if (d := dist(cam, _ORIGIN)) > buffer.radius_m:
+        for im in (images[i] for i in near):
+            if (cam := project(frame, im.position)) is None or (d := dist(cam, _ORIGIN)) > buffer.radius_m:
                 continue
             case = None
             if im.heading_deg is None:
@@ -300,7 +374,7 @@ def slice_bundle(bundle: Bundle, cfg: RunConfig) -> list[Slice]:
         candidates[owner[_in_box(frame, v_lat, v_lon, reach_m)]] = True
         outlines = []
         for fp in (footprints[i] for i in np.flatnonzero(candidates)):
-            pts = [project(frame, v) for v in fp.ring[:-1] if in_span(frame, v)]
+            pts = [q for v in fp.ring[:-1] if (q := project(frame, v)) is not None]
             corner, d_corner = nearest_vertex(pts, _ORIGIN) if pts else (None, math.inf)
             if d_corner > reach_m:
                 continue

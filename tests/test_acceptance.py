@@ -90,8 +90,9 @@ def fixture_run():
 
 # The bytes of the 100 standard intersections' placed objects and of every
 # tree criterion 6 builds from them, each the sha256 of the JSON dumped with
-# sorted keys. A change meant to alter the output updates these pins and
-# records the new hashes in CHANGES.md.
+# sorted keys; their diagnostics, none, are pinned beside them. A change meant
+# to alter the output updates these pins and records the new hashes in
+# CHANGES.md.
 PLACED_SHA256_N100 = "a5339ec4cb4848ee0ae8eee4f590096f05e1baaaa58959e23c143acea2c95efe"
 TREES_SHA256_N100 = "415f1be9dc48cf66fdc94e8b5e00955f5818332c3538a77d177ff7c008b11f45"
 
@@ -102,6 +103,7 @@ def _sha256_json(doc) -> str:
 
 def test_criterion_1_completeness_and_runtime(fixture_run):
     assert _sha256_json(to_geojson(fixture_run.preds)) == PLACED_SHA256_N100
+    assert [d for run in fixture_run.runs for d in run.result.diagnostics] == []
     overall = fixture_run.report.group("overall")
     ok = (
         overall.completeness is not None

@@ -25,8 +25,6 @@ from rop.ingest import (
     Detection,
     ImageMeta,
     IntersectionBuffer,
-    build_tracks,
-    direction_of,
     from_json,
     load_buffers,
     load_detections,
@@ -46,7 +44,7 @@ from rop.labelmap import (
     write_pgm,
     write_rle,
 )
-from rop.placer import PlacedObject, classify_camera, slice_bundle
+from rop.placer import PlacedObject, build_tracks, classify_camera, direction_of, slice_bundle
 from rop.scene import SceneObject
 from rop.synth import Layout, PedestrianSpec, RectFootprint
 

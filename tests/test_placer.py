@@ -899,11 +899,7 @@ def test_placement_turns_with_the_bundle(two_fixtures, k):
 
 
 def projects(frame, p):
-    try:
-        project(frame, p)
-    except ValueError:
-        return False
-    return True
+    return project(frame, p) is not None
 
 
 def images_in_buffer(images, buffer):
@@ -1058,6 +1054,19 @@ def _square(center, half_m):
     case=(
         _bundle(
             [], [_square(CENTER, 5.0)], [IntersectionBuffer("x0", CENTER), IntersectionBuffer("x1", CENTER)]
+        ),
+        CFG,
+    )
+)
+# A 10 km radius reaches past the frame's 0.05 deg span: an image 0.06 deg
+# north of the center, and a footprint around it, pass the box test but lie
+# outside the span, so they join no track and give no outline.
+@example(
+    case=(
+        _bundle(
+            [GeoPoint(CENTER.lat + 0.06, CENTER.lon)],
+            [_square(GeoPoint(CENTER.lat + 0.06, CENTER.lon), 5.0)],
+            [IntersectionBuffer("x0", CENTER, 10_000.0)],
         ),
         CFG,
     )

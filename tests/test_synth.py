@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 from rop import synth
 
 from rop.geo import GeoPoint, LocalPoint
-from rop.ingest import Detection, direction_of, from_json, load_inputs, to_json
+from rop.ingest import Detection, from_json, load_inputs, to_json
 from rop.labelmap import CATEGORY_IDS, runs_of
+from rop.placer import direction_of
 from rop.scene import extract_regions
 from rop.synth import (
     CameraModel,
