@@ -59,12 +59,6 @@ _ORIGIN = LocalPoint(0.0, 0.0)
 LIGHT_HEIGHT_M = {"high": 7.0, "low": 4.0}
 
 
-@dataclass(frozen=True)
-class CornerPair:
-    A1: LocalPoint  # left of the heading line
-    A2: LocalPoint  # right of the heading line
-
-
 @dataclass(slots=True)
 class PlacedObject:
     category: str
@@ -173,9 +167,10 @@ def select_corners(
     outlines: list[tuple[str, list[LocalPoint], LocalPoint, LocalPoint]],
     heading_deg: float,
     radius_m: float,
-) -> CornerPair | None:
-    """One corner per side of the heading line of a camera at cam, or None;
-    outlines holds each footprint's id, open ring, corner and centroid in metres.
+) -> tuple[LocalPoint, LocalPoint] | None:
+    """The (left, right) corners, one per side of the heading line of a camera
+    at cam, or None; outlines holds each footprint's id, open ring, corner and
+    centroid in metres.
 
     Candidate footprints have a vertex within radius_m of the camera. Each
     contributes its corner, the vertex nearest the center (the frame origin);
@@ -198,7 +193,7 @@ def select_corners(
         best[side] = min(best.get(side, key), key)
     if "left" not in best or "right" not in best:
         return None
-    return CornerPair(A1=LocalPoint(*best["left"][2:]), A2=LocalPoint(*best["right"][2:]))
+    return LocalPoint(*best["left"][2:]), LocalPoint(*best["right"][2:])
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +210,16 @@ def _offset_toward_center(corner: LocalPoint, offset_m: float) -> LocalPoint:
 
 def place_objects(
     fused: list[FusedObject],
-    corners: CornerPair,
+    corners: tuple[LocalPoint, LocalPoint],
     frame: LocalFrame,
     intersection_id: str,
     n_track_images: int,
     cfg: RunConfig = RunConfig(),
     radius_m: float = math.inf,
 ) -> tuple[list[PlacedObject], list[PlacedObject]]:
-    """Anchor fused objects to the corner pair: those whose anchor lies within
-    radius_m of the center, and those past it. Each anchor in use is tested
-    in metres and unprojected once.
+    """Anchor fused objects to the (left, right) corners: those whose anchor
+    lies within radius_m of the center, and those past it. Each of the three
+    anchors is tested in metres and unprojected once.
 
     Low lights and sign stacks sit cfg.offset_m in from their side's corner (one
     pole per stack, so stack members share the position); high lights hang at
@@ -232,28 +227,24 @@ def place_objects(
     corner's distance from the center would move its anchor onto or past the
     center, and is a ValueError naming the intersection.
     """
-    if corners is None:
-        raise ValueError("place_objects requires a corner pair")
-    d = min(dist(corners.A1, _ORIGIN), dist(corners.A2, _ORIGIN))
+    left, right = corners
+    d = min(dist(left, _ORIGIN), dist(right, _ORIGIN))
     if cfg.offset_m > 0 and cfg.offset_m >= d:
         raise ValueError(
             f"{intersection_id}: offset_m must be below {d:.3f} m, the distance from the "
             f"center to the nearer chosen corner, got {cfg.offset_m}"
         )
-    anchors = {
-        "left": _offset_toward_center(corners.A1, cfg.offset_m),
-        "right": _offset_toward_center(corners.A2, cfg.offset_m),
-        "high": LocalPoint((corners.A1.x + corners.A2.x) / 2.0, (corners.A1.y + corners.A2.y) / 2.0),
-    }
     inside, past = [], []
-    spots: dict[str, tuple[list[PlacedObject], GeoPoint]] = {}  # each anchor in use: its list and position
+    anchors = {
+        "left": _offset_toward_center(left, cfg.offset_m),
+        "right": _offset_toward_center(right, cfg.offset_m),
+        "high": LocalPoint((left.x + right.x) / 2.0, (left.y + right.y) / 2.0),
+    }
+    # Each anchor: the list its objects join, and its position.
+    spots = {a: (inside if dist(q, _ORIGIN) <= radius_m else past, unproject(frame, q)) for a, q in anchors.items()}
     for f in fused:
         is_light = f.category == "traffic_light"
-        anchor = "high" if is_light and f.light_kind == "high" else f.side
-        if anchor not in spots:
-            local = anchors[anchor]
-            spots[anchor] = (inside if dist(local, _ORIGIN) <= radius_m else past), unproject(frame, local)
-        into, position = spots[anchor]
+        into, position = spots["high" if is_light and f.light_kind == "high" else f.side]
         confidence = min(1.0, f.support / max(1, n_track_images))
         if f.inferred_only:
             confidence /= 2.0

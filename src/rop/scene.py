@@ -273,16 +273,13 @@ def classify_lights(
 ) -> None:
     """Set light_kind high/low on every light of a track: lights[i] are seen
     on maps[i], whose tallest pedestrian is tallest_peds[i] pixels (0 or None
-    if none). joined is concat_runs(maps), when the caller has it.
+    if none). joined is concat_runs(maps), when the caller has it. The one
+    caller, scene_objects, passes lights only.
 
     A sky majority in the ring around the light reads high, a building
     majority low. Only on a tied or empty surround does the downward ray
     decide (see _ray_kind).
     """
-    for objs in lights:
-        for obj in objs:
-            if obj.category != "traffic_light":
-                raise ValueError(f"classify_lights on category '{obj.category}'")
     boxes = [[o.bbox for o in objs] for objs in lights]
     margins = iter(surround_margins(maps, boxes, cfg.ring_px, joined).tolist())
     for objs, runs, tallest in zip(lights, maps, tallest_peds):

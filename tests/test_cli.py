@@ -492,6 +492,16 @@ SYNTH20_SHA256 = "8654e080d4398256ebc3aa19425ecb749886bd9f5b3e9f4dae45337c1b9131
 # The bytes `--fixtures 20 --seed 1` places to and dumps as trees.
 PLACE20_SHA256 = "823eaf593e6332cb2e529f94133dc95952b1fb40944b0bd62cbe884bee1eb130"
 DUMP_TREES20_SHA256 = "891dffc6904b01a327c55ed362a0850aee1070410a0739155e46a59c50c7604b"
+# The precision of what `--fixtures 20 --seed 1` places, per group, against
+# its truth at 5 m: each floor is the figure rounded down to three places. A
+# change meant to alter the output raises these to its new figures, rounded
+# down, and records any lowering in CHANGES.md.
+PRECISION20_FLOORS = {
+    "overall": 0.498,
+    "traffic_sign": 0.405,
+    "traffic_light[low]": 0.594,
+    "traffic_light[high]": 0.618,
+}
 
 
 def tree_sha256(root: Path) -> str:
@@ -574,6 +584,16 @@ def test_place20_and_dump_trees20_are_pinned(bundle20_dir, tmp_path):
     trees = tmp_path / "trees.json"
     assert main(["dump-trees", *place_args(bundle20_dir, trees)[1:]]) == 0
     assert hashlib.sha256(trees.read_bytes()).hexdigest() == DUMP_TREES20_SHA256
+
+
+def test_place20_meets_the_precision_floors(bundle20_dir, tmp_path):
+    placed, report = tmp_path / "placed.geojson", tmp_path / "report.json"
+    assert main(place_args(bundle20_dir, placed)) == 0
+    ref = str(bundle20_dir / "truth.geojson")
+    assert main(["eval", "--pred", str(placed), "--ref", ref, "--radius", "5", "--json", "--out", str(report)]) == 0
+    precision = {g["group"]: g["precision"] for g in json.loads(report.read_text())["groups"]}
+    below = {g: (precision[g], floor) for g, floor in PRECISION20_FLOORS.items() if precision[g] < floor}
+    assert below == {}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2", "3"])

@@ -135,12 +135,6 @@ def test_classify_sidewalk_stops_ray():
     assert classify_light(light, runs_of(lab), tallest_ped=40, cfg=CFG) == "low"
 
 
-def test_classify_rejects_non_light():
-    lab, _ = light_raster()
-    with pytest.raises(ValueError):
-        classify_light(obj("s", "traffic_sign", (10.0, 10.0)), runs_of(lab))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_classify_total_and_deterministic(seed):

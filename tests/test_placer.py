@@ -38,7 +38,6 @@ from rop.ingest import (
     IntersectionBuffer,
 )
 from rop.placer import (
-    CornerPair,
     classify_camera,
     dedup_placed,
     from_geojson,
@@ -197,10 +196,11 @@ def corners_oracle(img, footprints, frame, radius_m):
 def test_corners_c1_picks_near_pair():
     pair = corners_of(cam(-20.0, -3.5, 90.0), BUILDINGS)
     assert pair is not None
-    assert pair.A1.x == pytest.approx(-INNER, abs=1e-6)
-    assert pair.A1.y == pytest.approx(INNER, abs=1e-6)
-    assert pair.A2.x == pytest.approx(-INNER, abs=1e-6)
-    assert pair.A2.y == pytest.approx(-INNER, abs=1e-6)
+    left, right = pair
+    assert left.x == pytest.approx(-INNER, abs=1e-6)
+    assert left.y == pytest.approx(INNER, abs=1e-6)
+    assert right.x == pytest.approx(-INNER, abs=1e-6)
+    assert right.y == pytest.approx(-INNER, abs=1e-6)
 
 
 def test_corners_c2_returns_pair_ahead():
@@ -208,10 +208,11 @@ def test_corners_c2_returns_pair_ahead():
     # far-side pair ahead is the valid one.
     pair = corners_of(cam(0.0, -3.5, 90.0), BUILDINGS)
     assert pair is not None
-    assert pair.A1.x == pytest.approx(INNER, abs=1e-6)
-    assert pair.A1.y == pytest.approx(INNER, abs=1e-6)
-    assert pair.A2.x == pytest.approx(INNER, abs=1e-6)
-    assert pair.A2.y == pytest.approx(-INNER, abs=1e-6)
+    left, right = pair
+    assert left.x == pytest.approx(INNER, abs=1e-6)
+    assert left.y == pytest.approx(INNER, abs=1e-6)
+    assert right.x == pytest.approx(INNER, abs=1e-6)
+    assert right.y == pytest.approx(-INNER, abs=1e-6)
 
 
 def test_corners_c3_has_none():
@@ -243,7 +244,7 @@ def test_corners_do_not_depend_on_the_order_of_footprints_that_share_an_id():
     ]
     right = outline_of("r", ring((8.0, -20.0), (20.0, -20.0), (20.0, -10.0), (8.0, -10.0)))
     pairs = {select_corners(LocalPoint(0.0, -30.0), [*order, right], 0.0, 26.0) for order in (left, left[::-1])}
-    assert pairs == {CornerPair(A1=LocalPoint(-8.0, -19.0), A2=LocalPoint(8.0, -10.0))}
+    assert pairs == {(LocalPoint(-8.0, -19.0), LocalPoint(8.0, -10.0))}
 
 
 def test_corners_radius_gates_candidates():
@@ -268,11 +269,9 @@ def test_corners_match_brute_force_oracle(seed):
     if want is None:
         assert got is None
     else:
-        a1, a2 = want
-        assert got.A1.x == pytest.approx(a1.x, abs=1e-9)
-        assert got.A1.y == pytest.approx(a1.y, abs=1e-9)
-        assert got.A2.x == pytest.approx(a2.x, abs=1e-9)
-        assert got.A2.y == pytest.approx(a2.y, abs=1e-9)
+        for g, w in zip(got, want):
+            assert g.x == pytest.approx(w.x, abs=1e-9)
+            assert g.y == pytest.approx(w.y, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def fused(side, category, ordinal=0, depth=0, subtype=None, light_kind=None, sup
 
 
 def pair_at(a1, a2):
-    return CornerPair(A1=LocalPoint(*a1), A2=LocalPoint(*a2))
+    return LocalPoint(*a1), LocalPoint(*a2)
 
 
 def test_place_low_light_offset_vector():
@@ -412,11 +411,6 @@ def test_place_splits_objects_by_their_anchor_and_unprojects_each_anchor_once(mo
     assert [p.light_kind for p in inside] == ["high"]
     assert [p.subtype or p.light_kind for p in past] == ["stop", "low", "yield"]
     assert len(unprojected) == len(set(unprojected)) == 3
-
-
-def test_place_requires_corners():
-    with pytest.raises(ValueError):
-        place_objects([fused("left", "traffic_sign")], None, FRAME, "x0", n_track_images=1)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +639,8 @@ def test_corner_selection_tries_c1_nearest_first_then_c2_far_to_near(monkeypatch
     (part,) = slice_bundle(Bundle(images, {}, {}, [], [IntersectionBuffer("x0", CENTER)]), CFG)
     assert [len(track.images) for track in part.tracks] == [len(views)]
     monkeypatch.setattr(rop.placer, "track_trees", lambda part, track, cfg: [None] * len(track.images))
-    monkeypatch.setattr(rop.placer, "fuse_track", lambda trees: [fused("left", "traffic_sign")])
+    sign = dataclasses.replace(fused("left", "traffic_sign"), source_images=[images[0].image_id])
+    monkeypatch.setattr(rop.placer, "fuse_track", lambda trees: [sign])
     every = ["b20", "c20", "a30", "d40", "e8", "f4"]
     for finds, tried in [("b20", every[:1]), ("a30", every[:3]), ("f4", every), (None, every)]:
         calls = []
